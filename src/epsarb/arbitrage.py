@@ -321,7 +321,7 @@ class NodeStructure:
 
 def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
                        tol: float = 1e-9):
-    """min |h|_p subject to A h = rhs; returns (h, норм) or (None, None) if infeasible."""
+    """min |h|_p subject to A h = rhs; returns (h, |h|_p) or (None, None) if infeasible."""
     d = A.shape[1]
     h2, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0)) + float(np.max(np.abs(A)))

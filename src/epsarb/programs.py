@@ -43,13 +43,10 @@ class TreeOps:
     leaf_count: np.ndarray  # leaves under each internal node
 
 
-_OPS_CACHE: dict[int, TreeOps] = {}
-
-
 def tree_ops(model: MarketModel) -> TreeOps:
-    key = id(model)
-    cached = _OPS_CACHE.get(key)
-    if cached is not None and cached.model is model:
+    """The model's coefficient tensors, built once and kept on the model."""
+    cached = model.__dict__.get("_tree_ops")
+    if cached is not None:
         return cached
     internal = tuple(model.internal)
     pos = {v: j for j, v in enumerate(internal)}
@@ -62,7 +59,7 @@ def tree_ops(model: MarketModel) -> TreeOps:
             coeff[k, j] = model.delta[path[a + 1]]
             mask[k, j] = 1.0
     ops = TreeOps(model, internal, coeff, mask, mask.sum(axis=0))
-    _OPS_CACHE[key] = ops
+    object.__setattr__(model, "_tree_ops", ops)
     return ops
 
 

@@ -4,12 +4,13 @@ exact discrete transport (min-cost and bottleneck).
 Problem sizes throughout the package are desk-scale (tens of variables), so
 everything is dense.  LPs are delegated to HiGHS through scipy; results are
 re-checked for primal feasibility and infeasibility is certified by an
-explicitly computed Farkas ray.
+explicitly computed Farkas ray.  Min-cost transport is one LP; bottleneck
+transport needs none: a threshold algorithm grows a flow along augmenting
+paths and raises the threshold at Hall cuts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -377,56 +378,102 @@ def transport_feasible_below(inst: TransportInstance, lam: float,
                              feas_tol: float = 1e-9) -> bool:
     """Whether a coupling exists supported on cells of cost <= lam.
 
-    Solved as a bipartite max-flow LP on the allowed cells; feasible iff the
-    flow moves the whole mass.
+    Feasibility is monotone in lam, so this is exactly whether the
+    bottleneck value is at most lam.
     """
-    total = float(inst.source.sum())
-    plan = _max_flow_plan(inst, lam)
-    return plan is not None and float(plan.sum()) >= total - feas_tol
-
-
-def _max_flow_plan(inst: TransportInstance, lam: float) -> Optional[np.ndarray]:
-    m, n = inst.cost.shape
-    allowed = inst.cost <= lam
-    idx = np.where(allowed.ravel())[0]
-    if idx.size == 0:
-        return None
-    k = idx.size
-    a_ub = np.zeros((m + n, k))
-    for col, flat in enumerate(idx):
-        i, j = divmod(int(flat), n)
-        a_ub[i, col] = 1.0
-        a_ub[m + j, col] = 1.0
-    b_ub = np.concatenate([inst.source, inst.target])
-    res = linprog(c=-np.ones(k), A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(0, None)] * k)
-    if res.status != 0:
-        return None
-    plan = np.zeros(m * n)
-    plan[idx] = np.maximum(res.x, 0.0)
-    return plan.reshape(m, n)
+    return bottleneck_transport(inst, feas_tol).value <= lam
 
 
 def bottleneck_transport(inst: TransportInstance, feas_tol: float = 1e-9) -> TransportResult:
     """min over couplings of the maximum cost charged with positive mass.
 
-    The optimum is one of the finitely many distinct costs; binary search
-    over the sorted cost levels with a max-flow feasibility check at each.
+    Exact threshold algorithm (Garfinkel & Rao, 1971).  lam starts at the
+    lower bound max(max_i min_j c_ij, max_j min_i c_ij) over rows and
+    columns of positive mass, and one flow on the cells of cost <= lam is
+    kept throughout.  The flow grows along shortest residual paths.  When
+    none is left, the rows reachable from unmoved supply form a set S that
+    violates Hall's condition at lam; every augmenting path must leave S
+    through a cell not yet allowed, so lam rises straight to the cheapest
+    cell from S to a column S does not reach.  The value is therefore always
+    one of the costs, and the plan moves all but ``feas_tol`` of the mass on
+    cells of cost <= value.
     """
     total = float(inst.source.sum())
+    plan = np.zeros_like(inst.cost)
     if total <= 0.0:
-        return TransportResult(0.0, np.zeros_like(inst.cost))
-    live = np.outer(inst.source > 0, inst.target > 0)
-    levels = np.unique(inst.cost[live]) if live.any() else np.array([0.0])
-    lo, hi = 0, levels.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if transport_feasible_below(inst, float(levels[mid]), feas_tol):
-            hi = mid
-        else:
-            lo = mid + 1
-    lam = float(levels[lo])
-    plan = _max_flow_plan(inst, lam)
-    if plan is None or float(plan.sum()) < total - feas_tol:
-        raise RuntimeError("bottleneck feasibility lost at the top cost level")
+        return TransportResult(0.0, plan)
+    rows = np.flatnonzero(inst.source > 0)
+    cols = np.flatnonzero(inst.target > 0)
+    cost = inst.cost[np.ix_(rows, cols)]
+    lam = float(max(cost.min(axis=1).max(), cost.min(axis=0).max()))
+    lam, flow = _threshold_flow(cost.tolist(), inst.source[rows].tolist(),
+                                inst.target[cols].tolist(), lam, total, feas_tol)
+    plan[np.ix_(rows, cols)] = flow
     return TransportResult(lam, plan / plan.sum() * total)
+
+
+def _threshold_flow(cost: list, supply: list, demand: list, lam: float,
+                    total: float, feas_tol: float) -> tuple[float, list]:
+    """Augment a flow on the cells of cost <= lam, raising lam at Hall cuts.
+
+    ``supply`` and ``demand`` are the residual marginals, consumed in place.
+    Residuals at or below 1e-15 of the total mass count as zero, so float
+    noise in the marginals starts no augmentation.  Returns the final lam
+    and the flow as nested lists.
+    """
+    m, n = len(supply), len(demand)
+    tiny = 1e-15 * total
+    flow = [[0.0] * n for _ in range(m)]
+    while True:
+        # Breadth-first search from every row with residual supply; a row is
+        # also reached backwards through a column it already sends flow to.
+        seen = [s > tiny for s in supply]
+        row_via = [-1] * m
+        col_via = [-1] * n
+        frontier = [i for i in range(m) if seen[i]]
+        end = -1
+        while frontier and end < 0:
+            nxt = []
+            for i in frontier:
+                ci = cost[i]
+                for j in range(n):
+                    if col_via[j] >= 0 or ci[j] > lam:
+                        continue
+                    col_via[j] = i
+                    if demand[j] > tiny:
+                        end = j
+                        break
+                    for k in range(m):
+                        if not seen[k] and flow[k][j] > tiny:
+                            seen[k] = True
+                            row_via[k] = j
+                            nxt.append(k)
+                if end >= 0:
+                    break
+            frontier = nxt
+        if end < 0:
+            if sum(supply) <= feas_tol:
+                return lam, flow
+            cut = [cost[i][j] for i in range(m) if seen[i] for j in range(n) if col_via[j] < 0]
+            if not cut:  # every column is reached and full: the marginal sums differ by the rest
+                return lam, flow
+            lam = min(cut)
+            continue
+        path = []
+        delta = demand[end]
+        j = end
+        while True:
+            i = col_via[j]
+            back = row_via[i]
+            path.append((i, j, back))
+            if back < 0:
+                break
+            delta = min(delta, flow[i][back])
+            j = back
+        delta = min(delta, supply[i])
+        supply[i] -= delta
+        demand[end] -= delta
+        for i, j, back in path:
+            flow[i][j] += delta
+            if back >= 0:
+                flow[i][back] -= delta

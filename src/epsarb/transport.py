@@ -18,32 +18,36 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .market import MarketModel, NormPair, PathLaw
-from .solvers import (TransportInstance, bottleneck_transport, discrete_ot,
-                      linprog)
+from .solvers import (TransportInstance, _marginal_system, bottleneck_transport,
+                      discrete_ot, linprog)
 
 _LOG_TINY = -745.0  # log of the smallest normal double; clamps underflow
 
 
-def _qnorm(x: np.ndarray, q: float) -> float:
+def _norms(diff: np.ndarray, q: float) -> np.ndarray:
+    """q-norm of every vector along the last axis (q = 2 as a dot product)."""
     if q == math.inf:
-        return float(np.max(np.abs(x))) if x.size else 0.0
+        return np.max(np.abs(diff), axis=-1)
     if q == 2.0:
-        return float(np.sqrt(np.dot(x, x)))
-    return float(np.sum(np.abs(x) ** q) ** (1.0 / q))
+        return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    return np.sum(np.abs(diff) ** q, axis=-1) ** (1.0 / q)
 
 
-def _stage_cost(lawx: PathLaw, lawy: PathLaw, vx: int, vy: int, q: float,
-                increments: bool, include_t0: bool) -> float:
-    """Per-node-pair cost: levels |X_t - Y_t|_q or increments |dX_t - dY_t|_q.
+def _stage_costs(lawx: PathLaw, lawy: PathLaw, xs: list, ys: list, t: int, q: float,
+                 increments: bool, include_t0: bool) -> np.ndarray:
+    """Costs of all time-t node pairs: levels |X_t - Y_t|_q or increments
+    |dX_t - dY_t|_q.
 
     The time-0 increment is the level itself; ``include_t0`` drops the t = 0
     term of the increments variant.
     """
     if increments:
-        if lawx.times[vx] == 0 and not include_t0:
-            return 0.0
-        return _qnorm(lawx.delta[vx] - lawy.delta[vy], q)
-    return _qnorm(lawx.prices[vx] - lawy.prices[vy], q)
+        if t == 0 and not include_t0:
+            return np.zeros((len(xs), len(ys)))
+        vx, vy = lawx.delta[xs], lawy.delta[ys]
+    else:
+        vx, vy = lawx.prices[xs], lawy.prices[ys]
+    return _norms(vx[:, None, :] - vy[None, :, :], q)
 
 
 @dataclass(frozen=True)
@@ -142,15 +146,17 @@ def _bottleneck_dp(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool,
                    include_t0: bool) -> DistanceResult:
     value_to_go: dict[tuple, float] = {}
     plans: dict[tuple, np.ndarray] = {}
-    T = lawx.T
-    for t in range(T, -1, -1):
-        for vx in _nodes_at(lawx, t):
-            for vy in _nodes_at(lawy, t):
-                c = _stage_cost(lawx, lawy, vx, vy, q, increments, include_t0)
-                cx, cy = lawx.children[vx], lawy.children[vy]
+    for t in range(lawx.T, -1, -1):
+        xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
+        stage = _stage_costs(lawx, lawy, xs, ys, t, q, increments, include_t0)
+        for a, vx in enumerate(xs):
+            cx = lawx.children[vx]
+            for b, vy in enumerate(ys):
+                c = float(stage[a, b])
                 if not cx:
                     value_to_go[(vx, vy)] = c
                     continue
+                cy = lawy.children[vy]
                 costs = np.array([[value_to_go[(wx, wy)] for wy in cy] for wx in cx])
                 inst = TransportInstance(costs, lawx.cond_prob[list(cx)],
                                          lawy.cond_prob[list(cy)])
@@ -195,12 +201,7 @@ def path_cost_matrix(lawx: PathLaw, lawy: PathLaw, q: float,
             dx = dx[:, 1:]
             dy = dy[:, 1:]
         px, py = dx, dy
-    diff = px[:, None, :, :] - py[None, :, :, :]
-    if q == math.inf:
-        per_t = np.max(np.abs(diff), axis=3)
-    else:
-        per_t = np.sum(np.abs(diff) ** q, axis=3) ** (1.0 / q)
-    return per_t.sum(axis=2)
+    return _norms(px[:, None, :, :] - py[None, :, :, :], q).sum(axis=2)
 
 
 def w_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, increments: bool = False,
@@ -216,7 +217,6 @@ def _logexp_dp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
     """Multiplicative backward DP in the log domain."""
     log_value: dict[tuple, float] = {}
     plans: dict[tuple, np.ndarray] = {}
-    T = lawx.T
 
     def _inner(values: np.ndarray, src: np.ndarray, tgt: np.ndarray):
         shift = float(np.max(values))
@@ -233,13 +233,9 @@ def _logexp_dp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
         allowed = values <= level + tol
         top = (values >= level - tol) & allowed
         m, n = values.shape
-        idx = np.where(allowed.ravel())[0]
+        idx = np.flatnonzero(allowed.ravel())
         cvec = top.ravel()[idx].astype(float)
-        a_eq = np.zeros((m + n, idx.size))
-        for col, flat in enumerate(idx):
-            i, j = divmod(int(flat), n)
-            a_eq[i, col] = 1.0
-            a_eq[m + j, col] = 1.0
+        a_eq = _marginal_system(m, n)[:, idx]
         res2 = linprog(c=cvec, A_eq=a_eq, b_eq=np.concatenate([src, tgt]),
                        bounds=[(0, None)] * idx.size)
         if res2.status != 0 or res2.fun <= 0.0:
@@ -248,14 +244,17 @@ def _logexp_dp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
         plan[idx] = np.maximum(res2.x, 0.0)
         return level + math.log(res2.fun), plan.reshape(m, n)
 
-    for t in range(T, -1, -1):
-        for vx in _nodes_at(lawx, t):
-            for vy in _nodes_at(lawy, t):
-                c = lam * _stage_cost(lawx, lawy, vx, vy, q, increments, include_t0)
-                cx, cy = lawx.children[vx], lawy.children[vy]
+    for t in range(lawx.T, -1, -1):
+        xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
+        stage = lam * _stage_costs(lawx, lawy, xs, ys, t, q, increments, include_t0)
+        for a, vx in enumerate(xs):
+            cx = lawx.children[vx]
+            for b, vy in enumerate(ys):
+                c = float(stage[a, b])
                 if not cx:
                     log_value[(vx, vy)] = c
                     continue
+                cy = lawy.children[vy]
                 vals = np.array([[log_value[(wx, wy)] for wy in cy] for wx in cx])
                 lv, plan = _inner(vals, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
                 log_value[(vx, vy)] = c + lv
@@ -478,7 +477,6 @@ def bicausal_rows(lawx: PathLaw, lawy: PathLaw) -> tuple[np.ndarray, np.ndarray]
 def global_bicausal_logexp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
                            increments: bool = False, include_t0: bool = True) -> float:
     """Reference value of the log-exponential divergence via one joint LP."""
-    from .solvers import linprog
     a_eq, b_eq = bicausal_rows(lawx, lawy)
     costs = path_cost_matrix(lawx, lawy, q, increments, include_t0).ravel()
     shift = lam * float(np.max(costs))
@@ -493,7 +491,6 @@ def global_bicausal_bottleneck(lawx: PathLaw, lawy: PathLaw, q: float,
                                increments: bool = False, include_t0: bool = True,
                                feas_tol: float = 1e-9) -> float:
     """Reference sup-distance: threshold bisection over the bicausal polytope."""
-    from .solvers import linprog
     a_eq, b_eq = bicausal_rows(lawx, lawy)
     costs = path_cost_matrix(lawx, lawy, q, increments, include_t0).ravel()
     levels = np.unique(costs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from epsarb.market import MarketModel, NormPair, Payoff, Strategy, gain, strategy_cost
 
@@ -205,3 +205,41 @@ def brute_force_bicausal_couplings(lawx, lawy, samples: int, rng: np.random.Gene
 
 def payoff_linear_terminal(model: MarketModel, coeff: float = 1.0, coord: int = 0) -> Payoff:
     return Payoff.from_function(model, lambda path: coeff * float(path[-1, coord]))
+
+
+def lp_bottleneck_value(cost: np.ndarray, src: np.ndarray, tgt: np.ndarray,
+                        feas_tol: float = 1e-9) -> float:
+    """Reference bottleneck value: bisection over the sorted live cost
+    levels, each level decided by a bipartite max-flow LP on the allowed
+    cells (feasible when it moves all but ``feas_tol`` of the mass).
+    """
+    cost = np.atleast_2d(np.asarray(cost, dtype=float))
+    src = np.asarray(src, dtype=float)
+    tgt = np.asarray(tgt, dtype=float)
+    m, n = cost.shape
+    total = float(src.sum())
+    if total <= 0.0:
+        return 0.0
+
+    def feasible(lam: float) -> bool:
+        idx = np.flatnonzero((cost <= lam).ravel())
+        if idx.size == 0:
+            return False
+        a_ub = np.zeros((m + n, idx.size))
+        for col, flat in enumerate(idx):
+            i, j = divmod(int(flat), n)
+            a_ub[i, col] = 1.0
+            a_ub[m + j, col] = 1.0
+        res = linprog(c=-np.ones(idx.size), A_ub=a_ub, b_ub=np.concatenate([src, tgt]),
+                      bounds=[(0, None)] * idx.size, method="highs")
+        return res.status == 0 and float(np.maximum(res.x, 0.0).sum()) >= total - feas_tol
+
+    levels = np.unique(cost[np.outer(src > 0, tgt > 0)])
+    lo, hi = 0, levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(float(levels[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])

@@ -8,12 +8,17 @@ Core claims:
     - conditional mean increments and Doob splits match hand computations
     - the eps-martingale deviation check is monotone in eps
     - martingale transforms of the Doob part have zero mean under Q
+    - derived coefficient tensors live and die with their model
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import epsarb as ea
+from epsarb.programs import tree_ops
 from epsarb.testing import random_market
 
 from _helpers import (binary_martingale, drift_market, kbar_market,
@@ -260,3 +265,19 @@ class TestMeasuresAndPayoffs:
         m = two_state([0.0], [1.0], [-1.0], 1, pa=0.25)
         q = ea.MeasureWeights.from_array(m, np.array([0.5, 0.5]))
         assert q.density(m) == pytest.approx([2.0, 2.0 / 3.0])
+
+
+class TestTreeOps:
+    def test_built_once_per_model(self):
+        m = kbar_market()
+        assert tree_ops(m) is tree_ops(m)
+        assert tree_ops(m).model is m
+        assert tree_ops(kbar_market()) is not tree_ops(m)
+
+    def test_model_is_freed_after_use(self):
+        m = two_state([0.0], [1.0], [-1.0], 1)
+        tree_ops(m)
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None

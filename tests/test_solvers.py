@@ -9,16 +9,21 @@ Core claims:
       beats a feasible plan
     - threshold feasibility is monotone and the bottleneck value is attained
       on the returned plan's support
+    - the combinatorial bottleneck solver agrees with an LP threshold
+      bisection on tied costs, zero-mass rows and columns and 1 x n / m x 1
+      shapes, with exact plan marginals
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsarb.solvers import (ConcaveOracle, LinearProgram, TransportInstance,
                             bottleneck_transport, discrete_ot, maximize_concave,
                             solve_lp, transport_feasible_below)
 
-from _helpers import enumerate_2x2_transport, random_feasible_plan
+from _helpers import enumerate_2x2_transport, lp_bottleneck_value, random_feasible_plan
 
 
 class TestSolveLP:
@@ -231,3 +236,39 @@ class TestBottleneck:
             res = bottleneck_transport(TransportInstance(cost, src, tgt))
             support_max = float(np.max(cost[res.plan > 1e-12]))
             assert support_max == res.value
+
+
+def _masses(k: int):
+    """k integer weights with at least one positive, normalized: masses such
+    as 1/3 or 2/7 carry float noise and zero masses stay exactly zero."""
+    return st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any).map(
+        lambda w: np.array(w, dtype=float) / sum(w))
+
+
+@st.composite
+def _instances(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.integers(0, 3).map(float) | st.floats(0.0, 10.0, allow_subnormal=False)
+    cost = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return TransportInstance(cost, draw(_masses(m)), draw(_masses(n)))
+
+
+class TestBottleneckProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_instances())
+    def test_matches_lp_threshold_bisection(self, inst):
+        res = bottleneck_transport(inst)
+        ref_value = lp_bottleneck_value(inst.cost, inst.source, inst.target)
+        assert abs(res.value - ref_value) <= 1e-12
+        assert np.min(res.plan) >= 0.0
+        assert np.max(np.abs(res.plan.sum(axis=1) - inst.source)) <= 1e-12
+        assert np.max(np.abs(res.plan.sum(axis=0) - inst.target)) <= 1e-12
+        assert float(np.max(inst.cost[res.plan > 1e-12])) == res.value
+
+    @settings(max_examples=100, deadline=None)
+    @given(_instances(), st.data())
+    def test_threshold_feasibility_matches_value(self, inst, data):
+        ref_value = lp_bottleneck_value(inst.cost, inst.source, inst.target)
+        levels = sorted(set(inst.cost.ravel().tolist()))
+        lam = data.draw(st.sampled_from(levels) | st.floats(-1.0, 11.0))
+        assert transport_feasible_below(inst, lam) == (ref_value <= lam)
