@@ -15,14 +15,14 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .market import (EXACT_TOL, FEAS_TOL, MarketModel, NormPair, Strategy,
                      gain, strategy_cost, validate_market)
-from .programs import (interior_feasibility, pack_strategy, pnorm_and_grad,
+from .programs import (_conic, _fallback, _min_norm_solution, interior_feasibility,
+                       node_strict_arbitrage, pack_strategy, pnorm_and_grad,
                        reference_deviation, strict_arbitrage_maximin_program,
                        strict_arbitrage_sum_program, tree_ops, unpack_strategy)
-from .solvers import LinearProgram, maximize_concave, solve_lp
+from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 STRICT_ARBITRAGE = "strict_arbitrage"
 NO_ARBITRAGE = "none_within_tolerance"
@@ -96,7 +96,6 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
         return ArbitrageReport(STRICT_ARBITRAGE, eps, norms.p, float(opt),
                                unpack_strategy(ops, cert), slk, float(margin))
 
-    from .programs import node_strict_arbitrage
     hit = None
     for v in model.internal:
         cached = None if _gamma_cache is None else _gamma_cache.get(v)
@@ -155,13 +154,22 @@ class CriticalValueResult:
 
 
 def _dual_feasible(model: MarketModel, eps: float, norms: NormPair, eta: float,
-                   cut_bank: Optional[dict] = None) -> tuple[bool, float]:
+                   cut_bank: Optional[dict] = None) -> tuple[str, float]:
+    """Status of the eta-interior program at eps, and its curve value.
+
+    A ``feasible`` status carries weights with q >= eta P and node margins
+    >= 0, and ``infeasible`` a certificate or a certified bound below eta,
+    so both are verdicts; an ``indeterminate`` one is retried with the
+    cutting planes run to their full iteration budget and, if still open,
+    returned as such.
+    """
     status, _, rho, rho_ub, _ = interior_feasibility(model, eps, norms, eta,
                                                      cut_bank=cut_bank)
-    if status == "feasible" and (rho is None or rho >= eta):
-        return True, rho if rho is not None else eta
+    if status == "indeterminate":
+        status, _, rho, rho_ub, _ = interior_feasibility(model, eps, norms, eta,
+                                                         cut_bank=cut_bank, polish=True)
     val = rho if rho is not None else (rho_ub if rho_ub is not None else -1.0)
-    return False, val
+    return status, val
 
 
 def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None,
@@ -169,8 +177,10 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     """Measure-side threshold: smallest eps whose eta-interior cone program is feasible.
 
     Supporting rays of the deviation cones are banked across bisection steps
-    (they are valid at every level), so later feasibility checks start from
-    a near-complete outer model.
+    (they are valid at every level), so later cutting-plane checks start
+    from a near-complete outer model.  A step without a verdict stops the
+    bisection: the estimate is then the middle of the bracket reached, and
+    the primal cross-check flags the disagreement.
     """
     if eta is None:
         eta = 1e-7 * float(np.min(model.leaf_prob))
@@ -179,18 +189,20 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     if hi <= 1e-14:
         return 0.0, (), eta
     bank: dict = {}
-    ok0, r0 = _dual_feasible(model, 0.0, norms, eta, bank)
+    status0, r0 = _dual_feasible(model, 0.0, norms, eta, bank)
     curve.append((0.0, r0))
-    if ok0:
+    if status0 == "feasible":
         return 0.0, tuple(curve), eta
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
     for _ in range(max_iter):
         if hi_b - lo <= rel_tol * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
-        ok, r = _dual_feasible(model, mid, norms, eta, bank)
+        status, r = _dual_feasible(model, mid, norms, eta, bank)
         curve.append((mid, r))
-        if ok:
+        if status == "indeterminate":
+            break
+        if status == "feasible":
             hi_b = mid
         else:
             lo = mid
@@ -211,7 +223,6 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
         return 0.0, ()
     cache: dict = {}
     polyhedral = norms.p == 1.0 or model.d == 1
-    from .programs import node_strict_arbitrage
 
     def _decision(e: float) -> bool:
         if polyhedral or e == 0.0:
@@ -317,37 +328,6 @@ class NodeStructure:
     @property
     def perp_basis(self) -> np.ndarray:
         return np.hstack([self.basis_g, self.basis_g_tilde])
-
-
-def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
-                       tol: float = 1e-9):
-    """min |h|_p subject to A h = rhs; returns (h, |h|_p) or (None, None) if infeasible."""
-    d = A.shape[1]
-    h2, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0)) + float(np.max(np.abs(A)))
-    if np.max(np.abs(A @ h2 - rhs), initial=0.0) > tol * scale:
-        return None, None
-    if norms.p == 2.0:
-        return h2, float(np.linalg.norm(h2))
-    if norms.p == 1.0:
-        lp = LinearProgram(
-            c=np.ones(2 * d), sense="min",
-            a_eq=np.hstack([A, -A]), b_eq=rhs,
-            bounds=[(0, None)] * (2 * d))
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            return None, None
-        h = res.x[:d] - res.x[d:]
-        return h, float(np.sum(np.abs(h)))
-    fun = lambda h: pnorm_and_grad(h, norms.p)[0]
-    jac = lambda h: pnorm_and_grad(h, norms.p)[1]
-    res = minimize(fun, h2, jac=jac, method="SLSQP",
-                   constraints=[{"type": "eq", "fun": lambda h: A @ h - rhs,
-                                 "jac": lambda h: A}],
-                   options={"maxiter": 300, "ftol": 1e-14})
-    if not res.success:
-        raise RuntimeError(f"min-norm solve failed at p={norms.p}: {res.message}")
-    return res.x, float(fun(res.x))
 
 
 def _orth_complement_within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -563,19 +543,57 @@ def check_na_prime(model: MarketModel, eps: float, norms: NormPair,
             if res.status == "optimal" and res.value > tol:
                 witnesses[v] = B @ res.x[:r]
         else:
-            def objective(y, c=c):
-                return float(c @ y), c
-
-            def ball(y, B=B):
-                val, grad = pnorm_and_grad(B @ y, norms.p)
-                return 1.0 - val, -(B.T @ grad)
-
-            cons = [ball]
-            res = maximize_concave(objective, -np.ones(r), np.ones(r), cons,
-                                   a_ub=-rows, b_ub=np.zeros(rows.shape[0]),
-                                   tol=1e-10, feas_tol=1e-10, max_iter=200,
-                                   start=np.zeros(r))
-            if res.x is not None and res.value is not None and res.value > tol:
-                witnesses[v] = B @ res.x
+            conic = _conic(model, norms)
+            found = _unit_ball_witness(c, rows, B, tol) if conic else None
+            if found is None:
+                if conic:
+                    _fallback("check_na_prime", "no checked witness and bound above tol")
+                found = _unit_ball_kelley(c, rows, B, norms, tol)
+            if found is not False:
+                witnesses[v] = found
     holds = not strict.found and not witnesses
     return NaPrimeReport(holds, strict, witnesses)
+
+
+def _unit_ball_witness(c: np.ndarray, rows: np.ndarray, B: np.ndarray, tol: float):
+    """max c.y s.t. rows y >= 0, |B y|_2 <= 1, as one cone program.
+
+    Returns the witness B y when a checked point (gains >= -1e-10, inside
+    the ball) has value > tol, False when the certified bound is <= tol,
+    and None when neither holds.  B has orthonormal columns, so every
+    feasible y has |y_i| <= |B y|_2 <= 1.
+    """
+    k, r = rows.shape
+    d = B.shape[0]
+    G = np.vstack([-rows, np.zeros((1, r)), -B])
+    prog = ConeProgram(-c, G, np.concatenate([np.zeros(k), [1.0], np.zeros(d)]), k, (d + 1,))
+    res = solve_socp(prog)
+    if res.status == "infeasible" or res.z is None:
+        return None
+    if res.x is not None:
+        y = res.x / max(1.0, float(np.linalg.norm(B @ res.x)))
+        if float(np.min(rows @ y, initial=0.0)) >= -1e-10 and float(c @ y) > tol:
+            return B @ y
+    if -prog.lower_bound(res.y, res.z, np.ones(r)) <= tol:
+        return False
+    return None
+
+
+def _unit_ball_kelley(c: np.ndarray, rows: np.ndarray, B: np.ndarray, norms: NormPair,
+                      tol: float):
+    """The unit-ball program by cutting planes: the witness B y, or False."""
+    def objective(y):
+        return float(c @ y), c
+
+    def ball(y):
+        val, grad = pnorm_and_grad(B @ y, norms.p)
+        return 1.0 - val, -(B.T @ grad)
+
+    r = B.shape[1]
+    res = maximize_concave(objective, -np.ones(r), np.ones(r), [ball],
+                           a_ub=-rows, b_ub=np.zeros(rows.shape[0]),
+                           tol=1e-10, feas_tol=1e-10, max_iter=200,
+                           start=np.zeros(r))
+    if res.x is not None and res.value is not None and res.value > tol:
+        return B @ res.x
+    return False

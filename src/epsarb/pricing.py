@@ -7,6 +7,12 @@ program is decided through the max-min-ratio value rho* = max min q/P over
 the closed cone: the interior program at level eta is feasible iff
 rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
+
+Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0); one
+second-order cone program per measure program and per hedge pattern at
+p = 2 with d >= 2, each result checked exactly before it is returned and
+solved again by cutting planes when the check fails; cutting planes for
+other p.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ import numpy as np
 from .arbitrage import NodeStructure, compute_node_structure
 from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy,
                      gain, is_eps_martingale, strategy_cost, validate_market)
-from .programs import (cone_linear_optimum, interior_feasibility,
-                       max_min_weight_on_face, pnorm_and_grad, tree_ops)
-from .solvers import LinearProgram, maximize_concave, solve_lp
+from .programs import (_cone_blocks, _conic, _fallback, cone_linear_optimum,
+                       interior_feasibility, max_min_weight_on_face, pnorm_and_grad,
+                       tree_ops, unpack_strategy)
+from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 
 class NoMartingaleStructure(RuntimeError):
@@ -64,8 +71,11 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
 
     Feasibility at interior level eta is decided by rho* = max over
     cone-feasible weights of the minimum density ratio min q/P: the witness
-    has ratio >= eta, and infeasibility is certified by the cutting-plane
-    upper bound on rho* dropping below eta.
+    has q >= eta P and exact node margins >= 0, and infeasibility is
+    certified by an upper bound on rho* below eta (exact LP for polyhedral
+    geometry; at p = 2 the cone program's recomputed dual bound or an
+    infeasibility certificate; otherwise, or when the conic result fails
+    its check, the cutting-plane upper bound).
     """
     report = validate_market(model)
     if not report.ok:
@@ -194,7 +204,6 @@ def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
     if res.status != "optimal":
         raise RuntimeError(f"superhedge LP failed: {res.status} {res.message}")
     h = res.x[1:1 + N] - res.x[1 + N:]
-    from .programs import unpack_strategy
     strategy = unpack_strategy(ops, h)
     slacks = float(res.x[0]) + gain(model, strategy) - eps * strategy_cost(model, strategy, NormPair(1.0)) - payoff.values
     return float(res.value), HedgeCertificate(float(res.x[0]), strategy, {}, slacks, ())
@@ -206,7 +215,9 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
     """Convex primal for one activity pattern of the orthogonal add-on (p > 1).
 
     Pattern nodes trade only the costless orthogonal direction (their costed
-    holding is zero); free nodes trade the costed strategy.
+    holding is zero); free nodes trade the costed strategy.  One cone
+    program at p = 2 with d >= 2 (``_pattern_conic``), cutting planes
+    otherwise or when the conic hedge is not accepted.
     """
     ops = tree_ops(model)
     L, d = model.n_leaves, model.d
@@ -264,6 +275,64 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
         return out
 
     scale = 1.0 + float(np.max(np.abs(payoff.values))) + float(np.max(np.abs(model.prices)))
+    conic = _conic(model, norms)
+    z = _pattern_conic(ops, eps, payoff, gain_free, mask_free, gain_y, leaf_block,
+                       tol * scale) if conic else None
+    if z is None:
+        if conic:
+            _fallback("_superhedge_pattern", "no converged hedge within tol")
+        z = _pattern_kelley(objective, repair, leaf_block, x_box, scale, NH, NY, free_nodes,
+                            warm_strategy, tol)
+    if z is None:
+        return None, None
+    x = float(z[0])
+    vals = np.zeros((model.n_nodes, d))
+    for a_i, v in enumerate(free_nodes):
+        vals[v] = z[1 + a_i * d:1 + (a_i + 1) * d]
+    strategy = Strategy(vals)
+    orthogonal = {}
+    off = 1 + NH
+    for v, r in zip(pattern, y_dims):
+        orthogonal[v] = structures[v].perp_basis @ z[off:off + r]
+        off += r
+    slacks = x + gain(model, strategy) - eps * strategy_cost(model, strategy, norms) \
+        + _orthogonal_gain(model, tree_ops(model), orthogonal) - payoff.values
+    return x, HedgeCertificate(x, strategy, orthogonal, slacks, pattern)
+
+
+def _pattern_conic(ops, eps: float, payoff: Payoff, gain_free: np.ndarray,
+                   mask_free: np.ndarray, gain_y: np.ndarray, leaf_block, tol: float):
+    """One pattern's primal as a cone program: min x over (H, t, x, y) with
+    x + gain_free H + gain_y y - eps mask_free t >= payoff, |H_a|_2 <= t_a.
+
+    The capital is raised to the binding exact leaf slack (at t = |H|), so
+    the hedge returned is exactly feasible; it is taken when the solver's
+    residuals and gap are under 1e-9 and the raise is at most ``tol``.
+    Returns the packed point (x, H, y) or None.
+    """
+    L, NH = gain_free.shape
+    n_free, NY = mask_free.shape[1], gain_y.shape[1]
+    blocks, soc = _cone_blocks(ops, n_nodes=n_free)
+    lin = -np.hstack([gain_free, -eps * mask_free, np.ones((L, 1)), gain_y])
+    G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], 1 + NY))])])
+    c = np.zeros(NH + n_free + 1 + NY)
+    c[NH + n_free] = 1.0
+    res = solve_socp(ConeProgram(c, G, np.concatenate([-payoff.values, np.zeros(blocks.shape[0])]),
+                                 L, soc))
+    if not res.near_optimal(1e-9):
+        return None
+    w = res.x
+    z = np.concatenate([w[NH + n_free:NH + n_free + 1], w[:NH], w[NH + n_free + 1:]])
+    raise_by = -float(np.min(leaf_block(z)[0]))
+    if raise_by > tol:
+        return None
+    z[0] += max(raise_by, 0.0)
+    return z
+
+
+def _pattern_kelley(objective, repair, leaf_block, x_box, scale, NH, NY, free_nodes,
+                    warm_strategy, tol):
+    """One pattern's primal by cutting planes on a growing box."""
     start = np.concatenate([[x_box[1]], np.zeros(NH + NY)])
     if warm_strategy is not None:
         h0 = np.concatenate([warm_strategy.values[v] for v in free_nodes]) if free_nodes else np.zeros(0)
@@ -277,24 +346,11 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
                                feas_tol=1e-12, max_iter=400, repair=repair,
                                start=np.clip(start, lower, upper), damping=0.5)
         if res.x is None:
-            return None, None
+            return None
         if NH + NY == 0 or float(np.max(np.abs(res.x[1:]))) < 0.995 * R:
             break
         R *= 4.0
-    x = float(res.x[0])
-    from .programs import unpack_strategy
-    vals = np.zeros((model.n_nodes, d))
-    for a_i, v in enumerate(free_nodes):
-        vals[v] = res.x[1 + a_i * d:1 + (a_i + 1) * d]
-    strategy = Strategy(vals)
-    orthogonal = {}
-    off = 1 + NH
-    for v, r in zip(pattern, y_dims):
-        orthogonal[v] = structures[v].perp_basis @ res.x[off:off + r]
-        off += r
-    slacks = x + gain(model, strategy) - eps * strategy_cost(model, strategy, norms) \
-        + _orthogonal_gain(model, tree_ops(model), orthogonal) - payoff.values
-    return x, HedgeCertificate(x, strategy, orthogonal, slacks, pattern)
+    return res.x
 
 
 def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,

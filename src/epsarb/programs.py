@@ -7,22 +7,34 @@ Two families recur across arbitrage detection and pricing:
 * measure programs — variables are leaf weights, every internal node
   imposes the cone constraint |sum_w q(w) dS(w)|_q <= eps qbar(v).
 
-Both are LPs when the relevant norm is polyhedral (p = 1, q = inf) and
-cutting-plane programs otherwise.  This module holds the packing of tree
-geometry into dense coefficient tensors plus the program builders; public
-wrappers live in :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
+Both are HiGHS LPs when the geometry is polyhedral (p = 1, q = inf, d = 1,
+and the measure side at eps = 0).  At p = q = 2 with d >= 2 each is one
+second-order cone program for :func:`epsarb.solvers.solve_socp`, whose
+result is checked against the exact helpers (``_cone_margins``,
+``_leaf_gain_cost``, q >= eta P and a recomputed dual bound) before it is
+returned; a result that fails falls back to the Kelley cutting-plane
+program for that call only and is counted in ``CONIC_FALLBACKS``.  Kelley
+cutting planes remain the route for every other p.  This module holds the
+packing of tree geometry into dense coefficient tensors plus the program
+builders; public wrappers live in :mod:`epsarb.arbitrage` and
+:mod:`epsarb.pricing`.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .market import MarketModel, NormPair, Strategy
-from .solvers import LinearProgram, maximize_concave, solve_lp
+from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
+
+_log = logging.getLogger("epsarb")
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,137 @@ def pnorm_and_grad(h: np.ndarray, p: float) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Conic route: every q = 2, d >= 2 program is one second-order cone program
+# ---------------------------------------------------------------------------
+
+CONIC_FALLBACKS: Counter = Counter()
+"""Per program, the calls whose conic result failed its exact check and
+were solved again by the cutting-plane route."""
+
+# Measure programs solve at eps (1 - tighten): interior-point points carry
+# residuals of 1e-13 to 1e-10 (worst near the critical level, where the cone
+# set is thin), and the tightened cones leave them room to pass the exact
+# check at eps itself.  Price bounds tighten less, since their value moves
+# with it; the interior decision only needs a checked point.
+_TIGHTEN = 1e-10
+_TIGHTEN_INTERIOR = 1e-8
+
+
+def _conic(model: MarketModel, norms: NormPair) -> bool:
+    """Whether the program's cones are second-order cones (q = 2, d >= 2)."""
+    return norms.q == 2.0 and model.d >= 2
+
+
+def _fallback(program: str, why: str) -> None:
+    CONIC_FALLBACKS[program] += 1
+    _log.debug("%s: conic result rejected (%s); solving by cutting planes", program, why)
+
+
+def _cone_blocks(ops: TreeOps, eps: Optional[float] = None,
+                 n_nodes: Optional[int] = None) -> tuple[np.ndarray, tuple]:
+    """Rows G of the second-order cone blocks (G x + s = 0, s in the cones).
+
+    Measure side (``eps`` given): the columns are the leaf weights q, and
+    internal node v contributes s_v = (eps qbar_v(q), z_v(q)), so that
+    |z_v(q)|_2 <= eps qbar_v(q).  Strategy side: the columns are the packed
+    holdings H of ``n_nodes`` nodes (default: every internal node) and then
+    one bound t_v per node, and s_v = (t_v, H_v), so that |H_v|_2 <= t_v.
+    Returns (G, block sizes).
+    """
+    d = ops.model.d
+    if eps is not None:
+        blocks = np.concatenate([eps * ops.mask.T[:, None, :],
+                                 ops.coeff.transpose(1, 2, 0)], axis=1)
+        return -blocks.reshape(-1, ops.model.n_leaves), (d + 1,) * len(ops.internal)
+    n = len(ops.internal) if n_nodes is None else n_nodes
+    if n == 0:
+        return np.zeros((0, 0)), ()
+    G = np.zeros((n, d + 1, n * (d + 1)))
+    for j in range(n):
+        G[j, 0, n * d + j] = -1.0
+        G[j, 1:, j * d:(j + 1) * d] = -np.eye(d)
+    return G.reshape(n * (d + 1), -1), (d + 1,) * n
+
+
+def _measure_program(ops: TreeOps, eps: float, c: np.ndarray, lin: np.ndarray,
+                     lin_rhs: np.ndarray, n_extra: int, face=None,
+                     tighten: float = _TIGHTEN):
+    """min c.(q, extra) s.t. lin (q, extra) <= lin_rhs, sum q = 1, the node
+    cones and, when ``face`` = (f, value) is given, f.q = value; solved with
+    the cones tightened to eps (1 - tighten).
+
+    Returns (result, exact program at eps), the latter for certified bounds.
+    """
+    L = ops.model.n_leaves
+    a_eq = np.concatenate([np.ones(L), np.zeros(n_extra)])[None, :]
+    b_eq = np.array([1.0])
+    if face is not None:
+        a_eq = np.vstack([a_eq, np.concatenate([face[0], np.zeros(n_extra)])])
+        b_eq = np.array([1.0, face[1]])
+
+    def program(level):
+        blocks, soc = _cone_blocks(ops, level)
+        G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], n_extra))])])
+        h = np.concatenate([lin_rhs, np.zeros(blocks.shape[0])])
+        return ConeProgram(c, G, h, lin.shape[0], soc, a_eq, b_eq)
+
+    return solve_socp(program(eps * (1.0 - tighten))), program(eps)
+
+
+def _exact_weights(ops: TreeOps, eps: float, norms: NormPair, x: np.ndarray):
+    """Leaf weights from a solver point, clipped to >= 0 and renormalized,
+    or None unless every exact node margin is >= 0 (margins are
+    homogeneous in q, so the renormalization keeps their sign).
+
+    Weights under 1e-12 are also tried at exactly zero: a node whose leaves
+    all carry such weights sits at the apex of its cone, where the relative
+    rounding of the solver's point decides the sign of the margin.
+    """
+    q = np.maximum(x[:ops.model.n_leaves], 0.0)
+    for cand in (q, np.where(q < 1e-12 * float(q.max(initial=0.0)), 0.0, q)):
+        total = float(cand.sum())
+        if total > 0.0 and float(np.min(_cone_margins(ops, eps, norms, cand / total))) >= 0.0:
+            return cand / total
+    return None
+
+
+def _gap_closed(value: float, bound: float, tol: float) -> bool:
+    """A verified value within ``tol`` (relative) of its certified bound."""
+    return abs(bound - value) <= tol * (1.0 + abs(value))
+
+
+def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
+                       tol: float = 1e-9):
+    """min |h|_p subject to A h = rhs; returns (h, |h|_p) or (None, None) if infeasible."""
+    d = A.shape[1]
+    h2, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0)) + float(np.max(np.abs(A)))
+    if np.max(np.abs(A @ h2 - rhs), initial=0.0) > tol * scale:
+        return None, None
+    if norms.p == 2.0:
+        return h2, float(np.linalg.norm(h2))
+    if norms.p == 1.0:
+        lp = LinearProgram(
+            c=np.ones(2 * d), sense="min",
+            a_eq=np.hstack([A, -A]), b_eq=rhs,
+            bounds=[(0, None)] * (2 * d))
+        res = solve_lp(lp)
+        if res.status != "optimal":
+            return None, None
+        h = res.x[:d] - res.x[d:]
+        return h, float(np.sum(np.abs(h)))
+    fun = lambda h: pnorm_and_grad(h, norms.p)[0]
+    jac = lambda h: pnorm_and_grad(h, norms.p)[1]
+    res = minimize(fun, h2, jac=jac, method="SLSQP",
+                   constraints=[{"type": "eq", "fun": lambda h: A @ h - rhs,
+                                 "jac": lambda h: A}],
+                   options={"maxiter": 300, "ftol": 1e-14})
+    if not res.success:
+        raise RuntimeError(f"min-norm solve failed at p={norms.p}: {res.message}")
+    return res.x, float(fun(res.x))
+
+
+# ---------------------------------------------------------------------------
 # Strategy-side programs
 # ---------------------------------------------------------------------------
 
@@ -116,6 +259,53 @@ def _leaf_gain_cost(ops: TreeOps, norms: NormPair, x: np.ndarray, eps: float):
     slack = gains - eps * costs
     # gradient of slack_k wrt x: coeff[k] - eps * mask[k, j] * node_grad[j]
     return slack, gains, costs, node_norm, node_grad
+
+
+def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, maximin: bool, tol: float):
+    """The sum (or maximin) strict-arbitrage program as one cone program.
+
+    Variables (H, t[, delta]) with |H_v|_2 <= t_v and sum_v t_v <= 1; leaf
+    slacks are linear in (H, t).  The holdings are checked on the exact
+    slacks of ``_leaf_gain_cost``: the sum program needs them >= 0 and its
+    total within ``tol`` of the certified bound; the maximin program's
+    minimum slack (after scaling to unit total norm) must reach its bound.
+    Returns (value, H, slacks), or None when the check fails.
+    """
+    model = ops.model
+    L, n_int, d = model.n_leaves, len(ops.internal), model.d
+    N = n_int * d
+    S = np.hstack([ops.coeff.reshape(L, N), -eps * ops.mask])  # leaf slacks over (H, t)
+    blocks, soc = _cone_blocks(ops)
+    budget = np.concatenate([np.zeros(N), np.ones(n_int)])[None, :]
+    if maximin:
+        c = np.zeros(N + n_int + 1)
+        c[-1] = -1.0
+        G = np.vstack([np.hstack([-S, np.ones((L, 1))]), np.hstack([budget, [[0.0]]]),
+                       np.hstack([blocks, np.zeros((blocks.shape[0], 1))])])
+        reach = float(np.max(np.linalg.norm(ops.coeff, axis=2).sum(axis=1))) + eps * n_int
+        box = np.concatenate([np.ones(N + n_int), [reach]])
+    else:
+        c = -S.sum(axis=0)
+        G = np.vstack([-S, budget, blocks])
+        box = np.ones(N + n_int)
+    prog = ConeProgram(c, G, np.concatenate([np.zeros(L), [1.0], np.zeros(blocks.shape[0])]),
+                       L + 1, soc)
+    res = solve_socp(prog)
+    if res.status not in ("optimal", "unsolved"):
+        return None
+    bound = -prog.lower_bound(res.y, res.z, box)
+    h = res.x[:N]
+    total = float(np.linalg.norm(h.reshape(n_int, d), axis=1).sum())
+    if maximin and bound <= tol:
+        # No positive uniform slack: the zero strategy is optimal.
+        return 0.0, np.zeros(N), np.zeros(L)
+    if total > 1.0 or (maximin and total > 0.0):
+        h = h / total
+    slack = _leaf_gain_cost(ops, norms, h, eps)[0]
+    value = float(np.min(slack)) if maximin else float(slack.sum())
+    if not maximin and float(np.min(slack)) < -10 * tol:
+        return None
+    return (value, h, slack) if _gap_closed(value, bound, 10 * tol) else None
 
 
 def strict_arbitrage_sum_program(model: MarketModel, eps: float, norms: NormPair,
@@ -149,6 +339,11 @@ def strict_arbitrage_sum_program(model: MarketModel, eps: float, norms: NormPair
         h = res.x[:N] - res.x[N:]
         slack = s_plus @ res.x[:N] + s_minus @ res.x[N:]
         return float(res.value), h, slack
+    if _conic(model, norms):
+        out = _strategy_conic(ops, eps, norms, maximin=False, tol=tol)
+        if out is not None:
+            return out
+        _fallback("strict_arbitrage_sum_program", "gap or leaf slack check failed")
 
     def objective(x):
         slack, gains, costs, node_norm, node_grad = _leaf_gain_cost(ops, norms, x, eps)
@@ -208,6 +403,11 @@ def strict_arbitrage_maximin_program(model: MarketModel, eps: float, norms: Norm
         h = res.x[:N] - res.x[N:2 * N]
         slack = s_plus @ res.x[:N] + s_minus @ res.x[N:2 * N]
         return float(res.value), h, slack
+    if _conic(model, norms):
+        out = _strategy_conic(ops, eps, norms, maximin=True, tol=tol)
+        if out is not None:
+            return out
+        _fallback("strict_arbitrage_maximin_program", "gap check failed")
 
     # Leaf slacks are positively homogeneous in H, so maximize the minimum
     # slack over the box (iterates are always usable) and normalize the
@@ -297,21 +497,60 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray) -> n
     return out
 
 
+def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
+    """max rho s.t. q >= rho P, rho >= 0, sum q = 1 and the node cones.
+
+    Feasible when the solver's weights pass the exact check (margins >= 0,
+    q >= eta P); infeasible when a certificate proves the closed cone empty,
+    or the certified dual bound on rho* falls below eta.  The tightened
+    program's dual is only near-feasible for the exact one, so an undecided
+    call (for instance rho* = 0, or eps within the tightening of the
+    critical level) is solved again untightened, for its exact dual bound.
+    None when nothing is decided.
+    """
+    L = ops.model.n_leaves
+    P = ops.model.leaf_prob
+    c = np.zeros(L + 1)
+    c[-1] = -1.0
+    lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
+    box = np.ones(L + 1)
+    for tighten in (_TIGHTEN_INTERIOR, 0.0):
+        res, exact = _measure_program(ops, eps, c, lin, np.zeros(L + 1), 1, tighten=tighten)
+        if res.status == "infeasible":
+            if exact.certifies_infeasible(res.y, res.z, box):
+                return "infeasible", None, None, None, None
+            continue
+        if res.x is None:
+            continue
+        q = _exact_weights(ops, eps, norms, res.x)
+        rho_ub = -exact.lower_bound(res.y, res.z, box)
+        if q is not None and np.all(q >= eta * P):
+            return ("feasible", q, float(np.min(q / P)), rho_ub,
+                    float(np.min(_cone_margins(ops, eps, norms, q))))
+        if rho_ub < eta:
+            return "infeasible", None, None, rho_ub, None
+    return None
+
+
 def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float,
                          cut_bank: Optional[dict] = None, polish: bool = False,
                          tol: float = 1e-10, max_iter: Optional[int] = None):
     """Decide the eta-interior cone program q >= eta P, sum q = 1, node cones.
 
     Returns (status, q, rho, rho_upper_bound, margin) with status in
-    {feasible, infeasible, indeterminate}.
+    {feasible, infeasible, indeterminate}.  A feasible verdict carries
+    weights with q >= eta P and node margins >= 0: checked exactly on the
+    conic and cutting-plane routes, to HiGHS's tolerance on the LP route.
 
-    Two robust routes: the margin program max min_v [eps qbar - |z_v|_q]
-    over {q >= eta P} has exact LP-vertex incumbents, so a non-negative
-    incumbent margin certifies feasibility with no tolerance cascade; and
-    the max-min-ratio program's cutting-plane upper bound certifies
+    Polyhedral geometry (q = inf, d = 1, or eps = 0) is decided by one exact
+    LP; q = 2 by one cone program, max rho = min q/P over the closed cone
+    (see ``_interior_conic``).  Other q, and conic results that fail their
+    exact check, take two cutting-plane routes: the margin program
+    max min_v [eps qbar - |z_v|_q] over {q >= eta P} has exact LP-vertex
+    incumbents, so a non-negative incumbent margin certifies feasibility;
+    and the max-min-ratio program's cutting-plane upper bound certifies
     infeasibility when it drops below eta even when the interior margin
-    itself is far below machine precision.  Polyhedral geometry (q = inf or
-    d = 1) is decided by one exact LP instead.
+    itself is far below machine precision.
     """
     ops = tree_ops(model)
     L = model.n_leaves
@@ -319,7 +558,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     n_nodes = len(ops.internal)
     if max_iter is None:
         max_iter = 400 if polish else 150
-    if norms.q == math.inf or model.d == 1:
+    if norms.q == math.inf or model.d == 1 or eps == 0.0:
         rows = _cone_rows_linf(ops, eps)
         a_ub = np.vstack([
             np.hstack([rows, np.zeros((rows.shape[0], 1))]),
@@ -342,6 +581,11 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
             q = res.x[:L]
             return "feasible", q, rho, rho, float(np.min(_cone_margins(ops, eps, norms, q)))
         return "infeasible", None, rho, rho, None
+    if _conic(model, norms):
+        out = _interior_conic(ops, eps, norms, eta)
+        if out is not None:
+            return out
+        _fallback("interior_feasibility", "neither a checked witness nor a bound below eta")
 
     # Margin route: statics are exact at LP vertices, so incumbents certify.
     margin_cons = []
@@ -394,8 +638,8 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
         return "infeasible", None, None, None, None
     if res.x is not None and res.value is not None and res.value >= margin_floor:
         q = res.x[:L]
-        rho = float(np.min(q / P))
-        return "feasible", q, rho, None, float(res.value)
+        if np.all(q >= eta * P) and float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0:
+            return "feasible", q, float(np.min(q / P)), None, float(res.value)
     margin_ub = float(res.upper_bound)
     if margin_ub < -max(1e-11, margin_floor):
         return "infeasible", None, None, None, margin_ub
@@ -431,33 +675,31 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     if res2.x is not None and res2.value is not None:
         q = res2.x[:L]
         rho = float(np.min(q / P))
-        if rho >= eta and float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0:
+        if np.all(q >= eta * P) and float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0:
             return "feasible", q, rho, rho_ub if rho_ub < np.inf else None, None
     return "indeterminate", None, None, rho_ub, margin_ub if margin_ub < np.inf else None
 
 
 def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
-                        leaf_objective: np.ndarray, sense: str,
-                        extra_ub=None, extra_rhs=None, anchor=None,
+                        leaf_objective: np.ndarray, sense: str, anchor=None,
                         tol: float = 1e-9, max_iter: int = 400):
     """Optimize a linear leaf functional over the closed cone-feasible set.
 
-    ``anchor`` is an exactly cone-feasible point (an interior witness);
-    cutting-plane iterates are repaired by the longest feasible mix toward
-    it, so incumbents are exactly feasible.  Returns (value, q) or
-    (None, None) when the closed set is empty.
+    Polyhedral geometry is one LP and q = 2 one cone program; the value
+    returned is that of weights that pass the exact margin check, within
+    ``tol`` (relative) of the certified dual bound.  Other q, and conic
+    results that fail the check, run cutting planes: ``anchor`` is an
+    exactly cone-feasible point (an interior witness), and iterates are
+    repaired by the longest feasible mix toward it, so incumbents are
+    exactly feasible.  Returns (value, q) or (None, None) when the closed
+    set is empty.
     """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
-    if norms.q == math.inf or model.d == 1:
+    if norms.q == math.inf or model.d == 1 or eps == 0.0:
         rows = _cone_rows_linf(ops, eps)
-        a_ub = rows
-        b_ub = np.zeros(rows.shape[0])
-        if extra_ub is not None:
-            a_ub = np.vstack([a_ub, np.atleast_2d(extra_ub)])
-            b_ub = np.concatenate([b_ub, np.atleast_1d(extra_rhs)])
-        lp = LinearProgram(c=c, sense=sense, a_ub=a_ub, b_ub=b_ub,
+        lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
                            a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
                            bounds=[(0.0, 1.0)] * L)
         res = solve_lp(lp)
@@ -467,6 +709,17 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
             raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
         return float(res.value), res.x
     sgn = 1.0 if sense == "max" else -1.0
+    if _conic(model, norms):
+        res, exact = _measure_program(ops, eps, -sgn * c, -np.eye(L), np.zeros(L), 0)
+        box = np.ones(L)
+        if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
+            return None, None
+        q = None if res.x is None else _exact_weights(ops, eps, norms, res.x)
+        if q is not None:
+            value = float(c @ q)
+            if _gap_closed(value, -sgn * exact.lower_bound(res.y, res.z, box), tol):
+                return value, q
+        _fallback("cone_linear_optimum", "no checked point within the gap")
     cons = _cone_oracles(ops, eps, norms)
 
     def objective(x):
@@ -491,7 +744,6 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
 
     res = maximize_concave(
         objective, np.zeros(L), np.ones(L), cons,
-        a_ub=extra_ub, b_ub=extra_rhs,
         a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
         tol=tol,
         feas_tol=1e-15 if anchor is not None else max(tol * 0.1, 1e-11),
@@ -516,7 +768,7 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
     face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
     face_rhs = np.array([target + scale, -(target - scale)])
     min_rows = np.hstack([-np.eye(L), np.ones((L, 1))])
-    if norms.q == math.inf or model.d == 1:
+    if norms.q == math.inf or model.d == 1 or eps == 0.0:
         rows = _cone_rows_linf(ops, eps)
         a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), face_rows, min_rows])
         b_ub = np.concatenate([np.zeros(rows.shape[0]), face_rhs, np.zeros(L)])
@@ -530,6 +782,20 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
         if res.status != "optimal":
             return 0.0, None
         return float(res.value), res.x[:L]
+    if _conic(model, norms):
+        obj = np.zeros(L + 1)
+        obj[-1] = -1.0
+        # The slab |c.q - target| <= scale is solved as its middle slice
+        # c.q = target: a thin slab is as degenerate, and worse conditioned.
+        lin = np.vstack([min_rows, np.hstack([-np.eye(L), np.zeros((L, 1))])])
+        res, exact = _measure_program(ops, eps, obj, lin, np.zeros(2 * L), 1,
+                                      face=(c, target))
+        q = None if res.x is None else _exact_weights(ops, eps, norms, res.x)
+        if q is not None and abs(float(c @ q) - target) <= scale:
+            min_w = float(np.min(q))
+            if _gap_closed(min_w, -exact.lower_bound(res.y, res.z, np.ones(L + 1)), tol):
+                return min_w, q
+        _fallback("max_min_weight_on_face", "no checked point within the gap")
 
     cons = _cone_oracles(ops, eps, norms, n_extra=1)
 
@@ -603,6 +869,27 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
         if res.status != "optimal":
             raise RuntimeError(f"node deviation LP failed: {res.status}")
         return float(res.value)
+    if _conic(model, norms):
+        # min t s.t. a >= 0, sum a = 1, |A' a|_2 <= t; the value is the exact
+        # norm at the clipped weights, an upper bound on gamma that must
+        # meet the certified lower bound.
+        d = model.d
+        c = np.zeros(k + 1)
+        c[-1] = 1.0
+        G = np.zeros((k + 1 + d, k + 1))
+        G[:k, :k] = -np.eye(k)
+        G[k, k] = -1.0
+        G[k + 1:, :k] = -A.T
+        prog = ConeProgram(c, G, np.zeros(k + 1 + d), k, (d + 1,),
+                           np.concatenate([np.ones(k), [0.0]])[None, :], np.array([1.0]))
+        res = solve_socp(prog)
+        if res.x is not None:
+            a = np.maximum(res.x[:k], 0.0)
+            gamma = float(np.linalg.norm(A.T @ (a / a.sum())))
+            box = np.concatenate([np.ones(k), [float(np.max(np.linalg.norm(A, axis=1)))]])
+            if _gap_closed(gamma, prog.lower_bound(res.y, res.z, box), 10 * tol):
+                return gamma
+        _fallback("node_min_simplex_deviation", "gap not closed")
 
     def objective(a):
         z = A.T @ a
@@ -638,6 +925,30 @@ def _node_support_max(model: MarketModel, v: int, w_pos: int, eps: float,
         if res.status != "optimal":
             raise RuntimeError(f"support LP failed: {res.status}")
         return float(res.value), float(res.value)
+    if _conic(model, norms):
+        # max a_w s.t. a >= 0, sum a = 1, |A' a|_2 <= eps.  The upper bound
+        # is certified by duality; the lower bound is the weight of a
+        # checked point.  Taken when the bounds meet or the upper bound is
+        # already below any support threshold.
+        d = model.d
+        G = np.vstack([-np.eye(k), np.zeros((1, k)), -A.T])
+        h = np.concatenate([np.zeros(k), [eps], np.zeros(d)])
+        prog = ConeProgram(-c, G, h, k, (d + 1,), np.ones((1, k)), np.array([1.0]))
+        res = solve_socp(prog)
+        box = np.ones(k)
+        if res.status == "infeasible" and prog.certifies_infeasible(res.y, res.z, box):
+            return None, None
+        if res.z is not None:
+            ub = -prog.lower_bound(res.y, res.z, box)
+            lb = None
+            if res.x is not None:
+                a = np.maximum(res.x, 0.0)
+                a = a / a.sum()
+                if float(np.linalg.norm(A.T @ a)) <= eps:
+                    lb = float(a[w_pos])
+            if ub <= tol or (lb is not None and _gap_closed(lb, ub, tol)):
+                return lb, ub
+        _fallback("_node_support_max", "bounds not closed")
 
     def objective(a):
         return float(c @ a), c
@@ -677,6 +988,30 @@ def _node_uniform_certificate(model: MarketModel, v: int, eps: float, norms: Nor
         if res.status != "optimal":
             raise RuntimeError(f"node maximin LP failed: {res.status}")
         return float(res.value), res.x[:d] - res.x[d:2 * d]
+    if _conic(model, norms):
+        # max delta s.t. A h - eps t >= delta, |h|_2 <= t <= 1; the margin is
+        # recomputed exactly at h / |h| and must meet the certified bound.
+        G = np.vstack([np.hstack([-A, np.full((k, 1), eps), np.ones((k, 1))]),
+                       [np.concatenate([np.zeros(d), [1.0, 0.0]])],
+                       np.hstack([np.zeros((1, d)), [[-1.0, 0.0]]]),
+                       np.hstack([-np.eye(d), np.zeros((d, 2))])])
+        h_vec = np.concatenate([np.zeros(k), [1.0], np.zeros(d + 1)])
+        cvec = np.zeros(d + 2)
+        cvec[-1] = -1.0
+        prog = ConeProgram(cvec, G, h_vec, k + 1, (d + 1,))
+        res = solve_socp(prog)
+        if res.x is not None:
+            reach = float(np.max(np.linalg.norm(A, axis=1))) + eps
+            bound = -prog.lower_bound(res.y, res.z, np.concatenate([np.ones(d + 1), [reach]]))
+            if bound <= tol:
+                return 0.0, np.zeros(d)
+            h = res.x[:d]
+            nv = float(np.linalg.norm(h))
+            if nv > 0.0:
+                margin = float(np.min(A @ (h / nv)) - eps)
+                if _gap_closed(margin, bound, 10 * tol):
+                    return margin, h / nv
+        _fallback("_node_uniform_certificate", "margin below the certified bound")
 
     # Slacks are positively homogeneous, so maximize min_w slack over the box
     # [-1, 1]^d (no nonlinear constraints: every iterate is usable) and
@@ -740,7 +1075,6 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         if margin > 0 and h is not None:
             return True, h, gamma
         return False, None, gamma
-    from .arbitrage import _min_norm_solution  # local import to avoid a cycle
     h, m = _min_norm_solution(A[support], np.full(len(support), eps), norms)
     if h is None or m is None or m > 1.0 + support_tol or m <= 0.0:
         return False, None, gamma

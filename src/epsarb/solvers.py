@@ -1,16 +1,22 @@
-"""Solver kernel: linear programs, cutting-plane concave maximization, and
-exact discrete transport (min-cost and bottleneck).
+"""Solver kernel: linear programs, second-order cone programs, cutting-plane
+concave maximization, and exact discrete transport (min-cost and
+bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
 everything is dense.  LPs are delegated to HiGHS through scipy; results are
 re-checked for primal feasibility and infeasibility is certified by an
-explicitly computed Farkas ray.  Min-cost transport is one LP; bottleneck
-transport needs none: a threshold algorithm grows a flow along augmenting
-paths and raises the threshold at Hall cuts.
+explicitly computed Farkas ray.  LPs with second-order cones (the p = 2
+programs) run a dense primal-dual interior point written in numpy, which
+returns primal and dual points or an infeasibility certificate; a
+:class:`ConeProgram` recomputes weak-duality bounds and certificates from
+them.  Kelley cutting planes serve the remaining p.  Min-cost transport is
+one LP; bottleneck transport needs none: a threshold algorithm grows a flow
+along augmenting paths and raises the threshold at Hall cuts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -312,6 +318,403 @@ def maximize_concave(oracle, lower=None, upper=None, constraints: Sequence[Oracl
     gap = ub - best_val if best_x is not None else np.inf
     return ConcaveResult("iteration_cap", best_x, best_val if best_x is not None else None,
                          ub, gap, max_iter)
+
+
+# ---------------------------------------------------------------------------
+# Second-order cone programs: dense primal-dual interior point
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConeProgram:
+    """min c.x subject to G x + s = h, A x = b, s in R+^l x Q^soc[0] x ...
+
+    Q^n is the second-order cone {(u0, u1) in R^n : u0 >= |u1|_2}; the rows
+    of G and h list the l orthant rows first, then each cone block in turn.
+    """
+
+    c: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
+    l: int
+    soc: tuple = ()
+    A: Optional[np.ndarray] = None
+    b: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        G = np.asarray(self.G, dtype=float).reshape(-1, c.size)
+        h = np.asarray(self.h, dtype=float)
+        soc = tuple(int(k) for k in self.soc)
+        if G.shape[0] != h.size or h.size != self.l + sum(soc):
+            raise ValueError(f"G has {G.shape[0]} rows, h {h.size}, cones {self.l} + {sum(soc)}")
+        if self.A is None:
+            A, b = np.zeros((0, c.size)), np.zeros(0)
+        else:
+            A = np.asarray(self.A, dtype=float).reshape(-1, c.size)
+            b = np.asarray(self.b, dtype=float).reshape(-1)
+        for name, val in (("c", c), ("G", G), ("h", h), ("soc", soc), ("A", A), ("b", b)):
+            object.__setattr__(self, name, val)
+
+    def _blocks(self):
+        start = self.l
+        for k in self.soc:
+            yield slice(start, start + k)
+            start += k
+
+    def project_dual(self, z: np.ndarray) -> np.ndarray:
+        """z moved into the (self-dual) cone: negative orthant entries are
+        zeroed, and a cone head is raised to the norm of its tail when it
+        falls short."""
+        z = np.array(z, dtype=float)
+        z[:self.l] = np.maximum(z[:self.l], 0.0)
+        for blk in self._blocks():
+            z[blk.start] = max(z[blk.start], float(np.linalg.norm(z[blk.start + 1:blk.stop])))
+        return z
+
+    def lower_bound(self, y: np.ndarray, z: np.ndarray, box: np.ndarray) -> float:
+        """Certified lower bound on min c.x, by weak duality from any (y, z),
+        valid whenever some minimizer has |x_i| <= box_i.
+
+        z is first moved into the cone; the dual residual r = c + G'z + A'y
+        then costs at most sum_i |r_i| box_i.
+        """
+        z = self.project_dual(z)
+        r = self.c + self.G.T @ z + self.A.T @ y
+        slack = float(np.abs(r) @ box) if np.any(r) else 0.0
+        return float(-self.h @ z - self.b @ y) - slack
+
+    def certifies_infeasible(self, y: np.ndarray, z: np.ndarray, box: np.ndarray) -> bool:
+        """Whether (y, z) proves that no x with |x_i| <= box_i is feasible:
+        h.z + b.y + sum_i |(G'z + A'y)_i| box_i < 0 with z in the cone."""
+        z = self.project_dual(z)
+        r = self.G.T @ z + self.A.T @ y
+        return float(self.h @ z + self.b @ y) + float(np.abs(r) @ box) < 0.0
+
+
+@dataclass(frozen=True)
+class ConeResult:
+    """Outcome of :func:`solve_socp`.
+
+    ``optimal``: (x, s) is primal and (y, z) dual feasible to ``tol`` with
+    gap c.x - (-h.z - b.y) under ``tol`` (relative to the objective), both
+    recomputed from the returned points.  ``infeasible``: (y, z) is a
+    certificate scaled to h.z + b.y = -1, with z in the cone and
+    G'z + A'y close to zero.  ``unbounded``: x is a ray with c.x = -1,
+    A x and G x + s close to zero, s in the cone.  ``unsolved``: the best
+    iterate reached, which still gives a valid dual bound through
+    :meth:`ConeProgram.lower_bound`.  ``error``: no iterate at all (the
+    starting KKT system is singular).
+    """
+
+    status: str
+    x: Optional[np.ndarray]
+    s: Optional[np.ndarray]
+    y: Optional[np.ndarray]
+    z: Optional[np.ndarray]
+    value: float
+    dual_value: float
+    pres: float
+    dres: float
+    gap: float
+    iterations: int
+
+    def near_optimal(self, tol: float) -> bool:
+        """Primal and dual residuals and relative gap all under ``tol``
+        (``unsolved`` results that stalled short of the solver's own
+        tolerance can still meet a looser one)."""
+        return (self.status in ("optimal", "unsolved")
+                and max(self.pres, self.dres, abs(self.gap) / (1.0 + abs(self.value))) <= tol)
+
+
+def _jdet(u: np.ndarray) -> float:
+    """u0^2 - |u1|^2, factored to avoid cancellation near the boundary."""
+    nu = math.sqrt(float(u[1:] @ u[1:]))
+    return (u[0] - nu) * (u[0] + nu)
+
+
+def _soc_scaling(s: np.ndarray, z: np.ndarray):
+    """Nesterov-Todd scaling of one cone block (s, z interior).
+
+    Returns (eta, wbar, lam, det_lam) with W = eta * [[w0, w1'],
+    [w1, I + w1 w1' / (1 + w0)]], W z = W^-1 s = lam, and det_lam =
+    lam0^2 - |lam1|^2 computed without cancellation.
+    """
+    a = math.sqrt(max(_jdet(s), 1e-300))
+    b = math.sqrt(max(_jdet(z), 1e-300))
+    sb = s / a
+    zb = z / b
+    gamma = math.sqrt(max((1.0 + float(sb @ zb)) / 2.0, 1e-300))
+    wb = np.empty_like(s)
+    wb[0] = (sb[0] + zb[0]) / (2.0 * gamma)
+    wb[1:] = (sb[1:] - zb[1:]) / (2.0 * gamma)
+    lam = np.empty_like(s)
+    lam[0] = gamma
+    lam[1:] = ((gamma + zb[0]) * sb[1:] + (gamma + sb[0]) * zb[1:]) / (sb[0] + zb[0] + 2.0 * gamma)
+    return math.sqrt(a / b), wb, math.sqrt(a * b) * lam, a * b
+
+
+def _soc_matrix(eta: float, wb: np.ndarray) -> np.ndarray:
+    """The block scaling W as a dense matrix."""
+    w0, w1 = wb[0], wb[1:]
+    W = np.empty((wb.size, wb.size))
+    W[0, 0] = w0
+    W[0, 1:] = W[1:, 0] = w1
+    W[1:, 1:] = np.eye(w1.size) + np.outer(w1, w1) / (1.0 + w0)
+    return eta * W
+
+
+class _Cone:
+    """Jordan-algebra operations on the cone R+^l x Q^n1 x ... of a program."""
+
+    def __init__(self, prog: ConeProgram):
+        self.l = prog.l
+        self.blocks = list(prog._blocks())
+        self.m = prog.h.size
+        self.degree = prog.l + len(prog.soc)
+        self.e = np.zeros(self.m)  # the identity: ones, and (1, 0, ..., 0) per block
+        self.e[:prog.l] = 1.0
+        for blk in self.blocks:
+            self.e[blk.start] = 1.0
+
+    def min_eig(self, u: np.ndarray) -> float:
+        out = float(np.min(u[:self.l])) if self.l else np.inf
+        for blk in self.blocks:
+            tail = u[blk.start + 1:blk.stop]
+            out = min(out, u[blk.start] - math.sqrt(float(tail @ tail)))
+        return out
+
+    def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(u)
+        out[:self.l] = u[:self.l] * v[:self.l]
+        for blk in self.blocks:
+            a, b = u[blk], v[blk]
+            out[blk.start] = a @ b
+            out[blk.start + 1:blk.stop] = a[0] * b[1:] + b[0] * a[1:]
+        return out
+
+    def div(self, lam: np.ndarray, v: np.ndarray, dets) -> np.ndarray:
+        """The x with lam o x = v (``dets``: lam0^2 - |lam1|^2 per block)."""
+        out = np.empty_like(v)
+        out[:self.l] = v[:self.l] / lam[:self.l]
+        for blk, det in zip(self.blocks, dets):
+            a, b = lam[blk], v[blk]
+            x0 = (a[0] * b[0] - a[1:] @ b[1:]) / det
+            out[blk.start] = x0
+            out[blk.start + 1:blk.stop] = (b[1:] - x0 * a[1:]) / a[0]
+        return out
+
+    def max_step(self, lam: np.ndarray, d: np.ndarray) -> float:
+        """Largest alpha with lam + alpha d in the cone (lam interior)."""
+        alpha = np.inf
+        if self.l:
+            neg = d[:self.l] < 0.0
+            if np.any(neg):
+                alpha = float(np.min(-lam[:self.l][neg] / d[:self.l][neg]))
+        for blk in self.blocks:
+            u, v = lam[blk], d[blk]
+            if v[0] < 0.0:  # the head must stay >= 0 (a line through the apex has disc 0)
+                alpha = min(alpha, -u[0] / v[0])
+            c0 = _jdet(u)
+            a = v[0] ** 2 - v[1:] @ v[1:]
+            b = 2.0 * (u[0] * v[0] - u[1:] @ v[1:])
+            disc = b * b - 4.0 * a * c0
+            if disc < 0.0:
+                continue  # the head never meets the tail: no crossing
+            qq = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [c0 / qq] if qq != 0.0 else []
+            if a != 0.0:
+                roots.append(qq / a)
+            pos = [r for r in roots if r > 0.0]
+            if pos:
+                alpha = min(alpha, min(pos))
+        return alpha
+
+
+_CERT_TOL = 1e-9  # relative residual of an infeasibility or unboundedness certificate
+_MAX_ITER = 60
+
+
+def solve_socp(prog: ConeProgram, tol: float = 1e-13) -> ConeResult:
+    """Dense primal-dual interior point for an LP with second-order cones.
+
+    The homogeneous self-dual embedding (Domahidi, Chu & Boyd, ECOS, 2013;
+    Vandenberghe, CVXOPT cone solvers, 2010) runs Mehrotra predictor-
+    corrector steps under Nesterov-Todd scaling; each step factors one KKT
+    matrix [[0, A', G'], [A, 0, 0], [G, 0, -W'W]] and solves it three times.
+    Termination: primal and dual residuals and the relative gap under
+    ``tol``, or an infeasibility or unboundedness certificate whose residual
+    is under 1e-9 relative to its value.  Otherwise (iteration cap, or
+    rounding stalls the residuals) the status is ``unsolved`` and the
+    iterate with the smallest worst relative residual or gap is returned.
+    """
+    # A stalled iterate may overflow or leave the KKT matrix singular; the
+    # best earlier iterate is returned instead.
+    with np.errstate(all="ignore"):
+        try:
+            return _interior_point(prog, tol)
+        except np.linalg.LinAlgError:  # no starting point: the KKT matrix is singular
+            return ConeResult("error", None, None, None, None, np.nan, np.nan,
+                              np.nan, np.nan, np.nan, 0)
+
+
+def _interior_point(prog: ConeProgram, tol: float) -> ConeResult:
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    c, G, h, A, b = prog.c, prog.G, prog.h, prog.A, prog.b
+    n, p = c.size, b.size
+    cone = _Cone(prog)
+    m, l, blocks = cone.m, cone.l, cone.blocks
+    nrm_c = max(1.0, float(np.linalg.norm(c)))
+    nrm_bh = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(h)))
+    K = np.zeros((n + p + m, n + p + m))
+    K[:n, n:n + p] = A.T
+    K[n:n + p, :n] = A
+    K[:n, n + p:] = G.T
+    K[n + p:, :n] = G
+    reg = 1e-13
+
+    def kkt(scale_sq):
+        """Solver for the KKT matrix with (3, 3) block -scale_sq: LU of a
+        slightly regularized copy, refined against the exact matrix."""
+        K[n + p:, n + p:] = -scale_sq
+        Kt = K.copy()
+        K[:n, :n] += reg * np.eye(n)
+        K[n:, n:] -= reg * np.eye(p + m)
+        lu, piv, info = dgetrf(K)
+        K[:] = Kt
+        if info != 0 or not np.all(np.isfinite(lu)):
+            raise np.linalg.LinAlgError("singular KKT matrix")
+
+        def solve(rhs):
+            sol = dgetrs(lu, piv, rhs)[0]
+            for _ in range(2):
+                sol = sol + dgetrs(lu, piv, rhs - Kt @ sol)[0]
+            return sol
+        return solve
+
+    # Starting point: least-norm primal slack and dual multiplier (W = I).
+    solve0 = kkt(np.eye(m))
+    sol = solve0(np.concatenate([np.zeros(n), b, h]))
+    x, s = sol[:n], -sol[n + p:]
+    sol = solve0(np.concatenate([-c, np.zeros(p + m)]))
+    y, z = sol[n:n + p], sol[n + p:]
+    for v in (s, z):
+        shift = -cone.min_eig(v)
+        if shift >= -1e-8:
+            v += (1.0 + shift) * cone.e
+    tau = kappa = 1.0
+
+    def result(status, it, x, s, y, z, scale):
+        xs, ss, ys, zs = (None if v is None else v / scale for v in (x, s, y, z))
+        pval = float(c @ xs) if xs is not None else np.nan
+        dval = float(-h @ zs - b @ ys) if zs is not None else np.nan
+        pres = dres = gap = np.nan
+        if status in ("optimal", "unsolved"):
+            pres = max(float(np.linalg.norm(A @ xs - b)) if p else 0.0,
+                       float(np.linalg.norm(G @ xs + ss - h))) / nrm_bh
+            dres = float(np.linalg.norm(G.T @ zs + A.T @ ys + c)) / nrm_c
+            gap = pval - dval
+        return ConeResult(status, xs, ss, ys, zs, pval, dval, pres, dres, gap, it)
+
+    best = (np.inf, 0, x, s, y, z, tau)
+    for it in range(_MAX_ITER + 1):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z)) and np.isfinite(tau)):
+            break
+        rx = A.T @ y + G.T @ z + c * tau
+        ry = A @ x - b * tau
+        rz = G @ x + s - h * tau
+        hz_by = float(h @ z + b @ y)
+        cx = float(c @ x)
+        rt = kappa + cx + hz_by
+        mu = (float(s @ z) + tau * kappa) / (cone.degree + 1)
+        pres = max(float(np.linalg.norm(ry)) if p else 0.0, float(np.linalg.norm(rz))) / tau / nrm_bh
+        dres = float(np.linalg.norm(rx)) / tau / nrm_c
+        pcost, dcost = cx / tau, -hz_by / tau
+        gap = abs(pcost - dcost) / (1.0 + min(abs(pcost), abs(dcost)))
+        merit = max(pres, dres, gap)
+        if merit <= tol:
+            return result("optimal", it, x, s, y, z, tau)
+        if merit < best[0]:
+            best = (merit, it, x, s, y, z, tau)
+        elif best[0] <= 1e-6 and it - best[1] >= 4:
+            break  # rounding has stalled the residuals
+        if hz_by < 0.0 and float(np.linalg.norm(A.T @ y + G.T @ z)) <= _CERT_TOL * -hz_by * nrm_c:
+            return result("infeasible", it, None, None, y, z, -hz_by)
+        if cx < 0.0 and max(float(np.linalg.norm(A @ x)) if p else 0.0,
+                            float(np.linalg.norm(G @ x + s))) <= _CERT_TOL * -cx * nrm_bh:
+            return result("unbounded", it, x, s, None, None, -cx)
+        if it == _MAX_ITER or not np.isfinite(mu) or mu <= 0.0:
+            break
+
+        # Scaling: W z = W^-1 s = lam, block by block.
+        lam = np.empty(m)
+        scale_sq = np.zeros((m, m))
+        dz0 = np.sqrt(s[:l] / z[:l])
+        lam[:l] = np.sqrt(s[:l] * z[:l])
+        scale_sq[np.arange(l), np.arange(l)] = dz0 ** 2
+        scalings = []
+        dets = []
+        for blk in blocks:
+            eta, wb, lam[blk], det = _soc_scaling(s[blk], z[blk])
+            Wm = _soc_matrix(eta, wb)
+            scalings.append(Wm)
+            dets.append(det)
+            scale_sq[blk, blk] = Wm @ Wm
+
+        def W(v):
+            out = np.empty_like(v)
+            out[:l] = v[:l] * dz0
+            for blk, Wm in zip(blocks, scalings):
+                out[blk] = Wm @ v[blk]
+            return out
+
+        try:
+            solve = kkt(scale_sq)
+        except np.linalg.LinAlgError:
+            break
+        sol1 = solve(np.concatenate([-c, b, h]))
+        x1, y1, z1 = sol1[:n], sol1[n:n + p], sol1[n + p:]
+        denom = float(c @ x1 + b @ y1 + h @ z1) - kappa / tau
+
+        def direction(dx, dy, dz, dt, ds, dk):
+            u = cone.div(lam, -ds, dets)
+            sol2 = solve(np.concatenate([-dx, -dy, -dz - W(u)]))
+            x2, y2, z2 = sol2[:n], sol2[n:n + p], sol2[n + p:]
+            dtau = (-dt + dk / tau - float(c @ x2 + b @ y2 + h @ z2)) / denom
+            ddz = z2 + dtau * z1
+            wdz = W(ddz)
+            return (x2 + dtau * x1, y2 + dtau * y1, ddz, dtau,
+                    (-dk - kappa * dtau) / tau, u - wdz, wdz)
+
+        def step(d):
+            _, _, _, dtau, dkap, sdir, zdir = d
+            alpha = min(cone.max_step(lam, sdir), cone.max_step(lam, zdir))
+            if dtau < 0.0:
+                alpha = min(alpha, -tau / dtau)
+            if dkap < 0.0:
+                alpha = min(alpha, -kappa / dkap)
+            return alpha
+
+        aff = direction(rx, ry, rz, rt, cone.prod(lam, lam), tau * kappa)
+        alpha_aff = min(1.0, step(aff))
+        sigma = min(1.0, max(0.0, 1.0 - alpha_aff)) ** 3
+        corr = cone.prod(aff[5], aff[6])
+        comb = direction((1.0 - sigma) * rx, (1.0 - sigma) * ry, (1.0 - sigma) * rz,
+                         (1.0 - sigma) * rt,
+                         cone.prod(lam, lam) - sigma * mu * cone.e + corr,
+                         tau * kappa - sigma * mu + aff[3] * aff[4])
+        alpha = 0.99 * min(1.0, step(comb))
+        if not np.isfinite(alpha) or alpha <= 1e-12:
+            break
+        dx, dy, ddz, dtau, dkap, sdir, _ = comb
+        x = x + alpha * dx
+        y = y + alpha * dy
+        z = z + alpha * ddz
+        s = s + alpha * W(sdir)
+        tau += alpha * dtau
+        kappa += alpha * dkap
+    return result("unsolved", *best[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -143,32 +143,46 @@ def _nodes_at(law: PathLaw, t: int) -> list[int]:
 
 
 def _bottleneck_dp(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool,
-                   include_t0: bool) -> DistanceResult:
+                   variants: tuple = (True,)) -> tuple:
+    """Backward bottleneck DP, one result per ``include_t0`` flag in ``variants``.
+
+    The variants differ only in the t = 0 stage costs, so the stage
+    transports are solved once and only the root solve is repeated.
+    """
     value_to_go: dict[tuple, float] = {}
+    below: dict[tuple, Optional[float]] = {}  # root pairs: their children's bottleneck
     plans: dict[tuple, np.ndarray] = {}
     for t in range(lawx.T, -1, -1):
         xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
-        stage = _stage_costs(lawx, lawy, xs, ys, t, q, increments, include_t0)
+        stage = _stage_costs(lawx, lawy, xs, ys, t, q, increments, True) if t else None
         for a, vx in enumerate(xs):
             cx = lawx.children[vx]
             for b, vy in enumerate(ys):
-                c = float(stage[a, b])
-                if not cx:
-                    value_to_go[(vx, vy)] = c
-                    continue
-                cy = lawy.children[vy]
-                costs = np.array([[value_to_go[(wx, wy)] for wy in cy] for wx in cx])
-                inst = TransportInstance(costs, lawx.cond_prob[list(cx)],
-                                         lawy.cond_prob[list(cy)])
-                res = bottleneck_transport(inst)
-                value_to_go[(vx, vy)] = c + res.value
-                plans[(vx, vy)] = res.plan
+                rest = None
+                if cx:
+                    cy = lawy.children[vy]
+                    costs = np.array([[value_to_go[(wx, wy)] for wy in cy] for wx in cx])
+                    inst = TransportInstance(costs, lawx.cond_prob[list(cx)],
+                                             lawy.cond_prob[list(cy)])
+                    res = bottleneck_transport(inst)
+                    rest = res.value
+                    plans[(vx, vy)] = res.plan
+                if t:
+                    c = float(stage[a, b])
+                    value_to_go[(vx, vy)] = c if rest is None else c + rest
+                else:
+                    below[(vx, vy)] = rest
     rx, ry = list(lawx.roots), list(lawy.roots)
-    top = np.array([[value_to_go[(a, b)] for b in ry] for a in rx])
-    res = bottleneck_transport(TransportInstance(top, lawx.cond_prob[rx],
-                                                 lawy.cond_prob[ry]))
-    coupling = BicausalCoupling(lawx, lawy, res.plan, plans)
-    return DistanceResult(float(res.value), coupling)
+    out = []
+    for include_t0 in variants:
+        stage = _stage_costs(lawx, lawy, rx, ry, 0, q, increments, include_t0)
+        top = np.array([[float(stage[a, b]) if below[(vx, vy)] is None
+                         else float(stage[a, b]) + below[(vx, vy)]
+                         for b, vy in enumerate(ry)] for a, vx in enumerate(rx)])
+        res = bottleneck_transport(TransportInstance(top, lawx.cond_prob[rx],
+                                                     lawy.cond_prob[ry]))
+        out.append(DistanceResult(float(res.value), BicausalCoupling(lawx, lawy, res.plan, plans)))
+    return tuple(out)
 
 
 def aw_inf_delta(lawx: PathLaw, lawy: PathLaw, q: float = 2.0,
@@ -180,13 +194,13 @@ def aw_inf_delta(lawx: PathLaw, lawy: PathLaw, q: float = 2.0,
     value.
     """
     _check_shapes(lawx, lawy)
-    return _bottleneck_dp(lawx, lawy, q, increments=True, include_t0=include_t0)
+    return _bottleneck_dp(lawx, lawy, q, increments=True, variants=(include_t0,))[0]
 
 
 def aw_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0) -> DistanceResult:
     """Adapted sup-distance on level paths: esssup of sum_t |X_t - Y_t|_q."""
     _check_shapes(lawx, lawy)
-    return _bottleneck_dp(lawx, lawy, q, increments=False, include_t0=True)
+    return _bottleneck_dp(lawx, lawy, q, increments=False)[0]
 
 
 def path_cost_matrix(lawx: PathLaw, lawy: PathLaw, q: float,
@@ -601,8 +615,10 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
     from .pricing import fair_price_range, find_eps_martingale_measure
 
     notes: list[str] = []
-    dres = aw_inf_delta(lawx, lawy, norms.q, include_t0=True)
-    d_no_t0 = aw_inf_delta(lawx, lawy, norms.q, include_t0=False).value
+    _check_shapes(lawx, lawy)
+    dres, dres_no_t0 = _bottleneck_dp(lawx, lawy, norms.q, increments=True,
+                                      variants=(True, False))
+    d_no_t0 = dres_no_t0.value
     D = dres.value
     eps_x = critical_value(lawx, norms, method=critical_method).epsilon
     eps_y = critical_value(lawy, norms, method=critical_method).epsilon

@@ -6,7 +6,8 @@ Core claims:
     - maximin certificates carry uniform slack per unit norm, confirmed by a
       grid-search oracle
     - the critical level matches an independent simplex-deviation oracle and
-      the two bisections agree
+      the two bisections agree, also at p = 1.5 and p = 3, where measures
+      exist above it and not below
     - node geometry: extremal direction, orthogonal bases, decomposition
       identities, and the non-asymptotic no-arbitrage check
     - strictly-above-the-threshold levels kill the extremal direction
@@ -84,6 +85,17 @@ class TestDetect:
                 assert flags == sorted(flags, reverse=True)
 
 
+def _check_critical_level(m, norms):
+    """Both bisections agree with the oracle; measures exist above eps(P) only."""
+    want = critical_value_oracle(m, norms)
+    res = ea.critical_value(m, norms, method="both")
+    assert res.agreed
+    assert res.epsilon == pytest.approx(want, rel=1e-5, abs=1e-9)
+    if want > 1e-6:
+        assert not ea.find_eps_martingale_measure(m, 0.5 * want, norms).feasible
+    assert ea.find_eps_martingale_measure(m, 1.5 * want + 0.05, norms).feasible
+
+
 class TestCriticalValue:
     def test_kbar_market_threshold(self):
         res = ea.critical_value(kbar_market(1.0), N2)
@@ -108,6 +120,21 @@ class TestCriticalValue:
             res = ea.critical_value(m, norms)
             assert res.epsilon == pytest.approx(want, abs=2e-5 * (1 + want))
             assert abs(res.primal_estimate - res.dual_estimate) <= 1e-5 * (1 + want)
+
+    @pytest.mark.parametrize("p, seed", [(1.5, 150), (3.0, 300)])
+    def test_other_exponents_match_oracle(self, p, seed):
+        norms = ea.NormPair(p)
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            _check_critical_level(random_market(rng, T=1, d=2), norms)
+
+    def test_dual_bisection_regression_p2(self):
+        # A step of the measure-side bisection used to be undecided and was
+        # counted as infeasible: the dual estimate came out 1.01887.
+        rng = np.random.default_rng(2024)
+        for _ in range(9):
+            m = random_market(rng, T=1, d=2)
+        _check_critical_level(m, N2)
 
     def test_eta_sweep_is_reported(self):
         res = ea.critical_value(kbar_market(1.0), N2, eta_sweep=True)

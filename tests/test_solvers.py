@@ -12,16 +12,20 @@ Core claims:
     - the combinatorial bottleneck solver agrees with an LP threshold
       bisection on tied costs, zero-mass rows and columns and 1 x n / m x 1
       shapes, with exact plan marginals
+    - the cone interior-point solver matches HiGHS on LPs and NNLS on
+      min-norm points, and its infeasibility and unboundedness certificates
+      hold when recomputed
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
-from epsarb.solvers import (ConcaveOracle, LinearProgram, TransportInstance,
+from epsarb.solvers import (ConcaveOracle, ConeProgram, LinearProgram, TransportInstance,
                             bottleneck_transport, discrete_ot, maximize_concave,
-                            solve_lp, transport_feasible_below)
+                            solve_lp, solve_socp, transport_feasible_below)
 
 from _helpers import enumerate_2x2_transport, lp_bottleneck_value, random_feasible_plan
 
@@ -272,3 +276,107 @@ class TestBottleneckProperties:
         levels = sorted(set(inst.cost.ravel().tolist()))
         lam = data.draw(st.sampled_from(levels) | st.floats(-1.0, 11.0))
         assert transport_feasible_below(inst, lam) == (ref_value <= lam)
+
+
+# ---------------------------------------------------------------------------
+# Second-order cone interior point
+# ---------------------------------------------------------------------------
+
+def _matrix(rows: int, cols: int):
+    """Well-scaled entries: small integers, or floats of magnitude 1e-3 to 2."""
+    cell = st.integers(-3, 3).map(float) | st.floats(-2.0, 2.0).filter(
+        lambda v: abs(v) >= 1e-3)
+    return st.lists(cell, min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.array(v).reshape(rows, cols))
+
+
+@st.composite
+def _feasible_lps(draw):
+    """A box-bounded LP around a known point, with 0 or 1 equality rows."""
+    n, m, p = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 1))
+    G = draw(_matrix(m, n))
+    x0 = draw(_matrix(1, n))[0]
+    slack = np.abs(draw(_matrix(1, m))[0])
+    G = np.vstack([G, np.eye(n), -np.eye(n)])
+    h = np.concatenate([G[:m] @ x0 + slack, 3.0 + np.abs(x0), 3.0 + np.abs(x0)])
+    A = draw(_matrix(p, n)) if p else None
+    b = A @ x0 if p else None
+    return ConeProgram(draw(_matrix(1, n))[0], G, h, G.shape[0], (), A, b)
+
+
+def _dual_cone_member(prog: ConeProgram, z: np.ndarray, tol: float) -> bool:
+    if np.any(z[:prog.l] < -tol):
+        return False
+    start = prog.l
+    for k in prog.soc:
+        if z[start] < np.linalg.norm(z[start + 1:start + k]) - tol:
+            return False
+        start += k
+    return True
+
+
+class TestSolveSocp:
+    @settings(max_examples=150, deadline=None)
+    @given(_feasible_lps())
+    def test_orthant_lp_matches_highs(self, prog):
+        res = solve_socp(prog)
+        ref = solve_lp(LinearProgram(prog.c, a_ub=prog.G, b_ub=prog.h,
+                                     a_eq=prog.A if prog.A.size else None,
+                                     b_eq=prog.b if prog.b.size else None))
+        assert ref.status == "optimal"
+        assert res.status in ("optimal", "unsolved")
+        assert abs(res.value - ref.value) <= 1e-7 * (1.0 + abs(ref.value))
+        box = np.full(prog.c.size, 1e3)
+        assert prog.lower_bound(res.y, res.z, box) <= ref.value + 1e-9 * (1.0 + abs(ref.value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 3), st.data())
+    def test_min_norm_point_matches_nnls(self, k, d, data):
+        pts = data.draw(_matrix(k, d)) + data.draw(_matrix(1, d))
+        # min t s.t. a >= 0, sum a = 1, |pts' a|_2 <= t
+        G = np.zeros((k + 1 + d, k + 1))
+        G[:k, :k] = -np.eye(k)
+        G[k, k] = -1.0
+        G[k + 1:, :k] = -pts.T
+        prog = ConeProgram(np.concatenate([np.zeros(k), [1.0]]), G, np.zeros(k + 1 + d), k,
+                           (d + 1,), np.concatenate([np.ones(k), [0.0]])[None, :],
+                           np.array([1.0]))
+        res = solve_socp(prog)
+        weight = 1e4  # the simplex row enters NNLS as one heavily weighted residual
+        a, _ = nnls(np.vstack([pts.T, weight * np.ones((1, k))]),
+                    np.concatenate([np.zeros(d), [weight]]))
+        ref = float(np.linalg.norm(pts.T @ (a / a.sum())))
+        assert res.status in ("optimal", "unsolved")
+        assert abs(res.value - ref) <= 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), _matrix(1, 3), st.floats(0.01, 2.0), st.booleans())
+    def test_infeasibility_certificate_recomputes(self, n, direction, gap, with_eq):
+        # |x|_2 <= 1 and a.x >= |a| (1 + gap): the half-space misses the ball.
+        a = direction[0, :n]
+        a = a / np.linalg.norm(a) if np.linalg.norm(a) > 1e-3 else np.ones(n)
+        G = np.vstack([-a[None, :], np.zeros((1, n)), -np.eye(n)])
+        h = np.concatenate([[-np.linalg.norm(a) * (1.0 + gap)], [1.0], np.zeros(n)])
+        A = np.ones((1, n)) if with_eq else None
+        prog = ConeProgram(np.zeros(n), G, h, 1, (n + 1,), A, np.zeros(1) if with_eq else None)
+        res = solve_socp(prog)
+        assert res.status == "infeasible"
+        value = float(prog.h @ res.z + prog.b @ res.y)
+        assert value < 0.0
+        assert np.linalg.norm(prog.G.T @ res.z + prog.A.T @ res.y) <= 1e-8 * -value
+        assert _dual_cone_member(prog, res.z, 1e-12)
+        assert prog.certifies_infeasible(res.y, res.z, np.full(n, 10.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), _matrix(4, 3), _matrix(1, 3))
+    def test_unboundedness_certificate_recomputes(self, n, rows, ray):
+        # Rows turned to hold the ray d in their recession cone, and c = -d.
+        d = ray[0, :n]
+        d = d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.ones(n)
+        G = rows[:, :n] * np.where(rows[:, :n] @ d > 0.0, -1.0, 1.0)[:, None]
+        prog = ConeProgram(-d, G, np.ones(G.shape[0]), G.shape[0])
+        res = solve_socp(prog)
+        assert res.status == "unbounded"
+        assert abs(float(prog.c @ res.x) + 1.0) <= 1e-12
+        assert np.linalg.norm(prog.G @ res.x + res.s) <= 1e-8
+        assert np.all(res.s >= 0.0)

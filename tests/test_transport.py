@@ -314,6 +314,16 @@ class TestAdaptedEmpirical:
 
 
 class TestStability:
+    def test_distances_match_separate_dps(self):
+        # One DP with two root solves gives both include_t0 variants.
+        rng = np.random.default_rng(17)
+        for k in range(6):
+            x = random_market(rng, T=2, d=1 + k % 2)
+            y = perturb_prices(rng, x, 0.2)
+            rep = tr.stability_report(x, y, 0.5, N2)
+            assert rep.distance == tr.aw_inf_delta(x, y, 2.0, include_t0=True).value
+            assert rep.distance_no_t0 == tr.aw_inf_delta(x, y, 2.0, include_t0=False).value
+
     def test_identical_markets_have_zero_distance(self):
         m = random_martingale_market(np.random.default_rng(3), T=2)
         rep = tr.stability_report(m, m, 0.5, N1)
