@@ -179,20 +179,21 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     Supporting rays of the deviation cones are banked across bisection steps
     (they are valid at every level), so later cutting-plane checks start
     from a near-complete outer model.  A step without a verdict stops the
-    bisection: the estimate is then the middle of the bracket reached, and
-    the primal cross-check flags the disagreement.
+    bisection.  Returns (estimate, curve, eta, converged): the estimate is
+    the middle of the bracket reached, and ``converged`` is False when an
+    undecided step stopped the bisection before the bracket closed.
     """
     if eta is None:
         eta = 1e-7 * float(np.min(model.leaf_prob))
     hi = reference_deviation(model, norms)
     curve = []
     if hi <= 1e-14:
-        return 0.0, (), eta
+        return 0.0, (), eta, True
     bank: dict = {}
     status0, r0 = _dual_feasible(model, 0.0, norms, eta, bank)
     curve.append((0.0, r0))
     if status0 == "feasible":
-        return 0.0, tuple(curve), eta
+        return 0.0, tuple(curve), eta, True
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
     for _ in range(max_iter):
         if hi_b - lo <= rel_tol * (1.0 + hi):
@@ -201,12 +202,12 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
         status, r = _dual_feasible(model, mid, norms, eta, bank)
         curve.append((mid, r))
         if status == "indeterminate":
-            break
+            return 0.5 * (lo + hi_b), tuple(curve), eta, False
         if status == "feasible":
             hi_b = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi_b), tuple(curve), eta
+    return 0.5 * (lo + hi_b), tuple(curve), eta, True
 
 
 def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
@@ -264,7 +265,10 @@ def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
     The strategy-side bisection (replacing the sequential notion by strict
     arbitrage is value-preserving) is cross-checked against the measure-side
     feasibility threshold; disagreement beyond 10x the bisection tolerance is
-    flagged rather than hidden.
+    flagged rather than hidden.  A measure-side bisection stopped by an
+    undecided step is flagged as well, and its estimate is left out of
+    ``epsilon`` (which is then the primal estimate).  In an ``eta_sweep``
+    such a step gives None.
     """
     report = validate_market(model)
     if not report.ok:
@@ -274,11 +278,13 @@ def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
     primal = dual = None
     primal_curve: tuple = ()
     dual_curve: tuple = ()
+    dual_converged = True
     eta_used = eta if eta is not None else 1e-7 * float(np.min(model.leaf_prob))
     if method in ("both", "primal"):
         primal, primal_curve = critical_value_primal(model, norms, rel_tol)
     if method in ("both", "dual"):
-        dual, dual_curve, eta_used = critical_value_dual(model, norms, eta, rel_tol)
+        dual, dual_curve, eta_used, dual_converged = critical_value_dual(model, norms, eta,
+                                                                         rel_tol)
     if primal is None:
         primal = dual
     if dual is None:
@@ -289,12 +295,15 @@ def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
     if eta_sweep:
         sweep = {}
         for e in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
-            val, _, _ = critical_value_dual(model, norms, e * float(np.min(model.leaf_prob)), rel_tol)
-            sweep[f"{e:.0e}"] = val
+            val, _, _, converged = critical_value_dual(
+                model, norms, e * float(np.min(model.leaf_prob)), rel_tol)
+            sweep[f"{e:.0e}"] = val if converged else None
     return CriticalValueResult(
-        epsilon=0.5 * (primal + dual), primal_estimate=primal, dual_estimate=dual,
+        epsilon=0.5 * (primal + dual) if dual_converged else primal,
+        primal_estimate=primal, dual_estimate=dual,
         primal_curve=primal_curve, dual_curve=dual_curve, discrepancy=disc,
-        agreed=disc <= 10 * rel_tol * scale, eta=eta_used, eta_sweep=sweep)
+        agreed=dual_converged and disc <= 10 * rel_tol * scale, eta=eta_used,
+        eta_sweep=sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 from .arbitrage import NodeStructure, compute_node_structure
 from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy,
                      gain, is_eps_martingale, strategy_cost, validate_market)
-from .programs import (_cone_blocks, _conic, _fallback, cone_linear_optimum,
+from .programs import (_conic, _fallback, _norm_cones, cone_linear_optimum,
                        interior_feasibility, max_min_weight_on_face, pnorm_and_grad,
                        tree_ops, unpack_strategy)
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
@@ -312,7 +312,7 @@ def _pattern_conic(ops, eps: float, payoff: Payoff, gain_free: np.ndarray,
     """
     L, NH = gain_free.shape
     n_free, NY = mask_free.shape[1], gain_y.shape[1]
-    blocks, soc = _cone_blocks(ops, n_nodes=n_free)
+    blocks, soc = _norm_cones(ops.model.d, n_free)
     lin = -np.hstack([gain_free, -eps * mask_free, np.ones((L, 1)), gain_y])
     G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], 1 + NY))])])
     c = np.zeros(NH + n_free + 1 + NY)

@@ -138,30 +138,25 @@ def _fallback(program: str, why: str) -> None:
     _log.debug("%s: conic result rejected (%s); solving by cutting planes", program, why)
 
 
-def _cone_blocks(ops: TreeOps, eps: Optional[float] = None,
-                 n_nodes: Optional[int] = None) -> tuple[np.ndarray, tuple]:
-    """Rows G of the second-order cone blocks (G x + s = 0, s in the cones).
-
-    Measure side (``eps`` given): the columns are the leaf weights q, and
-    internal node v contributes s_v = (eps qbar_v(q), z_v(q)), so that
-    |z_v(q)|_2 <= eps qbar_v(q).  Strategy side: the columns are the packed
-    holdings H of ``n_nodes`` nodes (default: every internal node) and then
-    one bound t_v per node, and s_v = (t_v, H_v), so that |H_v|_2 <= t_v.
-    Returns (G, block sizes).
-    """
+def _measure_cones(ops: TreeOps, eps: float) -> tuple[np.ndarray, tuple]:
+    """Rows G (columns: the leaf weights q) and block sizes of the node cones
+    s_v = (eps qbar_v(q), z_v(q)) with G q + s = 0, so that
+    |z_v(q)|_2 <= eps qbar_v(q)."""
     d = ops.model.d
-    if eps is not None:
-        blocks = np.concatenate([eps * ops.mask.T[:, None, :],
-                                 ops.coeff.transpose(1, 2, 0)], axis=1)
-        return -blocks.reshape(-1, ops.model.n_leaves), (d + 1,) * len(ops.internal)
-    n = len(ops.internal) if n_nodes is None else n_nodes
-    if n == 0:
-        return np.zeros((0, 0)), ()
+    blocks = np.concatenate([eps * ops.mask.T[:, None, :],
+                             ops.coeff.transpose(1, 2, 0)], axis=1)
+    return -blocks.reshape(-1, ops.model.n_leaves), (d + 1,) * len(ops.internal)
+
+
+def _norm_cones(d: int, n: int) -> tuple[np.ndarray, tuple]:
+    """Rows G (columns: n packed holdings H_v in R^d, then n bounds t_v) and
+    block sizes of the cones s_v = (t_v, H_v) with G x + s = 0, so that
+    |H_v|_2 <= t_v."""
     G = np.zeros((n, d + 1, n * (d + 1)))
     for j in range(n):
         G[j, 0, n * d + j] = -1.0
         G[j, 1:, j * d:(j + 1) * d] = -np.eye(d)
-    return G.reshape(n * (d + 1), -1), (d + 1,) * n
+    return G.reshape(n * (d + 1), n * (d + 1)), (d + 1,) * n
 
 
 def _measure_program(ops: TreeOps, eps: float, c: np.ndarray, lin: np.ndarray,
@@ -181,7 +176,7 @@ def _measure_program(ops: TreeOps, eps: float, c: np.ndarray, lin: np.ndarray,
         b_eq = np.array([1.0, face[1]])
 
     def program(level):
-        blocks, soc = _cone_blocks(ops, level)
+        blocks, soc = _measure_cones(ops, level)
         G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], n_extra))])])
         h = np.concatenate([lin_rhs, np.zeros(blocks.shape[0])])
         return ConeProgram(c, G, h, lin.shape[0], soc, a_eq, b_eq)
@@ -275,7 +270,7 @@ def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, maximin: bool, to
     L, n_int, d = model.n_leaves, len(ops.internal), model.d
     N = n_int * d
     S = np.hstack([ops.coeff.reshape(L, N), -eps * ops.mask])  # leaf slacks over (H, t)
-    blocks, soc = _cone_blocks(ops)
+    blocks, soc = _norm_cones(d, n_int)
     budget = np.concatenate([np.zeros(N), np.ones(n_int)])[None, :]
     if maximin:
         c = np.zeros(N + n_int + 1)
@@ -539,8 +534,10 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
 
     Returns (status, q, rho, rho_upper_bound, margin) with status in
     {feasible, infeasible, indeterminate}.  A feasible verdict carries
-    weights with q >= eta P and node margins >= 0: checked exactly on the
-    conic and cutting-plane routes, to HiGHS's tolerance on the LP route.
+    weights with q >= eta P, checked elementwise, and node margins >= 0:
+    exactly on the conic and cutting-plane routes, and to the rounding floor
+    1e-12 (1 + max |coeff|) on the LP route, whose vertex meets its rows only
+    to rounding (an LP vertex that fails either check is indeterminate).
 
     Polyhedral geometry (q = inf, d = 1, or eps = 0) is decided by one exact
     LP; q = 2 by one cone program, max rho = min q/P over the closed cone
@@ -558,6 +555,9 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     n_nodes = len(ops.internal)
     if max_iter is None:
         max_iter = 400 if polish else 150
+    # Rounding floor of |z_v(q)|_q at this price scale.
+    scale = 1.0 + float(np.max(np.abs(ops.coeff)))
+    margin_floor = 1e-12 * scale
     if norms.q == math.inf or model.d == 1 or eps == 0.0:
         rows = _cone_rows_linf(ops, eps)
         a_ub = np.vstack([
@@ -571,16 +571,25 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
         lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
                            a_eq=a_eq, b_eq=np.array([1.0]),
                            bounds=[(0.0, 1.0)] * L + [(None, 1.0)])
-        res = solve_lp(lp)
-        if res.status == "infeasible":
-            return "infeasible", None, None, None, None
-        if res.status != "optimal":
-            raise RuntimeError(f"interior-ratio LP failed: {res.status} {res.message}")
-        rho = float(res.value)
-        if rho >= eta:
+        # HiGHS meets its rows to 1e-7, enough to turn a small rho* near the
+        # critical level into a vertex with margins of -1e-7; such a vertex
+        # is solved again at 1e-10.  Margins are checked to the rounding
+        # floor (at eps = 0 the exact margin is -|z_v|, a few ulps below
+        # zero), and q >= eta P exactly.
+        for highs_tol in (None, 1e-10):
+            res = solve_lp(lp, highs_tol=highs_tol)
+            if res.status == "infeasible":
+                return "infeasible", None, None, None, None
+            if res.status != "optimal":
+                raise RuntimeError(f"interior-ratio LP failed: {res.status} {res.message}")
+            rho = float(res.value)
+            if rho < eta:
+                return "infeasible", None, rho, rho, None
             q = res.x[:L]
-            return "feasible", q, rho, rho, float(np.min(_cone_margins(ops, eps, norms, q)))
-        return "infeasible", None, rho, rho, None
+            margin = float(np.min(_cone_margins(ops, eps, norms, q)))
+            if np.all(q >= eta * P) and margin >= -margin_floor:
+                return "feasible", q, rho, rho, margin
+        return "indeterminate", None, None, rho, margin
     if _conic(model, norms):
         out = _interior_conic(ops, eps, norms, eta)
         if out is not None:
@@ -616,11 +625,9 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
         m = float(np.min(_cone_margins(ops, eps, norms, qv)))
         return np.concatenate([qv, [m]])
 
-    # Margins below the rounding floor of |z|_q at this price scale cannot be
-    # distinguished from zero, so such verdicts defer to the ratio route
-    # (whose certified upper bound amplifies sub-machine interior collapses).
-    scale = 1.0 + float(np.max(np.abs(ops.coeff)))
-    margin_floor = 1e-12 * scale
+    # Margins below the rounding floor cannot be distinguished from zero, so
+    # such verdicts defer to the ratio route (whose certified upper bound
+    # amplifies sub-machine interior collapses).
     a_ub, b_ub = None, None
     if cut_bank:
         a_ub, b_ub = _bank_rows(ops, eps, cut_bank, n_extra=1)

@@ -129,11 +129,14 @@ def _farkas_certificate(a_ub, b_ub, a_eq, b_eq, bounds, tol: float = 1e-9) -> Op
     return out
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LPResult:
+def solve_lp(lp: LinearProgram, tol: float = 1e-9,
+             highs_tol: Optional[float] = None) -> LPResult:
     """Solve a dense LP; never returns silent garbage.
 
     Optimal solutions are checked against ``tol`` primal residuals; an
     infeasible status comes with a Farkas ray when one can be extracted.
+    ``highs_tol`` overrides HiGHS's primal and dual feasibility tolerances
+    (default 1e-7).
     """
     c = np.asarray(lp.c, dtype=float)
     sign = 1.0 if lp.sense == "min" else -1.0
@@ -143,8 +146,10 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9) -> LPResult:
     b_ub = None if lp.b_ub is None else np.atleast_1d(np.asarray(lp.b_ub, dtype=float))
     a_eq = None if lp.a_eq is None else np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
     b_eq = None if lp.b_eq is None else np.atleast_1d(np.asarray(lp.b_eq, dtype=float))
+    options = {} if highs_tol is None else {"primal_feasibility_tolerance": highs_tol,
+                                            "dual_feasibility_tolerance": highs_tol}
     res = linprog(c=sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds)
+                  bounds=bounds, options=options)
     status = _STATUS.get(res.status, "error")
     if status == "optimal":
         x = np.asarray(res.x)
@@ -396,8 +401,8 @@ class ConeProgram:
 class ConeResult:
     """Outcome of :func:`solve_socp`.
 
-    ``optimal``: (x, s) is primal and (y, z) dual feasible to ``tol`` with
-    gap c.x - (-h.z - b.y) under ``tol`` (relative to the objective), both
+    ``optimal``: (x, s) is primal and (y, z) dual feasible to 1e-13 with
+    gap c.x - (-h.z - b.y) under 1e-13 (relative to the objective), both
     recomputed from the returned points.  ``infeasible``: (y, z) is a
     certificate scaled to h.z + b.y = -1, with z in the cone and
     G'z + A'y close to zero.  ``unbounded``: x is a ray with c.x = -1,
@@ -531,11 +536,12 @@ class _Cone:
         return alpha
 
 
+_TOL = 1e-13  # relative residuals and gap of an optimal point
 _CERT_TOL = 1e-9  # relative residual of an infeasibility or unboundedness certificate
 _MAX_ITER = 60
 
 
-def solve_socp(prog: ConeProgram, tol: float = 1e-13) -> ConeResult:
+def solve_socp(prog: ConeProgram) -> ConeResult:
     """Dense primal-dual interior point for an LP with second-order cones.
 
     The homogeneous self-dual embedding (Domahidi, Chu & Boyd, ECOS, 2013;
@@ -543,7 +549,7 @@ def solve_socp(prog: ConeProgram, tol: float = 1e-13) -> ConeResult:
     corrector steps under Nesterov-Todd scaling; each step factors one KKT
     matrix [[0, A', G'], [A, 0, 0], [G, 0, -W'W]] and solves it three times.
     Termination: primal and dual residuals and the relative gap under
-    ``tol``, or an infeasibility or unboundedness certificate whose residual
+    1e-13, or an infeasibility or unboundedness certificate whose residual
     is under 1e-9 relative to its value.  Otherwise (iteration cap, or
     rounding stalls the residuals) the status is ``unsolved`` and the
     iterate with the smallest worst relative residual or gap is returned.
@@ -552,13 +558,13 @@ def solve_socp(prog: ConeProgram, tol: float = 1e-13) -> ConeResult:
     # best earlier iterate is returned instead.
     with np.errstate(all="ignore"):
         try:
-            return _interior_point(prog, tol)
+            return _interior_point(prog)
         except np.linalg.LinAlgError:  # no starting point: the KKT matrix is singular
             return ConeResult("error", None, None, None, None, np.nan, np.nan,
                               np.nan, np.nan, np.nan, 0)
 
 
-def _interior_point(prog: ConeProgram, tol: float) -> ConeResult:
+def _interior_point(prog: ConeProgram) -> ConeResult:
     from scipy.linalg.lapack import dgetrf, dgetrs
 
     c, G, h, A, b = prog.c, prog.G, prog.h, prog.A, prog.b
@@ -633,7 +639,7 @@ def _interior_point(prog: ConeProgram, tol: float) -> ConeResult:
         pcost, dcost = cx / tau, -hz_by / tau
         gap = abs(pcost - dcost) / (1.0 + min(abs(pcost), abs(dcost)))
         merit = max(pres, dres, gap)
-        if merit <= tol:
+        if merit <= _TOL:
             return result("optimal", it, x, s, y, z, tau)
         if merit < best[0]:
             best = (merit, it, x, s, y, z, tau)

@@ -136,6 +136,66 @@ class TestCriticalValue:
             m = random_market(rng, T=1, d=2)
         _check_critical_level(m, N2)
 
+    def test_undecided_dual_step_is_flagged_not_averaged(self, monkeypatch):
+        # Every measure-side step above eps = 0 left undecided: the dual
+        # bisection stops at its first step, so its estimate (the middle of
+        # [0, hi]) must neither enter eps(P) nor pass the cross-check.
+        real = ea.arbitrage.interior_feasibility
+
+        def undecided(model, eps, *args, **kwargs):
+            if eps > 0.0:
+                return "indeterminate", None, None, None, None
+            return real(model, eps, *args, **kwargs)
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility", undecided)
+        m = kbar_market(1.0)
+        res = ea.critical_value(m, N2, eta_sweep=True)
+        assert len(res.dual_curve) == 2
+        assert res.dual_estimate == pytest.approx(0.5 * ea.arbitrage.reference_deviation(m, N2), rel=1e-8)
+        assert res.epsilon == res.primal_estimate
+        assert res.epsilon == pytest.approx(1.0, abs=1e-5)
+        assert not res.agreed
+        assert all(v is None for v in res.eta_sweep.values())
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_zero_level_verdict_is_checked(self, p):
+        # eps = 0 is decided by an LP whose vertex meets z_v(q) = 0 only to
+        # rounding: a feasible verdict still carries q >= eta P elementwise
+        # and margins -|z_v(q)| within the rounding floor.
+        m = two_state([0.0, 0.0], [1.0, 0.5], [-1.0, -0.5], 2)
+        eta = 1e-7 * float(np.min(m.leaf_prob))
+        status, q, rho, _, margin = ea.programs.interior_feasibility(m, 0.0, ea.NormPair(p), eta)
+        assert status == "feasible"
+        assert np.all(q >= eta * m.leaf_prob) and rho >= eta
+        assert margin >= -1e-12 * (1.0 + 1.0)
+        assert ea.find_eps_martingale_measure(m, 0.0, ea.NormPair(p)).feasible
+
+    def test_lp_route_verdicts_are_checked(self, monkeypatch):
+        # Near eps(P) this d = 1 market's interior LP has rho* ~ 1e-6, and
+        # HiGHS's first vertex misses a node row by 1e-7: every feasible
+        # verdict of the bisection must still pass the exact checks.
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            m = random_market(rng, T=2, d=1)
+        ops = ea.programs.tree_ops(m)
+        floor = 1e-12 * (1.0 + float(np.max(np.abs(ops.coeff))))
+        real = ea.arbitrage.interior_feasibility
+        verdicts = []
+
+        def checked(model, eps, norms, eta, *args, **kwargs):
+            out = real(model, eps, norms, eta, *args, **kwargs)
+            verdicts.append(out[0])
+            if out[0] == "feasible":
+                assert np.all(out[1] >= eta * model.leaf_prob)
+                assert np.min(ea.programs._cone_margins(ops, eps, norms, out[1])) >= -floor
+            return out
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility", checked)
+        res = ea.critical_value(m, N1)
+        assert "feasible" in verdicts and "indeterminate" not in verdicts
+        assert res.agreed
+        assert res.epsilon == pytest.approx(critical_value_oracle(m, N1), rel=1e-5)
+
     def test_eta_sweep_is_reported(self):
         res = ea.critical_value(kbar_market(1.0), N2, eta_sweep=True)
         assert res.eta_sweep is not None
