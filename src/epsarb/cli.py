@@ -9,7 +9,6 @@ repeated runs with the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
@@ -33,21 +32,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _env_thread_cap() -> Optional[int]:
-    """EPSARB_THREADS caps worker parallelism; computations are currently
-    single-threaded, so this only validates and records the setting."""
-    raw = os.environ.get("EPSARB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"EPSARB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise CliError("EPSARB_THREADS must be >= 1")
-    return cap
-
-
 def _load_market(path: str, p_flag: Optional[float]) -> tuple[MarketModel, NormPair]:
     model, p_file = eio.load_market(path)
     p = p_flag if p_flag is not None else p_file
@@ -69,7 +53,8 @@ def _emit(args, payload: dict) -> None:
 
 def _add_common(sp, eps=False, p=False, q=False, lam=False, eta=False):
     sp.add_argument("--tol", type=float, default=1e-8, help="decision tolerance")
-    sp.add_argument("--seed", type=int, default=0, help="recorded in the report")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="unused: no subcommand draws random numbers")
     sp.add_argument("--out", type=str, default=None, help="also write the report here")
     if eps:
         sp.add_argument("--eps", type=float, required=True, help="arbitrage cost level")
@@ -280,7 +265,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        _env_thread_cap()
         payload = _cmd(args)
     except CliError as exc:
         if exc.code == 2:

@@ -9,9 +9,11 @@ explicitly computed Farkas ray.  LPs with second-order cones (the p = 2
 programs) run a dense primal-dual interior point written in numpy, which
 returns primal and dual points or an infeasibility certificate; a
 :class:`ConeProgram` recomputes weak-duality bounds and certificates from
-them.  Kelley cutting planes serve the remaining p.  Min-cost transport is
-one LP; bottleneck transport needs none: a threshold algorithm grows a flow
-along augmenting paths and raises the threshold at Hall cuts.
+them.  Kelley cutting planes serve the remaining p.  Transport needs no LP:
+min-cost transport is a transportation simplex that prices its cycles in
+the log domain, exact for weights of any spread, and bottleneck transport a
+threshold algorithm that grows a flow along augmenting paths and raises the
+threshold at Hall cuts.
 """
 
 from __future__ import annotations
@@ -760,27 +762,179 @@ class TransportResult:
     plan: np.ndarray
 
 
-def _marginal_system(m: int, n: int):
-    """Row-sum and column-sum equality matrix for a flattened m x n plan."""
-    rows = np.zeros((m + n, m * n))
-    for i in range(m):
-        rows[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        rows[m + j, j::n] = 1.0
-    return rows
-
-
 def discrete_ot(inst: TransportInstance) -> TransportResult:
-    """Exact minimum-cost coupling of the two marginals."""
-    m, n = inst.cost.shape
-    a_eq = _marginal_system(m, n)
-    b_eq = np.concatenate([inst.source, inst.target])
-    res = linprog(c=inst.cost.ravel(), A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (m * n))
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed with status {res.status}: {res.message}")
-    plan = np.maximum(np.asarray(res.x).reshape(m, n), 0.0)
-    return TransportResult(float(res.fun), plan)
+    """Exact minimum-cost coupling of the two marginals.
+
+    The costs are shifted to c - min c >= 0 and solved as log-weights by
+    :func:`log_transport`; min c times the total mass is added back.
+    """
+    low = float(inst.cost.min())
+    with np.errstate(divide="ignore"):
+        res = log_transport(np.log(inst.cost - low), inst.source, inst.target)
+    return TransportResult(math.exp(res.value) + low * float(inst.source.sum()), res.plan)
+
+
+_PRICE_TOL = 1e-13  # a cycle improves when it lowers the weight by more than this, relatively
+_FLOW_TINY = 1e-14  # flows left by a subtraction at or below this share of the mass are zero
+
+
+def log_transport(log_weights, source, target) -> TransportResult:
+    """min over couplings pi of sum_ij pi_ij exp(v_ij), given v = ``log_weights``.
+
+    The value is returned as its log, logsumexp(v + log pi) over the support
+    of the optimal plan, so weights spanning any number of orders of
+    magnitude keep their order: nothing is exponentiated or clamped outside
+    a cycle's own scale.  Cells with v = -inf weigh zero.  Rows and columns
+    of zero mass drop out; with no mass at all the value is -inf.
+
+    Transportation simplex (Dantzig, 1951) on a spanning-tree basis, from
+    the north-west corner.  A nonbasic cell enters when the log-sum-exp of
+    its cycle's + cells is below that of its - cells by more than
+    ``_PRICE_TOL`` (equal log-weights on both sides cancel first, so a tie
+    between large weights cannot hide the smaller ones).  Bland's rule
+    picks the first improving cell in row-major order and the first tied
+    cell to leave, so the method ends with no improving cycle: the simplex
+    optimality condition, checked at every cell.  A basis seen twice would
+    mean a loop, and raises.  Flows that a subtraction leaves at or below
+    ``_FLOW_TINY`` of the total mass are zero, so rounding noise in the
+    marginals never carries a large weight.
+    """
+    v = np.asarray(log_weights, dtype=float)
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    if np.isnan(v).any() or np.isposinf(v).any():
+        raise ValueError("log-weights must be below +inf")
+    plan = np.zeros(v.shape)
+    rows = np.flatnonzero(src > 0)
+    cols = np.flatnonzero(tgt > 0)
+    if not rows.size or not cols.size:
+        return TransportResult(-math.inf, plan)
+    sub = v[np.ix_(rows, cols)]
+    flow = _log_simplex(sub.tolist(), src[rows].tolist(), tgt[cols].tolist())
+    block = np.zeros(sub.shape)
+    for (i, j), x in flow.items():
+        block[i, j] = x
+    plan[np.ix_(rows, cols)] = block
+    keep = block > 0.0
+    top = float(sub[keep].max())
+    if top == -math.inf:
+        return TransportResult(-math.inf, plan)
+    return TransportResult(top + math.log(float(block[keep] @ np.exp(sub[keep] - top))), plan)
+
+
+def _log_simplex(v: list, supply: list, demand: list) -> dict:
+    """Optimal basic flow {(i, j): x} of the log-weight transport problem.
+
+    Tree nodes are rows 0..m-1 and columns m..m+n-1; basic cells are its
+    edges.
+    """
+    m, n = len(supply), len(demand)
+    tiny = _FLOW_TINY * sum(supply)
+    flow = {}
+    i = j = 0
+    left_i, left_j = supply[0], demand[0]
+    while True:  # north-west corner: m + n - 1 cells, zero flows kept as basic
+        x = min(left_i, left_j)
+        flow[i, j] = x
+        left_i = 0.0 if left_i - x <= tiny else left_i - x
+        left_j = 0.0 if left_j - x <= tiny else left_j - x
+        if i == m - 1 and j == n - 1:
+            break
+        if i < m - 1 and (left_i <= left_j or j == n - 1):
+            i += 1
+            left_i = supply[i]
+        else:
+            j += 1
+            left_j = demand[j]
+    shrink = math.exp(-_PRICE_TOL)
+    seen = set()
+    while True:
+        basis = frozenset(flow)
+        if basis in seen:
+            raise RuntimeError("transportation simplex revisited a basis")
+        seen.add(basis)
+        parent, depth = _spanning_tree(flow, m, n)
+        enter = None
+        for i in range(m):
+            for j in range(n):
+                if (i, j) in flow:
+                    continue
+                plus, minus = _cycle(parent, depth, m, i, j)
+                if _improves([v[i][j]] + [v[a][b] for a, b in plus],
+                             [v[a][b] for a, b in minus], shrink):
+                    enter = (i, j)
+                    break
+            if enter is not None:
+                break
+        if enter is None:
+            return flow
+        theta = min(flow[c] for c in minus)
+        for c in plus:
+            flow[c] += theta
+        for c in minus:
+            flow[c] = 0.0 if flow[c] - theta <= tiny else flow[c] - theta
+        del flow[min(c for c in minus if flow[c] == 0.0)]
+        flow[enter] = theta
+
+
+def _spanning_tree(flow: dict, m: int, n: int) -> tuple[list, list]:
+    """Parent and depth of every node of the basis tree, rooted at row 0."""
+    adj = [[] for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    order = [0]
+    for a in order:
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b] = a
+                depth[b] = depth[a] + 1
+                order.append(b)
+    return parent, depth
+
+
+def _cycle(parent: list, depth: list, m: int, i: int, j: int) -> tuple[list, list]:
+    """Basic cells of the cycle that cell (i, j) closes, as (+ cells, - cells).
+
+    Walking the tree path from row i to column j, a cell crossed from its
+    row to its column is a - cell and one crossed from its column to its
+    row a + cell.
+    """
+    plus, minus = [], []
+    a, b = i, m + j
+    while a != b:
+        if depth[a] >= depth[b]:  # climb from the row side: a is the child
+            p = parent[a]
+            if a < m:
+                minus.append((a, p - m))
+            else:
+                plus.append((p, a - m))
+            a = p
+        else:  # climb from the column side: b is the child
+            p = parent[b]
+            if b >= m:
+                minus.append((p, b - m))
+            else:
+                plus.append((b, p - m))
+            b = p
+    return plus, minus
+
+
+def _improves(plus: list, minus: list, shrink: float) -> bool:
+    """Whether sum exp(plus) < shrink * sum exp(minus), equal terms cancelled."""
+    for x in plus[:]:
+        if x in minus:
+            minus.remove(x)
+            plus.remove(x)
+    if not minus:
+        return False
+    top = max(plus + minus)
+    if top == -math.inf:
+        return False
+    return (sum(math.exp(x - top) for x in plus)
+            < shrink * sum(math.exp(x - top) for x in minus))
 
 
 def transport_feasible_below(inst: TransportInstance, lam: float,

@@ -2,10 +2,11 @@
 
 Distances are computed by backward induction over matched node pairs: the
 stage subproblem couples the two conditional child laws, a bottleneck
-transport for the sup-cost distances and an exact min-cost transport (in the
-log domain) for the exponential divergence.  Stage plans are independent
-across node pairs, which is exactly the decomposition certified against the
-global bicausal-polytope solvers below on small instances.
+transport for the sup-cost distances and an exact min-cost transport of
+log-weights (``solvers.log_transport``) for the exponential divergence.
+Stage plans are independent across node pairs, which is exactly the
+decomposition certified against the global bicausal-polytope solvers below
+on small instances.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .market import MarketModel, NormPair, PathLaw
-from .solvers import (TransportInstance, _marginal_system, bottleneck_transport,
-                      discrete_ot, linprog)
+from .solvers import TransportInstance, bottleneck_transport, linprog, log_transport
 
 _LOG_TINY = -745.0  # log of the smallest normal double; clamps underflow
 
@@ -228,36 +228,10 @@ def w_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, increments: bool = False
 
 def _logexp_dp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
                increments: bool, include_t0: bool) -> DistanceResult:
-    """Multiplicative backward DP in the log domain."""
+    """Multiplicative backward DP in the log domain: each stage is one exact
+    log-weight transport of the children's log values."""
     log_value: dict[tuple, float] = {}
     plans: dict[tuple, np.ndarray] = {}
-
-    def _inner(values: np.ndarray, src: np.ndarray, tgt: np.ndarray):
-        shift = float(np.max(values))
-        weights = np.exp(np.maximum(values - shift, _LOG_TINY))
-        res = discrete_ot(TransportInstance(weights, src, tgt))
-        if res.value > 1e-280:
-            return shift + math.log(res.value), res.plan
-        # Extreme spread: every usable weight underflowed, so take the
-        # lexicographic limit — bottleneck level plus the log of the least
-        # mass any admissible plan must park on the top-level cells.
-        btl = bottleneck_transport(TransportInstance(values, src, tgt))
-        level = btl.value
-        tol = 1e-12 * (1.0 + abs(level))
-        allowed = values <= level + tol
-        top = (values >= level - tol) & allowed
-        m, n = values.shape
-        idx = np.flatnonzero(allowed.ravel())
-        cvec = top.ravel()[idx].astype(float)
-        a_eq = _marginal_system(m, n)[:, idx]
-        res2 = linprog(c=cvec, A_eq=a_eq, b_eq=np.concatenate([src, tgt]),
-                       bounds=[(0, None)] * idx.size)
-        if res2.status != 0 or res2.fun <= 0.0:
-            return level, btl.plan
-        plan = np.zeros(m * n)
-        plan[idx] = np.maximum(res2.x, 0.0)
-        return level + math.log(res2.fun), plan.reshape(m, n)
-
     for t in range(lawx.T, -1, -1):
         xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
         stage = lam * _stage_costs(lawx, lawy, xs, ys, t, q, increments, include_t0)
@@ -270,22 +244,24 @@ def _logexp_dp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
                     continue
                 cy = lawy.children[vy]
                 vals = np.array([[log_value[(wx, wy)] for wy in cy] for wx in cx])
-                lv, plan = _inner(vals, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
-                log_value[(vx, vy)] = c + lv
-                plans[(vx, vy)] = plan
+                res = log_transport(vals, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
+                log_value[(vx, vy)] = c + res.value
+                plans[(vx, vy)] = res.plan
     rx, ry = list(lawx.roots), list(lawy.roots)
     top = np.array([[log_value[(a, b)] for b in ry] for a in rx])
-    total, root_plan = _inner(top, lawx.cond_prob[rx], lawy.cond_prob[ry])
-    coupling = BicausalCoupling(lawx, lawy, root_plan, plans)
-    return DistanceResult(total / lam, coupling)
+    res = log_transport(top, lawx.cond_prob[rx], lawy.cond_prob[ry])
+    coupling = BicausalCoupling(lawx, lawy, res.plan, plans)
+    return DistanceResult(res.value / lam, coupling)
 
 
 def elog_divergence(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, lam: float = 1.0,
                     increments: bool = False, include_t0: bool = True) -> DistanceResult:
     """Adapted log-exponential divergence (1/lam) log min E[exp(lam |X-Y|-cost)].
 
-    Computed entirely in the log domain so large lam (up to ~1e4) survives;
-    increases to the adapted sup-distance as lam grows.
+    Each DP stage is an exact min-cost transport of the children's log
+    values, priced in the log domain, so the value is exact at every lam:
+    nothing is exponentiated outside one cycle's own scale.  It increases
+    to the adapted sup-distance as lam grows.
     """
     _check_shapes(lawx, lawy)
     if lam <= 0:

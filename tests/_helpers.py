@@ -9,6 +9,8 @@ independent route before being asserted.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -162,6 +164,68 @@ def enumerate_2x2_transport(cost: np.ndarray, src, tgt, n: int = 20001):
         best_cost = min(best_cost, c)
         best_btl = min(best_btl, btl)
     return best_cost, best_btl
+
+
+def brute_force_log_transport(v: np.ndarray, wx, wy) -> float:
+    """min over vertices of the transportation polytope of
+    log sum_ij pi_ij exp(v_ij), with marginals wx / sum(wx) and wy / sum(wy)
+    for integer weights.
+
+    Every choice of m + n - 1 cells of positive-mass rows and columns is
+    tried as a basis; its flows are found exactly, in rationals, by peeling
+    leaves of the basis graph, and only vertices with flows >= 0 count.
+    """
+    a = [Fraction(int(w), int(sum(wx))) for w in wx]
+    b = [Fraction(int(w), int(sum(wy))) for w in wy]
+    rows = [i for i, w in enumerate(a) if w > 0]
+    cols = [j for j, w in enumerate(b) if w > 0]
+    best = math.inf
+    for basis in itertools.combinations(itertools.product(rows, cols), len(rows) + len(cols) - 1):
+        left_a, left_b = list(a), list(b)
+        todo, flow = set(basis), {}
+        while todo:
+            count = {}
+            for i, j in todo:
+                count[("r", i)] = count.get(("r", i), 0) + 1
+                count[("c", j)] = count.get(("c", j), 0) + 1
+            leaf = next(((i, j) for i, j in sorted(todo)
+                         if count[("r", i)] == 1 or count[("c", j)] == 1), None)
+            if leaf is None:
+                break  # the cells hold a cycle: not a basis
+            i, j = leaf
+            flow[leaf] = left_a[i] if count[("r", i)] == 1 else left_b[j]
+            left_a[i] -= flow[leaf]
+            left_b[j] -= flow[leaf]
+            todo.remove(leaf)
+        if todo or any(left_a) or any(left_b) or min(flow.values()) < 0:
+            continue
+        terms = [(float(v[i, j]), float(x)) for (i, j), x in flow.items() if x > 0]
+        top = max(t for t, _ in terms)
+        best = min(best, top + math.log(sum(x * math.exp(t - top) for t, x in terms)))
+    return best
+
+
+def full_tree_law(rng: np.random.Generator, T: int, branching: int, d: int) -> MarketModel:
+    """A full tree of the shape the transport benchmark uses: every internal
+    node has ``branching`` children, draws its own drift, and its children
+    step by drift plus standard normal noise (prices rounded to 6 digits)."""
+    nodes = [{"id": "n0", "time": 0, "parent": None, "cond_prob": 1.0,
+              "prices": np.round(rng.normal(0.0, 1.0, size=d), 6)}]
+    frontier = [0]
+    for t in range(1, T + 1):
+        nxt = []
+        for v in frontier:
+            probs = rng.uniform(0.2, 1.0, size=branching)
+            probs /= probs.sum()
+            drift = rng.normal(0.0, 0.5, size=d)
+            for c in range(branching):
+                nodes.append({"id": f"n{len(nodes)}", "time": t, "parent": nodes[v]["id"],
+                              "cond_prob": float(probs[c]),
+                              "prices": np.round(nodes[v]["prices"] + drift
+                                                 + rng.normal(0.0, 1.0, size=d), 6)})
+                nxt.append(len(nodes) - 1)
+        frontier = nxt
+    return MarketModel.from_nodes(T, d, nodes)
 
 
 def random_feasible_plan(rng: np.random.Generator, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ Core claims:
     - every subcommand emits canonical JSON with the documented exit codes
       (0 computed, 1 input error, 2 domain violated)
     - repeated runs are byte-identical
+    - the default reports of the shipped calls match the committed golden copy
     - the shipped example files reproduce their published values
 """
 
@@ -22,7 +23,10 @@ import epsarb as ea
 from epsarb import io as eio
 from epsarb.cli import run
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "demos", "data")
+with open(os.path.join(ROOT, "perfbench", "golden", "cli.json")) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 def data(name: str) -> str:
@@ -202,13 +206,6 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_thread_cap_env_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("EPSARB_THREADS", "zero")
-        assert run(["critical-value", data("kbar_market.json"), "--p", "2"]) == 1
-        monkeypatch.setenv("EPSARB_THREADS", "2")
-        assert run(["critical-value", data("kbar_market.json"), "--p", "2"]) == 0
-        capsys.readouterr()
-
     def test_installed_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "epsarb.cli", "aw", data("kr_p.json"),
@@ -216,6 +213,42 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == pytest.approx(4.0)
+
+
+def _report_mismatch(got, want, where="$"):
+    """First difference between two reports: exact for structure, strings,
+    booleans and nulls; numbers to 1e-6 relative (absolute below 1)."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return f"{where}: keys differ"
+        parts = [(got[k], want[k], f"{where}.{k}") for k in want]
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return f"{where}: lengths differ"
+        parts = [(a, b, f"{where}[{k}]") for k, (a, b) in enumerate(zip(got, want))]
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        if isinstance(got, bool) or not isinstance(got, (int, float)):
+            return f"{where}: {got!r} is not a number"
+        ok = abs(got - want) <= 1e-6 * max(1.0, abs(want))
+        return None if ok else f"{where}: {got!r}, golden {want!r}"
+    else:
+        ok = type(got) is type(want) and got == want
+        return None if ok else f"{where}: {got!r}, golden {want!r}"
+    for a, b, at in parts:
+        diff = _report_mismatch(a, b, at)
+        if diff:
+            return diff
+    return None
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_golden_copy(self, name, capsys, monkeypatch):
+        want = GOLDEN[name]
+        monkeypatch.chdir(ROOT)
+        assert run(want["argv"]) == want["exit"]
+        got = json.loads(capsys.readouterr().out)
+        assert _report_mismatch(got, json.loads(want["stdout"])) is None
 
 
 class TestShippedExamples:

@@ -12,22 +12,30 @@ Core claims:
     - the combinatorial bottleneck solver agrees with an LP threshold
       bisection on tied costs, zero-mass rows and columns and 1 x n / m x 1
       shapes, with exact plan marginals
+    - the log-weight transportation simplex (and discrete_ot on top of it)
+      agrees with the HiGHS transport LP on the same shapes, and with
+      vertex enumeration in the log domain when the log-weights span 1e3
     - the cone interior-point solver matches HiGHS on LPs and NNLS on
       min-norm points, and its infeasibility and unboundedness certificates
       hold when recomputed
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
+from scipy.special import logsumexp
 
 from epsarb.solvers import (ConcaveOracle, ConeProgram, LinearProgram, TransportInstance,
-                            bottleneck_transport, discrete_ot, maximize_concave,
-                            solve_lp, solve_socp, transport_feasible_below)
+                            bottleneck_transport, discrete_ot, log_transport,
+                            maximize_concave, solve_lp, solve_socp,
+                            transport_feasible_below)
 
-from _helpers import enumerate_2x2_transport, lp_bottleneck_value, random_feasible_plan
+from _helpers import (brute_force_log_transport, enumerate_2x2_transport,
+                      lp_bottleneck_value, random_feasible_plan)
 
 
 class TestSolveLP:
@@ -242,17 +250,23 @@ class TestBottleneck:
             assert support_max == res.value
 
 
+def _weights(k: int):
+    """k integer weights in 0..3, at least one positive."""
+    return st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+
+
 def _masses(k: int):
-    """k integer weights with at least one positive, normalized: masses such
-    as 1/3 or 2/7 carry float noise and zero masses stay exactly zero."""
-    return st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any).map(
-        lambda w: np.array(w, dtype=float) / sum(w))
+    """k integer weights, normalized: masses such as 1/3 or 2/7 carry float
+    noise and zero masses stay exactly zero."""
+    return _weights(k).map(lambda w: np.array(w, dtype=float) / sum(w))
+
+
+_COSTS = st.integers(0, 3).map(float) | st.floats(0.0, 10.0, allow_subnormal=False)
 
 
 @st.composite
-def _instances(draw):
+def _instances(draw, cell=_COSTS):
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    cell = st.integers(0, 3).map(float) | st.floats(0.0, 10.0, allow_subnormal=False)
     cost = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
     return TransportInstance(cost, draw(_masses(m)), draw(_masses(n)))
 
@@ -276,6 +290,91 @@ class TestBottleneckProperties:
         levels = sorted(set(inst.cost.ravel().tolist()))
         lam = data.draw(st.sampled_from(levels) | st.floats(-1.0, 11.0))
         assert transport_feasible_below(inst, lam) == (ref_value <= lam)
+
+
+def lp_transport_value(cost: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> float:
+    """Reference min-cost transport value: one HiGHS LP on the marginal rows."""
+    m, n = cost.shape
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n:(i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    res = solve_lp(LinearProgram(cost.ravel(), a_eq=a_eq, b_eq=np.concatenate([src, tgt]),
+                                 bounds=[(0, None)] * (m * n)))
+    assert res.status == "optimal"
+    return res.value
+
+
+def _check_log_plan(res, v, src, tgt):
+    """Exact marginals, and the value is the log-exp cost of the plan's support."""
+    assert np.min(res.plan) >= 0.0
+    assert np.max(np.abs(res.plan.sum(axis=1) - src)) <= 1e-12
+    assert np.max(np.abs(res.plan.sum(axis=0) - tgt)) <= 1e-12
+    keep = res.plan > 0.0
+    value = float(logsumexp(v[keep], b=res.plan[keep]))
+    assert abs(value - res.value) <= 1e-12 * (1 + abs(res.value))
+
+
+@st.composite
+def _extreme_instances(draw):
+    """Log-weights spanning at least 1e3, with integer mass weights."""
+    m, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    cell = st.sampled_from([-1000.0, -500.0, 0.0, 1.0, 2.0, 500.0, 1000.0]) | st.floats(-1e3, 1e3)
+    v = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+    assume(v.max() - v.min() >= 1e3)
+    return v, draw(_weights(m)), draw(_weights(n))
+
+
+# Costs on a grid of 1/4 from 0 to 10: a cycle either ties exactly or
+# differs far above HiGHS's 1e-7 tolerances, so the LP's vertex is optimal.
+_GRID = st.integers(0, 40).map(lambda k: k / 4.0)
+
+
+class TestLogTransportProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_instances(_GRID))
+    def test_matches_highs_lp(self, inst):
+        # The instance's costs serve as log-weights.
+        res = log_transport(inst.cost, inst.source, inst.target)
+        ref = math.log(lp_transport_value(np.exp(inst.cost), inst.source, inst.target))
+        assert abs(res.value - ref) <= 1e-12 * (1 + abs(ref))
+        _check_log_plan(res, inst.cost, inst.source, inst.target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_instances(_GRID))
+    def test_discrete_ot_matches_highs_lp(self, inst):
+        res = discrete_ot(inst)
+        ref = lp_transport_value(inst.cost, inst.source, inst.target)
+        assert abs(res.value - ref) <= 1e-12 * (1 + abs(ref))
+        assert np.max(np.abs(res.plan.sum(axis=1) - inst.source)) <= 1e-12
+        assert np.max(np.abs(res.plan.sum(axis=0) - inst.target)) <= 1e-12
+        assert abs(float(np.sum(res.plan * inst.cost)) - res.value) <= 1e-12 * (1 + abs(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_extreme_instances())
+    def test_extreme_spreads_match_vertex_enumeration(self, case):
+        v, wx, wy = case
+        src, tgt = np.array(wx) / sum(wx), np.array(wy) / sum(wy)
+        res = log_transport(v, src, tgt)
+        ref = brute_force_log_transport(v, wx, wy)
+        assert abs(res.value - ref) <= 1e-12 * (1 + abs(ref))
+        _check_log_plan(res, v, src, tgt)
+
+    def test_equal_large_weights_cancel_in_pricing(self):
+        # The improving cycle holds a log-weight of 1000 on each side;
+        # summed without cancelling, the two hide its gain.
+        v = np.array([[2.0, 1.0, 0.0], [2.0, 1000.0, 2.0], [1.0, 1000.0, 2.0]])
+        res = log_transport(v, np.array([0.25, 0.5, 0.25]), np.array([0.5, 0.25, 0.25]))
+        ref = brute_force_log_transport(v, [1, 2, 1], [2, 1, 1])
+        assert res.value == pytest.approx(ref, abs=1e-12)
+
+    def test_no_mass_and_minus_infinity_weights(self):
+        assert log_transport(np.zeros((2, 2)), np.zeros(2), np.zeros(2)).value == -math.inf
+        v = np.array([[-math.inf, 0.0], [0.0, -math.inf]])
+        res = log_transport(v, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        assert res.value == -math.inf
+        assert res.plan == pytest.approx(np.diag([0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Core claims:
       (forced cross pair = 2, non-causal increments = 2 eps, sup-cost
       separation = M + delta, quantile-coupling suboptimality 5 > 4)
     - DP values match the global bicausal-polytope solvers on small pairs
-    - exponential smoothing is monotone in lambda, below the sup-distance,
-      and obeys the tilting identity and the finite-support sandwich
+    - exponential smoothing is monotone in lambda, below the sup-distance
+      and the sup-optimal coupling's own cost (also at lambda up to 1e4 on
+      full trees of up to 64 leaves), and obeys the tilting identity and the
+      finite-support sandwich
     - grid quantization and the empirical trend behave as stated
     - stability inequalities hold on perturbed pairs
 """
@@ -23,7 +25,7 @@ from epsarb.testing import (perturb_prices, random_market,
                             random_martingale_market, random_path_law)
 
 from _helpers import (brute_force_bicausal_couplings, closing_pair,
-                      counterexample_pair, kr_pair)
+                      counterexample_pair, full_tree_law, kr_pair)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -169,6 +171,22 @@ class TestLogExponential:
         P, Pp = kr_pair()
         val = tr.elog_divergence(P, Pp, 2.0, 200.0).value
         assert 3.95 <= val <= 4.0 + 1e-12
+
+    @pytest.mark.parametrize("T, branching, d", [(2, 3, 1), (2, 3, 2), (2, 4, 1),
+                                                 (3, 3, 1), (3, 4, 2)])
+    def test_large_lambda_on_full_trees(self, T, branching, d):
+        # Stage weights exp(lam * cost) span hundreds of orders of magnitude
+        # here; elog is a minimum over bicausal couplings, so it stays below
+        # the aw-optimal coupling's own log-exp cost and below aw_inf.
+        rng = np.random.default_rng(400 + 10 * T + branching + d)
+        P, Q = (full_tree_law(rng, T, branching, d) for _ in range(2))
+        aw = tr.aw_inf(P, Q, 2.0)
+        vals = []
+        for lam in (20.0, 200.0, 1e4):
+            val = tr.elog_divergence(P, Q, 2.0, lam).value
+            assert val <= min(aw.value, aw.coupling.log_exp_cost(2.0, lam)) + 1e-9
+            vals.append(val)
+        assert vals[0] <= vals[1] <= vals[2]
 
 
 class TestLaplaceSmoothing:
