@@ -12,8 +12,8 @@ Core surfaces:
 
 from .market import (DoobDecomposition, MarketModel, MeasureWeights, NormPair,
                      PathLaw, Payoff, Strategy, ValidationReport,
-                     conditional_mean_increments, doob_decomposition, dual_vector,
-                     gain, is_eps_martingale, strategy_cost, validate_market)
+                     conditional_mean_increments, doob_decomposition, gain,
+                     is_eps_martingale, strategy_cost, validate_market)
 from .solvers import (ConcaveOracle, ConcaveResult, LinearProgram, LPResult,
                       TransportInstance, TransportResult, bottleneck_transport,
                       discrete_ot, maximize_concave, solve_lp,

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .market import (EXACT_TOL, FEAS_TOL, MarketModel, NormPair, Strategy,
-                     gain, strategy_cost, validate_market)
-from .programs import (_conic, _fallback, _min_norm_solution, interior_feasibility,
-                       node_strict_arbitrage, pack_strategy, pnorm_and_grad,
+                     gain, qnorm, qnorm_grad, strategy_cost, validate_market)
+from .programs import (_conic, _fallback, _min_norm_solution, _polyhedral,
+                       interior_feasibility, node_strict_arbitrage, pack_strategy,
                        reference_deviation, strict_arbitrage_maximin_program,
                        strict_arbitrage_sum_program, tree_ops, unpack_strategy)
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
@@ -60,8 +60,7 @@ class ArbitrageReport:
 
 def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
                             tol: float = 1e-8, solver_tol: float = 1e-9,
-                            want_certificate: bool = True,
-                            _gamma_cache: Optional[dict] = None) -> ArbitrageReport:
+                            want_certificate: bool = True) -> ArbitrageReport:
     """Decide strict eps-arbitrage and certify it when present.
 
     Decision target: the normalized program max over sum_v |H(v)|_p <= 1 of
@@ -79,9 +78,8 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
         raise ValueError(f"invalid market: {report.violations[0]}")
     if not (eps >= 0 and math.isfinite(eps)):
         raise ValueError("eps must be finite and non-negative")
-    polyhedral = norms.p == 1.0 or model.d == 1 or eps == 0.0
     ops = tree_ops(model)
-    if polyhedral:
+    if _polyhedral(model, norms, eps):
         # scalar assets and the classical level have exact l1 geometry
         use_norms = norms if norms.p == 1.0 else NormPair(1.0)
         opt, h, slacks = strict_arbitrage_sum_program(model, eps, use_norms, tol=solver_tol)
@@ -98,12 +96,8 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
 
     hit = None
     for v in model.internal:
-        cached = None if _gamma_cache is None else _gamma_cache.get(v)
-        found, h_node, gamma = node_strict_arbitrage(model, v, eps, norms,
-                                                     band=solver_tol * 10, gamma=cached,
-                                                     with_certificate=want_certificate)
-        if _gamma_cache is not None:
-            _gamma_cache[v] = gamma
+        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms, band=solver_tol * 10,
+                                                 with_certificate=want_certificate)
         if found:
             hit = (v, h_node)
             break
@@ -223,10 +217,9 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
     if hi <= 1e-14:
         return 0.0, ()
     cache: dict = {}
-    polyhedral = norms.p == 1.0 or model.d == 1
 
     def _decision(e: float) -> bool:
-        if polyhedral or e == 0.0:
+        if _polyhedral(model, norms, e):
             rep = detect_strict_arbitrage(model, e, norms, tol=arb_tol)
             curve.append((e, rep.optimum))
             return rep.found
@@ -595,8 +588,9 @@ def _unit_ball_kelley(c: np.ndarray, rows: np.ndarray, B: np.ndarray, norms: Nor
         return float(c @ y), c
 
     def ball(y):
-        val, grad = pnorm_and_grad(B @ y, norms.p)
-        return 1.0 - val, -(B.T @ grad)
+        z = B @ y
+        val = qnorm(z, norms.p)
+        return 1.0 - val, -(B.T @ qnorm_grad(z, norms.p, val))
 
     r = B.shape[1]
     res = maximize_concave(objective, -np.ones(r), np.ones(r), [ball],

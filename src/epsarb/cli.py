@@ -51,11 +51,10 @@ def _emit(args, payload: dict) -> None:
     sys.stdout.write(text)
 
 
-def _add_common(sp, eps=False, p=False, q=False, lam=False, eta=False):
-    sp.add_argument("--tol", type=float, default=1e-8, help="decision tolerance")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="unused: no subcommand draws random numbers")
+def _add_common(sp, eps=False, p=False, q=False, lam=False, eta=False, tol=False):
     sp.add_argument("--out", type=str, default=None, help="also write the report here")
+    if tol:
+        sp.add_argument("--tol", type=float, default=1e-8, help="decision tolerance")
     if eps:
         sp.add_argument("--eps", type=float, required=True, help="arbitrage cost level")
     if p:
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-arbitrage", help="detect strict eps-arbitrage")
     sp.add_argument("market")
-    _add_common(sp, eps=True, p=True)
+    _add_common(sp, eps=True, p=True, tol=True)
 
     sp = sub.add_parser("critical-value", help="critical arbitrage level eps(P)")
     sp.add_argument("market")
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("na-prime", help="non-asymptotic no-arbitrage check")
     sp.add_argument("market")
-    _add_common(sp, eps=True, p=True)
+    _add_common(sp, eps=True, p=True, tol=True)
 
     sp = sub.add_parser("find-emm", help="find an eps-martingale measure")
     sp.add_argument("market")

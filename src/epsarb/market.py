@@ -42,35 +42,53 @@ class NormPair:
 
     def norm(self, x: np.ndarray) -> float:
         """|x|_p on R^d."""
-        x = np.asarray(x, dtype=float)
-        if self.p == 1.0:
-            return float(np.sum(np.abs(x)))
-        if self.p == 2.0:
-            return float(np.sqrt(np.dot(x, x)))
-        return float(np.sum(np.abs(x) ** self.p) ** (1.0 / self.p))
+        return qnorm(x, self.p)
 
     def dual_norm(self, x: np.ndarray) -> float:
         """|x|_q on R^d (max-norm when p = 1)."""
-        x = np.asarray(x, dtype=float)
-        if self.q == math.inf:
-            return float(np.max(np.abs(x))) if x.size else 0.0
-        if self.q == 2.0:
-            return float(np.sqrt(np.dot(x, x)))
-        return float(np.sum(np.abs(x) ** self.q) ** (1.0 / self.q))
+        return qnorm(x, self.q)
 
     def dual_vector(self, x: np.ndarray) -> np.ndarray:
-        """The vector x* with x . x* = |x|_p and |x*|_q = 1 (x nonzero, p > 1).
+        """The vector x* with x . x* = |x|_p and |x*|_q = 1 (x nonzero)."""
+        return qnorm_grad(x, self.p, self.norm(x))
 
-        Coordinate-wise x*_i = sgn(x_i) |x_i|^(p-1) / |x|_p^(p-1), with
-        sgn(0) = 0, and x* = 0 for x = 0.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.p == 1.0:
-            return np.sign(x)
-        nrm = self.norm(x)
-        if nrm == 0.0:
-            return np.zeros_like(x)
-        return np.sign(x) * (np.abs(x) / nrm) ** (self.p - 1.0)
+
+def qnorm(x: np.ndarray, r: float):
+    """|x|_r along the last axis: a float for a vector, an array for a stack.
+
+    r = 2 is the square root of the dot product (of a batched matmul for a
+    stack), r = inf the largest absolute entry (0 for an empty vector), and
+    any other r the r-th root of the sum of |x_i|^r.
+    """
+    x = np.asarray(x, dtype=float)
+    if r == math.inf:
+        out = np.max(np.abs(x), axis=-1, initial=0.0)
+    elif r == 2.0:
+        if x.ndim == 1:
+            return float(np.sqrt(np.dot(x, x)))
+        out = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    else:
+        out = np.sum(np.abs(x) ** r, axis=-1) ** (1.0 / r)
+    return float(out) if x.ndim == 1 else out
+
+
+def qnorm_grad(x: np.ndarray, r: float, norm) -> np.ndarray:
+    """Gradient of |x|_r along the last axis, given ``norm`` = qnorm(x, r).
+
+    For finite r it is x*_i = sgn(x_i) (|x_i| / |x|_r)^(r-1), so that
+    x . x* = |x|_r and |x*|_r' = 1 for the conjugate r'; at r = inf it is
+    the sign of the first entry of largest magnitude.  Zero where x = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    if r == math.inf:
+        g = np.zeros_like(x)
+        if x.shape[-1]:
+            i = np.argmax(np.abs(x), axis=-1)[..., None]
+            np.put_along_axis(g, i, np.sign(np.take_along_axis(x, i, axis=-1)), axis=-1)
+        return g
+    # A zero norm divides a zero vector, whose sign is already zero.
+    nrm = np.where(norm > 0.0, norm, 1.0)[..., None]
+    return np.sign(x) * (np.abs(x) / nrm) ** (r - 1.0)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -329,11 +347,6 @@ def strategy_cost(model: MarketModel, strategy: Strategy, norms: NormPair) -> np
         p = int(model.parent[i])
         acc[i] = node_cost[i] + (acc[p] if p >= 0 else 0.0)
     return acc[list(model.leaves)]
-
-
-def dual_vector(x: np.ndarray, norms: NormPair) -> np.ndarray:
-    """Module-level alias for :meth:`NormPair.dual_vector`."""
-    return norms.dual_vector(x)
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ import numpy as np
 
 from .arbitrage import NodeStructure, compute_node_structure
 from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy,
-                     gain, is_eps_martingale, strategy_cost, validate_market)
-from .programs import (_conic, _fallback, _norm_cones, cone_linear_optimum,
-                       interior_feasibility, max_min_weight_on_face, pnorm_and_grad,
-                       tree_ops, unpack_strategy)
+                     gain, is_eps_martingale, qnorm, qnorm_grad, strategy_cost,
+                     validate_market)
+from .programs import (_conic, _fallback, _norm_cones, _polyhedral, cone_linear_optimum,
+                       interior_feasibility, max_min_weight_on_face, tree_ops,
+                       unpack_strategy)
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 
@@ -250,7 +251,8 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
         node_norm = np.zeros(n_free)
         node_grad = np.zeros((n_free, d))
         for a_i in range(n_free):
-            node_norm[a_i], node_grad[a_i] = pnorm_and_grad(H[a_i], norms.p)
+            node_norm[a_i] = qnorm(H[a_i], norms.p)
+            node_grad[a_i] = qnorm_grad(H[a_i], norms.p, node_norm[a_i])
         vals = (z[0] + gain_free @ z[1:1 + NH] + gain_y @ y
                 - eps * (mask_free @ node_norm) - payoff.values)
         grads = np.empty((L, n))
@@ -370,7 +372,7 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Pa
     anchor = emm.measure.weights if emm.measure is not None else None
     dual, _ = cone_linear_optimum(model, eps, norms, payoff.values, "max", anchor=anchor)
     scale = 1.0 + abs(dual)
-    if norms.p == 1.0 or eps == 0.0 or model.d == 1:
+    if _polyhedral(model, norms, eps):
         # polyhedral geometry (p = 1, classical level, or scalar assets,
         # where every p-cost coincides): one exact LP, no closure gap
         primal, cert = _superhedge_lp(model, eps, payoff)

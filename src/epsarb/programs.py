@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .market import MarketModel, NormPair, Strategy
+from .market import MarketModel, NormPair, Strategy, qnorm, qnorm_grad
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 _log = logging.getLogger("epsarb")
@@ -88,29 +88,6 @@ def unpack_strategy(ops: TreeOps, x: np.ndarray) -> Strategy:
     return Strategy(vals)
 
 
-def _qnorm_and_grad(z: np.ndarray, q: float) -> tuple[float, np.ndarray]:
-    """|z|_q and a (sub)gradient; gradient 0 at z = 0."""
-    az = np.abs(z)
-    if q == math.inf:
-        val = float(az.max()) if z.size else 0.0
-        g = np.zeros_like(z)
-        if val > 0.0:
-            i = int(np.argmax(az))
-            g[i] = np.sign(z[i])
-        return val, g
-    if q == 2.0:
-        val = float(np.sqrt(z @ z))
-        return val, (z / val if val > 0.0 else np.zeros_like(z))
-    val = float(np.sum(az ** q) ** (1.0 / q))
-    if val == 0.0:
-        return 0.0, np.zeros_like(z)
-    return val, np.sign(z) * (az / val) ** (q - 1.0)
-
-
-def pnorm_and_grad(h: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    return _qnorm_and_grad(h, p)
-
-
 # ---------------------------------------------------------------------------
 # Conic route: every q = 2, d >= 2 program is one second-order cone program
 # ---------------------------------------------------------------------------
@@ -126,6 +103,13 @@ were solved again by the cutting-plane route."""
 # with it; the interior decision only needs a checked point.
 _TIGHTEN = 1e-10
 _TIGHTEN_INTERIOR = 1e-8
+
+
+def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None) -> bool:
+    """Whether the q-cones (and the p-costs) are exactly LP-representable:
+    q = inf (that is, p = 1), scalar assets, or the level eps = 0 when one
+    is given."""
+    return norms.q == math.inf or model.d == 1 or eps == 0.0
 
 
 def _conic(model: MarketModel, norms: NormPair) -> bool:
@@ -226,8 +210,8 @@ def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
             return None, None
         h = res.x[:d] - res.x[d:]
         return h, float(np.sum(np.abs(h)))
-    fun = lambda h: pnorm_and_grad(h, norms.p)[0]
-    jac = lambda h: pnorm_and_grad(h, norms.p)[1]
+    fun = lambda h: qnorm(h, norms.p)
+    jac = lambda h: qnorm_grad(h, norms.p, qnorm(h, norms.p))
     res = minimize(fun, h2, jac=jac, method="SLSQP",
                    constraints=[{"type": "eq", "fun": lambda h: A @ h - rhs,
                                  "jac": lambda h: A}],
@@ -249,7 +233,8 @@ def _leaf_gain_cost(ops: TreeOps, norms: NormPair, x: np.ndarray, eps: float):
     node_norm = np.zeros(n_int)
     node_grad = np.zeros((n_int, d))
     for j in range(n_int):
-        node_norm[j], node_grad[j] = pnorm_and_grad(H[j], norms.p)
+        node_norm[j] = qnorm(H[j], norms.p)
+        node_grad[j] = qnorm_grad(H[j], norms.p, node_norm[j])
     costs = ops.mask @ node_norm
     slack = gains - eps * costs
     # gradient of slack_k wrt x: coeff[k] - eps * mask[k, j] * node_grad[j]
@@ -418,7 +403,7 @@ def strict_arbitrage_maximin_program(model: MarketModel, eps: float, norms: Norm
     if res.x is None:
         return 0.0, None, np.zeros(model.n_leaves)
     h = res.x
-    total = sum(pnorm_and_grad(h[j * d:(j + 1) * d], norms.p)[0] for j in range(n_int))
+    total = sum(qnorm(h[j * d:(j + 1) * d], norms.p) for j in range(n_int))
     if total > 0:
         h = h / total
     slack, *_ = _leaf_gain_cost(ops, norms, h, eps)
@@ -446,7 +431,8 @@ def _cone_oracles(ops: TreeOps, eps: float, norms: NormPair, n_extra: int = 0,
         def g(x, j=j, coeff_j=coeff_j, mask_j=mask_j):
             q = x[:mask_j.size]
             z = coeff_j.T @ q
-            val, zgrad = _qnorm_and_grad(z, norms.q)
+            val = qnorm(z, norms.q)
+            zgrad = qnorm_grad(z, norms.q, val)
             if cut_bank is not None and val > 0.0:
                 bank = cut_bank.setdefault(j, [])
                 bank.append(zgrad)
@@ -488,7 +474,7 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray) -> n
     out = np.zeros(len(ops.internal))
     for j in range(len(ops.internal)):
         z = ops.coeff[:, j, :].T @ q
-        out[j] = eps * float(ops.mask[:, j] @ q) - _qnorm_and_grad(z, norms.q)[0]
+        out[j] = eps * float(ops.mask[:, j] @ q) - qnorm(z, norms.q)
     return out
 
 
@@ -552,13 +538,12 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     ops = tree_ops(model)
     L = model.n_leaves
     P = model.leaf_prob
-    n_nodes = len(ops.internal)
     if max_iter is None:
         max_iter = 400 if polish else 150
     # Rounding floor of |z_v(q)|_q at this price scale.
     scale = 1.0 + float(np.max(np.abs(ops.coeff)))
     margin_floor = 1e-12 * scale
-    if norms.q == math.inf or model.d == 1 or eps == 0.0:
+    if _polyhedral(model, norms, eps):
         rows = _cone_rows_linf(ops, eps)
         a_ub = np.vstack([
             np.hstack([rows, np.zeros((rows.shape[0], 1))]),
@@ -597,23 +582,16 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
         _fallback("interior_feasibility", "neither a checked witness nor a bound below eta")
 
     # Margin route: statics are exact at LP vertices, so incumbents certify.
-    margin_cons = []
-    for j in range(n_nodes):
-        coeff_j = ops.coeff[:, j, :]
-        mask_j = ops.mask[:, j]
+    # Each node's cone margin must cover the margin variable x[-1].
+    def minus_margin(cone):
+        def g(x):
+            val, grad = cone(x)
+            grad[-1] = -1.0
+            return val - x[-1], grad
+        return g
 
-        def g(x, j=j, coeff_j=coeff_j, mask_j=mask_j):
-            qv = x[:L]
-            z = coeff_j.T @ qv
-            val, zgrad = _qnorm_and_grad(z, norms.q)
-            if cut_bank is not None and val > 0.0:
-                bank = cut_bank.setdefault(j, [])
-                bank.append(zgrad)
-                if len(bank) > 30:
-                    del bank[0]
-            grad = np.concatenate([eps * mask_j - coeff_j @ zgrad, [-1.0]])
-            return eps * float(mask_j @ qv) - val - x[-1], grad
-        margin_cons.append(g)
+    margin_cons = [minus_margin(cone) for cone in
+                   _cone_oracles(ops, eps, norms, n_extra=1, cut_bank=cut_bank)]
 
     def margin_objective(x):
         grad = np.zeros(L + 1)
@@ -704,7 +682,7 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
-    if norms.q == math.inf or model.d == 1 or eps == 0.0:
+    if _polyhedral(model, norms, eps):
         rows = _cone_rows_linf(ops, eps)
         lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
                            a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
@@ -775,7 +753,7 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
     face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
     face_rhs = np.array([target + scale, -(target - scale)])
     min_rows = np.hstack([-np.eye(L), np.ones((L, 1))])
-    if norms.q == math.inf or model.d == 1 or eps == 0.0:
+    if _polyhedral(model, norms, eps):
         rows = _cone_rows_linf(ops, eps)
         a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), face_rows, min_rows])
         b_ub = np.concatenate([np.zeros(rows.shape[0]), face_rhs, np.zeros(L)])
@@ -830,7 +808,7 @@ def reference_deviation(model: MarketModel, norms: NormPair) -> float:
     for j in range(len(ops.internal)):
         mass = float(ops.mask[:, j] @ P)
         z = ops.coeff[:, j, :].T @ P
-        worst = max(worst, _qnorm_and_grad(z / mass, norms.q)[0])
+        worst = max(worst, qnorm(z / mass, norms.q))
     return worst
 
 
@@ -849,11 +827,6 @@ def reference_deviation(model: MarketModel, norms: NormPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _polyhedral(model: MarketModel, norms: NormPair) -> bool:
-    """Whether the q-cone (and the p-cost) is exactly LP-representable."""
-    return norms.q == math.inf or model.d == 1
-
-
 def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
                                tol: float = 1e-10) -> float:
     """gamma(v) = min over child-simplex weights of |sum_w a_w dS(w)|_q."""
@@ -861,7 +834,7 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
     A = model.delta[kids]  # (k, d)
     k = len(kids)
     if k == 1:
-        return _qnorm_and_grad(A[0], norms.q)[0]
+        return qnorm(A[0], norms.q)
     if _polyhedral(model, norms):
         # min t s.t. -t <= (A' a)_i <= t, a in simplex
         d = model.d
@@ -900,7 +873,8 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
 
     def objective(a):
         z = A.T @ a
-        val, zg = _qnorm_and_grad(z, norms.q)
+        val = qnorm(z, norms.q)
+        zg = qnorm_grad(z, norms.q, val)
         return -val, -(A @ zg)
 
     res = maximize_concave(objective, np.zeros(k), np.ones(k),
@@ -962,7 +936,8 @@ def _node_support_max(model: MarketModel, v: int, w_pos: int, eps: float,
 
     def cone(a):
         z = A.T @ a
-        val, zg = _qnorm_and_grad(z, norms.q)
+        val = qnorm(z, norms.q)
+        zg = qnorm_grad(z, norms.q, val)
         return eps - val, -(A @ zg)
 
     res = maximize_concave(objective, np.zeros(k), np.ones(k), [cone],
@@ -981,7 +956,7 @@ def _node_uniform_certificate(model: MarketModel, v: int, eps: float, norms: Nor
     kids = list(model.children[v])
     A = model.delta[kids]
     k, d = A.shape
-    if norms.p == 1.0 or model.d == 1:
+    if _polyhedral(model, norms):
         # variables (h+, h-, delta); node cost = sum(h+ + h-)
         rows = np.hstack([-(A - eps), -(-A - eps), np.ones((k, 1))])
         norm_row = np.concatenate([np.ones(2 * d), [0.0]])[None, :]
@@ -1024,7 +999,8 @@ def _node_uniform_certificate(model: MarketModel, v: int, eps: float, norms: Nor
     # [-1, 1]^d (no nonlinear constraints: every iterate is usable) and
     # normalize afterward; the sign of the optimum is what matters.
     def objective(h):
-        nv, gv = pnorm_and_grad(h, norms.p)
+        nv = qnorm(h, norms.p)
+        gv = qnorm_grad(h, norms.p, nv)
         slacks = A @ h - eps * nv
         w = int(np.argmin(slacks))
         return float(slacks[w]), A[w] - eps * gv
@@ -1034,7 +1010,7 @@ def _node_uniform_certificate(model: MarketModel, v: int, eps: float, norms: Nor
     if res.x is None:
         raise RuntimeError("node maximin program failed")
     h = res.x
-    nv = pnorm_and_grad(h, norms.p)[0]
+    nv = qnorm(h, norms.p)
     if nv > 0:
         h = h / nv
     margin = float(np.min(A @ h) - eps) if nv > 0 else 0.0
@@ -1060,7 +1036,7 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
     if gamma < eps - band * scale or eps == 0.0:
         return False, None, gamma
     # Boundary band: support analysis.
-    if norms.p == 1.0 or model.d == 1:
+    if _polyhedral(model, norms):
         # Polyhedral slack image is closed, so one exact LP settles the sign.
         found, face_h = _p1_boundary_arbitrage(A, eps, model.d)
         if found:

@@ -3,13 +3,12 @@ concave maximization, and exact discrete transport (min-cost and
 bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
-everything is dense.  LPs are delegated to HiGHS through scipy; results are
-re-checked for primal feasibility and infeasibility is certified by an
-explicitly computed Farkas ray.  LPs with second-order cones (the p = 2
-programs) run a dense primal-dual interior point written in numpy, which
-returns primal and dual points or an infeasibility certificate; a
-:class:`ConeProgram` recomputes weak-duality bounds and certificates from
-them.  Kelley cutting planes serve the remaining p.  Transport needs no LP:
+everything is dense.  LPs are delegated to HiGHS through scipy; optimal
+points are re-checked for primal feasibility, and infeasibility is HiGHS's
+status.  LPs with second-order cones (the p = 2 programs) run a dense
+primal-dual interior point written in numpy, which returns primal and dual
+points or an infeasibility certificate; a :class:`ConeProgram` recomputes
+weak-duality bounds and certificates from them.  Kelley cutting planes serve the remaining p.  Transport needs no LP:
 min-cost transport is a transportation simplex that prices its cycles in
 the log domain, exact for weights of any spread, and bottleneck transport a
 threshold algorithm that grows a flow along augmenting paths and raises the
@@ -58,7 +57,6 @@ class LPResult:
     value: Optional[float]
     dual_ub: Optional[np.ndarray]
     dual_eq: Optional[np.ndarray]
-    farkas: Optional[dict]
     message: str = ""
 
 
@@ -74,69 +72,12 @@ def _norm_bounds(n: int, bounds) -> list[tuple]:
     return [(lo, hi) for lo, hi in bounds]
 
 
-def _farkas_certificate(a_ub, b_ub, a_eq, b_eq, bounds, tol: float = 1e-9) -> Optional[dict]:
-    """A ray (y_ub >= 0, y_eq) proving {a_ub x <= b_ub, a_eq x = b_eq, bounds} empty.
-
-    The ray satisfies y_ub' a_ub + y_eq' a_eq - lam + mu = 0 with lam, mu >= 0
-    supported on finite bounds, and certificate value
-    y_ub' b_ub + y_eq' b_eq - lam' lo + mu' hi < 0.
-    """
-    m_ub = 0 if a_ub is None else a_ub.shape[0]
-    m_eq = 0 if a_eq is None else a_eq.shape[0]
-    n = (a_ub.shape[1] if m_ub else a_eq.shape[1])
-    lo = np.array([b[0] if b[0] is not None else -np.inf for b in bounds])
-    hi = np.array([b[1] if b[1] is not None else np.inf for b in bounds])
-    fin_lo = np.where(np.isfinite(lo))[0]
-    fin_hi = np.where(np.isfinite(hi))[0]
-    # Variables of the certificate LP: y_ub, y_eq+, y_eq-, lam (on fin_lo), mu (on fin_hi).
-    blocks = []
-    cost = []
-    if m_ub:
-        blocks.append(a_ub.T)
-        cost.append(b_ub)
-    if m_eq:
-        blocks.append(a_eq.T)
-        blocks.append(-a_eq.T)
-        cost.append(b_eq)
-        cost.append(-b_eq)
-    eye = np.eye(n)
-    if fin_lo.size:
-        blocks.append(-eye[:, fin_lo])
-        cost.append(-lo[fin_lo])
-    if fin_hi.size:
-        blocks.append(eye[:, fin_hi])
-        cost.append(hi[fin_hi])
-    A = np.hstack(blocks)
-    c = np.concatenate(cost)
-    k = A.shape[1]
-    res = linprog(c=c, A_eq=A, b_eq=np.zeros(n),
-                  A_ub=np.ones((1, k)), b_ub=np.array([1.0]),
-                  bounds=[(0, None)] * k)
-    if res.status != 0 or res.fun > -tol:
-        return None
-    y = res.x
-    pos = 0
-    out = {"value": float(res.fun)}
-    if m_ub:
-        out["y_ub"] = y[pos:pos + m_ub]
-        pos += m_ub
-    if m_eq:
-        out["y_eq"] = y[pos:pos + m_eq] - y[pos + m_eq:pos + 2 * m_eq]
-        pos += 2 * m_eq
-    if fin_lo.size:
-        out["y_lower"] = (fin_lo, y[pos:pos + fin_lo.size])
-        pos += fin_lo.size
-    if fin_hi.size:
-        out["y_upper"] = (fin_hi, y[pos:pos + fin_hi.size])
-    return out
-
-
 def solve_lp(lp: LinearProgram, tol: float = 1e-9,
              highs_tol: Optional[float] = None) -> LPResult:
     """Solve a dense LP; never returns silent garbage.
 
     Optimal solutions are checked against ``tol`` primal residuals; an
-    infeasible status comes with a Farkas ray when one can be extracted.
+    infeasible status is HiGHS's own verdict, with no certificate attached.
     ``highs_tol`` overrides HiGHS's primal and dual feasibility tolerances
     (default 1e-7).
     """
@@ -158,18 +99,15 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
         scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
         guard = max(tol * 10, 1e-6) * scale
         if a_ub is not None and np.max(a_ub @ x - b_ub, initial=-np.inf) > guard:
-            return LPResult("error", x, None, None, None, None,
+            return LPResult("error", x, None, None, None,
                             "primal residual exceeds tolerance")
         if a_eq is not None and np.max(np.abs(a_eq @ x - b_eq), initial=0.0) > guard:
-            return LPResult("error", x, None, None, None, None,
+            return LPResult("error", x, None, None, None,
                             "equality residual exceeds tolerance")
         dual_ub = None if a_ub is None else sign * np.asarray(res.ineqlin.marginals)
         dual_eq = None if a_eq is None else sign * np.asarray(res.eqlin.marginals)
-        return LPResult("optimal", x, float(sign * res.fun), dual_ub, dual_eq, None, res.message)
-    if status == "infeasible":
-        cert = _farkas_certificate(a_ub, b_ub, a_eq, b_eq, bounds)
-        return LPResult("infeasible", None, None, None, None, cert, res.message)
-    return LPResult(status, None, None, None, None, None, res.message)
+        return LPResult("optimal", x, float(sign * res.fun), dual_ub, dual_eq, res.message)
+    return LPResult(status, None, None, None, None, res.message)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +147,7 @@ def maximize_concave(oracle, lower=None, upper=None, constraints: Sequence[Oracl
                      tol: float = 1e-8, feas_tol: float = 1e-9,
                      max_iter: int = 400, start=None,
                      stop_above=None, stop_below=None, repair=None,
-                     max_rows: int = 900, damping: float = 0.0) -> ConcaveResult:
+                     damping: float = 0.0) -> ConcaveResult:
     """Kelley cutting planes: max f(x) s.t. g_i(x) >= 0 over a box.
 
     Static linear rows (a_ub x <= b_ub, a_eq x = b_eq) enter every master LP

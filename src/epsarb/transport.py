@@ -18,19 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .market import MarketModel, NormPair, PathLaw
+from .market import MarketModel, NormPair, PathLaw, qnorm
 from .solvers import TransportInstance, bottleneck_transport, linprog, log_transport
 
 _LOG_TINY = -745.0  # log of the smallest normal double; clamps underflow
-
-
-def _norms(diff: np.ndarray, q: float) -> np.ndarray:
-    """q-norm of every vector along the last axis (q = 2 as a dot product)."""
-    if q == math.inf:
-        return np.max(np.abs(diff), axis=-1)
-    if q == 2.0:
-        return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    return np.sum(np.abs(diff) ** q, axis=-1) ** (1.0 / q)
 
 
 def _stage_costs(lawx: PathLaw, lawy: PathLaw, xs: list, ys: list, t: int, q: float,
@@ -47,7 +38,7 @@ def _stage_costs(lawx: PathLaw, lawy: PathLaw, xs: list, ys: list, t: int, q: fl
         vx, vy = lawx.delta[xs], lawy.delta[ys]
     else:
         vx, vy = lawx.prices[xs], lawy.prices[ys]
-    return _norms(vx[:, None, :] - vy[None, :, :], q)
+    return qnorm(vx[:, None, :] - vy[None, :, :], q)
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def path_cost_matrix(lawx: PathLaw, lawy: PathLaw, q: float,
             dx = dx[:, 1:]
             dy = dy[:, 1:]
         px, py = dx, dy
-    return _norms(px[:, None, :, :] - py[None, :, :, :], q).sum(axis=2)
+    return qnorm(px[:, None, :, :] - py[None, :, :, :], q).sum(axis=2)
 
 
 def w_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, increments: bool = False,
@@ -478,8 +469,7 @@ def global_bicausal_logexp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
 
 
 def global_bicausal_bottleneck(lawx: PathLaw, lawy: PathLaw, q: float,
-                               increments: bool = False, include_t0: bool = True,
-                               feas_tol: float = 1e-9) -> float:
+                               increments: bool = False, include_t0: bool = True) -> float:
     """Reference sup-distance: threshold bisection over the bicausal polytope."""
     a_eq, b_eq = bicausal_rows(lawx, lawy)
     costs = path_cost_matrix(lawx, lawy, q, increments, include_t0).ravel()
@@ -574,9 +564,7 @@ def pushforward_measure(coupling: BicausalCoupling, weights_x: np.ndarray) -> np
 
 def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
                      payoff_fn: Optional[Callable] = None,
-                     lipschitz: Optional[float] = None,
-                     critical_method: str = "dual",
-                     tol: float = 1e-8) -> StabilityReport:
+                     lipschitz: Optional[float] = None) -> StabilityReport:
     """Distance plus the three transfer inequalities between two markets.
 
     Reports the adapted increment sup-distance D (with and without the t = 0
@@ -596,8 +584,8 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
                                       variants=(True, False))
     d_no_t0 = dres_no_t0.value
     D = dres.value
-    eps_x = critical_value(lawx, norms, method=critical_method).epsilon
-    eps_y = critical_value(lawy, norms, method=critical_method).epsilon
+    eps_x = critical_value(lawx, norms, method="dual").epsilon
+    eps_y = critical_value(lawy, norms, method="dual").epsilon
     critical_slack = D - abs(eps_x - eps_y)
 
     emm_x = find_eps_martingale_measure(lawx, eps, norms)

@@ -199,7 +199,7 @@ class TestCli:
         assert "norm exponent" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, capsys):
-        argv = ["critical-value", data("kbar_market.json"), "--p", "2", "--seed", "7"]
+        argv = ["critical-value", data("kbar_market.json"), "--p", "2"]
         run(argv)
         first = capsys.readouterr().out
         run(argv)

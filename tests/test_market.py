@@ -5,6 +5,8 @@ Core claims:
     - gains telescope along paths and are linear in the strategy
     - path costs accumulate per-period p-norms
     - dual vectors satisfy x . x* = |x|_p and |x*|_q = 1
+    - the one q-norm and its gradient equal, bit for bit, the formulas they
+      replaced, on single vectors and on stacks
     - conditional mean increments and Doob splits match hand computations
     - the eps-martingale deviation check is monotone in eps
     - martingale transforms of the Doob part have zero mean under Q
@@ -12,12 +14,17 @@ Core claims:
 """
 
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import epsarb as ea
+from epsarb.market import qnorm, qnorm_grad
 from epsarb.programs import tree_ops
 from epsarb.testing import random_market
 
@@ -98,16 +105,16 @@ class TestGainAndCost:
 
 class TestDualVector:
     def test_euclidean_three_four(self):
-        assert ea.dual_vector(np.array([3.0, 4.0]), N2) == pytest.approx([0.6, 0.8])
+        assert N2.dual_vector(np.array([3.0, 4.0])) == pytest.approx([0.6, 0.8])
 
     def test_l1_sign_vector(self):
         x = np.array([-2.0, 0.0, 5.0])
-        xs = ea.dual_vector(x, N1)
+        xs = N1.dual_vector(x)
         assert xs == pytest.approx([-1.0, 0.0, 1.0])
         assert float(x @ xs) == pytest.approx(7.0)
 
     def test_zero_maps_to_zero(self):
-        assert np.all(ea.dual_vector(np.zeros(2), N2) == 0.0)
+        assert np.all(N2.dual_vector(np.zeros(2)) == 0.0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_duality_identities_random(self, p):
@@ -120,6 +127,101 @@ class TestDualVector:
             xs = norms.dual_vector(x)
             assert float(x @ xs) == pytest.approx(norms.norm(x), rel=1e-12)
             assert norms.dual_norm(xs) == pytest.approx(1.0, rel=1e-12)
+
+
+# The q-norm and gradient formulas that ``market.qnorm`` / ``qnorm_grad``
+# replaced, copied inline: ``NormPair.norm`` / ``dual_norm``, the vector
+# norm and gradient of the Kelley oracles, the stacked norm of the
+# transport stage costs, and ``NormPair.dual_vector``.
+
+def _old_pair_norm(x, r):
+    if r == 1.0:
+        return float(np.sum(np.abs(x)))
+    if r == math.inf:
+        return float(np.max(np.abs(x))) if x.size else 0.0
+    if r == 2.0:
+        return float(np.sqrt(np.dot(x, x)))
+    return float(np.sum(np.abs(x) ** r) ** (1.0 / r))
+
+
+def _old_oracle_norm_and_grad(z, r):
+    az = np.abs(z)
+    if r == math.inf:
+        val = float(az.max()) if z.size else 0.0
+        g = np.zeros_like(z)
+        if val > 0.0:
+            i = int(np.argmax(az))
+            g[i] = np.sign(z[i])
+        return val, g
+    if r == 2.0:
+        val = float(np.sqrt(z @ z))
+        return val, (z / val if val > 0.0 else np.zeros_like(z))
+    val = float(np.sum(az ** r) ** (1.0 / r))
+    if val == 0.0:
+        return 0.0, np.zeros_like(z)
+    return val, np.sign(z) * (az / val) ** (r - 1.0)
+
+
+def _old_stacked_norms(diff, r):
+    if r == math.inf:
+        return np.max(np.abs(diff), axis=-1)
+    if r == 2.0:
+        return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    return np.sum(np.abs(diff) ** r, axis=-1) ** (1.0 / r)
+
+
+def _old_dual_vector(x, r):
+    if r == 1.0:
+        return np.sign(x)
+    nrm = _old_pair_norm(x, r)
+    if nrm == 0.0:
+        return np.zeros_like(x)
+    return np.sign(x) * (np.abs(x) / nrm) ** (r - 1.0)
+
+
+_EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
+_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+def _conjugate(r):
+    return math.inf if r == 1.0 else (1.0 if r == math.inf else r / (r - 1.0))
+
+
+class TestQNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 5), elements=_ENTRIES),
+           st.sampled_from(_EXPONENTS))
+    def test_vector_matches_old_formulas(self, x, r):
+        val = qnorm(x, r)
+        assert type(val) is float
+        assert val == _old_pair_norm(x, r)
+        old_val, old_grad = _old_oracle_norm_and_grad(x, r)
+        assert val == old_val
+        g = qnorm_grad(x, r, val)
+        assert np.array_equal(g, old_grad)
+        if r < math.inf:
+            assert np.array_equal(g, _old_dual_vector(x, r))
+        if val > 0.0:
+            assert float(g @ x) == pytest.approx(val, rel=1e-12)
+            assert qnorm(g, _conjugate(r)) == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert np.all(g == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=4, max_side=4),
+                      elements=_ENTRIES),
+           st.sampled_from(_EXPONENTS))
+    def test_stack_matches_old_formulas(self, x, r):
+        val = qnorm(x, r)
+        assert np.array_equal(val, _old_stacked_norms(x, r))
+        g = qnorm_grad(x, r, val)
+        assert g.shape == x.shape
+        for idx in np.ndindex(x.shape[:-1]):
+            if val[idx] > 0.0:
+                assert float(g[idx] @ x[idx]) == pytest.approx(val[idx], rel=1e-12)
+                assert qnorm(g[idx], _conjugate(r)) == pytest.approx(1.0, rel=1e-12)
+            else:
+                assert np.all(g[idx] == 0.0)
 
 
 class TestConditionalMeans:

@@ -1,8 +1,8 @@
 """Solver kernel.
 
 Core claims:
-    - LPs report optimal values with usable duals and certify infeasibility
-      by a verifiable Farkas ray
+    - LPs report optimal values with usable duals, and an infeasible LP
+      costs one HiGHS solve
     - the cutting-plane engine reaches stated tolerances on smooth and
       piecewise-linear objectives and matches the epigraph LP on the latter
     - discrete transport is exact against polytope enumeration and never
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 from scipy.special import logsumexp
 
+from epsarb import solvers
 from epsarb.solvers import (ConcaveOracle, ConeProgram, LinearProgram, TransportInstance,
                             bottleneck_transport, discrete_ot, log_transport,
                             maximize_concave, solve_lp, solve_socp,
@@ -46,17 +47,20 @@ class TestSolveLP:
         assert res.value == pytest.approx(3.0)
         assert res.dual_ub == pytest.approx([1.0])
 
-    def test_infeasible_with_farkas_ray(self):
+    def test_infeasible_status_from_one_solve(self, monkeypatch):
+        calls = []
+        highs = solvers.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(args or kwargs)
+            return highs(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "linprog", counted)
         res = solve_lp(LinearProgram(c=np.array([0.0]),
                                      a_ub=np.array([[-1.0], [1.0]]),
                                      b_ub=np.array([-1.0, 0.0])))
         assert res.status == "infeasible"
-        assert res.farkas is not None
-        y = res.farkas["y_ub"]
-        assert np.all(y >= -1e-12)
-        # y' A = 0 and y' b < 0 certify emptiness
-        assert y @ np.array([[-1.0], [1.0]]) == pytest.approx([0.0], abs=1e-9)
-        assert float(y @ np.array([-1.0, 0.0])) < -1e-12
+        assert len(calls) == 1
 
     def test_unbounded_status(self):
         res = solve_lp(LinearProgram(c=np.array([1.0]), sense="max"))
