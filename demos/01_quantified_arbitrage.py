@@ -35,10 +35,10 @@ for eps in (EPS, 0.5 * EPS):
                  f" holdings {np.round(rep.certificate.values[0], 6)}")
     print(line)
 
-print("\n== the critical level: both bisections agree ==")
+print("\n== the critical level: the largest node deviation, checked on both sides ==")
 crit = ea.critical_value(market, norms)
-print(f"  strategy side {crit.primal_estimate:.8f}")
-print(f"  measure side  {crit.dual_estimate:.8f}   (agreed: {crit.agreed})")
+print(f"  eps(P) {crit.epsilon:.8f} at node {market.ids[crit.argmax_node]}"
+      f"   (agreed: {crit.agreed})")
 
 print("\n== node geometry at the critical level ==")
 st = ea.compute_node_structure(market, EPS, norms)[0]

@@ -3,8 +3,11 @@
 A strategy is a strict arbitrage at level eps when its terminal gain covers
 the norm-proportional cost eps * |H|_p on every path and beats it with
 positive probability.  The detector solves the normalized concave program
-over strategies; the critical level is located by bisecting the detector and
-cross-checking against the measure-side cone feasibility threshold.
+over strategies.  Strict arbitrage localizes to one trading period, so the
+critical level is the largest node deviation max_v gamma(v), checked by one
+node decision just below it and one measure-side interior solve just above
+it; bisections of the detector and of the measure-side cone feasibility
+threshold remain as an opt-in cross-check.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from scipy.linalg import null_space
 from .market import (EXACT_TOL, FEAS_TOL, MarketModel, NormPair, Strategy,
                      gain, qnorm, qnorm_grad, strategy_cost, validate_market)
 from .programs import (_conic, _fallback, _min_norm_solution, _polyhedral,
-                       interior_feasibility, node_strict_arbitrage, pack_strategy,
-                       reference_deviation, strict_arbitrage_maximin_program,
-                       strict_arbitrage_sum_program, tree_ops, unpack_strategy)
+                       interior_feasibility, node_min_simplex_deviation,
+                       node_strict_arbitrage, pack_strategy, reference_deviation,
+                       strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
+                       tree_ops, unpack_strategy)
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 STRICT_ARBITRAGE = "strict_arbitrage"
@@ -135,6 +139,7 @@ class CriticalValueResult:
     agreed: bool
     eta: float
     eta_sweep: Optional[dict] = None
+    argmax_node: Optional[int] = None
 
     def to_dict(self) -> dict:
         out = {"epsilon_P": self.epsilon, "primal_estimate": self.primal_estimate,
@@ -144,6 +149,8 @@ class CriticalValueResult:
                "dual_curve": [list(t) for t in self.dual_curve]}
         if self.eta_sweep is not None:
             out["eta_sweep"] = self.eta_sweep
+        if self.argmax_node is not None:
+            out["argmax_node"] = self.argmax_node
         return out
 
 
@@ -250,29 +257,77 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
     return 0.5 * (lo + hi_b), tuple(curve)
 
 
+def _critical_value_exact(model: MarketModel, norms: NormPair, rel_tol: float,
+                          eta: float, sweep: Optional[dict]) -> CriticalValueResult:
+    """eps(P) = max_v gamma(v), with one check on each side (see ``critical_value``)."""
+    gammas = [node_min_simplex_deviation(model, v, norms) for v in model.internal]
+    j = int(np.argmax(gammas))
+    v, eps = model.internal[j], gammas[j]
+    delta = rel_tol * (1.0 + reference_deviation(model, norms))
+    primal_ok = True
+    primal_curve: tuple = ()
+    lo = eps - delta
+    if lo > 0.0:
+        primal_ok, h, _ = node_strict_arbitrage(model, v, lo, norms, gamma=eps)
+        slack = 0.0
+        if primal_ok:
+            kids = list(model.children[v])
+            slack = float(np.min(model.delta[kids] @ h) - lo * norms.norm(h))
+        primal_curve = ((lo, slack),)
+    status, rho = _dual_feasible(model, eps + delta, norms, eta)
+    return CriticalValueResult(
+        epsilon=eps, primal_estimate=eps, dual_estimate=eps, primal_curve=primal_curve,
+        dual_curve=((eps + delta, rho),), discrepancy=0.0,
+        agreed=primal_ok and status == "feasible", eta=eta, eta_sweep=sweep,
+        argmax_node=v)
+
+
 def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
                    eta: Optional[float] = None, eta_sweep: bool = False,
-                   method: str = "both") -> CriticalValueResult:
+                   method: str = "exact") -> CriticalValueResult:
     """The critical level eps(P): infimum of levels without strict arbitrage.
 
-    The strategy-side bisection (replacing the sequential notion by strict
-    arbitrage is value-preserving) is cross-checked against the measure-side
-    feasibility threshold; disagreement beyond 10x the bisection tolerance is
-    flagged rather than hidden.  A measure-side bisection stopped by an
-    undecided step is flagged as well, and its estimate is left out of
-    ``epsilon`` (which is then the primal estimate).  In an ``eta_sweep``
-    such a step gives None.
+    ``method="exact"`` (the default): strict arbitrage localizes to one
+    trading period, so eps(P) is max_v gamma(v), the largest certified
+    node deviation, reached at ``argmax_node``.  With delta = rel_tol
+    (1 + reference deviation), the bisections' own stopping width, one check
+    on each side stands in for them: the node decision at the argmax node
+    at eps(P) - delta must find strict arbitrage, with its certificate (its
+    worst child slack is the one point of ``primal_curve``; skipped when
+    eps(P) - delta <= 0), and one eta-interior solve at eps(P) + delta must
+    return a measure (``dual_curve``).  ``agreed`` is true only when both
+    give their verdict; an undecided check makes it False and is not
+    retried.  Both estimates are eps(P) itself.
+
+    ``"both"``, ``"primal"`` and ``"dual"`` bisect instead: the
+    strategy-side detector (replacing the sequential notion by strict
+    arbitrage is value-preserving) and the measure-side feasibility
+    threshold, cross-checked when both run; disagreement beyond 10x the
+    bisection tolerance is flagged rather than hidden.  A measure-side
+    bisection stopped by an undecided step is flagged as well, and its
+    estimate is left out of ``epsilon`` (which is then the primal
+    estimate).  An ``eta_sweep`` runs the measure-side bisection at each
+    eta, on every method; an undecided step there gives None.
     """
     report = validate_market(model)
     if not report.ok:
         raise ValueError(f"invalid market: {report.violations[0]}")
-    if method not in ("both", "primal", "dual"):
+    if method not in ("exact", "both", "primal", "dual"):
         raise ValueError(f"unknown method {method!r}")
+    eta_used = eta if eta is not None else 1e-7 * float(np.min(model.leaf_prob))
+    sweep = None
+    if eta_sweep:
+        sweep = {}
+        for e in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            val, _, _, converged = critical_value_dual(
+                model, norms, e * float(np.min(model.leaf_prob)), rel_tol)
+            sweep[f"{e:.0e}"] = val if converged else None
+    if method == "exact":
+        return _critical_value_exact(model, norms, rel_tol, eta_used, sweep)
     primal = dual = None
     primal_curve: tuple = ()
     dual_curve: tuple = ()
     dual_converged = True
-    eta_used = eta if eta is not None else 1e-7 * float(np.min(model.leaf_prob))
     if method in ("both", "primal"):
         primal, primal_curve = critical_value_primal(model, norms, rel_tol)
     if method in ("both", "dual"):
@@ -284,13 +339,6 @@ def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
         dual = primal
     scale = 1.0 + reference_deviation(model, norms)
     disc = abs(primal - dual)
-    sweep = None
-    if eta_sweep:
-        sweep = {}
-        for e in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
-            val, _, _, converged = critical_value_dual(
-                model, norms, e * float(np.min(model.leaf_prob)), rel_tol)
-            sweep[f"{e:.0e}"] = val if converged else None
     return CriticalValueResult(
         epsilon=0.5 * (primal + dual) if dual_converged else primal,
         primal_estimate=primal, dual_estimate=dual,

@@ -162,7 +162,8 @@ def _cmd(args) -> dict:
         return rep.to_dict(model)
     if args.command == "critical-value":
         model, norms = _load_market(args.market, args.p)
-        res = critical_value(model, norms, eta=args.eta, eta_sweep=args.eta_sweep)
+        res = critical_value(model, norms, eta=args.eta, eta_sweep=args.eta_sweep,
+                             method="both")
         return res.to_dict()
     if args.command == "node-structure":
         model, norms = _load_market(args.market, args.p)
@@ -251,8 +252,8 @@ def _cmd(args) -> dict:
             coeff, coord = args.payoff_coeff, args.payoff_coordinate
             payoff_fn = lambda path: coeff * float(path[-1, coord])
             lipschitz = abs(coeff)
-        rep = stability_report(lawx, lawy, args.eps, norms,
-                               payoff_fn=payoff_fn, lipschitz=lipschitz)
+        rep = stability_report(lawx, lawy, args.eps, norms, payoff_fn=payoff_fn,
+                               lipschitz=lipschitz, critical_method="dual")
         return rep.to_dict(lawy)
     raise CliError(f"unknown command {args.command!r}")
 

@@ -829,10 +829,21 @@ def reference_deviation(model: MarketModel, norms: NormPair) -> float:
 
 def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
                                tol: float = 1e-10) -> float:
-    """gamma(v) = min over child-simplex weights of |sum_w a_w dS(w)|_q."""
+    """gamma(v) = min over child-simplex weights of |sum_w a_w dS(w)|_q.
+
+    Scalar increments have a closed form: the simplex image is the interval
+    [min dS, max dS], so gamma is 0 when it contains 0 and the smallest
+    |dS| otherwise.  Other geometry solves one LP (q = inf), one cone
+    program (q = 2) or a cutting-plane program.
+    """
     kids = list(model.children[v])
     A = model.delta[kids]  # (k, d)
     k = len(kids)
+    if model.d == 1:
+        c = A[:, 0]
+        if c.min() <= 0.0 <= c.max():
+            return 0.0
+        return float(np.min(np.abs(c)))
     if k == 1:
         return qnorm(A[0], norms.q)
     if _polyhedral(model, norms):

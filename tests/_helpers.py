@@ -145,6 +145,22 @@ def min_simplex_deviation_oracle(model: MarketModel, v: int, norms: NormPair) ->
     return float(best)
 
 
+def min_simplex_deviation_lp(A: np.ndarray) -> float:
+    """min over the simplex of |A' a|_inf, by one HiGHS LP in (a, t).
+
+    The deviation for q = inf, and for every q when d = 1: the oracle for
+    the closed form of scalar increments.
+    """
+    k, d = A.shape
+    a_ub = np.vstack([np.hstack([A.T, -np.ones((d, 1))]),
+                      np.hstack([-A.T, -np.ones((d, 1))])])
+    res = linprog(np.concatenate([np.zeros(k), [1.0]]), A_ub=a_ub, b_ub=np.zeros(2 * d),
+                  A_eq=np.concatenate([np.ones(k), [0.0]])[None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0)] * k + [(0.0, None)], method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 def critical_value_oracle(model: MarketModel, norms: NormPair) -> float:
     """Independent critical level: the largest node-wise minimal deviation."""
     return max(min_simplex_deviation_oracle(model, v, norms) for v in model.internal)

@@ -8,6 +8,9 @@ Core claims:
     - the critical level matches an independent simplex-deviation oracle and
       the two bisections agree, also at p = 1.5 and p = 3, where measures
       exist above it and not below
+    - the default critical level is max_v gamma(v), checked once on each
+      side and with no bisection; the scalar-increment closed form of gamma
+      matches its LP
     - node geometry: extremal direction, orthogonal bases, decomposition
       identities, and the non-asymptotic no-arbitrage check
     - strictly-above-the-threshold levels kill the extremal direction
@@ -15,13 +18,15 @@ Core claims:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epsarb as ea
 from epsarb.testing import random_market
 
 from _helpers import (binary_martingale, critical_value_oracle, drift_market,
-                      grid_search_maximin, kbar_market, nostrictarb_market,
-                      price_range_market, two_state)
+                      grid_search_maximin, kbar_market, min_simplex_deviation_lp,
+                      nostrictarb_market, price_range_market, two_state)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -149,7 +154,7 @@ class TestCriticalValue:
 
         monkeypatch.setattr(ea.arbitrage, "interior_feasibility", undecided)
         m = kbar_market(1.0)
-        res = ea.critical_value(m, N2, eta_sweep=True)
+        res = ea.critical_value(m, N2, eta_sweep=True, method="both")
         assert len(res.dual_curve) == 2
         assert res.dual_estimate == pytest.approx(0.5 * ea.arbitrage.reference_deviation(m, N2), rel=1e-8)
         assert res.epsilon == res.primal_estimate
@@ -201,6 +206,91 @@ class TestCriticalValue:
         assert res.eta_sweep is not None
         vals = np.array(list(res.eta_sweep.values()))
         assert np.max(np.abs(vals - 1.0)) < 1e-4
+
+
+class TestExactCriticalValue:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0]))
+    def test_matches_oracle(self, seed, p):
+        # At p = 1 (q = inf) the SLSQP oracle can stop at a kink above the
+        # minimum (seed 846: 0.65229 against 0.65143), so it is only an
+        # upper bound there and each node's LP is the reference; near 0 it
+        # stalls at about 1e-8.
+        norms = ea.NormPair(p)
+        m = random_market(np.random.default_rng(seed))
+        want = critical_value_oracle(m, norms)
+        res = ea.critical_value(m, norms)
+        assert res.agreed
+        if p == 1.0:
+            assert res.epsilon <= want + 1e-7
+            want = max(min_simplex_deviation_lp(m.delta[list(m.children[v])])
+                       for v in m.internal)
+        assert res.epsilon == pytest.approx(want, rel=1e-6, abs=1e-7)
+        v = res.argmax_node
+        assert v in m.internal
+        assert res.epsilon == ea.programs.node_min_simplex_deviation(m, v, norms)
+
+    def test_default_path_runs_no_bisection(self, monkeypatch):
+        calls = {"interior": 0, "detect": 0, "bisection": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility",
+                            counted("interior", ea.arbitrage.interior_feasibility))
+        monkeypatch.setattr(ea.arbitrage, "detect_strict_arbitrage",
+                            counted("detect", ea.arbitrage.detect_strict_arbitrage))
+        for name in ("critical_value_primal", "critical_value_dual"):
+            monkeypatch.setattr(ea.arbitrage, name,
+                                counted("bisection", getattr(ea.arbitrage, name)))
+        rng = np.random.default_rng(12)
+        cases = [(kbar_market(1.0), N2), (drift_market(M=5.0), N1)]
+        cases += [(random_market(rng, d=d), norms) for d in (1, 2) for norms in (N1, N2)]
+        for m, norms in cases:
+            calls.update(interior=0, detect=0, bisection=0)
+            res = ea.critical_value(m, norms)
+            assert res.agreed
+            assert calls == {"interior": 1, "detect": 0, "bisection": 0}
+
+    def test_undecided_measure_check_is_flagged(self, monkeypatch):
+        # The measure-side check at eps(P) + delta left undecided: the exact
+        # value stands, but it is not agreed, and nothing is retried.
+        real = ea.arbitrage.interior_feasibility
+
+        def undecided(model, eps, *args, **kwargs):
+            if eps > 0.0:
+                return "indeterminate", None, None, None, None
+            return real(model, eps, *args, **kwargs)
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility", undecided)
+        res = ea.critical_value(kbar_market(1.0), N2, eta_sweep=True)
+        assert res.epsilon == pytest.approx(1.0, abs=1e-9)
+        assert res.argmax_node == 0
+        assert not res.agreed
+        assert len(res.dual_curve) == 1
+        assert all(v is None for v in res.eta_sweep.values())
+
+
+def _one_period_scalar(increments) -> ea.MarketModel:
+    nodes = [{"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0]}]
+    nodes += [{"id": f"w{i}", "time": 1, "parent": "r", "cond_prob": 1.0 / len(increments),
+               "prices": [x]} for i, x in enumerate(increments)]
+    return ea.MarketModel.from_nodes(1, 1, nodes)
+
+
+class TestNodeDeviation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+                    | st.floats(-10.0, 10.0), min_size=1, max_size=6),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_scalar_closed_form_matches_lp(self, increments, p):
+        m = _one_period_scalar(increments)
+        got = ea.programs.node_min_simplex_deviation(m, 0, ea.NormPair(p))
+        want = min_simplex_deviation_lp(m.delta[list(m.children[0])])
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestNodeStructure:
