@@ -252,8 +252,8 @@ def _cmd(args) -> dict:
             coeff, coord = args.payoff_coeff, args.payoff_coordinate
             payoff_fn = lambda path: coeff * float(path[-1, coord])
             lipschitz = abs(coeff)
-        rep = stability_report(lawx, lawy, args.eps, norms, payoff_fn=payoff_fn,
-                               lipschitz=lipschitz, critical_method="dual")
+        rep = stability_report(lawx, lawy, args.eps, norms,
+                               payoff_fn=payoff_fn, lipschitz=lipschitz)
         return rep.to_dict(lawy)
     raise CliError(f"unknown command {args.command!r}")
 

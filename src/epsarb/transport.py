@@ -567,15 +567,13 @@ def pushforward_measure(coupling: BicausalCoupling, weights_x: np.ndarray) -> np
 
 def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
                      payoff_fn: Optional[Callable] = None,
-                     lipschitz: Optional[float] = None,
-                     critical_method: str = "exact") -> StabilityReport:
+                     lipschitz: Optional[float] = None) -> StabilityReport:
     """Distance plus the three transfer inequalities between two markets.
 
     Reports the adapted increment sup-distance D (with and without the t = 0
     term), then checks: (i) an eps-feasible reference market stays feasible
     at eps + D in the perturbed one (both by re-solving and by pushing the
-    witness through the optimal coupling); (ii) |eps(P) - eps(P')| <= D,
-    with eps(P) and eps(P') from ``critical_value(..., method=critical_method)``;
+    witness through the optimal coupling); (ii) |eps(P) - eps(P')| <= D;
     (iii) with an L-Lipschitz claim and p > 1, the eps-fair range of P is
     contained in the (eps + L D)-fair range of P'.
     """
@@ -585,8 +583,8 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
                                       variants=(True, False))
     d_no_t0 = dres_no_t0.value
     D = dres.value
-    eps_x = critical_value(lawx, norms, method=critical_method).epsilon
-    eps_y = critical_value(lawy, norms, method=critical_method).epsilon
+    eps_x = critical_value(lawx, norms, method="dual").epsilon
+    eps_y = critical_value(lawy, norms, method="dual").epsilon
     critical_slack = D - abs(eps_x - eps_y)
 
     emm_x = find_eps_martingale_measure(lawx, eps, norms)

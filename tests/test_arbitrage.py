@@ -126,6 +126,19 @@ class TestCriticalValue:
             assert res.epsilon == pytest.approx(want, abs=2e-5 * (1 + want))
             assert abs(res.primal_estimate - res.dual_estimate) <= 1e-5 * (1 + want)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_bisections_match_independent_oracle(self, p):
+        # The markets of test_matches_independent_oracle on the bisection
+        # route, where the two estimates are computed independently.
+        norms = ea.NormPair(p)
+        rng = np.random.default_rng(int(31 * p))
+        for _ in range(12):
+            m = random_market(rng)
+            want = critical_value_oracle(m, norms)
+            res = ea.critical_value(m, norms, method="both")
+            assert res.epsilon == pytest.approx(want, abs=2e-5 * (1 + want))
+            assert abs(res.primal_estimate - res.dual_estimate) <= 1e-5 * (1 + want)
+
     @pytest.mark.parametrize("p, seed", [(1.5, 150), (3.0, 300)])
     def test_other_exponents_match_oracle(self, p, seed):
         norms = ea.NormPair(p)
@@ -198,6 +211,32 @@ class TestCriticalValue:
         monkeypatch.setattr(ea.arbitrage, "interior_feasibility", checked)
         res = ea.critical_value(m, N1)
         assert "feasible" in verdicts and "indeterminate" not in verdicts
+        assert res.agreed
+        assert res.epsilon == pytest.approx(critical_value_oracle(m, N1), rel=1e-5)
+
+    def test_lp_route_verdicts_are_checked_on_bisection(self, monkeypatch):
+        # The market of test_lp_route_verdicts_are_checked, on the bisection
+        # route, whose measure-side steps close in on eps(P) from both sides.
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            m = random_market(rng, T=2, d=1)
+        ops = ea.programs.tree_ops(m)
+        floor = 1e-12 * (1.0 + float(np.max(np.abs(ops.coeff))))
+        real = ea.arbitrage.interior_feasibility
+        verdicts = []
+
+        def checked(model, eps, norms, eta, *args, **kwargs):
+            out = real(model, eps, norms, eta, *args, **kwargs)
+            verdicts.append(out[0])
+            if out[0] == "feasible":
+                assert np.all(out[1] >= eta * model.leaf_prob)
+                assert np.min(ea.programs._cone_margins(ops, eps, norms, out[1])) >= -floor
+            return out
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility", checked)
+        res = ea.critical_value(m, N1, method="both")
+        assert "feasible" in verdicts and "infeasible" in verdicts
+        assert "indeterminate" not in verdicts
         assert res.agreed
         assert res.epsilon == pytest.approx(critical_value_oracle(m, N1), rel=1e-5)
 
