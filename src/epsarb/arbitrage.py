@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .market import (EXACT_TOL, FEAS_TOL, MarketModel, NormPair, Strategy,
                      gain, qnorm, qnorm_grad, strategy_cost, validate_market)
@@ -380,6 +379,17 @@ class NodeStructure:
         return np.hstack([self.basis_g, self.basis_g_tilde])
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a, as scipy.linalg.null_space.
+
+    The same rank rule: singular values above max(s) * eps * max(a.shape)
+    count, and the rows of vh past the rank span the null space.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return vh[int(np.sum(s > tol)):].T
+
+
 def _orth_complement_within(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(outer) minus span(inner)."""
     if outer.shape[1] == 0:
@@ -473,8 +483,8 @@ def compute_node_structure(model: MarketModel, eps: float, norms: NormPair,
                         row[i] = 1.0
                         support_rows.append(row)
             rows = np.vstack([hbar_dual[None, :]] + support_rows) if support_rows else hbar_dual[None, :]
-            basis_perp = null_space(rows)
-            basis_tilde = null_space(np.vstack([rows, A]))
+            basis_perp = _null_space(rows)
+            basis_tilde = _null_space(np.vstack([rows, A]))
             basis_g = _orth_complement_within(basis_perp, basis_tilde)
         else:
             basis_g = np.zeros((d, 0))

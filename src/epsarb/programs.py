@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .market import MarketModel, NormPair, Strategy, qnorm, qnorm_grad
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
@@ -210,6 +209,8 @@ def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
             return None, None
         h = res.x[:d] - res.x[d:]
         return h, float(np.sum(np.abs(h)))
+    from scipy.optimize import minimize
+
     fun = lambda h: qnorm(h, norms.p)
     jac = lambda h: qnorm_grad(h, norms.p, qnorm(h, norms.p))
     res = minimize(fun, h2, jac=jac, method="SLSQP",

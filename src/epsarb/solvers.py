@@ -3,16 +3,18 @@ concave maximization, and exact discrete transport (min-cost and
 bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
-everything is dense.  LPs are delegated to HiGHS through scipy; optimal
-points are re-checked for primal feasibility, and infeasibility is HiGHS's
-status.  LPs with second-order cones (the p = 2 programs) run a dense
-primal-dual interior point written in numpy, which returns primal and dual
-points or an infeasibility certificate; a :class:`ConeProgram` recomputes
-weak-duality bounds and certificates from them.  Kelley cutting planes serve the remaining p.  Transport needs no LP:
-min-cost transport is a transportation simplex that prices its cycles in
-the log domain, exact for weights of any spread, and bottleneck transport a
-threshold algorithm that grows a flow along augmenting paths and raises the
-threshold at Hall cuts.
+everything is dense.  LPs are delegated to HiGHS through scipy, imported on
+the first LP so that ``import epsarb`` loads no scipy module; optimal points
+are re-checked for primal feasibility, and infeasibility is HiGHS's status.
+LPs with second-order cones (the p = 2 programs) run a dense primal-dual
+interior point written in numpy around scipy's LAPACK LU (also imported on
+first use), which returns primal and dual points or an infeasibility
+certificate; a :class:`ConeProgram` recomputes weak-duality bounds and
+certificates from them.  Kelley cutting planes serve the remaining p.
+Transport needs no LP: min-cost transport is a transportation simplex that
+prices its cycles in the log domain, exact for weights of any spread, and
+bottleneck transport a threshold algorithm that grows a flow along
+augmenting paths and raises the threshold at Hall cuts.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog as _scipy_linprog
+
 
 def linprog(*args, **kwargs):
     """HiGHS with package-default settings (one call site for all LPs)."""
+    from scipy.optimize import linprog as highs
+
     kwargs.setdefault("method", "highs")
-    return _scipy_linprog(*args, **kwargs)
+    return highs(*args, **kwargs)
 
 
 @dataclass(frozen=True)

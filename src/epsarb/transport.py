@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .arbitrage import critical_value
 from .market import (MarketModel, MeasureWeights, NormPair, PathLaw, Payoff,
@@ -25,6 +24,29 @@ from .pricing import fair_price_range, find_eps_martingale_measure
 from .solvers import TransportInstance, bottleneck_transport, linprog, log_transport
 
 _LOG_TINY = -745.0  # log of the smallest normal double; clamps underflow
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """log sum_i b_i exp(a_i) for weights b >= 0, as scipy.special.logsumexp.
+
+    The same formula, so results agree to the last bit: zero weights drop
+    their term, the terms at the largest exponent a_max are split off with
+    total weight m, and the rest sum to s after the shift by a_max, giving
+    log1p(s / m) + log(m) + a_max.  A non-finite result (every weight zero,
+    or an infinite exponent) is recomputed directly, as log sum b exp(a).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.where(b == 0, -np.inf, a)
+        a_max = np.max(shifted)
+        at_max = shifted == a_max
+        m = np.sum(b * at_max)
+        s = np.sum(b * np.exp(np.where(at_max, -np.inf, shifted) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(b * np.exp(a)))
+    return float(out)
 
 
 def _stage_costs(lawx: PathLaw, lawy: PathLaw, xs: list, ys: list, t: int, q: float,
@@ -102,7 +124,7 @@ class BicausalCoupling:
         joint = self.joint_leaf_matrix().ravel()
         costs = self.path_cost_matrix(q, increments, include_t0).ravel()
         keep = joint > 0.0
-        return float(logsumexp(lam * costs[keep], b=joint[keep])) / lam
+        return _logsumexp(lam * costs[keep], joint[keep]) / lam
 
     def marginal_errors(self) -> tuple[float, float]:
         joint = self.joint_leaf_matrix()
@@ -272,7 +294,7 @@ def laplace_smoothed_esssup(values, probs, lam: float) -> float:
     if lam <= 0:
         raise ValueError("lam must be positive")
     keep = probs > 0
-    return float(logsumexp(lam * values[keep], b=probs[keep])) / lam
+    return _logsumexp(lam * values[keep], probs[keep]) / lam
 
 
 # ---------------------------------------------------------------------------

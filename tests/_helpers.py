@@ -110,7 +110,8 @@ def grid_search_maximin(model: MarketModel, eps: float, norms: NormPair,
 def min_simplex_deviation_oracle(model: MarketModel, v: int, norms: NormPair) -> float:
     """min over child-simplex weights of |sum a_w dS(w)|_q.
 
-    d = 1 has a closed form; d >= 2 runs SLSQP from several starts with a
+    d = 1 has a closed form and q = inf is one LP (SLSQP stops at kinks of
+    the max-norm); other d >= 2 run SLSQP from several starts with a
     barycentric-grid fallback.
     """
     kids = list(model.children[v])
@@ -123,6 +124,8 @@ def min_simplex_deviation_oracle(model: MarketModel, v: int, norms: NormPair) ->
         if c.min() <= 0.0 <= c.max():
             return 0.0
         return float(np.min(np.abs(c)))
+    if norms.q == math.inf:
+        return min_simplex_deviation_lp(A)
 
     def fun(a):
         return norms.dual_norm(A.T @ a)

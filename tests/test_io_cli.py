@@ -251,6 +251,36 @@ class TestGoldenReports:
         assert _report_mismatch(got, json.loads(want["stdout"])) is None
 
 
+# Golden calls that solve no LP, cone program or SLSQP problem.
+LP_FREE_CALLS = ("adapted-empirical", "aw-delta", "elog", "kr", "node-structure", "w-inf")
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import epsarb, epsarb.cli
+codes = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = epsarb.cli.run(argv)
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+class TestImportPath:
+    def test_lp_free_calls_load_no_scipy(self):
+        # A fresh interpreter: this one has scipy loaded already.
+        calls = {name: GOLDEN[name]["argv"] for name in LP_FREE_CALLS}
+        src = os.path.join(ROOT, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["codes"] == {name: GOLDEN[name]["exit"] for name in LP_FREE_CALLS}
+        assert got["scipy"] == []
+
+
 class TestShippedExamples:
     def test_reproduction_script_passes(self):
         script = os.path.join(DATA, "..", "reproduce_paper_values.py")

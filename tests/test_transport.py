@@ -17,6 +17,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import epsarb as ea
 from epsarb import transport as tr
@@ -245,6 +248,36 @@ class TestLaplaceSmoothing:
             tr.laplace_smoothed_esssup([1.0], [0.5], 1.0)
         with pytest.raises(ValueError, match="positive"):
             tr.laplace_smoothed_esssup([1.0], [1.0], 0.0)
+
+
+@st.composite
+def _weighted_exponents(draw):
+    """Exponents of spread 1 to 1e5 with ties at the max, and weights with zeros."""
+    n = draw(st.integers(1, 8))
+    spread = draw(st.sampled_from([1.0, 1e3, 1e5]))
+    a = spread * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    tied = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    a[tied] = a.max()
+    b = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=n, max_size=n))
+    return a, np.array(b)
+
+
+def _same_double(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(_weighted_exponents())
+    def test_bitwise_equal_to_scipy(self, ab):
+        a, b = ab
+        assert _same_double(tr._logsumexp(a, b), float(logsumexp(a, b=b)))
+
+    def test_edge_cases(self):
+        for a, b in [([3.0], [0.5]), ([1.0, 1.0, 1.0], [0.2, 0.3, 0.5]),
+                     ([2.0, -2e3, 5.0], [0.5, 0.5, 0.0]), ([0.0, 0.0], [0.0, 0.0])]:
+            a, b = np.array(a), np.array(b)
+            assert _same_double(tr._logsumexp(a, b), float(logsumexp(a, b=b)))
 
 
 class TestKnotheRosenblatt:
