@@ -406,14 +406,17 @@ class TestNodeStructure:
 class TestNullSpace:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.booleans(),
-           st.integers(0, 2**32 - 1))
-    def test_matches_scipy(self, m, d, rank, integral, seed):
-        # rank-deficient products, with small-integer factors for exact ties
+           st.sampled_from([0.0, 1e-10]), st.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, m, d, rank, integral, noise, seed):
+        # rank-deficient products, with small-integer factors for exact ties;
+        # noise of 1e-10 leaves singular values that the rank rule must count
         rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            return rng.integers(-2, 3, size=shape).astype(float) if integral else rng.normal(size=shape)
+
         r = min(rank, m, d)
-        draw = (lambda shape: rng.integers(-2, 3, size=shape).astype(float)) if integral \
-            else (lambda shape: rng.normal(size=shape))
-        a = draw((m, r)) @ draw((r, d))
+        a = draw((m, r)) @ draw((r, d)) + noise * rng.normal(size=(m, d))
         got, want = ea.arbitrage._null_space(a), null_space(a)
         assert got.shape == want.shape
         assert got @ got.T == pytest.approx(want @ want.T, abs=1e-12)

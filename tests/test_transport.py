@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -269,15 +269,13 @@ def _same_double(x: float, y: float) -> bool:
 class TestLogSumExp:
     @settings(max_examples=300, deadline=None)
     @given(_weighted_exponents())
+    @example((np.array([3.0]), np.array([0.5])))
+    @example((np.array([1.0, 1.0, 1.0]), np.array([0.2, 0.3, 0.5])))
+    @example((np.array([2.0, -2e3, 5.0]), np.array([0.5, 0.5, 0.0])))
+    @example((np.array([0.0, 0.0]), np.array([0.0, 0.0])))
     def test_bitwise_equal_to_scipy(self, ab):
         a, b = ab
         assert _same_double(tr._logsumexp(a, b), float(logsumexp(a, b=b)))
-
-    def test_edge_cases(self):
-        for a, b in [([3.0], [0.5]), ([1.0, 1.0, 1.0], [0.2, 0.3, 0.5]),
-                     ([2.0, -2e3, 5.0], [0.5, 0.5, 0.0]), ([0.0, 0.0], [0.0, 0.0])]:
-            a, b = np.array(a), np.array(b)
-            assert _same_double(tr._logsumexp(a, b), float(logsumexp(a, b=b)))
 
 
 class TestKnotheRosenblatt:
