@@ -308,11 +308,14 @@ class TestExactCriticalValue:
         assert all(v is None for v in res.eta_sweep.values())
 
 
-def _one_period_scalar(increments) -> ea.MarketModel:
-    nodes = [{"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0]}]
-    nodes += [{"id": f"w{i}", "time": 1, "parent": "r", "cond_prob": 1.0 / len(increments),
-               "prices": [x]} for i, x in enumerate(increments)]
-    return ea.MarketModel.from_nodes(1, 1, nodes)
+def _one_period(increments) -> ea.MarketModel:
+    """One node with uniform children at the given (k, d) increments."""
+    increments = np.asarray(increments, dtype=float)
+    k, d = increments.shape
+    nodes = [{"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0] * d}]
+    nodes += [{"id": f"w{i}", "time": 1, "parent": "r", "cond_prob": 1.0 / k,
+               "prices": list(x)} for i, x in enumerate(increments)]
+    return ea.MarketModel.from_nodes(1, d, nodes)
 
 
 class TestNodeDeviation:
@@ -321,10 +324,51 @@ class TestNodeDeviation:
                     | st.floats(-10.0, 10.0), min_size=1, max_size=6),
            st.sampled_from([1.0, 1.5, 2.0, 3.0]))
     def test_scalar_closed_form_matches_lp(self, increments, p):
-        m = _one_period_scalar(increments)
+        m = _one_period([[x] for x in increments])
         got = ea.programs.node_min_simplex_deviation(m, 0, ea.NormPair(p))
         want = min_simplex_deviation_lp(m.delta[list(m.children[0])])
         assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestNodeDecision:
+    def test_polyhedral_boundary_band_finds_zero_slack_arbitrage(self):
+        # increments (2,0) and (1,0) at eps = gamma = 1: h = e1 has slacks (1, 0)
+        m = two_state([0.0, 0.0], [2.0, 0.0], [1.0, 0.0], 2)
+        gamma = ea.programs.node_min_simplex_deviation(m, 0, N1)
+        found, h, _ = ea.programs.node_strict_arbitrage(m, 0, gamma, N1)
+        assert gamma == 1.0 and found
+        assert h == pytest.approx([1.0, 0.0], abs=1e-12)
+        slacks = m.delta[list(m.children[0])] @ h - gamma * N1.norm(h)
+        assert slacks == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    def test_polyhedral_boundary_band_finds_none(self):
+        # increments (1,1) and (-1,1) at eps = gamma = 1: only h = (0, t)
+        # keeps both slacks >= 0, and both are then 0
+        m = two_state([0.0, 0.0], [1.0, 1.0], [-1.0, 1.0], 2)
+        gamma = ea.programs.node_min_simplex_deviation(m, 0, N1)
+        found, h, _ = ea.programs.node_strict_arbitrage(m, 0, gamma, N1)
+        assert gamma == 1.0 and not found and h is None
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_certificate_margin_is_gamma_minus_eps(self, p, d):
+        # minimax duality: max over |h|_p <= 1 of the worst child slack is gamma - eps
+        norms = ea.NormPair(p)
+        rng = np.random.default_rng(int(100 * p) + d)
+        checked = 0
+        for _ in range(30):
+            k = int(rng.integers(1, 5))
+            m = _one_period(rng.normal(size=(k, d)) + rng.normal(size=d))
+            gamma = ea.programs.node_min_simplex_deviation(m, 0, norms)
+            if gamma < 1e-3:
+                continue
+            eps = float(rng.uniform(0.0, 0.9)) * gamma
+            found, h, got_gamma = ea.programs.node_strict_arbitrage(m, 0, eps, norms)
+            assert found and got_gamma == gamma
+            margin = float(np.min(m.delta[list(m.children[0])] @ h)) / norms.norm(h) - eps
+            assert margin == pytest.approx(gamma - eps, abs=1e-9 * (1.0 + gamma))
+            checked += 1
+        assert checked >= 15
 
 
 class TestNodeStructure:
@@ -529,6 +573,14 @@ class TestNaPrime:
             rep = ea.check_na_prime(m, eps, N1)
             if not rep.strict_arbitrage.found:
                 assert not rep.witnesses
+
+    def test_p1_witness_program_on_a_one_dimensional_basis(self):
+        m = _one_period([[3.0, -1.0], [1.0, 0.0], [-3.0, 2.0]])
+        eps = 1.0 / 3.0
+        assert ea.compute_node_structure(m, eps, N1)[0].perp_basis.shape == (2, 1)
+        rep = ea.check_na_prime(m, eps, N1)
+        assert rep.holds and not rep.witnesses
+        assert ea.find_eps_martingale_measure(m, eps, N1).feasible
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_agrees_with_measure_feasibility(self, p):
