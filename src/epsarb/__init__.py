@@ -14,7 +14,7 @@ from .market import (DoobDecomposition, MarketModel, MeasureWeights, NormPair,
                      PathLaw, Payoff, Strategy, ValidationReport,
                      conditional_mean_increments, doob_decomposition, gain,
                      is_eps_martingale, strategy_cost, validate_market)
-from .solvers import (ConcaveOracle, ConcaveResult, LinearProgram, LPResult,
+from .solvers import (ConcaveResult, LinearProgram, LPResult,
                       TransportInstance, TransportResult, bottleneck_transport,
                       discrete_ot, maximize_concave, solve_lp,
                       transport_feasible_below)

@@ -18,13 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .market import (EXACT_TOL, FEAS_TOL, MarketModel, NormPair, Strategy,
-                     gain, qnorm, qnorm_grad, strategy_cost, validate_market)
+from .market import (MarketModel, NormPair, Strategy, gain, qnorm, qnorm_grad,
+                     strategy_cost, validate_market)
 from .programs import (_conic, _fallback, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
-                       node_strict_arbitrage, pack_strategy, reference_deviation,
+                       node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
-                       tree_ops, unpack_strategy)
+                       tree_ops)
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 STRICT_ARBITRAGE = "strict_arbitrage"
@@ -69,12 +69,13 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     Decision target: the normalized program max over sum_v |H(v)|_p <= 1 of
     the total leaf slack subject to every leaf slack >= 0, whose sign is the
     strict-arbitrage criterion.  For polyhedral geometry (p = 1, d = 1, or
-    eps = 0) that program is an exact LP.  Otherwise its optimum is unstable
-    exactly at the sequential-closure boundary, so the decision is taken
-    node by node (strict arbitrage localizes to one trading period): compare
-    eps with the node's minimal simplex deviation and settle the boundary
-    band by support analysis.  Certificates are re-optimized for maximin
-    slack so the shipped margin per unit norm is uniform.
+    eps = 0) that program is an exact LP, solved with the l1 norm (whose
+    sign it shares).  Otherwise its optimum is unstable exactly at the
+    sequential-closure boundary, so the decision is taken node by node
+    (strict arbitrage localizes to one trading period): compare eps with the
+    node's minimal simplex deviation and settle the boundary band by support
+    analysis.  Certificates are re-optimized for maximin slack so the
+    shipped margin per unit norm is uniform.
     """
     report = validate_market(model)
     if not report.ok:
@@ -84,18 +85,18 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     ops = tree_ops(model)
     if _polyhedral(model, norms, eps):
         # scalar assets and the classical level have exact l1 geometry
-        use_norms = norms if norms.p == 1.0 else NormPair(1.0)
-        opt, h, slacks = strict_arbitrage_sum_program(model, eps, use_norms, tol=solver_tol)
+        opt, h, slacks = strict_arbitrage_sum_program(ops, eps)
         if opt <= tol or h is None:
             return ArbitrageReport(NO_ARBITRAGE, eps, norms.p, float(opt), None, None, 0.0)
-        margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(model, eps, use_norms,
+        use_norms = norms if norms.p == 1.0 else NormPair(1.0)
+        margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(ops, eps, use_norms,
                                                                    tol=solver_tol)
         if margin > tol and h_mm is not None:
             cert, slk = h_mm, slacks_mm
         else:
             cert, slk = h, slacks
         return ArbitrageReport(STRICT_ARBITRAGE, eps, norms.p, float(opt),
-                               unpack_strategy(ops, cert), slk, float(margin))
+                               strategy_from_packed(ops, cert), slk, float(margin))
 
     hit = None
     for v in model.internal:
@@ -117,10 +118,10 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     cert = Strategy(vals)
     slacks = gain(model, cert) - eps * strategy_cost(model, cert, norms)
     optimum = float(np.sum(slacks))
-    margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(model, eps, norms,
+    margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(ops, eps, norms,
                                                                tol=solver_tol)
     if margin > tol and h_mm is not None:
-        cert = unpack_strategy(ops, h_mm)
+        cert = strategy_from_packed(ops, h_mm)
         slacks = slacks_mm
         optimum = max(optimum, float(np.sum(slacks_mm)))
     return ArbitrageReport(STRICT_ARBITRAGE, eps, norms.p, optimum, cert,
@@ -173,7 +174,7 @@ def _dual_feasible(model: MarketModel, eps: float, norms: NormPair, eta: float,
 
 
 def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None,
-                        rel_tol: float = 1e-6, max_iter: int = 60):
+                        rel_tol: float = 1e-6):
     """Measure-side threshold: smallest eps whose eta-interior cone program is feasible.
 
     Supporting rays of the deviation cones are banked across bisection steps
@@ -195,7 +196,7 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     if status0 == "feasible":
         return 0.0, tuple(curve), eta, True
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
-    for _ in range(max_iter):
+    for _ in range(60):
         if hi_b - lo <= rel_tol * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
@@ -210,8 +211,7 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     return 0.5 * (lo + hi_b), tuple(curve), eta, True
 
 
-def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
-                          arb_tol: float = 1e-9, max_iter: int = 60):
+def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6):
     """Strategy-side threshold: bisection of the strict-arbitrage detector.
 
     Each node's minimal simplex deviation is independent of eps, so it is
@@ -226,13 +226,13 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
 
     def _decision(e: float) -> bool:
         if _polyhedral(model, norms, e):
-            rep = detect_strict_arbitrage(model, e, norms, tol=arb_tol)
+            rep = detect_strict_arbitrage(model, e, norms, tol=1e-9)
             curve.append((e, rep.optimum))
             return rep.found
         found = False
         for v in model.internal:
             fired, _, gamma = node_strict_arbitrage(
-                model, v, e, norms, band=10 * arb_tol,
+                model, v, e, norms, band=1e-8,
                 gamma=cache.get(v), with_certificate=False)
             cache[v] = gamma
             if fired:
@@ -245,7 +245,7 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
     if not _decision(0.0):
         return 0.0, tuple(curve)
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
-    for _ in range(max_iter):
+    for _ in range(60):
         if hi_b - lo <= rel_tol * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
@@ -473,6 +473,10 @@ def compute_node_structure(model: MarketModel, eps: float, norms: NormPair,
                 nrm = float(np.sum(np.abs(face)))
                 if nrm > 0:
                     hbar = face / nrm
+        if norms.p < 2.0:
+            # The dual map |x|^(p-1) lifts rounding noise in hbar (3e-17 to
+            # 5.5e-9 at p = 1.5), which tilts the admissible hyperplane.
+            hbar = np.where(np.abs(hbar) < 1e-12 * np.max(np.abs(hbar)), 0.0, hbar)
         hbar_dual = norms.dual_vector(hbar)
         if np.any(hbar != 0.0):
             support_rows = []
@@ -603,7 +607,7 @@ def check_na_prime(model: MarketModel, eps: float, norms: NormPair,
             if res.status == "optimal" and res.value > tol:
                 witnesses[v] = B @ res.x[:r]
         else:
-            conic = _conic(model, norms)
+            conic = _conic(model.d, norms)
             found = _unit_ball_witness(c, rows, B, tol) if conic else None
             if found is None:
                 if conic:

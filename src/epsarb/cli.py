@@ -17,11 +17,11 @@ import numpy as np
 from . import io as eio
 from .arbitrage import (check_na_prime, compute_node_structure, critical_value,
                         detect_strict_arbitrage)
-from .market import MarketModel, NormPair, Payoff
+from .market import MarketModel, NormPair
 from .pricing import (NoMartingaleStructure, fair_price_range,
                       find_eps_martingale_measure, robust_price_bound,
                       superhedge_price)
-from .transport import (BicausalCoupling, QuantizerConfig, adapted_empirical,
+from .transport import (QuantizerConfig, adapted_empirical,
                         aw_inf, aw_inf_delta, elog_divergence, knothe_rosenblatt,
                         stability_report, w_inf)
 

@@ -18,7 +18,6 @@ other p.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,9 +27,9 @@ from .arbitrage import NodeStructure, compute_node_structure
 from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy,
                      gain, is_eps_martingale, qnorm, qnorm_grad, strategy_cost,
                      validate_market)
-from .programs import (_conic, _fallback, _norm_cones, _polyhedral, cone_linear_optimum,
-                       interior_feasibility, max_min_weight_on_face, tree_ops,
-                       unpack_strategy)
+from .programs import (_conic, _fallback, _l1_slack_rows, _norm_cones, _polyhedral,
+                       cone_linear_optimum, interior_feasibility, max_min_weight_on_face,
+                       strategy_from_packed, tree_ops)
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 
@@ -122,9 +121,8 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
         raise NoMartingaleStructure(
             f"no eps-martingale structure at level {eps} (rho upper bound {emm.rho_upper_bound})")
     sense = "max" if direction == "sup" else "min"
-    anchor = emm.measure.weights if emm.measure is not None else None
     value, _ = cone_linear_optimum(model, eps, norms, payoff.values, sense,
-                                   anchor=anchor)
+                                   anchor=emm.measure.weights)
     if value is None:
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
     min_w, q_face = max_min_weight_on_face(model, eps, norms, payoff.values, value)
@@ -192,11 +190,9 @@ def _orthogonal_gain(model: MarketModel, ops, orthogonal: dict) -> np.ndarray:
 def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
     """Epigraph LP for p = 1 (also exact at eps = 0 for any p)."""
     ops = tree_ops(model)
-    L, n_int, d = model.n_leaves, len(ops.internal), model.d
-    N = n_int * d
-    a = ops.coeff.reshape(L, N)
-    b = np.repeat(ops.mask, d, axis=1)
-    rows = np.hstack([-np.ones((L, 1)), -(a - eps * b), -(-a - eps * b)])
+    L, N = model.n_leaves, len(ops.internal) * model.d
+    s_plus, s_minus = _l1_slack_rows(ops, eps)
+    rows = np.hstack([-np.ones((L, 1)), -s_plus, -s_minus])
     cvec = np.zeros(1 + 2 * N)
     cvec[0] = 1.0
     lp = LinearProgram(c=cvec, sense="min", a_ub=rows, b_ub=-payoff.values,
@@ -205,20 +201,22 @@ def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
     if res.status != "optimal":
         raise RuntimeError(f"superhedge LP failed: {res.status} {res.message}")
     h = res.x[1:1 + N] - res.x[1 + N:]
-    strategy = unpack_strategy(ops, h)
+    strategy = strategy_from_packed(ops, h)
     slacks = float(res.x[0]) + gain(model, strategy) - eps * strategy_cost(model, strategy, NormPair(1.0)) - payoff.values
     return float(res.value), HedgeCertificate(float(res.x[0]), strategy, {}, slacks, ())
 
 
 def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
                         structures: dict[int, NodeStructure], pattern: tuple,
-                        x_box: tuple, tol: float = 1e-7, warm_strategy=None):
+                        x_box: tuple):
     """Convex primal for one activity pattern of the orthogonal add-on (p > 1).
 
     Pattern nodes trade only the costless orthogonal direction (their costed
     holding is zero); free nodes trade the costed strategy.  One cone
     program at p = 2 with d >= 2 (``_pattern_conic``), cutting planes
-    otherwise or when the conic hedge is not accepted.
+    otherwise or when the conic hedge is not accepted; they start from the
+    p = 1 hedge's holdings.  Hedges are accepted within 1e-7 (1 + max
+    |payoff| + max |price|).
     """
     ops = tree_ops(model)
     L, d = model.n_leaves, model.d
@@ -277,14 +275,16 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
         return out
 
     scale = 1.0 + float(np.max(np.abs(payoff.values))) + float(np.max(np.abs(model.prices)))
-    conic = _conic(model, norms)
+    conic = _conic(d, norms)
     z = _pattern_conic(ops, eps, payoff, gain_free, mask_free, gain_y, leaf_block,
-                       tol * scale) if conic else None
+                       1e-7 * scale) if conic else None
     if z is None:
         if conic:
             _fallback("_superhedge_pattern", "no converged hedge within tol")
-        z = _pattern_kelley(objective, repair, leaf_block, x_box, scale, NH, NY, free_nodes,
-                            warm_strategy, tol)
+        warm = _superhedge_lp(model, eps, payoff)[1].strategy
+        h0 = [warm.values[v] for v in free_nodes]
+        start = repair(np.concatenate([[x_box[1]], *h0, np.zeros(NY)]))
+        z = _pattern_kelley(objective, repair, leaf_block, x_box, scale, start)
     if z is None:
         return None, None
     x = float(z[0])
@@ -332,24 +332,19 @@ def _pattern_conic(ops, eps: float, payoff: Payoff, gain_free: np.ndarray,
     return z
 
 
-def _pattern_kelley(objective, repair, leaf_block, x_box, scale, NH, NY, free_nodes,
-                    warm_strategy, tol):
+def _pattern_kelley(objective, repair, leaf_block, x_box, scale, start):
     """One pattern's primal by cutting planes on a growing box."""
-    start = np.concatenate([[x_box[1]], np.zeros(NH + NY)])
-    if warm_strategy is not None:
-        h0 = np.concatenate([warm_strategy.values[v] for v in free_nodes]) if free_nodes else np.zeros(0)
-        cand = np.concatenate([[x_box[1]], h0, np.zeros(NY)])
-        start = repair(cand)
+    n = start.size - 1
     R = 8.0 * scale
     for _ in range(4):
-        lower = np.concatenate([[x_box[0]], -R * np.ones(NH + NY)])
-        upper = np.concatenate([[x_box[1] + scale], R * np.ones(NH + NY)])
-        res = maximize_concave(objective, lower, upper, [leaf_block], tol=tol,
+        lower = np.concatenate([[x_box[0]], -R * np.ones(n)])
+        upper = np.concatenate([[x_box[1] + scale], R * np.ones(n)])
+        res = maximize_concave(objective, lower, upper, [leaf_block], tol=1e-7,
                                feas_tol=1e-12, max_iter=400, repair=repair,
                                start=np.clip(start, lower, upper), damping=0.5)
         if res.x is None:
             return None
-        if NH + NY == 0 or float(np.max(np.abs(res.x[1:]))) < 0.995 * R:
+        if n == 0 or float(np.max(np.abs(res.x[1:]))) < 0.995 * R:
             break
         R *= 4.0
     return res.x
@@ -369,8 +364,8 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Pa
     emm = find_eps_martingale_measure(model, eps, norms, polish=False)
     if not emm.feasible:
         raise NoMartingaleStructure(f"no eps-martingale structure at level {eps}")
-    anchor = emm.measure.weights if emm.measure is not None else None
-    dual, _ = cone_linear_optimum(model, eps, norms, payoff.values, "max", anchor=anchor)
+    dual, _ = cone_linear_optimum(model, eps, norms, payoff.values, "max",
+                                  anchor=emm.measure.weights)
     scale = 1.0 + abs(dual)
     if _polyhedral(model, norms, eps):
         # polyhedral geometry (p = 1, classical level, or scalar assets,
@@ -382,18 +377,15 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Pa
     structures = compute_node_structure(model, eps, norms)
     hbar_nodes = tuple(v for v in model.internal if structures[v].active)
     x_box = (dual - 1.0 - 0.01 * scale, float(np.max(payoff.values)) + 1.0)
-    _, warm_cert = _superhedge_lp(model, eps, payoff)
-    warm = warm_cert.strategy
     if 2 ** len(hbar_nodes) > pattern_cap:
-        primal, cert = _superhedge_pattern(model, eps, norms, payoff, structures, (),
-                                           x_box, warm_strategy=warm)
+        primal, cert = _superhedge_pattern(model, eps, norms, payoff, structures, (), x_box)
         gap = None if primal is None else abs(primal - dual)
         return SuperhedgeResult(float(dual), primal, gap, cert, "best_effort_gap", None)
     best: tuple[Optional[float], Optional[HedgeCertificate]] = (None, None)
     for k in range(len(hbar_nodes) + 1):
         for pattern in itertools.combinations(hbar_nodes, k):
             val, cert = _superhedge_pattern(model, eps, norms, payoff, structures,
-                                            pattern, x_box, warm_strategy=warm)
+                                            pattern, x_box)
             if val is not None and (best[0] is None or val < best[0]):
                 best = (val, cert)
     primal, cert = best

@@ -7,16 +7,24 @@ Two families recur across arbitrage detection and pricing:
 * measure programs — variables are leaf weights, every internal node
   imposes the cone constraint |sum_w q(w) dS(w)|_q <= eps qbar(v).
 
-Both are HiGHS LPs when the geometry is polyhedral (p = 1, q = inf, d = 1,
-and the measure side at eps = 0).  At p = q = 2 with d >= 2 each is one
-second-order cone program for :func:`epsarb.solvers.solve_socp`, whose
+The strategy side is two programs over a :class:`TreeOps`: the p = 1 sum
+LP, whose sign decides strict arbitrage on polyhedral geometry, and the
+maximin program, which certifies it.  Strict arbitrage localizes to one
+trading period, so a node's decision runs the same two programs on the
+node's one-period market (``node_strict_arbitrage``).
+
+Both families are HiGHS LPs when the geometry is polyhedral (p = 1, q = inf,
+d = 1, and the measure side at eps = 0).  At p = q = 2 with d >= 2 each is
+one second-order cone program for :func:`epsarb.solvers.solve_socp`, whose
 result is checked against the exact helpers (``_cone_margins``,
 ``_leaf_gain_cost``, q >= eta P and a recomputed dual bound) before it is
 returned; a result that fails falls back to the Kelley cutting-plane
 program for that call only and is counted in ``CONIC_FALLBACKS``.  Kelley
-cutting planes remain the route for every other p.  This module holds the
-packing of tree geometry into dense coefficient tensors plus the program
-builders; public wrappers live in :mod:`epsarb.arbitrage` and
+cutting planes remain the route for every other p; at p outside {1, 2}
+with d >= 2 the maximin program maximizes over the box and normalizes
+afterward, so its margin can fall short of the optimum.  This module holds
+the packing of tree geometry into dense coefficient tensors plus the
+program builders; public wrappers live in :mod:`epsarb.arbitrage` and
 :mod:`epsarb.pricing`.
 """
 
@@ -26,7 +34,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,14 +52,15 @@ class TreeOps:
     when leaf k does not pass through node j), so leaf gains are
     ``einsum('kjd,jd->k', coeff, H)`` and node cone vectors are
     ``einsum('k,kd->d', q, coeff[:, j])``.  ``mask[k, j]`` flags leaf k under
-    internal node j.
+    internal node j.  The strategy programs read only ``coeff`` and ``mask``,
+    so a node's one-period market is the ops with ``model`` None, its
+    children as leaves and a mask of ones.
     """
 
-    model: MarketModel
+    model: Optional[MarketModel]
     internal: tuple
     coeff: np.ndarray  # (n_leaves, n_internal, d)
     mask: np.ndarray   # (n_leaves, n_internal) float 0/1
-    leaf_count: np.ndarray  # leaves under each internal node
 
 
 def tree_ops(model: MarketModel) -> TreeOps:
@@ -69,16 +78,12 @@ def tree_ops(model: MarketModel) -> TreeOps:
             j = pos[path[a]]
             coeff[k, j] = model.delta[path[a + 1]]
             mask[k, j] = 1.0
-    ops = TreeOps(model, internal, coeff, mask, mask.sum(axis=0))
+    ops = TreeOps(model, internal, coeff, mask)
     object.__setattr__(model, "_tree_ops", ops)
     return ops
 
 
-def pack_strategy(ops: TreeOps, strategy: Strategy) -> np.ndarray:
-    return np.concatenate([strategy.values[v] for v in ops.internal]) if ops.internal else np.zeros(0)
-
-
-def unpack_strategy(ops: TreeOps, x: np.ndarray) -> Strategy:
+def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
     model = ops.model
     vals = np.zeros((model.n_nodes, model.d))
     d = model.d
@@ -111,9 +116,9 @@ def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None
     return norms.q == math.inf or model.d == 1 or eps == 0.0
 
 
-def _conic(model: MarketModel, norms: NormPair) -> bool:
+def _conic(d: int, norms: NormPair) -> bool:
     """Whether the program's cones are second-order cones (q = 2, d >= 2)."""
-    return norms.q == 2.0 and model.d >= 2
+    return norms.q == 2.0 and d >= 2
 
 
 def _fallback(program: str, why: str) -> None:
@@ -189,13 +194,12 @@ def _gap_closed(value: float, bound: float, tol: float) -> bool:
     return abs(bound - value) <= tol * (1.0 + abs(value))
 
 
-def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
-                       tol: float = 1e-9):
+def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair):
     """min |h|_p subject to A h = rhs; returns (h, |h|_p) or (None, None) if infeasible."""
     d = A.shape[1]
     h2, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0)) + float(np.max(np.abs(A)))
-    if np.max(np.abs(A @ h2 - rhs), initial=0.0) > tol * scale:
+    if np.max(np.abs(A @ h2 - rhs), initial=0.0) > 1e-9 * scale:
         return None, None
     if norms.p == 2.0:
         return h2, float(np.linalg.norm(h2))
@@ -227,156 +231,114 @@ def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair,
 # ---------------------------------------------------------------------------
 
 def _leaf_gain_cost(ops: TreeOps, norms: NormPair, x: np.ndarray, eps: float):
-    """Per-leaf slack values/gradients of gain - eps * path cost at packed x."""
-    n_int, d = len(ops.internal), ops.model.d
+    """Per-leaf slacks gain - eps * path cost at packed x, with each node's
+    norm gradient (the slack gradient of leaf k is
+    coeff[k] - eps * mask[k, j] * node_grad[j])."""
+    _, n_int, d = ops.coeff.shape
     H = x.reshape(n_int, d)
-    gains = np.einsum("kjd,jd->k", ops.coeff, H)
     node_norm = np.zeros(n_int)
     node_grad = np.zeros((n_int, d))
     for j in range(n_int):
         node_norm[j] = qnorm(H[j], norms.p)
         node_grad[j] = qnorm_grad(H[j], norms.p, node_norm[j])
-    costs = ops.mask @ node_norm
-    slack = gains - eps * costs
-    # gradient of slack_k wrt x: coeff[k] - eps * mask[k, j] * node_grad[j]
-    return slack, gains, costs, node_norm, node_grad
+    slack = np.einsum("kjd,jd->k", ops.coeff, H) - eps * (ops.mask @ node_norm)
+    return slack, node_grad
 
 
-def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, maximin: bool, tol: float):
-    """The sum (or maximin) strict-arbitrage program as one cone program.
+def _l1_slack_rows(ops: TreeOps, eps: float):
+    """Leaf slacks at p = 1 as linear maps of (H+, H-): s_plus H+ + s_minus H-."""
+    L, n_int, d = ops.coeff.shape
+    a = ops.coeff.reshape(L, n_int * d)
+    b = np.repeat(ops.mask, d, axis=1)
+    return a - eps * b, -a - eps * b
 
-    Variables (H, t[, delta]) with |H_v|_2 <= t_v and sum_v t_v <= 1; leaf
-    slacks are linear in (H, t).  The holdings are checked on the exact
-    slacks of ``_leaf_gain_cost``: the sum program needs them >= 0 and its
-    total within ``tol`` of the certified bound; the maximin program's
-    minimum slack (after scaling to unit total norm) must reach its bound.
-    Returns (value, H, slacks), or None when the check fails.
+
+def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, tol: float):
+    """The maximin strict-arbitrage program as one cone program.
+
+    Variables (H, t, delta) with |H_v|_2 <= t_v, sum_v t_v <= 1 and every
+    leaf slack, linear in (H, t), at least delta.  The holdings, scaled to
+    unit total norm, are checked on the exact slacks of ``_leaf_gain_cost``:
+    their minimum must reach the certified bound.  Returns (value, H,
+    slacks), or None when the check fails.
     """
-    model = ops.model
-    L, n_int, d = model.n_leaves, len(ops.internal), model.d
+    L, n_int, d = ops.coeff.shape
     N = n_int * d
     S = np.hstack([ops.coeff.reshape(L, N), -eps * ops.mask])  # leaf slacks over (H, t)
     blocks, soc = _norm_cones(d, n_int)
     budget = np.concatenate([np.zeros(N), np.ones(n_int)])[None, :]
-    if maximin:
-        c = np.zeros(N + n_int + 1)
-        c[-1] = -1.0
-        G = np.vstack([np.hstack([-S, np.ones((L, 1))]), np.hstack([budget, [[0.0]]]),
-                       np.hstack([blocks, np.zeros((blocks.shape[0], 1))])])
-        reach = float(np.max(np.linalg.norm(ops.coeff, axis=2).sum(axis=1))) + eps * n_int
-        box = np.concatenate([np.ones(N + n_int), [reach]])
-    else:
-        c = -S.sum(axis=0)
-        G = np.vstack([-S, budget, blocks])
-        box = np.ones(N + n_int)
+    c = np.zeros(N + n_int + 1)
+    c[-1] = -1.0
+    G = np.vstack([np.hstack([-S, np.ones((L, 1))]), np.hstack([budget, [[0.0]]]),
+                   np.hstack([blocks, np.zeros((blocks.shape[0], 1))])])
+    reach = float(np.max(np.linalg.norm(ops.coeff, axis=2).sum(axis=1))) + eps * n_int
+    box = np.concatenate([np.ones(N + n_int), [reach]])
     prog = ConeProgram(c, G, np.concatenate([np.zeros(L), [1.0], np.zeros(blocks.shape[0])]),
                        L + 1, soc)
     res = solve_socp(prog)
     if res.status not in ("optimal", "unsolved"):
         return None
     bound = -prog.lower_bound(res.y, res.z, box)
-    h = res.x[:N]
-    total = float(np.linalg.norm(h.reshape(n_int, d), axis=1).sum())
-    if maximin and bound <= tol:
+    if bound <= tol:
         # No positive uniform slack: the zero strategy is optimal.
         return 0.0, np.zeros(N), np.zeros(L)
-    if total > 1.0 or (maximin and total > 0.0):
+    h = res.x[:N]
+    total = float(np.linalg.norm(h.reshape(n_int, d), axis=1).sum())
+    if total > 0.0:
         h = h / total
     slack = _leaf_gain_cost(ops, norms, h, eps)[0]
-    value = float(np.min(slack)) if maximin else float(slack.sum())
-    if not maximin and float(np.min(slack)) < -10 * tol:
-        return None
+    value = float(np.min(slack))
     return (value, h, slack) if _gap_closed(value, bound, 10 * tol) else None
 
 
-def strict_arbitrage_sum_program(model: MarketModel, eps: float, norms: NormPair,
-                                 tol: float = 1e-9, max_iter: int = 400):
-    """max sum of leaf slacks s.t. every slack >= 0, sum_v |H(v)|_p <= 1.
+def strict_arbitrage_sum_program(ops: TreeOps, eps: float):
+    """max sum of leaf slacks s.t. every slack >= 0, sum_v |H(v)|_1 <= 1.
 
-    Returns (optimum, packed H or None, per-leaf slacks).  Positive optimum
-    is the strict-arbitrage criterion at level eps.
+    One exact LP in (H+, H-).  A positive optimum is the strict-arbitrage
+    criterion at level eps for polyhedral geometry: p = 1, or d = 1, where
+    every p-norm is |h|.  Returns (optimum, packed H or None, per-leaf
+    slacks).
     """
-    ops = tree_ops(model)
-    n_int, d = len(ops.internal), model.d
+    L, n_int, d = ops.coeff.shape
     N = n_int * d
     if N == 0:
-        return 0.0, None, np.zeros(model.n_leaves)
-    if norms.p == 1.0:
-        a = ops.coeff.reshape(model.n_leaves, N)
-        b = np.repeat(ops.mask, d, axis=1)
-        # columns [H+, H-]; slack_k = (a - eps b) H+ + (-a - eps b) H-
-        s_plus = a - eps * b
-        s_minus = -a - eps * b
-        rows = np.hstack([-s_plus, -s_minus])
-        norm_row = np.ones((1, 2 * N))
-        lp = LinearProgram(
-            c=np.concatenate([s_plus.sum(axis=0), s_minus.sum(axis=0)]), sense="max",
-            a_ub=np.vstack([rows, norm_row]),
-            b_ub=np.concatenate([np.zeros(model.n_leaves), [1.0]]),
-            bounds=[(0, None)] * (2 * N))
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            raise RuntimeError(f"strict-arbitrage LP failed: {res.status} {res.message}")
-        h = res.x[:N] - res.x[N:]
-        slack = s_plus @ res.x[:N] + s_minus @ res.x[N:]
-        return float(res.value), h, slack
-    if _conic(model, norms):
-        out = _strategy_conic(ops, eps, norms, maximin=False, tol=tol)
-        if out is not None:
-            return out
-        _fallback("strict_arbitrage_sum_program", "gap or leaf slack check failed")
-
-    def objective(x):
-        slack, gains, costs, node_norm, node_grad = _leaf_gain_cost(ops, norms, x, eps)
-        grad = ops.coeff.sum(axis=0) - eps * ops.leaf_count[:, None] * node_grad
-        return float(slack.sum()), grad.ravel()
-
-    def leaf_constraint(k):
-        def g(x):
-            slack, gains, costs, node_norm, node_grad = _leaf_gain_cost(ops, norms, x, eps)
-            grad = ops.coeff[k] - eps * ops.mask[k][:, None] * node_grad
-            return float(slack[k]), grad.ravel()
-        return g
-
-    def norm_constraint(x):
-        slack, gains, costs, node_norm, node_grad = _leaf_gain_cost(ops, norms, x, eps)
-        return 1.0 - float(node_norm.sum()), -node_grad.ravel()
-
-    cons = [leaf_constraint(k) for k in range(model.n_leaves)] + [norm_constraint]
-    res = maximize_concave(objective, -np.ones(N), np.ones(N), cons,
-                           tol=tol, feas_tol=10 * tol, max_iter=max_iter,
-                           start=np.zeros(N))
-    if res.x is None:
-        return 0.0, None, np.zeros(model.n_leaves)
-    slack, *_ = _leaf_gain_cost(ops, norms, res.x, eps)
-    return float(res.value), res.x, slack
+        return 0.0, None, np.zeros(L)
+    s_plus, s_minus = _l1_slack_rows(ops, eps)
+    lp = LinearProgram(
+        c=np.concatenate([s_plus.sum(axis=0), s_minus.sum(axis=0)]), sense="max",
+        a_ub=np.vstack([np.hstack([-s_plus, -s_minus]), np.ones((1, 2 * N))]),
+        b_ub=np.concatenate([np.zeros(L), [1.0]]),
+        bounds=[(0, None)] * (2 * N))
+    res = solve_lp(lp)
+    if res.status != "optimal":
+        raise RuntimeError(f"strict-arbitrage LP failed: {res.status} {res.message}")
+    h = res.x[:N] - res.x[N:]
+    slack = s_plus @ res.x[:N] + s_minus @ res.x[N:]
+    return float(res.value), h, slack
 
 
-def strict_arbitrage_maximin_program(model: MarketModel, eps: float, norms: NormPair,
-                                     tol: float = 1e-9, max_iter: int = 400):
+def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
+                                     tol: float = 1e-9):
     """max delta s.t. every leaf slack >= delta, sum_v |H(v)|_p <= 1.
 
     The maximin certificate: its margin per unit of strategy norm is the
-    uniform slack rate.  Returns (delta, packed H or None, slacks).
+    uniform slack rate.  One LP at p = 1 or d = 1, one checked cone program
+    at p = 2 with d >= 2, cutting planes otherwise.  Returns (delta, packed
+    H or None, slacks).
     """
-    ops = tree_ops(model)
-    n_int, d = len(ops.internal), model.d
+    L, n_int, d = ops.coeff.shape
     N = n_int * d
     if N == 0:
-        return 0.0, None, np.zeros(model.n_leaves)
-    if norms.p == 1.0:
-        a = ops.coeff.reshape(model.n_leaves, N)
-        b = np.repeat(ops.mask, d, axis=1)
-        s_plus = a - eps * b
-        s_minus = -a - eps * b
-        rows = np.hstack([-s_plus, -s_minus, np.ones((model.n_leaves, 1))])
-        norm_row = np.concatenate([np.ones(2 * N), [0.0]])[None, :]
+        return 0.0, None, np.zeros(L)
+    if norms.p == 1.0 or d == 1:
+        s_plus, s_minus = _l1_slack_rows(ops, eps)
         cvec = np.zeros(2 * N + 1)
         cvec[-1] = 1.0
         lp = LinearProgram(
             c=cvec, sense="max",
-            a_ub=np.vstack([rows, norm_row]),
-            b_ub=np.concatenate([np.zeros(model.n_leaves), [1.0]]),
+            a_ub=np.vstack([np.hstack([-s_plus, -s_minus, np.ones((L, 1))]),
+                            np.concatenate([np.ones(2 * N), [0.0]])[None, :]]),
+            b_ub=np.concatenate([np.zeros(L), [1.0]]),
             bounds=[(0, None)] * (2 * N) + [(None, None)])
         res = solve_lp(lp)
         if res.status != "optimal":
@@ -384,8 +346,8 @@ def strict_arbitrage_maximin_program(model: MarketModel, eps: float, norms: Norm
         h = res.x[:N] - res.x[N:2 * N]
         slack = s_plus @ res.x[:N] + s_minus @ res.x[N:2 * N]
         return float(res.value), h, slack
-    if _conic(model, norms):
-        out = _strategy_conic(ops, eps, norms, maximin=True, tol=tol)
+    if _conic(d, norms):
+        out = _strategy_conic(ops, eps, norms, tol)
         if out is not None:
             return out
         _fallback("strict_arbitrage_maximin_program", "gap check failed")
@@ -394,20 +356,20 @@ def strict_arbitrage_maximin_program(model: MarketModel, eps: float, norms: Norm
     # slack over the box (iterates are always usable) and normalize the
     # winner to unit total node norm afterward.
     def objective(x):
-        slack, gains, costs, node_norm, node_grad = _leaf_gain_cost(ops, norms, x, eps)
+        slack, node_grad = _leaf_gain_cost(ops, norms, x, eps)
         k = int(np.argmin(slack))
         grad = ops.coeff[k] - eps * ops.mask[k][:, None] * node_grad
         return float(slack[k]), grad.ravel()
 
     res = maximize_concave(objective, -np.ones(N), np.ones(N), tol=tol,
-                           max_iter=max_iter, start=np.zeros(N))
+                           max_iter=400, start=np.zeros(N))
     if res.x is None:
-        return 0.0, None, np.zeros(model.n_leaves)
+        return 0.0, None, np.zeros(L)
     h = res.x
     total = sum(qnorm(h[j * d:(j + 1) * d], norms.p) for j in range(n_int))
     if total > 0:
         h = h / total
-    slack, *_ = _leaf_gain_cost(ops, norms, h, eps)
+    slack = _leaf_gain_cost(ops, norms, h, eps)[0]
     return float(np.min(slack)), h, slack
 
 
@@ -416,13 +378,14 @@ def strict_arbitrage_maximin_program(model: MarketModel, eps: float, norms: Norm
 # ---------------------------------------------------------------------------
 
 def _cone_oracles(ops: TreeOps, eps: float, norms: NormPair, n_extra: int = 0,
-                  cut_bank: Optional[dict] = None, bank_cap: int = 30):
+                  cut_bank: Optional[dict] = None):
     """Concave oracles eps*qbar(v) - |z_v(q)|_q >= 0, padded for extra vars.
 
     When a ``cut_bank`` is given, every evaluated norm subgradient u is
-    deposited under its node key: since u . z0 = |z0|_q, the induced cut
-    (coeff u) . q <= eps (mask . q) is a supporting ray valid at every eps,
-    so banks can be replayed across levels (bisection reuse).
+    deposited under its node key (the last 30 per node): since
+    u . z0 = |z0|_q, the induced cut (coeff u) . q <= eps (mask . q) is a
+    supporting ray valid at every eps, so banks can be replayed across
+    levels (bisection reuse).
     """
     cons = []
     for j in range(len(ops.internal)):
@@ -437,7 +400,7 @@ def _cone_oracles(ops: TreeOps, eps: float, norms: NormPair, n_extra: int = 0,
             if cut_bank is not None and val > 0.0:
                 bank = cut_bank.setdefault(j, [])
                 bank.append(zgrad)
-                if len(bank) > bank_cap:
+                if len(bank) > 30:
                     del bank[0]
             grad = np.concatenate([eps * mask_j - coeff_j @ zgrad, np.zeros(n_extra)])
             return eps * float(mask_j @ q) - val, grad
@@ -515,8 +478,7 @@ def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
 
 
 def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float,
-                         cut_bank: Optional[dict] = None, polish: bool = False,
-                         tol: float = 1e-10, max_iter: Optional[int] = None):
+                         cut_bank: Optional[dict] = None, polish: bool = False):
     """Decide the eta-interior cone program q >= eta P, sum q = 1, node cones.
 
     Returns (status, q, rho, rho_upper_bound, margin) with status in
@@ -539,8 +501,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     ops = tree_ops(model)
     L = model.n_leaves
     P = model.leaf_prob
-    if max_iter is None:
-        max_iter = 400 if polish else 150
+    max_iter = 400 if polish else 150
     # Rounding floor of |z_v(q)|_q at this price scale.
     scale = 1.0 + float(np.max(np.abs(ops.coeff)))
     margin_floor = 1e-12 * scale
@@ -576,7 +537,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
             if np.all(q >= eta * P) and margin >= -margin_floor:
                 return "feasible", q, rho, rho, margin
         return "indeterminate", None, None, rho, margin
-    if _conic(model, norms):
+    if _conic(model.d, norms):
         out = _interior_conic(ops, eps, norms, eta)
         if out is not None:
             return out
@@ -616,7 +577,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
         np.concatenate([np.ones(L), [eps * 2.0 + scale]]),
         margin_cons, a_ub=a_ub, b_ub=b_ub,
         a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
-        tol=tol, feas_tol=1e-12, max_iter=max_iter,
+        tol=1e-10, feas_tol=1e-12, max_iter=max_iter,
         start=np.concatenate([P, [0.0]]),
         stop_above=None if polish else margin_floor,
         stop_below=-1e-10, repair=margin_repair)
@@ -649,7 +610,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
         ratio_objective, np.concatenate([np.zeros(L), [-1.0]]), np.ones(L + 1),
         ratio_cons, a_ub=a_ub, b_ub=b_ub,
         a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
-        tol=tol, feas_tol=1e-11, max_iter=max_iter,
+        tol=1e-10, feas_tol=1e-11, max_iter=max_iter,
         start=np.concatenate([P, [0.0]]), stop_below=eta * 0.5)
     if res2.status == "infeasible":
         return "infeasible", None, None, None, None
@@ -667,13 +628,12 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
 
 
 def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
-                        leaf_objective: np.ndarray, sense: str, anchor=None,
-                        tol: float = 1e-9, max_iter: int = 400):
+                        leaf_objective: np.ndarray, sense: str, anchor: np.ndarray):
     """Optimize a linear leaf functional over the closed cone-feasible set.
 
     Polyhedral geometry is one LP and q = 2 one cone program; the value
     returned is that of weights that pass the exact margin check, within
-    ``tol`` (relative) of the certified dual bound.  Other q, and conic
+    1e-9 (relative) of the certified dual bound.  Other q, and conic
     results that fail the check, run cutting planes: ``anchor`` is an
     exactly cone-feasible point (an interior witness), and iterates are
     repaired by the longest feasible mix toward it, so incumbents are
@@ -695,7 +655,7 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
             raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
         return float(res.value), res.x
     sgn = 1.0 if sense == "max" else -1.0
-    if _conic(model, norms):
+    if _conic(model.d, norms):
         res, exact = _measure_program(ops, eps, -sgn * c, -np.eye(L), np.zeros(L), 0)
         box = np.ones(L)
         if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
@@ -703,7 +663,7 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
         q = None if res.x is None else _exact_weights(ops, eps, norms, res.x)
         if q is not None:
             value = float(c @ q)
-            if _gap_closed(value, -sgn * exact.lower_bound(res.y, res.z, box), tol):
+            if _gap_closed(value, -sgn * exact.lower_bound(res.y, res.z, box), 1e-9):
                 return value, q
         _fallback("cone_linear_optimum", "no checked point within the gap")
     cons = _cone_oracles(ops, eps, norms)
@@ -711,30 +671,25 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
     def objective(x):
         return float(sgn * (c @ x)), sgn * c
 
-    repair = None
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
 
-        def repair(x):
-            if float(np.min(_cone_margins(ops, eps, norms, x))) >= 0.0:
-                return x
-            lo_t, hi_t = 0.0, 1.0
-            for _ in range(50):
-                mid = 0.5 * (lo_t + hi_t)
-                cand = anchor + mid * (x - anchor)
-                if float(np.min(_cone_margins(ops, eps, norms, cand))) >= 0.0:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            return anchor + lo_t * (x - anchor)
+    def repair(x):
+        if float(np.min(_cone_margins(ops, eps, norms, x))) >= 0.0:
+            return x
+        lo_t, hi_t = 0.0, 1.0
+        for _ in range(50):
+            mid = 0.5 * (lo_t + hi_t)
+            cand = anchor + mid * (x - anchor)
+            if float(np.min(_cone_margins(ops, eps, norms, cand))) >= 0.0:
+                lo_t = mid
+            else:
+                hi_t = mid
+        return anchor + lo_t * (x - anchor)
 
     res = maximize_concave(
         objective, np.zeros(L), np.ones(L), cons,
         a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
-        tol=tol,
-        feas_tol=1e-15 if anchor is not None else max(tol * 0.1, 1e-11),
-        max_iter=max_iter,
-        start=model.leaf_prob if anchor is None else anchor, repair=repair)
+        tol=1e-9, feas_tol=1e-15, max_iter=400, start=anchor, repair=repair)
     if res.status == "infeasible":
         return None, None
     if res.x is None:
@@ -743,14 +698,13 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
 
 
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
-                           leaf_objective: np.ndarray, target: float,
-                           face_tol: float = 1e-9, tol: float = 1e-9,
-                           max_iter: int = 400):
-    """max (min leaf weight) over cone-feasible q with c.q within face_tol of target."""
+                           leaf_objective: np.ndarray, target: float):
+    """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
+    of target."""
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
-    scale = face_tol * (1.0 + abs(target))
+    scale = 1e-9 * (1.0 + abs(target))
     face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
     face_rhs = np.array([target + scale, -(target - scale)])
     min_rows = np.hstack([-np.eye(L), np.ones((L, 1))])
@@ -768,7 +722,7 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
         if res.status != "optimal":
             return 0.0, None
         return float(res.value), res.x[:L]
-    if _conic(model, norms):
+    if _conic(model.d, norms):
         obj = np.zeros(L + 1)
         obj[-1] = -1.0
         # The slab |c.q - target| <= scale is solved as its middle slice
@@ -779,7 +733,7 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
         q = None if res.x is None else _exact_weights(ops, eps, norms, res.x)
         if q is not None and abs(float(c @ q) - target) <= scale:
             min_w = float(np.min(q))
-            if _gap_closed(min_w, -exact.lower_bound(res.y, res.z, np.ones(L + 1)), tol):
+            if _gap_closed(min_w, -exact.lower_bound(res.y, res.z, np.ones(L + 1)), 1e-9):
                 return min_w, q
         _fallback("max_min_weight_on_face", "no checked point within the gap")
 
@@ -795,7 +749,7 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
         a_ub=np.vstack([face_rows, min_rows]),
         b_ub=np.concatenate([face_rhs, np.zeros(L)]),
         a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
-        tol=tol, feas_tol=max(tol * 0.1, 1e-11), max_iter=max_iter)
+        tol=1e-9, feas_tol=1e-10, max_iter=400)
     if res.x is None:
         return 0.0, None
     return float(res.value), res.x[:L]
@@ -828,8 +782,7 @@ def reference_deviation(model: MarketModel, norms: NormPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
-                               tol: float = 1e-10) -> float:
+def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> float:
     """gamma(v) = min over child-simplex weights of |sum_w a_w dS(w)|_q.
 
     Scalar increments have a closed form: the simplex image is the interval
@@ -861,7 +814,7 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
         if res.status != "optimal":
             raise RuntimeError(f"node deviation LP failed: {res.status}")
         return float(res.value)
-    if _conic(model, norms):
+    if _conic(model.d, norms):
         # min t s.t. a >= 0, sum a = 1, |A' a|_2 <= t; the value is the exact
         # norm at the clipped weights, an upper bound on gamma that must
         # meet the certified lower bound.
@@ -879,7 +832,7 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
             a = np.maximum(res.x[:k], 0.0)
             gamma = float(np.linalg.norm(A.T @ (a / a.sum())))
             box = np.concatenate([np.ones(k), [float(np.max(np.linalg.norm(A, axis=1)))]])
-            if _gap_closed(gamma, prog.lower_bound(res.y, res.z, box), 10 * tol):
+            if _gap_closed(gamma, prog.lower_bound(res.y, res.z, box), 1e-9):
                 return gamma
         _fallback("node_min_simplex_deviation", "gap not closed")
 
@@ -891,39 +844,24 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair,
 
     res = maximize_concave(objective, np.zeros(k), np.ones(k),
                            a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-                           tol=tol, feas_tol=1e-11, max_iter=300,
+                           tol=1e-10, feas_tol=1e-11, max_iter=300,
                            start=np.full(k, 1.0 / k), damping=0.5)
     if res.value is None:
         raise RuntimeError("node deviation program failed")
     return -float(res.value)
 
 
-def _node_support_max(model: MarketModel, v: int, w_pos: int, eps: float,
-                      norms: NormPair, tol: float = 1e-9):
-    """(lower, upper) bounds on max a_w over {a in simplex: |A' a|_q <= eps}."""
-    kids = list(model.children[v])
-    A = model.delta[kids]
-    k = len(kids)
+def _node_support_max(A: np.ndarray, w_pos: int, eps: float, norms: NormPair):
+    """(lower, upper) bounds on max a_w over {a in simplex: |A' a|_q <= eps},
+    for curved q (polyhedral nodes never reach the support analysis)."""
+    k, d = A.shape
     c = np.zeros(k)
     c[w_pos] = 1.0
-    if _polyhedral(model, norms):
-        d = model.d
-        a_ub = np.vstack([A.T, -A.T])
-        lp = LinearProgram(c=c, sense="max", a_ub=a_ub, b_ub=np.full(2 * d, eps),
-                           a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-                           bounds=[(0.0, 1.0)] * k)
-        res = solve_lp(lp)
-        if res.status == "infeasible":
-            return None, None
-        if res.status != "optimal":
-            raise RuntimeError(f"support LP failed: {res.status}")
-        return float(res.value), float(res.value)
-    if _conic(model, norms):
+    if _conic(d, norms):
         # max a_w s.t. a >= 0, sum a = 1, |A' a|_2 <= eps.  The upper bound
         # is certified by duality; the lower bound is the weight of a
         # checked point.  Taken when the bounds meet or the upper bound is
         # already below any support threshold.
-        d = model.d
         G = np.vstack([-np.eye(k), np.zeros((1, k)), -A.T])
         h = np.concatenate([np.zeros(k), [eps], np.zeros(d)])
         prog = ConeProgram(-c, G, h, k, (d + 1,), np.ones((1, k)), np.array([1.0]))
@@ -939,7 +877,7 @@ def _node_support_max(model: MarketModel, v: int, w_pos: int, eps: float,
                 a = a / a.sum()
                 if float(np.linalg.norm(A.T @ a)) <= eps:
                     lb = float(a[w_pos])
-            if ub <= tol or (lb is not None and _gap_closed(lb, ub, tol)):
+            if ub <= 1e-9 or (lb is not None and _gap_closed(lb, ub, 1e-9)):
                 return lb, ub
         _fallback("_node_support_max", "bounds not closed")
 
@@ -954,7 +892,7 @@ def _node_support_max(model: MarketModel, v: int, w_pos: int, eps: float,
 
     res = maximize_concave(objective, np.zeros(k), np.ones(k), [cone],
                            a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-                           tol=tol, feas_tol=1e-11, max_iter=300,
+                           tol=1e-9, feas_tol=1e-11, max_iter=300,
                            start=np.full(k, 1.0 / k))
     if res.status == "infeasible":
         return None, None
@@ -962,86 +900,24 @@ def _node_support_max(model: MarketModel, v: int, w_pos: int, eps: float,
     return lb, float(res.upper_bound)
 
 
-def _node_uniform_certificate(model: MarketModel, v: int, eps: float, norms: NormPair,
-                              tol: float = 1e-10):
-    """max_{|h|_p<=1} min_w slack_w(h) at one node, with the maximizer."""
-    kids = list(model.children[v])
-    A = model.delta[kids]
-    k, d = A.shape
-    if _polyhedral(model, norms):
-        # variables (h+, h-, delta); node cost = sum(h+ + h-)
-        rows = np.hstack([-(A - eps), -(-A - eps), np.ones((k, 1))])
-        norm_row = np.concatenate([np.ones(2 * d), [0.0]])[None, :]
-        cvec = np.zeros(2 * d + 1)
-        cvec[-1] = 1.0
-        lp = LinearProgram(c=cvec, sense="max",
-                           a_ub=np.vstack([rows, norm_row]),
-                           b_ub=np.concatenate([np.zeros(k), [1.0]]),
-                           bounds=[(0, None)] * (2 * d) + [(None, None)])
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            raise RuntimeError(f"node maximin LP failed: {res.status}")
-        return float(res.value), res.x[:d] - res.x[d:2 * d]
-    if _conic(model, norms):
-        # max delta s.t. A h - eps t >= delta, |h|_2 <= t <= 1; the margin is
-        # recomputed exactly at h / |h| and must meet the certified bound.
-        G = np.vstack([np.hstack([-A, np.full((k, 1), eps), np.ones((k, 1))]),
-                       [np.concatenate([np.zeros(d), [1.0, 0.0]])],
-                       np.hstack([np.zeros((1, d)), [[-1.0, 0.0]]]),
-                       np.hstack([-np.eye(d), np.zeros((d, 2))])])
-        h_vec = np.concatenate([np.zeros(k), [1.0], np.zeros(d + 1)])
-        cvec = np.zeros(d + 2)
-        cvec[-1] = -1.0
-        prog = ConeProgram(cvec, G, h_vec, k + 1, (d + 1,))
-        res = solve_socp(prog)
-        if res.x is not None:
-            reach = float(np.max(np.linalg.norm(A, axis=1))) + eps
-            bound = -prog.lower_bound(res.y, res.z, np.concatenate([np.ones(d + 1), [reach]]))
-            if bound <= tol:
-                return 0.0, np.zeros(d)
-            h = res.x[:d]
-            nv = float(np.linalg.norm(h))
-            if nv > 0.0:
-                margin = float(np.min(A @ (h / nv)) - eps)
-                if _gap_closed(margin, bound, 10 * tol):
-                    return margin, h / nv
-        _fallback("_node_uniform_certificate", "margin below the certified bound")
-
-    # Slacks are positively homogeneous, so maximize min_w slack over the box
-    # [-1, 1]^d (no nonlinear constraints: every iterate is usable) and
-    # normalize afterward; the sign of the optimum is what matters.
-    def objective(h):
-        nv = qnorm(h, norms.p)
-        gv = qnorm_grad(h, norms.p, nv)
-        slacks = A @ h - eps * nv
-        w = int(np.argmin(slacks))
-        return float(slacks[w]), A[w] - eps * gv
-
-    res = maximize_concave(objective, -np.ones(d), np.ones(d),
-                           tol=tol, max_iter=400, start=np.zeros(d))
-    if res.x is None:
-        raise RuntimeError("node maximin program failed")
-    h = res.x
-    nv = qnorm(h, norms.p)
-    if nv > 0:
-        h = h / nv
-    margin = float(np.min(A @ h) - eps) if nv > 0 else 0.0
-    return margin, h
-
-
 def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPair,
-                          band: float = 1e-9, support_tol: float = 1e-7,
-                          gamma: Optional[float] = None, with_certificate: bool = True):
-    """Exact one-node strict-arbitrage decision; returns (found, h, gamma)."""
-    kids = list(model.children[v])
-    A = model.delta[kids]
+                          band: float = 1e-9, gamma: Optional[float] = None,
+                          with_certificate: bool = True):
+    """Exact one-node strict-arbitrage decision; returns (found, h, gamma).
+
+    The node's one-period market (its children as leaves) runs through the
+    tree's strategy programs: the maximin program certifies gamma > eps,
+    and at gamma = eps the sign of the sum LP decides polyhedral nodes.
+    """
+    A = model.delta[list(model.children[v])]
+    ops = TreeOps(None, (v,), A[:, None, :], np.ones((A.shape[0], 1)))
     scale = 1.0 + float(np.max(np.abs(A)))
     if gamma is None:
         gamma = node_min_simplex_deviation(model, v, norms)
     if gamma > eps + band * scale:
         if not with_certificate:
             return True, None, gamma
-        margin, h = _node_uniform_certificate(model, v, eps, norms)
+        margin, h, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
         if h is not None and margin > 0:
             return True, h, gamma
         # Numerically at the threshold: fall through to the boundary analysis.
@@ -1049,16 +925,14 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         return False, None, gamma
     # Boundary band: support analysis.
     if _polyhedral(model, norms):
-        # Polyhedral slack image is closed, so one exact LP settles the sign.
-        found, face_h = _p1_boundary_arbitrage(A, eps, model.d)
-        if found:
-            return True, face_h, gamma
-        return False, None, gamma
+        # The polyhedral slack image is closed, so the LP's sign is exact.
+        total, h, _ = strict_arbitrage_sum_program(ops, eps)
+        return (True, h, gamma) if total > 1e-9 else (False, None, gamma)
     support: list[int] = []
     off: list[int] = []
-    for w in range(len(kids)):
-        lb, ub = _node_support_max(model, v, w, eps, norms)
-        if ub is None or (ub is not None and ub < support_tol):
+    for w in range(A.shape[0]):
+        lb, ub = _node_support_max(A, w, eps, norms)
+        if ub is None or ub < 1e-7:
             off.append(w)
         else:
             support.append(w)
@@ -1066,45 +940,15 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         return False, None, gamma
     if not support:
         # Cone empty at this level: uniform arbitrage must exist.
-        margin, h = _node_uniform_certificate(model, v, eps, norms)
+        margin, h, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
         if margin > 0 and h is not None:
             return True, h, gamma
         return False, None, gamma
     h, m = _min_norm_solution(A[support], np.full(len(support), eps), norms)
-    if h is None or m is None or m > 1.0 + support_tol or m <= 0.0:
+    if h is None or m is None or m > 1.0 + 1e-7 or m <= 0.0:
         return False, None, gamma
     h_unit = h / m
     slack_off = A[off] @ h_unit - eps
     if float(np.min(slack_off)) >= -band * scale and float(np.max(slack_off)) > band * scale:
         return True, h_unit, gamma
     return False, None, gamma
-
-
-def _p1_boundary_arbitrage(A: np.ndarray, eps: float, d: int,
-                           tol: float = 1e-9):
-    """Zero-margin arbitrage search for polyhedral norms: exact LP.
-
-    max total positive slack over {slack_w(h) >= 0, sum|h| <= 1} with slack
-    capped at 1 per child, in (h+, h-, t) variables; the feasible set is a
-    polytope, so the sign of the optimum is exact.
-    """
-    k = A.shape[0]
-    # slack_w(h) = A_w (h+ - h-) - eps * sum(h+ + h-)
-    s_plus = A - eps
-    s_minus = -A - eps
-    n = 2 * d + k
-    a_ub = np.vstack([
-        np.hstack([-s_plus, -s_minus, np.zeros((k, k))]),        # slack >= 0
-        np.hstack([-s_plus, -s_minus, np.eye(k)]),               # t_w <= slack_w
-        np.concatenate([np.ones(2 * d), np.zeros(k)])[None, :],  # norm <= 1
-    ])
-    b_ub = np.concatenate([np.zeros(2 * k), [1.0]])
-    cvec = np.concatenate([np.zeros(2 * d), np.ones(k)])
-    lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
-                       bounds=[(0, None)] * (2 * d) + [(None, 1.0)] * k)
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        return False, None
-    if res.value > tol:
-        return True, res.x[:d] - res.x[d:2 * d]
-    return False, None

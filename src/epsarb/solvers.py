@@ -10,17 +10,19 @@ LPs with second-order cones (the p = 2 programs) run a dense primal-dual
 interior point written in numpy around scipy's LAPACK LU (also imported on
 first use), which returns primal and dual points or an infeasibility
 certificate; a :class:`ConeProgram` recomputes weak-duality bounds and
-certificates from them.  Kelley cutting planes serve the remaining p.
-Transport needs no LP: min-cost transport is a transportation simplex that
-prices its cycles in the log domain, exact for weights of any spread, and
-bottleneck transport a threshold algorithm that grows a flow along
-augmenting paths and raises the threshold at Hall cuts.
+certificates from them.  Kelley cutting planes serve the remaining p; on
+the strategy side that is the maximin program, which a node decision also
+runs, on its one-period market.  Transport needs no LP: min-cost transport
+is a transportation simplex that prices its cycles in the log domain,
+exact for weights of any spread, and bottleneck transport a threshold
+algorithm that grows a flow along augmenting paths and raises the
+threshold at Hall cuts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -76,12 +78,12 @@ def _norm_bounds(n: int, bounds) -> list[tuple]:
     return [(lo, hi) for lo, hi in bounds]
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9,
-             highs_tol: Optional[float] = None) -> LPResult:
+def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
     """Solve a dense LP; never returns silent garbage.
 
-    Optimal solutions are checked against ``tol`` primal residuals; an
-    infeasible status is HiGHS's own verdict, with no certificate attached.
+    Optimal points are checked for primal residuals of at most
+    1e-6 (1 + max |x|); an infeasible status is HiGHS's own verdict, with
+    no certificate attached.
     ``highs_tol`` overrides HiGHS's primal and dual feasibility tolerances
     (default 1e-7).
     """
@@ -101,7 +103,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
     if status == "optimal":
         x = np.asarray(res.x)
         scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-        guard = max(tol * 10, 1e-6) * scale
+        guard = 1e-6 * scale
         if a_ub is not None and np.max(a_ub @ x - b_ub, initial=-np.inf) > guard:
             return LPResult("error", x, None, None, None,
                             "primal residual exceeds tolerance")
@@ -123,20 +125,6 @@ Oracle = Callable[[np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
-class ConcaveOracle:
-    """First-order oracle for a concave function on a compact box.
-
-    ``evaluate(x)`` returns ``(value, supergradient)``; the supergradient g
-    must satisfy f(y) <= f(x) + g.(y - x) on the box.
-    """
-
-    evaluate: Oracle
-    lower: np.ndarray
-    upper: np.ndarray
-    constraints: tuple = ()
-
-
-@dataclass(frozen=True)
 class ConcaveResult:
     status: str  # optimal | iteration_cap | infeasible
     x: Optional[np.ndarray]
@@ -146,13 +134,16 @@ class ConcaveResult:
     iterations: int
 
 
-def maximize_concave(oracle, lower=None, upper=None, constraints: Sequence[Oracle] = (),
+def maximize_concave(objective: Oracle, lower, upper, constraints: Sequence[Oracle] = (),
                      a_ub=None, b_ub=None, a_eq=None, b_eq=None,
                      tol: float = 1e-8, feas_tol: float = 1e-9,
                      max_iter: int = 400, start=None,
                      stop_above=None, stop_below=None, repair=None,
                      damping: float = 0.0) -> ConcaveResult:
     """Kelley cutting planes: max f(x) s.t. g_i(x) >= 0 over a box.
+
+    ``objective(x)`` and each constraint return ``(value, supergradient)``;
+    a supergradient g must satisfy f(y) <= f(x) + g.(y - x) on the box.
 
     Static linear rows (a_ub x <= b_ub, a_eq x = b_eq) enter every master LP
     directly; nonlinear concave constraints enter through cuts.  Cuts are
@@ -165,13 +156,6 @@ def maximize_concave(oracle, lower=None, upper=None, constraints: Sequence[Oracl
     as soon as the incumbent clears ``stop_above`` or the certified upper
     bound drops under ``stop_below``.
     """
-    if isinstance(oracle, ConcaveOracle):
-        lower = oracle.lower if lower is None else lower
-        upper = oracle.upper if upper is None else upper
-        constraints = tuple(constraints) + tuple(oracle.constraints)
-        objective = oracle.evaluate
-    else:
-        objective = oracle
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = lower.size

@@ -574,6 +574,20 @@ class TestNaPrime:
             if not rep.strict_arbitrage.found:
                 assert not rep.witnesses
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_two_asset_violation_at_other_exponents(self, p):
+        # the witness e2 survives the dual map |x|^(p-1) of the extremal
+        # direction; p = 2 is the test above and criterion 02
+        norms = ea.NormPair(p)
+        m = nostrictarb_market(1.0)
+        rep = ea.check_na_prime(m, 1.0, norms)
+        assert rep.holds is False
+        (g,) = rep.witnesses.values()
+        g = g / np.linalg.norm(g)
+        assert abs(g[0]) < 1e-8
+        assert abs(abs(g[1]) - 1.0) < 1e-8
+        assert not ea.find_eps_martingale_measure(m, 1.0, norms).feasible
+
     def test_p1_witness_program_on_a_one_dimensional_basis(self):
         m = _one_period([[3.0, -1.0], [1.0, 0.0], [-3.0, 2.0]])
         eps = 1.0 / 3.0

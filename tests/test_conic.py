@@ -62,7 +62,7 @@ def cutting_planes(monkeypatch):
     def use(flag):
         if flag:
             for module in (programs, arbitrage, pricing):
-                monkeypatch.setattr(module, "_conic", lambda model, norms: False)
+                monkeypatch.setattr(module, "_conic", lambda d, norms: False)
         else:
             monkeypatch.undo()
     return use

@@ -30,7 +30,7 @@ from scipy.optimize import nnls
 from scipy.special import logsumexp
 
 from epsarb import solvers
-from epsarb.solvers import (ConcaveOracle, ConeProgram, LinearProgram, TransportInstance,
+from epsarb.solvers import (ConeProgram, LinearProgram, TransportInstance,
                             bottleneck_transport, discrete_ot, log_transport,
                             maximize_concave, solve_lp, solve_socp,
                             transport_feasible_below)
@@ -116,14 +116,12 @@ class TestMaximizeConcave:
         assert res.value == pytest.approx(0.5, abs=1e-9)
 
     def test_oracle_object_with_ball_constraint(self):
-        oracle = ConcaveOracle(
-            evaluate=lambda x: (float(x[0] + x[1]), np.array([1.0, 1.0])),
-            lower=-np.ones(2), upper=np.ones(2),
-            constraints=(lambda x: (1.0 - float(np.hypot(*x)),
-                                    -x / max(np.hypot(*x), 1e-12)),))
         # curved constraints want the repair hook: rescale into the disc
-        res = maximize_concave(oracle, tol=1e-9,
-                               repair=lambda x: x / max(1.0, float(np.hypot(*x))))
+        res = maximize_concave(lambda x: (float(x[0] + x[1]), np.array([1.0, 1.0])),
+                               -np.ones(2), np.ones(2),
+                               (lambda x: (1.0 - float(np.hypot(*x)),
+                                           -x / max(np.hypot(*x), 1e-12)),),
+                               tol=1e-9, repair=lambda x: x / max(1.0, float(np.hypot(*x))))
         assert res.value == pytest.approx(np.sqrt(2.0), abs=1e-7)
 
     def test_matches_epigraph_lp_on_random_piecewise_linear(self):
