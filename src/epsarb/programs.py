@@ -944,7 +944,11 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         if margin > 0 and h is not None:
             return True, h, gamma
         return False, None, gamma
-    h, m = _min_norm_solution(A[support], np.full(len(support), eps), norms)
+    try:
+        h, m = _min_norm_solution(A[support], np.full(len(support), eps), norms)
+    except RuntimeError:
+        # SLSQP failed on the min-norm system: no certificate to build here.
+        return False, None, gamma
     if h is None or m is None or m > 1.0 + 1e-7 or m <= 0.0:
         return False, None, gamma
     h_unit = h / m

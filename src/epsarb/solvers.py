@@ -3,9 +3,14 @@ concave maximization, and exact discrete transport (min-cost and
 bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
-everything is dense.  LPs are delegated to HiGHS through scipy, imported on
-the first LP so that ``import epsarb`` loads no scipy module; optimal points
-are re-checked for primal feasibility, and infeasibility is HiGHS's status.
+everything is dense.  LPs call the HiGHS core that scipy ships directly,
+imported on the first LP so that ``import epsarb`` loads no scipy module:
+scipy's ``linprog`` wrapper (option validation, input cleaning, a sparse
+conversion, bound marginals no caller reads) cost about three times as
+much per LP as HiGHS's own solve on these sizes, so :func:`linprog`
+builds the same model with the same options itself and keeps scipy's
+result check.  Optimal points are re-checked for primal feasibility, and
+infeasibility is HiGHS's status.
 LPs with second-order cones (the p = 2 programs) run a dense primal-dual
 interior point written in numpy around scipy's LAPACK LU (also imported on
 first use), which returns primal and dual points or an infeasibility
@@ -21,19 +26,12 @@ threshold at Hall cuts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-
-def linprog(*args, **kwargs):
-    """HiGHS with package-default settings (one call site for all LPs)."""
-    from scipy.optimize import linprog as highs
-
-    kwargs.setdefault("method", "highs")
-    return highs(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -66,16 +64,105 @@ class LPResult:
     message: str = ""
 
 
-_STATUS = {0: "optimal", 1: "error", 2: "infeasible", 3: "unbounded", 4: "error"}
+# scipy's check on an "optimal" point: bounds and rows met within 10 sqrt(1e-9)
+_RESULT_TOL = 10 * math.sqrt(1e-9)
 
 
-def _norm_bounds(n: int, bounds) -> list[tuple]:
-    if bounds is None:
-        return [(None, None)] * n
-    bounds = list(bounds)
-    if len(bounds) != n:
-        raise ValueError(f"expected {n} bound pairs, got {len(bounds)}")
-    return [(lo, hi) for lo, hi in bounds]
+@functools.cache
+def _highs_options(highs_tol: Optional[float]):
+    """The options scipy's ``linprog(method="highs")`` passes: presolve on,
+    dual simplex, no debug checks, no output; built once per tolerance and
+    only read after that."""
+    from scipy.optimize._highspy import _core as core
+
+    opts = core.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    if highs_tol is not None:
+        opts.primal_feasibility_tolerance = highs_tol
+        opts.dual_feasibility_tolerance = highs_tol
+    return opts
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
+            highs_tol: Optional[float] = None) -> LPResult:
+    """min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds (one (lo, hi) pair
+    per variable, None for no bound): one HiGHS solve, the call site for
+    every LP of the package.
+
+    The model, options and result check are those of scipy's
+    ``linprog(method="highs")``, so results are bit-identical to it.  The
+    rows are [A_ub; A_eq] in one column-wise matrix without explicit zeros
+    and with ascending row indices in each column, as scipy's sparse
+    conversion leaves them (another order changes HiGHS's pivots); each
+    call runs a fresh solver instance, so no state carries from one LP to
+    the next.  Returns the point, value and row duals, unsigned:
+    ``dual_ub`` and ``dual_eq`` are HiGHS's row duals of the minimization.
+    """
+    from scipy.optimize._highspy import _core as core
+
+    c = np.asarray(c, dtype=float).ravel()
+    n = c.size
+    a_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, dtype=float))
+    a_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    bnd = np.array(bounds, dtype=float)  # None -> nan
+    if bnd.shape != (n, 2) or a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
+        raise ValueError(f"inconsistent LP shapes: {n} costs, bounds {bnd.shape}, "
+                         f"A_ub {a_ub.shape}, b_ub {b_ub.shape}, A_eq {a_eq.shape}, b_eq {b_eq.shape}")
+    lower = np.where(np.isnan(bnd[:, 0]), -core.kHighsInf, bnd[:, 0])
+    upper = np.where(np.isnan(bnd[:, 1]), core.kHighsInf, bnd[:, 1])
+    m_ub = b_ub.size
+    rhs = np.concatenate([b_ub, b_eq])
+    at = np.vstack([a_ub, a_eq]).T  # column j of the constraint matrix is row j of at
+    if not (np.isfinite(c).all() and np.isfinite(at).all() and np.isfinite(rhs).all()):
+        raise ValueError("LP costs, rows and right-hand sides must be finite")
+    nonzero = at != 0.0
+
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = at[nonzero]
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.concatenate([np.full(m_ub, -core.kHighsInf), b_eq])
+    lp.row_upper_ = rhs
+
+    highs = core._Highs()
+    highs.passOptions(_highs_options(highs_tol))
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        solved, status = False, core.HighsModelStatus.kModelError
+    else:
+        solved = highs.run() != core.HighsStatus.kError
+        status = highs.getModelStatus()
+    message = highs.modelStatusToString(status)
+    if not solved or status != core.HighsModelStatus.kOptimal:
+        # scipy's status codes: a model error counts as infeasible
+        verdict = {core.HighsModelStatus.kInfeasible: "infeasible",
+                   core.HighsModelStatus.kModelError: "infeasible",
+                   core.HighsModelStatus.kUnbounded: "unbounded"}.get(status, "error")
+        return LPResult(verdict, None, None, None, None, message)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = highs.getInfo().objective_function_value
+    slack = rhs - np.array(solution.row_value)  # b - A x on every row
+    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+                    or np.any(x < lower - _RESULT_TOL) or np.any(x > upper + _RESULT_TOL)
+                    or np.any(slack[:m_ub] < -_RESULT_TOL)
+                    or np.any(np.abs(slack[m_ub:]) > _RESULT_TOL))
+    if not feasible:
+        return LPResult("error", None, None, None, None,
+                        f"{message}, but the point misses a bound or row by over {_RESULT_TOL:.2e}")
+    row_dual = np.array(solution.row_dual)
+    return LPResult("optimal", x, fun, row_dual[:m_ub], row_dual[m_ub:], message)
 
 
 def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
@@ -89,19 +176,15 @@ def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
     """
     c = np.asarray(lp.c, dtype=float)
     sign = 1.0 if lp.sense == "min" else -1.0
-    n = c.size
-    bounds = _norm_bounds(n, lp.bounds)
+    bounds = [(None, None)] * c.size if lp.bounds is None else lp.bounds
     a_ub = None if lp.a_ub is None else np.atleast_2d(np.asarray(lp.a_ub, dtype=float))
     b_ub = None if lp.b_ub is None else np.atleast_1d(np.asarray(lp.b_ub, dtype=float))
     a_eq = None if lp.a_eq is None else np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
     b_eq = None if lp.b_eq is None else np.atleast_1d(np.asarray(lp.b_eq, dtype=float))
-    options = {} if highs_tol is None else {"primal_feasibility_tolerance": highs_tol,
-                                            "dual_feasibility_tolerance": highs_tol}
     res = linprog(c=sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, options=options)
-    status = _STATUS.get(res.status, "error")
-    if status == "optimal":
-        x = np.asarray(res.x)
+                  bounds=bounds, highs_tol=highs_tol)
+    if res.status == "optimal":
+        x = res.x
         scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
         guard = 1e-6 * scale
         if a_ub is not None and np.max(a_ub @ x - b_ub, initial=-np.inf) > guard:
@@ -110,10 +193,10 @@ def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
         if a_eq is not None and np.max(np.abs(a_eq @ x - b_eq), initial=0.0) > guard:
             return LPResult("error", x, None, None, None,
                             "equality residual exceeds tolerance")
-        dual_ub = None if a_ub is None else sign * np.asarray(res.ineqlin.marginals)
-        dual_eq = None if a_eq is None else sign * np.asarray(res.eqlin.marginals)
-        return LPResult("optimal", x, float(sign * res.fun), dual_ub, dual_eq, res.message)
-    return LPResult(status, None, None, None, None, res.message)
+        dual_ub = None if a_ub is None else sign * res.dual_ub
+        dual_eq = None if a_eq is None else sign * res.dual_eq
+        return LPResult("optimal", x, float(sign * res.value), dual_ub, dual_eq, res.message)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +316,11 @@ def maximize_concave(objective: Oracle, lower, upper, constraints: Sequence[Orac
             return ConcaveResult("optimal", best_x, best_val, ub, ub - best_val, it)
         res = linprog(c=c, A_ub=np.vstack(cut_rows), b_ub=np.array(cut_rhs),
                       A_eq=eq_rows, b_eq=eq_rhs, bounds=var_bounds)
-        if res.status == 2:
+        if res.status == "infeasible":
             return ConcaveResult("infeasible", None, None, -np.inf, np.inf, it)
-        if res.status != 0:
+        if res.status != "optimal":
             break
-        ub = min(ub, float(-res.fun))
+        ub = min(ub, float(-res.value))
         gap = ub - best_val
         if stop_below is not None and ub <= stop_below:
             return ConcaveResult("optimal", best_x, best_val if best_x is not None else None,

@@ -488,9 +488,9 @@ def global_bicausal_logexp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
     shift = lam * float(np.max(costs))
     c = np.exp(np.maximum(lam * costs - shift, _LOG_TINY))
     res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * c.size)
-    if res.status != 0:
+    if res.status != "optimal":
         raise RuntimeError(f"global bicausal LP failed: {res.status} {res.message}")
-    return (shift + math.log(max(res.fun, math.exp(_LOG_TINY)))) / lam
+    return (shift + math.log(max(res.value, math.exp(_LOG_TINY)))) / lam
 
 
 def global_bicausal_bottleneck(lawx: PathLaw, lawy: PathLaw, q: float,
@@ -505,7 +505,7 @@ def global_bicausal_bottleneck(lawx: PathLaw, lawy: PathLaw, q: float,
         bounds = [(0, u) for u in ub]
         res = linprog(c=np.zeros(costs.size), A_eq=a_eq, b_eq=b_eq,
                       bounds=bounds)
-        return res.status == 0
+        return res.status == "optimal"
 
     lo, hi = 0, levels.size - 1
     if feasible(float(levels[0])):

@@ -370,6 +370,15 @@ class TestNodeDecision:
             checked += 1
         assert checked >= 15
 
+    def test_failed_min_norm_solve_in_the_band_means_none(self):
+        # gamma = 0 (zero inside the hull); at eps = 5e-11 the support
+        # analysis runs and SLSQP fails on the min-norm system at p = 1.5
+        m = _one_period([[1.0, 0.0], [-3.0, 0.0], [1.0, 2.0]])
+        norms = ea.NormPair(1.5)
+        for eps in (5e-11, 1e-3):
+            rep = ea.detect_strict_arbitrage(m, eps, norms)
+            assert rep.status == "none_within_tolerance"
+
 
 class TestNodeStructure:
     def test_two_asset_extremal_direction(self):

@@ -1,8 +1,9 @@
 """Solver kernel.
 
 Core claims:
-    - LPs report optimal values with usable duals, and an infeasible LP
-      costs one HiGHS solve
+    - LPs report optimal values with usable duals, an infeasible LP
+      costs one HiGHS solve, and the direct HiGHS call is bit-equal to
+      scipy's linprog(method="highs") on points, values, duals and statuses
     - the cutting-plane engine reaches stated tolerances on smooth and
       piecewise-linear objectives and matches the epigraph LP on the latter
     - discrete transport is exact against polytope enumeration and never
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import linprog as scipy_linprog, nnls
 from scipy.special import logsumexp
 
 from epsarb import solvers
@@ -97,6 +98,64 @@ class TestSolveLP:
                                      b_eq=np.array([0.5, 0.5, 0.5, 0.5]),
                                      bounds=[(0, None)] * 4))
         assert res.value == pytest.approx(ot.value, abs=1e-10)
+
+    @pytest.mark.parametrize("highs_tol", [None, 1e-10])
+    def test_bit_equal_to_scipy_highs(self, highs_tol):
+        # the reference is scipy's own HiGHS wrapper on the same dense LP
+        code = {0: "optimal", 1: "error", 2: "infeasible", 3: "unbounded", 4: "error"}
+        options = {} if highs_tol is None else {"primal_feasibility_tolerance": highs_tol,
+                                                "dual_feasibility_tolerance": highs_tol}
+        rng = np.random.default_rng(23 if highs_tol is None else 24)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            m_ub, m_eq = int(rng.integers(0, 8)), int(rng.integers(0, 4))
+            a_ub = rng.normal(size=(m_ub, n)) * (rng.random((m_ub, n)) < 0.7)
+            a_eq = rng.normal(size=(m_eq, n)) * (rng.random((m_eq, n)) < 0.7)
+            if rng.random() < 0.3:
+                a_ub = np.round(a_ub)
+            b_ub, b_eq = rng.normal(size=m_ub), rng.normal(size=m_eq)
+            bounds = []
+            for kind in rng.integers(0, 4, size=n):
+                lo, hi = np.sort(3.0 * rng.normal(size=2))
+                bounds.append([(None, None), (lo, None), (None, hi), (lo, hi)][kind])
+            c = rng.normal(size=n)
+            rows = dict(A_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
+                        A_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None)
+            ref = scipy_linprog(c, bounds=bounds, method="highs", options=options, **rows)
+            res = solvers.linprog(c, bounds=bounds, highs_tol=highs_tol, **rows)
+            assert res.status == code[ref.status]
+            seen.add(res.status)
+            if res.status == "optimal":
+                assert np.array_equal(res.x, ref.x) and res.value == ref.fun
+                assert np.array_equal(res.dual_ub, ref.ineqlin.marginals)
+                assert np.array_equal(res.dual_eq, ref.eqlin.marginals)
+        assert seen == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize("rows, bounds, status", [
+        (dict(A_ub=[[1.0, 1.0]], b_ub=[-1.0]), [(0, None), (0, 2)], "infeasible"),
+        (dict(A_eq=[[1.0, -1.0]], b_eq=[1.0]), [(0, None), (0, None)], "unbounded"),
+        (dict(A_ub=[[1.0, 0.0]], b_ub=[1.0], A_eq=[[0.0, 1.0]], b_eq=[3.0]),
+         [(None, None), (None, 2.0)], "infeasible"),
+    ])
+    def test_infeasible_and_unbounded_match_scipy(self, rows, bounds, status):
+        c = np.array([-1.0, 0.0])
+        ref = scipy_linprog(c, bounds=bounds, method="highs", **rows)
+        res = solvers.linprog(c, bounds=bounds, **rows)
+        assert res.status == status and ref.status == {"infeasible": 2, "unbounded": 3}[status]
+        assert res.x is None and res.value is None
+
+    @pytest.mark.parametrize("rows, bounds", [
+        (dict(A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0]), [(0, None)] * 2),
+        (dict(A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), [(0, None)] * 2),
+        (dict(A_ub=[[1.0, 1.0]], b_ub=[1.0]), [(0, None)] * 3),
+        (dict(A_ub=[[1.0, np.nan]], b_ub=[1.0]), [(0, None)] * 2),
+        (dict(A_eq=[[1.0, 1.0]], b_eq=[np.inf]), [(0, None)] * 2),
+    ])
+    def test_rejects_inconsistent_or_nonfinite_data(self, rows, bounds):
+        # as scipy's linprog does, instead of handing HiGHS a malformed model
+        with pytest.raises(ValueError):
+            solvers.linprog(np.array([1.0, 1.0]), bounds=bounds, **rows)
 
 
 class TestMaximizeConcave:
