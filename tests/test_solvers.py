@@ -130,20 +130,9 @@ class TestSolveLP:
                 assert np.array_equal(res.x, ref.x) and res.value == ref.fun
                 assert np.array_equal(res.dual_ub, ref.ineqlin.marginals)
                 assert np.array_equal(res.dual_eq, ref.eqlin.marginals)
+            else:
+                assert res.x is None and res.value is None
         assert seen == {"optimal", "infeasible", "unbounded"}
-
-    @pytest.mark.parametrize("rows, bounds, status", [
-        (dict(A_ub=[[1.0, 1.0]], b_ub=[-1.0]), [(0, None), (0, 2)], "infeasible"),
-        (dict(A_eq=[[1.0, -1.0]], b_eq=[1.0]), [(0, None), (0, None)], "unbounded"),
-        (dict(A_ub=[[1.0, 0.0]], b_ub=[1.0], A_eq=[[0.0, 1.0]], b_eq=[3.0]),
-         [(None, None), (None, 2.0)], "infeasible"),
-    ])
-    def test_infeasible_and_unbounded_match_scipy(self, rows, bounds, status):
-        c = np.array([-1.0, 0.0])
-        ref = scipy_linprog(c, bounds=bounds, method="highs", **rows)
-        res = solvers.linprog(c, bounds=bounds, **rows)
-        assert res.status == status and ref.status == {"infeasible": 2, "unbounded": 3}[status]
-        assert res.x is None and res.value is None
 
     @pytest.mark.parametrize("rows, bounds", [
         (dict(A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0]), [(0, None)] * 2),
