@@ -3,8 +3,7 @@ concave maximization, and exact discrete transport (min-cost and
 bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
-everything is dense.  LPs call the HiGHS core that scipy ships directly,
-imported on the first LP so that ``import epsarb`` loads no scipy module:
+everything is dense.  LPs call the HiGHS core that scipy ships directly:
 scipy's ``linprog`` wrapper (option validation, input cleaning, a sparse
 conversion, bound marginals no caller reads) cost about three times as
 much per LP as HiGHS's own solve on these sizes, so :func:`linprog`
@@ -12,12 +11,16 @@ builds the same model with the same options itself and keeps scipy's
 result check.  Optimal points are re-checked for primal feasibility, and
 infeasibility is HiGHS's status.
 LPs with second-order cones (the p = 2 programs) run a dense primal-dual
-interior point written in numpy around scipy's LAPACK LU (also imported on
-first use), which returns primal and dual points or an infeasibility
-certificate; a :class:`ConeProgram` recomputes weak-duality bounds and
-certificates from them.  Kelley cutting planes serve the remaining p; on
-the strategy side that is the maximin program, which a node decision also
-runs, on its one-period market.  Transport needs no LP: min-cost transport
+interior point written in numpy around scipy's LAPACK LU, which returns
+primal and dual points or an infeasibility certificate; a
+:class:`ConeProgram` recomputes weak-duality bounds and certificates from
+them.  The HiGHS core and the LAPACK module are compiled scipy modules,
+loaded from their files on first use (:func:`_scipy_extension`) without
+the scipy package imports above them, so ``import epsarb`` loads no scipy
+module and a solve loads only those two.
+Kelley cutting planes serve the remaining p; on the strategy side that is
+the maximin program, which a node decision also runs, on its one-period
+market.  Transport needs no LP: min-cost transport
 is a transportation simplex that prices its cycles in the log domain,
 exact for weights of any spread, and bottleneck transport a threshold
 algorithm that grows a flow along augmenting paths and raises the
@@ -27,7 +30,11 @@ threshold at Hall cuts.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -64,6 +71,41 @@ class LPResult:
     message: str = ""
 
 
+def _scipy_extension(name: str):
+    """The compiled scipy module ``name``, loaded from its file in scipy's
+    install directory without running the scipy package ``__init__``s above
+    it (``scipy.optimize`` alone imports some 320 modules).
+
+    The module is registered in ``sys.modules`` before it runs, so a later
+    ``import scipy.optimize`` or ``scipy.linalg.lapack`` reuses it rather
+    than loading the file a second time; a module that is already there is
+    returned as it is.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+    if scipy is None:
+        raise ImportError(f"no compiled module {name}: scipy is not installed", name=name)
+    *package, leaf = name.split(".")[1:]
+    folder = os.path.join(scipy.submodule_search_locations[0], *package)
+    paths = [os.path.join(folder, leaf + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError(f"no compiled module {name}: none of {paths} exists", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    sys.modules[name] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
 # scipy's check on an "optimal" point: bounds and rows met within 10 sqrt(1e-9)
 _RESULT_TOL = 10 * math.sqrt(1e-9)
 
@@ -73,7 +115,7 @@ def _highs_options(highs_tol: Optional[float]):
     """The options scipy's ``linprog(method="highs")`` passes: presolve on,
     dual simplex, no debug checks, no output; built once per tolerance and
     only read after that."""
-    from scipy.optimize._highspy import _core as core
+    core = _scipy_extension("scipy.optimize._highspy._core")
 
     opts = core.HighsOptions()
     opts.presolve = "on"
@@ -102,7 +144,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     the next.  Returns the point, value and row duals, unsigned:
     ``dual_ub`` and ``dual_eq`` are HiGHS's row duals of the minimization.
     """
-    from scipy.optimize._highspy import _core as core
+    core = _scipy_extension("scipy.optimize._highspy._core")
 
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -420,7 +462,9 @@ class ConeResult:
     A x and G x + s close to zero, s in the cone.  ``unsolved``: the best
     iterate reached, which still gives a valid dual bound through
     :meth:`ConeProgram.lower_bound`.  ``error``: no iterate at all (the
-    starting KKT system is singular).
+    starting KKT system is singular).  ``iterations`` is the number of
+    steps taken from the starting point, also when an earlier iterate is
+    returned (a last direction computed but not taken is not counted).
     """
 
     status: str
@@ -576,7 +620,8 @@ def solve_socp(prog: ConeProgram) -> ConeResult:
 
 
 def _interior_point(prog: ConeProgram) -> ConeResult:
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    lapack = _scipy_extension("scipy.linalg._flapack")
+    dgetrf, dgetrs = lapack.dgetrf, lapack.dgetrs
 
     c, G, h, A, b = prog.c, prog.G, prog.h, prog.A, prog.b
     n, p = c.size, b.size
@@ -731,7 +776,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
         s = s + alpha * W(sdir)
         tau += alpha * dtau
         kappa += alpha * dkap
-    return result("unsolved", *best[1:])
+    return result("unsolved", it, *best[2:])
 
 
 # ---------------------------------------------------------------------------

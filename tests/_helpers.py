@@ -10,12 +10,28 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
 from epsarb.market import MarketModel, NormPair, Payoff, Strategy, gain, strategy_cost
+
+
+def run_fresh(script: str, *args: str, cwd=None) -> str:
+    """Run ``script`` with ``args`` in a fresh interpreter that imports
+    epsarb from this checkout's ``src`` (the test process has scipy loaded
+    already); assert it exits 0 and return its standard output."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def two_state(prices0, prices1a, prices1b, d, pa=0.5, T=1) -> MarketModel:

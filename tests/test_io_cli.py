@@ -8,6 +8,8 @@ Core claims:
     - repeated runs are byte-identical
     - the default reports of the shipped calls match the committed golden copy
     - the shipped example files reproduce their published values
+    - the LP-free calls load no scipy module, and the solver calls load only
+      the HiGHS core and scipy's LAPACK extension, no scipy package
 """
 
 import json
@@ -22,6 +24,8 @@ import pytest
 import epsarb as ea
 from epsarb import io as eio
 from epsarb.cli import run
+
+from _helpers import run_fresh
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DATA = os.path.join(ROOT, "demos", "data")
@@ -253,6 +257,14 @@ class TestGoldenReports:
 
 # Golden calls that solve no LP, cone program or SLSQP problem.
 LP_FREE_CALLS = ("adapted-empirical", "aw-delta", "elog", "kr", "node-structure", "w-inf")
+# Golden calls that solve LPs or cone programs (none of them reaches SLSQP).
+SOLVER_CALLS = ("check-arbitrage", "critical-value", "fair-range", "find-emm", "na-prime",
+                "stability", "superhedge")
+# The two compiled scipy modules the solvers load, and the submodules HiGHS
+# registers itself.
+SOLVER_EXTENSIONS = {"scipy.linalg._flapack", "scipy.optimize._highspy._core",
+                     "scipy.optimize._highspy._core.cb",
+                     "scipy.optimize._highspy._core.simplex_constants"}
 
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
@@ -266,19 +278,25 @@ print(json.dumps({"codes": codes,
 """
 
 
+def _probe_imports(names):
+    """The scipy modules that the golden calls ``names`` load when run in a
+    fresh interpreter, after checking their exit codes."""
+    calls = {name: GOLDEN[name]["argv"] for name in names}
+    got = json.loads(run_fresh(_IMPORT_PROBE, json.dumps(calls), cwd=ROOT))
+    assert got["codes"] == {name: GOLDEN[name]["exit"] for name in names}
+    return set(got["scipy"])
+
+
 class TestImportPath:
     def test_lp_free_calls_load_no_scipy(self):
-        # A fresh interpreter: this one has scipy loaded already.
-        calls = {name: GOLDEN[name]["argv"] for name in LP_FREE_CALLS}
-        src = os.path.join(ROOT, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
-                              cwd=ROOT, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
-        assert got["codes"] == {name: GOLDEN[name]["exit"] for name in LP_FREE_CALLS}
-        assert got["scipy"] == []
+        assert _probe_imports(LP_FREE_CALLS) == set()
+
+    def test_solver_calls_load_only_two_extensions(self):
+        # HiGHS and the LAPACK LU load from their files, so no scipy package
+        # (scipy, scipy.optimize, scipy.linalg) is loaded
+        loaded = _probe_imports(SOLVER_CALLS)
+        assert loaded <= SOLVER_EXTENSIONS, loaded - SOLVER_EXTENSIONS
+        assert {"scipy.optimize._highspy._core", "scipy.linalg._flapack"} <= loaded
 
 
 class TestShippedExamples:

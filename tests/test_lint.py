@@ -5,6 +5,9 @@ Core claims:
       never uses (``__init__`` is exempt: its imports are the public API)
     - every private module-level name (``_name``) is referenced somewhere in
       the package, so dead helpers do not linger
+    - no module imports scipy: ``solvers._scipy_extension`` loads the two
+      compiled modules the solvers call, and the one allowed import is
+      SLSQP in ``programs._min_norm_solution`` (the general-p min-norm point)
 """
 
 import ast
@@ -64,3 +67,29 @@ def test_every_private_name_is_referenced():
             dead += [f"{module}: {name}" for name in names
                      if _private(name) and name not in referenced]
     assert not dead, dead
+
+
+# (module, enclosing function) of each scipy import allowed in the package
+SCIPY_IMPORTS_ALLOWED = {("programs", "_min_norm_solution")}
+
+
+def _scipy_imports(tree, scope=None):
+    """(enclosing function or None, import statement) for every import of
+    scipy or a scipy submodule in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            yield from _scipy_imports(node, inner)
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield scope, node
+
+
+def test_scipy_enters_only_through_the_extension_loader():
+    found = {(module, scope): node.lineno for module, tree in MODULES.items()
+             for scope, node in _scipy_imports(tree)}
+    assert set(found) <= SCIPY_IMPORTS_ALLOWED, found

@@ -18,7 +18,10 @@ Core claims:
       vertex enumeration in the log domain when the log-weights span 1e3
     - the cone interior-point solver matches HiGHS on LPs and NNLS on
       min-norm points, and its infeasibility and unboundedness certificates
-      hold when recomputed
+      hold when recomputed, and its iteration count is the number of steps
+      it took
+    - the HiGHS core and the LAPACK LU load straight from their files, and
+      a later scipy import reuses those module objects (and the reverse)
 """
 
 import math
@@ -37,7 +40,7 @@ from epsarb.solvers import (ConeProgram, LinearProgram, TransportInstance,
                             transport_feasible_below)
 
 from _helpers import (brute_force_log_transport, enumerate_2x2_transport,
-                      lp_bottleneck_value, random_feasible_plan)
+                      lp_bottleneck_value, random_feasible_plan, run_fresh)
 
 
 class TestSolveLP:
@@ -145,6 +148,68 @@ class TestSolveLP:
         # as scipy's linprog does, instead of handing HiGHS a malformed model
         with pytest.raises(ValueError):
             solvers.linprog(np.array([1.0, 1.0]), bounds=bounds, **rows)
+
+
+# Run in a fresh interpreter, since this one imported scipy.optimize while
+# the tests were collected.  Each script runs one LP and one cone program.
+_SOLVE_BOTH = """
+import numpy as np
+from epsarb import solvers
+lp = solvers.linprog(np.array([1.0, 2.0]), A_ub=np.array([[-1.0, -1.0]]),
+                     b_ub=np.array([-1.0]), bounds=[(0, None)] * 2)
+assert lp.status == "optimal" and lp.value == 1.0, lp
+prog = solvers.ConeProgram(np.array([1.0, 1.0]), np.vstack([np.zeros(2), -np.eye(2)]),
+                           np.array([1.0, 0.0, 0.0]), 0, (3,))
+assert solvers.solve_socp(prog).status == "optimal"
+"""
+
+_EPSARB_FIRST = _SOLVE_BOTH + """
+import sys
+core = solvers._scipy_extension("scipy.optimize._highspy._core")
+lapack = solvers._scipy_extension("scipy.linalg._flapack")
+assert not {"scipy", "scipy.optimize", "scipy.linalg"} & set(sys.modules)
+import scipy.optimize, scipy.linalg.lapack
+assert sys.modules["scipy.optimize._highspy._core"] is core
+assert sys.modules["scipy.optimize._highspy._highs_wrapper"]._h is core
+assert scipy.linalg.lapack._flapack is lapack
+assert scipy.linalg.lapack.dgetrf is lapack.dgetrf
+rng = np.random.default_rng(5)
+for _ in range(20):
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    c, a, b = rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
+    bounds = [(-2.0, 2.0)] * n
+    ref = scipy.optimize.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+    res = solvers.linprog(c, A_ub=a, b_ub=b, bounds=bounds)
+    assert res.status == {0: "optimal", 2: "infeasible"}[ref.status]
+    if ref.status == 0:
+        assert np.array_equal(res.x, ref.x) and res.value == ref.fun
+        assert np.array_equal(res.dual_ub, ref.ineqlin.marginals)
+"""
+
+_SCIPY_FIRST = """
+import importlib.machinery, sys
+import scipy.optimize, scipy.linalg.lapack
+
+def no_second_load(*args):
+    raise AssertionError("extension file loaded again")
+
+importlib.machinery.ExtensionFileLoader = no_second_load
+from epsarb import solvers
+for name in ("scipy.optimize._highspy._core", "scipy.linalg._flapack"):
+    assert solvers._scipy_extension(name) is sys.modules[name]
+""" + _SOLVE_BOTH
+
+
+class TestScipyExtensions:
+    def test_epsarb_first_then_scipy_reuses_the_modules(self):
+        run_fresh(_EPSARB_FIRST)
+
+    def test_scipy_first_then_epsarb_reuses_the_modules(self):
+        run_fresh(_SCIPY_FIRST)
+
+    def test_missing_file_names_its_path(self):
+        with pytest.raises(ImportError, match="_no_such_module"):
+            solvers._scipy_extension("scipy.linalg._no_such_module")
 
 
 class TestMaximizeConcave:
@@ -529,3 +594,25 @@ class TestSolveSocp:
         assert abs(float(prog.c @ res.x) + 1.0) <= 1e-12
         assert np.linalg.norm(prog.G @ res.x + res.s) <= 1e-8
         assert np.all(res.s >= 0.0)
+
+    def test_iterations_count_the_steps_of_a_stalled_solve(self, monkeypatch):
+        # min x0 over the unit disc cut by x0 >= 1 - 1e-7: a sliver the solver
+        # cannot resolve to 1e-13, so rounding stalls it; one factorization
+        # starts the solve and each step factors once more.
+        lapack = solvers._scipy_extension("scipy.linalg._flapack")
+        factorizations = []
+        dgetrf = lapack.dgetrf
+
+        def counted(*args, **kwargs):
+            factorizations.append(args)
+            return dgetrf(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgetrf", counted)
+        G = np.zeros((4, 2))
+        G[0, 0] = -1.0
+        G[2:] = -np.eye(2)
+        prog = ConeProgram(np.array([1.0, 0.0]), G, np.array([-1.0 + 1e-7, 1.0, 0.0, 0.0]),
+                           1, (3,))
+        res = solve_socp(prog)
+        assert res.status == "unsolved" and res.near_optimal(1e-8)
+        assert res.iterations == len(factorizations) - 1
