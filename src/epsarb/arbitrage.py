@@ -30,6 +30,10 @@ from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, sol
 STRICT_ARBITRAGE = "strict_arbitrage"
 NO_ARBITRAGE = "none_within_tolerance"
 
+_SOLVER_TOL = 1e-9  # maximin certificates; the node decision's band is 10x it
+# Bisection width, and the exact route's offset from eps(P), per 1 + reference deviation
+_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ArbitrageReport:
@@ -62,8 +66,7 @@ class ArbitrageReport:
 
 
 def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
-                            tol: float = 1e-8, solver_tol: float = 1e-9,
-                            want_certificate: bool = True) -> ArbitrageReport:
+                            tol: float = 1e-8, want_certificate: bool = True) -> ArbitrageReport:
     """Decide strict eps-arbitrage and certify it when present.
 
     Decision target: the normalized program max over sum_v |H(v)|_p <= 1 of
@@ -90,7 +93,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
             return ArbitrageReport(NO_ARBITRAGE, eps, norms.p, float(opt), None, None, 0.0)
         use_norms = norms if norms.p == 1.0 else NormPair(1.0)
         margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(ops, eps, use_norms,
-                                                                   tol=solver_tol)
+                                                                   tol=_SOLVER_TOL)
         if margin > tol and h_mm is not None:
             cert, slk = h_mm, slacks_mm
         else:
@@ -100,7 +103,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
 
     hit = None
     for v in model.internal:
-        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms, band=solver_tol * 10,
+        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms, band=_SOLVER_TOL * 10,
                                                  with_certificate=want_certificate)
         if found:
             hit = (v, h_node)
@@ -119,7 +122,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     slacks = gain(model, cert) - eps * strategy_cost(model, cert, norms)
     optimum = float(np.sum(slacks))
     margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(ops, eps, norms,
-                                                               tol=solver_tol)
+                                                               tol=_SOLVER_TOL)
     if margin > tol and h_mm is not None:
         cert = strategy_from_packed(ops, h_mm)
         slacks = slacks_mm
@@ -160,21 +163,16 @@ def _dual_feasible(model: MarketModel, eps: float, norms: NormPair, eta: float,
 
     A ``feasible`` status carries weights with q >= eta P and node margins
     >= 0, and ``infeasible`` a certificate or a certified bound below eta,
-    so both are verdicts; an ``indeterminate`` one is retried with the
-    cutting planes run to their full iteration budget and, if still open,
-    returned as such.
+    so both are verdicts; an ``indeterminate`` one is returned as such,
+    without a retry.
     """
     status, _, rho, rho_ub, _ = interior_feasibility(model, eps, norms, eta,
                                                      cut_bank=cut_bank)
-    if status == "indeterminate":
-        status, _, rho, rho_ub, _ = interior_feasibility(model, eps, norms, eta,
-                                                         cut_bank=cut_bank, polish=True)
     val = rho if rho is not None else (rho_ub if rho_ub is not None else -1.0)
     return status, val
 
 
-def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None,
-                        rel_tol: float = 1e-6):
+def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None):
     """Measure-side threshold: smallest eps whose eta-interior cone program is feasible.
 
     Supporting rays of the deviation cones are banked across bisection steps
@@ -197,7 +195,7 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
         return 0.0, tuple(curve), eta, True
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
     for _ in range(60):
-        if hi_b - lo <= rel_tol * (1.0 + hi):
+        if hi_b - lo <= _REL_TOL * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
         status, r = _dual_feasible(model, mid, norms, eta, bank)
@@ -211,7 +209,7 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     return 0.5 * (lo + hi_b), tuple(curve), eta, True
 
 
-def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6):
+def critical_value_primal(model: MarketModel, norms: NormPair):
     """Strategy-side threshold: bisection of the strict-arbitrage detector.
 
     Each node's minimal simplex deviation is independent of eps, so it is
@@ -246,7 +244,7 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
         return 0.0, tuple(curve)
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
     for _ in range(60):
-        if hi_b - lo <= rel_tol * (1.0 + hi):
+        if hi_b - lo <= _REL_TOL * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
         if _decision(mid):
@@ -256,13 +254,13 @@ def critical_value_primal(model: MarketModel, norms: NormPair, rel_tol: float = 
     return 0.5 * (lo + hi_b), tuple(curve)
 
 
-def _critical_value_exact(model: MarketModel, norms: NormPair, rel_tol: float,
-                          eta: float, sweep: Optional[dict]) -> CriticalValueResult:
+def _critical_value_exact(model: MarketModel, norms: NormPair, eta: float,
+                          sweep: Optional[dict]) -> CriticalValueResult:
     """eps(P) = max_v gamma(v), with one check on each side (see ``critical_value``)."""
     gammas = [node_min_simplex_deviation(model, v, norms) for v in model.internal]
     j = int(np.argmax(gammas))
     v, eps = model.internal[j], gammas[j]
-    delta = rel_tol * (1.0 + reference_deviation(model, norms))
+    delta = _REL_TOL * (1.0 + reference_deviation(model, norms))
     primal_ok = True
     primal_curve: tuple = ()
     lo = eps - delta
@@ -281,14 +279,13 @@ def _critical_value_exact(model: MarketModel, norms: NormPair, rel_tol: float,
         argmax_node=v)
 
 
-def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
-                   eta: Optional[float] = None, eta_sweep: bool = False,
-                   method: str = "exact") -> CriticalValueResult:
+def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = None,
+                   eta_sweep: bool = False, method: str = "exact") -> CriticalValueResult:
     """The critical level eps(P): infimum of levels without strict arbitrage.
 
     ``method="exact"`` (the default): strict arbitrage localizes to one
     trading period, so eps(P) is max_v gamma(v), the largest certified
-    node deviation, reached at ``argmax_node``.  With delta = rel_tol
+    node deviation, reached at ``argmax_node``.  With delta = 1e-6
     (1 + reference deviation), the bisections' own stopping width, one check
     on each side stands in for them: the node decision at the argmax node
     at eps(P) - delta must find strict arbitrage, with its certificate (its
@@ -298,20 +295,20 @@ def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
     give their verdict; an undecided check makes it False and is not
     retried.  Both estimates are eps(P) itself.
 
-    ``"both"``, ``"primal"`` and ``"dual"`` bisect instead: the
+    ``"both"`` and ``"dual"`` bisect instead: ``"both"`` runs the
     strategy-side detector (replacing the sequential notion by strict
     arbitrage is value-preserving) and the measure-side feasibility
-    threshold, cross-checked when both run; disagreement beyond 10x the
-    bisection tolerance is flagged rather than hidden.  A measure-side
-    bisection stopped by an undecided step is flagged as well, and its
-    estimate is left out of ``epsilon`` (which is then the primal
-    estimate).  An ``eta_sweep`` runs the measure-side bisection at each
+    threshold and cross-checks them, flagging disagreement beyond 10x the
+    bisection width rather than hiding it; ``"dual"`` runs the measure side
+    alone.  A measure-side bisection stopped by an undecided step is
+    flagged as well, and its estimate is left out of ``epsilon`` (which is
+    then the primal estimate).  An ``eta_sweep`` runs the measure-side bisection at each
     eta, on every method; an undecided step there gives None.
     """
     report = validate_market(model)
     if not report.ok:
         raise ValueError(f"invalid market: {report.violations[0]}")
-    if method not in ("exact", "both", "primal", "dual"):
+    if method not in ("exact", "both", "dual"):
         raise ValueError(f"unknown method {method!r}")
     eta_used = eta if eta is not None else 1e-7 * float(np.min(model.leaf_prob))
     sweep = None
@@ -319,30 +316,23 @@ def critical_value(model: MarketModel, norms: NormPair, rel_tol: float = 1e-6,
         sweep = {}
         for e in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
             val, _, _, converged = critical_value_dual(
-                model, norms, e * float(np.min(model.leaf_prob)), rel_tol)
+                model, norms, e * float(np.min(model.leaf_prob)))
             sweep[f"{e:.0e}"] = val if converged else None
     if method == "exact":
-        return _critical_value_exact(model, norms, rel_tol, eta_used, sweep)
-    primal = dual = None
+        return _critical_value_exact(model, norms, eta_used, sweep)
     primal_curve: tuple = ()
-    dual_curve: tuple = ()
-    dual_converged = True
-    if method in ("both", "primal"):
-        primal, primal_curve = critical_value_primal(model, norms, rel_tol)
-    if method in ("both", "dual"):
-        dual, dual_curve, eta_used, dual_converged = critical_value_dual(model, norms, eta,
-                                                                         rel_tol)
-    if primal is None:
+    if method == "both":
+        primal, primal_curve = critical_value_primal(model, norms)
+    dual, dual_curve, eta_used, dual_converged = critical_value_dual(model, norms, eta)
+    if method == "dual":
         primal = dual
-    if dual is None:
-        dual = primal
     scale = 1.0 + reference_deviation(model, norms)
     disc = abs(primal - dual)
     return CriticalValueResult(
         epsilon=0.5 * (primal + dual) if dual_converged else primal,
         primal_estimate=primal, dual_estimate=dual,
         primal_curve=primal_curve, dual_curve=dual_curve, discrepancy=disc,
-        agreed=dual_converged and disc <= 10 * rel_tol * scale, eta=eta_used,
+        agreed=dual_converged and disc <= 10 * _REL_TOL * scale, eta=eta_used,
         eta_sweep=sweep)
 
 
@@ -436,14 +426,13 @@ def _p1_face_direction(A: np.ndarray, eps: float, d: int):
     return hbar, ambiguous
 
 
-def compute_node_structure(model: MarketModel, eps: float, norms: NormPair,
-                           m_tol: float = 1e-7) -> dict[int, NodeStructure]:
+def compute_node_structure(model: MarketModel, eps: float, norms: NormPair) -> dict[int, NodeStructure]:
     """Per-node extremal direction and admissible-hyperplane bases at level eps.
 
     At each internal node solve m = min{|h|_p : h . dS(w) = eps for all
     children w}: infeasible or m > 1 means the cone is trivial; m = 1 yields
     the unit extremal direction; m < 1 flags one-step strict arbitrage and
-    leaves the structure empty.
+    leaves the structure empty.  m counts as 1 within 1e-7.
     """
     if eps <= 0:
         raise ValueError("node structure is defined for eps > 0")
@@ -458,12 +447,12 @@ def compute_node_structure(model: MarketModel, eps: float, norms: NormPair,
         witness = None
         hbar = np.zeros(d)
         if h is not None and m is not None:
-            if m < 1.0 - m_tol:
+            if m < 1.0 - 1e-7:
                 strict_here = True
                 witness = h / m if m > 0 else h
-            elif m <= 1.0 + m_tol:
+            elif m <= 1.0 + 1e-7:
                 hbar = h / m
-        if norms.p == 1.0 and not strict_here and h is not None and abs(m - 1.0) <= m_tol:
+        if norms.p == 1.0 and not strict_here and h is not None and abs(m - 1.0) <= 1e-7:
             face, ambiguous = _p1_face_direction(A, eps, d)
             if ambiguous:
                 strict_here = True
@@ -513,14 +502,13 @@ class CanonicalDecomposition:
         return Strategy(vals)
 
 
-def canonical_decompose(model: MarketModel, eps: float, norms: NormPair,
-                        strategy: Strategy,
-                        structures: Optional[dict[int, NodeStructure]] = None,
-                        support_tol: float = 1e-9) -> CanonicalDecomposition:
+def canonical_decompose(model: MarketModel, eps: float, norms: NormPair, strategy: Strategy,
+                        structures: Optional[dict[int, NodeStructure]] = None
+                        ) -> CanonicalDecomposition:
     """Split an admissible strategy into extremal, orthogonal, and null parts.
 
-    Admissibility: H(v) vanishes where hbar(v) does (coordinate-wise for
-    p = 1); violations raise with the offending node named.
+    Admissibility: H(v) vanishes to 1e-9 where hbar(v) does (coordinate-wise
+    for p = 1); violations raise with the offending node named.
     """
     if structures is None:
         structures = compute_node_structure(model, eps, norms)
@@ -534,7 +522,7 @@ def canonical_decompose(model: MarketModel, eps: float, norms: NormPair,
             dead = st.hbar == 0.0
         else:
             dead = np.full(model.d, not st.active)
-        if np.any(np.abs(h[dead]) > support_tol):
+        if np.any(np.abs(h[dead]) > 1e-9):
             raise ValueError(
                 f"strategy at node {model.ids[v]} lies outside the admissible support class")
         a_v = float(st.hbar_dual @ h)

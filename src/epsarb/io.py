@@ -51,7 +51,7 @@ def market_from_dict(data: dict) -> tuple[MarketModel, Optional[float]]:
         raise FormatError("$", "top level must be an object")
     T = _require(data, "T", int, "$")
     d = _require(data, "d", int, "$")
-    p = float(data["p"]) if "p" in data else None
+    p = _require(data, "p", float, "$") if "p" in data else None
     nodes = _require(data, "nodes", list, "$")
     recs = []
     for k, nd in enumerate(nodes):
@@ -67,10 +67,9 @@ def market_from_dict(data: dict) -> tuple[MarketModel, Optional[float]]:
         prices = _require(nd, "prices", list, ptr)
         if len(prices) != d:
             raise FormatError(f"{ptr}.prices", f"expected {d} entries, got {len(prices)}")
-        try:
-            vec = np.asarray([float(x) for x in prices], dtype=float)
-        except (TypeError, ValueError):
-            raise FormatError(f"{ptr}.prices", "entries must be numbers") from None
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in prices):
+            raise FormatError(f"{ptr}.prices", "entries must be numbers")
+        vec = np.asarray(prices, dtype=float)
         recs.append({"id": nid, "time": time, "parent": parent, "cond_prob": cond, "prices": vec})
     known = {r["id"] for r in recs}
     for k, r in enumerate(recs):
@@ -120,8 +119,9 @@ def payoff_from_dict(model: MarketModel, data: dict) -> Payoff:
         raise FormatError("$.values", "payoff file must be {'values': {leaf_id: number}}")
     if not isinstance(data["values"], dict):
         raise FormatError("$.values", "expected an object of leaf values")
+    values = {nid: _require(data["values"], nid, float, "$.values") for nid in data["values"]}
     try:
-        return Payoff.from_dict(model, data["values"])
+        return Payoff.from_dict(model, values)
     except ValueError as exc:
         raise FormatError("$.values", str(exc)) from None
 
@@ -140,8 +140,9 @@ def measure_from_dict(model: MarketModel, data: dict) -> MeasureWeights:
         raise FormatError("$.weights", "measure file must be {'weights': {leaf_id: number}}")
     if not isinstance(data["weights"], dict):
         raise FormatError("$.weights", "expected an object of leaf weights")
+    weights = {nid: _require(data["weights"], nid, float, "$.weights") for nid in data["weights"]}
     try:
-        return MeasureWeights.from_dict(model, data["weights"])
+        return MeasureWeights.from_dict(model, weights)
     except ValueError as exc:
         raise FormatError("$.weights", str(exc)) from None
 

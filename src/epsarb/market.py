@@ -17,8 +17,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-# Constraint-satisfaction tolerance vs exact-identity tolerance.  Callers can
-# override per operation; these are the package-wide defaults.
+# Constraint-satisfaction tolerance (negative leaf weights) vs exact-identity
+# tolerance (probabilities summing to one).
 FEAS_TOL = 1e-10
 EXACT_TOL = 1e-12
 
@@ -194,11 +194,11 @@ class MarketModel:
                            prices=np.vstack([p.reshape(1, d) for p in prices]))
 
     @staticmethod
-    def from_paths(paths: np.ndarray, probs: np.ndarray, decimals: Optional[int] = None) -> "MarketModel":
+    def from_paths(paths: np.ndarray, probs: np.ndarray) -> "MarketModel":
         """Build the tree of a path law given atoms ``paths`` of shape (m, T+1, d).
 
-        Atoms sharing a time-t prefix (exact float equality, optionally after
-        rounding to ``decimals``) share the corresponding tree node.
+        Atoms sharing a time-t prefix (exact float equality) share the
+        corresponding tree node.
         """
         paths = np.asarray(paths, dtype=float)
         if paths.ndim == 2:
@@ -206,8 +206,6 @@ class MarketModel:
         m, steps, d = paths.shape
         T = steps - 1
         probs = np.asarray(probs, dtype=float)
-        if decimals is not None:
-            paths = np.round(paths, decimals)
         nodes: dict[tuple, dict] = {}
         for a in range(m):
             for t in range(T + 1):
@@ -252,7 +250,7 @@ class ValidationReport:
         return self.ok
 
 
-def validate_market(model: MarketModel, tol: float = EXACT_TOL) -> ValidationReport:
+def validate_market(model: MarketModel) -> ValidationReport:
     """Report every violated structural invariant; valid iff the report is empty."""
     bad: list[str] = []
     if model.T < 1:
@@ -275,10 +273,10 @@ def validate_market(model: MarketModel, tol: float = EXACT_TOL) -> ValidationRep
             bad.append(f"leaf at wrong depth: node {model.ids[i]} has no children at time {t} < T={model.T}")
     for v in model.internal:
         s = float(np.sum(model.cond_prob[list(model.children[v])]))
-        if abs(s - 1.0) > tol:
+        if abs(s - 1.0) > EXACT_TOL:
             bad.append(f"sibling probabilities sum {s:.12g} != 1 under node {model.ids[v]}")
     root_mass = float(np.sum(model.cond_prob[list(model.roots)]))
-    if abs(root_mass - 1.0) > tol:
+    if abs(root_mass - 1.0) > EXACT_TOL:
         bad.append(f"time-0 probabilities sum {root_mass:.12g} != 1")
     return ValidationReport(tuple(bad))
 
@@ -353,8 +351,8 @@ def strategy_cost(model: MarketModel, strategy: Strategy, norms: NormPair) -> np
 class MeasureWeights:
     """A candidate measure as leaf weights >= 0 summing to one.
 
-    ``equivalent`` is True iff every weight clears the interior threshold, so
-    the measure shares the null sets of the reference model.
+    ``equivalent`` is True iff every weight is positive, so the measure
+    shares the null sets of the reference model.
     """
 
     weights: np.ndarray
@@ -364,7 +362,7 @@ class MeasureWeights:
         object.__setattr__(self, "weights", _as_readonly(np.asarray(self.weights, dtype=float)))
 
     @staticmethod
-    def from_array(model: MarketModel, w: np.ndarray, interior_threshold: float = 0.0) -> "MeasureWeights":
+    def from_array(model: MarketModel, w: np.ndarray) -> "MeasureWeights":
         w = np.asarray(w, dtype=float)
         if w.shape != (model.n_leaves,):
             raise ValueError(f"expected {model.n_leaves} leaf weights, got shape {w.shape}")
@@ -372,17 +370,17 @@ class MeasureWeights:
             raise ValueError("negative leaf weight")
         if abs(float(np.sum(w)) - 1.0) > 1e-9:
             raise ValueError(f"leaf weights sum to {float(np.sum(w))!r}, expected 1")
-        return MeasureWeights(np.maximum(w, 0.0), bool(np.min(w) > interior_threshold))
+        return MeasureWeights(np.maximum(w, 0.0), bool(np.min(w) > 0.0))
 
     @staticmethod
-    def from_dict(model: MarketModel, mapping: Mapping[str, float], interior_threshold: float = 0.0) -> "MeasureWeights":
+    def from_dict(model: MarketModel, mapping: Mapping[str, float]) -> "MeasureWeights":
         w = np.zeros(model.n_leaves)
         leaf_pos = {model.ids[leaf]: k for k, leaf in enumerate(model.leaves)}
         for nid, val in mapping.items():
             if str(nid) not in leaf_pos:
                 raise ValueError(f"weight given for unknown leaf id {nid!r}")
             w[leaf_pos[str(nid)]] = float(val)
-        return MeasureWeights.from_array(model, w, interior_threshold)
+        return MeasureWeights.from_array(model, w)
 
     @staticmethod
     def reference(model: MarketModel) -> "MeasureWeights":
@@ -423,15 +421,14 @@ class NodeMean:
     degenerate: bool
 
 
-def conditional_mean_increments(model: MarketModel, measure: MeasureWeights,
-                                degenerate_tol: float = 0.0) -> dict[int, NodeMean]:
+def conditional_mean_increments(model: MarketModel, measure: MeasureWeights) -> dict[int, NodeMean]:
     """E_Q[dS_t | F_(t-1)] - 0 at every internal node, in cone form when Q-null."""
     mass = measure.node_mass(model)
     out: dict[int, NodeMean] = {}
     for v in model.internal:
         kids = list(model.children[v])
         cone = np.einsum("k,kd->d", mass[kids], model.delta[kids])
-        degenerate = mass[v] <= degenerate_tol
+        degenerate = mass[v] <= 0.0
         mean = None if degenerate else cone / mass[v]
         out[v] = NodeMean(v, float(mass[v]), cone, mean, bool(degenerate))
     return out
@@ -468,8 +465,8 @@ def doob_decomposition(model: MarketModel, measure: MeasureWeights) -> DoobDecom
 
 
 def is_eps_martingale(model: MarketModel, measure: MeasureWeights, eps: float,
-                      norms: NormPair, tol: float = 1e-10) -> tuple[bool, float]:
-    """Whether every one-step conditional mean increment has |.|_q <= eps.
+                      norms: NormPair) -> tuple[bool, float]:
+    """Whether every one-step conditional mean increment has |.|_q <= eps + 1e-10.
 
     Returns the verdict together with the achieved maximum deviation.
     """
@@ -480,7 +477,7 @@ def is_eps_martingale(model: MarketModel, measure: MeasureWeights, eps: float,
     worst = 0.0
     for v in model.internal:
         worst = max(worst, norms.dual_norm(means[v].mean))
-    return worst <= eps + tol, worst
+    return worst <= eps + 1e-10, worst
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,9 @@ from .programs import (_conic, _fallback, _l1_slack_rows, _norm_cones, _polyhedr
 from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
 
 
+_GAP_TOL = 1e-6  # superhedge duality holds at gap <= _GAP_TOL (1 + |price|)
+
+
 class NoMartingaleStructure(RuntimeError):
     """Raised when no eps-martingale structure exists at the requested level."""
 
@@ -65,8 +68,7 @@ class EmmResult:
 
 
 def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
-                                eta: Optional[float] = None,
-                                polish: bool = True) -> EmmResult:
+                                eta: Optional[float] = None) -> EmmResult:
     """A strictly positive measure with all mean increments within eps, or a certificate.
 
     Feasibility at interior level eta is decided by rho* = max over
@@ -75,18 +77,18 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
     certified by an upper bound on rho* below eta (exact LP for polyhedral
     geometry; at p = 2 the cone program's recomputed dual bound or an
     infeasibility certificate; otherwise, or when the conic result fails
-    its check, the cutting-plane upper bound).
+    its check, the cutting-plane upper bound).  On the cutting-plane route
+    the witness is the first one certified, not the one of largest margin.
     """
     report = validate_market(model)
     if not report.ok:
         raise ValueError(f"invalid market: {report.violations[0]}")
     if eta is None:
         eta = 1e-7 * float(np.min(model.leaf_prob))
-    status, q, rho, rho_ub, margin = interior_feasibility(model, eps, norms, eta,
-                                                          polish=polish)
+    status, q, rho, rho_ub, margin = interior_feasibility(model, eps, norms, eta)
     if status == "feasible":
         w = np.maximum(q, 0.0)
-        measure = MeasureWeights.from_array(model, w / w.sum(), interior_threshold=0.0)
+        measure = MeasureWeights.from_array(model, w / w.sum())
         _, dev = is_eps_martingale(model, measure, eps, norms)
         return EmmResult("feasible", eps, eta, measure, rho, rho_ub, dev)
     return EmmResult("infeasible", eps, eta, None, rho, rho_ub, None,
@@ -105,18 +107,17 @@ class BoundResult:
 
 
 def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
-                       payoff: Payoff, direction: str,
-                       attain_tol: float = 1e-7) -> BoundResult:
+                       payoff: Payoff, direction: str) -> BoundResult:
     """sup or inf of E_Q[payoff] over the eps-martingale family.
 
     Computed on the closed relaxation (weights >= 0): under the existence of
     one equivalent member, mixing makes boundary values limits of equivalent
     ones, so only attainment can differ — decided by maximizing the minimum
-    leaf weight over the optimal face.
+    leaf weight over the optimal face: attained when it exceeds 1e-7.
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
-    emm = find_eps_martingale_measure(model, eps, norms, polish=False)
+    emm = find_eps_martingale_measure(model, eps, norms)
     if not emm.feasible:
         raise NoMartingaleStructure(
             f"no eps-martingale structure at level {eps} (rho upper bound {emm.rho_upper_bound})")
@@ -126,7 +127,7 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
     if value is None:
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
     min_w, q_face = max_min_weight_on_face(model, eps, norms, payoff.values, value)
-    attained = bool(min_w > attain_tol)
+    attained = bool(min_w > 1e-7)
     witness = None
     if q_face is not None:
         w = np.maximum(q_face, 0.0)
@@ -350,18 +351,18 @@ def _pattern_kelley(objective, repair, leaf_block, x_box, scale, start):
     return res.x
 
 
-def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
-                     pattern_cap: int = 4096, gap_tol: float = 1e-6) -> SuperhedgeResult:
+def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
+                     payoff: Payoff) -> SuperhedgeResult:
     """Least super-replication capital with its certificate.
 
     The price is the measure-side bound sup E_Q[payoff].  The matching primal
     is solved directly when the norm is polyhedral, the level is classical
     (eps = 0), or every node's extremal cone is trivial; otherwise the
     costless orthogonal add-on may act exactly where the costed strategy
-    vanishes, so activity patterns over extremal nodes are enumerated (capped
-    at ``pattern_cap``; beyond the cap the dual price is reported alone).
+    vanishes, so activity patterns over extremal nodes are enumerated (at
+    most 4096; beyond that the empty pattern alone gives ``best_effort_gap``).
     """
-    emm = find_eps_martingale_measure(model, eps, norms, polish=False)
+    emm = find_eps_martingale_measure(model, eps, norms)
     if not emm.feasible:
         raise NoMartingaleStructure(f"no eps-martingale structure at level {eps}")
     dual, _ = cone_linear_optimum(model, eps, norms, payoff.values, "max",
@@ -373,11 +374,11 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Pa
         primal, cert = _superhedge_lp(model, eps, payoff)
         gap = abs(primal - dual)
         return SuperhedgeResult(float(dual), primal, gap, cert, "direct",
-                                gap <= gap_tol * scale)
+                                gap <= _GAP_TOL * scale)
     structures = compute_node_structure(model, eps, norms)
     hbar_nodes = tuple(v for v in model.internal if structures[v].active)
     x_box = (dual - 1.0 - 0.01 * scale, float(np.max(payoff.values)) + 1.0)
-    if 2 ** len(hbar_nodes) > pattern_cap:
+    if 2 ** len(hbar_nodes) > 4096:
         primal, cert = _superhedge_pattern(model, eps, norms, payoff, structures, (), x_box)
         gap = None if primal is None else abs(primal - dual)
         return SuperhedgeResult(float(dual), primal, gap, cert, "best_effort_gap", None)
@@ -391,7 +392,7 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair, payoff: Pa
     primal, cert = best
     gap = None if primal is None else abs(primal - dual)
     mode = "patterns" if hbar_nodes else "direct"
-    ok = None if gap is None else gap <= gap_tol * scale
+    ok = None if gap is None else gap <= _GAP_TOL * scale
     return SuperhedgeResult(float(dual), primal, gap, cert, mode, ok)
 
 

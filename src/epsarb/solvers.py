@@ -80,6 +80,12 @@ def _scipy_extension(name: str):
     ``import scipy.optimize`` or ``scipy.linalg.lapack`` reuses it rather
     than loading the file a second time; a module that is already there is
     returned as it is.
+
+    Once this has run, the two extensions are not attributes of
+    ``scipy.optimize._highspy`` or ``scipy.linalg``, even after those
+    packages are imported (CPython binds a submodule to its parent only
+    when it loads it); a caller that patches the HiGHS core takes it from
+    ``sys.modules`` or from this loader.
     """
     module = sys.modules.get(name)
     if module is not None:
@@ -991,17 +997,16 @@ def _improves(plus: list, minus: list, shrink: float) -> bool:
             < shrink * sum(math.exp(x - top) for x in minus))
 
 
-def transport_feasible_below(inst: TransportInstance, lam: float,
-                             feas_tol: float = 1e-9) -> bool:
+def transport_feasible_below(inst: TransportInstance, lam: float) -> bool:
     """Whether a coupling exists supported on cells of cost <= lam.
 
     Feasibility is monotone in lam, so this is exactly whether the
     bottleneck value is at most lam.
     """
-    return bottleneck_transport(inst, feas_tol).value <= lam
+    return bottleneck_transport(inst).value <= lam
 
 
-def bottleneck_transport(inst: TransportInstance, feas_tol: float = 1e-9) -> TransportResult:
+def bottleneck_transport(inst: TransportInstance) -> TransportResult:
     """min over couplings of the maximum cost charged with positive mass.
 
     Exact threshold algorithm (Garfinkel & Rao, 1971).  lam starts at the
@@ -1012,8 +1017,8 @@ def bottleneck_transport(inst: TransportInstance, feas_tol: float = 1e-9) -> Tra
     violates Hall's condition at lam; every augmenting path must leave S
     through a cell not yet allowed, so lam rises straight to the cheapest
     cell from S to a column S does not reach.  The value is therefore always
-    one of the costs, and the plan moves all but ``feas_tol`` of the mass on
-    cells of cost <= value.
+    one of the costs, and the plan moves all but 1e-9 of the mass on cells
+    of cost <= value.
     """
     total = float(inst.source.sum())
     plan = np.zeros_like(inst.cost)
@@ -1024,13 +1029,13 @@ def bottleneck_transport(inst: TransportInstance, feas_tol: float = 1e-9) -> Tra
     cost = inst.cost[np.ix_(rows, cols)]
     lam = float(max(cost.min(axis=1).max(), cost.min(axis=0).max()))
     lam, flow = _threshold_flow(cost.tolist(), inst.source[rows].tolist(),
-                                inst.target[cols].tolist(), lam, total, feas_tol)
+                                inst.target[cols].tolist(), lam, total)
     plan[np.ix_(rows, cols)] = flow
     return TransportResult(lam, plan / plan.sum() * total)
 
 
 def _threshold_flow(cost: list, supply: list, demand: list, lam: float,
-                    total: float, feas_tol: float) -> tuple[float, list]:
+                    total: float) -> tuple[float, list]:
     """Augment a flow on the cells of cost <= lam, raising lam at Hall cuts.
 
     ``supply`` and ``demand`` are the residual marginals, consumed in place.
@@ -1069,7 +1074,7 @@ def _threshold_flow(cost: list, supply: list, demand: list, lam: float,
                     break
             frontier = nxt
         if end < 0:
-            if sum(supply) <= feas_tol:
+            if sum(supply) <= 1e-9:
                 return lam, flow
             cut = [cost[i][j] for i in range(m) if seen[i] for j in range(n) if col_via[j] < 0]
             if not cut:  # every column is reached and full: the marginal sums differ by the rest

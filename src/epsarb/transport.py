@@ -80,7 +80,7 @@ class BicausalCoupling:
     root_plan: np.ndarray
     stage_plans: dict
 
-    def joint_leaf_matrix(self, support_tol: float = 0.0) -> np.ndarray:
+    def joint_leaf_matrix(self) -> np.ndarray:
         """Flatten to a joint law on leaf pairs (rows: lawx leaves)."""
         posx = {v: k for k, v in enumerate(self.lawx.leaves)}
         posy = {v: k for k, v in enumerate(self.lawy.leaves)}
@@ -89,7 +89,7 @@ class BicausalCoupling:
         for i, rx in enumerate(self.lawx.roots):
             for j, ry in enumerate(self.lawy.roots):
                 mass = self.root_plan[i, j]
-                if mass > support_tol:
+                if mass > 0.0:
                     stack.append((rx, ry, mass))
         while stack:
             vx, vy, mass = stack.pop()
@@ -102,7 +102,7 @@ class BicausalCoupling:
             for i, wx in enumerate(cx):
                 for j, wy in enumerate(cy):
                     m = mass * plan[i, j]
-                    if m > support_tol:
+                    if m > 0.0:
                         stack.append((wx, wy, m))
         return out
 
@@ -111,11 +111,11 @@ class BicausalCoupling:
         return path_cost_matrix(self.lawx, self.lawy, q, increments, include_t0)
 
     def esssup_cost(self, q: float, increments: bool = False,
-                    include_t0: bool = True, support_tol: float = 1e-12) -> float:
-        """Largest path-pair cost charged with positive mass."""
+                    include_t0: bool = True) -> float:
+        """Largest path-pair cost charged with mass above 1e-12."""
         joint = self.joint_leaf_matrix()
         costs = self.path_cost_matrix(q, increments, include_t0)
-        mask = joint > support_tol
+        mask = joint > 1e-12
         return float(np.max(costs[mask])) if mask.any() else 0.0
 
     def log_exp_cost(self, q: float, lam: float, increments: bool = False,
@@ -303,8 +303,7 @@ def laplace_smoothed_esssup(values, probs, lam: float) -> float:
 
 
 def _comonotone_plan(vals_x: np.ndarray, px: np.ndarray,
-                     vals_y: np.ndarray, py: np.ndarray,
-                     tol: float = 1e-12) -> np.ndarray:
+                     vals_y: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Quantile coupling of two discrete laws on R: northwest corner after sorting."""
     ox = np.argsort(vals_x, kind="stable")
     oy = np.argsort(vals_y, kind="stable")
@@ -317,10 +316,10 @@ def _comonotone_plan(vals_x: np.ndarray, px: np.ndarray,
         plan[ox[i], oy[j]] += m
         rx -= m
         ry -= m
-        if rx <= tol:
+        if rx <= 1e-12:
             i += 1
             rx = px[ox[i]] if i < px.size else 0.0
-        if ry <= tol:
+        if ry <= 1e-12:
             j += 1
             ry = py[oy[j]] if j < py.size else 0.0
     return plan

@@ -158,17 +158,22 @@ class TestCriticalValue:
     def test_undecided_dual_step_is_flagged_not_averaged(self, monkeypatch):
         # Every measure-side step above eps = 0 left undecided: the dual
         # bisection stops at its first step, so its estimate (the middle of
-        # [0, hi]) must neither enter eps(P) nor pass the cross-check.
+        # [0, hi]) must neither enter eps(P) nor pass the cross-check.  Each
+        # undecided level is solved once, not retried: one per bisection
+        # (the main one and six of the eta sweep).
         real = ea.arbitrage.interior_feasibility
+        undecided_calls = []
 
         def undecided(model, eps, *args, **kwargs):
             if eps > 0.0:
+                undecided_calls.append(eps)
                 return "indeterminate", None, None, None, None
             return real(model, eps, *args, **kwargs)
 
         monkeypatch.setattr(ea.arbitrage, "interior_feasibility", undecided)
         m = kbar_market(1.0)
         res = ea.critical_value(m, N2, eta_sweep=True, method="both")
+        assert len(undecided_calls) == 7
         assert len(res.dual_curve) == 2
         assert res.dual_estimate == pytest.approx(0.5 * ea.arbitrage.reference_deviation(m, N2), rel=1e-8)
         assert res.epsilon == res.primal_estimate

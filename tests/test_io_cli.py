@@ -59,6 +59,13 @@ class TestFormats:
                 {"id": "r", "time": 0, "parent": "ghost", "cond_prob": 1.0, "prices": [0.0]}]})
         assert err.value.pointer == "$.nodes[0].parent"
 
+    @pytest.mark.parametrize("bad", [True, None, "0.5", [0.5]])
+    def test_non_number_price_names_the_field(self, bad):
+        with pytest.raises(eio.FormatError) as err:
+            eio.market_from_dict({"T": 1, "d": 1, "nodes": [
+                {"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [bad]}]})
+        assert err.value.pointer == "$.nodes[0].prices"
+
     def test_wrong_price_arity(self):
         with pytest.raises(eio.FormatError) as err:
             eio.market_from_dict({"T": 1, "d": 2, "nodes": [
@@ -73,6 +80,13 @@ class TestFormats:
         mpath.write_text(json.dumps({"weights": {"w1": 0.5, "w2": 0.5}}))
         q = eio.load_measure(model, str(mpath))
         assert q.weights == pytest.approx([0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [True, None, "0.5", [0.5]])
+    def test_non_number_weight_names_the_leaf(self, bad):
+        model, _ = eio.load_market(data("price_range.json"))
+        with pytest.raises(eio.FormatError) as err:
+            eio.measure_from_dict(model, {"weights": {"w1": bad, "w2": 0.5}})
+        assert err.value.pointer == "$.weights.w1"
 
 
 class TestCli:
@@ -190,6 +204,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "cond_prob" in err
+
+    @pytest.mark.parametrize("bad", [None, [2], True, "2"])
+    def test_non_number_p_names_the_field(self, bad, tmp_path, capsys):
+        with open(data("kbar_market.json")) as fh:
+            market = json.load(fh)
+        market["p"] = bad
+        path = tmp_path / "bad_p.json"
+        path.write_text(json.dumps(market))
+        code = run(["check-arbitrage", str(path), "--eps", "1.0"])
+        assert code == 1
+        assert "input error at $.p:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [None, True, "0", [0.0]])
+    def test_non_number_payoff_value_names_the_leaf(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad_payoff.json"
+        path.write_text(json.dumps({"values": {"w1": bad, "w2": 0.0}}))
+        code = run(["superhedge", data("price_range.json"), "--payoff", str(path),
+                    "--eps", "1.0", "--p", "2"])
+        assert code == 1
+        assert "input error at $.values.w1:" in capsys.readouterr().err
 
     def test_usage_error_exits_1(self, capsys):
         assert run(["check-arbitrage", "--bogus"]) == 1

@@ -8,12 +8,16 @@ Core claims:
     - no module imports scipy: ``solvers._scipy_extension`` loads the two
       compiled modules the solvers call, and the one allowed import is
       SLSQP in ``programs._min_norm_solution`` (the general-p min-norm point)
+    - every defaulted tolerance, cap, threshold or budget of a public
+      function is passed by some call in the package, the tests or the
+      demos: a setting that nothing sets is a constant at its use
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "epsarb"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "epsarb"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(SRC.glob("*.py"))}
 
@@ -93,3 +97,68 @@ def test_scipy_enters_only_through_the_extension_loader():
     found = {(module, scope): node.lineno for module, tree in MODULES.items()
              for scope, node in _scipy_imports(tree)}
     assert set(found) <= SCIPY_IMPORTS_ALLOWED, found
+
+
+# Parameter-name endings of the settings the next check covers.
+SETTING_SUFFIXES = ("tol", "_cap", "threshold", "decimals", "polish", "max_iter", "band")
+
+
+def _public_functions(tree):
+    """(name, offset, function node) for every public module-level function
+    and public method of a public class; ``offset`` is 1 where a call
+    binds the first parameter itself (a method not marked static)."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            yield stmt.name, 0, stmt
+        elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                                 for dec in item.decorator_list)
+                    yield item.name, 0 if static else 1, item
+
+
+def _defaulted_settings(fn, offset):
+    """(parameter name, position in a call or None) of each defaulted
+    parameter of ``fn`` whose name ends in one of SETTING_SUFFIXES."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaulted = [(a.arg, i - offset) for i, a in enumerate(positional)
+                 if i >= len(positional) - len(args.defaults)]
+    defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    return [(name, pos) for name, pos in defaulted if name.endswith(SETTING_SUFFIXES)]
+
+
+def _calls_by_name():
+    """Every call in the package, the tests and the demos, keyed by the
+    name of the function called (``f(...)`` and ``x.f(...)`` alike)."""
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) \
+        + sorted((ROOT / "demos").glob("*.py"))
+    calls: dict = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, param: str, pos) -> bool:
+    """Whether ``call`` passes ``param`` by keyword or at position ``pos``."""
+    if any(kw.arg == param for kw in call.keywords):
+        return True
+    return (pos is not None and len(call.args) > pos
+            and not any(isinstance(arg, ast.Starred) for arg in call.args[:pos + 1]))
+
+
+def test_every_public_setting_is_set_by_some_caller():
+    calls = _calls_by_name()
+    unset = []
+    for module, tree in MODULES.items():
+        for name, offset, fn in _public_functions(tree):
+            for param, pos in _defaulted_settings(fn, offset):
+                if not any(_passes(call, param, pos) for call in calls.get(name, [])):
+                    unset.append(f"{module}.{name}({param})")
+    assert not unset, unset
