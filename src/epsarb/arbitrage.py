@@ -12,15 +12,14 @@ threshold remain as an opt-in cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .market import (MarketModel, NormPair, Strategy, gain, qnorm, qnorm_grad,
+from .market import (MarketModel, NormPair, Strategy, _check_level, gain, qnorm, qnorm_grad,
                      strategy_cost, validate_market)
-from .programs import (_conic, _fallback, _min_norm_solution, _polyhedral,
+from .programs import (_NODE_BAND, _conic, _fallback, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
@@ -30,7 +29,7 @@ from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, sol
 STRICT_ARBITRAGE = "strict_arbitrage"
 NO_ARBITRAGE = "none_within_tolerance"
 
-_SOLVER_TOL = 1e-9  # maximin certificates; the node decision's band is 10x it
+_SOLVER_TOL = 1e-9  # maximin certificates
 # Bisection width, and the exact route's offset from eps(P), per 1 + reference deviation
 _REL_TOL = 1e-6
 
@@ -83,8 +82,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     report = validate_market(model)
     if not report.ok:
         raise ValueError(f"invalid market: {report.violations[0]}")
-    if not (eps >= 0 and math.isfinite(eps)):
-        raise ValueError("eps must be finite and non-negative")
+    _check_level("eps", eps, False)
     ops = tree_ops(model)
     if _polyhedral(model, norms, eps):
         # scalar assets and the classical level have exact l1 geometry
@@ -103,7 +101,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
 
     hit = None
     for v in model.internal:
-        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms, band=_SOLVER_TOL * 10,
+        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms, band=_NODE_BAND,
                                                  with_certificate=want_certificate)
         if found:
             hit = (v, h_node)
@@ -230,7 +228,7 @@ def critical_value_primal(model: MarketModel, norms: NormPair):
         found = False
         for v in model.internal:
             fired, _, gamma = node_strict_arbitrage(
-                model, v, e, norms, band=1e-8,
+                model, v, e, norms, band=_NODE_BAND,
                 gamma=cache.get(v), with_certificate=False)
             cache[v] = gamma
             if fired:
@@ -310,6 +308,8 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
         raise ValueError(f"invalid market: {report.violations[0]}")
     if method not in ("exact", "both", "dual"):
         raise ValueError(f"unknown method {method!r}")
+    if eta is not None:
+        _check_level("eta", eta, True)
     eta_used = eta if eta is not None else 1e-7 * float(np.min(model.leaf_prob))
     sweep = None
     if eta_sweep:
@@ -434,8 +434,7 @@ def compute_node_structure(model: MarketModel, eps: float, norms: NormPair) -> d
     the unit extremal direction; m < 1 flags one-step strict arbitrage and
     leaves the structure empty.  m counts as 1 within 1e-7.
     """
-    if eps <= 0:
-        raise ValueError("node structure is defined for eps > 0")
+    _check_level("eps", eps, True)
     out: dict[int, NodeStructure] = {}
     d = model.d
     for v in model.internal:

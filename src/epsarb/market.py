@@ -166,9 +166,6 @@ class MarketModel:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def children_of(self, v: int) -> tuple:
-        return self.children[v]
-
     def path_to(self, leaf: int) -> list[int]:
         """Node indices from the time-0 node down to ``leaf`` inclusive."""
         path = []
@@ -250,6 +247,13 @@ class ValidationReport:
         return self.ok
 
 
+def _check_level(name: str, value: float, positive: bool) -> None:
+    """Raise ValueError unless a cost level or interior parameter is finite
+    and non-negative (positive when ``positive``); NaN fails both."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {name + ' > 0' if positive else 'non-negative'}")
+
+
 def validate_market(model: MarketModel) -> ValidationReport:
     """Report every violated structural invariant; valid iff the report is empty."""
     bad: list[str] = []
@@ -311,9 +315,6 @@ class Strategy:
         vals = np.zeros((model.n_nodes, model.d))
         vals[list(model.internal)] = np.asarray(h, dtype=float)
         return Strategy(vals)
-
-    def at(self, v: int) -> np.ndarray:
-        return self.values[v]
 
 
 def _check_strategy(model: MarketModel, strategy: Strategy) -> None:

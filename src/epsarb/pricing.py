@@ -8,11 +8,12 @@ the closed cone: the interior program at level eta is feasible iff
 rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
 
-Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0); one
-second-order cone program per measure program and per hedge pattern at
-p = 2 with d >= 2, each result checked exactly before it is returned and
-solved again by cutting planes when the check fails; cutting planes for
-other p.
+Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).  At
+p = 2 with d >= 2 the interior decision reads each node's min-norm point
+first and then solves one cone program, whose unchecked result is
+indeterminate; price bounds and hedge patterns are one cone program each,
+solved again by cutting planes when the exact check fails.  Cutting planes
+for other p.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .arbitrage import NodeStructure, compute_node_structure
-from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy,
+from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy, _check_level,
                      gain, is_eps_martingale, qnorm, qnorm_grad, strategy_cost,
                      validate_market)
 from .programs import (_conic, _fallback, _l1_slack_rows, _norm_cones, _polyhedral,
@@ -74,17 +75,22 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
     Feasibility at interior level eta is decided by rho* = max over
     cone-feasible weights of the minimum density ratio min q/P: the witness
     has q >= eta P and exact node margins >= 0, and infeasibility is
-    certified by an upper bound on rho* below eta (exact LP for polyhedral
-    geometry; at p = 2 the cone program's recomputed dual bound or an
-    infeasibility certificate; otherwise, or when the conic result fails
-    its check, the cutting-plane upper bound).  On the cutting-plane route
-    the witness is the first one certified, not the one of largest margin.
+    certified by an upper bound on rho* below eta.  Polyhedral geometry is
+    one exact LP.  At p = 2 a node with gamma(v) > eps empties the set (no
+    bound), a tangent node whose min-norm face has no full-support point
+    gives the bound 0, and otherwise the cone program gives a recomputed
+    dual bound or certificate; a conic result that fails its check is
+    indeterminate.  Other p take the cutting-plane upper bound, and their
+    witness is the first one certified, not the one of largest margin.
+    eps must be finite and >= 0, and eta finite and > 0.
     """
     report = validate_market(model)
     if not report.ok:
         raise ValueError(f"invalid market: {report.violations[0]}")
+    _check_level("eps", eps, False)
     if eta is None:
         eta = 1e-7 * float(np.min(model.leaf_prob))
+    _check_level("eta", eta, True)
     status, q, rho, rho_ub, margin = interior_feasibility(model, eps, norms, eta)
     if status == "feasible":
         w = np.maximum(q, 0.0)
@@ -117,6 +123,7 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
+    _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
     if not emm.feasible:
         raise NoMartingaleStructure(
@@ -362,6 +369,7 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
     vanishes, so activity patterns over extremal nodes are enumerated (at
     most 4096; beyond that the empty pattern alone gives ``best_effort_gap``).
     """
+    _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
     if not emm.feasible:
         raise NoMartingaleStructure(f"no eps-martingale structure at level {eps}")

@@ -14,18 +14,16 @@ trading period, so a node's decision runs the same two programs on the
 node's one-period market (``node_strict_arbitrage``).
 
 Both families are HiGHS LPs when the geometry is polyhedral (p = 1, q = inf,
-d = 1, and the measure side at eps = 0).  At p = q = 2 with d >= 2 each is
-one second-order cone program for :func:`epsarb.solvers.solve_socp`, whose
-result is checked against the exact helpers (``_cone_margins``,
-``_leaf_gain_cost``, q >= eta P and a recomputed dual bound) before it is
-returned; a result that fails falls back to the Kelley cutting-plane
-program for that call only and is counted in ``CONIC_FALLBACKS``.  Kelley
-cutting planes remain the route for every other p; at p outside {1, 2}
-with d >= 2 the maximin program maximizes over the box and normalizes
-afterward, so its margin can fall short of the optimum.  This module holds
-the packing of tree geometry into dense coefficient tensors plus the
-program builders; public wrappers live in :mod:`epsarb.arbitrage` and
-:mod:`epsarb.pricing`.
+d = 1, and the measure side at eps = 0).  At p = q = 2 with d >= 2 the node
+geometry is exact: gamma(v) is the norm of the children's min-norm point
+(:func:`epsarb.solvers.min_norm_point`), a tangent node's cone set is that
+point's face, and the interior decision reads both before it builds any
+whole-tree program.  Every other program there is one second-order cone
+program, checked exactly (``_cone_margins``, ``_leaf_gain_cost``,
+q >= eta P and a recomputed dual bound); a result that fails is counted in
+``CONIC_FALLBACKS`` and is indeterminate (the interior decision) or solved
+again by Kelley cutting planes, the route of every other p.  Public
+wrappers live in :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .market import MarketModel, NormPair, Strategy, qnorm, qnorm_grad
-from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
+from .solvers import (ConeProgram, LinearProgram, face_support, maximize_concave,
+                      min_norm_point, solve_lp, solve_socp)
 
 _log = logging.getLogger("epsarb")
 
@@ -93,12 +92,13 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# Conic route: every q = 2, d >= 2 program is one second-order cone program
+# Conic route: the q = 2, d >= 2 programs
 # ---------------------------------------------------------------------------
 
 CONIC_FALLBACKS: Counter = Counter()
-"""Per program, the calls whose conic result failed its exact check and
-were solved again by the cutting-plane route."""
+"""Per program, the calls whose conic result failed its exact check: the
+interior decision then returns ``indeterminate``, every other program runs
+its cutting-plane route for that call."""
 
 # Measure programs solve at eps (1 - tighten): interior-point points carry
 # residuals of 1e-13 to 1e-10 (worst near the critical level, where the cone
@@ -107,6 +107,8 @@ were solved again by the cutting-plane route."""
 # with it; the interior decision only needs a checked point.
 _TIGHTEN = 1e-10
 _TIGHTEN_INTERIOR = 1e-8
+
+_NODE_BAND = 1e-8  # a node with gamma(v) within this (1 + max |dS|) of eps is tangent
 
 
 def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None) -> bool:
@@ -121,9 +123,9 @@ def _conic(d: int, norms: NormPair) -> bool:
     return norms.q == 2.0 and d >= 2
 
 
-def _fallback(program: str, why: str) -> None:
+def _fallback(program: str, why: str, then: str = "solving by cutting planes") -> None:
     CONIC_FALLBACKS[program] += 1
-    _log.debug("%s: conic result rejected (%s); solving by cutting planes", program, why)
+    _log.debug("%s: conic result rejected (%s); %s", program, why, then)
 
 
 def _measure_cones(ops: TreeOps, eps: float) -> tuple[np.ndarray, tuple]:
@@ -442,23 +444,70 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray) -> n
     return out
 
 
+def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, x: np.ndarray):
+    """Weights x with each node of negative margin mixed toward its
+    children's min-norm split; None unless every margin is then >= 0.
+
+    A node's margin depends only on how its mass splits among its children,
+    so re-split by the min-norm weights, node v has margin
+    (eps - gamma(v)) qbar(v), and no other node changes sign (each child's
+    subtree is scaled as a whole).  Margins are concave in q: the mix of x
+    and the re-split x' passes node v at t >= m(x) / (m(x) - m(x')), and t
+    is twice the largest such bound.
+    """
+    model = ops.model
+    m0 = _cone_margins(ops, eps, norms, x)
+    fail = m0 < 0.0
+    if not fail.any():
+        return x
+    resplit = x.copy()
+    for j in np.flatnonzero(fail):
+        kids = model.children[model.internal[j]]
+        under = [list(model.leaves_under[w]) for w in kids]
+        mass = np.array([x[u].sum() for u in under])
+        lam = min_norm_point(model.delta[list(kids)])[1]
+        for u, m_w, l_w in zip(under, mass, lam):
+            if m_w > 0.0:
+                resplit[u] *= l_w * mass.sum() / m_w
+    m1 = _cone_margins(ops, eps, norms, resplit)
+    if not np.all(m1[fail] > 0.0):
+        return None
+    q = x + min(1.0, 2.0 * float(np.max(m0[fail] / (m0[fail] - m1[fail])))) * (resplit - x)
+    return q if float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0 else None
+
+
 def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
     """max rho s.t. q >= rho P, rho >= 0, sum q = 1 and the node cones.
 
-    Feasible when the solver's weights pass the exact check (margins >= 0,
-    q >= eta P); infeasible when a certificate proves the closed cone empty,
-    or the certified dual bound on rho* falls below eta.  The tightened
+    The nodes decide first.  A node with gamma(v) above eps by more than the
+    node band has an empty cone set; a node within the band is tangent, its
+    weights lie on the face of its min-norm point, and a face with no
+    full-support point puts weight 0 on some leaf, so rho* = 0.  Otherwise
+    the whole tree is one cone program: feasible when the solver's weights,
+    repaired by ``_min_norm_repair``, have q >= eta P; infeasible on a
+    certificate, or a certified bound on rho* below eta.  The tightened
     program's dual is only near-feasible for the exact one, so an undecided
-    call (for instance rho* = 0, or eps within the tightening of the
-    critical level) is solved again untightened, for its exact dual bound.
-    None when nothing is decided.
+    call is solved again untightened, and is then indeterminate, with the
+    smaller bound.
     """
+    faces = []
+    for v in ops.model.internal:
+        A = ops.model.delta[list(ops.model.children[v])]
+        z = min_norm_point(A)[0]
+        band = _NODE_BAND * (1.0 + float(np.max(np.abs(A))))
+        if np.linalg.norm(z) > eps + band:
+            return "infeasible", None, None, None, None
+        if np.linalg.norm(z) >= eps - band:
+            faces.append((A, z))
+    if not all(np.all(face_support(A, z)) for A, z in faces):
+        return "infeasible", None, None, 0.0, None
     L = ops.model.n_leaves
     P = ops.model.leaf_prob
     c = np.zeros(L + 1)
     c[-1] = -1.0
     lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
     box = np.ones(L + 1)
+    rho_ub = math.inf
     for tighten in (_TIGHTEN_INTERIOR, 0.0):
         res, exact = _measure_program(ops, eps, c, lin, np.zeros(L + 1), 1, tighten=tighten)
         if res.status == "infeasible":
@@ -467,14 +516,16 @@ def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
             continue
         if res.x is None:
             continue
-        q = _exact_weights(ops, eps, norms, res.x)
-        rho_ub = -exact.lower_bound(res.y, res.z, box)
+        rho_ub = min(rho_ub, -exact.lower_bound(res.y, res.z, box))
+        x = np.maximum(res.x[:L], 0.0)
+        q = _min_norm_repair(ops, eps, norms, x / x.sum()) if x.sum() > 0.0 else None
         if q is not None and np.all(q >= eta * P):
             return ("feasible", q, float(np.min(q / P)), rho_ub,
                     float(np.min(_cone_margins(ops, eps, norms, q))))
         if rho_ub < eta:
             return "infeasible", None, None, rho_ub, None
-    return None
+    _fallback("interior_feasibility", "no checked witness or bound", "returning indeterminate")
+    return "indeterminate", None, None, rho_ub if rho_ub < math.inf else None, None
 
 
 def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float,
@@ -488,18 +539,14 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     1e-12 (1 + max |coeff|) on the LP route, whose vertex meets its rows only
     to rounding (an LP vertex that fails either check is indeterminate).
 
-    Polyhedral geometry (q = inf, d = 1, or eps = 0) is decided by one exact
-    LP; q = 2 by one cone program, max rho = min q/P over the closed cone
-    (see ``_interior_conic``).  Other q, and conic results that fail their
-    exact check, take two cutting-plane routes: the margin program
-    max min_v [eps qbar - |z_v|_q] over {q >= eta P} has exact LP-vertex
-    incumbents, so a non-negative incumbent margin certifies feasibility;
-    and the max-min-ratio program's cutting-plane upper bound certifies
-    infeasibility when it drops below eta even when the interior margin
-    itself is far below machine precision.  The margin route stops at the
-    first incumbent that certifies, which is the witness returned, or after
-    150 iterations (in measured runs every margin verdict came within 50);
-    the ratio route runs up to 400.
+    Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP, and
+    q = 2 the node check and one cone program (``_interior_conic``).  Other
+    q run two cutting-plane programs once each: the margin program
+    max min_v [eps qbar - |z_v|_q] over {q >= eta P}, whose first exact
+    LP-vertex incumbent with a margin at the rounding floor is the witness
+    (150 iterations at most), and the max-min-ratio program, whose upper
+    bound below eta certifies infeasibility even when the interior margin
+    is far below machine precision (400 at most).
     """
     ops = tree_ops(model)
     L = model.n_leaves
@@ -540,10 +587,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
                 return "feasible", q, rho, rho, margin
         return "indeterminate", None, None, rho, margin
     if _conic(model.d, norms):
-        out = _interior_conic(ops, eps, norms, eta)
-        if out is not None:
-            return out
-        _fallback("interior_feasibility", "neither a checked witness nor a bound below eta")
+        return _interior_conic(ops, eps, norms, eta)
 
     # Margin route: statics are exact at LP vertices, so incumbents certify.
     # Each node's cone margin must cover the margin variable x[-1].
@@ -788,8 +832,9 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
 
     Scalar increments have a closed form: the simplex image is the interval
     [min dS, max dS], so gamma is 0 when it contains 0 and the smallest
-    |dS| otherwise.  Other geometry solves one LP (q = inf), one cone
-    program (q = 2) or a cutting-plane program.
+    |dS| otherwise.  At q = 2 gamma is the norm of the children's min-norm
+    point (:func:`epsarb.solvers.min_norm_point`).  Other geometry solves
+    one LP (q = inf) or a cutting-plane program.
     """
     kids = list(model.children[v])
     A = model.delta[kids]  # (k, d)
@@ -816,26 +861,7 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
             raise RuntimeError(f"node deviation LP failed: {res.status}")
         return float(res.value)
     if _conic(model.d, norms):
-        # min t s.t. a >= 0, sum a = 1, |A' a|_2 <= t; the value is the exact
-        # norm at the clipped weights, an upper bound on gamma that must
-        # meet the certified lower bound.
-        d = model.d
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        G = np.zeros((k + 1 + d, k + 1))
-        G[:k, :k] = -np.eye(k)
-        G[k, k] = -1.0
-        G[k + 1:, :k] = -A.T
-        prog = ConeProgram(c, G, np.zeros(k + 1 + d), k, (d + 1,),
-                           np.concatenate([np.ones(k), [0.0]])[None, :], np.array([1.0]))
-        res = solve_socp(prog)
-        if res.x is not None:
-            a = np.maximum(res.x[:k], 0.0)
-            gamma = float(np.linalg.norm(A.T @ (a / a.sum())))
-            box = np.concatenate([np.ones(k), [float(np.max(np.linalg.norm(A, axis=1)))]])
-            if _gap_closed(gamma, prog.lower_bound(res.y, res.z, box), 1e-9):
-                return gamma
-        _fallback("node_min_simplex_deviation", "gap not closed")
+        return float(np.linalg.norm(min_norm_point(A)[0]))
 
     def objective(a):
         z = A.T @ a
@@ -853,34 +879,12 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
 
 
 def _node_support_max(A: np.ndarray, w_pos: int, eps: float, norms: NormPair):
-    """(lower, upper) bounds on max a_w over {a in simplex: |A' a|_q <= eps},
-    for curved q (polyhedral nodes never reach the support analysis)."""
-    k, d = A.shape
+    """Upper bound on max a_w over {a in simplex: |A' a|_q <= eps} (0 when
+    empty) by cutting planes, for the support analysis off the conic route
+    (which reads the min-norm face; polyhedral nodes never reach it)."""
+    k = A.shape[0]
     c = np.zeros(k)
     c[w_pos] = 1.0
-    if _conic(d, norms):
-        # max a_w s.t. a >= 0, sum a = 1, |A' a|_2 <= eps.  The upper bound
-        # is certified by duality; the lower bound is the weight of a
-        # checked point.  Taken when the bounds meet or the upper bound is
-        # already below any support threshold.
-        G = np.vstack([-np.eye(k), np.zeros((1, k)), -A.T])
-        h = np.concatenate([np.zeros(k), [eps], np.zeros(d)])
-        prog = ConeProgram(-c, G, h, k, (d + 1,), np.ones((1, k)), np.array([1.0]))
-        res = solve_socp(prog)
-        box = np.ones(k)
-        if res.status == "infeasible" and prog.certifies_infeasible(res.y, res.z, box):
-            return None, None
-        if res.z is not None:
-            ub = -prog.lower_bound(res.y, res.z, box)
-            lb = None
-            if res.x is not None:
-                a = np.maximum(res.x, 0.0)
-                a = a / a.sum()
-                if float(np.linalg.norm(A.T @ a)) <= eps:
-                    lb = float(a[w_pos])
-            if ub <= 1e-9 or (lb is not None and _gap_closed(lb, ub, 1e-9)):
-                return lb, ub
-        _fallback("_node_support_max", "bounds not closed")
 
     def objective(a):
         return float(c @ a), c
@@ -895,10 +899,7 @@ def _node_support_max(A: np.ndarray, w_pos: int, eps: float, norms: NormPair):
                            a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
                            tol=1e-9, feas_tol=1e-11, max_iter=300,
                            start=np.full(k, 1.0 / k))
-    if res.status == "infeasible":
-        return None, None
-    lb = None if res.x is None else float(res.value)
-    return lb, float(res.upper_bound)
+    return 0.0 if res.status == "infeasible" else float(res.upper_bound)
 
 
 def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPair,
@@ -929,17 +930,15 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         # The polyhedral slack image is closed, so the LP's sign is exact.
         total, h, _ = strict_arbitrage_sum_program(ops, eps)
         return (True, h, gamma) if total > 1e-9 else (False, None, gamma)
-    support: list[int] = []
-    off: list[int] = []
-    for w in range(A.shape[0]):
-        lb, ub = _node_support_max(A, w, eps, norms)
-        if ub is None or ub < 1e-7:
-            off.append(w)
-        else:
-            support.append(w)
-    if not off:
+    if _conic(model.d, norms):
+        # Tangent: the cone set is the face of the min-norm point.
+        on = face_support(A, min_norm_point(A)[0])
+    else:
+        on = np.array([_node_support_max(A, w, eps, norms) >= 1e-7 for w in range(len(A))])
+    support, off = np.flatnonzero(on), np.flatnonzero(~on)
+    if not off.size:
         return False, None, gamma
-    if not support:
+    if not support.size:
         # Cone empty at this level: uniform arbitrage must exist.
         margin, h, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
         if margin > 0 and h is not None:

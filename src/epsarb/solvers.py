@@ -1,6 +1,6 @@
-"""Solver kernel: linear programs, second-order cone programs, cutting-plane
-concave maximization, and exact discrete transport (min-cost and
-bottleneck).
+"""Solver kernel: linear programs, second-order cone programs, min-norm
+points, cutting-plane concave maximization, and exact discrete transport
+(min-cost and bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
 everything is dense.  LPs call the HiGHS core that scipy ships directly:
@@ -18,9 +18,12 @@ them.  The HiGHS core and the LAPACK module are compiled scipy modules,
 loaded from their files on first use (:func:`_scipy_extension`) without
 the scipy package imports above them, so ``import epsarb`` loads no scipy
 module and a solve loads only those two.
-Kelley cutting planes serve the remaining p; on the strategy side that is
-the maximin program, which a node decision also runs, on its one-period
-market.  Transport needs no LP: min-cost transport
+The point of a polytope nearest the origin is Wolfe's finite active-set
+method (:func:`min_norm_point`), certified by its optimality condition,
+and one LP (:func:`face_support`) finds which vertices can carry weight in
+that point.  Kelley cutting planes serve the remaining p; on the strategy
+side that is the maximin program, which a node decision also runs, on its
+one-period market.  Transport needs no LP: min-cost transport
 is a transportation simplex that prices its cycles in the log domain,
 exact for weights of any spread, and bottleneck transport a threshold
 algorithm that grows a flow along augmenting paths and raises the
@@ -382,6 +385,87 @@ def maximize_concave(objective: Oracle, lower, upper, constraints: Sequence[Orac
     gap = ub - best_val if best_x is not None else np.inf
     return ConcaveResult("iteration_cap", best_x, best_val if best_x is not None else None,
                          ub, gap, max_iter)
+
+
+# ---------------------------------------------------------------------------
+# The point of a polytope nearest the origin: Wolfe's active-set method
+# ---------------------------------------------------------------------------
+
+
+def min_norm_point(points) -> tuple[np.ndarray, np.ndarray]:
+    """The point z of conv{rows of points} nearest the origin, and its weights.
+
+    Wolfe, *Finding the nearest point in a polytope* (Math. Programming
+    1976).  A corral S of affinely independent rows carries positive
+    weights with z = weights . points[S].  A major step adds the row of
+    least p . z; minor steps move the weights toward the nearest point of
+    S's affine hull and drop the first row whose weight reaches zero on the
+    way.  z is optimal exactly when min_p p . z >= |z|^2, which ends the
+    method and is checked to 1e-12 of the largest |p|^2.  Returns (z,
+    weights), the weights on the simplex over all rows; raises RuntimeError
+    when the check fails.
+    """
+    P = np.asarray(points, dtype=float)
+    k = P.shape[0]
+    sq = np.einsum("ij,ij->i", P, P)
+    tol = 1e-12 * float(np.max(sq))
+    S = [int(np.argmin(sq))]
+    w = np.ones(1)
+    z = P[S[0]]
+    for _ in range(10 * k):
+        dots = P @ z
+        j = int(np.argmin(dots))
+        if dots[j] >= float(z @ z) - tol or j in S:
+            break
+        S.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            # Nearest point of aff(S): min |mu . Q|^2 s.t. sum mu = 1.
+            Q = P[S]
+            n = len(S)
+            K = np.zeros((n + 1, n + 1))
+            K[:n, :n] = Q @ Q.T
+            K[:n, n] = -1.0
+            K[n, :n] = 1.0
+            mu = np.linalg.solve(K, np.eye(n + 1)[n])[:n]
+            if np.all(mu > 0.0):
+                w = mu
+                break
+            out = np.flatnonzero(mu <= 0.0)
+            ratios = w[out] / (w[out] - mu[out])
+            w = w + float(np.min(ratios)) * (mu - w)
+            w[out[np.argmin(ratios)]] = 0.0
+            keep = w > 0.0
+            S = [s for s, kept in zip(S, keep) if kept]
+            w = w[keep]
+        z = w @ P[S]
+    if float(np.min(P @ z)) < float(z @ z) - tol:
+        raise RuntimeError("min-norm point failed its optimality check")
+    weights = np.zeros(k)
+    weights[S] = w
+    return z, weights
+
+
+def face_support(points, z) -> np.ndarray:
+    """Which rows of points carry weight in some convex combination equal to z.
+
+    One LP over the cone {a >= 0: points' a = (sum a) z, sum a <= 1e7}:
+    max sum t with 0 <= t <= 1 and t <= a.  The cone is closed under
+    addition, so every row that can carry weight reaches t = 1 unless the
+    cap binds; a row counts when t > 1/2, which needs weight 5e-8.
+    """
+    A = np.asarray(points, dtype=float)
+    k, d = A.shape
+    eye = np.eye(k)
+    res = solve_lp(LinearProgram(
+        c=np.concatenate([np.zeros(k), np.ones(k)]), sense="max",
+        a_ub=np.vstack([np.hstack([-eye, eye]), np.concatenate([np.ones(k), np.zeros(k)])]),
+        b_ub=np.concatenate([np.zeros(k), [1e7]]),
+        a_eq=np.hstack([A.T - np.asarray(z)[:, None], np.zeros((d, k))]), b_eq=np.zeros(d),
+        bounds=[(0.0, None)] * k + [(0.0, 1.0)] * k))
+    if res.status != "optimal":
+        raise RuntimeError(f"face support LP failed: {res.status} {res.message}")
+    return res.x[k:] > 0.5
 
 
 # ---------------------------------------------------------------------------

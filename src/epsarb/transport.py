@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arbitrage import critical_value
-from .market import (MarketModel, MeasureWeights, NormPair, PathLaw, Payoff,
+from .market import (MarketModel, MeasureWeights, NormPair, PathLaw, Payoff, _check_level,
                      is_eps_martingale, qnorm)
 from .pricing import fair_price_range, find_eps_martingale_measure
 from .solvers import TransportInstance, bottleneck_transport, linprog, log_transport
@@ -598,6 +598,7 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
     (iii) with an L-Lipschitz claim and p > 1, the eps-fair range of P is
     contained in the (eps + L D)-fair range of P'.
     """
+    _check_level("eps", eps, False)
     notes: list[str] = []
     _check_shapes(lawx, lawy)
     dres, dres_no_t0 = _bottleneck_dp(lawx, lawy, norms.q, increments=True,

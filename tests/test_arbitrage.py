@@ -337,22 +337,26 @@ class TestNodeDeviation:
 
 class TestNodeDecision:
     def test_polyhedral_boundary_band_finds_zero_slack_arbitrage(self):
-        # increments (2,0) and (1,0) at eps = gamma = 1: h = e1 has slacks (1, 0)
-        m = two_state([0.0, 0.0], [2.0, 0.0], [1.0, 0.0], 2)
-        gamma = ea.programs.node_min_simplex_deviation(m, 0, N1)
-        found, h, _ = ea.programs.node_strict_arbitrage(m, 0, gamma, N1)
-        assert gamma == 1.0 and found
-        assert h == pytest.approx([1.0, 0.0], abs=1e-12)
-        slacks = m.delta[list(m.children[0])] @ h - gamma * N1.norm(h)
-        assert slacks == pytest.approx([1.0, 0.0], abs=1e-12)
+        # increments (2,0) and (1,0) at eps = gamma = 1: h = e1 has slacks (1, 0);
+        # at q = 2 the band is decided on the min-norm face, the child (1, 0)
+        for norms in (N1, N2):
+            m = two_state([0.0, 0.0], [2.0, 0.0], [1.0, 0.0], 2)
+            gamma = ea.programs.node_min_simplex_deviation(m, 0, norms)
+            found, h, _ = ea.programs.node_strict_arbitrage(m, 0, gamma, norms)
+            assert gamma == 1.0 and found
+            assert h == pytest.approx([1.0, 0.0], abs=1e-12)
+            slacks = m.delta[list(m.children[0])] @ h - gamma * norms.norm(h)
+            assert slacks == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_polyhedral_boundary_band_finds_none(self):
         # increments (1,1) and (-1,1) at eps = gamma = 1: only h = (0, t)
-        # keeps both slacks >= 0, and both are then 0
-        m = two_state([0.0, 0.0], [1.0, 1.0], [-1.0, 1.0], 2)
-        gamma = ea.programs.node_min_simplex_deviation(m, 0, N1)
-        found, h, _ = ea.programs.node_strict_arbitrage(m, 0, gamma, N1)
-        assert gamma == 1.0 and not found and h is None
+        # keeps both slacks >= 0, and both are then 0 (at q = 2 the min-norm
+        # face is the full-support point (1/2, 1/2))
+        for norms in (N1, N2):
+            m = two_state([0.0, 0.0], [1.0, 1.0], [-1.0, 1.0], 2)
+            gamma = ea.programs.node_min_simplex_deviation(m, 0, norms)
+            found, h, _ = ea.programs.node_strict_arbitrage(m, 0, gamma, norms)
+            assert gamma == 1.0 and not found and h is None
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("d", [1, 2])

@@ -2,8 +2,8 @@
 
 Core claims:
     - on tangent markets (a cone set that is a single point or touches the
-      boundary) a conic result that fails its exact check is solved again by
-      the cutting planes, the fallback is counted, and the verdict stands
+      boundary) the node geometry decides exactly, by the min-norm point and
+      its face, so no conic result is rejected and the verdict stands
     - off the boundary the conic route decides alone, with no fallback
     - conic and cutting-plane routes agree on verdicts, price bounds, node
       deviations and superhedge prices
@@ -31,14 +31,14 @@ class TestTangentMarkets:
         before = _fallbacks("_node_support_max")
         rep = ea.detect_strict_arbitrage(nostrictarb_market(1.0), 1.0, N2)
         assert rep.status == "none_within_tolerance"
-        assert _fallbacks("_node_support_max") > before
+        assert _fallbacks("_node_support_max") == before
 
     def test_tangent_measure_program_falls_back(self):
         # Criterion 02: the closed cone set is the point q = (1, 0).
         before = _fallbacks("interior_feasibility")
         res = ea.find_eps_martingale_measure(nostrictarb_market(1.0), 1.0, N2, eta=1e-9)
         assert res.status == "infeasible" and not res.indeterminate
-        assert _fallbacks("interior_feasibility") == before + 1
+        assert _fallbacks("interior_feasibility") == before
 
     def test_single_point_measure_is_found(self):
         # Criterion 03: the uniform measure is the whole cone set.

@@ -6,7 +6,8 @@ Core claims:
     - every subcommand emits canonical JSON with the documented exit codes
       (0 computed, 1 input error, 2 domain violated)
     - repeated runs are byte-identical
-    - the default reports of the shipped calls match the committed golden copy
+    - the default reports of the shipped calls match the committed golden copy,
+      and the q = 2 ones among them run no cutting-plane program
     - the shipped example files reproduce their published values
     - the LP-free calls load no scipy module, and the solver calls load only
       the HiGHS core and scipy's LAPACK extension, no scipy package
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import epsarb as ea
+from epsarb import arbitrage, pricing, programs
 from epsarb import io as eio
 from epsarb.cli import run
 
@@ -225,6 +227,31 @@ class TestCli:
         assert code == 1
         assert "input error at $.values.w1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["find-emm", "nsaem.json", "--eps", "-1", "--p", "2"],
+        ["fair-range", "price_range.json", "--eps", "-0.5", "--p", "2",
+         "--payoff", "psi_price_range.json"],
+        ["find-emm", "kbar_market.json", "--eps", "nan"],
+        ["price-bound", "price_range.json", "--eps", "inf", "--p", "2",
+         "--payoff", "psi_price_range.json", "--direction", "sup"],
+        ["superhedge", "price_range.json", "--eps", "nan", "--p", "2",
+         "--payoff", "psi_price_range.json"],
+        ["stability", "p0.json", "peps.json", "--eps", "nan", "--p", "2"],
+        ["node-structure", "kbar_market.json", "--eps", "nan"],
+        ["node-structure", "kbar_market.json", "--eps", "0"],
+        ["find-emm", "kbar_market.json", "--eps", "1.5", "--eta", "-1"],
+        ["find-emm", "kbar_market.json", "--eps", "1.5", "--eta", "0"],
+        ["critical-value", "kbar_market.json", "--eta", "nan"],
+    ])
+    def test_bad_level_is_an_input_error(self, argv, capsys):
+        # eps must be finite and >= 0 (> 0 for node structure), eta finite
+        # and > 0: checked where the value enters, before any program runs
+        argv = [data(a) if a.endswith(".json") else a for a in argv]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        name = "eta" if "--eta" in argv else "eps"
+        assert f"error: {name} must be finite and " in err
+
     def test_usage_error_exits_1(self, capsys):
         assert run(["check-arbitrage", "--bogus"]) == 1
 
@@ -282,6 +309,22 @@ def _report_mismatch(got, want, where="$"):
 class TestGoldenReports:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_matches_golden_copy(self, name, capsys, monkeypatch):
+        want = GOLDEN[name]
+        monkeypatch.chdir(ROOT)
+        assert run(want["argv"]) == want["exit"]
+        got = json.loads(capsys.readouterr().out)
+        assert _report_mismatch(got, json.loads(want["stdout"])) is None
+
+    @pytest.mark.parametrize("name", ["critical-value", "find-emm", "check-arbitrage", "na-prime"])
+    def test_q2_calls_run_no_cutting_planes(self, name, capsys, monkeypatch):
+        # At q = 2 the node geometry is exact (min-norm point and face) and
+        # the interior decision never falls back, so these calls reach no
+        # Kelley loop and still match the golden copy.
+        def no_kelley(*args, **kwargs):
+            raise AssertionError("a cutting-plane program ran")
+
+        for module in (programs, arbitrage, pricing):
+            monkeypatch.setattr(module, "maximize_concave", no_kelley)
         want = GOLDEN[name]
         monkeypatch.chdir(ROOT)
         assert run(want["argv"]) == want["exit"]

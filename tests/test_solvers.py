@@ -17,7 +17,9 @@ Core claims:
       agrees with the HiGHS transport LP on the same shapes, and with
       vertex enumeration in the log domain when the log-weights span 1e3
     - the cone interior-point solver matches HiGHS on LPs and NNLS on
-      min-norm points, and its infeasibility and unboundedness certificates
+      min-norm points (Wolfe's method matches NNLS to 1e-10, also on
+      duplicate and collinear points and with the origin in the hull), and
+      its infeasibility and unboundedness certificates
       hold when recomputed, and its iteration count is the number of steps
       it took
     - the HiGHS core and the LAPACK LU load straight from their files, and
@@ -544,9 +546,22 @@ class TestSolveSocp:
         assert prog.lower_bound(res.y, res.z, box) <= ref.value + 1e-9 * (1.0 + abs(ref.value))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 5), st.integers(2, 3), st.data())
-    def test_min_norm_point_matches_nnls(self, k, d, data):
+    @given(st.integers(2, 5), st.integers(2, 3), st.data(),
+           st.sampled_from(["plain", "duplicate", "collinear", "vertex", "edge", "inside"]))
+    def test_min_norm_point_matches_nnls(self, k, d, data, kind):
         pts = data.draw(_matrix(k, d)) + data.draw(_matrix(1, d))
+        if kind == "duplicate":
+            pts[-1] = pts[0]
+        elif kind == "collinear":
+            pts[-1] = pts[0] + data.draw(st.floats(-2.0, 2.0)) * (pts[1] - pts[0])
+        elif kind == "vertex":
+            pts[0] = 0.0
+        elif kind == "edge":
+            # the origin between the first two points
+            t = data.draw(st.floats(0.1, 0.9))
+            pts[1] = -pts[0] * t / (1.0 - t)
+        elif kind == "inside":
+            pts = pts - pts.mean(axis=0)
         # min t s.t. a >= 0, sum a = 1, |pts' a|_2 <= t
         G = np.zeros((k + 1 + d, k + 1))
         G[:k, :k] = -np.eye(k)
@@ -559,9 +574,18 @@ class TestSolveSocp:
         weight = 1e4  # the simplex row enters NNLS as one heavily weighted residual
         a, _ = nnls(np.vstack([pts.T, weight * np.ones((1, k))]),
                     np.concatenate([np.zeros(d), [weight]]))
-        ref = float(np.linalg.norm(pts.T @ (a / a.sum())))
+        ref_point = pts.T @ (a / a.sum())
+        ref = float(np.linalg.norm(ref_point))
         assert res.status in ("optimal", "unsolved")
         assert abs(res.value - ref) <= 1e-7
+        # Wolfe's active-set method: the point and its simplex weights
+        z, w = solvers.min_norm_point(pts)
+        scale = 1.0 + float(np.max(np.abs(pts)))
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-14
+        assert np.linalg.norm(pts.T @ w - z) <= 1e-13 * scale
+        assert np.linalg.norm(z - ref_point) <= 1e-10 * scale
+        assert abs(float(np.linalg.norm(z)) - ref) <= 1e-10 * scale
+        assert float(np.min(pts @ z)) >= float(z @ z) - 1e-12 * scale ** 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 3), _matrix(1, 3), st.floats(0.01, 2.0), st.booleans())
