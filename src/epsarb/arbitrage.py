@@ -7,7 +7,8 @@ over strategies.  Strict arbitrage localizes to one trading period, so the
 critical level is the largest node deviation max_v gamma(v), checked by one
 node decision just below it and one measure-side interior solve just above
 it; bisections of the detector and of the measure-side cone feasibility
-threshold remain as an opt-in cross-check.
+threshold remain as an opt-in cross-check.  The NA' check is one LP per
+node for every p.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .market import (MarketModel, NormPair, Strategy, _check_level, gain, qnorm, qnorm_grad,
-                     strategy_cost, validate_market)
-from .programs import (_NODE_BAND, _conic, _fallback, _min_norm_solution, _polyhedral,
+from .market import (MarketModel, NormPair, Strategy, _check_level, gain, strategy_cost,
+                     validate_market)
+from .programs import (_NODE_BAND, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
                        tree_ops)
-from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
+from .solvers import LinearProgram, solve_lp
 
 STRICT_ARBITRAGE = "strict_arbitrage"
 NO_ARBITRAGE = "none_within_tolerance"
@@ -553,8 +554,11 @@ def check_na_prime(model: MarketModel, eps: float, norms: NormPair,
 
     (1) no strict eps-arbitrage; (2) node-wise, no classical one-step
     arbitrage among strategies in the admissible hyperplane: maximize the
-    P-mean gain over the unit ball with all one-step gains >= 0; a positive
-    optimum yields a witness direction.
+    P-mean gain c.y over the cone {rows y >= 0} cut by the l1 ball
+    |B y|_1 <= 1, one exact LP for every p; a positive optimum yields a
+    witness direction B y, scaled to unit p-norm.  The sign of the optimum
+    does not depend on which ball cuts the cone, and the l1 ball lies inside
+    every p-ball, so an optimum above ``tol`` is one for the p-ball too.
     """
     strict = detect_strict_arbitrage(model, eps, norms, tol=tol,
                                      want_certificate=certificates)
@@ -566,86 +570,30 @@ def check_na_prime(model: MarketModel, eps: float, norms: NormPair,
         # condition (1), which was just checked.
         return NaPrimeReport(True, strict, witnesses)
     structures = compute_node_structure(model, eps, norms)
+    d = model.d
     for v in model.internal:
-        st = structures[v]
-        B = st.perp_basis
+        B = structures[v].perp_basis
         if B.shape[1] == 0:
             continue
         kids = list(model.children[v])
         A = model.delta[kids]           # (k, d)
-        probs = model.cond_prob[kids]
-        c = B.T @ (A.T @ probs)
+        c = B.T @ (A.T @ model.cond_prob[kids])
         rows = A @ B                    # one-step gains per child, in basis coords
         r = B.shape[1]
-        if norms.p == 1.0:
-            # variables (y, t) with t_i >= |(B y)_i| and sum t <= 1
-            a_ub = np.vstack([
-                np.hstack([-rows, np.zeros((rows.shape[0], model.d))]),
-                np.hstack([B, -np.eye(model.d)]),
-                np.hstack([-B, -np.eye(model.d)]),
-                np.concatenate([np.zeros(r), np.ones(model.d)])[None, :],
-            ])
-            b_ub = np.concatenate([np.zeros(rows.shape[0]),
-                                   np.zeros(2 * model.d), [1.0]])
-            lp = LinearProgram(c=np.concatenate([c, np.zeros(model.d)]), sense="max",
-                               a_ub=a_ub, b_ub=b_ub,
-                               bounds=[(None, None)] * r + [(0, None)] * model.d)
-            res = solve_lp(lp)
-            if res.status == "optimal" and res.value > tol:
-                witnesses[v] = B @ res.x[:r]
-        else:
-            conic = _conic(model.d, norms)
-            found = _unit_ball_witness(c, rows, B, tol) if conic else None
-            if found is None:
-                if conic:
-                    _fallback("check_na_prime", "no checked witness and bound above tol")
-                found = _unit_ball_kelley(c, rows, B, norms, tol)
-            if found is not False:
-                witnesses[v] = found
+        # variables (y, t) with t_i >= |(B y)_i| and sum t <= 1
+        a_ub = np.vstack([
+            np.hstack([-rows, np.zeros((rows.shape[0], d))]),
+            np.hstack([B, -np.eye(d)]),
+            np.hstack([-B, -np.eye(d)]),
+            np.concatenate([np.zeros(r), np.ones(d)])[None, :],
+        ])
+        b_ub = np.concatenate([np.zeros(rows.shape[0]), np.zeros(2 * d), [1.0]])
+        lp = LinearProgram(c=np.concatenate([c, np.zeros(d)]), sense="max",
+                           a_ub=a_ub, b_ub=b_ub,
+                           bounds=[(None, None)] * r + [(0, None)] * d)
+        res = solve_lp(lp)
+        if res.status == "optimal" and res.value > tol:
+            w = B @ res.x[:r]
+            witnesses[v] = w if norms.p == 1.0 else w / norms.norm(w)
     holds = not strict.found and not witnesses
     return NaPrimeReport(holds, strict, witnesses)
-
-
-def _unit_ball_witness(c: np.ndarray, rows: np.ndarray, B: np.ndarray, tol: float):
-    """max c.y s.t. rows y >= 0, |B y|_2 <= 1, as one cone program.
-
-    Returns the witness B y when a checked point (gains >= -1e-10, inside
-    the ball) has value > tol, False when the certified bound is <= tol,
-    and None when neither holds.  B has orthonormal columns, so every
-    feasible y has |y_i| <= |B y|_2 <= 1.
-    """
-    k, r = rows.shape
-    d = B.shape[0]
-    G = np.vstack([-rows, np.zeros((1, r)), -B])
-    prog = ConeProgram(-c, G, np.concatenate([np.zeros(k), [1.0], np.zeros(d)]), k, (d + 1,))
-    res = solve_socp(prog)
-    if res.status == "infeasible" or res.z is None:
-        return None
-    if res.x is not None:
-        y = res.x / max(1.0, float(np.linalg.norm(B @ res.x)))
-        if float(np.min(rows @ y, initial=0.0)) >= -1e-10 and float(c @ y) > tol:
-            return B @ y
-    if -prog.lower_bound(res.y, res.z, np.ones(r)) <= tol:
-        return False
-    return None
-
-
-def _unit_ball_kelley(c: np.ndarray, rows: np.ndarray, B: np.ndarray, norms: NormPair,
-                      tol: float):
-    """The unit-ball program by cutting planes: the witness B y, or False."""
-    def objective(y):
-        return float(c @ y), c
-
-    def ball(y):
-        z = B @ y
-        val = qnorm(z, norms.p)
-        return 1.0 - val, -(B.T @ qnorm_grad(z, norms.p, val))
-
-    r = B.shape[1]
-    res = maximize_concave(objective, -np.ones(r), np.ones(r), [ball],
-                           a_ub=-rows, b_ub=np.zeros(rows.shape[0]),
-                           tol=1e-10, feas_tol=1e-10, max_iter=200,
-                           start=np.zeros(r))
-    if res.x is not None and res.value is not None and res.value > tol:
-        return B @ res.x
-    return False

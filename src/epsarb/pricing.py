@@ -9,11 +9,10 @@ rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
 
 Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).  At
-p = 2 with d >= 2 the interior decision reads each node's min-norm point
-first and then solves one cone program, whose unchecked result is
-indeterminate; price bounds and hedge patterns are one cone program each,
-solved again by cutting planes when the exact check fails.  Cutting planes
-for other p.
+p = 2 with d >= 2 each program is one checked cone program (tangent cones
+as face rows) and no cutting plane runs: an unchecked interior result is
+indeterminate, a price bound or face program raises RuntimeError, and a
+hedge pattern is skipped.  Cutting planes for other p.
 """
 
 from __future__ import annotations
@@ -222,9 +221,9 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
     Pattern nodes trade only the costless orthogonal direction (their costed
     holding is zero); free nodes trade the costed strategy.  One cone
     program at p = 2 with d >= 2 (``_pattern_conic``), cutting planes
-    otherwise or when the conic hedge is not accepted; they start from the
-    p = 1 hedge's holdings.  Hedges are accepted within 1e-7 (1 + max
-    |payoff| + max |price|).
+    otherwise, started from the p = 1 hedge's holdings.  Hedges are accepted
+    within 1e-7 (1 + max |payoff| + max |price|); a pattern without one (its
+    infimum may not be attained) returns (None, None).
     """
     ops = tree_ops(model)
     L, d = model.n_leaves, model.d
@@ -283,12 +282,10 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
         return out
 
     scale = 1.0 + float(np.max(np.abs(payoff.values))) + float(np.max(np.abs(model.prices)))
-    conic = _conic(d, norms)
-    z = _pattern_conic(ops, eps, payoff, gain_free, mask_free, gain_y, leaf_block,
-                       1e-7 * scale) if conic else None
-    if z is None:
-        if conic:
-            _fallback("_superhedge_pattern", "no converged hedge within tol")
+    if _conic(d, norms):
+        z = _pattern_conic(ops, eps, payoff, gain_free, mask_free, gain_y, leaf_block,
+                           1e-7 * scale)
+    else:
         warm = _superhedge_lp(model, eps, payoff)[1].strategy
         h0 = [warm.values[v] for v in free_nodes]
         start = repair(np.concatenate([[x_box[1]], *h0, np.zeros(NY)]))
@@ -318,7 +315,7 @@ def _pattern_conic(ops, eps: float, payoff: Payoff, gain_free: np.ndarray,
     The capital is raised to the binding exact leaf slack (at t = |H|), so
     the hedge returned is exactly feasible; it is taken when the solver's
     residuals and gap are under 1e-9 and the raise is at most ``tol``.
-    Returns the packed point (x, H, y) or None.
+    Returns the packed point (x, H, y), or None (counted as a rejection).
     """
     L, NH = gain_free.shape
     n_free, NY = mask_free.shape[1], gain_y.shape[1]
@@ -329,15 +326,15 @@ def _pattern_conic(ops, eps: float, payoff: Payoff, gain_free: np.ndarray,
     c[NH + n_free] = 1.0
     res = solve_socp(ConeProgram(c, G, np.concatenate([-payoff.values, np.zeros(blocks.shape[0])]),
                                  L, soc))
-    if not res.near_optimal(1e-9):
-        return None
-    w = res.x
-    z = np.concatenate([w[NH + n_free:NH + n_free + 1], w[:NH], w[NH + n_free + 1:]])
-    raise_by = -float(np.min(leaf_block(z)[0]))
-    if raise_by > tol:
-        return None
-    z[0] += max(raise_by, 0.0)
-    return z
+    if res.near_optimal(1e-9):
+        w = res.x
+        z = np.concatenate([w[NH + n_free:NH + n_free + 1], w[:NH], w[NH + n_free + 1:]])
+        raise_by = -float(np.min(leaf_block(z)[0]))
+        if raise_by <= tol:
+            z[0] += max(raise_by, 0.0)
+            return z
+    _fallback("_superhedge_pattern", "no converged hedge within tol")
+    return None
 
 
 def _pattern_kelley(objective, repair, leaf_block, x_box, scale, start):

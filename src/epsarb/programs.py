@@ -15,15 +15,16 @@ node's one-period market (``node_strict_arbitrage``).
 
 Both families are HiGHS LPs when the geometry is polyhedral (p = 1, q = inf,
 d = 1, and the measure side at eps = 0).  At p = q = 2 with d >= 2 the node
-geometry is exact: gamma(v) is the norm of the children's min-norm point
-(:func:`epsarb.solvers.min_norm_point`), a tangent node's cone set is that
-point's face, and the interior decision reads both before it builds any
-whole-tree program.  Every other program there is one second-order cone
-program, checked exactly (``_cone_margins``, ``_leaf_gain_cost``,
-q >= eta P and a recomputed dual bound); a result that fails is counted in
-``CONIC_FALLBACKS`` and is indeterminate (the interior decision) or solved
-again by Kelley cutting planes, the route of every other p.  Public
-wrappers live in :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
+geometry is exact, once per model (:func:`node_geometry`): gamma(v) is the
+norm of the children's min-norm point, and a tangent node's cone is the
+linear rows of that point's face.  Every other program there is one
+second-order cone program, checked exactly (``_cone_margins``,
+``_leaf_gain_cost``, q >= eta P and a recomputed dual bound; measure
+programs solve twice at most, ``_measure_solves``); a result that fails is
+counted in ``CONIC_FALLBACKS`` and has no answer: indeterminate, no
+certificate, or RuntimeError.  Kelley cutting planes are the route of
+every other p.  Public wrappers live in :mod:`epsarb.arbitrage` and
+:mod:`epsarb.pricing`.
 """
 
 from __future__ import annotations
@@ -96,19 +97,15 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 # ---------------------------------------------------------------------------
 
 CONIC_FALLBACKS: Counter = Counter()
-"""Per program, the calls whose conic result failed its exact check: the
-interior decision then returns ``indeterminate``, every other program runs
-its cutting-plane route for that call."""
+"""Per program, the calls left without a certified answer by a failed check."""
 
-# Measure programs solve at eps (1 - tighten): interior-point points carry
-# residuals of 1e-13 to 1e-10 (worst near the critical level, where the cone
-# set is thin), and the tightened cones leave them room to pass the exact
-# check at eps itself.  Price bounds tighten less, since their value moves
-# with it; the interior decision only needs a checked point.
+# Measure programs solve first at eps (1 - _TIGHTEN): interior-point points
+# carry residuals of 1e-13 to 1e-10 (worst near the critical level, where
+# the cone set is thin), and the tightened cones leave them room to pass the
+# exact check at eps itself; a second solve at eps charges no tightening.
 _TIGHTEN = 1e-10
-_TIGHTEN_INTERIOR = 1e-8
 
-_NODE_BAND = 1e-8  # a node with gamma(v) within this (1 + max |dS|) of eps is tangent
+_NODE_BAND = 1e-8  # per (1 + max |dS|); tangent on the measure side: eps <= gamma <= eps + band
 
 
 def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None) -> bool:
@@ -123,19 +120,55 @@ def _conic(d: int, norms: NormPair) -> bool:
     return norms.q == 2.0 and d >= 2
 
 
-def _fallback(program: str, why: str, then: str = "solving by cutting planes") -> None:
+def _fallback(program: str, why: str) -> None:
     CONIC_FALLBACKS[program] += 1
-    _log.debug("%s: conic result rejected (%s); %s", program, why, then)
+    _log.debug("%s: conic result rejected (%s); no certified answer", program, why)
 
 
-def _measure_cones(ops: TreeOps, eps: float) -> tuple[np.ndarray, tuple]:
-    """Rows G (columns: the leaf weights q) and block sizes of the node cones
-    s_v = (eps qbar_v(q), z_v(q)) with G q + s = 0, so that
-    |z_v(q)|_2 <= eps qbar_v(q)."""
+def node_geometry(model: MarketModel) -> dict:
+    """Per internal node, its q = 2 geometry: (children's increments A, their
+    min-norm point z, its simplex weights), with gamma(v) = |z|_2; built
+    once and kept on the model (as ``tree_ops``)."""
+    cached = model.__dict__.get("_node_geometry")
+    if cached is None:
+        cached = {}
+        for v in model.internal:
+            A = model.delta[list(model.children[v])]
+            cached[v] = (A, *min_norm_point(A))
+        object.__setattr__(model, "_node_geometry", cached)
+    return cached
+
+
+def _tangent_faces(ops: TreeOps, eps: float):
+    """The tangent nodes at level eps, {j: (z, off)}: the min-norm point of
+    internal node j, whose face z_v(q) = qbar_v(q) z is the cone set there
+    (facial reduction: Borwein & Wolkowicz, 1981), and the leaves off it;
+    None when some gamma(v) > eps + band empties the set.  One-sided: a
+    node with gamma(v) < eps keeps its cone, whose set is larger."""
+    model = ops.model
+    geometry = node_geometry(model)
+    faces = {}
+    for j, v in enumerate(ops.internal):
+        A, z, _ = geometry[v]
+        gamma = float(np.linalg.norm(z))
+        if gamma > eps + _NODE_BAND * (1.0 + float(np.max(np.abs(A)))):
+            return None
+        if gamma >= eps:
+            off = [k for w, on in zip(model.children[v], face_support(A, z)) if not on
+                   for k in model.leaves_under[w]]
+            faces[j] = (z, np.isin(np.arange(model.n_leaves), off))
+    return faces
+
+
+def _measure_cones(ops: TreeOps, eps: float, faces: dict) -> tuple[np.ndarray, tuple]:
+    """Rows G (columns: the leaf weights q) and block sizes of the cones
+    s_v = (eps qbar_v(q), z_v(q)) of the non-tangent nodes, with G q + s = 0,
+    so that |z_v(q)|_2 <= eps qbar_v(q)."""
     d = ops.model.d
-    blocks = np.concatenate([eps * ops.mask.T[:, None, :],
-                             ops.coeff.transpose(1, 2, 0)], axis=1)
-    return -blocks.reshape(-1, ops.model.n_leaves), (d + 1,) * len(ops.internal)
+    keep = [j for j in range(len(ops.internal)) if j not in faces]
+    blocks = np.concatenate([eps * ops.mask.T[keep, None, :],
+                             ops.coeff[:, keep].transpose(1, 2, 0)], axis=1)
+    return -blocks.reshape(-1, ops.model.n_leaves), (d + 1,) * len(keep)
 
 
 def _norm_cones(d: int, n: int) -> tuple[np.ndarray, tuple]:
@@ -149,46 +182,38 @@ def _norm_cones(d: int, n: int) -> tuple[np.ndarray, tuple]:
     return G.reshape(n * (d + 1), n * (d + 1)), (d + 1,) * n
 
 
-def _measure_program(ops: TreeOps, eps: float, c: np.ndarray, lin: np.ndarray,
-                     lin_rhs: np.ndarray, n_extra: int, face=None,
-                     tighten: float = _TIGHTEN):
-    """min c.(q, extra) s.t. lin (q, extra) <= lin_rhs, sum q = 1, the node
-    cones and, when ``face`` = (f, value) is given, f.q = value; solved with
-    the cones tightened to eps (1 - tighten).
-
-    Returns (result, exact program at eps), the latter for certified bounds.
-    """
+def _measure_solves(ops: TreeOps, eps: float, faces: dict, c: np.ndarray, lin: np.ndarray,
+                    n_extra: int, fixed=None):
+    """min c.(q, extra) s.t. lin (q, extra) <= 0, sum q = 1, the node cones,
+    the tangent faces' rows (z_v(q) = qbar_v(q) z, no weight off the face)
+    and f.q = value when ``fixed`` = (f, value): the measure programs' one
+    two-solve loop.  It solves at eps (1 - _TIGHTEN), then at eps, yielding
+    the solver's point (or None) and the best lower bound so far, certified
+    on the exact program for |extra| <= 1 (+inf: certified infeasible)."""
     L = ops.model.n_leaves
-    a_eq = np.concatenate([np.ones(L), np.zeros(n_extra)])[None, :]
-    b_eq = np.array([1.0])
-    if face is not None:
-        a_eq = np.vstack([a_eq, np.concatenate([face[0], np.zeros(n_extra)])])
-        b_eq = np.array([1.0, face[1]])
+    a_eq = np.vstack([np.ones((1, L))] + [
+        np.vstack([ops.coeff[:, j, :].T - np.outer(z, ops.mask[:, j]), np.eye(L)[off]])
+        for j, (z, off) in faces.items()])
+    b_eq = np.zeros(len(a_eq))
+    b_eq[0] = 1.0
+    if fixed is not None:
+        a_eq, b_eq = np.vstack([a_eq, fixed[0]]), np.append(b_eq, fixed[1])
+    a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n_extra))])
 
     def program(level):
-        blocks, soc = _measure_cones(ops, level)
+        blocks, soc = _measure_cones(ops, level, faces)
         G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], n_extra))])])
-        h = np.concatenate([lin_rhs, np.zeros(blocks.shape[0])])
-        return ConeProgram(c, G, h, lin.shape[0], soc, a_eq, b_eq)
+        return ConeProgram(c, G, np.zeros(G.shape[0]), lin.shape[0], soc, a_eq, b_eq)
 
-    return solve_socp(program(eps * (1.0 - tighten))), program(eps)
-
-
-def _exact_weights(ops: TreeOps, eps: float, norms: NormPair, x: np.ndarray):
-    """Leaf weights from a solver point, clipped to >= 0 and renormalized,
-    or None unless every exact node margin is >= 0 (margins are
-    homogeneous in q, so the renormalization keeps their sign).
-
-    Weights under 1e-12 are also tried at exactly zero: a node whose leaves
-    all carry such weights sits at the apex of its cone, where the relative
-    rounding of the solver's point decides the sign of the margin.
-    """
-    q = np.maximum(x[:ops.model.n_leaves], 0.0)
-    for cand in (q, np.where(q < 1e-12 * float(q.max(initial=0.0)), 0.0, q)):
-        total = float(cand.sum())
-        if total > 0.0 and float(np.min(_cone_margins(ops, eps, norms, cand / total))) >= 0.0:
-            return cand / total
-    return None
+    exact, box, bound = program(eps), np.ones(L + n_extra), -math.inf
+    for level in (eps * (1.0 - _TIGHTEN), eps):
+        res = solve_socp(program(level))
+        if res.status == "infeasible":
+            if exact.certifies_infeasible(res.y, res.z, box):
+                bound = math.inf
+        elif res.x is not None:
+            bound = max(bound, exact.lower_bound(res.y, res.z, box))
+        yield (None if res.status == "infeasible" else res.x), bound
 
 
 def _gap_closed(value: float, bound: float, tol: float) -> bool:
@@ -326,7 +351,7 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
     The maximin certificate: its margin per unit of strategy norm is the
     uniform slack rate.  One LP at p = 1 or d = 1, one checked cone program
     at p = 2 with d >= 2, cutting planes otherwise.  Returns (delta, packed
-    H or None, slacks).
+    H or None, slacks); (0.0, None, zeros) is "no certificate".
     """
     L, n_int, d = ops.coeff.shape
     N = n_int * d
@@ -353,6 +378,7 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
         if out is not None:
             return out
         _fallback("strict_arbitrage_maximin_program", "gap check failed")
+        return 0.0, None, np.zeros(L)
 
     # Leaf slacks are positively homogeneous in H, so maximize the minimum
     # slack over the box (iterates are always usable) and normalize the
@@ -435,97 +461,132 @@ def _cone_rows_linf(ops: TreeOps, eps: float):
     return np.vstack(rows) if rows else np.zeros((0, ops.model.n_leaves))
 
 
-def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray) -> np.ndarray:
-    """Exact node margins eps*qbar(v) - |z_v(q)|_q at given leaf weights."""
+def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
+                  faces: Optional[dict] = None) -> np.ndarray:
+    """Exact node margins eps*qbar(v) - |z_v(q)|_q at given leaf weights.
+
+    At a node of ``faces`` (margin +-1 ulp at eps = gamma(v)) it is the
+    rounding floor 1e-12 (1 + max |coeff|) less the distance from the face,
+    |z_v(q) - qbar_v(q) z|_2 + weight off the face, concave too."""
     out = np.zeros(len(ops.internal))
     for j in range(len(ops.internal)):
         z = ops.coeff[:, j, :].T @ q
         out[j] = eps * float(ops.mask[:, j] @ q) - qnorm(z, norms.q)
+    if faces:
+        floor = 1e-12 * (1.0 + float(np.max(np.abs(ops.coeff))))
+        for j, (z, off) in faces.items():
+            miss = ops.coeff[:, j, :].T @ q - float(ops.mask[:, j] @ q) * z
+            out[j] = floor - qnorm(miss, 2.0) - q[off].sum()
     return out
 
 
-def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, x: np.ndarray):
-    """Weights x with each node of negative margin mixed toward its
-    children's min-norm split; None unless every margin is then >= 0.
+def _checked_weights(ops: TreeOps, eps: float, norms: NormPair, faces: dict,
+                     x: Optional[np.ndarray]):
+    """Leaf weights from a solver point x (or None), clipped to >= 0 and
+    renormalized, that pass ``_min_norm_repair``; None if there are none.
+
+    Weights under 1e-12 are also tried at exactly zero: a node whose leaves
+    all carry such weights sits at the apex of its cone, where the relative
+    rounding of the solver's point decides the sign of the margin.
+    """
+    q = np.zeros(0) if x is None else np.maximum(x[:ops.model.n_leaves], 0.0)
+    for cand in (q, np.where(q < 1e-12 * float(q.max(initial=0.0)), 0.0, q)):
+        if cand.sum() > 0.0:
+            out = _min_norm_repair(ops, eps, norms, faces, cand / cand.sum())
+            if out is not None:
+                return out
+    return None
+
+
+def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, faces: dict, x: np.ndarray):
+    """Weights x with each node of negative margin (``_cone_margins`` with
+    the tangent faces) mixed toward its children's min-norm split; None
+    unless every margin is then >= 0.
 
     A node's margin depends only on how its mass splits among its children,
     so re-split by the min-norm weights, node v has margin
-    (eps - gamma(v)) qbar(v), and no other node changes sign (each child's
-    subtree is scaled as a whole).  Margins are concave in q: the mix of x
-    and the re-split x' passes node v at t >= m(x) / (m(x) - m(x')), and t
-    is twice the largest such bound.
+    (eps - gamma(v)) qbar(v), or lies on its face when tangent, and no other
+    node changes sign (each child's subtree is scaled as a whole).  Margins
+    are concave in q: the mix of x and the re-split x' passes node v at
+    t >= m(x) / (m(x) - m(x')), and t is twice the largest such bound.
     """
     model = ops.model
-    m0 = _cone_margins(ops, eps, norms, x)
+    m0 = _cone_margins(ops, eps, norms, x, faces)
     fail = m0 < 0.0
     if not fail.any():
         return x
     resplit = x.copy()
     for j in np.flatnonzero(fail):
-        kids = model.children[model.internal[j]]
-        under = [list(model.leaves_under[w]) for w in kids]
+        v = model.internal[j]
+        under = [list(model.leaves_under[w]) for w in model.children[v]]
         mass = np.array([x[u].sum() for u in under])
-        lam = min_norm_point(model.delta[list(kids)])[1]
+        _, _, lam = node_geometry(model)[v]
         for u, m_w, l_w in zip(under, mass, lam):
             if m_w > 0.0:
                 resplit[u] *= l_w * mass.sum() / m_w
-    m1 = _cone_margins(ops, eps, norms, resplit)
+    m1 = _cone_margins(ops, eps, norms, resplit, faces)
     if not np.all(m1[fail] > 0.0):
         return None
     q = x + min(1.0, 2.0 * float(np.max(m0[fail] / (m0[fail] - m1[fail])))) * (resplit - x)
-    return q if float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0 else None
+    return q if float(np.min(_cone_margins(ops, eps, norms, q, faces))) >= 0.0 else None
 
 
 def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
     """max rho s.t. q >= rho P, rho >= 0, sum q = 1 and the node cones.
 
-    The nodes decide first.  A node with gamma(v) above eps by more than the
-    node band has an empty cone set; a node within the band is tangent, its
-    weights lie on the face of its min-norm point, and a face with no
-    full-support point puts weight 0 on some leaf, so rho* = 0.  Otherwise
-    the whole tree is one cone program: feasible when the solver's weights,
-    repaired by ``_min_norm_repair``, have q >= eta P; infeasible on a
-    certificate, or a certified bound on rho* below eta.  The tightened
-    program's dual is only near-feasible for the exact one, so an undecided
-    call is solved again untightened, and is then indeterminate, with the
-    smaller bound.
+    The nodes decide first (``_tangent_faces``): the set is empty, or a
+    tangent face with no full-support point puts weight 0 on some leaf, so
+    rho* = 0.  Otherwise the whole tree is one cone program, tangent cones
+    as face rows: feasible when the solver's weights, repaired by
+    ``_checked_weights``, have q >= eta P; infeasible on a certificate, or
+    a certified bound on rho* below eta; else indeterminate, with the bound.
     """
-    faces = []
-    for v in ops.model.internal:
-        A = ops.model.delta[list(ops.model.children[v])]
-        z = min_norm_point(A)[0]
-        band = _NODE_BAND * (1.0 + float(np.max(np.abs(A))))
-        if np.linalg.norm(z) > eps + band:
-            return "infeasible", None, None, None, None
-        if np.linalg.norm(z) >= eps - band:
-            faces.append((A, z))
-    if not all(np.all(face_support(A, z)) for A, z in faces):
+    faces = _tangent_faces(ops, eps)
+    if faces is None:
+        return "infeasible", None, None, None, None
+    if any(off.any() for _, off in faces.values()):
         return "infeasible", None, None, 0.0, None
     L = ops.model.n_leaves
     P = ops.model.leaf_prob
     c = np.zeros(L + 1)
     c[-1] = -1.0
     lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
-    box = np.ones(L + 1)
     rho_ub = math.inf
-    for tighten in (_TIGHTEN_INTERIOR, 0.0):
-        res, exact = _measure_program(ops, eps, c, lin, np.zeros(L + 1), 1, tighten=tighten)
-        if res.status == "infeasible":
-            if exact.certifies_infeasible(res.y, res.z, box):
-                return "infeasible", None, None, None, None
-            continue
-        if res.x is None:
-            continue
-        rho_ub = min(rho_ub, -exact.lower_bound(res.y, res.z, box))
-        x = np.maximum(res.x[:L], 0.0)
-        q = _min_norm_repair(ops, eps, norms, x / x.sum()) if x.sum() > 0.0 else None
+    for x, bound in _measure_solves(ops, eps, faces, c, lin, 1):
+        if bound == math.inf:
+            return "infeasible", None, None, None, None
+        rho_ub = -bound
+        q = _checked_weights(ops, eps, norms, faces, x)
         if q is not None and np.all(q >= eta * P):
             return ("feasible", q, float(np.min(q / P)), rho_ub,
                     float(np.min(_cone_margins(ops, eps, norms, q))))
         if rho_ub < eta:
             return "infeasible", None, None, rho_ub, None
-    _fallback("interior_feasibility", "no checked witness or bound", "returning indeterminate")
+    _fallback("interior_feasibility", "no checked witness or bound")
     return "indeterminate", None, None, rho_ub if rho_ub < math.inf else None, None
+
+
+def _conic_optimum(program: str, ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray,
+                   lin: np.ndarray, n_extra: int, value_of, fixed=None):
+    """The best checked leaf weights of ``_measure_solves``, once their value
+    ``value_of(q)`` (None: q misses a side condition) is within 1e-9
+    (relative) of the certified bound; None when the set is certified
+    empty.  Raises RuntimeError when neither solve decides."""
+    faces = _tangent_faces(ops, eps)
+    if faces is None:
+        return None
+    best, best_q = math.inf, None
+    for x, bound in _measure_solves(ops, eps, faces, c, lin, n_extra, fixed):
+        if bound == math.inf:
+            return None
+        q = _checked_weights(ops, eps, norms, faces, x)
+        value = None if q is None else value_of(q)
+        if value is not None and value < best:
+            best, best_q = value, q
+        if best_q is not None and _gap_closed(best, bound, 1e-9):
+            return best_q
+    _fallback(program, "no checked point within the gap")
+    raise RuntimeError(f"{program} unsolved at eps={eps}: checked {best}, bound {bound}")
 
 
 def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float,
@@ -535,9 +596,10 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     Returns (status, q, rho, rho_upper_bound, margin) with status in
     {feasible, infeasible, indeterminate}.  A feasible verdict carries
     weights with q >= eta P, checked elementwise, and node margins >= 0:
-    exactly on the conic and cutting-plane routes, and to the rounding floor
-    1e-12 (1 + max |coeff|) on the LP route, whose vertex meets its rows only
-    to rounding (an LP vertex that fails either check is indeterminate).
+    exactly on the conic (tangent nodes: on the face) and cutting-plane
+    routes, and to the rounding floor 1e-12 (1 + max |coeff|) on the LP
+    route, whose vertex meets its rows only to rounding (an LP vertex that
+    fails either check is indeterminate).
 
     Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP, and
     q = 2 the node check and one cone program (``_interior_conic``).  Other
@@ -676,14 +738,14 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
                         leaf_objective: np.ndarray, sense: str, anchor: np.ndarray):
     """Optimize a linear leaf functional over the closed cone-feasible set.
 
-    Polyhedral geometry is one LP and q = 2 one cone program; the value
-    returned is that of weights that pass the exact margin check, within
-    1e-9 (relative) of the certified dual bound.  Other q, and conic
-    results that fail the check, run cutting planes: ``anchor`` is an
-    exactly cone-feasible point (an interior witness), and iterates are
-    repaired by the longest feasible mix toward it, so incumbents are
-    exactly feasible.  Returns (value, q) or (None, None) when the closed
-    set is empty.
+    Polyhedral geometry is one LP and q = 2 one cone program, solved twice
+    at most (``_conic_optimum``); the value returned is that of weights that
+    pass the exact check, within 1e-9 (relative) of the certified dual
+    bound, and a conic result that fails it raises RuntimeError.  Other q
+    run cutting planes: ``anchor`` is an exactly cone-feasible point (an
+    interior witness), and iterates are repaired by the longest feasible
+    mix toward it, so incumbents are exactly feasible.  Returns (value, q)
+    or (None, None) when the closed set is empty.
     """
     ops = tree_ops(model)
     L = model.n_leaves
@@ -701,16 +763,9 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
         return float(res.value), res.x
     sgn = 1.0 if sense == "max" else -1.0
     if _conic(model.d, norms):
-        res, exact = _measure_program(ops, eps, -sgn * c, -np.eye(L), np.zeros(L), 0)
-        box = np.ones(L)
-        if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
-            return None, None
-        q = None if res.x is None else _exact_weights(ops, eps, norms, res.x)
-        if q is not None:
-            value = float(c @ q)
-            if _gap_closed(value, -sgn * exact.lower_bound(res.y, res.z, box), 1e-9):
-                return value, q
-        _fallback("cone_linear_optimum", "no checked point within the gap")
+        q = _conic_optimum("cone_linear_optimum", ops, eps, norms, -sgn * c, -np.eye(L), 0,
+                           lambda q: float(-sgn * c @ q))
+        return (None, None) if q is None else (float(c @ q), q)
     cons = _cone_oracles(ops, eps, norms)
 
     def objective(x):
@@ -745,7 +800,8 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
                            leaf_objective: np.ndarray, target: float):
     """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
-    of target."""
+    of target, or (0.0, None) when there is none; a q = 2 result that fails
+    its check raises RuntimeError (``_conic_optimum``)."""
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
@@ -773,15 +829,10 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
         # The slab |c.q - target| <= scale is solved as its middle slice
         # c.q = target: a thin slab is as degenerate, and worse conditioned.
         lin = np.vstack([min_rows, np.hstack([-np.eye(L), np.zeros((L, 1))])])
-        res, exact = _measure_program(ops, eps, obj, lin, np.zeros(2 * L), 1,
-                                      face=(c, target))
-        q = None if res.x is None else _exact_weights(ops, eps, norms, res.x)
-        if q is not None and abs(float(c @ q) - target) <= scale:
-            min_w = float(np.min(q))
-            if _gap_closed(min_w, -exact.lower_bound(res.y, res.z, np.ones(L + 1)), 1e-9):
-                return min_w, q
-        _fallback("max_min_weight_on_face", "no checked point within the gap")
-
+        q = _conic_optimum("max_min_weight_on_face", ops, eps, norms, obj, lin, 1,
+                           lambda q: -float(np.min(q)) if abs(float(c @ q) - target) <= scale
+                           else None, fixed=(c, target))
+        return (0.0, None) if q is None else (float(np.min(q)), q)
     cons = _cone_oracles(ops, eps, norms, n_extra=1)
 
     def objective(x):
@@ -833,7 +884,7 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
     Scalar increments have a closed form: the simplex image is the interval
     [min dS, max dS], so gamma is 0 when it contains 0 and the smallest
     |dS| otherwise.  At q = 2 gamma is the norm of the children's min-norm
-    point (:func:`epsarb.solvers.min_norm_point`).  Other geometry solves
+    point, kept on the model (:func:`node_geometry`).  Other geometry solves
     one LP (q = inf) or a cutting-plane program.
     """
     kids = list(model.children[v])
@@ -861,7 +912,8 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
             raise RuntimeError(f"node deviation LP failed: {res.status}")
         return float(res.value)
     if _conic(model.d, norms):
-        return float(np.linalg.norm(min_norm_point(A)[0]))
+        _, z, _ = node_geometry(model)[v]
+        return float(np.linalg.norm(z))
 
     def objective(a):
         z = A.T @ a
@@ -932,7 +984,8 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         return (True, h, gamma) if total > 1e-9 else (False, None, gamma)
     if _conic(model.d, norms):
         # Tangent: the cone set is the face of the min-norm point.
-        on = face_support(A, min_norm_point(A)[0])
+        _, z, _ = node_geometry(model)[v]
+        on = face_support(A, z)
     else:
         on = np.array([_node_support_max(A, w, eps, norms) >= 1e-7 for w in range(len(A))])
     support, off = np.flatnonzero(on), np.flatnonzero(~on)

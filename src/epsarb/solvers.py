@@ -21,13 +21,13 @@ module and a solve loads only those two.
 The point of a polytope nearest the origin is Wolfe's finite active-set
 method (:func:`min_norm_point`), certified by its optimality condition,
 and one LP (:func:`face_support`) finds which vertices can carry weight in
-that point.  Kelley cutting planes serve the remaining p; on the strategy
-side that is the maximin program, which a node decision also runs, on its
-one-period market.  Transport needs no LP: min-cost transport
-is a transportation simplex that prices its cycles in the log domain,
-exact for weights of any spread, and bottleneck transport a threshold
-algorithm that grows a flow along augmenting paths and raises the
-threshold at Hall cuts.
+that point.  Kelley cutting planes serve the remaining p only (no p = 2
+program falls back to them); on the strategy side that is the maximin
+program, which a node decision also runs, on its one-period market.
+Transport needs no LP: min-cost transport is a transportation simplex
+that prices its cycles in the log domain, exact for weights of any spread,
+and bottleneck transport a threshold algorithm that grows a flow along
+augmenting paths and raises the threshold at Hall cuts.
 """
 
 from __future__ import annotations

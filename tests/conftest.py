@@ -1,19 +1,48 @@
 """Session-wide reporting for the test suite."""
 
+import sys
+from collections import Counter
+
 from epsarb import programs
+
+# The measure programs, by the function that runs the two-solve loop.
+MEASURE_PROGRAMS = {"cone_linear_optimum": "price bound", "max_min_weight_on_face": "face",
+                    "_interior_conic": "interior"}
+SECOND_SOLVES: Counter = Counter()
+
+
+def _count_second_solves(solves):
+    """``programs._measure_solves`` wrapped to count, per measure program,
+    the calls that went on to the untightened second solve."""
+    def wrapped(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in MEASURE_PROGRAMS:
+            frame = frame.f_back
+        name = MEASURE_PROGRAMS[frame.f_code.co_name] if frame is not None else "other"
+        for n, item in enumerate(solves(*args, **kwargs)):
+            if n == 1:
+                SECOND_SOLVES[name] += 1
+            yield item
+    return wrapped
+
+
+def pytest_configure(config):
+    programs._measure_solves = _count_second_solves(programs._measure_solves)
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Print how often each conic program's result was rejected.
+    """Print how many conic results were left without a certified answer,
+    and how many measure-program calls needed their second solve.
 
-    Each count is a call whose conic result failed its exact check: the
-    interior decision then returned indeterminate, every other program was
-    solved again by Kelley cutting planes.  The q = 2 Kelley routes can go
-    once these reach zero.
+    Each rejection is a call whose conic result failed its exact check
+    after every solve: the interior decision returned indeterminate, the
+    maximin program no certificate, a hedge pattern was skipped, and a
+    price bound or face program raised.
     """
     counts = programs.CONIC_FALLBACKS
-    terminalreporter.section("conic results rejected (then Kelley, or indeterminate "
-                             "for interior_feasibility)")
+    terminalreporter.section("conic results without a certified answer")
     terminalreporter.write_line(f"total: {sum(counts.values())}")
     for name, n in sorted(counts.items()):
         terminalreporter.write_line(f"{name}: {n}")
+    terminalreporter.write_line("untightened second solves: " + ", ".join(
+        f"{name} {SECOND_SOLVES[name]}" for name in MEASURE_PROGRAMS.values()))

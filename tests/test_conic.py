@@ -4,7 +4,13 @@ Core claims:
     - on tangent markets (a cone set that is a single point or touches the
       boundary) the node geometry decides exactly, by the min-norm point and
       its face, so no conic result is rejected and the verdict stands
+    - the tangent test is one-sided: just above a tangent level whose face
+      has no full-support point, the cone set is larger than the face and
+      a measure is found
     - off the boundary the conic route decides alone, with no fallback
+    - q = 2 pricing runs no cutting planes: price bounds and superhedge
+      prices close their duality gap to 1e-9 by the cone programs alone,
+      also where the cone set is a single point
     - conic and cutting-plane routes agree on verdicts, price bounds, node
       deviations and superhedge prices
 """
@@ -13,12 +19,29 @@ import numpy as np
 import pytest
 
 import epsarb as ea
-from epsarb import arbitrage, pricing, programs
+from epsarb import pricing, programs
 from epsarb.testing import random_market
 
 from _helpers import kbar_market, nostrictarb_market
 
 N2 = ea.NormPair(2.0)
+
+
+def fan_market() -> ea.MarketModel:
+    """One node, two assets, children dS = (1, 0), (1, 1), (1, 2), P uniform."""
+    return ea.MarketModel.from_nodes(1, 2, [
+        {"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0, 0.0]},
+        *({"id": f"w{i}", "time": 1, "parent": "r", "cond_prob": 1 / 3,
+           "prices": [1.0, float(i)]} for i in range(3))])
+
+
+def criterion_05_draw(k):
+    """Market and payoff of draw k (from 0) in the criterion 05 battery."""
+    rng = np.random.default_rng(505)
+    for _ in range(k + 1):
+        m = random_market(rng)
+        psi = ea.Payoff(rng.normal(size=m.n_leaves))
+    return m, psi
 
 
 def _fallbacks(name):
@@ -46,6 +69,16 @@ class TestTangentMarkets:
         assert res.feasible
         assert np.max(np.abs(res.measure.weights - 0.5)) <= 1e-8
 
+    @pytest.mark.parametrize("eps", [1.0 + 1e-9, 1.0 + 1e-8])
+    def test_just_above_a_tangent_level_is_feasible(self, eps):
+        # gamma = 1 at the vertex (1, 0), whose face carries one child only;
+        # above it q = (1 - 2s, s, s) is in the cone set for 3s <= sqrt(eps^2 - 1).
+        m = fan_market()
+        res = ea.find_eps_martingale_measure(m, eps, N2)
+        assert res.feasible and not res.indeterminate
+        assert ea.is_eps_martingale(m, res.measure, eps, N2)[0]
+        assert np.all(res.measure.weights > 0.0)
+
     def test_off_boundary_levels_need_no_fallback(self):
         before = sum(programs.CONIC_FALLBACKS.values())
         m = kbar_market(1.0)
@@ -56,12 +89,32 @@ class TestTangentMarkets:
         assert sum(programs.CONIC_FALLBACKS.values()) == before
 
 
+class TestNoCuttingPlanes:
+    def test_q2_pricing_closes_its_gap_without_cutting_planes(self, monkeypatch):
+        def no_kelley(*args, **kwargs):
+            raise AssertionError("a cutting-plane program ran")
+
+        for module in (programs, pricing):
+            monkeypatch.setattr(module, "maximize_concave", no_kelley)
+        for k in (45, 87):
+            m, psi = criterion_05_draw(k)
+            eps = 1.05 * programs.reference_deviation(m, N2) + 0.05
+            res = ea.superhedge_price(m, eps, N2, psi)
+            assert res.gap is not None and res.gap <= 1e-9 * (1.0 + abs(res.price)), k
+        # kbar at eps = gamma = 1: the cone set is the single point (1/2, 1/2)
+        m, psi = kbar_market(1.0), ea.Payoff(np.array([1.0, 0.0]))
+        assert abs(ea.robust_price_bound(m, 1.0, N2, psi, "sup").value - 0.5) <= 1e-9
+        res = ea.superhedge_price(m, 1.0, N2, psi)
+        assert abs(res.price - 0.5) <= 1e-9
+        assert res.gap is not None and res.gap <= 1e-9 * (1.0 + abs(res.price))
+
+
 @pytest.fixture
 def cutting_planes(monkeypatch):
     """Route every program to the cutting planes, as for p outside {1, 2}."""
     def use(flag):
         if flag:
-            for module in (programs, arbitrage, pricing):
+            for module in (programs, pricing):
                 monkeypatch.setattr(module, "_conic", lambda d, norms: False)
         else:
             monkeypatch.undo()

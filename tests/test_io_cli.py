@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import epsarb as ea
-from epsarb import arbitrage, pricing, programs
+from epsarb import pricing, programs
 from epsarb import io as eio
 from epsarb.cli import run
 
@@ -323,7 +323,7 @@ class TestGoldenReports:
         def no_kelley(*args, **kwargs):
             raise AssertionError("a cutting-plane program ran")
 
-        for module in (programs, arbitrage, pricing):
+        for module in (programs, pricing):
             monkeypatch.setattr(module, "maximize_concave", no_kelley)
         want = GOLDEN[name]
         monkeypatch.chdir(ROOT)
