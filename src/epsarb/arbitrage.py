@@ -557,8 +557,11 @@ def check_na_prime(model: MarketModel, eps: float, norms: NormPair,
     P-mean gain c.y over the cone {rows y >= 0} cut by the l1 ball
     |B y|_1 <= 1, one exact LP for every p; a positive optimum yields a
     witness direction B y, scaled to unit p-norm.  The sign of the optimum
-    does not depend on which ball cuts the cone, and the l1 ball lies inside
-    every p-ball, so an optimum above ``tol`` is one for the p-ball too.
+    does not depend on which ball cuts the cone.  ``tol`` bounds the
+    witness's own gain per unit p-norm, c.y / |B y|_p: it lies between the
+    l1-ball optimum and the p-ball optimum, which exceeds the l1 one by a
+    factor d^(1 - 1/p) at most, and equals the latter when the hyperplane
+    piece is a line (B one column).
     """
     strict = detect_strict_arbitrage(model, eps, norms, tol=tol,
                                      want_certificate=certificates)
@@ -592,8 +595,8 @@ def check_na_prime(model: MarketModel, eps: float, norms: NormPair,
                            a_ub=a_ub, b_ub=b_ub,
                            bounds=[(None, None)] * r + [(0, None)] * d)
         res = solve_lp(lp)
-        if res.status == "optimal" and res.value > tol:
-            w = B @ res.x[:r]
+        w = B @ res.x[:r] if res.status == "optimal" else None
+        if w is not None and res.value > tol * norms.norm(w):
             witnesses[v] = w if norms.p == 1.0 else w / norms.norm(w)
     holds = not strict.found and not witnesses
     return NaPrimeReport(holds, strict, witnesses)

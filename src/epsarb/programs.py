@@ -33,6 +33,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -105,7 +106,8 @@ CONIC_FALLBACKS: Counter = Counter()
 # exact check at eps itself; a second solve at eps charges no tightening.
 _TIGHTEN = 1e-10
 
-_NODE_BAND = 1e-8  # per (1 + max |dS|); tangent on the measure side: eps <= gamma <= eps + band
+_NODE_BAND = 1e-8  # per (1 + max |dS|): the strategy side's boundary band around gamma(v) = eps
+_FLOOR = 1e-12  # per (1 + max |dS|): the rounding floor of an exact node check
 
 
 def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None) -> bool:
@@ -125,16 +127,28 @@ def _fallback(program: str, why: str) -> None:
     _log.debug("%s: conic result rejected (%s); no certified answer", program, why)
 
 
+class NodeGeometry:
+    """One internal node's q = 2 geometry: its children's increments A, their
+    min-norm point z with gamma = |z|_2, its simplex weights lam and, on
+    first use, which children carry weight on the face of z (``on``)."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+        self.z, self.lam = min_norm_point(A)
+        self.gamma = float(np.linalg.norm(self.z))
+
+    @cached_property
+    def on(self) -> np.ndarray:
+        return face_support(self.A, self.z)
+
+
 def node_geometry(model: MarketModel) -> dict:
-    """Per internal node, its q = 2 geometry: (children's increments A, their
-    min-norm point z, its simplex weights), with gamma(v) = |z|_2; built
-    once and kept on the model (as ``tree_ops``)."""
+    """Per internal node, its :class:`NodeGeometry`; built once and kept on
+    the model (as ``tree_ops``)."""
     cached = model.__dict__.get("_node_geometry")
     if cached is None:
-        cached = {}
-        for v in model.internal:
-            A = model.delta[list(model.children[v])]
-            cached[v] = (A, *min_norm_point(A))
+        cached = {v: NodeGeometry(model.delta[list(model.children[v])])
+                  for v in model.internal}
         object.__setattr__(model, "_node_geometry", cached)
     return cached
 
@@ -142,21 +156,21 @@ def node_geometry(model: MarketModel) -> dict:
 def _tangent_faces(ops: TreeOps, eps: float):
     """The tangent nodes at level eps, {j: (z, off)}: the min-norm point of
     internal node j, whose face z_v(q) = qbar_v(q) z is the cone set there
-    (facial reduction: Borwein & Wolkowicz, 1981), and the leaves off it;
-    None when some gamma(v) > eps + band empties the set.  One-sided: a
-    node with gamma(v) < eps keeps its cone, whose set is larger."""
+    (facial reduction: Borwein & Wolkowicz, 1981), and the leaves off it.
+    Tangent means eps <= gamma(v) <= eps + floor, gamma = eps to rounding;
+    None when some gamma(v) is above that, which empties the set.  One-sided:
+    a node with gamma(v) < eps keeps its cone, whose set is larger."""
     model = ops.model
     geometry = node_geometry(model)
     faces = {}
     for j, v in enumerate(ops.internal):
-        A, z, _ = geometry[v]
-        gamma = float(np.linalg.norm(z))
-        if gamma > eps + _NODE_BAND * (1.0 + float(np.max(np.abs(A)))):
+        node = geometry[v]
+        if node.gamma > eps + _FLOOR * (1.0 + float(np.max(np.abs(node.A)))):
             return None
-        if gamma >= eps:
-            off = [k for w, on in zip(model.children[v], face_support(A, z)) if not on
+        if node.gamma >= eps:
+            off = [k for w, on in zip(model.children[v], node.on) if not on
                    for k in model.leaves_under[w]]
-            faces[j] = (z, np.isin(np.arange(model.n_leaves), off))
+            faces[j] = (node.z, np.isin(np.arange(model.n_leaves), off))
     return faces
 
 
@@ -466,14 +480,14 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
     """Exact node margins eps*qbar(v) - |z_v(q)|_q at given leaf weights.
 
     At a node of ``faces`` (margin +-1 ulp at eps = gamma(v)) it is the
-    rounding floor 1e-12 (1 + max |coeff|) less the distance from the face,
+    rounding floor _FLOOR (1 + max |coeff|) less the distance from the face,
     |z_v(q) - qbar_v(q) z|_2 + weight off the face, concave too."""
     out = np.zeros(len(ops.internal))
     for j in range(len(ops.internal)):
         z = ops.coeff[:, j, :].T @ q
         out[j] = eps * float(ops.mask[:, j] @ q) - qnorm(z, norms.q)
     if faces:
-        floor = 1e-12 * (1.0 + float(np.max(np.abs(ops.coeff))))
+        floor = _FLOOR * (1.0 + float(np.max(np.abs(ops.coeff))))
         for j, (z, off) in faces.items():
             miss = ops.coeff[:, j, :].T @ q - float(ops.mask[:, j] @ q) * z
             out[j] = floor - qnorm(miss, 2.0) - q[off].sum()
@@ -520,8 +534,7 @@ def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, faces: dict, x: 
         v = model.internal[j]
         under = [list(model.leaves_under[w]) for w in model.children[v]]
         mass = np.array([x[u].sum() for u in under])
-        _, _, lam = node_geometry(model)[v]
-        for u, m_w, l_w in zip(under, mass, lam):
+        for u, m_w, l_w in zip(under, mass, node_geometry(model)[v].lam):
             if m_w > 0.0:
                 resplit[u] *= l_w * mass.sum() / m_w
     m1 = _cone_margins(ops, eps, norms, resplit, faces)
@@ -559,7 +572,7 @@ def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
         q = _checked_weights(ops, eps, norms, faces, x)
         if q is not None and np.all(q >= eta * P):
             return ("feasible", q, float(np.min(q / P)), rho_ub,
-                    float(np.min(_cone_margins(ops, eps, norms, q))))
+                    float(np.min(_cone_margins(ops, eps, norms, q, faces))))
         if rho_ub < eta:
             return "infeasible", None, None, rho_ub, None
     _fallback("interior_feasibility", "no checked witness or bound")
@@ -615,7 +628,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     P = model.leaf_prob
     # Rounding floor of |z_v(q)|_q at this price scale.
     scale = 1.0 + float(np.max(np.abs(ops.coeff)))
-    margin_floor = 1e-12 * scale
+    margin_floor = _FLOOR * scale
     if _polyhedral(model, norms, eps):
         rows = _cone_rows_linf(ops, eps)
         a_ub = np.vstack([
@@ -912,8 +925,7 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
             raise RuntimeError(f"node deviation LP failed: {res.status}")
         return float(res.value)
     if _conic(model.d, norms):
-        _, z, _ = node_geometry(model)[v]
-        return float(np.linalg.norm(z))
+        return node_geometry(model)[v].gamma
 
     def objective(a):
         z = A.T @ a
@@ -984,8 +996,7 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         return (True, h, gamma) if total > 1e-9 else (False, None, gamma)
     if _conic(model.d, norms):
         # Tangent: the cone set is the face of the min-norm point.
-        _, z, _ = node_geometry(model)[v]
-        on = face_support(A, z)
+        on = node_geometry(model)[v].on
     else:
         on = np.array([_node_support_max(A, w, eps, norms) >= 1e-7 for w in range(len(A))])
     support, off = np.flatnonzero(on), np.flatnonzero(~on)

@@ -1,33 +1,41 @@
 """Session-wide reporting for the test suite."""
 
-import sys
 from collections import Counter
 
 from epsarb import programs
 
-# The measure programs, by the function that runs the two-solve loop.
+# The measure programs, by the name ``_conic_optimum`` is given or the function.
 MEASURE_PROGRAMS = {"cone_linear_optimum": "price bound", "max_min_weight_on_face": "face",
                     "_interior_conic": "interior"}
 SECOND_SOLVES: Counter = Counter()
+_running = ["other"]  # the measure program whose two-solve loop runs
+
+
+def _named(run, name_of):
+    """A measure program wrapped to name the two-solve loop it runs."""
+    def wrapped(*args, **kwargs):
+        _running[0] = name_of(*args)
+        return run(*args, **kwargs)
+    return wrapped
 
 
 def _count_second_solves(solves):
     """``programs._measure_solves`` wrapped to count, per measure program,
     the calls that went on to the untightened second solve."""
     def wrapped(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name not in MEASURE_PROGRAMS:
-            frame = frame.f_back
-        name = MEASURE_PROGRAMS[frame.f_code.co_name] if frame is not None else "other"
         for n, item in enumerate(solves(*args, **kwargs)):
             if n == 1:
-                SECOND_SOLVES[name] += 1
+                SECOND_SOLVES[_running[0]] += 1
             yield item
     return wrapped
 
 
 def pytest_configure(config):
     programs._measure_solves = _count_second_solves(programs._measure_solves)
+    programs._conic_optimum = _named(programs._conic_optimum,
+                                     lambda program, *_: MEASURE_PROGRAMS[program])
+    programs._interior_conic = _named(programs._interior_conic,
+                                      lambda *_: MEASURE_PROGRAMS["_interior_conic"])
 
 
 def pytest_terminal_summary(terminalreporter):

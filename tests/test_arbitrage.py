@@ -614,6 +614,25 @@ class TestNaPrime:
         assert rep.holds and not rep.witnesses
         assert ea.find_eps_martingale_measure(m, eps, N1).feasible
 
+    @pytest.mark.parametrize("tol, found", [(0.09, True), (0.11, False)])
+    def test_p2_witness_gain_is_per_unit_two_norm(self, tol, found):
+        # dS(w) = ((1 + a_w), (1 - a_w)) / sqrt 2 with a = (0, 0.1, 0.2):
+        # hbar = (1, 1) / sqrt 2, and along g = (1, -1) / sqrt 2 every child
+        # gains a_w >= 0, a P-mean of 0.1 per unit 2-norm (0.1 / sqrt 2 per
+        # unit l1-norm, below both tolerances).
+        a = np.array([0.0, 0.1, 0.2])
+        m = _one_period(np.column_stack([1.0 + a, 1.0 - a]) / np.sqrt(2.0))
+        rep = ea.check_na_prime(m, 1.0, N2, tol=tol)
+        assert not rep.strict_arbitrage.found
+        assert rep.holds is not found
+        if found:
+            (g,) = rep.witnesses.values()
+            assert abs(np.linalg.norm(g) - 1.0) < 1e-12
+            assert np.allclose(np.abs(g), 1.0 / np.sqrt(2.0), atol=1e-9)
+            gains = m.delta[list(m.children[0])] @ g
+            assert np.all(gains >= -1e-12)
+            assert abs(gains.mean() - 0.1) < 1e-9
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_agrees_with_measure_feasibility(self, p):
         norms = ea.NormPair(p)

@@ -6,7 +6,7 @@ Core claims:
       its face, so no conic result is rejected and the verdict stands
     - the tangent test is one-sided: just above a tangent level whose face
       has no full-support point, the cone set is larger than the face and
-      a measure is found
+      a measure is found; below it by more than rounding the set is empty
     - off the boundary the conic route decides alone, with no fallback
     - q = 2 pricing runs no cutting planes: price bounds and superhedge
       prices close their duality gap to 1e-9 by the cone programs alone,
@@ -78,6 +78,25 @@ class TestTangentMarkets:
         assert res.feasible and not res.indeterminate
         assert ea.is_eps_martingale(m, res.measure, eps, N2)[0]
         assert np.all(res.measure.weights > 0.0)
+
+    @pytest.mark.parametrize("eps", [1.0 - 5e-9, 1.0 - 1e-11])
+    def test_just_below_a_tangent_level_is_empty(self, eps):
+        # gamma = 1 with the face q = (1/2, 1/2), whose deviation 1 exceeds
+        # eps by more than rounding: no eps-martingale measure exists.
+        m = kbar_market(1.0)
+        res = ea.find_eps_martingale_measure(m, eps, N2)
+        assert res.status == "infeasible" and not res.indeterminate
+        psi = np.array([1.0, 0.0])
+        assert programs.cone_linear_optimum(m, eps, N2, psi, "max", None) == (None, None)
+
+    @pytest.mark.parametrize("eps", [1.0 - 1e-13, 1.0, 1.0 + 1e-9])
+    def test_feasible_results_at_a_tangent_level_pass_the_check(self, eps):
+        m = kbar_market(1.0)
+        res = ea.find_eps_martingale_measure(m, eps, N2)
+        assert res.feasible
+        assert ea.is_eps_martingale(m, res.measure, eps, N2)[0]
+        status, *_, margin = programs.interior_feasibility(m, eps, N2, 1e-9)
+        assert status == "feasible" and margin >= 0.0
 
     def test_off_boundary_levels_need_no_fallback(self):
         before = sum(programs.CONIC_FALLBACKS.values())
