@@ -2,8 +2,9 @@
 """Walkthrough: pricing under quantified arbitrage.
 
 Three markets show the pricing pipeline: approximate martingale measures,
-super-replication with its duality gap, the costless orthogonal add-on
-below the critical level, and half-open fair-price intervals.
+super-replication with its duality gap, the costless orthogonal add-on at
+the critical level (read, with the whole hedge, from the dual of the price
+program), and half-open fair-price intervals.
 """
 
 import numpy as np
@@ -22,14 +23,15 @@ sp = ea.superhedge_price(sym, 0.5, norms, ea.Payoff(np.array([1.0, -1.0])))
 print(f"  price {sp.price:.6f} = capital {sp.certificate.capital:.6f} with "
       f"holdings {sp.certificate.strategy.values[0]}, gap {sp.gap:.2e}")
 
-print("\n== below the critical level the costless direction is needed ==")
+print("\n== at the critical level the costless direction is needed ==")
 kbar = ea.MarketModel.from_nodes(1, 2, [
     {"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0, 0.0]},
     {"id": "u", "time": 1, "parent": "r", "cond_prob": 0.5, "prices": [1.0, 1.0]},
     {"id": "d", "time": 1, "parent": "r", "cond_prob": 0.5, "prices": [1.0, -1.0]},
 ])
 sp = ea.superhedge_price(kbar, 1.0, norms, ea.Payoff(np.array([1.0, 0.0])))
-print(f"  mode {sp.mode}: price {sp.price:.6f}, primal {sp.primal_value:.6f}")
+print(f"  mode {sp.mode} (the hedge is the price program's dual): "
+      f"price {sp.price:.6f}, capital {sp.primal_value:.6f}")
 for v, g in sp.certificate.orthogonal.items():
     print(f"  orthogonal holdings at node {kbar.ids[v]}: {np.round(g, 6)} "
           f"(costed holdings there are zero)")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .market import (MarketModel, NormPair, Strategy, _check_level, gain, strategy_cost,
                      validate_market)
-from .programs import (_NODE_BAND, _min_norm_solution, _polyhedral,
+from .programs import (_FLOOR, _NODE_BAND, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
@@ -433,7 +433,8 @@ def compute_node_structure(model: MarketModel, eps: float, norms: NormPair) -> d
     At each internal node solve m = min{|h|_p : h . dS(w) = eps for all
     children w}: infeasible or m > 1 means the cone is trivial; m = 1 yields
     the unit extremal direction; m < 1 flags one-step strict arbitrage and
-    leaves the structure empty.  m counts as 1 within 1e-7.
+    leaves the structure empty.  m counts as 1 within 1e-7, or at q = 2 up
+    to 1 + the tangent test's floor 1e-12 (1 + max |dS|) above 1.
     """
     _check_level("eps", eps, True)
     out: dict[int, NodeStructure] = {}
@@ -450,7 +451,8 @@ def compute_node_structure(model: MarketModel, eps: float, norms: NormPair) -> d
             if m < 1.0 - 1e-7:
                 strict_here = True
                 witness = h / m if m > 0 else h
-            elif m <= 1.0 + 1e-7:
+            elif m <= 1.0 + (_FLOOR * (1.0 + float(np.max(np.abs(A)))) if norms.q == 2.0
+                             else 1e-7):
                 hbar = h / m
         if norms.p == 1.0 and not strict_here and h is not None and abs(m - 1.0) <= 1e-7:
             face, ambiguous = _p1_face_direction(A, eps, d)

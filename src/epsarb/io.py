@@ -147,10 +147,6 @@ def measure_from_dict(model: MarketModel, data: dict) -> MeasureWeights:
         raise FormatError("$.weights", str(exc)) from None
 
 
-def measure_to_dict(model: MarketModel, measure: MeasureWeights) -> dict:
-    return {"weights": measure.to_dict(model)}
-
-
 def load_measure(model: MarketModel, path: str) -> MeasureWeights:
     with open(path) as fh:
         try:

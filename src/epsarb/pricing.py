@@ -10,9 +10,9 @@ itself is far below solver precision.
 
 Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).  At
 p = 2 with d >= 2 each program is one checked cone program (tangent cones
-as face rows) and no cutting plane runs: an unchecked interior result is
-indeterminate, a price bound or face program raises RuntimeError, and a
-hedge pattern is skipped.  Cutting planes for other p.
+as face rows) and no cutting plane runs: a price is one program, whose
+dual is the super-hedge, and a price bracket or interior result that fails
+its check is indeterminate.  Cutting planes for other p.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .arbitrage import NodeStructure, compute_node_structure
 from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy, _check_level,
                      gain, is_eps_martingale, qnorm, qnorm_grad, strategy_cost,
                      validate_market)
-from .programs import (_conic, _fallback, _l1_slack_rows, _norm_cones, _polyhedral,
+from .programs import (_ATTAINED, _conic, _gap_closed, _l1_slack_rows, _polyhedral,
                        cone_linear_optimum, interior_feasibility, max_min_weight_on_face,
                        strategy_from_packed, tree_ops)
-from .solvers import ConeProgram, LinearProgram, maximize_concave, solve_lp, solve_socp
+from .solvers import LinearProgram, maximize_concave, solve_lp
 
 
 _GAP_TOL = 1e-6  # superhedge duality holds at gap <= _GAP_TOL (1 + |price|)
@@ -102,13 +102,18 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
 
 @dataclass(frozen=True)
 class BoundResult:
-    """One side of the robust price bound over the eps-martingale family."""
+    """One side of the robust price bound over the eps-martingale family:
+    E_Q[payoff] at an exactly feasible Q, the certified other end, and
+    ``indeterminate`` (not attained) when they are over 1e-9 (relative)
+    apart or attainment is undecided."""
 
     direction: str
     value: float
     attained: bool
     witness: Optional[MeasureWeights]
     face_min_weight: float
+    bound: float
+    indeterminate: bool = False
 
 
 def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
@@ -118,7 +123,8 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
     Computed on the closed relaxation (weights >= 0): under the existence of
     one equivalent member, mixing makes boundary values limits of equivalent
     ones, so only attainment can differ — decided by maximizing the minimum
-    leaf weight over the optimal face: attained when it exceeds 1e-7.
+    leaf weight over the optimal face (unless the bracket is indeterminate):
+    attained when it exceeds 1e-7.
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
@@ -128,26 +134,27 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
         raise NoMartingaleStructure(
             f"no eps-martingale structure at level {eps} (rho upper bound {emm.rho_upper_bound})")
     sense = "max" if direction == "sup" else "min"
-    value, _ = cone_linear_optimum(model, eps, norms, payoff.values, sense,
-                                   anchor=emm.measure.weights)
+    value, q, bound, _ = cone_linear_optimum(model, eps, norms, payoff.values, sense,
+                                             anchor=emm.measure.weights)
     if value is None:
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
-    min_w, q_face = max_min_weight_on_face(model, eps, norms, payoff.values, value)
-    attained = bool(min_w > 1e-7)
-    witness = None
-    if q_face is not None:
-        w = np.maximum(q_face, 0.0)
-        witness = MeasureWeights.from_array(model, w / w.sum())
-    return BoundResult(direction, float(value), attained, witness, float(min_w))
+    min_w, decided = 0.0, False
+    if _gap_closed(value, bound, 1e-9):
+        min_w, q_face, decided = max_min_weight_on_face(model, eps, norms, payoff.values, value)
+        q = q if q_face is None else q_face
+    w = np.maximum(q, 0.0)
+    witness = MeasureWeights.from_array(model, w / w.sum())
+    return BoundResult(direction, float(value), decided and min_w > _ATTAINED, witness,
+                       float(min_w), float(bound), not decided)
 
 
 @dataclass(frozen=True)
 class HedgeCertificate:
     """Super-replication certificate: capital, strategy, orthogonal add-on.
 
-    The orthogonal part is active only at nodes where the costed strategy
-    vanishes and lies in the admissible hyperplane there, so it carries no
-    norm cost.
+    The orthogonal part lies in the admissible hyperplane of the nodes in
+    ``pattern``, so it carries no norm cost; ``slacks`` are the exact leaf
+    slacks capital + gain - eps cost + add-on gain - payoff.
     """
 
     capital: float
@@ -174,7 +181,7 @@ class SuperhedgeResult:
     primal_value: Optional[float]
     gap: Optional[float]
     certificate: Optional[HedgeCertificate]
-    mode: str               # direct | patterns | best_effort_gap
+    mode: str               # direct (LP) | dual (q = 2) | patterns | best_effort_gap
     duality_ok: Optional[bool]
 
     def to_dict(self, model: MarketModel) -> dict:
@@ -183,15 +190,6 @@ class SuperhedgeResult:
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_dict(model)
         return out
-
-
-def _orthogonal_gain(model: MarketModel, ops, orthogonal: dict) -> np.ndarray:
-    extra = np.zeros(model.n_leaves)
-    pos = {v: j for j, v in enumerate(ops.internal)}
-    for v, gvec in orthogonal.items():
-        j = pos[v]
-        extra += ops.coeff[:, j, :] @ gvec
-    return extra
 
 
 def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
@@ -216,14 +214,13 @@ def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
 def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
                         structures: dict[int, NodeStructure], pattern: tuple,
                         x_box: tuple):
-    """Convex primal for one activity pattern of the orthogonal add-on (p > 1).
+    """Convex primal for one activity pattern of the orthogonal add-on (p
+    outside {1, 2}).
 
     Pattern nodes trade only the costless orthogonal direction (their costed
-    holding is zero); free nodes trade the costed strategy.  One cone
-    program at p = 2 with d >= 2 (``_pattern_conic``), cutting planes
-    otherwise, started from the p = 1 hedge's holdings.  Hedges are accepted
-    within 1e-7 (1 + max |payoff| + max |price|); a pattern without one (its
-    infimum may not be attained) returns (None, None).
+    holding is zero); free nodes trade the costed strategy.  Cutting planes,
+    started from the p = 1 hedge's holdings; a pattern without a hedge
+    returns (None, None).
     """
     ops = tree_ops(model)
     L, d = model.n_leaves, model.d
@@ -282,14 +279,10 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
         return out
 
     scale = 1.0 + float(np.max(np.abs(payoff.values))) + float(np.max(np.abs(model.prices)))
-    if _conic(d, norms):
-        z = _pattern_conic(ops, eps, payoff, gain_free, mask_free, gain_y, leaf_block,
-                           1e-7 * scale)
-    else:
-        warm = _superhedge_lp(model, eps, payoff)[1].strategy
-        h0 = [warm.values[v] for v in free_nodes]
-        start = repair(np.concatenate([[x_box[1]], *h0, np.zeros(NY)]))
-        z = _pattern_kelley(objective, repair, leaf_block, x_box, scale, start)
+    warm = _superhedge_lp(model, eps, payoff)[1].strategy
+    h0 = [warm.values[v] for v in free_nodes]
+    start = repair(np.concatenate([[x_box[1]], *h0, np.zeros(NY)]))
+    z = _pattern_kelley(objective, repair, leaf_block, x_box, scale, start)
     if z is None:
         return None, None
     x = float(z[0])
@@ -297,44 +290,14 @@ def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff:
     for a_i, v in enumerate(free_nodes):
         vals[v] = z[1 + a_i * d:1 + (a_i + 1) * d]
     strategy = Strategy(vals)
-    orthogonal = {}
+    orthogonal, add_on = {}, np.zeros_like(vals)
     off = 1 + NH
     for v, r in zip(pattern, y_dims):
-        orthogonal[v] = structures[v].perp_basis @ z[off:off + r]
+        orthogonal[v] = add_on[v] = structures[v].perp_basis @ z[off:off + r]
         off += r
     slacks = x + gain(model, strategy) - eps * strategy_cost(model, strategy, norms) \
-        + _orthogonal_gain(model, tree_ops(model), orthogonal) - payoff.values
+        + gain(model, Strategy(add_on)) - payoff.values
     return x, HedgeCertificate(x, strategy, orthogonal, slacks, pattern)
-
-
-def _pattern_conic(ops, eps: float, payoff: Payoff, gain_free: np.ndarray,
-                   mask_free: np.ndarray, gain_y: np.ndarray, leaf_block, tol: float):
-    """One pattern's primal as a cone program: min x over (H, t, x, y) with
-    x + gain_free H + gain_y y - eps mask_free t >= payoff, |H_a|_2 <= t_a.
-
-    The capital is raised to the binding exact leaf slack (at t = |H|), so
-    the hedge returned is exactly feasible; it is taken when the solver's
-    residuals and gap are under 1e-9 and the raise is at most ``tol``.
-    Returns the packed point (x, H, y), or None (counted as a rejection).
-    """
-    L, NH = gain_free.shape
-    n_free, NY = mask_free.shape[1], gain_y.shape[1]
-    blocks, soc = _norm_cones(ops.model.d, n_free)
-    lin = -np.hstack([gain_free, -eps * mask_free, np.ones((L, 1)), gain_y])
-    G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], 1 + NY))])])
-    c = np.zeros(NH + n_free + 1 + NY)
-    c[NH + n_free] = 1.0
-    res = solve_socp(ConeProgram(c, G, np.concatenate([-payoff.values, np.zeros(blocks.shape[0])]),
-                                 L, soc))
-    if res.near_optimal(1e-9):
-        w = res.x
-        z = np.concatenate([w[NH + n_free:NH + n_free + 1], w[:NH], w[NH + n_free + 1:]])
-        raise_by = -float(np.min(leaf_block(z)[0]))
-        if raise_by <= tol:
-            z[0] += max(raise_by, 0.0)
-            return z
-    _fallback("_superhedge_pattern", "no converged hedge within tol")
-    return None
 
 
 def _pattern_kelley(objective, repair, leaf_block, x_box, scale, start):
@@ -360,18 +323,19 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
     """Least super-replication capital with its certificate.
 
     The price is the measure-side bound sup E_Q[payoff].  The matching primal
-    is solved directly when the norm is polyhedral, the level is classical
-    (eps = 0), or every node's extremal cone is trivial; otherwise the
-    costless orthogonal add-on may act exactly where the costed strategy
-    vanishes, so activity patterns over extremal nodes are enumerated (at
-    most 4096; beyond that the empty pattern alone gives ``best_effort_gap``).
+    is one exact LP when the norm is polyhedral or the level classical
+    (eps = 0), and at p = 2 (d >= 2) the price program's own dual ("dual");
+    otherwise the costless orthogonal add-on may act exactly where the
+    costed strategy vanishes, so activity patterns over extremal nodes are
+    enumerated (at most 4096; beyond that the empty pattern alone gives
+    ``best_effort_gap``).
     """
     _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
     if not emm.feasible:
         raise NoMartingaleStructure(f"no eps-martingale structure at level {eps}")
-    dual, _ = cone_linear_optimum(model, eps, norms, payoff.values, "max",
-                                  anchor=emm.measure.weights)
+    dual, _, _, hedge = cone_linear_optimum(model, eps, norms, payoff.values, "max",
+                                            anchor=emm.measure.weights)
     scale = 1.0 + abs(dual)
     if _polyhedral(model, norms, eps):
         # polyhedral geometry (p = 1, classical level, or scalar assets,
@@ -380,6 +344,11 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
         gap = abs(primal - dual)
         return SuperhedgeResult(float(dual), primal, gap, cert, "direct",
                                 gap <= _GAP_TOL * scale)
+    if _conic(model.d, norms):  # hedge is None when no solve gave a dual point
+        cert = None if hedge is None else HedgeCertificate(*hedge, tuple(hedge[2]))
+        gap = None if cert is None else cert.capital - dual
+        return SuperhedgeResult(float(dual), cert and cert.capital, gap, cert, "dual",
+                                None if gap is None else gap <= _GAP_TOL * scale)
     structures = compute_node_structure(model, eps, norms)
     hbar_nodes = tuple(v for v in model.internal if structures[v].active)
     x_box = (dual - 1.0 - 0.01 * scale, float(np.max(payoff.values)) + 1.0)
@@ -431,15 +400,15 @@ def fair_price_range(model: MarketModel, eps: float, norms: NormPair,
                      payoff: Payoff) -> PriceInterval:
     """The interval of quotes that add no arbitrage when the claim trades statically.
 
-    [inf E_Q - eps, sup E_Q + eps] over the eps-martingale family; an endpoint
-    is closed iff the inner bound is attained by an equivalent member.  For
-    p = 1 the interval is a sound superset and carries a caveat flag (the
-    exact converse is open there).
+    [inf E_Q - eps, sup E_Q + eps] over the eps-martingale family, at each
+    bound's certified outer end; an endpoint is closed iff the inner bound
+    is attained by an equivalent member.  For p = 1 the interval is a sound
+    superset and carries a caveat flag (the exact converse is open there).
     """
     sup_res = robust_price_bound(model, eps, norms, payoff, "sup")
     inf_res = robust_price_bound(model, eps, norms, payoff, "inf")
     return PriceInterval(
-        lower=inf_res.value - eps, upper=sup_res.value + eps,
+        lower=inf_res.bound - eps, upper=sup_res.bound + eps,
         lower_attained=inf_res.attained, upper_attained=sup_res.attained,
         p1_caveat=(norms.p == 1.0),
         lower_witness=inf_res.witness, upper_witness=sup_res.witness)

@@ -19,11 +19,11 @@ geometry is exact, once per model (:func:`node_geometry`): gamma(v) is the
 norm of the children's min-norm point, and a tangent node's cone is the
 linear rows of that point's face.  Every other program there is one
 second-order cone program, checked exactly (``_cone_margins``,
-``_leaf_gain_cost``, q >= eta P and a recomputed dual bound; measure
-programs solve twice at most, ``_measure_solves``); a result that fails is
-counted in ``CONIC_FALLBACKS`` and has no answer: indeterminate, no
-certificate, or RuntimeError.  Kelley cutting planes are the route of
-every other p.  Public wrappers live in :mod:`epsarb.arbitrage` and
+``_leaf_gain_cost``, q >= eta P, and a recomputed dual bound or hedge;
+measure programs solve twice at most, ``_measure_solves``); a result that
+fails is counted in ``CONIC_FALLBACKS`` and has no answer: indeterminate,
+or no certificate.  Kelley cutting planes are the route of every other
+p.  Public wrappers live in :mod:`epsarb.arbitrage` and
 :mod:`epsarb.pricing`.
 """
 
@@ -98,7 +98,7 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 # ---------------------------------------------------------------------------
 
 CONIC_FALLBACKS: Counter = Counter()
-"""Per program, the calls left without a certified answer by a failed check."""
+"""Per program, the calls left indeterminate or without a certificate by a failed check."""
 
 # Measure programs solve first at eps (1 - _TIGHTEN): interior-point points
 # carry residuals of 1e-13 to 1e-10 (worst near the critical level, where
@@ -108,6 +108,7 @@ _TIGHTEN = 1e-10
 
 _NODE_BAND = 1e-8  # per (1 + max |dS|): the strategy side's boundary band around gamma(v) = eps
 _FLOOR = 1e-12  # per (1 + max |dS|): the rounding floor of an exact node check
+_ATTAINED = 1e-7  # a price bound is attained when its face has a point of min leaf weight above this
 
 
 def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None) -> bool:
@@ -202,8 +203,7 @@ def _measure_solves(ops: TreeOps, eps: float, faces: dict, c: np.ndarray, lin: n
     the tangent faces' rows (z_v(q) = qbar_v(q) z, no weight off the face)
     and f.q = value when ``fixed`` = (f, value): the measure programs' one
     two-solve loop.  It solves at eps (1 - _TIGHTEN), then at eps, yielding
-    the solver's point (or None) and the best lower bound so far, certified
-    on the exact program for |extra| <= 1 (+inf: certified infeasible)."""
+    the solver's result and the exact program (at eps)."""
     L = ops.model.n_leaves
     a_eq = np.vstack([np.ones((1, L))] + [
         np.vstack([ops.coeff[:, j, :].T - np.outer(z, ops.mask[:, j]), np.eye(L)[off]])
@@ -219,15 +219,9 @@ def _measure_solves(ops: TreeOps, eps: float, faces: dict, c: np.ndarray, lin: n
         G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], n_extra))])])
         return ConeProgram(c, G, np.zeros(G.shape[0]), lin.shape[0], soc, a_eq, b_eq)
 
-    exact, box, bound = program(eps), np.ones(L + n_extra), -math.inf
+    exact = program(eps)
     for level in (eps * (1.0 - _TIGHTEN), eps):
-        res = solve_socp(program(level))
-        if res.status == "infeasible":
-            if exact.certifies_infeasible(res.y, res.z, box):
-                bound = math.inf
-        elif res.x is not None:
-            bound = max(bound, exact.lower_bound(res.y, res.z, box))
-        yield (None if res.status == "infeasible" else res.x), bound
+        yield solve_socp(program(level)), exact
 
 
 def _gap_closed(value: float, bound: float, tol: float) -> bool:
@@ -497,55 +491,59 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
 def _checked_weights(ops: TreeOps, eps: float, norms: NormPair, faces: dict,
                      x: Optional[np.ndarray]):
     """Leaf weights from a solver point x (or None), clipped to >= 0 and
-    renormalized, that pass ``_min_norm_repair``; None if there are none.
-
-    Weights under 1e-12 are also tried at exactly zero: a node whose leaves
-    all carry such weights sits at the apex of its cone, where the relative
-    rounding of the solver's point decides the sign of the margin.
-    """
+    renormalized, that pass ``_min_norm_repair``; None if there are none."""
     q = np.zeros(0) if x is None else np.maximum(x[:ops.model.n_leaves], 0.0)
-    for cand in (q, np.where(q < 1e-12 * float(q.max(initial=0.0)), 0.0, q)):
-        if cand.sum() > 0.0:
-            out = _min_norm_repair(ops, eps, norms, faces, cand / cand.sum())
-            if out is not None:
-                return out
-    return None
+    return _min_norm_repair(ops, eps, norms, faces, q / q.sum()) if q.sum() > 0.0 else None
 
 
 def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, faces: dict, x: np.ndarray):
     """Weights x with each node of negative margin (``_cone_margins`` with
-    the tangent faces) mixed toward its children's min-norm split; None
-    unless every margin is then >= 0.
+    the tangent faces), deepest first, mixed toward its children's min-norm
+    split; None unless every margin is then >= 0.
 
     A node's margin depends only on how its mass splits among its children,
     so re-split by the min-norm weights, node v has margin
     (eps - gamma(v)) qbar(v), or lies on its face when tangent, and no other
-    node changes sign (each child's subtree is scaled as a whole).  Margins
-    are concave in q: the mix of x and the re-split x' passes node v at
-    t >= m(x) / (m(x) - m(x')), and t is twice the largest such bound.
+    node changes sign (each child's subtree is scaled as a whole; one
+    without mass is split by the min-norm weights all the way down).
+    Margins are concave in q: the mix of x and the re-split x' passes node
+    v at t >= m(x) / (m(x) - m(x')), and it mixes at twice that bound.
     """
-    model = ops.model
+    model, geometry = ops.model, node_geometry(ops.model)
     m0 = _cone_margins(ops, eps, norms, x, faces)
     fail = m0 < 0.0
     if not fail.any():
         return x
-    resplit = x.copy()
-    for j in np.flatnonzero(fail):
+    q = x.copy()
+    for j in sorted(np.flatnonzero(fail), key=lambda j: -model.times[model.internal[j]]):
         v = model.internal[j]
-        under = [list(model.leaves_under[w]) for w in model.children[v]]
-        mass = np.array([x[u].sum() for u in under])
-        for u, m_w, l_w in zip(under, mass, node_geometry(model)[v].lam):
+        resplit = q.copy()
+        total = float(q[list(model.leaves_under[v])].sum())
+        for w, l_w in zip(model.children[v], geometry[v].lam):
+            u = list(model.leaves_under[w])
+            m_w = float(q[u].sum())
             if m_w > 0.0:
-                resplit[u] *= l_w * mass.sum() / m_w
-    m1 = _cone_margins(ops, eps, norms, resplit, faces)
-    if not np.all(m1[fail] > 0.0):
-        return None
-    q = x + min(1.0, 2.0 * float(np.max(m0[fail] / (m0[fail] - m1[fail])))) * (resplit - x)
+                resplit[u] *= l_w * total / m_w
+            elif l_w > 0.0:
+                stack = [(w, l_w * total)]
+                while stack:
+                    node, mass = stack.pop()
+                    if model.children[node]:
+                        stack += [(c, mass * l) for c, l in
+                                  zip(model.children[node], geometry[node].lam) if l > 0.0]
+                    else:
+                        resplit[model.leaves_under[node][0]] = mass
+        m1 = float(_cone_margins(ops, eps, norms, resplit, faces)[j])
+        if m1 <= 0.0:
+            return None
+        q += min(1.0, 2.0 * float(m0[j] / (m0[j] - m1))) * (resplit - q)
     return q if float(np.min(_cone_margins(ops, eps, norms, q, faces))) >= 0.0 else None
 
 
-def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
-    """max rho s.t. q >= rho P, rho >= 0, sum q = 1 and the node cones.
+def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: float,
+                 P: np.ndarray, fixed=None):
+    """max rho s.t. q >= rho P, rho >= 0, sum q = 1, the node cones (and
+    f.q = value, checked to 1e-9 (1 + |value|), when ``fixed`` = (f, value)).
 
     The nodes decide first (``_tangent_faces``): the set is empty, or a
     tangent face with no full-support point puts weight 0 on some leaf, so
@@ -560,46 +558,86 @@ def _interior_conic(ops: TreeOps, eps: float, norms: NormPair, eta: float):
     if any(off.any() for _, off in faces.values()):
         return "infeasible", None, None, 0.0, None
     L = ops.model.n_leaves
-    P = ops.model.leaf_prob
     c = np.zeros(L + 1)
     c[-1] = -1.0
     lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
-    rho_ub = math.inf
-    for x, bound in _measure_solves(ops, eps, faces, c, lin, 1):
-        if bound == math.inf:
+    rho_ub, box = math.inf, np.ones(L + 1)
+    for res, exact in _measure_solves(ops, eps, faces, c, lin, 1, fixed):
+        # weak duality on the exact program, the residual charged to |q|, rho <= 1
+        if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
             return "infeasible", None, None, None, None
-        rho_ub = -bound
-        q = _checked_weights(ops, eps, norms, faces, x)
-        if q is not None and np.all(q >= eta * P):
+        if res.status != "infeasible" and res.x is not None:
+            rho_ub = min(rho_ub, -exact.lower_bound(res.y, res.z, box))
+        q = _checked_weights(ops, eps, norms, faces, res.x)
+        if (q is not None and np.all(q >= eta * P) and (
+                fixed is None or abs(fixed[0] @ q - fixed[1]) <= 1e-9 * (1.0 + abs(fixed[1])))):
             return ("feasible", q, float(np.min(q / P)), rho_ub,
                     float(np.min(_cone_margins(ops, eps, norms, q, faces))))
         if rho_ub < eta:
             return "infeasible", None, None, rho_ub, None
-    _fallback("interior_feasibility", "no checked witness or bound")
+    _fallback(program, "no checked witness or bound")
     return "indeterminate", None, None, rho_ub if rho_ub < math.inf else None, None
 
 
-def _conic_optimum(program: str, ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray,
-                   lin: np.ndarray, n_extra: int, value_of, fixed=None):
-    """The best checked leaf weights of ``_measure_solves``, once their value
-    ``value_of(q)`` (None: q misses a side condition) is within 1e-9
-    (relative) of the certified bound; None when the set is certified
-    empty.  Raises RuntimeError when neither solve decides."""
+def _dual_hedge(ops: TreeOps, eps: float, norms: NormPair, faces: dict, phi: np.ndarray,
+                y: np.ndarray, z: np.ndarray):
+    """The super-hedge (capital, strategy, {node: add-on}, slacks) of phi
+    read from the price program's dual (y, z), whose rows read phi = y[0] +
+    gain(H) - eps sum_v t_v + sum_j (dS - z_j).g_j + mu - s (t_v >= |H_v|,
+    s >= 0): H_v = -(tail of z on node v's cone), and tangent node j's
+    face-row multiplier g_j, taken orthogonal to z_j, is a costless add-on
+    of mean 0 on the face.  A leaf off the face (free multiplier mu) is
+    covered by lambda z_j / gamma_j, whose slack per unit dS.z_j / gamma_j
+    - eps is > 0 off the face and >= 0 on it (no slack drops: the cost is
+    subadditive); then the capital y[0] is raised to cover every exact slack."""
+    L, n_int, d = ops.coeff.shape
+    H = np.zeros((n_int, d))
+    H[[j for j in range(n_int) if j not in faces]] = -z[L:].reshape(-1, d + 1)[:, 1:]
+    add_on, row = {}, 1
+    for j, (zj, off) in faces.items():
+        add_on[j] = y[row:row + d] - (y[row:row + d] @ zj) / (zj @ zj) * zj
+        row += d + int(off.sum())
+
+    def rest():  # the leaf slacks less the capital
+        return (_leaf_gain_cost(ops, norms, H.ravel(), eps)[0] - phi
+                + sum(ops.coeff[:, j, :] @ g for j, g in add_on.items()))
+
+    for j, (zj, off) in faces.items():
+        unit, short = zj / np.linalg.norm(zj), -(y[0] + rest())
+        rate = ops.coeff[:, j, :] @ unit - eps
+        cover = off & (short > 0.0) & (rate > 0.0)
+        if cover.any():
+            H[j] += float(np.max(short[cover] / rate[cover])) * unit
+    r = rest()
+    capital = max(float(y[0]), -float(np.min(r)))
+    return (capital, strategy_from_packed(ops, H.ravel()),
+            {ops.internal[j]: g for j, g in add_on.items()}, capital + r)
+
+
+def _price_conic(ops: TreeOps, eps: float, norms: NormPair, phi: np.ndarray,
+                 anchor: Optional[np.ndarray]):
+    """sup phi.q over the closed cone set as a certified bracket (all None
+    when a node empties it): (phi.q, q, capital, hedge) at the best checked
+    q of ``_measure_solves`` (else ``anchor``) and the ``_dual_hedge`` of
+    least capital (None, capital inf, without a dual point); one wider than
+    1e-9 (relative) after both solves is counted in ``CONIC_FALLBACKS``."""
     faces = _tangent_faces(ops, eps)
     if faces is None:
-        return None
-    best, best_q = math.inf, None
-    for x, bound in _measure_solves(ops, eps, faces, c, lin, n_extra, fixed):
-        if bound == math.inf:
-            return None
-        q = _checked_weights(ops, eps, norms, faces, x)
-        value = None if q is None else value_of(q)
-        if value is not None and value < best:
-            best, best_q = value, q
-        if best_q is not None and _gap_closed(best, bound, 1e-9):
-            return best_q
-    _fallback(program, "no checked point within the gap")
-    raise RuntimeError(f"{program} unsolved at eps={eps}: checked {best}, bound {bound}")
+        return (None,) * 4
+    best, best_q, hedge = -math.inf, None, None
+    for res, _ in _measure_solves(ops, eps, faces, -phi, -np.eye(ops.model.n_leaves), 0):
+        q = _checked_weights(ops, eps, norms, faces, res.x)
+        if q is not None and float(phi @ q) > best:
+            best, best_q = float(phi @ q), q
+        if res.status in ("optimal", "unsolved"):
+            h = _dual_hedge(ops, eps, norms, faces, phi, res.y, res.z)
+            hedge = h if hedge is None or h[0] < hedge[0] else hedge
+        if best_q is not None and hedge is not None and _gap_closed(best, hedge[0], 1e-9):
+            return best, best_q, hedge[0], hedge
+    if best_q is None and anchor is not None:
+        best, best_q = float(phi @ anchor), anchor
+    _fallback("cone_linear_optimum", "bracket wider than 1e-9")
+    return best, best_q, math.inf if hedge is None else hedge[0], hedge
 
 
 def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float,
@@ -615,7 +653,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     fails either check is indeterminate).
 
     Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP, and
-    q = 2 the node check and one cone program (``_interior_conic``).  Other
+    q = 2 the node check and one cone program (``_ratio_conic``).  Other
     q run two cutting-plane programs once each: the margin program
     max min_v [eps qbar - |z_v|_q] over {q >= eta P}, whose first exact
     LP-vertex incumbent with a margin at the rounding floor is the witness
@@ -662,7 +700,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
                 return "feasible", q, rho, rho, margin
         return "indeterminate", None, None, rho, margin
     if _conic(model.d, norms):
-        return _interior_conic(ops, eps, norms, eta)
+        return _ratio_conic("interior_feasibility", ops, eps, norms, eta, model.leaf_prob)
 
     # Margin route: statics are exact at LP vertices, so incumbents certify.
     # Each node's cone margin must cover the margin variable x[-1].
@@ -751,14 +789,15 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
                         leaf_objective: np.ndarray, sense: str, anchor: np.ndarray):
     """Optimize a linear leaf functional over the closed cone-feasible set.
 
-    Polyhedral geometry is one LP and q = 2 one cone program, solved twice
-    at most (``_conic_optimum``); the value returned is that of weights that
-    pass the exact check, within 1e-9 (relative) of the certified dual
-    bound, and a conic result that fails it raises RuntimeError.  Other q
-    run cutting planes: ``anchor`` is an exactly cone-feasible point (an
-    interior witness), and iterates are repaired by the longest feasible
-    mix toward it, so incumbents are exactly feasible.  Returns (value, q)
-    or (None, None) when the closed set is empty.
+    Returns (value, q, bound, hedge), all None when the closed set is
+    empty: value = c.q at exactly feasible q, bound the certified other end
+    of the optimum.  Polyhedral geometry is one LP (bound = value).  q = 2
+    is one cone program (``_price_conic``), whose dual gives ``hedge`` =
+    (capital, strategy, {node: add-on}, leaf slacks), an exact
+    super-replication of c (sense max) or -c (min), whose capital (negated
+    for min) is the bound.  ``anchor`` is an exactly feasible point: the q = 2 q when no
+    solve gives a checked one, and the cutting planes' (other q) repair
+    target, toward which iterates are mixed as far as stays feasible.
     """
     ops = tree_ops(model)
     L = model.n_leaves
@@ -770,15 +809,14 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
                            bounds=[(0.0, 1.0)] * L)
         res = solve_lp(lp)
         if res.status == "infeasible":
-            return None, None
+            return None, None, None, None
         if res.status != "optimal":
             raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
-        return float(res.value), res.x
+        return float(res.value), res.x, float(res.value), None
     sgn = 1.0 if sense == "max" else -1.0
     if _conic(model.d, norms):
-        q = _conic_optimum("cone_linear_optimum", ops, eps, norms, -sgn * c, -np.eye(L), 0,
-                           lambda q: float(-sgn * c @ q))
-        return (None, None) if q is None else (float(c @ q), q)
+        value, q, capital, hedge = _price_conic(ops, eps, norms, sgn * c, anchor)
+        return (None,) * 4 if value is None else (sgn * value, q, sgn * capital, hedge)
     cons = _cone_oracles(ops, eps, norms)
 
     def objective(x):
@@ -803,18 +841,18 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
         objective, np.zeros(L), np.ones(L), cons,
         a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
         tol=1e-9, feas_tol=1e-15, max_iter=400, start=anchor, repair=repair)
-    if res.status == "infeasible":
-        return None, None
-    if res.x is None:
-        return None, None
-    return float(sgn * res.value), res.x
+    if res.status == "infeasible" or res.x is None:
+        return None, None, None, None
+    return float(sgn * res.value), res.x, float(sgn * res.upper_bound), None
 
 
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
                            leaf_objective: np.ndarray, target: float):
     """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
-    of target, or (0.0, None) when there is none; a q = 2 result that fails
-    its check raises RuntimeError (``_conic_optimum``)."""
+    of target, as (min weight, q, decided), or (0.0, None, True) when there
+    is none.  q = 2 only decides whether it reaches _ATTAINED, by the ratio
+    program on the slice c.q = target (a thin slab is as degenerate, and
+    worse conditioned), and says when it cannot (q None unless reached)."""
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
@@ -834,18 +872,12 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
                            bounds=[(0.0, 1.0)] * L + [(0.0, 1.0)])
         res = solve_lp(lp)
         if res.status != "optimal":
-            return 0.0, None
-        return float(res.value), res.x[:L]
+            return 0.0, None, True
+        return float(res.value), res.x[:L], True
     if _conic(model.d, norms):
-        obj = np.zeros(L + 1)
-        obj[-1] = -1.0
-        # The slab |c.q - target| <= scale is solved as its middle slice
-        # c.q = target: a thin slab is as degenerate, and worse conditioned.
-        lin = np.vstack([min_rows, np.hstack([-np.eye(L), np.zeros((L, 1))])])
-        q = _conic_optimum("max_min_weight_on_face", ops, eps, norms, obj, lin, 1,
-                           lambda q: -float(np.min(q)) if abs(float(c @ q) - target) <= scale
-                           else None, fixed=(c, target))
-        return (0.0, None) if q is None else (float(np.min(q)), q)
+        status, q, rho, bound, _ = _ratio_conic("max_min_weight_on_face", ops, eps, norms,
+                                                _ATTAINED, np.ones(L), (c, target))
+        return rho if q is not None else max(bound or 0.0, 0.0), q, status != "indeterminate"
     cons = _cone_oracles(ops, eps, norms, n_extra=1)
 
     def objective(x):
@@ -860,8 +892,8 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
         a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
         tol=1e-9, feas_tol=1e-10, max_iter=400)
     if res.x is None:
-        return 0.0, None
-    return float(res.value), res.x[:L]
+        return 0.0, None, True
+    return float(res.value), res.x[:L], True
 
 
 def reference_deviation(model: MarketModel, norms: NormPair) -> float:

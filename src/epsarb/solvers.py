@@ -569,13 +569,6 @@ class ConeResult:
     gap: float
     iterations: int
 
-    def near_optimal(self, tol: float) -> bool:
-        """Primal and dual residuals and relative gap all under ``tol``
-        (``unsolved`` results that stalled short of the solver's own
-        tolerance can still meet a looser one)."""
-        return (self.status in ("optimal", "unsolved")
-                and max(self.pres, self.dres, abs(self.gap) / (1.0 + abs(self.value))) <= tol)
-
 
 def _jdet(u: np.ndarray) -> float:
     """u0^2 - |u1|^2, factored to avoid cancellation near the boundary."""

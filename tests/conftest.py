@@ -4,9 +4,9 @@ from collections import Counter
 
 from epsarb import programs
 
-# The measure programs, by the name ``_conic_optimum`` is given or the function.
-MEASURE_PROGRAMS = {"cone_linear_optimum": "price bound", "max_min_weight_on_face": "face",
-                    "_interior_conic": "interior"}
+# The q = 2 measure programs, by the name ``_ratio_conic`` is given or the function.
+MEASURE_PROGRAMS = {"_price_conic": "price bound", "max_min_weight_on_face": "face",
+                    "interior_feasibility": "interior"}
 SECOND_SOLVES: Counter = Counter()
 _running = ["other"]  # the measure program whose two-solve loop runs
 
@@ -32,10 +32,10 @@ def _count_second_solves(solves):
 
 def pytest_configure(config):
     programs._measure_solves = _count_second_solves(programs._measure_solves)
-    programs._conic_optimum = _named(programs._conic_optimum,
-                                     lambda program, *_: MEASURE_PROGRAMS[program])
-    programs._interior_conic = _named(programs._interior_conic,
-                                      lambda *_: MEASURE_PROGRAMS["_interior_conic"])
+    programs._price_conic = _named(programs._price_conic,
+                                   lambda *_: MEASURE_PROGRAMS["_price_conic"])
+    programs._ratio_conic = _named(programs._ratio_conic,
+                                   lambda program, *_: MEASURE_PROGRAMS[program])
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -43,9 +43,10 @@ def pytest_terminal_summary(terminalreporter):
     and how many measure-program calls needed their second solve.
 
     Each rejection is a call whose conic result failed its exact check
-    after every solve: the interior decision returned indeterminate, the
-    maximin program no certificate, a hedge pattern was skipped, and a
-    price bound or face program raised.
+    after every solve: the interior decision, a price bracket
+    (``cone_linear_optimum``) or a face program's attainment
+    (``max_min_weight_on_face``) was left indeterminate, or the maximin
+    program returned no certificate.
     """
     counts = programs.CONIC_FALLBACKS
     terminalreporter.section("conic results without a certified answer")

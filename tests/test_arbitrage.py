@@ -437,7 +437,10 @@ class TestNodeStructure:
                 eps = critical_value_oracle(m, norms)
                 if eps < 1e-6:
                     continue
-                structures = ea.compute_node_structure(m, eps * 1.0000001, norms)
+                # at the critical level, to within the band where m counts
+                # as 1: 1e-7 at p = 1, the rounding floor at q = 2
+                level = eps * 1.0000001 if norms.p == 1.0 else eps
+                structures = ea.compute_node_structure(m, level, norms)
                 for v, st in structures.items():
                     if st.strict_arbitrage_here or not st.active:
                         continue

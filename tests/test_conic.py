@@ -78,6 +78,8 @@ class TestTangentMarkets:
         assert res.feasible and not res.indeterminate
         assert ea.is_eps_martingale(m, res.measure, eps, N2)[0]
         assert np.all(res.measure.weights > 0.0)
+        # NA' agrees: the node's extremal cone is trivial above the tangent level
+        assert ea.check_na_prime(m, eps, N2).holds
 
     @pytest.mark.parametrize("eps", [1.0 - 5e-9, 1.0 - 1e-11])
     def test_just_below_a_tangent_level_is_empty(self, eps):
@@ -87,7 +89,7 @@ class TestTangentMarkets:
         res = ea.find_eps_martingale_measure(m, eps, N2)
         assert res.status == "infeasible" and not res.indeterminate
         psi = np.array([1.0, 0.0])
-        assert programs.cone_linear_optimum(m, eps, N2, psi, "max", None) == (None, None)
+        assert programs.cone_linear_optimum(m, eps, N2, psi, "max", None) == (None,) * 4
 
     @pytest.mark.parametrize("eps", [1.0 - 1e-13, 1.0, 1.0 + 1e-9])
     def test_feasible_results_at_a_tangent_level_pass_the_check(self, eps):
@@ -113,12 +115,30 @@ class TestNoCuttingPlanes:
         def no_kelley(*args, **kwargs):
             raise AssertionError("a cutting-plane program ran")
 
+        def no_patterns(*args, **kwargs):
+            raise AssertionError("the q = 2 superhedge read the node structures")
+
+        solves = []
+
+        def counted(prog):
+            solves.append(prog)
+            return real_socp(prog)
+
+        real_socp = programs.solve_socp
         for module in (programs, pricing):
             monkeypatch.setattr(module, "maximize_concave", no_kelley)
+        monkeypatch.setattr(pricing, "compute_node_structure", no_patterns)
+        monkeypatch.setattr(programs, "solve_socp", counted)
         for k in (45, 87):
             m, psi = criterion_05_draw(k)
             eps = 1.05 * programs.reference_deviation(m, N2) + 0.05
+            ea.find_eps_martingale_measure(m, eps, N2)
+            n_emm = len(solves)
             res = ea.superhedge_price(m, eps, N2, psi)
+            # one price program (two solves at most) after find-emm's own
+            assert len(solves) - n_emm <= n_emm + 2, k
+            del solves[:]
+            assert res.mode == "dual"
             assert res.gap is not None and res.gap <= 1e-9 * (1.0 + abs(res.price)), k
         # kbar at eps = gamma = 1: the cone set is the single point (1/2, 1/2)
         m, psi = kbar_market(1.0), ea.Payoff(np.array([1.0, 0.0]))

@@ -7,6 +7,8 @@ Core claims:
     - super-replication satisfies weak duality against every feasible
       measure and strong duality in the polyhedral / above-threshold cases
     - the orthogonal add-on restores exactness below the critical level
+    - at p = 2 on full trees a price is a certified bracket: an exactly
+      feasible measure below, the price program's dual hedge above
     - fair-price intervals carry the documented endpoint openness
 """
 
@@ -16,8 +18,8 @@ import pytest
 import epsarb as ea
 from epsarb.testing import random_market
 
-from _helpers import (binary_martingale, critical_value_oracle, kbar_market,
-                      nostrictarb_market, payoff_linear_terminal,
+from _helpers import (binary_martingale, critical_value_oracle, full_tree_law,
+                      kbar_market, nostrictarb_market, payoff_linear_terminal,
                       price_range_market, two_state)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
@@ -131,11 +133,12 @@ class TestSuperhedge:
 
     def test_orthogonal_add_on_restores_exactness(self):
         # at the critical level the costed strategy alone cannot close the
-        # gap; the pattern with the costless direction does, at exactly 1/2
+        # gap; the costless direction of the price program's dual does, at
+        # exactly 1/2
         m = kbar_market(1.0)
         psi = ea.Payoff(np.array([1.0, 0.0]))
         res = ea.superhedge_price(m, 1.0, N2, psi)
-        assert res.mode == "patterns"
+        assert res.mode == "dual"
         assert res.price == pytest.approx(0.5, abs=1e-6)
         assert res.primal_value == pytest.approx(0.5, abs=1e-6)
         assert res.gap <= 1e-6 * 1.5
@@ -174,6 +177,47 @@ class TestSuperhedge:
                       for e in (base + 0.05, base + 0.3, base + 1.0)]
             assert prices[0] <= prices[1] + 5e-7
             assert prices[1] <= prices[2] + 5e-7
+
+
+def _full_tree_case(seed, T, f):
+    """A p = 2, d = 2 full ternary tree (T = 3 drawn after T = 2 from one
+    generator), the payoff |S_T - S_0|_2 and the level f eps(P)."""
+    rng = np.random.default_rng(seed)
+    for t in range(2, T + 1):
+        m = full_tree_law(rng, t, 3, 2)
+    psi = ea.Payoff(np.linalg.norm(m.prices[list(m.leaves)] - m.prices[0], axis=1))
+    return m, psi, f * ea.critical_value(m, N2).epsilon
+
+
+class TestFullTreeBrackets:
+    # Both calls used to raise RuntimeError on (102, 2, 1.01) and on the
+    # 27-leaf (104, 3, 1.01); the face program did on (100, 2, 1.5).
+    @pytest.mark.parametrize("seed, T, f", [(102, 2, 1.01), (100, 2, 1.5), (104, 3, 1.01)])
+    def test_price_is_a_certified_bracket(self, seed, T, f):
+        m, psi, eps = _full_tree_case(seed, T, f)
+        hedge = ea.superhedge_price(m, eps, N2, psi)
+        cert = hedge.certificate
+        assert hedge.mode == "dual" and hedge.price <= hedge.primal_value == cert.capital
+        assert np.min(cert.slacks) >= 0.0
+        add_on = np.zeros((m.n_nodes, m.d))
+        for v, g in cert.orthogonal.items():
+            add_on[v] = g
+        slacks = (cert.capital + ea.gain(m, cert.strategy)
+                  - eps * ea.strategy_cost(m, cert.strategy, N2)
+                  + ea.gain(m, ea.Strategy(add_on)) - psi.values)
+        assert np.min(slacks) >= -1e-12 * (1.0 + cert.capital)
+        if (seed, T) == (102, 2):
+            assert hedge.duality_ok
+
+        res = ea.robust_price_bound(m, eps, N2, psi, "sup")
+        assert res.value <= res.bound
+        assert res.value == hedge.price and res.bound == hedge.primal_value
+        assert res.indeterminate == (res.bound - res.value > 1e-9 * (1.0 + abs(res.value)))
+        # the witness, mixed with a little of an equivalent member, is one too
+        emm = ea.find_eps_martingale_measure(m, eps, N2)
+        w = 0.999999 * res.witness.weights + 1e-6 * emm.measure.weights
+        assert ea.is_eps_martingale(m, ea.MeasureWeights.from_array(m, w), eps, N2)[0]
+        assert res.value == pytest.approx(float(res.witness.weights @ psi.values), abs=1e-9)
 
 
 class TestFairRange:
