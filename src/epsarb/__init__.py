@@ -3,7 +3,7 @@
 Core surfaces:
 
 * :mod:`epsarb.market` — event-tree markets, strategies, measures, Doob splits;
-* :mod:`epsarb.solvers` — LP / cutting-plane / discrete-transport kernel;
+* :mod:`epsarb.solvers` — LP / cone / discrete-transport kernel;
 * :mod:`epsarb.arbitrage` — strict arbitrage detection, critical level, node geometry;
 * :mod:`epsarb.pricing` — approximate martingale measures, duality, price ranges;
 * :mod:`epsarb.transport` — bicausal bottleneck distances and empirical estimation;
@@ -14,9 +14,8 @@ from .market import (DoobDecomposition, MarketModel, MeasureWeights, NormPair,
                      PathLaw, Payoff, Strategy, ValidationReport,
                      conditional_mean_increments, doob_decomposition, gain,
                      is_eps_martingale, strategy_cost, validate_market)
-from .solvers import (ConcaveResult, LinearProgram, LPResult,
-                      TransportInstance, TransportResult, bottleneck_transport,
-                      discrete_ot, maximize_concave, solve_lp,
+from .solvers import (LinearProgram, LPResult, TransportInstance, TransportResult,
+                      bottleneck_transport, discrete_ot, solve_lp,
                       transport_feasible_below)
 from .arbitrage import (ArbitrageReport, CanonicalDecomposition,
                         CriticalValueResult, NaPrimeReport, NodeStructure,

@@ -77,8 +77,10 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     sequential-closure boundary, so the decision is taken node by node
     (strict arbitrage localizes to one trading period): compare eps with the
     node's minimal simplex deviation and settle the boundary band by support
-    analysis.  Certificates are re-optimized for maximin slack so the
-    shipped margin per unit norm is uniform.
+    analysis.  The node's certificate is shipped unless the whole-tree
+    maximin program's point, whose margin per unit norm is uniform over the
+    leaves, beats its exact worst leaf slack by more than the maximin's
+    certified gap.
     """
     report = validate_market(model)
     if not report.ok:
@@ -91,8 +93,8 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
         if opt <= tol or h is None:
             return ArbitrageReport(NO_ARBITRAGE, eps, norms.p, float(opt), None, None, 0.0)
         use_norms = norms if norms.p == 1.0 else NormPair(1.0)
-        margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(ops, eps, use_norms,
-                                                                   tol=_SOLVER_TOL)
+        margin, h_mm, slacks_mm, _ = strict_arbitrage_maximin_program(ops, eps, use_norms,
+                                                                      tol=_SOLVER_TOL)
         if margin > tol and h_mm is not None:
             cert, slk = h_mm, slacks_mm
         else:
@@ -120,14 +122,16 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     cert = Strategy(vals)
     slacks = gain(model, cert) - eps * strategy_cost(model, cert, norms)
     optimum = float(np.sum(slacks))
-    margin, h_mm, slacks_mm = strict_arbitrage_maximin_program(ops, eps, norms,
-                                                               tol=_SOLVER_TOL)
-    if margin > tol and h_mm is not None:
+    margin = float(np.min(slacks))
+    value, h_mm, slacks_mm, gap = strict_arbitrage_maximin_program(ops, eps, norms,
+                                                                   tol=_SOLVER_TOL)
+    if h_mm is not None and value > tol and value - gap > margin:
         cert = strategy_from_packed(ops, h_mm)
         slacks = slacks_mm
+        margin = value
         optimum = max(optimum, float(np.sum(slacks_mm)))
     return ArbitrageReport(STRICT_ARBITRAGE, eps, norms.p, optimum, cert,
-                           slacks, float(margin))
+                           slacks, margin)
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,8 @@ class CriticalValueResult:
         return out
 
 
-def _dual_feasible(model: MarketModel, eps: float, norms: NormPair, eta: float,
-                   cut_bank: Optional[dict] = None) -> tuple[str, float]:
+def _dual_feasible(model: MarketModel, eps: float, norms: NormPair,
+                   eta: float) -> tuple[str, float]:
     """Status of the eta-interior program at eps, and its curve value.
 
     A ``feasible`` status carries weights with q >= eta P and node margins
@@ -165,8 +169,7 @@ def _dual_feasible(model: MarketModel, eps: float, norms: NormPair, eta: float,
     so both are verdicts; an ``indeterminate`` one is returned as such,
     without a retry.
     """
-    status, _, rho, rho_ub, _ = interior_feasibility(model, eps, norms, eta,
-                                                     cut_bank=cut_bank)
+    status, _, rho, rho_ub, _ = interior_feasibility(model, eps, norms, eta)
     val = rho if rho is not None else (rho_ub if rho_ub is not None else -1.0)
     return status, val
 
@@ -174,12 +177,10 @@ def _dual_feasible(model: MarketModel, eps: float, norms: NormPair, eta: float,
 def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None):
     """Measure-side threshold: smallest eps whose eta-interior cone program is feasible.
 
-    Supporting rays of the deviation cones are banked across bisection steps
-    (they are valid at every level), so later cutting-plane checks start
-    from a near-complete outer model.  A step without a verdict stops the
-    bisection.  Returns (estimate, curve, eta, converged): the estimate is
-    the middle of the bracket reached, and ``converged`` is False when an
-    undecided step stopped the bisection before the bracket closed.
+    A step without a verdict stops the bisection.  Returns (estimate,
+    curve, eta, converged): the estimate is the middle of the bracket
+    reached, and ``converged`` is False when an undecided step stopped the
+    bisection before the bracket closed.
     """
     if eta is None:
         eta = 1e-7 * float(np.min(model.leaf_prob))
@@ -187,8 +188,7 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
     curve = []
     if hi <= 1e-14:
         return 0.0, (), eta, True
-    bank: dict = {}
-    status0, r0 = _dual_feasible(model, 0.0, norms, eta, bank)
+    status0, r0 = _dual_feasible(model, 0.0, norms, eta)
     curve.append((0.0, r0))
     if status0 == "feasible":
         return 0.0, tuple(curve), eta, True
@@ -197,7 +197,7 @@ def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float
         if hi_b - lo <= _REL_TOL * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
-        status, r = _dual_feasible(model, mid, norms, eta, bank)
+        status, r = _dual_feasible(model, mid, norms, eta)
         curve.append((mid, r))
         if status == "indeterminate":
             return 0.5 * (lo + hi_b), tuple(curve), eta, False
@@ -253,9 +253,16 @@ def critical_value_primal(model: MarketModel, norms: NormPair):
     return 0.5 * (lo + hi_b), tuple(curve)
 
 
-def _critical_value_exact(model: MarketModel, norms: NormPair, eta: float,
+def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[float],
                           sweep: Optional[dict]) -> CriticalValueResult:
-    """eps(P) = max_v gamma(v), with one check on each side (see ``critical_value``)."""
+    """eps(P) = max_v gamma(v), with one check on each side (see ``critical_value``).
+
+    Above eps(P) the quantitative FTAP promises a measure with rho* > 0 and
+    nothing more, so with no eta given the measure-side check accepts any
+    checked measure with q > 0: its eta is the least positive double.
+    """
+    if eta is None:
+        eta = float(np.finfo(float).tiny)
     gammas = [node_min_simplex_deviation(model, v, norms) for v in model.internal]
     j = int(np.argmax(gammas))
     v, eps = model.internal[j], gammas[j]
@@ -292,7 +299,9 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
     eps(P) - delta <= 0), and one eta-interior solve at eps(P) + delta must
     return a measure (``dual_curve``).  ``agreed`` is true only when both
     give their verdict; an undecided check makes it False and is not
-    retried.  Both estimates are eps(P) itself.
+    retried.  Both estimates are eps(P) itself.  Without ``eta`` that solve
+    asks only for a checked measure with q > 0, and ``eta`` reports the
+    least positive double it used.
 
     ``"both"`` and ``"dual"`` bisect instead: ``"both"`` runs the
     strategy-side detector (replacing the sequential notion by strict
@@ -311,7 +320,6 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
         raise ValueError(f"unknown method {method!r}")
     if eta is not None:
         _check_level("eta", eta, True)
-    eta_used = eta if eta is not None else 1e-7 * float(np.min(model.leaf_prob))
     sweep = None
     if eta_sweep:
         sweep = {}
@@ -320,7 +328,7 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
                 model, norms, e * float(np.min(model.leaf_prob)))
             sweep[f"{e:.0e}"] = val if converged else None
     if method == "exact":
-        return _critical_value_exact(model, norms, eta_used, sweep)
+        return _critical_value_exact(model, norms, eta, sweep)
     primal_curve: tuple = ()
     if method == "both":
         primal, primal_curve = critical_value_primal(model, norms)

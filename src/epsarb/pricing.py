@@ -8,29 +8,26 @@ the closed cone: the interior program at level eta is feasible iff
 rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
 
-Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).  At
-p = 2 with d >= 2 each program is one checked cone program (tangent cones
-as face rows) and no cutting plane runs: a price is one program, whose
-dual is the super-hedge, and a price bracket or interior result that fails
-its check is indeterminate.  Cutting planes for other p.
+Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).
+Every other p is one checked cone program per question (tangent cones as
+face rows; second-order cones at p = 2, power cones otherwise): a price is
+one program, whose dual is the super-hedge, and a price bracket or
+interior result that fails its check is indeterminate.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .arbitrage import NodeStructure, compute_node_structure
 from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy, _check_level,
-                     gain, is_eps_martingale, qnorm, qnorm_grad, strategy_cost,
-                     validate_market)
-from .programs import (_ATTAINED, _conic, _gap_closed, _l1_slack_rows, _polyhedral,
+                     gain, is_eps_martingale, strategy_cost, validate_market)
+from .programs import (_ATTAINED, _gap_closed, _l1_slack_rows, _polyhedral,
                        cone_linear_optimum, interior_feasibility, max_min_weight_on_face,
                        strategy_from_packed, tree_ops)
-from .solvers import LinearProgram, maximize_concave, solve_lp
+from .solvers import LinearProgram, solve_lp
 
 
 _GAP_TOL = 1e-6  # superhedge duality holds at gap <= _GAP_TOL (1 + |price|)
@@ -75,13 +72,11 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
     cone-feasible weights of the minimum density ratio min q/P: the witness
     has q >= eta P and exact node margins >= 0, and infeasibility is
     certified by an upper bound on rho* below eta.  Polyhedral geometry is
-    one exact LP.  At p = 2 a node with gamma(v) > eps empties the set (no
-    bound), a tangent node whose min-norm face has no full-support point
+    one exact LP.  Otherwise a node with gamma(v) > eps empties the set (no
+    bound), a tangent node whose least-norm face has no full-support point
     gives the bound 0, and otherwise the cone program gives a recomputed
     dual bound or certificate; a conic result that fails its check is
-    indeterminate.  Other p take the cutting-plane upper bound, and their
-    witness is the first one certified, not the one of largest margin.
-    eps must be finite and >= 0, and eta finite and > 0.
+    indeterminate.  eps must be finite and >= 0, and eta finite and > 0.
     """
     report = validate_market(model)
     if not report.ok:
@@ -140,7 +135,8 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
     min_w, decided = 0.0, False
     if _gap_closed(value, bound, 1e-9):
-        min_w, q_face, decided = max_min_weight_on_face(model, eps, norms, payoff.values, value)
+        min_w, q_face, decided = max_min_weight_on_face(model, eps, norms, payoff.values, value,
+                                                        anchor=q)
         q = q if q_face is None else q_face
     w = np.maximum(q, 0.0)
     witness = MeasureWeights.from_array(model, w / w.sum())
@@ -152,9 +148,9 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
 class HedgeCertificate:
     """Super-replication certificate: capital, strategy, orthogonal add-on.
 
-    The orthogonal part lies in the admissible hyperplane of the nodes in
-    ``pattern``, so it carries no norm cost; ``slacks`` are the exact leaf
-    slacks capital + gain - eps cost + add-on gain - payoff.
+    The orthogonal part lies in the admissible hyperplane of the tangent
+    nodes in ``pattern``, so it carries no norm cost; ``slacks`` are the
+    exact leaf slacks capital + gain - eps cost + add-on gain - payoff.
     """
 
     capital: float
@@ -181,7 +177,7 @@ class SuperhedgeResult:
     primal_value: Optional[float]
     gap: Optional[float]
     certificate: Optional[HedgeCertificate]
-    mode: str               # direct (LP) | dual (q = 2) | patterns | best_effort_gap
+    mode: str               # direct (LP) | dual (cone program)
     duality_ok: Optional[bool]
 
     def to_dict(self, model: MarketModel) -> dict:
@@ -211,124 +207,14 @@ def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
     return float(res.value), HedgeCertificate(float(res.x[0]), strategy, {}, slacks, ())
 
 
-def _superhedge_pattern(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
-                        structures: dict[int, NodeStructure], pattern: tuple,
-                        x_box: tuple):
-    """Convex primal for one activity pattern of the orthogonal add-on (p
-    outside {1, 2}).
-
-    Pattern nodes trade only the costless orthogonal direction (their costed
-    holding is zero); free nodes trade the costed strategy.  Cutting planes,
-    started from the p = 1 hedge's holdings; a pattern without a hedge
-    returns (None, None).
-    """
-    ops = tree_ops(model)
-    L, d = model.n_leaves, model.d
-    pos = {v: j for j, v in enumerate(ops.internal)}
-    free_nodes = [v for v in ops.internal if v not in pattern]
-    y_dims = [structures[v].perp_basis.shape[1] for v in pattern]
-    NH = len(free_nodes) * d
-    NY = int(sum(y_dims))
-    n = 1 + NH + NY
-
-    gain_free = np.zeros((L, NH))
-    mask_free = np.zeros((L, len(free_nodes)))
-    for a_i, v in enumerate(free_nodes):
-        j = pos[v]
-        gain_free[:, a_i * d:(a_i + 1) * d] = ops.coeff[:, j, :]
-        mask_free[:, a_i] = ops.mask[:, j]
-    gain_y = np.zeros((L, NY))
-    off = 0
-    for v, r in zip(pattern, y_dims):
-        j = pos[v]
-        gain_y[:, off:off + r] = ops.coeff[:, j, :] @ structures[v].perp_basis
-        off += r
-
-    n_free = len(free_nodes)
-
-    def leaf_block(z):
-        """All leaf slack values and gradients at once."""
-        H = z[1:1 + NH].reshape(n_free, d)
-        y = z[1 + NH:]
-        node_norm = np.zeros(n_free)
-        node_grad = np.zeros((n_free, d))
-        for a_i in range(n_free):
-            node_norm[a_i] = qnorm(H[a_i], norms.p)
-            node_grad[a_i] = qnorm_grad(H[a_i], norms.p, node_norm[a_i])
-        vals = (z[0] + gain_free @ z[1:1 + NH] + gain_y @ y
-                - eps * (mask_free @ node_norm) - payoff.values)
-        grads = np.empty((L, n))
-        grads[:, 0] = 1.0
-        grads[:, 1:1 + NH] = gain_free - eps * np.einsum(
-            "ka,ai->kai", mask_free, node_grad).reshape(L, NH)
-        grads[:, 1 + NH:] = gain_y
-        return vals, grads
-
-    def objective(z):
-        g = np.zeros(n)
-        g[0] = -1.0
-        return -float(z[0]), g
-
-    def repair(z):
-        # Exact feasibility restore: raise the capital to the binding leaf.
-        worst = float(np.min(leaf_block(z)[0]))
-        if worst >= 0.0:
-            return z
-        out = z.copy()
-        out[0] -= worst
-        return out
-
-    scale = 1.0 + float(np.max(np.abs(payoff.values))) + float(np.max(np.abs(model.prices)))
-    warm = _superhedge_lp(model, eps, payoff)[1].strategy
-    h0 = [warm.values[v] for v in free_nodes]
-    start = repair(np.concatenate([[x_box[1]], *h0, np.zeros(NY)]))
-    z = _pattern_kelley(objective, repair, leaf_block, x_box, scale, start)
-    if z is None:
-        return None, None
-    x = float(z[0])
-    vals = np.zeros((model.n_nodes, d))
-    for a_i, v in enumerate(free_nodes):
-        vals[v] = z[1 + a_i * d:1 + (a_i + 1) * d]
-    strategy = Strategy(vals)
-    orthogonal, add_on = {}, np.zeros_like(vals)
-    off = 1 + NH
-    for v, r in zip(pattern, y_dims):
-        orthogonal[v] = add_on[v] = structures[v].perp_basis @ z[off:off + r]
-        off += r
-    slacks = x + gain(model, strategy) - eps * strategy_cost(model, strategy, norms) \
-        + gain(model, Strategy(add_on)) - payoff.values
-    return x, HedgeCertificate(x, strategy, orthogonal, slacks, pattern)
-
-
-def _pattern_kelley(objective, repair, leaf_block, x_box, scale, start):
-    """One pattern's primal by cutting planes on a growing box."""
-    n = start.size - 1
-    R = 8.0 * scale
-    for _ in range(4):
-        lower = np.concatenate([[x_box[0]], -R * np.ones(n)])
-        upper = np.concatenate([[x_box[1] + scale], R * np.ones(n)])
-        res = maximize_concave(objective, lower, upper, [leaf_block], tol=1e-7,
-                               feas_tol=1e-12, max_iter=400, repair=repair,
-                               start=np.clip(start, lower, upper), damping=0.5)
-        if res.x is None:
-            return None
-        if n == 0 or float(np.max(np.abs(res.x[1:]))) < 0.995 * R:
-            break
-        R *= 4.0
-    return res.x
-
-
 def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
                      payoff: Payoff) -> SuperhedgeResult:
     """Least super-replication capital with its certificate.
 
     The price is the measure-side bound sup E_Q[payoff].  The matching primal
     is one exact LP when the norm is polyhedral or the level classical
-    (eps = 0), and at p = 2 (d >= 2) the price program's own dual ("dual");
-    otherwise the costless orthogonal add-on may act exactly where the
-    costed strategy vanishes, so activity patterns over extremal nodes are
-    enumerated (at most 4096; beyond that the empty pattern alone gives
-    ``best_effort_gap``).
+    (eps = 0) ("direct"), and otherwise the price program's own dual
+    ("dual"), a hedge whose capital covers every exact leaf slack.
     """
     _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
@@ -344,30 +230,11 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
         gap = abs(primal - dual)
         return SuperhedgeResult(float(dual), primal, gap, cert, "direct",
                                 gap <= _GAP_TOL * scale)
-    if _conic(model.d, norms):  # hedge is None when no solve gave a dual point
-        cert = None if hedge is None else HedgeCertificate(*hedge, tuple(hedge[2]))
-        gap = None if cert is None else cert.capital - dual
-        return SuperhedgeResult(float(dual), cert and cert.capital, gap, cert, "dual",
-                                None if gap is None else gap <= _GAP_TOL * scale)
-    structures = compute_node_structure(model, eps, norms)
-    hbar_nodes = tuple(v for v in model.internal if structures[v].active)
-    x_box = (dual - 1.0 - 0.01 * scale, float(np.max(payoff.values)) + 1.0)
-    if 2 ** len(hbar_nodes) > 4096:
-        primal, cert = _superhedge_pattern(model, eps, norms, payoff, structures, (), x_box)
-        gap = None if primal is None else abs(primal - dual)
-        return SuperhedgeResult(float(dual), primal, gap, cert, "best_effort_gap", None)
-    best: tuple[Optional[float], Optional[HedgeCertificate]] = (None, None)
-    for k in range(len(hbar_nodes) + 1):
-        for pattern in itertools.combinations(hbar_nodes, k):
-            val, cert = _superhedge_pattern(model, eps, norms, payoff, structures,
-                                            pattern, x_box)
-            if val is not None and (best[0] is None or val < best[0]):
-                best = (val, cert)
-    primal, cert = best
-    gap = None if primal is None else abs(primal - dual)
-    mode = "patterns" if hbar_nodes else "direct"
-    ok = None if gap is None else gap <= _GAP_TOL * scale
-    return SuperhedgeResult(float(dual), primal, gap, cert, mode, ok)
+    # hedge is None when no solve gave a dual point
+    cert = None if hedge is None else HedgeCertificate(*hedge, tuple(hedge[2]))
+    gap = None if cert is None else cert.capital - dual
+    return SuperhedgeResult(float(dual), cert and cert.capital, gap, cert, "dual",
+                            None if gap is None else gap <= _GAP_TOL * scale)
 
 
 @dataclass(frozen=True)

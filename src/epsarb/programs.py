@@ -10,20 +10,21 @@ Two families recur across arbitrage detection and pricing:
 The strategy side is two programs over a :class:`TreeOps`: the p = 1 sum
 LP, whose sign decides strict arbitrage on polyhedral geometry, and the
 maximin program, which certifies it.  Strict arbitrage localizes to one
-trading period, so a node's decision runs the same two programs on the
-node's one-period market (``node_strict_arbitrage``).
+trading period, so a node's decision reads the node's geometry.
 
-Both families are HiGHS LPs when the geometry is polyhedral (p = 1, q = inf,
-d = 1, and the measure side at eps = 0).  At p = q = 2 with d >= 2 the node
-geometry is exact, once per model (:func:`node_geometry`): gamma(v) is the
-norm of the children's min-norm point, and a tangent node's cone is the
-linear rows of that point's face.  Every other program there is one
-second-order cone program, checked exactly (``_cone_margins``,
+There are two routes.  Polyhedral geometry (p = 1, q = inf, d = 1, and the
+measure side at eps = 0) is HiGHS LPs.  Everything else is one cone
+program per question: an r-norm cone is one second-order block at r = 2
+and d three-dimensional power blocks otherwise (``_cone_program``).  The
+node geometry is exact once per model and q (:func:`node_geometry`):
+gamma(v) is the least q-norm of the children's convex hull, Wolfe's
+min-norm point at q = 2 and one cone program with a recomputed bracket at
+other q, and a tangent node's cone is the linear rows of that point's face.
+Every cone program is checked exactly (``_cone_margins``,
 ``_leaf_gain_cost``, q >= eta P, and a recomputed dual bound or hedge;
 measure programs solve twice at most, ``_measure_solves``); a result that
 fails is counted in ``CONIC_FALLBACKS`` and has no answer: indeterminate,
-or no certificate.  Kelley cutting planes are the route of every other
-p.  Public wrappers live in :mod:`epsarb.arbitrage` and
+or no certificate.  Public wrappers live in :mod:`epsarb.arbitrage` and
 :mod:`epsarb.pricing`.
 """
 
@@ -39,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .market import MarketModel, NormPair, Strategy, qnorm, qnorm_grad
-from .solvers import (ConeProgram, LinearProgram, face_support, maximize_concave,
-                      min_norm_point, solve_lp, solve_socp)
+from .solvers import (ConeProgram, LinearProgram, face_support, min_norm_point, solve_lp,
+                      solve_socp)
 
 _log = logging.getLogger("epsarb")
 
@@ -94,7 +95,7 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# Conic route: the q = 2, d >= 2 programs
+# Conic route: every geometry that is not polyhedral
 # ---------------------------------------------------------------------------
 
 CONIC_FALLBACKS: Counter = Counter()
@@ -118,9 +119,11 @@ def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None
     return norms.q == math.inf or model.d == 1 or eps == 0.0
 
 
-def _conic(d: int, norms: NormPair) -> bool:
-    """Whether the program's cones are second-order cones (q = 2, d >= 2)."""
-    return norms.q == 2.0 and d >= 2
+def _second_order(r: float) -> bool:
+    """Whether an r-norm cone is one second-order block (r = 2); every other
+    r in (1, inf) is written with power blocks, and its node geometry solves
+    a cone program where r = 2 runs Wolfe's method."""
+    return r == 2.0
 
 
 def _fallback(program: str, why: str) -> None:
@@ -128,77 +131,172 @@ def _fallback(program: str, why: str) -> None:
     _log.debug("%s: conic result rejected (%s); no certified answer", program, why)
 
 
-class NodeGeometry:
-    """One internal node's q = 2 geometry: its children's increments A, their
-    min-norm point z with gamma = |z|_2, its simplex weights lam and, on
-    first use, which children carry weight on the face of z (``on``)."""
+def _cone_program(c, lin, h_lin, cones, h_cones, r: float, A=None, b=None) -> ConeProgram:
+    """min c.x s.t. lin x <= h_lin, A x = b and, for each cone j, the block
+    (head, tail) = h_cones[j] - cones[j] x (``cones`` (k, d + 1, n)) with
+    |tail|_r <= head.
 
-    def __init__(self, A: np.ndarray):
+    At r = 2 each cone is one second-order block.  Otherwise it is d power
+    blocks (rho_i, head, tail_i) in K_{1/r}, over auxiliary variables rho
+    appended after x with sum_i rho_i = head (appended after A's rows):
+    |tail_i|^r <= rho_i head^(r - 1) summed over i is |tail|_r <= head
+    (Chares, 2009).
+    """
+    n = c.size
+    k, d1, _ = cones.shape
+    if _second_order(r):
+        return ConeProgram(c, np.vstack([lin, cones.reshape(-1, n)]),
+                           np.concatenate([h_lin, h_cones.ravel()]), lin.shape[0],
+                           (d1,) * k, A, b)
+    d = d1 - 1
+    na = k * d
+    rows = np.zeros((k, d, 3, n + na))
+    rows[:, :, 0, n:] = -np.eye(na).reshape(k, d, na)
+    rows[:, :, 1, :n] = cones[:, None, 0, :]
+    rows[:, :, 2, :n] = cones[:, 1:, :]
+    h_rows = np.zeros((k, d, 3))
+    h_rows[:, :, 1] = h_cones[:, None, 0]
+    h_rows[:, :, 2] = h_cones[:, 1:]
+    A = np.zeros((0, n)) if A is None else A
+    b = np.zeros(0) if b is None else b
+    sums = np.hstack([cones[:, 0, :], np.kron(np.eye(k), np.ones(d))])
+    return ConeProgram(np.concatenate([c, np.zeros(na)]),
+                       np.vstack([np.hstack([lin, np.zeros((lin.shape[0], na))]),
+                                  rows.reshape(-1, n + na)]),
+                       np.concatenate([h_lin, h_rows.ravel()]), lin.shape[0], (),
+                       np.vstack([np.hstack([A, np.zeros((A.shape[0], na))]), sums]),
+                       np.concatenate([b, h_cones[:, 0]]), (1.0 / r,) * na)
+
+
+def _cone_tails(prog: ConeProgram, z: np.ndarray, d: int) -> np.ndarray:
+    """The tails of the cones of ``_cone_program`` in a point z of its rows,
+    one row of d per cone."""
+    if prog.power:
+        return z[prog.l:].reshape(-1, d, 3)[:, :, 2]
+    return z[prog.l:].reshape(-1, d + 1)[:, 1:]
+
+
+def _padded(box: np.ndarray, prog: ConeProgram, bound: float) -> np.ndarray:
+    """A box on the variables of ``prog``: ``box`` on its own, ``bound`` on
+    the auxiliary variables of its power blocks (each at most its cone's
+    head)."""
+    return np.concatenate([box, np.full(prog.c.size - box.size, bound)])
+
+
+def _simplex_min_norm(A: np.ndarray, q: float):
+    """min over simplex weights a of |A'a|_q as one cone program: returns
+    the checked weights (the solver's, clipped at 0 and renormalized, or
+    uniform without a point) and the dual strategy h, scaled to unit p-norm
+    (zero without a dual point), with min_w h.dS(w) <= gamma."""
+    k, d = A.shape
+    cones = np.zeros((1, d + 1, k + 1))
+    cones[0, 0, k] = -1.0
+    cones[0, 1:, :k] = -A.T
+    prog = _cone_program(np.eye(k + 1)[k], np.hstack([-np.eye(k), np.zeros((k, 1))]),
+                         np.zeros(k), cones, np.zeros((1, d + 1)), q,
+                         np.concatenate([np.ones(k), [0.0]])[None, :], np.ones(1))
+    res = solve_socp(prog)
+    lam = np.full(k, 1.0 / k)
+    if res.x is not None and np.max(res.x[:k]) > 0.0:
+        lam = np.maximum(res.x[:k], 0.0)
+        lam /= lam.sum()
+    h = np.zeros(d)
+    if res.z is not None:
+        h = -_cone_tails(prog, res.z, d)[0]
+        size = qnorm(h, q / (q - 1.0))
+        h = h / size if size > 0.0 else np.zeros(d)
+    return lam, h
+
+
+class NodeGeometry:
+    """One internal node's geometry in the q-norm: its children's increments
+    A, the point z of their convex hull of least q-norm with simplex weights
+    lam, a certified bracket low <= gamma(v) <= gamma = |z|_q, a strategy h
+    of unit p-norm with min_w h.dS(w) = low, whether z is exact, and, on
+    first use, which children carry weight on the face of z (``on``).
+
+    At q = 2, z is Wolfe's min-norm point, low = gamma and h = z / gamma.
+    At other q a child whose increment passes the same optimality check,
+    min_w u.dS(w) >= |z|_q to 1e-12 (1 + max |dS|)^2 at its dual vector u
+    (Sion's minimax theorem: gamma(v) = max over |h|_p <= 1 of min_w
+    h.dS(w)), is z itself, with h = u.  Otherwise one cone program
+    (``_simplex_min_norm``) gives gamma = |A'lam|_q at its checked weights
+    and low, its dual strategy's worst gain, and z is inexact.
+    """
+
+    def __init__(self, A: np.ndarray, q: float):
         self.A = A
-        self.z, self.lam = min_norm_point(A)
-        self.gamma = float(np.linalg.norm(self.z))
+        self.exact = True
+        if _second_order(q):
+            self.z, self.lam = min_norm_point(A)
+            self.gamma = self.low = float(np.linalg.norm(self.z))
+            self.h = self.z / self.gamma if self.gamma > 0.0 else np.zeros(A.shape[1])
+            return
+        sizes = qnorm(A, q)
+        duals = qnorm_grad(A, q, sizes)
+        worst = np.min(duals @ A.T, axis=1)
+        w = int(np.argmax(worst - sizes))
+        if worst[w] >= sizes[w] - 1e-12 * (1.0 + float(np.max(np.abs(A)))) ** 2:
+            self.lam, self.h = np.eye(len(A))[w], duals[w]
+        else:
+            self.lam, self.h = _simplex_min_norm(A, q)
+            self.exact = False
+        self.z = A.T @ self.lam
+        self.gamma = qnorm(self.z, q)
+        self.low = min(max(float(np.min(A @ self.h)), 0.0), self.gamma)
 
     @cached_property
     def on(self) -> np.ndarray:
         return face_support(self.A, self.z)
 
 
-def node_geometry(model: MarketModel) -> dict:
-    """Per internal node, its :class:`NodeGeometry`; built once and kept on
-    the model (as ``tree_ops``)."""
-    cached = model.__dict__.get("_node_geometry")
-    if cached is None:
-        cached = {v: NodeGeometry(model.delta[list(model.children[v])])
-                  for v in model.internal}
-        object.__setattr__(model, "_node_geometry", cached)
-    return cached
+def node_geometry(model: MarketModel, q: float) -> dict:
+    """Per internal node, its :class:`NodeGeometry` in the q-norm; built
+    once per q and kept on the model (as ``tree_ops``)."""
+    cached = model.__dict__.setdefault("_node_geometry", {})
+    if q not in cached:
+        cached[q] = {v: NodeGeometry(model.delta[list(model.children[v])], q)
+                     for v in model.internal}
+    return cached[q]
 
 
-def _tangent_faces(ops: TreeOps, eps: float):
+def _tangent_faces(ops: TreeOps, eps: float, q: float):
     """The tangent nodes at level eps, {j: (z, off)}: the min-norm point of
     internal node j, whose face z_v(q) = qbar_v(q) z is the cone set there
     (facial reduction: Borwein & Wolkowicz, 1981), and the leaves off it.
     Tangent means eps <= gamma(v) <= eps + floor, gamma = eps to rounding;
-    None when some gamma(v) is above that, which empties the set.  One-sided:
-    a node with gamma(v) < eps keeps its cone, whose set is larger."""
+    None when some node's certified low is above eps + floor, which empties
+    the set.  One-sided: a node with gamma < eps keeps its cone, whose set
+    is larger.  Only an exact least-norm point (Wolfe's, or a checked
+    vertex) has a face: a cone program's point is known to the solver's
+    precision, which a flat norm makes far coarser than gamma's
+    (|(1, t)|_6 - 1 = t^6 / 6, so t = 0.025 costs 4e-11), so such a tangent
+    node keeps its cone and the exact check decides."""
     model = ops.model
-    geometry = node_geometry(model)
+    geometry = node_geometry(model, q)
     faces = {}
     for j, v in enumerate(ops.internal):
         node = geometry[v]
-        if node.gamma > eps + _FLOOR * (1.0 + float(np.max(np.abs(node.A)))):
+        if node.low > eps + _FLOOR * (1.0 + float(np.max(np.abs(node.A)))):
             return None
-        if node.gamma >= eps:
+        if node.gamma >= eps and node.exact:
             off = [k for w, on in zip(model.children[v], node.on) if not on
                    for k in model.leaves_under[w]]
             faces[j] = (node.z, np.isin(np.arange(model.n_leaves), off))
     return faces
 
 
-def _measure_cones(ops: TreeOps, eps: float, faces: dict) -> tuple[np.ndarray, tuple]:
-    """Rows G (columns: the leaf weights q) and block sizes of the cones
-    s_v = (eps qbar_v(q), z_v(q)) of the non-tangent nodes, with G q + s = 0,
-    so that |z_v(q)|_2 <= eps qbar_v(q)."""
-    d = ops.model.d
+def _measure_cones(ops: TreeOps, eps: float, faces: dict) -> np.ndarray:
+    """Rows G (columns: the leaf weights q) of the cones
+    s_v = (eps qbar_v(q), z_v(q)) = -G q of the non-tangent nodes, one
+    (d + 1, L) block per node."""
     keep = [j for j in range(len(ops.internal)) if j not in faces]
-    blocks = np.concatenate([eps * ops.mask.T[keep, None, :],
-                             ops.coeff[:, keep].transpose(1, 2, 0)], axis=1)
-    return -blocks.reshape(-1, ops.model.n_leaves), (d + 1,) * len(keep)
+    return -np.concatenate([eps * ops.mask.T[keep, None, :],
+                            ops.coeff[:, keep].transpose(1, 2, 0)], axis=1)
 
 
-def _norm_cones(d: int, n: int) -> tuple[np.ndarray, tuple]:
-    """Rows G (columns: n packed holdings H_v in R^d, then n bounds t_v) and
-    block sizes of the cones s_v = (t_v, H_v) with G x + s = 0, so that
-    |H_v|_2 <= t_v."""
-    G = np.zeros((n, d + 1, n * (d + 1)))
-    for j in range(n):
-        G[j, 0, n * d + j] = -1.0
-        G[j, 1:, j * d:(j + 1) * d] = -np.eye(d)
-    return G.reshape(n * (d + 1), n * (d + 1)), (d + 1,) * n
-
-
-def _measure_solves(ops: TreeOps, eps: float, faces: dict, c: np.ndarray, lin: np.ndarray,
-                    n_extra: int, fixed=None):
+def _measure_solves(ops: TreeOps, eps: float, norms: NormPair, faces: dict, c: np.ndarray,
+                    lin: np.ndarray, n_extra: int, fixed=None):
     """min c.(q, extra) s.t. lin (q, extra) <= 0, sum q = 1, the node cones,
     the tangent faces' rows (z_v(q) = qbar_v(q) z, no weight off the face)
     and f.q = value when ``fixed`` = (f, value): the measure programs' one
@@ -215,9 +313,10 @@ def _measure_solves(ops: TreeOps, eps: float, faces: dict, c: np.ndarray, lin: n
     a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n_extra))])
 
     def program(level):
-        blocks, soc = _measure_cones(ops, level, faces)
-        G = np.vstack([lin, np.hstack([blocks, np.zeros((blocks.shape[0], n_extra))])])
-        return ConeProgram(c, G, np.zeros(G.shape[0]), lin.shape[0], soc, a_eq, b_eq)
+        cones = _measure_cones(ops, level, faces)
+        cones = np.concatenate([cones, np.zeros(cones.shape[:2] + (n_extra,))], axis=2)
+        return _cone_program(c, lin, np.zeros(lin.shape[0]), cones, np.zeros(cones.shape[:2]),
+                             norms.q, a_eq, b_eq)
 
     exact = program(eps)
     for level in (eps * (1.0 - _TIGHTEN), eps):
@@ -230,7 +329,14 @@ def _gap_closed(value: float, bound: float, tol: float) -> bool:
 
 
 def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair):
-    """min |h|_p subject to A h = rhs; returns (h, |h|_p) or (None, None) if infeasible."""
+    """min |h|_p subject to A h = rhs; returns (h, |h|_p) or (None, None) if infeasible.
+
+    The least-squares solution h0 decides feasibility, and is the answer at
+    p = 2 or when A has full column rank.  p = 1 is one LP; other p solve
+    one cone program over h0 + N y, N a basis of A's null space, so the
+    point it returns (h0 when that is no longer) meets A h = rhs as h0
+    does.
+    """
     d = A.shape[1]
     h2, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0)) + float(np.max(np.abs(A)))
@@ -248,36 +354,33 @@ def _min_norm_solution(A: np.ndarray, rhs: np.ndarray, norms: NormPair):
             return None, None
         h = res.x[:d] - res.x[d:]
         return h, float(np.sum(np.abs(h)))
-    from scipy.optimize import minimize
-
-    fun = lambda h: qnorm(h, norms.p)
-    jac = lambda h: qnorm_grad(h, norms.p, qnorm(h, norms.p))
-    res = minimize(fun, h2, jac=jac, method="SLSQP",
-                   constraints=[{"type": "eq", "fun": lambda h: A @ h - rhs,
-                                 "jac": lambda h: A}],
-                   options={"maxiter": 300, "ftol": 1e-14})
-    if not res.success:
-        raise RuntimeError(f"min-norm solve failed at p={norms.p}: {res.message}")
-    return res.x, float(fun(res.x))
+    _, sv, vh = np.linalg.svd(A)
+    N = vh[int(np.sum(sv > np.max(sv, initial=0.0) * np.finfo(float).eps * max(A.shape))):].T
+    if N.shape[1] == 0:
+        return h2, qnorm(h2, norms.p)
+    # variables (y, t): min t s.t. |h0 + N y|_p <= t
+    r = N.shape[1]
+    cones = np.zeros((1, d + 1, r + 1))
+    cones[0, 0, r] = -1.0
+    cones[0, 1:, :r] = -N
+    res = solve_socp(_cone_program(np.eye(r + 1)[r], np.zeros((0, r + 1)), np.zeros(0), cones,
+                                   np.concatenate([[0.0], h2])[None, :], norms.p))
+    h = h2 if res.x is None else h2 + N @ res.x[:r]
+    if qnorm(h, norms.p) > qnorm(h2, norms.p):
+        h = h2
+    return h, qnorm(h, norms.p)
 
 
 # ---------------------------------------------------------------------------
 # Strategy-side programs
 # ---------------------------------------------------------------------------
 
-def _leaf_gain_cost(ops: TreeOps, norms: NormPair, x: np.ndarray, eps: float):
-    """Per-leaf slacks gain - eps * path cost at packed x, with each node's
-    norm gradient (the slack gradient of leaf k is
-    coeff[k] - eps * mask[k, j] * node_grad[j])."""
+def _leaf_gain_cost(ops: TreeOps, norms: NormPair, x: np.ndarray, eps: float) -> np.ndarray:
+    """Per-leaf slacks gain - eps * path cost at packed holdings x."""
     _, n_int, d = ops.coeff.shape
     H = x.reshape(n_int, d)
-    node_norm = np.zeros(n_int)
-    node_grad = np.zeros((n_int, d))
-    for j in range(n_int):
-        node_norm[j] = qnorm(H[j], norms.p)
-        node_grad[j] = qnorm_grad(H[j], norms.p, node_norm[j])
-    slack = np.einsum("kjd,jd->k", ops.coeff, H) - eps * (ops.mask @ node_norm)
-    return slack, node_grad
+    node_norm = np.array([qnorm(H[j], norms.p) for j in range(n_int)])
+    return np.einsum("kjd,jd->k", ops.coeff, H) - eps * (ops.mask @ node_norm)
 
 
 def _l1_slack_rows(ops: TreeOps, eps: float):
@@ -291,39 +394,42 @@ def _l1_slack_rows(ops: TreeOps, eps: float):
 def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, tol: float):
     """The maximin strict-arbitrage program as one cone program.
 
-    Variables (H, t, delta) with |H_v|_2 <= t_v, sum_v t_v <= 1 and every
+    Variables (H, t, delta) with |H_v|_p <= t_v, sum_v t_v <= 1 and every
     leaf slack, linear in (H, t), at least delta.  The holdings, scaled to
     unit total norm, are checked on the exact slacks of ``_leaf_gain_cost``:
     their minimum must reach the certified bound.  Returns (value, H,
-    slacks), or None when the check fails.
+    slacks, bound - value), or None when the check fails.
     """
     L, n_int, d = ops.coeff.shape
     N = n_int * d
     S = np.hstack([ops.coeff.reshape(L, N), -eps * ops.mask])  # leaf slacks over (H, t)
-    blocks, soc = _norm_cones(d, n_int)
+    n = N + n_int + 1
+    cones = np.zeros((n_int, d + 1, n))
+    for j in range(n_int):
+        cones[j, 0, N + j] = -1.0
+        cones[j, 1:, j * d:(j + 1) * d] = -np.eye(d)
     budget = np.concatenate([np.zeros(N), np.ones(n_int)])[None, :]
-    c = np.zeros(N + n_int + 1)
+    c = np.zeros(n)
     c[-1] = -1.0
-    G = np.vstack([np.hstack([-S, np.ones((L, 1))]), np.hstack([budget, [[0.0]]]),
-                   np.hstack([blocks, np.zeros((blocks.shape[0], 1))])])
+    lin = np.vstack([np.hstack([-S, np.ones((L, 1))]), np.hstack([budget, [[0.0]]])])
+    prog = _cone_program(c, lin, np.concatenate([np.zeros(L), [1.0]]), cones,
+                         np.zeros((n_int, d + 1)), norms.p)
     reach = float(np.max(np.linalg.norm(ops.coeff, axis=2).sum(axis=1))) + eps * n_int
-    box = np.concatenate([np.ones(N + n_int), [reach]])
-    prog = ConeProgram(c, G, np.concatenate([np.zeros(L), [1.0], np.zeros(blocks.shape[0])]),
-                       L + 1, soc)
+    box = _padded(np.concatenate([np.ones(N + n_int), [reach]]), prog, 1.0)
     res = solve_socp(prog)
     if res.status not in ("optimal", "unsolved"):
         return None
     bound = -prog.lower_bound(res.y, res.z, box)
     if bound <= tol:
         # No positive uniform slack: the zero strategy is optimal.
-        return 0.0, np.zeros(N), np.zeros(L)
+        return 0.0, np.zeros(N), np.zeros(L), max(bound, 0.0)
     h = res.x[:N]
-    total = float(np.linalg.norm(h.reshape(n_int, d), axis=1).sum())
+    total = float(np.linalg.norm(h.reshape(n_int, d), ord=norms.p, axis=1).sum())
     if total > 0.0:
         h = h / total
-    slack = _leaf_gain_cost(ops, norms, h, eps)[0]
+    slack = _leaf_gain_cost(ops, norms, h, eps)
     value = float(np.min(slack))
-    return (value, h, slack) if _gap_closed(value, bound, 10 * tol) else None
+    return (value, h, slack, bound - value) if _gap_closed(value, bound, 10 * tol) else None
 
 
 def strict_arbitrage_sum_program(ops: TreeOps, eps: float):
@@ -358,13 +464,14 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
 
     The maximin certificate: its margin per unit of strategy norm is the
     uniform slack rate.  One LP at p = 1 or d = 1, one checked cone program
-    at p = 2 with d >= 2, cutting planes otherwise.  Returns (delta, packed
-    H or None, slacks); (0.0, None, zeros) is "no certificate".
+    otherwise.  Returns (delta, packed H or None, slacks, gap), the gap
+    between delta and its certified bound (0 for the LP); (0.0, None,
+    zeros, inf) is "no certificate".
     """
     L, n_int, d = ops.coeff.shape
     N = n_int * d
     if N == 0:
-        return 0.0, None, np.zeros(L)
+        return 0.0, None, np.zeros(L), 0.0
     if norms.p == 1.0 or d == 1:
         s_plus, s_minus = _l1_slack_rows(ops, eps)
         cvec = np.zeros(2 * N + 1)
@@ -380,82 +487,17 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
             raise RuntimeError(f"maximin LP failed: {res.status} {res.message}")
         h = res.x[:N] - res.x[N:2 * N]
         slack = s_plus @ res.x[:N] + s_minus @ res.x[N:2 * N]
-        return float(res.value), h, slack
-    if _conic(d, norms):
-        out = _strategy_conic(ops, eps, norms, tol)
-        if out is not None:
-            return out
-        _fallback("strict_arbitrage_maximin_program", "gap check failed")
-        return 0.0, None, np.zeros(L)
-
-    # Leaf slacks are positively homogeneous in H, so maximize the minimum
-    # slack over the box (iterates are always usable) and normalize the
-    # winner to unit total node norm afterward.
-    def objective(x):
-        slack, node_grad = _leaf_gain_cost(ops, norms, x, eps)
-        k = int(np.argmin(slack))
-        grad = ops.coeff[k] - eps * ops.mask[k][:, None] * node_grad
-        return float(slack[k]), grad.ravel()
-
-    res = maximize_concave(objective, -np.ones(N), np.ones(N), tol=tol,
-                           max_iter=400, start=np.zeros(N))
-    if res.x is None:
-        return 0.0, None, np.zeros(L)
-    h = res.x
-    total = sum(qnorm(h[j * d:(j + 1) * d], norms.p) for j in range(n_int))
-    if total > 0:
-        h = h / total
-    slack = _leaf_gain_cost(ops, norms, h, eps)[0]
-    return float(np.min(slack)), h, slack
+        return float(res.value), h, slack, 0.0
+    out = _strategy_conic(ops, eps, norms, tol)
+    if out is not None:
+        return out
+    _fallback("strict_arbitrage_maximin_program", "gap check failed")
+    return 0.0, None, np.zeros(L), math.inf
 
 
 # ---------------------------------------------------------------------------
 # Measure-side programs (leaf weights under node-wise cone constraints)
 # ---------------------------------------------------------------------------
-
-def _cone_oracles(ops: TreeOps, eps: float, norms: NormPair, n_extra: int = 0,
-                  cut_bank: Optional[dict] = None):
-    """Concave oracles eps*qbar(v) - |z_v(q)|_q >= 0, padded for extra vars.
-
-    When a ``cut_bank`` is given, every evaluated norm subgradient u is
-    deposited under its node key (the last 30 per node): since
-    u . z0 = |z0|_q, the induced cut (coeff u) . q <= eps (mask . q) is a
-    supporting ray valid at every eps, so banks can be replayed across
-    levels (bisection reuse).
-    """
-    cons = []
-    for j in range(len(ops.internal)):
-        coeff_j = ops.coeff[:, j, :]
-        mask_j = ops.mask[:, j]
-
-        def g(x, j=j, coeff_j=coeff_j, mask_j=mask_j):
-            q = x[:mask_j.size]
-            z = coeff_j.T @ q
-            val = qnorm(z, norms.q)
-            zgrad = qnorm_grad(z, norms.q, val)
-            if cut_bank is not None and val > 0.0:
-                bank = cut_bank.setdefault(j, [])
-                bank.append(zgrad)
-                if len(bank) > 30:
-                    del bank[0]
-            grad = np.concatenate([eps * mask_j - coeff_j @ zgrad, np.zeros(n_extra)])
-            return eps * float(mask_j @ q) - val, grad
-        cons.append(g)
-    return cons
-
-
-def _bank_rows(ops: TreeOps, eps: float, cut_bank: dict, n_extra: int = 0):
-    """Static rows (coeff u - eps mask) . q <= 0 replayed from a cut bank."""
-    rows = []
-    for j, bank in cut_bank.items():
-        coeff_j = ops.coeff[:, j, :]
-        mask_j = ops.mask[:, j]
-        for u in bank:
-            rows.append(np.concatenate([coeff_j @ u - eps * mask_j, np.zeros(n_extra)]))
-    if not rows:
-        return None, None
-    return np.vstack(rows), np.zeros(len(rows))
-
 
 def _cone_rows_linf(ops: TreeOps, eps: float):
     """Linear rows z_{v,i} <= eps qbar(v) in both signs, for q = inf."""
@@ -503,13 +545,13 @@ def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, faces: dict, x: 
 
     A node's margin depends only on how its mass splits among its children,
     so re-split by the min-norm weights, node v has margin
-    (eps - gamma(v)) qbar(v), or lies on its face when tangent, and no other
+    (eps - gamma) qbar(v), or lies on its face when tangent, and no other
     node changes sign (each child's subtree is scaled as a whole; one
     without mass is split by the min-norm weights all the way down).
     Margins are concave in q: the mix of x and the re-split x' passes node
     v at t >= m(x) / (m(x) - m(x')), and it mixes at twice that bound.
     """
-    model, geometry = ops.model, node_geometry(ops.model)
+    model, geometry = ops.model, node_geometry(ops.model, norms.q)
     m0 = _cone_margins(ops, eps, norms, x, faces)
     fail = m0 < 0.0
     if not fail.any():
@@ -540,10 +582,26 @@ def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, faces: dict, x: 
     return q if float(np.min(_cone_margins(ops, eps, norms, q, faces))) >= 0.0 else None
 
 
+def _onto_slice(ops: TreeOps, eps: float, norms: NormPair, faces: dict, q: np.ndarray,
+                f: np.ndarray, value: float, anchor: np.ndarray) -> np.ndarray:
+    """Checked weights q off the slice f.q = value by more than 1e-9
+    (1 + |value|), mixed toward ``anchor``, a checked point on it, until
+    they are off by half that; q itself when it is close enough, or when
+    the mix fails the exact check (margins are concave, so it passes but
+    for rounding)."""
+    miss, tol = float(f @ q) - value, 1e-9 * (1.0 + abs(value))
+    if abs(miss) <= tol:
+        return q
+    mix = q + (1.0 - 0.5 * tol / abs(miss)) * (anchor - q)
+    return mix if float(np.min(_cone_margins(ops, eps, norms, mix, faces))) >= 0.0 else q
+
+
 def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: float,
                  P: np.ndarray, fixed=None):
     """max rho s.t. q >= rho P, rho >= 0, sum q = 1, the node cones (and
-    f.q = value, checked to 1e-9 (1 + |value|), when ``fixed`` = (f, value)).
+    f.q = value, checked to 1e-9 (1 + |value|), when ``fixed`` = (f, value,
+    anchor), anchor a checked point on that slice or None: checked weights
+    off the slice are mixed toward it, ``_onto_slice``).
 
     The nodes decide first (``_tangent_faces``): the set is empty, or a
     tangent face with no full-support point puts weight 0 on some leaf, so
@@ -552,7 +610,7 @@ def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: f
     ``_checked_weights``, have q >= eta P; infeasible on a certificate, or
     a certified bound on rho* below eta; else indeterminate, with the bound.
     """
-    faces = _tangent_faces(ops, eps)
+    faces = _tangent_faces(ops, eps, norms.q)
     if faces is None:
         return "infeasible", None, None, None, None
     if any(off.any() for _, off in faces.values()):
@@ -561,14 +619,17 @@ def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: f
     c = np.zeros(L + 1)
     c[-1] = -1.0
     lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
-    rho_ub, box = math.inf, np.ones(L + 1)
-    for res, exact in _measure_solves(ops, eps, faces, c, lin, 1, fixed):
+    rho_ub = math.inf
+    for res, exact in _measure_solves(ops, eps, norms, faces, c, lin, 1, fixed):
         # weak duality on the exact program, the residual charged to |q|, rho <= 1
+        box = _padded(np.ones(L + 1), exact, eps)
         if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
             return "infeasible", None, None, None, None
         if res.status != "infeasible" and res.x is not None:
             rho_ub = min(rho_ub, -exact.lower_bound(res.y, res.z, box))
         q = _checked_weights(ops, eps, norms, faces, res.x)
+        if q is not None and fixed is not None and fixed[2] is not None:
+            q = _onto_slice(ops, eps, norms, faces, q, *fixed)
         if (q is not None and np.all(q >= eta * P) and (
                 fixed is None or abs(fixed[0] @ q - fixed[1]) <= 1e-9 * (1.0 + abs(fixed[1])))):
             return ("feasible", q, float(np.min(q / P)), rho_ub,
@@ -580,30 +641,32 @@ def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: f
 
 
 def _dual_hedge(ops: TreeOps, eps: float, norms: NormPair, faces: dict, phi: np.ndarray,
-                y: np.ndarray, z: np.ndarray):
+                prog: ConeProgram, y: np.ndarray, z: np.ndarray):
     """The super-hedge (capital, strategy, {node: add-on}, slacks) of phi
     read from the price program's dual (y, z), whose rows read phi = y[0] +
     gain(H) - eps sum_v t_v + sum_j (dS - z_j).g_j + mu - s (t_v >= |H_v|,
-    s >= 0): H_v = -(tail of z on node v's cone), and tangent node j's
-    face-row multiplier g_j, taken orthogonal to z_j, is a costless add-on
-    of mean 0 on the face.  A leaf off the face (free multiplier mu) is
-    covered by lambda z_j / gamma_j, whose slack per unit dS.z_j / gamma_j
-    - eps is > 0 off the face and >= 0 on it (no slack drops: the cost is
-    subadditive); then the capital y[0] is raised to cover every exact slack."""
-    L, n_int, d = ops.coeff.shape
+    s >= 0): H_v = -(tail of z on node v's cone, ``_cone_tails``), and
+    tangent node j's face-row multiplier g_j, taken orthogonal to z_j, is a
+    costless add-on of mean 0 on the face.  A leaf off the face (free multiplier mu) is
+    covered by lambda h_j, the node's unit strategy (z_j / gamma_j at q =
+    2), whose slack per unit dS.h_j - eps is > 0 off the face and >= 0 on
+    it (no slack drops: the cost is subadditive); then the capital y[0] is
+    raised to cover every exact slack."""
+    _, n_int, d = ops.coeff.shape
     H = np.zeros((n_int, d))
-    H[[j for j in range(n_int) if j not in faces]] = -z[L:].reshape(-1, d + 1)[:, 1:]
+    H[[j for j in range(n_int) if j not in faces]] = -_cone_tails(prog, z, d)
     add_on, row = {}, 1
     for j, (zj, off) in faces.items():
         add_on[j] = y[row:row + d] - (y[row:row + d] @ zj) / (zj @ zj) * zj
         row += d + int(off.sum())
 
     def rest():  # the leaf slacks less the capital
-        return (_leaf_gain_cost(ops, norms, H.ravel(), eps)[0] - phi
+        return (_leaf_gain_cost(ops, norms, H.ravel(), eps) - phi
                 + sum(ops.coeff[:, j, :] @ g for j, g in add_on.items()))
 
-    for j, (zj, off) in faces.items():
-        unit, short = zj / np.linalg.norm(zj), -(y[0] + rest())
+    geometry = node_geometry(ops.model, norms.q)
+    for j, (_, off) in faces.items():
+        unit, short = geometry[ops.internal[j]].h, -(y[0] + rest())
         rate = ops.coeff[:, j, :] @ unit - eps
         cover = off & (short > 0.0) & (rate > 0.0)
         if cover.any():
@@ -621,16 +684,17 @@ def _price_conic(ops: TreeOps, eps: float, norms: NormPair, phi: np.ndarray,
     q of ``_measure_solves`` (else ``anchor``) and the ``_dual_hedge`` of
     least capital (None, capital inf, without a dual point); one wider than
     1e-9 (relative) after both solves is counted in ``CONIC_FALLBACKS``."""
-    faces = _tangent_faces(ops, eps)
+    faces = _tangent_faces(ops, eps, norms.q)
     if faces is None:
         return (None,) * 4
     best, best_q, hedge = -math.inf, None, None
-    for res, _ in _measure_solves(ops, eps, faces, -phi, -np.eye(ops.model.n_leaves), 0):
+    for res, exact in _measure_solves(ops, eps, norms, faces, -phi,
+                                      -np.eye(ops.model.n_leaves), 0):
         q = _checked_weights(ops, eps, norms, faces, res.x)
         if q is not None and float(phi @ q) > best:
             best, best_q = float(phi @ q), q
         if res.status in ("optimal", "unsolved"):
-            h = _dual_hedge(ops, eps, norms, faces, phi, res.y, res.z)
+            h = _dual_hedge(ops, eps, norms, faces, phi, exact, res.y, res.z)
             hedge = h if hedge is None or h[0] < hedge[0] else hedge
         if best_q is not None and hedge is not None and _gap_closed(best, hedge[0], 1e-9):
             return best, best_q, hedge[0], hedge
@@ -640,258 +704,124 @@ def _price_conic(ops: TreeOps, eps: float, norms: NormPair, phi: np.ndarray,
     return best, best_q, math.inf if hedge is None else hedge[0], hedge
 
 
-def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float,
-                         cut_bank: Optional[dict] = None):
+def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float):
     """Decide the eta-interior cone program q >= eta P, sum q = 1, node cones.
 
     Returns (status, q, rho, rho_upper_bound, margin) with status in
     {feasible, infeasible, indeterminate}.  A feasible verdict carries
     weights with q >= eta P, checked elementwise, and node margins >= 0:
-    exactly on the conic (tangent nodes: on the face) and cutting-plane
-    routes, and to the rounding floor 1e-12 (1 + max |coeff|) on the LP
-    route, whose vertex meets its rows only to rounding (an LP vertex that
-    fails either check is indeterminate).
+    exactly on the conic route (tangent nodes: on the face), and to the
+    rounding floor 1e-12 (1 + max |coeff|) on the LP route, whose vertex
+    meets its rows only to rounding (an LP vertex that fails either check
+    is indeterminate).
 
     Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP, and
-    q = 2 the node check and one cone program (``_ratio_conic``).  Other
-    q run two cutting-plane programs once each: the margin program
-    max min_v [eps qbar - |z_v|_q] over {q >= eta P}, whose first exact
-    LP-vertex incumbent with a margin at the rounding floor is the witness
-    (150 iterations at most), and the max-min-ratio program, whose upper
-    bound below eta certifies infeasibility even when the interior margin
-    is far below machine precision (400 at most).
+    every other q the node check and one cone program (``_ratio_conic``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
     P = model.leaf_prob
+    if not _polyhedral(model, norms, eps):
+        return _ratio_conic("interior_feasibility", ops, eps, norms, eta, P)
     # Rounding floor of |z_v(q)|_q at this price scale.
-    scale = 1.0 + float(np.max(np.abs(ops.coeff)))
-    margin_floor = _FLOOR * scale
-    if _polyhedral(model, norms, eps):
-        rows = _cone_rows_linf(ops, eps)
-        a_ub = np.vstack([
-            np.hstack([rows, np.zeros((rows.shape[0], 1))]),
-            np.hstack([-np.eye(L), P[:, None]]),
-        ])
-        b_ub = np.zeros(a_ub.shape[0])
-        a_eq = np.concatenate([np.ones(L), [0.0]])[None, :]
-        cvec = np.zeros(L + 1)
-        cvec[-1] = 1.0
-        lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
-                           a_eq=a_eq, b_eq=np.array([1.0]),
-                           bounds=[(0.0, 1.0)] * L + [(None, 1.0)])
-        # HiGHS meets its rows to 1e-7, enough to turn a small rho* near the
-        # critical level into a vertex with margins of -1e-7; such a vertex
-        # is solved again at 1e-10.  Margins are checked to the rounding
-        # floor (at eps = 0 the exact margin is -|z_v|, a few ulps below
-        # zero), and q >= eta P exactly.
-        for highs_tol in (None, 1e-10):
-            res = solve_lp(lp, highs_tol=highs_tol)
-            if res.status == "infeasible":
-                return "infeasible", None, None, None, None
-            if res.status != "optimal":
-                raise RuntimeError(f"interior-ratio LP failed: {res.status} {res.message}")
-            rho = float(res.value)
-            if rho < eta:
-                return "infeasible", None, rho, rho, None
-            q = res.x[:L]
-            margin = float(np.min(_cone_margins(ops, eps, norms, q)))
-            if np.all(q >= eta * P) and margin >= -margin_floor:
-                return "feasible", q, rho, rho, margin
-        return "indeterminate", None, None, rho, margin
-    if _conic(model.d, norms):
-        return _ratio_conic("interior_feasibility", ops, eps, norms, eta, model.leaf_prob)
-
-    # Margin route: statics are exact at LP vertices, so incumbents certify.
-    # Each node's cone margin must cover the margin variable x[-1].
-    def minus_margin(cone):
-        def g(x):
-            val, grad = cone(x)
-            grad[-1] = -1.0
-            return val - x[-1], grad
-        return g
-
-    margin_cons = [minus_margin(cone) for cone in
-                   _cone_oracles(ops, eps, norms, n_extra=1, cut_bank=cut_bank)]
-
-    def margin_objective(x):
-        grad = np.zeros(L + 1)
-        grad[-1] = 1.0
-        return float(x[-1]), grad
-
-    def margin_repair(x):
-        qv = x[:L]
-        m = float(np.min(_cone_margins(ops, eps, norms, qv)))
-        return np.concatenate([qv, [m]])
-
-    # Margins below the rounding floor cannot be distinguished from zero, so
-    # such verdicts defer to the ratio route (whose certified upper bound
-    # amplifies sub-machine interior collapses).
-    a_ub, b_ub = None, None
-    if cut_bank:
-        a_ub, b_ub = _bank_rows(ops, eps, cut_bank, n_extra=1)
-    res = maximize_concave(
-        margin_objective,
-        np.concatenate([eta * P, [-2.0 * eps - scale]]),
-        np.concatenate([np.ones(L), [eps * 2.0 + scale]]),
-        margin_cons, a_ub=a_ub, b_ub=b_ub,
-        a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
-        tol=1e-10, feas_tol=1e-12, max_iter=150,
-        start=np.concatenate([P, [0.0]]), stop_above=margin_floor,
-        stop_below=-1e-10, repair=margin_repair)
-    if res.status == "infeasible":
-        return "infeasible", None, None, None, None
-    if res.x is not None and res.value is not None and res.value >= margin_floor:
+    margin_floor = _FLOOR * (1.0 + float(np.max(np.abs(ops.coeff))))
+    rows = _cone_rows_linf(ops, eps)
+    a_ub = np.vstack([
+        np.hstack([rows, np.zeros((rows.shape[0], 1))]),
+        np.hstack([-np.eye(L), P[:, None]]),
+    ])
+    b_ub = np.zeros(a_ub.shape[0])
+    a_eq = np.concatenate([np.ones(L), [0.0]])[None, :]
+    cvec = np.zeros(L + 1)
+    cvec[-1] = 1.0
+    lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
+                       a_eq=a_eq, b_eq=np.array([1.0]),
+                       bounds=[(0.0, 1.0)] * L + [(None, 1.0)])
+    # HiGHS meets its rows to 1e-7, enough to turn a small rho* near the
+    # critical level into a vertex with margins of -1e-7; such a vertex
+    # is solved again at 1e-10.  Margins are checked to the rounding
+    # floor (at eps = 0 the exact margin is -|z_v|, a few ulps below
+    # zero), and q >= eta P exactly.
+    for highs_tol in (None, 1e-10):
+        res = solve_lp(lp, highs_tol=highs_tol)
+        if res.status == "infeasible":
+            return "infeasible", None, None, None, None
+        if res.status != "optimal":
+            raise RuntimeError(f"interior-ratio LP failed: {res.status} {res.message}")
+        rho = float(res.value)
+        if rho < eta:
+            return "infeasible", None, rho, rho, None
         q = res.x[:L]
-        if np.all(q >= eta * P) and float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0:
-            return "feasible", q, float(np.min(q / P)), None, float(res.value)
-    margin_ub = float(res.upper_bound)
-    if margin_ub < -max(1e-11, margin_floor):
-        return "infeasible", None, None, None, margin_ub
-
-    # Ratio route: a certified upper bound below eta excludes the interior.
-    ratio_cons = _cone_oracles(ops, eps, norms, n_extra=1, cut_bank=cut_bank)
-    ratio_rows = np.hstack([-np.eye(L), P[:, None]])
-    a_ub, b_ub = ratio_rows, np.zeros(L)
-    if cut_bank:
-        bank_a, bank_b = _bank_rows(ops, eps, cut_bank, n_extra=1)
-        if bank_a is not None:
-            a_ub = np.vstack([a_ub, bank_a])
-            b_ub = np.concatenate([b_ub, bank_b])
-
-    def ratio_objective(x):
-        grad = np.zeros(L + 1)
-        grad[-1] = 1.0
-        return float(x[-1]), grad
-
-    res2 = maximize_concave(
-        ratio_objective, np.concatenate([np.zeros(L), [-1.0]]), np.ones(L + 1),
-        ratio_cons, a_ub=a_ub, b_ub=b_ub,
-        a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
-        tol=1e-10, feas_tol=1e-11, max_iter=400,
-        start=np.concatenate([P, [0.0]]), stop_below=eta * 0.5)
-    if res2.status == "infeasible":
-        return "infeasible", None, None, None, None
-    # The certified bound decides first: incumbents near the boundary may
-    # evaluate as feasible in doubles even when the interior has collapsed.
-    rho_ub = float(res2.upper_bound)
-    if rho_ub < eta:
-        return "infeasible", None, None, rho_ub, margin_ub if margin_ub < np.inf else None
-    if res2.x is not None and res2.value is not None:
-        q = res2.x[:L]
-        rho = float(np.min(q / P))
-        if np.all(q >= eta * P) and float(np.min(_cone_margins(ops, eps, norms, q))) >= 0.0:
-            return "feasible", q, rho, rho_ub if rho_ub < np.inf else None, None
-    return "indeterminate", None, None, rho_ub, margin_ub if margin_ub < np.inf else None
+        margin = float(np.min(_cone_margins(ops, eps, norms, q)))
+        if np.all(q >= eta * P) and margin >= -margin_floor:
+            return "feasible", q, rho, rho, margin
+    return "indeterminate", None, None, rho, margin
 
 
 def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
-                        leaf_objective: np.ndarray, sense: str, anchor: np.ndarray):
+                        leaf_objective: np.ndarray, sense: str, anchor: Optional[np.ndarray]):
     """Optimize a linear leaf functional over the closed cone-feasible set.
 
     Returns (value, q, bound, hedge), all None when the closed set is
     empty: value = c.q at exactly feasible q, bound the certified other end
-    of the optimum.  Polyhedral geometry is one LP (bound = value).  q = 2
-    is one cone program (``_price_conic``), whose dual gives ``hedge`` =
-    (capital, strategy, {node: add-on}, leaf slacks), an exact
+    of the optimum.  Polyhedral geometry is one LP (bound = value).  Every
+    other q is one cone program (``_price_conic``), whose dual gives
+    ``hedge`` = (capital, strategy, {node: add-on}, leaf slacks), an exact
     super-replication of c (sense max) or -c (min), whose capital (negated
-    for min) is the bound.  ``anchor`` is an exactly feasible point: the q = 2 q when no
-    solve gives a checked one, and the cutting planes' (other q) repair
-    target, toward which iterates are mixed as far as stays feasible.
+    for min) is the bound.  ``anchor``, an exactly feasible point, is the q
+    returned when no solve gives a checked one.
     """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
-    if _polyhedral(model, norms, eps):
-        rows = _cone_rows_linf(ops, eps)
-        lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                           a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
-                           bounds=[(0.0, 1.0)] * L)
-        res = solve_lp(lp)
-        if res.status == "infeasible":
-            return None, None, None, None
-        if res.status != "optimal":
-            raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
-        return float(res.value), res.x, float(res.value), None
-    sgn = 1.0 if sense == "max" else -1.0
-    if _conic(model.d, norms):
+    if not _polyhedral(model, norms, eps):
+        sgn = 1.0 if sense == "max" else -1.0
         value, q, capital, hedge = _price_conic(ops, eps, norms, sgn * c, anchor)
         return (None,) * 4 if value is None else (sgn * value, q, sgn * capital, hedge)
-    cons = _cone_oracles(ops, eps, norms)
-
-    def objective(x):
-        return float(sgn * (c @ x)), sgn * c
-
-    anchor = np.asarray(anchor, dtype=float)
-
-    def repair(x):
-        if float(np.min(_cone_margins(ops, eps, norms, x))) >= 0.0:
-            return x
-        lo_t, hi_t = 0.0, 1.0
-        for _ in range(50):
-            mid = 0.5 * (lo_t + hi_t)
-            cand = anchor + mid * (x - anchor)
-            if float(np.min(_cone_margins(ops, eps, norms, cand))) >= 0.0:
-                lo_t = mid
-            else:
-                hi_t = mid
-        return anchor + lo_t * (x - anchor)
-
-    res = maximize_concave(
-        objective, np.zeros(L), np.ones(L), cons,
-        a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
-        tol=1e-9, feas_tol=1e-15, max_iter=400, start=anchor, repair=repair)
-    if res.status == "infeasible" or res.x is None:
+    rows = _cone_rows_linf(ops, eps)
+    lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                       a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
+                       bounds=[(0.0, 1.0)] * L)
+    res = solve_lp(lp)
+    if res.status == "infeasible":
         return None, None, None, None
-    return float(sgn * res.value), res.x, float(sgn * res.upper_bound), None
+    if res.status != "optimal":
+        raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
+    return float(res.value), res.x, float(res.value), None
 
 
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
-                           leaf_objective: np.ndarray, target: float):
+                           leaf_objective: np.ndarray, target: float,
+                           anchor: Optional[np.ndarray] = None):
     """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
     of target, as (min weight, q, decided), or (0.0, None, True) when there
-    is none.  q = 2 only decides whether it reaches _ATTAINED, by the ratio
-    program on the slice c.q = target (a thin slab is as degenerate, and
-    worse conditioned), and says when it cannot (q None unless reached)."""
+    is none.  Off polyhedral geometry it only decides whether it reaches
+    _ATTAINED, by the ratio program on the slice c.q = target (a thin slab
+    is as degenerate, and worse conditioned), whose checked weights are
+    mixed toward ``anchor``, a checked point on the slice, when they miss
+    it; it says when it cannot decide (q None unless reached)."""
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
+    if not _polyhedral(model, norms, eps):
+        status, q, rho, bound, _ = _ratio_conic("max_min_weight_on_face", ops, eps, norms,
+                                                _ATTAINED, np.ones(L), (c, target, anchor))
+        return rho if q is not None else max(bound or 0.0, 0.0), q, status != "indeterminate"
     scale = 1e-9 * (1.0 + abs(target))
     face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
     face_rhs = np.array([target + scale, -(target - scale)])
     min_rows = np.hstack([-np.eye(L), np.ones((L, 1))])
-    if _polyhedral(model, norms, eps):
-        rows = _cone_rows_linf(ops, eps)
-        a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), face_rows, min_rows])
-        b_ub = np.concatenate([np.zeros(rows.shape[0]), face_rhs, np.zeros(L)])
-        cvec = np.zeros(L + 1)
-        cvec[-1] = 1.0
-        lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
-                           a_eq=np.concatenate([np.ones(L), [0.0]])[None, :],
-                           b_eq=np.array([1.0]),
-                           bounds=[(0.0, 1.0)] * L + [(0.0, 1.0)])
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            return 0.0, None, True
-        return float(res.value), res.x[:L], True
-    if _conic(model.d, norms):
-        status, q, rho, bound, _ = _ratio_conic("max_min_weight_on_face", ops, eps, norms,
-                                                _ATTAINED, np.ones(L), (c, target))
-        return rho if q is not None else max(bound or 0.0, 0.0), q, status != "indeterminate"
-    cons = _cone_oracles(ops, eps, norms, n_extra=1)
-
-    def objective(x):
-        g = np.zeros(L + 1)
-        g[-1] = 1.0
-        return float(x[-1]), g
-
-    res = maximize_concave(
-        objective, np.zeros(L + 1), np.ones(L + 1), cons,
-        a_ub=np.vstack([face_rows, min_rows]),
-        b_ub=np.concatenate([face_rhs, np.zeros(L)]),
-        a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
-        tol=1e-9, feas_tol=1e-10, max_iter=400)
-    if res.x is None:
+    rows = _cone_rows_linf(ops, eps)
+    a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), face_rows, min_rows])
+    b_ub = np.concatenate([np.zeros(rows.shape[0]), face_rhs, np.zeros(L)])
+    cvec = np.zeros(L + 1)
+    cvec[-1] = 1.0
+    lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
+                       a_eq=np.concatenate([np.ones(L), [0.0]])[None, :],
+                       b_eq=np.array([1.0]),
+                       bounds=[(0.0, 1.0)] * L + [(0.0, 1.0)])
+    res = solve_lp(lp)
+    if res.status != "optimal":
         return 0.0, None, True
     return float(res.value), res.x[:L], True
 
@@ -918,8 +848,9 @@ def reference_deviation(model: MarketModel, norms: NormPair) -> float:
 # gamma > eps certifies a uniformly positive arbitrage and gamma < eps rules
 # out everything except boundary cases, which are settled by a support
 # analysis: any zero-margin arbitrage must have exactly zero slack on the
-# maximal feasible support S and non-negative slack off it, and for p > 1
-# the unit-sphere slice {h . dS(w) = eps on S, |h|_p = 1} is a single point.
+# face of the least-norm point and non-negative slack off it, and for p > 1
+# the unit-sphere slice {h . dS(w) = eps on the face, |h|_p = 1} is a
+# single point.
 # ---------------------------------------------------------------------------
 
 
@@ -928,9 +859,9 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
 
     Scalar increments have a closed form: the simplex image is the interval
     [min dS, max dS], so gamma is 0 when it contains 0 and the smallest
-    |dS| otherwise.  At q = 2 gamma is the norm of the children's min-norm
-    point, kept on the model (:func:`node_geometry`).  Other geometry solves
-    one LP (q = inf) or a cutting-plane program.
+    |dS| otherwise.  q = inf solves one LP; any other q reads the node's
+    geometry, kept on the model (:func:`node_geometry`): the upper end of
+    its bracket, the norm of a point of the hull.
     """
     kids = list(model.children[v])
     A = model.delta[kids]  # (k, d)
@@ -942,60 +873,21 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
         return float(np.min(np.abs(c)))
     if k == 1:
         return qnorm(A[0], norms.q)
-    if _polyhedral(model, norms):
-        # min t s.t. -t <= (A' a)_i <= t, a in simplex
-        d = model.d
-        a_ub = np.vstack([np.hstack([A.T, -np.ones((d, 1))]),
-                          np.hstack([-A.T, -np.ones((d, 1))])])
-        lp = LinearProgram(c=np.concatenate([np.zeros(k), [1.0]]), sense="min",
-                           a_ub=a_ub, b_ub=np.zeros(2 * d),
-                           a_eq=np.concatenate([np.ones(k), [0.0]])[None, :],
-                           b_eq=np.array([1.0]),
-                           bounds=[(0.0, 1.0)] * k + [(0.0, None)])
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            raise RuntimeError(f"node deviation LP failed: {res.status}")
-        return float(res.value)
-    if _conic(model.d, norms):
-        return node_geometry(model)[v].gamma
-
-    def objective(a):
-        z = A.T @ a
-        val = qnorm(z, norms.q)
-        zg = qnorm_grad(z, norms.q, val)
-        return -val, -(A @ zg)
-
-    res = maximize_concave(objective, np.zeros(k), np.ones(k),
-                           a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-                           tol=1e-10, feas_tol=1e-11, max_iter=300,
-                           start=np.full(k, 1.0 / k), damping=0.5)
-    if res.value is None:
-        raise RuntimeError("node deviation program failed")
-    return -float(res.value)
-
-
-def _node_support_max(A: np.ndarray, w_pos: int, eps: float, norms: NormPair):
-    """Upper bound on max a_w over {a in simplex: |A' a|_q <= eps} (0 when
-    empty) by cutting planes, for the support analysis off the conic route
-    (which reads the min-norm face; polyhedral nodes never reach it)."""
-    k = A.shape[0]
-    c = np.zeros(k)
-    c[w_pos] = 1.0
-
-    def objective(a):
-        return float(c @ a), c
-
-    def cone(a):
-        z = A.T @ a
-        val = qnorm(z, norms.q)
-        zg = qnorm_grad(z, norms.q, val)
-        return eps - val, -(A @ zg)
-
-    res = maximize_concave(objective, np.zeros(k), np.ones(k), [cone],
-                           a_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-                           tol=1e-9, feas_tol=1e-11, max_iter=300,
-                           start=np.full(k, 1.0 / k))
-    return 0.0 if res.status == "infeasible" else float(res.upper_bound)
+    if not _polyhedral(model, norms):
+        return node_geometry(model, norms.q)[v].gamma
+    # min t s.t. -t <= (A' a)_i <= t, a in simplex
+    d = model.d
+    a_ub = np.vstack([np.hstack([A.T, -np.ones((d, 1))]),
+                      np.hstack([-A.T, -np.ones((d, 1))])])
+    lp = LinearProgram(c=np.concatenate([np.zeros(k), [1.0]]), sense="min",
+                       a_ub=a_ub, b_ub=np.zeros(2 * d),
+                       a_eq=np.concatenate([np.ones(k), [0.0]])[None, :],
+                       b_eq=np.array([1.0]),
+                       bounds=[(0.0, 1.0)] * k + [(0.0, None)])
+    res = solve_lp(lp)
+    if res.status != "optimal":
+        raise RuntimeError(f"node deviation LP failed: {res.status}")
+    return float(res.value)
 
 
 def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPair,
@@ -1003,48 +895,41 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
                           with_certificate: bool = True):
     """Exact one-node strict-arbitrage decision; returns (found, h, gamma).
 
-    The node's one-period market (its children as leaves) runs through the
-    tree's strategy programs: the maximin program certifies gamma > eps,
-    and at gamma = eps the sign of the sum LP decides polyhedral nodes.
+    Polyhedral nodes run the tree's strategy LPs on the node's one-period
+    market (its children as leaves): the maximin LP certifies gamma > eps,
+    and at gamma = eps the sign of the sum LP decides.  Every other node
+    reads its geometry and solves nothing: above the band its unit strategy
+    h has worst slack low - eps (gamma - eps at q = 2), and in the band the
+    face of the least-norm point decides.
     """
     A = model.delta[list(model.children[v])]
-    ops = TreeOps(None, (v,), A[:, None, :], np.ones((A.shape[0], 1)))
     scale = 1.0 + float(np.max(np.abs(A)))
     if gamma is None:
         gamma = node_min_simplex_deviation(model, v, norms)
-    if gamma > eps + band * scale:
-        if not with_certificate:
-            return True, None, gamma
-        margin, h, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
-        if h is not None and margin > 0:
-            return True, h, gamma
-        # Numerically at the threshold: fall through to the boundary analysis.
-    if gamma < eps - band * scale or eps == 0.0:
-        return False, None, gamma
-    # Boundary band: support analysis.
     if _polyhedral(model, norms):
+        ops = TreeOps(None, (v,), A[:, None, :], np.ones((A.shape[0], 1)))
+        if gamma > eps + band * scale:
+            if not with_certificate:
+                return True, None, gamma
+            margin, h, _, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
+            if h is not None and margin > 0:
+                return True, h, gamma
+            # Numerically at the threshold: fall through to the boundary analysis.
+        if gamma < eps - band * scale or eps == 0.0:
+            return False, None, gamma
         # The polyhedral slack image is closed, so the LP's sign is exact.
         total, h, _ = strict_arbitrage_sum_program(ops, eps)
         return (True, h, gamma) if total > 1e-9 else (False, None, gamma)
-    if _conic(model.d, norms):
-        # Tangent: the cone set is the face of the min-norm point.
-        on = node_geometry(model)[v].on
-    else:
-        on = np.array([_node_support_max(A, w, eps, norms) >= 1e-7 for w in range(len(A))])
-    support, off = np.flatnonzero(on), np.flatnonzero(~on)
+    node = node_geometry(model, norms.q)[v]
+    if node.low > eps + band * scale:
+        return True, (node.h if with_certificate else None), gamma
+    if gamma < eps - band * scale or eps == 0.0:
+        return False, None, gamma
+    # Boundary band: the face of the least-norm point is the cone set there.
+    support, off = np.flatnonzero(node.on), np.flatnonzero(~node.on)
     if not off.size:
         return False, None, gamma
-    if not support.size:
-        # Cone empty at this level: uniform arbitrage must exist.
-        margin, h, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
-        if margin > 0 and h is not None:
-            return True, h, gamma
-        return False, None, gamma
-    try:
-        h, m = _min_norm_solution(A[support], np.full(len(support), eps), norms)
-    except RuntimeError:
-        # SLSQP failed on the min-norm system: no certificate to build here.
-        return False, None, gamma
+    h, m = _min_norm_solution(A[support], np.full(len(support), eps), norms)
     if h is None or m is None or m > 1.0 + 1e-7 or m <= 0.0:
         return False, None, gamma
     h_unit = h / m

@@ -1,6 +1,6 @@
-"""Solver kernel: linear programs, second-order cone programs, min-norm
-points, cutting-plane concave maximization, and exact discrete transport
-(min-cost and bottleneck).
+"""Solver kernel: linear programs, cone programs over second-order and
+power cones, min-norm points, and exact discrete transport (min-cost and
+bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
 everything is dense.  LPs call the HiGHS core that scipy ships directly:
@@ -10,20 +10,19 @@ much per LP as HiGHS's own solve on these sizes, so :func:`linprog`
 builds the same model with the same options itself and keeps scipy's
 result check.  Optimal points are re-checked for primal feasibility, and
 infeasibility is HiGHS's status.
-LPs with second-order cones (the p = 2 programs) run a dense primal-dual
-interior point written in numpy around scipy's LAPACK LU, which returns
-primal and dual points or an infeasibility certificate; a
-:class:`ConeProgram` recomputes weak-duality bounds and certificates from
-them.  The HiGHS core and the LAPACK module are compiled scipy modules,
-loaded from their files on first use (:func:`_scipy_extension`) without
-the scipy package imports above them, so ``import epsarb`` loads no scipy
-module and a solve loads only those two.
+LPs with second-order cones (the p = 2 programs) and three-dimensional
+power cones (every other p > 1) run a dense primal-dual interior point
+written in numpy around scipy's LAPACK LU, which returns primal and dual
+points or an infeasibility certificate; a :class:`ConeProgram` recomputes
+weak-duality bounds and certificates from them.  The HiGHS core and the
+LAPACK module are compiled scipy modules, loaded from their files on first
+use (:func:`_scipy_extension`) without the scipy package imports above
+them, so ``import epsarb`` loads no scipy module and a solve loads only
+those two.
 The point of a polytope nearest the origin is Wolfe's finite active-set
 method (:func:`min_norm_point`), certified by its optimality condition,
 and one LP (:func:`face_support`) finds which vertices can carry weight in
-that point.  Kelley cutting planes serve the remaining p only (no p = 2
-program falls back to them); on the strategy side that is the maximin
-program, which a node decision also runs, on its one-period market.
+that point.
 Transport needs no LP: min-cost transport is a transportation simplex
 that prices its cycles in the log domain, exact for weights of any spread,
 and bottleneck transport a threshold algorithm that grows a flow along
@@ -39,7 +38,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -251,143 +250,6 @@ def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
 
 
 # ---------------------------------------------------------------------------
-# Cutting-plane maximization of a concave function over a box, with optional
-# concave inequality constraints g_i(x) >= 0.
-# ---------------------------------------------------------------------------
-
-Oracle = Callable[[np.ndarray], tuple]
-
-
-@dataclass(frozen=True)
-class ConcaveResult:
-    status: str  # optimal | iteration_cap | infeasible
-    x: Optional[np.ndarray]
-    value: Optional[float]
-    upper_bound: float
-    gap: float
-    iterations: int
-
-
-def maximize_concave(objective: Oracle, lower, upper, constraints: Sequence[Oracle] = (),
-                     a_ub=None, b_ub=None, a_eq=None, b_eq=None,
-                     tol: float = 1e-8, feas_tol: float = 1e-9,
-                     max_iter: int = 400, start=None,
-                     stop_above=None, stop_below=None, repair=None,
-                     damping: float = 0.0) -> ConcaveResult:
-    """Kelley cutting planes: max f(x) s.t. g_i(x) >= 0 over a box.
-
-    ``objective(x)`` and each constraint return ``(value, supergradient)``;
-    a supergradient g must satisfy f(y) <= f(x) + g.(y - x) on the box.
-
-    Static linear rows (a_ub x <= b_ub, a_eq x = b_eq) enter every master LP
-    directly; nonlinear concave constraints enter through cuts.  Cuts are
-    outer approximations, so the LP value is a certified upper bound and an
-    LP-infeasible master certifies infeasibility of the true problem.  The
-    incumbent is the best oracle-feasible iterate; terminates at relative gap
-    ``tol`` or reports the best value and gap at the iteration cap.
-
-    ``stop_above`` / ``stop_below`` short-circuit threshold queries: return
-    as soon as the incumbent clears ``stop_above`` or the certified upper
-    bound drops under ``stop_below``.
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = lower.size
-    static_rows: list[np.ndarray] = []
-    static_rhs: list[float] = []
-    if a_ub is not None:
-        for row, rhs in zip(np.atleast_2d(a_ub), np.atleast_1d(b_ub)):
-            static_rows.append(np.concatenate([row, [0.0]]))
-            static_rhs.append(float(rhs))
-    eq_rows = None
-    eq_rhs = None
-    if a_eq is not None:
-        eq_rows = np.hstack([np.atleast_2d(a_eq), np.zeros((np.atleast_2d(a_eq).shape[0], 1))])
-        eq_rhs = np.atleast_1d(b_eq)
-
-    if start is not None:
-        x = np.clip(np.asarray(start, dtype=float), lower, upper)
-    else:
-        x = np.clip((lower + upper) / 2.0, lower, upper)
-
-    cut_rows: list[np.ndarray] = list(static_rows)
-    cut_rhs: list[float] = list(static_rhs)
-    best_val = -np.inf
-    best_x: Optional[np.ndarray] = None
-    ub = np.inf
-    c = np.zeros(n + 1)
-    c[-1] = -1.0  # minimize -theta
-    var_bounds = [(float(lo), float(hi)) for lo, hi in zip(lower, upper)] + [(None, None)]
-
-    static_mat = np.vstack([r[:-1] for r in static_rows]) if static_rows else None
-    static_vec = np.array(static_rhs) if static_rows else None
-
-    def _static_violation(z: np.ndarray) -> float:
-        worst = 0.0
-        if static_mat is not None:
-            worst = min(worst, float(np.min(static_vec - static_mat @ z)))
-        if eq_rows is not None:
-            worst = min(worst, -float(np.max(np.abs(eq_rows[:, :-1] @ z - eq_rhs))))
-        return worst
-
-    for it in range(1, max_iter + 1):
-        fval, fgrad = objective(x)
-        fgrad = np.asarray(fgrad, dtype=float)
-        cut_rows.append(np.concatenate([-fgrad, [1.0]]))  # theta <= f0 + g.(x-x0)
-        cut_rhs.append(fval - float(fgrad @ x))
-        worst = _static_violation(x)
-        for g in constraints:
-            gval, ggrad = g(x)
-            if np.ndim(gval) == 0:  # scalar oracle: one cut
-                ggrad = np.asarray(ggrad, dtype=float)
-                worst = min(worst, float(gval))
-                cut_rows.append(np.concatenate([-ggrad, [0.0]]))
-                cut_rhs.append(float(gval) - float(ggrad @ x))
-            else:  # block oracle: (m,) values with (m, n) gradients
-                gval = np.asarray(gval, dtype=float)
-                ggrad = np.asarray(ggrad, dtype=float)
-                worst = min(worst, float(np.min(gval)))
-                block = np.hstack([-ggrad, np.zeros((gval.size, 1))])
-                cut_rows.extend(block)
-                cut_rhs.extend((gval - ggrad @ x).tolist())
-        if repair is not None:
-            xr = np.clip(np.asarray(repair(x), dtype=float), lower, upper)
-            fr = objective(xr)[0]
-            wr = _static_violation(xr)
-            for g in constraints:
-                gv = g(xr)[0]
-                wr = min(wr, float(gv) if np.ndim(gv) == 0 else float(np.min(gv)))
-            if wr >= -feas_tol and fr > best_val:
-                best_val = fr
-                best_x = xr.copy()
-        if worst >= -feas_tol and fval > best_val:
-            best_val = fval
-            best_x = x.copy()
-        if stop_above is not None and best_val >= stop_above:
-            return ConcaveResult("optimal", best_x, best_val, ub, ub - best_val, it)
-        res = linprog(c=c, A_ub=np.vstack(cut_rows), b_ub=np.array(cut_rhs),
-                      A_eq=eq_rows, b_eq=eq_rhs, bounds=var_bounds)
-        if res.status == "infeasible":
-            return ConcaveResult("infeasible", None, None, -np.inf, np.inf, it)
-        if res.status != "optimal":
-            break
-        ub = min(ub, float(-res.value))
-        gap = ub - best_val
-        if stop_below is not None and ub <= stop_below:
-            return ConcaveResult("optimal", best_x, best_val if best_x is not None else None,
-                                 ub, gap, it)
-        if best_x is not None and gap <= tol * (1.0 + abs(ub)):
-            return ConcaveResult("optimal", best_x, best_val, ub, gap, it)
-        x = np.clip(np.asarray(res.x[:-1]), lower, upper)
-        if damping > 0.0 and best_x is not None:
-            # Bundle-style stabilization: query between incumbent and master.
-            x = (1.0 - damping) * x + damping * best_x
-    gap = ub - best_val if best_x is not None else np.inf
-    return ConcaveResult("iteration_cap", best_x, best_val if best_x is not None else None,
-                         ub, gap, max_iter)
-
-
-# ---------------------------------------------------------------------------
 # The point of a polytope nearest the origin: Wolfe's active-set method
 # ---------------------------------------------------------------------------
 
@@ -469,16 +331,19 @@ def face_support(points, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Second-order cone programs: dense primal-dual interior point
+# Cone programs: dense primal-dual interior point
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """min c.x subject to G x + s = h, A x = b, s in R+^l x Q^soc[0] x ...
+    """min c.x subject to G x + s = h, A x = b, s in R+^l x Q^soc[0] x ... x K_power[0] x ...
 
-    Q^n is the second-order cone {(u0, u1) in R^n : u0 >= |u1|_2}; the rows
-    of G and h list the l orthant rows first, then each cone block in turn.
+    Q^n is the second-order cone {(u0, u1) in R^n : u0 >= |u1|_2}, and K_a
+    the three-dimensional power cone {(u, v, w) : u, v >= 0, |w| <= u^a
+    v^(1 - a)} for 0 < a < 1 (``power`` lists the exponents a); the rows
+    of G and h list the l orthant rows first, then each second-order block
+    in turn, then each power block.
     """
 
     c: np.ndarray
@@ -488,20 +353,26 @@ class ConeProgram:
     soc: tuple = ()
     A: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
+    power: tuple = ()
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         G = np.asarray(self.G, dtype=float).reshape(-1, c.size)
         h = np.asarray(self.h, dtype=float)
         soc = tuple(int(k) for k in self.soc)
-        if G.shape[0] != h.size or h.size != self.l + sum(soc):
-            raise ValueError(f"G has {G.shape[0]} rows, h {h.size}, cones {self.l} + {sum(soc)}")
+        power = tuple(float(a) for a in self.power)
+        if G.shape[0] != h.size or h.size != self.l + sum(soc) + 3 * len(power):
+            raise ValueError(f"G has {G.shape[0]} rows, h {h.size}, cones "
+                             f"{self.l} + {sum(soc)} + 3 x {len(power)}")
+        if not all(0.0 < a < 1.0 for a in power):
+            raise ValueError(f"power cone exponents must lie in (0, 1), got {power}")
         if self.A is None:
             A, b = np.zeros((0, c.size)), np.zeros(0)
         else:
             A = np.asarray(self.A, dtype=float).reshape(-1, c.size)
             b = np.asarray(self.b, dtype=float).reshape(-1)
-        for name, val in (("c", c), ("G", G), ("h", h), ("soc", soc), ("A", A), ("b", b)):
+        for name, val in (("c", c), ("G", G), ("h", h), ("soc", soc), ("A", A), ("b", b),
+                          ("power", power)):
             object.__setattr__(self, name, val)
 
     def _blocks(self):
@@ -510,22 +381,37 @@ class ConeProgram:
             yield slice(start, start + k)
             start += k
 
+    def _power_rows(self) -> np.ndarray:
+        """The row indices (u, v, w) of each power block, one row per block."""
+        start = self.l + sum(self.soc)
+        return start + np.arange(3 * len(self.power)).reshape(-1, 3)
+
     def project_dual(self, z: np.ndarray) -> np.ndarray:
-        """z moved into the (self-dual) cone: negative orthant entries are
-        zeroed, and a cone head is raised to the norm of its tail when it
-        falls short."""
+        """z moved into the dual cone: negative orthant entries are zeroed, a
+        second-order head is raised to the norm of its tail when it falls
+        short, and a power block's (u, v), clipped at 0, is scaled up until
+        |w| <= (u/a)^a (v/(1 - a))^(1 - a), or raised to (a |w|, (1 - a)
+        |w|) where it is 0."""
         z = np.array(z, dtype=float)
         z[:self.l] = np.maximum(z[:self.l], 0.0)
         for blk in self._blocks():
             z[blk.start] = max(z[blk.start], float(np.linalg.norm(z[blk.start + 1:blk.stop])))
+        for (i, j, k), a in zip(self._power_rows(), self.power):
+            u, v, w = max(z[i], 0.0), max(z[j], 0.0), abs(z[k])
+            reach = (u / a) ** a * (v / (1.0 - a)) ** (1.0 - a)
+            if w > reach > 0.0:
+                u, v = u * w / reach, v * w / reach
+            elif w > reach:
+                u, v = max(u, a * w), max(v, (1.0 - a) * w)
+            z[i], z[j] = u, v
         return z
 
     def lower_bound(self, y: np.ndarray, z: np.ndarray, box: np.ndarray) -> float:
         """Certified lower bound on min c.x, by weak duality from any (y, z),
         valid whenever some minimizer has |x_i| <= box_i.
 
-        z is first moved into the cone; the dual residual r = c + G'z + A'y
-        then costs at most sum_i |r_i| box_i.
+        z is first moved into the dual cone; the dual residual r = c + G'z +
+        A'y then costs at most sum_i |r_i| box_i.
         """
         z = self.project_dual(z)
         r = self.c + self.G.T @ z + self.A.T @ y
@@ -534,7 +420,7 @@ class ConeProgram:
 
     def certifies_infeasible(self, y: np.ndarray, z: np.ndarray, box: np.ndarray) -> bool:
         """Whether (y, z) proves that no x with |x_i| <= box_i is feasible:
-        h.z + b.y + sum_i |(G'z + A'y)_i| box_i < 0 with z in the cone."""
+        h.z + b.y + sum_i |(G'z + A'y)_i| box_i < 0 with z in the dual cone."""
         z = self.project_dual(z)
         r = self.G.T @ z + self.A.T @ y
         return float(self.h @ z + self.b @ y) + float(np.abs(r) @ box) < 0.0
@@ -607,14 +493,71 @@ def _soc_matrix(eta: float, wb: np.ndarray) -> np.ndarray:
     return eta * W
 
 
+def _power_barrier(s: np.ndarray, a: np.ndarray):
+    """Gradient g (k, 3) and inverse Hessian (k, 3, 3) of the power-cone
+    barrier -log(u^2a v^(2-2a) - w^2) - (1 - a) log u - a log v (degree 3;
+    Chares, 2009) at interior rows s = (u, v, w) with exponents a.
+
+    With phi = u^2a v^(2-2a), t = phi - w^2 and p = grad phi, eliminating w
+    leaves the (u, v) Schur complement S = D + (2a(1-a) phi / t) r r' +
+    p p' / (2 phi (phi + w^2)), r = (1/u, -1/v), D = diag((1-a)/u^2,
+    a/v^2): a sum of positive semidefinite terms, so the inverse is formed
+    without the cancellation that inverting the Hessian itself suffers as
+    t -> 0, when the Hessian's norm grows like 1/t^2.
+    """
+    u, v, w = s.T
+    root = np.exp(a * np.log(u) + (1.0 - a) * np.log(v))
+    phi, w2 = root * root, w * w
+    t = (root - np.abs(w)) * (root + np.abs(w))
+    pu, pv = 2.0 * a * phi / u, (2.0 - 2.0 * a) * phi / v
+    g = np.stack([-pu / t - (1.0 - a) / u, -pv / t - a / v, 2.0 * w / t], axis=1)
+    c1, c2 = 2.0 * a * (1.0 - a) * phi / t, 0.5 / (phi * (phi + w2))
+    s_uu = ((1.0 - a) + c1) / (u * u) + c2 * pu * pu
+    s_vv = (a + c1) / (v * v) + c2 * pv * pv
+    s_uv = -c1 / (u * v) + c2 * pu * pv
+    det = (a * (1.0 - a) + c1) / (u * u * v * v) + c2 * ((1.0 - a) * pv * pv / (u * u)
+                                                        + a * pu * pu / (v * v)) \
+        + c1 * c2 * (pv / u + pu / v) ** 2
+    hinv = np.empty((s.shape[0], 3, 3))
+    hinv[:, 0, 0], hinv[:, 1, 1] = s_vv / det, s_uu / det
+    hinv[:, 0, 1] = hinv[:, 1, 0] = -s_uv / det
+    lift = w / (phi + w2)  # -(w-column of H) / H_ww = lift p
+    hinv[:, :2, 2] = hinv[:, 2, :2] = lift[:, None] * np.einsum("kij,kj->ki", hinv[:, :2, :2],
+                                                                np.stack([pu, pv], axis=1))
+    hinv[:, 2, 2] = 0.5 * t * t / (phi + w2) + lift * (hinv[:, 0, 2] * pu + hinv[:, 1, 2] * pv)
+    H = np.empty((s.shape[0], 3, 3))
+    H[:, 0, 0] = (pu * pu / t - (2.0 * a - 1.0) * pu / u) / t + (1.0 - a) / (u * u)
+    H[:, 1, 1] = (pv * pv / t - (1.0 - 2.0 * a) * pv / v) / t + a / (v * v)
+    H[:, 0, 1] = H[:, 1, 0] = (pu * pv / t - (2.0 - 2.0 * a) * pu / v) / t
+    H[:, 0, 2] = H[:, 2, 0] = -2.0 * w * pu / (t * t)
+    H[:, 1, 2] = H[:, 2, 1] = -2.0 * w * pv / (t * t)
+    H[:, 2, 2] = (2.0 + 4.0 * w2 / t) / t
+    return g, hinv, H
+
+
+def _in_power(s: np.ndarray, a: np.ndarray, dual: bool = False) -> bool:
+    """Whether every row (u, v, w) of s is interior to K_a, or to its dual
+    cone {|w| < (u/a)^a (v/(1 - a))^(1 - a)}."""
+    u, v, w = s.T
+    if not (np.all(u > 0.0) and np.all(v > 0.0)):
+        return False
+    if dual:
+        u, v = u / a, v / (1.0 - a)
+    return bool(np.all(a * np.log(u) + (1.0 - a) * np.log(v) > np.log(np.abs(w))))
+
+
 class _Cone:
-    """Jordan-algebra operations on the cone R+^l x Q^n1 x ... of a program."""
+    """Jordan-algebra operations on the symmetric blocks R+^l x Q^n1 x ...
+    of a program; its power blocks (rows ``power``, exponents
+    ``exponents``) count three to the degree."""
 
     def __init__(self, prog: ConeProgram):
         self.l = prog.l
         self.blocks = list(prog._blocks())
         self.m = prog.h.size
-        self.degree = prog.l + len(prog.soc)
+        self.power = prog._power_rows()
+        self.exponents = np.array(prog.power)
+        self.degree = prog.l + len(prog.soc) + 3 * len(prog.power)
         self.e = np.zeros(self.m)  # the identity: ones, and (1, 0, ..., 0) per block
         self.e[:prog.l] = 1.0
         for blk in self.blocks:
@@ -680,12 +623,17 @@ _MAX_ITER = 60
 
 
 def solve_socp(prog: ConeProgram) -> ConeResult:
-    """Dense primal-dual interior point for an LP with second-order cones.
+    """Dense primal-dual interior point for an LP with second-order and
+    power cones.
 
     The homogeneous self-dual embedding (Domahidi, Chu & Boyd, ECOS, 2013;
     Vandenberghe, CVXOPT cone solvers, 2010) runs Mehrotra predictor-
-    corrector steps under Nesterov-Todd scaling; each step factors one KKT
-    matrix [[0, A', G'], [A, 0, 0], [G, 0, -W'W]] and solves it three times.
+    corrector steps under Nesterov-Todd scaling on the orthant and
+    second-order blocks.  A power block has no such scaling: it is scaled
+    by mu times its barrier Hessian at s, and its steps are cut back until
+    it stays in a neighbourhood of the central path (Skajaa & Ye, Math.
+    Prog. 2015).  Each step factors one KKT matrix [[0, A', G'], [A, 0, 0],
+    [G, 0, -W'W]] and solves it three times.
     Termination: primal and dual residuals and the relative gap under
     1e-13, or an infeasibility or unboundedness certificate whose residual
     is under 1e-9 relative to its value.  Otherwise (iteration cap, or
@@ -702,6 +650,10 @@ def solve_socp(prog: ConeProgram) -> ConeResult:
                               np.nan, np.nan, np.nan, 0)
 
 
+_NEIGHBOURHOOD = 0.9  # largest |z/mu + g(s)| in the inverse barrier Hessian norm of a power block
+_SIGMAS = np.array([0.1, 0.3, 0.5, 0.7, 1.0])  # centring weights tried on power blocks
+
+
 def _interior_point(prog: ConeProgram) -> ConeResult:
     lapack = _scipy_extension("scipy.linalg._flapack")
     dgetrf, dgetrs = lapack.dgetrf, lapack.dgetrs
@@ -710,6 +662,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
     n, p = c.size, b.size
     cone = _Cone(prog)
     m, l, blocks = cone.m, cone.l, cone.blocks
+    pw, expo = cone.power, cone.exponents
     nrm_c = max(1.0, float(np.linalg.norm(c)))
     nrm_bh = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(h)))
     K = np.zeros((n + p + m, n + p + m))
@@ -719,10 +672,16 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
     K[n + p:, :n] = G
     reg = 1e-13
 
-    def kkt(scale_sq):
+    def kkt(scale_sq, gram=None):
         """Solver for the KKT matrix with (3, 3) block -scale_sq: LU of a
-        slightly regularized copy, refined against the exact matrix."""
+        slightly regularized copy, refined against the exact matrix.  With
+        ``gram`` = G_p' mu H G_p the power rows are eliminated: it is the
+        (1, 1) block, and their rows and columns are decoupled."""
         K[n + p:, n + p:] = -scale_sq
+        if gram is not None:
+            K[:n, :n] = gram
+            K[:n, n + p + pw.ravel()] = 0.0
+            K[n + p + pw.ravel(), :n] = 0.0
         Kt = K.copy()
         K[:n, :n] += reg * np.eye(n)
         K[n:, n:] -= reg * np.eye(p + m)
@@ -738,7 +697,8 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
             return sol
         return solve
 
-    # Starting point: least-norm primal slack and dual multiplier (W = I).
+    # Starting point: least-norm primal slack and dual multiplier (W = I),
+    # and the point of each power block where s = -g(s).
     solve0 = kkt(np.eye(m))
     sol = solve0(np.concatenate([np.zeros(n), b, h]))
     x, s = sol[:n], -sol[n + p:]
@@ -748,6 +708,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
         shift = -cone.min_eig(v)
         if shift >= -1e-8:
             v += (1.0 + shift) * cone.e
+        v[pw] = np.stack([np.sqrt(1.0 + expo), np.sqrt(2.0 - expo), 0.0 * expo], axis=1)
     tau = kappa = 1.0
 
     def result(status, it, x, s, y, z, scale):
@@ -761,6 +722,16 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
             dres = float(np.linalg.norm(G.T @ zs + A.T @ ys + c)) / nrm_c
             gap = pval - dval
         return ConeResult(status, xs, ss, ys, zs, pval, dval, pres, dres, gap, it)
+
+    def central(s, z, tau, kappa) -> bool:
+        """Whether the power blocks of (s, z) are interior and near the
+        central path of the complementarity (s.z + tau kappa) / (degree + 1)."""
+        if not (_in_power(s[pw], expo) and _in_power(z[pw], expo, dual=True)):
+            return False
+        g, hinv, _ = _power_barrier(s[pw], expo)
+        psi = z[pw] * ((cone.degree + 1) / (float(s @ z) + tau * kappa)) + g
+        prox = np.einsum("ki,kij,kj->k", psi, hinv, psi)
+        return bool(np.all(prox <= _NEIGHBOURHOOD ** 2))
 
     best = (np.inf, 0, x, s, y, z, tau)
     for it in range(_MAX_ITER + 1):
@@ -792,8 +763,10 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
         if it == _MAX_ITER or not np.isfinite(mu) or mu <= 0.0:
             break
 
-        # Scaling: W z = W^-1 s = lam, block by block.
-        lam = np.empty(m)
+        # Scaling: W z = W^-1 s = lam, block by block.  A power block is
+        # scaled by mu H(s) instead (dz + mu H ds = r), eliminated from the
+        # KKT system, and W is the identity on its rows.
+        lam = np.ones(m)
         scale_sq = np.zeros((m, m))
         dz0 = np.sqrt(s[:l] / z[:l])
         lam[:l] = np.sqrt(s[:l] * z[:l])
@@ -806,31 +779,55 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
             scalings.append(Wm)
             dets.append(det)
             scale_sq[blk, blk] = Wm @ Wm
+        gram, grad = None, np.zeros((0, 3))
+        if pw.size:
+            grad, _, hess = _power_barrier(s[pw], expo)
+            mu_hess = mu * hess
+            Gp = G[pw]  # (k, 3, n)
+            gram = np.einsum("kin,kij,kjm->nm", Gp, mu_hess, Gp)
+            scale_sq[pw[:, :, None], pw[:, None, :]] = np.eye(3)
 
         def W(v):
             out = np.empty_like(v)
             out[:l] = v[:l] * dz0
             for blk, Wm in zip(blocks, scalings):
                 out[blk] = Wm @ v[blk]
+            out[pw] = v[pw]
             return out
 
         try:
-            solve = kkt(scale_sq)
+            solve = kkt(scale_sq, gram)
         except np.linalg.LinAlgError:
             break
-        sol1 = solve(np.concatenate([-c, b, h]))
-        x1, y1, z1 = sol1[:n], sol1[n:n + p], sol1[n + p:]
+
+        def solve_kkt(r1, r2, r3, e_pow, f_pow):
+            """The KKT solution whose power rows read dz = mu H (G dx - e) + f."""
+            if pw.size:
+                r3 = r3.copy()
+                r3[pw] = 0.0
+                r1 = r1 + np.einsum("kin,ki->n", Gp,
+                                    np.einsum("kij,kj->ki", mu_hess, e_pow) - f_pow)
+            sol = solve(np.concatenate([r1, r2, r3]))
+            dx, dy, dz = sol[:n], sol[n:n + p], sol[n + p:]
+            if pw.size:
+                dz[pw] = np.einsum("kij,kj->ki", mu_hess, Gp @ dx - e_pow) + f_pow
+            return dx, dy, dz
+
+        x1, y1, z1 = solve_kkt(-c, b, h, h[pw], 0.0 * h[pw])
         denom = float(c @ x1 + b @ y1 + h @ z1) - kappa / tau
 
-        def direction(dx, dy, dz, dt, ds, dk):
+        def direction(dx, dy, dz, dt, ds, dk, dpow):
+            # dpow: the right-hand side r of dz + mu H(s) ds = r on the power
+            # blocks; ds is read from their primal rows G dx + ds - h dtau = -dz
             u = cone.div(lam, -ds, dets)
-            sol2 = solve(np.concatenate([-dx, -dy, -dz - W(u)]))
-            x2, y2, z2 = sol2[:n], sol2[n:n + p], sol2[n + p:]
+            x2, y2, z2 = solve_kkt(-dx, -dy, -dz - W(u), -dz[pw], dpow)
             dtau = (-dt + dk / tau - float(c @ x2 + b @ y2 + h @ z2)) / denom
-            ddz = z2 + dtau * z1
+            ddx, ddy, ddz = x2 + dtau * x1, y2 + dtau * y1, z2 + dtau * z1
             wdz = W(ddz)
-            return (x2 + dtau * x1, y2 + dtau * y1, ddz, dtau,
-                    (-dk - kappa * dtau) / tau, u - wdz, wdz)
+            sdir = u - wdz
+            if pw.size:
+                sdir[pw] = dtau * h[pw] - dz[pw] - Gp @ ddx
+            return (ddx, ddy, ddz, dtau, (-dk - kappa * dtau) / tau, sdir, wdz)
 
         def step(d):
             _, _, _, dtau, dkap, sdir, zdir = d
@@ -841,15 +838,45 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
                 alpha = min(alpha, -kappa / dkap)
             return alpha
 
-        aff = direction(rx, ry, rz, rt, cone.prod(lam, lam), tau * kappa)
-        alpha_aff = min(1.0, step(aff))
+        def power_step(d, limit, centred):
+            """The largest of limit, 0.8 limit, 0.8^2 limit, ... (to 1e-12)
+            whose power blocks are interior (and central, if ``centred``)."""
+            if not pw.size:
+                return limit
+            _, _, ddz, dtau, dkap, sdir, _ = d
+            ds = W(sdir)
+            t = limit
+            while t > 1e-12:
+                sn, zn = s + t * ds, z + t * ddz
+                if (centred and central(sn, zn, tau + t * dtau, kappa + t * dkap)) or (
+                        not centred and _in_power(sn[pw], expo)
+                        and _in_power(zn[pw], expo, dual=True)):
+                    return t
+                t *= 0.8
+            return 0.0
+
+        aff = direction(rx, ry, rz, rt, cone.prod(lam, lam), tau * kappa, -z[pw])
+        alpha_aff = power_step(aff, min(1.0, step(aff)), False)
         sigma = min(1.0, max(0.0, 1.0 - alpha_aff)) ** 3
         corr = cone.prod(aff[5], aff[6])
         comb = direction((1.0 - sigma) * rx, (1.0 - sigma) * ry, (1.0 - sigma) * rz,
                          (1.0 - sigma) * rt,
                          cone.prod(lam, lam) - sigma * mu * cone.e + corr,
-                         tau * kappa - sigma * mu + aff[3] * aff[4])
-        alpha = 0.99 * min(1.0, step(comb))
+                         tau * kappa - sigma * mu + aff[3] * aff[4],
+                         -z[pw] - sigma * mu * grad)
+        alpha = power_step(comb, 0.99 * min(1.0, step(comb)), True)
+        if pw.size and alpha < 0.5:
+            # The direction is linear in sigma: comb + (t - sigma) (cent - aff)
+            # at sigma = t.  Take the sigma whose step, cut back to stay near
+            # the central path, shrinks the residuals and mu the most.
+            cent = direction(0.0 * rx, 0.0 * ry, 0.0 * rz, 0.0, cone.prod(lam, lam) - mu * cone.e,
+                             tau * kappa - mu, -z[pw] - mu * grad)
+            shrink = 1.0 - alpha * (1.0 - sigma)
+            for t in _SIGMAS[_SIGMAS > sigma]:
+                trial = tuple(u + (t - sigma) * (v - w) for u, v, w in zip(comb, cent, aff))
+                step_t = power_step(trial, 0.99 * min(1.0, step(trial)), True)
+                if 1.0 - step_t * (1.0 - t) < shrink:
+                    comb, alpha, shrink = trial, step_t, 1.0 - step_t * (1.0 - t)
         if not np.isfinite(alpha) or alpha <= 1e-12:
             break
         dx, dy, ddz, dtau, dkap, sdir, _ = comb

@@ -8,18 +8,19 @@ Core claims:
       has no full-support point, the cone set is larger than the face and
       a measure is found; below it by more than rounding the set is empty
     - off the boundary the conic route decides alone, with no fallback
-    - q = 2 pricing runs no cutting planes: price bounds and superhedge
-      prices close their duality gap to 1e-9 by the cone programs alone,
-      also where the cone set is a single point
-    - conic and cutting-plane routes agree on verdicts, price bounds, node
-      deviations and superhedge prices
+    - q = 2 pricing reads no node structures: price bounds and superhedge
+      prices close their duality gap to 1e-9 by one price program, also
+      where the cone set is a single point
+    - the q = 2 cones written as second-order blocks and as power blocks
+      (the general-p route) agree on verdicts, price bounds, node deviations
+      (the power-cone gamma against Wolfe's point) and superhedge prices
 """
 
 import numpy as np
 import pytest
 
 import epsarb as ea
-from epsarb import pricing, programs
+from epsarb import programs
 from epsarb.testing import random_market
 
 from _helpers import kbar_market, nostrictarb_market
@@ -112,10 +113,7 @@ class TestTangentMarkets:
 
 class TestNoCuttingPlanes:
     def test_q2_pricing_closes_its_gap_without_cutting_planes(self, monkeypatch):
-        def no_kelley(*args, **kwargs):
-            raise AssertionError("a cutting-plane program ran")
-
-        def no_patterns(*args, **kwargs):
+        def no_structures(*args, **kwargs):
             raise AssertionError("the q = 2 superhedge read the node structures")
 
         solves = []
@@ -125,9 +123,7 @@ class TestNoCuttingPlanes:
             return real_socp(prog)
 
         real_socp = programs.solve_socp
-        for module in (programs, pricing):
-            monkeypatch.setattr(module, "maximize_concave", no_kelley)
-        monkeypatch.setattr(pricing, "compute_node_structure", no_patterns)
+        monkeypatch.setattr(ea.arbitrage, "compute_node_structure", no_structures)
         monkeypatch.setattr(programs, "solve_socp", counted)
         for k in (45, 87):
             m, psi = criterion_05_draw(k)
@@ -149,27 +145,28 @@ class TestNoCuttingPlanes:
 
 
 @pytest.fixture
-def cutting_planes(monkeypatch):
-    """Route every program to the cutting planes, as for p outside {1, 2}."""
+def power_cones(monkeypatch):
+    """Write the q = 2 cones as power blocks, as for p outside {1, 2}: the
+    node geometry then solves its cone program instead of Wolfe's method."""
     def use(flag):
         if flag:
-            for module in (programs, pricing):
-                monkeypatch.setattr(module, "_conic", lambda d, norms: False)
+            monkeypatch.setattr(programs, "_second_order", lambda r: False)
         else:
             monkeypatch.undo()
     return use
 
 
-class TestAgreesWithCuttingPlanes:
-    def test_programs_agree(self, cutting_planes):
+class TestPowerConesAgreeWithSecondOrderCones:
+    def test_programs_agree(self, power_cones):
         rng = np.random.default_rng(77)
         for _ in range(2):
             m = random_market(rng, T=1, d=2)
             payoff = ea.Payoff(np.arange(m.n_leaves, dtype=float))
             crit = ea.critical_value(m, N2).epsilon
             out = {}
-            for kelley in (False, True):
-                cutting_planes(kelley)
+            for power in (False, True):
+                power_cones(power)
+                m.__dict__.pop("_node_geometry", None)  # the geometry kept on the model
                 eps = 1.3 * crit + 0.05
                 gammas = [programs.node_min_simplex_deviation(m, v, N2) for v in m.internal]
                 hi = ea.robust_price_bound(m, eps, N2, payoff, "sup")
@@ -179,8 +176,8 @@ class TestAgreesWithCuttingPlanes:
                             ea.find_eps_martingale_measure(m, eps, N2).feasible,
                             ea.detect_strict_arbitrage(m, 0.7 * crit, N2).found,
                             ea.check_na_prime(m, eps, N2).holds)
-                out[kelley] = (gammas, hi.value, lo.value, hedge.primal_value, verdicts)
-            cutting_planes(False)
+                out[power] = (gammas, hi.value, lo.value, hedge.primal_value, verdicts)
+            power_cones(False)
             (g0, hi0, lo0, h0, v0), (g1, hi1, lo1, h1, v1) = out[False], out[True]
             assert np.allclose(g0, g1, atol=1e-8)
             assert hi0 == pytest.approx(hi1, abs=1e-6) and lo0 == pytest.approx(lo1, abs=1e-6)

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 import epsarb as ea
-from epsarb import pricing, programs
 from epsarb import io as eio
 from epsarb.cli import run
 
@@ -318,13 +317,8 @@ class TestGoldenReports:
     @pytest.mark.parametrize("name", ["critical-value", "find-emm", "check-arbitrage", "na-prime"])
     def test_q2_calls_run_no_cutting_planes(self, name, capsys, monkeypatch):
         # At q = 2 the node geometry is exact (min-norm point and face) and
-        # the interior decision never falls back, so these calls reach no
-        # Kelley loop and still match the golden copy.
-        def no_kelley(*args, **kwargs):
-            raise AssertionError("a cutting-plane program ran")
-
-        for module in (programs, pricing):
-            monkeypatch.setattr(module, "maximize_concave", no_kelley)
+        # the interior decision never falls back; no cutting-plane code is
+        # left to reach, and these calls still match the golden copy.
         want = GOLDEN[name]
         monkeypatch.chdir(ROOT)
         assert run(want["argv"]) == want["exit"]
@@ -332,9 +326,9 @@ class TestGoldenReports:
         assert _report_mismatch(got, json.loads(want["stdout"])) is None
 
 
-# Golden calls that solve no LP, cone program or SLSQP problem.
+# Golden calls that solve no LP or cone program.
 LP_FREE_CALLS = ("adapted-empirical", "aw-delta", "elog", "kr", "node-structure", "w-inf")
-# Golden calls that solve LPs or cone programs (none of them reaches SLSQP).
+# Golden calls that solve LPs or cone programs.
 SOLVER_CALLS = ("check-arbitrage", "critical-value", "fair-range", "find-emm", "na-prime",
                 "stability", "superhedge")
 # The two compiled scipy modules the solvers load, and the submodules HiGHS

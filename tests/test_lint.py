@@ -6,8 +6,7 @@ Core claims:
     - every private module-level name (``_name``) is referenced somewhere in
       the package, so dead helpers do not linger
     - no module imports scipy: ``solvers._scipy_extension`` loads the two
-      compiled modules the solvers call, and the one allowed import is
-      SLSQP in ``programs._min_norm_solution`` (the general-p min-norm point)
+      compiled modules the solvers call
     - every defaulted tolerance, cap, threshold or budget of a public
       function is passed by some call in the package, the tests or the
       demos: a setting that nothing sets is a constant at its use
@@ -73,10 +72,6 @@ def test_every_private_name_is_referenced():
     assert not dead, dead
 
 
-# (module, enclosing function) of each scipy import allowed in the package
-SCIPY_IMPORTS_ALLOWED = {("programs", "_min_norm_solution")}
-
-
 def _scipy_imports(tree, scope=None):
     """(enclosing function or None, import statement) for every import of
     scipy or a scipy submodule in ``tree``."""
@@ -96,7 +91,7 @@ def _scipy_imports(tree, scope=None):
 def test_scipy_enters_only_through_the_extension_loader():
     found = {(module, scope): node.lineno for module, tree in MODULES.items()
              for scope, node in _scipy_imports(tree)}
-    assert set(found) <= SCIPY_IMPORTS_ALLOWED, found
+    assert not found, found
 
 
 # Parameter-name endings of the settings the next check covers.

@@ -9,6 +9,8 @@ Core claims:
     - the orthogonal add-on restores exactness below the critical level
     - at p = 2 on full trees a price is a certified bracket: an exactly
       feasible measure below, the price program's dual hedge above
+    - at p = 1.5 and 3 (power cones) the superhedge is the price program's
+      dual too, with exact slacks >= 0, duality and a price above E_Q
     - fair-price intervals carry the documented endpoint openness
 """
 
@@ -218,6 +220,30 @@ class TestFullTreeBrackets:
         w = 0.999999 * res.witness.weights + 1e-6 * emm.measure.weights
         assert ea.is_eps_martingale(m, ea.MeasureWeights.from_array(m, w), eps, N2)[0]
         assert res.value == pytest.approx(float(res.witness.weights @ psi.values), abs=1e-9)
+
+
+class TestGeneralExponent:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_superhedge_is_the_dual_hedge(self, p):
+        # the first 9-leaf d = 2 tree of full_tree_law(default_rng(11), 2, 3, 2)
+        norms = ea.NormPair(p)
+        m = full_tree_law(np.random.default_rng(11), 2, 3, 2)
+        psi = ea.Payoff(np.linalg.norm(m.prices[list(m.leaves)] - m.prices[0], axis=1))
+        eps = 1.5 * ea.critical_value(m, norms).epsilon
+        hedge = ea.superhedge_price(m, eps, norms, psi)
+        cert = hedge.certificate
+        assert hedge.mode == "dual" and hedge.duality_ok
+        add_on = np.zeros((m.n_nodes, m.d))
+        for v, g in cert.orthogonal.items():
+            add_on[v] = g
+        slacks = (cert.capital + ea.gain(m, cert.strategy)
+                  - eps * ea.strategy_cost(m, cert.strategy, norms)
+                  + ea.gain(m, ea.Strategy(add_on)) - psi.values)
+        assert np.min(cert.slacks) >= 0.0
+        assert np.min(slacks) >= -1e-12 * (1.0 + cert.capital)
+        emm = ea.find_eps_martingale_measure(m, eps, norms)
+        assert emm.feasible
+        assert hedge.price >= float(emm.measure.weights @ psi.values)
 
 
 class TestFairRange:

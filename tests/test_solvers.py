@@ -4,8 +4,6 @@ Core claims:
     - LPs report optimal values with usable duals, an infeasible LP
       costs one HiGHS solve, and the direct HiGHS call is bit-equal to
       scipy's linprog(method="highs") on points, values, duals and statuses
-    - the cutting-plane engine reaches stated tolerances on smooth and
-      piecewise-linear objectives and matches the epigraph LP on the latter
     - discrete transport is exact against polytope enumeration and never
       beats a feasible plan
     - threshold feasibility is monotone and the bottleneck value is attained
@@ -22,6 +20,10 @@ Core claims:
       its infeasibility and unboundedness certificates
       hold when recomputed, and its iteration count is the number of steps
       it took
+    - on power cones it reaches the weighted geometric mean
+      a^a (1 - a)^(1 - a), a hand-solved program mixing orthant, second-order
+      and power blocks, and recomputable infeasibility and unboundedness
+      certificates
     - the HiGHS core and the LAPACK LU load straight from their files, and
       a later scipy import reuses those module objects (and the reverse)
 """
@@ -38,8 +40,7 @@ from scipy.special import logsumexp
 from epsarb import solvers
 from epsarb.solvers import (ConeProgram, LinearProgram, TransportInstance,
                             bottleneck_transport, discrete_ot, log_transport,
-                            maximize_concave, solve_lp, solve_socp,
-                            transport_feasible_below)
+                            solve_lp, solve_socp, transport_feasible_below)
 
 from _helpers import (brute_force_log_transport, enumerate_2x2_transport,
                       lp_bottleneck_value, random_feasible_plan, run_fresh)
@@ -212,66 +213,6 @@ class TestScipyExtensions:
     def test_missing_file_names_its_path(self):
         with pytest.raises(ImportError, match="_no_such_module"):
             solvers._scipy_extension("scipy.linalg._no_such_module")
-
-
-class TestMaximizeConcave:
-    def test_smooth_quadratic_peak(self):
-        res = maximize_concave(lambda x: (-float(x @ x), -2 * x),
-                               lower=-np.ones(2), upper=np.ones(2), tol=1e-9)
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(0.0, abs=1e-8)
-
-    def test_piecewise_linear_tent(self):
-        def tent(x):
-            if x[0] <= 1 - x[0]:
-                return float(x[0]), np.array([1.0])
-            return float(1 - x[0]), np.array([-1.0])
-
-        res = maximize_concave(tent, lower=np.zeros(1), upper=np.ones(1), tol=1e-10)
-        assert res.value == pytest.approx(0.5, abs=1e-9)
-
-    def test_oracle_object_with_ball_constraint(self):
-        # curved constraints want the repair hook: rescale into the disc
-        res = maximize_concave(lambda x: (float(x[0] + x[1]), np.array([1.0, 1.0])),
-                               -np.ones(2), np.ones(2),
-                               (lambda x: (1.0 - float(np.hypot(*x)),
-                                           -x / max(np.hypot(*x), 1e-12)),),
-                               tol=1e-9, repair=lambda x: x / max(1.0, float(np.hypot(*x))))
-        assert res.value == pytest.approx(np.sqrt(2.0), abs=1e-7)
-
-    def test_matches_epigraph_lp_on_random_piecewise_linear(self):
-        rng = np.random.default_rng(9)
-        for _ in range(15):
-            n = int(rng.integers(1, 4))
-            k = int(rng.integers(2, 6))
-            slopes = rng.normal(size=(k, n))
-            offs = rng.normal(size=k)
-
-            def f(x, slopes=slopes, offs=offs):
-                vals = slopes @ x + offs
-                i = int(np.argmin(vals))
-                return float(vals[i]), slopes[i]
-
-            res = maximize_concave(f, lower=-np.ones(n), upper=np.ones(n), tol=1e-10)
-            lp = solve_lp(LinearProgram(
-                c=np.concatenate([np.zeros(n), [1.0]]), sense="max",
-                a_ub=np.hstack([-slopes, np.ones((k, 1))]), b_ub=offs,
-                bounds=[(-1.0, 1.0)] * n + [(None, None)]))
-            assert res.value == pytest.approx(lp.value, abs=1e-8 * (1 + abs(lp.value)))
-
-    def test_infeasible_constraints_detected(self):
-        res = maximize_concave(lambda x: (float(x[0]), np.array([1.0])),
-                               lower=np.zeros(1), upper=np.ones(1),
-                               constraints=[lambda x: (-1.0 - x[0], np.array([-1.0]))])
-        assert res.status == "infeasible"
-
-    def test_iteration_cap_reports_gap(self):
-        c = np.array([0.3, 0.7, 0.1])
-        res = maximize_concave(lambda x: (-float((x - c) @ (x - c)), -2 * (x - c)),
-                               lower=-np.ones(3), upper=np.ones(3),
-                               tol=1e-16, max_iter=4)
-        assert res.status == "iteration_cap"
-        assert np.isfinite(res.gap) and res.gap > 0
 
 
 class TestDiscreteOT:
@@ -528,6 +469,11 @@ def _dual_cone_member(prog: ConeProgram, z: np.ndarray, tol: float) -> bool:
         if z[start] < np.linalg.norm(z[start + 1:start + k]) - tol:
             return False
         start += k
+    for a in prog.power:
+        u, v, w = z[start:start + 3]
+        if min(u, v) < -tol or abs(w) > (max(u, 0.0) / a) ** a * (max(v, 0.0) / (1 - a)) ** (1 - a) + tol:
+            return False
+        start += 3
     return True
 
 
@@ -641,3 +587,66 @@ class TestSolveSocp:
         assert res.status == "unsolved"
         assert max(res.pres, res.dres, abs(res.gap) / (1.0 + abs(res.value))) <= 1e-8
         assert res.iterations == len(factorizations) - 1
+
+    @pytest.mark.parametrize("a", [0.1, 1 / 3, 0.5, 2 / 3, 0.9])
+    def test_power_cone_reaches_the_weighted_geometric_mean(self, a):
+        # max w s.t. (u, v, w) in K_a and u + v = 1: u = a, v = 1 - a
+        prog = ConeProgram(np.array([0.0, 0.0, -1.0]), -np.eye(3), np.zeros(3), 0, (),
+                           np.array([[1.0, 1.0, 0.0]]), np.array([1.0]), (a,))
+        res = solve_socp(prog)
+        want = a ** a * (1 - a) ** (1 - a)
+        assert res.status in ("optimal", "unsolved")
+        assert -res.value == pytest.approx(want, abs=1e-9)
+        assert res.x == pytest.approx([a, 1 - a, want], abs=1e-7)
+        lower = prog.lower_bound(res.y, res.z, np.full(3, 2.0))
+        assert -want - 1e-9 <= lower <= -want + 1e-12
+
+    def test_orthant_second_order_and_power_blocks_together(self):
+        # max w + y / 4 s.t. u + v + t = 3, u >= 1/2, (u, v, w) in K_1/3 and
+        # |(y, 1)|_2 <= t.  w <= g (u + v) with g = (1/3)^(1/3) (2/3)^(2/3)
+        # at u = (u + v) / 3, and y = sqrt(t^2 - 1), so t/sqrt(t^2 - 1) = 4 g.
+        g = (1 / 3) ** (1 / 3) * (2 / 3) ** (2 / 3)
+        t = 4 * g / math.sqrt(16 * g * g - 1)
+        budget = 3.0 - t
+        want = np.array([budget / 3, 2 * budget / 3, g * budget, t, math.sqrt(t * t - 1)])
+        # x = (u, v, w, t, y); rows: orthant -u <= -1/2, then (t, y, 1), then (u, v, w)
+        G = np.zeros((7, 5))
+        G[0, 0] = -1.0
+        G[1, 3], G[2, 4] = -1.0, -1.0
+        G[4:, :3] = -np.eye(3)
+        h = np.array([-0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        prog = ConeProgram(np.array([0.0, 0.0, -1.0, 0.0, -0.25]), G, h, 1, (3,),
+                           np.array([[1.0, 1.0, 0.0, 1.0, 0.0]]), np.array([3.0]), (1 / 3,))
+        res = solve_socp(prog)
+        assert res.status in ("optimal", "unsolved")
+        assert res.x == pytest.approx(want, abs=1e-7)
+        assert -res.value == pytest.approx(want[2] + want[4] / 4, abs=1e-9)
+        assert _dual_cone_member(prog, res.z, 1e-9)
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("gap", [0.01, 1.0])
+    def test_power_infeasibility_certificate_recomputes(self, a, gap):
+        # (u, v, w) in K_a with u + v <= 1 reaches w = a^a (1 - a)^(1 - a) < 1 at most
+        G = np.vstack([[1.0, 1.0, 0.0], [0.0, 0.0, -1.0], -np.eye(3)])
+        prog = ConeProgram(np.zeros(3), G, np.array([1.0, -(1.0 + gap), 0.0, 0.0, 0.0]), 2,
+                           (), None, None, (a,))
+        res = solve_socp(prog)
+        assert res.status == "infeasible"
+        value = float(prog.h @ res.z)
+        assert value < 0.0
+        assert np.linalg.norm(prog.G.T @ res.z) <= 1e-8 * -value
+        assert _dual_cone_member(prog, res.z, 1e-12)
+        assert prog.certifies_infeasible(res.y, res.z, np.full(3, 10.0))
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+    def test_power_unboundedness_certificate_recomputes(self, a):
+        # min -w over (u, v, w) in K_a with u = v: w = u is a ray
+        prog = ConeProgram(np.array([0.0, 0.0, -1.0]), -np.eye(3), np.zeros(3), 0, (),
+                           np.array([[1.0, -1.0, 0.0]]), np.zeros(1), (a,))
+        res = solve_socp(prog)
+        assert res.status == "unbounded"
+        assert abs(float(prog.c @ res.x) + 1.0) <= 1e-12
+        assert np.linalg.norm(prog.G @ res.x + res.s) <= 1e-8
+        assert np.linalg.norm(prog.A @ res.x) <= 1e-8
+        u, v, w = res.s
+        assert min(u, v) >= 0.0 and abs(w) <= u ** a * v ** (1 - a) + 1e-8
