@@ -868,15 +868,16 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
         if pw.size and alpha < 0.5:
             # The direction is linear in sigma: comb + (t - sigma) (cent - aff)
             # at sigma = t.  Take the sigma whose step, cut back to stay near
-            # the central path, shrinks the residuals and mu the most.
+            # the central path, shrinks the residuals and mu the most (the
+            # longer step on a tie: pure centring shrinks nothing).
             cent = direction(0.0 * rx, 0.0 * ry, 0.0 * rz, 0.0, cone.prod(lam, lam) - mu * cone.e,
                              tau * kappa - mu, -z[pw] - mu * grad)
-            shrink = 1.0 - alpha * (1.0 - sigma)
+            rank = (1.0 - alpha * (1.0 - sigma), -alpha)
             for t in _SIGMAS[_SIGMAS > sigma]:
                 trial = tuple(u + (t - sigma) * (v - w) for u, v, w in zip(comb, cent, aff))
                 step_t = power_step(trial, 0.99 * min(1.0, step(trial)), True)
-                if 1.0 - step_t * (1.0 - t) < shrink:
-                    comb, alpha, shrink = trial, step_t, 1.0 - step_t * (1.0 - t)
+                if (1.0 - step_t * (1.0 - t), -step_t) < rank:
+                    comb, alpha, rank = trial, step_t, (1.0 - step_t * (1.0 - t), -step_t)
         if not np.isfinite(alpha) or alpha <= 1e-12:
             break
         dx, dy, ddz, dtau, dkap, sdir, _ = comb
