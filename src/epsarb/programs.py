@@ -120,9 +120,9 @@ def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None
 
 
 def _second_order(r: float) -> bool:
-    """Whether an r-norm cone is one second-order block (r = 2); every other
-    r in (1, inf) is written with power blocks, and its node geometry solves
-    a cone program where r = 2 runs Wolfe's method."""
+    """Whether an r-norm cone is written as one second-order block, as at
+    r = 2; every other r in (1, inf) takes power blocks, and its node
+    geometry a cone program in place of Wolfe's method."""
     return r == 2.0
 
 
