@@ -301,6 +301,10 @@ def min_norm_point(points) -> tuple[np.ndarray, np.ndarray]:
             S = [s for s, kept in zip(S, keep) if kept]
             w = w[keep]
         z = w @ P[S]
+    # The affine-hull solves keep sum w = 1 only to their rounding, which a
+    # near-singular corral lifts above 1e-14; rescale onto the simplex.
+    w = w / w.sum()
+    z = w @ P[S]
     if float(np.min(P @ z)) < float(z @ z) - tol:
         raise RuntimeError("min-norm point failed its optimality check")
     weights = np.zeros(k)
