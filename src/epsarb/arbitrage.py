@@ -20,7 +20,7 @@ import numpy as np
 
 from .market import (MarketModel, NormPair, Strategy, _check_level, gain, strategy_cost,
                      validate_market)
-from .programs import (_FLOOR, _NODE_BAND, _min_norm_solution, _polyhedral,
+from .programs import (_FLOOR, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
@@ -30,7 +30,6 @@ from .solvers import LinearProgram, solve_lp
 STRICT_ARBITRAGE = "strict_arbitrage"
 NO_ARBITRAGE = "none_within_tolerance"
 
-_SOLVER_TOL = 1e-9  # maximin certificates
 # Bisection width, and the exact route's offset from eps(P), per 1 + reference deviation
 _REL_TOL = 1e-6
 
@@ -93,8 +92,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
         if opt <= tol or h is None:
             return ArbitrageReport(NO_ARBITRAGE, eps, norms.p, float(opt), None, None, 0.0)
         use_norms = norms if norms.p == 1.0 else NormPair(1.0)
-        margin, h_mm, slacks_mm, _ = strict_arbitrage_maximin_program(ops, eps, use_norms,
-                                                                      tol=_SOLVER_TOL)
+        margin, h_mm, slacks_mm, _ = strict_arbitrage_maximin_program(ops, eps, use_norms)
         if margin > tol and h_mm is not None:
             cert, slk = h_mm, slacks_mm
         else:
@@ -104,7 +102,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
 
     hit = None
     for v in model.internal:
-        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms, band=_NODE_BAND,
+        found, h_node, _ = node_strict_arbitrage(model, v, eps, norms,
                                                  with_certificate=want_certificate)
         if found:
             hit = (v, h_node)
@@ -123,8 +121,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     slacks = gain(model, cert) - eps * strategy_cost(model, cert, norms)
     optimum = float(np.sum(slacks))
     margin = float(np.min(slacks))
-    value, h_mm, slacks_mm, gap = strict_arbitrage_maximin_program(ops, eps, norms,
-                                                                   tol=_SOLVER_TOL)
+    value, h_mm, slacks_mm, gap = strict_arbitrage_maximin_program(ops, eps, norms)
     if h_mm is not None and value > tol and value - gap > margin:
         cert = strategy_from_packed(ops, h_mm)
         slacks = slacks_mm
@@ -174,38 +171,53 @@ def _dual_feasible(model: MarketModel, eps: float, norms: NormPair,
     return status, val
 
 
-def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None):
-    """Measure-side threshold: smallest eps whose eta-interior cone program is feasible.
+def _bisect(model: MarketModel, norms: NormPair, above) -> tuple[float, bool]:
+    """The critical level by bisection of a decision; returns (estimate, converged).
 
-    A step without a verdict stops the bisection.  Returns (estimate,
-    curve, eta, converged): the estimate is the middle of the bracket
-    reached, and ``converged`` is False when an undecided step stopped the
-    bisection before the bracket closed.
+    ``above(eps)`` is True when eps lies above the critical level, False
+    when below, and None when it cannot tell.  eps = 0 is decided first;
+    then the bracket [0, ref (1 + 1e-9)], ref the reference deviation, is
+    halved until it is _REL_TOL (1 + ref) wide, in 60 steps at most.  An
+    undecided step stops the bisection, and the estimate is the middle of
+    the bracket reached, unconverged.
     """
-    if eta is None:
-        eta = 1e-7 * float(np.min(model.leaf_prob))
     hi = reference_deviation(model, norms)
-    curve = []
-    if hi <= 1e-14:
-        return 0.0, (), eta, True
-    status0, r0 = _dual_feasible(model, 0.0, norms, eta)
-    curve.append((0.0, r0))
-    if status0 == "feasible":
-        return 0.0, tuple(curve), eta, True
+    if hi <= 1e-14 or above(0.0):
+        return 0.0, True
     lo, hi_b = 0.0, hi * (1.0 + 1e-9)
     for _ in range(60):
         if hi_b - lo <= _REL_TOL * (1.0 + hi):
             break
         mid = 0.5 * (lo + hi_b)
-        status, r = _dual_feasible(model, mid, norms, eta)
-        curve.append((mid, r))
-        if status == "indeterminate":
-            return 0.5 * (lo + hi_b), tuple(curve), eta, False
-        if status == "feasible":
+        verdict = above(mid)
+        if verdict is None:
+            return 0.5 * (lo + hi_b), False
+        if verdict:
             hi_b = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi_b), tuple(curve), eta, True
+    return 0.5 * (lo + hi_b), True
+
+
+def critical_value_dual(model: MarketModel, norms: NormPair, eta: Optional[float] = None):
+    """Measure-side threshold: smallest eps whose eta-interior cone program is feasible.
+
+    A step without a verdict stops the bisection (``_bisect``).  Returns
+    (estimate, curve, eta, converged): the estimate is the middle of the
+    bracket reached, and ``converged`` is False when an undecided step
+    stopped the bisection before the bracket closed.
+    """
+    if eta is None:
+        eta = 1e-7 * float(np.min(model.leaf_prob))
+    curve = []
+
+    def feasible(e: float) -> Optional[bool]:
+        status, r = _dual_feasible(model, e, norms, eta)
+        curve.append((e, r))
+        return None if status == "indeterminate" else status == "feasible"
+
+    estimate, converged = _bisect(model, norms, feasible)
+    return estimate, tuple(curve), eta, converged
 
 
 def critical_value_primal(model: MarketModel, norms: NormPair):
@@ -215,42 +227,28 @@ def critical_value_primal(model: MarketModel, norms: NormPair):
     memoized across bisection steps; the per-step decision is still the full
     detector decision.
     """
-    hi = reference_deviation(model, norms)
     curve = []
-    if hi <= 1e-14:
-        return 0.0, ()
     cache: dict = {}
 
-    def _decision(e: float) -> bool:
+    def arbitrage_free(e: float) -> bool:
         if _polyhedral(model, norms, e):
             rep = detect_strict_arbitrage(model, e, norms, tol=1e-9)
             curve.append((e, rep.optimum))
-            return rep.found
+            return not rep.found
         found = False
         for v in model.internal:
-            fired, _, gamma = node_strict_arbitrage(
-                model, v, e, norms, band=_NODE_BAND,
-                gamma=cache.get(v), with_certificate=False)
+            fired, _, gamma = node_strict_arbitrage(model, v, e, norms, gamma=cache.get(v),
+                                                    with_certificate=False)
             cache[v] = gamma
             if fired:
                 found = True
                 break
         margin = max(cache.values()) - e if cache else 0.0
         curve.append((e, margin if found else min(margin, 0.0)))
-        return found
+        return not found
 
-    if not _decision(0.0):
-        return 0.0, tuple(curve)
-    lo, hi_b = 0.0, hi * (1.0 + 1e-9)
-    for _ in range(60):
-        if hi_b - lo <= _REL_TOL * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi_b)
-        if _decision(mid):
-            lo = mid
-        else:
-            hi_b = mid
-    return 0.5 * (lo + hi_b), tuple(curve)
+    estimate, _ = _bisect(model, norms, arbitrage_free)
+    return estimate, tuple(curve)
 
 
 def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[float],

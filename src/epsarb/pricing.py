@@ -148,16 +148,15 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
 class HedgeCertificate:
     """Super-replication certificate: capital, strategy, orthogonal add-on.
 
-    The orthogonal part lies in the admissible hyperplane of the tangent
-    nodes in ``pattern``, so it carries no norm cost; ``slacks`` are the
-    exact leaf slacks capital + gain - eps cost + add-on gain - payoff.
+    The orthogonal part lies in the admissible hyperplane of its tangent
+    nodes, so it carries no norm cost; ``slacks`` are the exact leaf slacks
+    capital + gain - eps cost + add-on gain - payoff.
     """
 
     capital: float
     strategy: Strategy
     orthogonal: dict  # node index -> vector in the node's admissible hyperplane
     slacks: np.ndarray
-    pattern: tuple
 
     def to_dict(self, model: MarketModel) -> dict:
         return {
@@ -204,7 +203,7 @@ def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
     h = res.x[1:1 + N] - res.x[1 + N:]
     strategy = strategy_from_packed(ops, h)
     slacks = float(res.x[0]) + gain(model, strategy) - eps * strategy_cost(model, strategy, NormPair(1.0)) - payoff.values
-    return float(res.value), HedgeCertificate(float(res.x[0]), strategy, {}, slacks, ())
+    return float(res.value), HedgeCertificate(float(res.x[0]), strategy, {}, slacks)
 
 
 def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
@@ -231,7 +230,7 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
         return SuperhedgeResult(float(dual), primal, gap, cert, "direct",
                                 gap <= _GAP_TOL * scale)
     # hedge is None when no solve gave a dual point
-    cert = None if hedge is None else HedgeCertificate(*hedge, tuple(hedge[2]))
+    cert = None if hedge is None else HedgeCertificate(*hedge)
     gap = None if cert is None else cert.capital - dual
     return SuperhedgeResult(float(dual), cert and cert.capital, gap, cert, "dual",
                             None if gap is None else gap <= _GAP_TOL * scale)

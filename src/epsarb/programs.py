@@ -100,6 +100,8 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 
 CONIC_FALLBACKS: Counter = Counter()
 """Per program, the calls left indeterminate or without a certificate by a failed check."""
+SECOND_SOLVES: Counter = Counter()
+"""Per measure program, the calls that went on to the untightened second solve."""
 
 # Measure programs solve first at eps (1 - _TIGHTEN): interior-point points
 # carry residuals of 1e-13 to 1e-10 (worst near the critical level, where
@@ -108,6 +110,7 @@ CONIC_FALLBACKS: Counter = Counter()
 _TIGHTEN = 1e-10
 
 _NODE_BAND = 1e-8  # per (1 + max |dS|): the strategy side's boundary band around gamma(v) = eps
+_MAXIMIN_TOL = 1e-9  # the cone maximin's certified bound: no margin at or below it, gap within 10x
 _FLOOR = 1e-12  # per (1 + max |dS|): the rounding floor of an exact node check
 _ATTAINED = 1e-7  # a price bound is attained when its face has a point of min leaf weight above this
 
@@ -295,13 +298,14 @@ def _measure_cones(ops: TreeOps, eps: float, faces: dict) -> np.ndarray:
                             ops.coeff[:, keep].transpose(1, 2, 0)], axis=1)
 
 
-def _measure_solves(ops: TreeOps, eps: float, norms: NormPair, faces: dict, c: np.ndarray,
-                    lin: np.ndarray, n_extra: int, fixed=None):
+def _measure_solves(program: str, ops: TreeOps, eps: float, norms: NormPair, faces: dict,
+                    c: np.ndarray, lin: np.ndarray, n_extra: int, fixed=None):
     """min c.(q, extra) s.t. lin (q, extra) <= 0, sum q = 1, the node cones,
     the tangent faces' rows (z_v(q) = qbar_v(q) z, no weight off the face)
     and f.q = value when ``fixed`` = (f, value): the measure programs' one
     two-solve loop.  It solves at eps (1 - _TIGHTEN), then at eps, yielding
-    the solver's result and the exact program (at eps)."""
+    the solver's result and the exact program (at eps); the second solve is
+    counted in ``SECOND_SOLVES`` under ``program``."""
     L = ops.model.n_leaves
     a_eq = np.vstack([np.ones((1, L))] + [
         np.vstack([ops.coeff[:, j, :].T - np.outer(z, ops.mask[:, j]), np.eye(L)[off]])
@@ -312,15 +316,16 @@ def _measure_solves(ops: TreeOps, eps: float, norms: NormPair, faces: dict, c: n
         a_eq, b_eq = np.vstack([a_eq, fixed[0]]), np.append(b_eq, fixed[1])
     a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n_extra))])
 
-    def program(level):
+    def posed(level):
         cones = _measure_cones(ops, level, faces)
         cones = np.concatenate([cones, np.zeros(cones.shape[:2] + (n_extra,))], axis=2)
         return _cone_program(c, lin, np.zeros(lin.shape[0]), cones, np.zeros(cones.shape[:2]),
                              norms.q, a_eq, b_eq)
 
-    exact = program(eps)
-    for level in (eps * (1.0 - _TIGHTEN), eps):
-        yield solve_socp(program(level)), exact
+    exact = posed(eps)
+    yield solve_socp(posed(eps * (1.0 - _TIGHTEN))), exact
+    SECOND_SOLVES[program] += 1
+    yield solve_socp(posed(eps)), exact
 
 
 def _gap_closed(value: float, bound: float, tol: float) -> bool:
@@ -391,7 +396,7 @@ def _l1_slack_rows(ops: TreeOps, eps: float):
     return a - eps * b, -a - eps * b
 
 
-def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, tol: float):
+def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair):
     """The maximin strict-arbitrage program as one cone program.
 
     Variables (H, t, delta) with |H_v|_p <= t_v, sum_v t_v <= 1 and every
@@ -420,7 +425,7 @@ def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, tol: float):
     if res.status not in ("optimal", "unsolved"):
         return None
     bound = -prog.lower_bound(res.y, res.z, box)
-    if bound <= tol:
+    if bound <= _MAXIMIN_TOL:
         # No positive uniform slack: the zero strategy is optimal.
         return 0.0, np.zeros(N), np.zeros(L), max(bound, 0.0)
     h = res.x[:N]
@@ -429,7 +434,8 @@ def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair, tol: float):
         h = h / total
     slack = _leaf_gain_cost(ops, norms, h, eps)
     value = float(np.min(slack))
-    return (value, h, slack, bound - value) if _gap_closed(value, bound, 10 * tol) else None
+    closed = _gap_closed(value, bound, 10 * _MAXIMIN_TOL)
+    return (value, h, slack, bound - value) if closed else None
 
 
 def strict_arbitrage_sum_program(ops: TreeOps, eps: float):
@@ -458,8 +464,7 @@ def strict_arbitrage_sum_program(ops: TreeOps, eps: float):
     return float(res.value), h, slack
 
 
-def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
-                                     tol: float = 1e-9):
+def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair):
     """max delta s.t. every leaf slack >= delta, sum_v |H(v)|_p <= 1.
 
     The maximin certificate: its margin per unit of strategy norm is the
@@ -488,7 +493,7 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair,
         h = res.x[:N] - res.x[N:2 * N]
         slack = s_plus @ res.x[:N] + s_minus @ res.x[N:2 * N]
         return float(res.value), h, slack, 0.0
-    out = _strategy_conic(ops, eps, norms, tol)
+    out = _strategy_conic(ops, eps, norms)
     if out is not None:
         return out
     _fallback("strict_arbitrage_maximin_program", "gap check failed")
@@ -620,7 +625,7 @@ def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: f
     c[-1] = -1.0
     lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
     rho_ub = math.inf
-    for res, exact in _measure_solves(ops, eps, norms, faces, c, lin, 1, fixed):
+    for res, exact in _measure_solves(program, ops, eps, norms, faces, c, lin, 1, fixed):
         # weak duality on the exact program, the residual charged to |q|, rho <= 1
         box = _padded(np.ones(L + 1), exact, eps)
         if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
@@ -688,7 +693,7 @@ def _price_conic(ops: TreeOps, eps: float, norms: NormPair, phi: np.ndarray,
     if faces is None:
         return (None,) * 4
     best, best_q, hedge = -math.inf, None, None
-    for res, exact in _measure_solves(ops, eps, norms, faces, -phi,
+    for res, exact in _measure_solves("cone_linear_optimum", ops, eps, norms, faces, -phi,
                                       -np.eye(ops.model.n_leaves), 0):
         q = _checked_weights(ops, eps, norms, faces, res.x)
         if q is not None and float(phi @ q) > best:
@@ -891,39 +896,39 @@ def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> f
 
 
 def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPair,
-                          band: float = 1e-9, gamma: Optional[float] = None,
-                          with_certificate: bool = True):
+                          gamma: Optional[float] = None, with_certificate: bool = True):
     """Exact one-node strict-arbitrage decision; returns (found, h, gamma).
 
     Polyhedral nodes run the tree's strategy LPs on the node's one-period
     market (its children as leaves): the maximin LP certifies gamma > eps,
     and at gamma = eps the sign of the sum LP decides.  Every other node
-    reads its geometry and solves nothing: above the band its unit strategy
-    h has worst slack low - eps (gamma - eps at q = 2), and in the band the
-    face of the least-norm point decides.
+    reads its geometry and solves nothing: above the band, 1e-8 (1 + max
+    |dS|) around gamma = eps, its unit strategy h has worst slack low - eps
+    (gamma - eps at q = 2), and in the band the face of the least-norm
+    point decides.
     """
     A = model.delta[list(model.children[v])]
-    scale = 1.0 + float(np.max(np.abs(A)))
+    band = _NODE_BAND * (1.0 + float(np.max(np.abs(A))))
     if gamma is None:
         gamma = node_min_simplex_deviation(model, v, norms)
     if _polyhedral(model, norms):
         ops = TreeOps(None, (v,), A[:, None, :], np.ones((A.shape[0], 1)))
-        if gamma > eps + band * scale:
+        if gamma > eps + band:
             if not with_certificate:
                 return True, None, gamma
-            margin, h, _, _ = strict_arbitrage_maximin_program(ops, eps, norms, tol=1e-10)
+            margin, h, _, _ = strict_arbitrage_maximin_program(ops, eps, norms)
             if h is not None and margin > 0:
                 return True, h, gamma
             # Numerically at the threshold: fall through to the boundary analysis.
-        if gamma < eps - band * scale or eps == 0.0:
+        if gamma < eps - band or eps == 0.0:
             return False, None, gamma
         # The polyhedral slack image is closed, so the LP's sign is exact.
         total, h, _ = strict_arbitrage_sum_program(ops, eps)
         return (True, h, gamma) if total > 1e-9 else (False, None, gamma)
     node = node_geometry(model, norms.q)[v]
-    if node.low > eps + band * scale:
+    if node.low > eps + band:
         return True, (node.h if with_certificate else None), gamma
-    if gamma < eps - band * scale or eps == 0.0:
+    if gamma < eps - band or eps == 0.0:
         return False, None, gamma
     # Boundary band: the face of the least-norm point is the cone set there.
     support, off = np.flatnonzero(node.on), np.flatnonzero(~node.on)
@@ -934,6 +939,6 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
         return False, None, gamma
     h_unit = h / m
     slack_off = A[off] @ h_unit - eps
-    if float(np.min(slack_off)) >= -band * scale and float(np.max(slack_off)) > band * scale:
+    if float(np.min(slack_off)) >= -band and float(np.max(slack_off)) > band:
         return True, h_unit, gamma
     return False, None, gamma

@@ -3,13 +3,13 @@ power cones, min-norm points, and exact discrete transport (min-cost and
 bottleneck).
 
 Problem sizes throughout the package are desk-scale (tens of variables), so
-everything is dense.  LPs call the HiGHS core that scipy ships directly:
-scipy's ``linprog`` wrapper (option validation, input cleaning, a sparse
-conversion, bound marginals no caller reads) cost about three times as
-much per LP as HiGHS's own solve on these sizes, so :func:`linprog`
-builds the same model with the same options itself and keeps scipy's
-result check.  Optimal points are re-checked for primal feasibility, and
-infeasibility is HiGHS's status.
+everything is dense.  :func:`solve_lp` is the LP front end, and it calls
+the HiGHS core that scipy ships directly: scipy's ``linprog`` wrapper
+(option validation, input cleaning, a sparse conversion, bound marginals
+no caller reads) cost about three times as much per LP as HiGHS's own
+solve on these sizes, so :func:`solve_lp` builds the same model with the
+same options itself and keeps scipy's result check.  Optimal points are
+re-checked for primal feasibility, and infeasibility is HiGHS's status.
 LPs with second-order cones (the p = 2 programs) and three-dimensional
 power cones (every other p > 1) run a dense primal-dual interior point
 written in numpy around scipy's LAPACK LU, which returns primal and dual
@@ -137,33 +137,36 @@ def _highs_options(highs_tol: Optional[float]):
     return opts
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
-            highs_tol: Optional[float] = None) -> LPResult:
-    """min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds (one (lo, hi) pair
-    per variable, None for no bound): one HiGHS solve, the call site for
-    every LP of the package.
+def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
+    """Solve a dense LP with one HiGHS solve: every LP of the package comes
+    here, and no result is silent garbage.
 
     The model, options and result check are those of scipy's
     ``linprog(method="highs")``, so results are bit-identical to it.  The
-    rows are [A_ub; A_eq] in one column-wise matrix without explicit zeros
+    rows are [a_ub; a_eq] in one column-wise matrix without explicit zeros
     and with ascending row indices in each column, as scipy's sparse
     conversion leaves them (another order changes HiGHS's pivots); each
     call runs a fresh solver instance, so no state carries from one LP to
-    the next.  Returns the point, value and row duals, unsigned:
-    ``dual_ub`` and ``dual_eq`` are HiGHS's row duals of the minimization.
+    the next.  Optimal points are then checked for primal residuals of at
+    most 1e-6 (1 + max |x|); an infeasible status is HiGHS's own verdict,
+    with no certificate attached.  ``dual_ub`` and ``dual_eq`` are HiGHS's
+    row duals, signed for ``sense`` and empty where there are no rows.
+    ``highs_tol`` overrides HiGHS's primal and dual feasibility tolerances
+    (default 1e-7).
     """
     core = _scipy_extension("scipy.optimize._highspy._core")
 
-    c = np.asarray(c, dtype=float).ravel()
+    sign = 1.0 if lp.sense == "min" else -1.0
+    c = sign * np.asarray(lp.c, dtype=float).ravel()
     n = c.size
-    a_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, dtype=float))
-    a_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, dtype=float))
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    bnd = np.array(bounds, dtype=float)  # None -> nan
+    a_ub = np.zeros((0, n)) if lp.a_ub is None else np.atleast_2d(np.asarray(lp.a_ub, dtype=float))
+    a_eq = np.zeros((0, n)) if lp.a_eq is None else np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
+    b_ub = np.zeros(0) if lp.b_ub is None else np.asarray(lp.b_ub, dtype=float).ravel()
+    b_eq = np.zeros(0) if lp.b_eq is None else np.asarray(lp.b_eq, dtype=float).ravel()
+    bnd = np.array([(None, None)] * n if lp.bounds is None else lp.bounds, dtype=float)  # None -> nan
     if bnd.shape != (n, 2) or a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
         raise ValueError(f"inconsistent LP shapes: {n} costs, bounds {bnd.shape}, "
-                         f"A_ub {a_ub.shape}, b_ub {b_ub.shape}, A_eq {a_eq.shape}, b_eq {b_eq.shape}")
+                         f"a_ub {a_ub.shape}, b_ub {b_ub.shape}, a_eq {a_eq.shape}, b_eq {b_eq.shape}")
     lower = np.where(np.isnan(bnd[:, 0]), -core.kHighsInf, bnd[:, 0])
     upper = np.where(np.isnan(bnd[:, 1]), core.kHighsInf, bnd[:, 1])
     m_ub = b_ub.size
@@ -173,22 +176,22 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
         raise ValueError("LP costs, rows and right-hand sides must be finite")
     nonzero = at != 0.0
 
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = at[nonzero]
-    lp.col_cost_ = c
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = np.concatenate([np.full(m_ub, -core.kHighsInf), b_eq])
-    lp.row_upper_ = rhs
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = n
+    model.num_row_ = model.a_matrix_.num_row_ = rhs.size
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    model.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    model.a_matrix_.value_ = at[nonzero]
+    model.col_cost_ = c
+    model.col_lower_ = lower
+    model.col_upper_ = upper
+    model.row_lower_ = np.concatenate([np.full(m_ub, -core.kHighsInf), b_eq])
+    model.row_upper_ = rhs
 
     highs = core._Highs()
     highs.passOptions(_highs_options(highs_tol))
-    if highs.passModel(lp) == core.HighsStatus.kError:
+    if highs.passModel(model) == core.HighsStatus.kError:
         solved, status = False, core.HighsModelStatus.kModelError
     else:
         solved = highs.run() != core.HighsStatus.kError
@@ -211,42 +214,13 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     if not feasible:
         return LPResult("error", None, None, None, None,
                         f"{message}, but the point misses a bound or row by over {_RESULT_TOL:.2e}")
-    row_dual = np.array(solution.row_dual)
-    return LPResult("optimal", x, fun, row_dual[:m_ub], row_dual[m_ub:], message)
-
-
-def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
-    """Solve a dense LP; never returns silent garbage.
-
-    Optimal points are checked for primal residuals of at most
-    1e-6 (1 + max |x|); an infeasible status is HiGHS's own verdict, with
-    no certificate attached.
-    ``highs_tol`` overrides HiGHS's primal and dual feasibility tolerances
-    (default 1e-7).
-    """
-    c = np.asarray(lp.c, dtype=float)
-    sign = 1.0 if lp.sense == "min" else -1.0
-    bounds = [(None, None)] * c.size if lp.bounds is None else lp.bounds
-    a_ub = None if lp.a_ub is None else np.atleast_2d(np.asarray(lp.a_ub, dtype=float))
-    b_ub = None if lp.b_ub is None else np.atleast_1d(np.asarray(lp.b_ub, dtype=float))
-    a_eq = None if lp.a_eq is None else np.atleast_2d(np.asarray(lp.a_eq, dtype=float))
-    b_eq = None if lp.b_eq is None else np.atleast_1d(np.asarray(lp.b_eq, dtype=float))
-    res = linprog(c=sign * c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, highs_tol=highs_tol)
-    if res.status == "optimal":
-        x = res.x
-        scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-        guard = 1e-6 * scale
-        if a_ub is not None and np.max(a_ub @ x - b_ub, initial=-np.inf) > guard:
-            return LPResult("error", x, None, None, None,
-                            "primal residual exceeds tolerance")
-        if a_eq is not None and np.max(np.abs(a_eq @ x - b_eq), initial=0.0) > guard:
-            return LPResult("error", x, None, None, None,
-                            "equality residual exceeds tolerance")
-        dual_ub = None if a_ub is None else sign * res.dual_ub
-        dual_eq = None if a_eq is None else sign * res.dual_eq
-        return LPResult("optimal", x, float(sign * res.value), dual_ub, dual_eq, res.message)
-    return res
+    guard = 1e-6 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    if np.max(a_ub @ x - b_ub, initial=-np.inf) > guard:
+        return LPResult("error", x, None, None, None, "primal residual exceeds tolerance")
+    if np.max(np.abs(a_eq @ x - b_eq), initial=0.0) > guard:
+        return LPResult("error", x, None, None, None, "equality residual exceeds tolerance")
+    row_dual = sign * np.array(solution.row_dual)
+    return LPResult("optimal", x, float(sign * fun), row_dual[:m_ub], row_dual[m_ub:], message)
 
 
 # ---------------------------------------------------------------------------

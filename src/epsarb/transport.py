@@ -21,7 +21,8 @@ from .arbitrage import critical_value
 from .market import (MarketModel, MeasureWeights, NormPair, PathLaw, Payoff, _check_level,
                      is_eps_martingale, qnorm)
 from .pricing import fair_price_range, find_eps_martingale_measure
-from .solvers import TransportInstance, bottleneck_transport, linprog, log_transport
+from .solvers import (LinearProgram, TransportInstance, bottleneck_transport, log_transport,
+                      solve_lp)
 
 _LOG_TINY = -745.0  # log of the smallest normal double; clamps underflow
 
@@ -158,46 +159,54 @@ def _nodes_at(law: PathLaw, t: int) -> list[int]:
     return [v for v in range(law.n_nodes) if law.times[v] == t]
 
 
-def _bottleneck_dp(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool,
-                   variants: tuple = (True,)) -> tuple:
-    """Backward bottleneck DP, one result per ``include_t0`` flag in ``variants``.
+def _bottleneck(costs: np.ndarray, source: np.ndarray, target: np.ndarray):
+    """``bottleneck_transport`` called as ``log_transport`` is."""
+    return bottleneck_transport(TransportInstance(costs, source, target))
 
-    The variants differ only in the t = 0 stage costs, so the stage
-    transports are solved once and only the root solve is repeated.
+
+def _backward(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool, kernel: Callable,
+              scale: float, variants: tuple) -> tuple:
+    """Backward induction over matched node pairs, one result per
+    ``include_t0`` flag in ``variants``.
+
+    A pair's value is ``scale`` times its stage cost plus ``kernel`` (a
+    transport of the children's values: ``_bottleneck`` for the sup-cost
+    distances, ``log_transport`` for the log domain) of its children's
+    values; a result's value is the root kernel's value / ``scale``.  The
+    variants differ only in the t = 0 stage costs, so the stage transports
+    are solved once and only the root solve is repeated.
     """
-    value_to_go: dict[tuple, float] = {}
-    below: dict[tuple, Optional[float]] = {}  # root pairs: their children's bottleneck
+    value: dict[tuple, float] = {}
+    below: dict[tuple, Optional[float]] = {}  # root pairs: the kernel of their children
     plans: dict[tuple, np.ndarray] = {}
     for t in range(lawx.T, -1, -1):
         xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
-        stage = _stage_costs(lawx, lawy, xs, ys, t, q, increments, True) if t else None
+        stage = scale * _stage_costs(lawx, lawy, xs, ys, t, q, increments, True) if t else None
         for a, vx in enumerate(xs):
             cx = lawx.children[vx]
             for b, vy in enumerate(ys):
                 rest = None
                 if cx:
                     cy = lawy.children[vy]
-                    costs = np.array([[value_to_go[(wx, wy)] for wy in cy] for wx in cx])
-                    inst = TransportInstance(costs, lawx.cond_prob[list(cx)],
-                                             lawy.cond_prob[list(cy)])
-                    res = bottleneck_transport(inst)
+                    costs = np.array([[value[(wx, wy)] for wy in cy] for wx in cx])
+                    res = kernel(costs, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
                     rest = res.value
                     plans[(vx, vy)] = res.plan
                 if t:
                     c = float(stage[a, b])
-                    value_to_go[(vx, vy)] = c if rest is None else c + rest
+                    value[(vx, vy)] = c if rest is None else c + rest
                 else:
                     below[(vx, vy)] = rest
     rx, ry = list(lawx.roots), list(lawy.roots)
     out = []
     for include_t0 in variants:
-        stage = _stage_costs(lawx, lawy, rx, ry, 0, q, increments, include_t0)
+        stage = scale * _stage_costs(lawx, lawy, rx, ry, 0, q, increments, include_t0)
         top = np.array([[float(stage[a, b]) if below[(vx, vy)] is None
                          else float(stage[a, b]) + below[(vx, vy)]
                          for b, vy in enumerate(ry)] for a, vx in enumerate(rx)])
-        res = bottleneck_transport(TransportInstance(top, lawx.cond_prob[rx],
-                                                     lawy.cond_prob[ry]))
-        out.append(DistanceResult(float(res.value), BicausalCoupling(lawx, lawy, res.plan, plans)))
+        res = kernel(top, lawx.cond_prob[rx], lawy.cond_prob[ry])
+        out.append(DistanceResult(float(res.value) / scale,
+                                  BicausalCoupling(lawx, lawy, res.plan, plans)))
     return tuple(out)
 
 
@@ -210,13 +219,13 @@ def aw_inf_delta(lawx: PathLaw, lawy: PathLaw, q: float = 2.0,
     value.
     """
     _check_shapes(lawx, lawy)
-    return _bottleneck_dp(lawx, lawy, q, increments=True, variants=(include_t0,))[0]
+    return _backward(lawx, lawy, q, True, _bottleneck, 1.0, (include_t0,))[0]
 
 
 def aw_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0) -> DistanceResult:
     """Adapted sup-distance on level paths: esssup of sum_t |X_t - Y_t|_q."""
     _check_shapes(lawx, lawy)
-    return _bottleneck_dp(lawx, lawy, q, increments=False)[0]
+    return _backward(lawx, lawy, q, False, _bottleneck, 1.0, (True,))[0]
 
 
 def path_cost_matrix(lawx: PathLaw, lawy: PathLaw, q: float,
@@ -242,34 +251,6 @@ def w_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, increments: bool = False
     return bottleneck_transport(TransportInstance(costs, lawx.leaf_prob, lawy.leaf_prob))
 
 
-def _logexp_dp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
-               increments: bool, include_t0: bool) -> DistanceResult:
-    """Multiplicative backward DP in the log domain: each stage is one exact
-    log-weight transport of the children's log values."""
-    log_value: dict[tuple, float] = {}
-    plans: dict[tuple, np.ndarray] = {}
-    for t in range(lawx.T, -1, -1):
-        xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
-        stage = lam * _stage_costs(lawx, lawy, xs, ys, t, q, increments, include_t0)
-        for a, vx in enumerate(xs):
-            cx = lawx.children[vx]
-            for b, vy in enumerate(ys):
-                c = float(stage[a, b])
-                if not cx:
-                    log_value[(vx, vy)] = c
-                    continue
-                cy = lawy.children[vy]
-                vals = np.array([[log_value[(wx, wy)] for wy in cy] for wx in cx])
-                res = log_transport(vals, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
-                log_value[(vx, vy)] = c + res.value
-                plans[(vx, vy)] = res.plan
-    rx, ry = list(lawx.roots), list(lawy.roots)
-    top = np.array([[log_value[(a, b)] for b in ry] for a in rx])
-    res = log_transport(top, lawx.cond_prob[rx], lawy.cond_prob[ry])
-    coupling = BicausalCoupling(lawx, lawy, res.plan, plans)
-    return DistanceResult(res.value / lam, coupling)
-
-
 def elog_divergence(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, lam: float = 1.0,
                     increments: bool = False, include_t0: bool = True) -> DistanceResult:
     """Adapted log-exponential divergence (1/lam) log min E[exp(lam |X-Y|-cost)].
@@ -282,7 +263,7 @@ def elog_divergence(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, lam: float = 1
     _check_shapes(lawx, lawy)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return _logexp_dp(lawx, lawy, q, lam, increments, include_t0)
+    return _backward(lawx, lawy, q, increments, log_transport, lam, (include_t0,))[0]
 
 
 def laplace_smoothed_esssup(values, probs, lam: float) -> float:
@@ -486,7 +467,7 @@ def global_bicausal_logexp(lawx: PathLaw, lawy: PathLaw, q: float, lam: float,
     costs = path_cost_matrix(lawx, lawy, q, increments, include_t0).ravel()
     shift = lam * float(np.max(costs))
     c = np.exp(np.maximum(lam * costs - shift, _LOG_TINY))
-    res = linprog(c=c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * c.size)
+    res = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * c.size))
     if res.status != "optimal":
         raise RuntimeError(f"global bicausal LP failed: {res.status} {res.message}")
     return (shift + math.log(max(res.value, math.exp(_LOG_TINY)))) / lam
@@ -502,8 +483,8 @@ def global_bicausal_bottleneck(lawx: PathLaw, lawy: PathLaw, q: float,
     def feasible(lam: float) -> bool:
         ub = np.where(costs <= lam + 1e-13 * (1 + abs(lam)), None, 0.0)
         bounds = [(0, u) for u in ub]
-        res = linprog(c=np.zeros(costs.size), A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds)
+        res = solve_lp(LinearProgram(c=np.zeros(costs.size), a_eq=a_eq, b_eq=b_eq,
+                                     bounds=bounds))
         return res.status == "optimal"
 
     lo, hi = 0, levels.size - 1
@@ -601,8 +582,7 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
     _check_level("eps", eps, False)
     notes: list[str] = []
     _check_shapes(lawx, lawy)
-    dres, dres_no_t0 = _bottleneck_dp(lawx, lawy, norms.q, increments=True,
-                                      variants=(True, False))
+    dres, dres_no_t0 = _backward(lawx, lawy, norms.q, True, _bottleneck, 1.0, (True, False))
     d_no_t0 = dres_no_t0.value
     D = dres.value
     eps_x = critical_value(lawx, norms, method="dual").epsilon

@@ -7,6 +7,8 @@ Core claims:
       the package, so dead helpers do not linger
     - no module imports scipy: ``solvers._scipy_extension`` loads the two
       compiled modules the solvers call
+    - LPs have one entry point: only ``solvers.solve_lp`` refers to the
+      HiGHS solver class ``_Highs``, and no module defines ``linprog``
     - every defaulted tolerance, cap, threshold or budget of a public
       function is passed by some call in the package, the tests or the
       demos: a setting that nothing sets is a constant at its use
@@ -92,6 +94,23 @@ def test_scipy_enters_only_through_the_extension_loader():
     found = {(module, scope): node.lineno for module, tree in MODULES.items()
              for scope, node in _scipy_imports(tree)}
     assert not found, found
+
+
+def _functions(tree):
+    """Every function defined in ``tree``, nested ones included."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_lp_entry_point():
+    highs = {(module, fn.name) for module, tree in MODULES.items() for fn in _functions(tree)
+             if any(isinstance(node, ast.Attribute) and node.attr == "_Highs"
+                    or isinstance(node, ast.Name) and node.id == "_Highs"
+                    for node in ast.walk(fn))}
+    assert highs == {("solvers", "solve_lp")}, highs
+    linprog = [module for module, tree in MODULES.items()
+               for fn in _functions(tree) if fn.name == "linprog"]
+    assert not linprog, linprog
 
 
 # Parameter-name endings of the settings the next check covers.

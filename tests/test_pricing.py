@@ -9,6 +9,9 @@ Core claims:
     - the orthogonal add-on restores exactness below the critical level
     - at p = 2 on full trees a price is a certified bracket: an exactly
       feasible measure below, the price program's dual hedge above
+    - near the critical level the measure programs' untightened second
+      solve decides what the tightened first one leaves open: a price
+      bracket and an infeasibility bound
     - at p = 1.5 and 3 (power cones) the superhedge is the price program's
       dual too, with exact slacks >= 0, duality and a price above E_Q
     - fair-price intervals carry the documented endpoint openness
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 import epsarb as ea
+from epsarb import programs
 from epsarb.testing import random_market
 
 from _helpers import (binary_martingale, critical_value_oracle, full_tree_law,
@@ -49,6 +53,16 @@ class TestFindMeasure:
         assert 0.5 - 1e-9 <= alpha < 1.0
         _, dev = ea.is_eps_martingale(m, res.measure, 1.0, N2)
         assert dev <= 1.0 + 1e-9
+
+    def test_second_solve_certifies_infeasibility_just_above_the_critical_level(self):
+        # the solve at eps (1 - 1e-10) alone leaves this call indeterminate;
+        # the untightened one at eps bounds rho* by 3.7e-11, below eta
+        m, _, eps = _full_tree_case(101, 2, 1.0 + 1e-11)
+        second = programs.SECOND_SOLVES["interior_feasibility"]
+        res = ea.find_eps_martingale_measure(m, eps, N2)
+        assert programs.SECOND_SOLVES["interior_feasibility"] == second + 1
+        assert res.status == "infeasible" and not res.indeterminate
+        assert res.rho_upper_bound < res.eta
 
     def test_feasibility_excludes_detection(self):
         # whenever a measure exists the detector must stay silent
@@ -145,7 +159,7 @@ class TestSuperhedge:
         assert res.primal_value == pytest.approx(0.5, abs=1e-6)
         assert res.gap <= 1e-6 * 1.5
         cert = res.certificate
-        assert cert.pattern  # the add-on is active somewhere
+        assert cert.orthogonal  # the add-on is active somewhere
         for v, g in cert.orthogonal.items():
             assert np.max(np.abs(cert.strategy.values[v])) < 1e-12
         assert np.min(cert.slacks) >= -1e-9
@@ -220,6 +234,18 @@ class TestFullTreeBrackets:
         w = 0.999999 * res.witness.weights + 1e-6 * emm.measure.weights
         assert ea.is_eps_martingale(m, ea.MeasureWeights.from_array(m, w), eps, N2)[0]
         assert res.value == pytest.approx(float(res.witness.weights @ psi.values), abs=1e-9)
+
+
+    def test_second_solve_closes_the_bracket(self):
+        # the solve at eps (1 - 1e-10) alone leaves the upper end at
+        # 2.5167442560, an indeterminate bracket; the untightened one closes it
+        m, psi, eps = _full_tree_case(110, 2, 1.0001)
+        second = programs.SECOND_SOLVES["cone_linear_optimum"]
+        res = ea.robust_price_bound(m, eps, N2, psi, "sup")
+        assert programs.SECOND_SOLVES["cone_linear_optimum"] == second + 1
+        assert not res.indeterminate
+        assert res.value == pytest.approx(2.5167442509, abs=1e-10)
+        assert res.bound == pytest.approx(2.5167442537, abs=1e-10)
 
 
 class TestGeneralExponent:

@@ -2,8 +2,8 @@
 
 Core claims:
     - LPs report optimal values with usable duals, an infeasible LP
-      costs one HiGHS solve, and the direct HiGHS call is bit-equal to
-      scipy's linprog(method="highs") on points, values, duals and statuses
+      costs one HiGHS solve, and solve_lp's direct HiGHS call is bit-equal
+      to scipy's linprog(method="highs") on points, values, duals and statuses
     - discrete transport is exact against polytope enumeration and never
       beats a feasible plan
     - threshold feasibility is monotone and the bottleneck value is attained
@@ -55,14 +55,15 @@ class TestSolveLP:
         assert res.dual_ub == pytest.approx([1.0])
 
     def test_infeasible_status_from_one_solve(self, monkeypatch):
+        core = solvers._scipy_extension("scipy.optimize._highspy._core")
         calls = []
-        highs = solvers.linprog
 
-        def counted(*args, **kwargs):
-            calls.append(args or kwargs)
-            return highs(*args, **kwargs)
+        class Counted(core._Highs):
+            def run(self):
+                calls.append(self)
+                return super().run()
 
-        monkeypatch.setattr(solvers, "linprog", counted)
+        monkeypatch.setattr(core, "_Highs", Counted)
         res = solve_lp(LinearProgram(c=np.array([0.0]),
                                      a_ub=np.array([[-1.0], [1.0]]),
                                      b_ub=np.array([-1.0, 0.0])))
@@ -126,10 +127,12 @@ class TestSolveLP:
                 lo, hi = np.sort(3.0 * rng.normal(size=2))
                 bounds.append([(None, None), (lo, None), (None, hi), (lo, hi)][kind])
             c = rng.normal(size=n)
-            rows = dict(A_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
-                        A_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None)
-            ref = scipy_linprog(c, bounds=bounds, method="highs", options=options, **rows)
-            res = solvers.linprog(c, bounds=bounds, highs_tol=highs_tol, **rows)
+            rows = dict(a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
+                        a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None)
+            ref = scipy_linprog(c, bounds=bounds, method="highs", options=options,
+                                A_ub=rows["a_ub"], b_ub=rows["b_ub"],
+                                A_eq=rows["a_eq"], b_eq=rows["b_eq"])
+            res = solve_lp(LinearProgram(c, bounds=bounds, **rows), highs_tol=highs_tol)
             assert res.status == code[ref.status]
             seen.add(res.status)
             if res.status == "optimal":
@@ -141,16 +144,16 @@ class TestSolveLP:
         assert seen == {"optimal", "infeasible", "unbounded"}
 
     @pytest.mark.parametrize("rows, bounds", [
-        (dict(A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0]), [(0, None)] * 2),
-        (dict(A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), [(0, None)] * 2),
-        (dict(A_ub=[[1.0, 1.0]], b_ub=[1.0]), [(0, None)] * 3),
-        (dict(A_ub=[[1.0, np.nan]], b_ub=[1.0]), [(0, None)] * 2),
-        (dict(A_eq=[[1.0, 1.0]], b_eq=[np.inf]), [(0, None)] * 2),
+        (dict(a_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0]), [(0, None)] * 2),
+        (dict(a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]), [(0, None)] * 2),
+        (dict(a_ub=[[1.0, 1.0]], b_ub=[1.0]), [(0, None)] * 3),
+        (dict(a_ub=[[1.0, np.nan]], b_ub=[1.0]), [(0, None)] * 2),
+        (dict(a_eq=[[1.0, 1.0]], b_eq=[np.inf]), [(0, None)] * 2),
     ])
     def test_rejects_inconsistent_or_nonfinite_data(self, rows, bounds):
         # as scipy's linprog does, instead of handing HiGHS a malformed model
         with pytest.raises(ValueError):
-            solvers.linprog(np.array([1.0, 1.0]), bounds=bounds, **rows)
+            solve_lp(LinearProgram(np.array([1.0, 1.0]), bounds=bounds, **rows))
 
 
 # Run in a fresh interpreter, since this one imported scipy.optimize while
@@ -158,8 +161,8 @@ class TestSolveLP:
 _SOLVE_BOTH = """
 import numpy as np
 from epsarb import solvers
-lp = solvers.linprog(np.array([1.0, 2.0]), A_ub=np.array([[-1.0, -1.0]]),
-                     b_ub=np.array([-1.0]), bounds=[(0, None)] * 2)
+lp = solvers.solve_lp(solvers.LinearProgram(np.array([1.0, 2.0]), a_ub=np.array([[-1.0, -1.0]]),
+                                            b_ub=np.array([-1.0]), bounds=[(0, None)] * 2))
 assert lp.status == "optimal" and lp.value == 1.0, lp
 prog = solvers.ConeProgram(np.array([1.0, 1.0]), np.vstack([np.zeros(2), -np.eye(2)]),
                            np.array([1.0, 0.0, 0.0]), 0, (3,))
@@ -182,7 +185,7 @@ for _ in range(20):
     c, a, b = rng.normal(size=n), rng.normal(size=(m, n)), rng.normal(size=m)
     bounds = [(-2.0, 2.0)] * n
     ref = scipy.optimize.linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
-    res = solvers.linprog(c, A_ub=a, b_ub=b, bounds=bounds)
+    res = solvers.solve_lp(solvers.LinearProgram(c, a_ub=a, b_ub=b, bounds=bounds))
     assert res.status == {0: "optimal", 2: "infeasible"}[ref.status]
     if ref.status == 0:
         assert np.array_equal(res.x, ref.x) and res.value == ref.fun
