@@ -20,7 +20,7 @@ import numpy as np
 
 from .market import (MarketModel, NormPair, Strategy, _check_level, gain, strategy_cost,
                      validate_market)
-from .programs import (_FLOOR, _min_norm_solution, _polyhedral,
+from .programs import (_FLOOR, _NODE_BAND, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
@@ -264,7 +264,9 @@ def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[flo
     gammas = [node_min_simplex_deviation(model, v, norms) for v in model.internal]
     j = int(np.argmax(gammas))
     v, eps = model.internal[j], gammas[j]
-    delta = _REL_TOL * (1.0 + reference_deviation(model, norms))
+    # Clear the node decision's boundary band, which grows with the increments.
+    band = _NODE_BAND * (1.0 + float(np.max(np.abs(model.delta[list(model.children[v])]))))
+    delta = max(_REL_TOL * (1.0 + reference_deviation(model, norms)), 2.0 * band)
     primal_ok = True
     primal_curve: tuple = ()
     lo = eps - delta
@@ -290,8 +292,10 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
     ``method="exact"`` (the default): strict arbitrage localizes to one
     trading period, so eps(P) is max_v gamma(v), the largest certified
     node deviation, reached at ``argmax_node``.  With delta = 1e-6
-    (1 + reference deviation), the bisections' own stopping width, one check
-    on each side stands in for them: the node decision at the argmax node
+    (1 + reference deviation), the bisections' own stopping width, or twice
+    the node decision's boundary band at that node where that is wider
+    (large increments around a small drift), one check on each side stands
+    in for them: the node decision at the argmax node
     at eps(P) - delta must find strict arbitrage, with its certificate (its
     worst child slack is the one point of ``primal_curve``; skipped when
     eps(P) - delta <= 0), and one eta-interior solve at eps(P) + delta must

@@ -147,12 +147,14 @@ def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
     and with ascending row indices in each column, as scipy's sparse
     conversion leaves them (another order changes HiGHS's pivots); each
     call runs a fresh solver instance, so no state carries from one LP to
-    the next.  Optimal points are then checked for primal residuals of at
-    most 1e-6 (1 + max |x|); an infeasible status is HiGHS's own verdict,
-    with no certificate attached.  ``dual_ub`` and ``dual_eq`` are HiGHS's
-    row duals, signed for ``sense`` and empty where there are no rows.
-    ``highs_tol`` overrides HiGHS's primal and dual feasibility tolerances
-    (default 1e-7).
+    the next.  Optimal points are then checked again, on rows recomputed
+    from x, for primal residuals of at most 1e-6 (1 + max |x|): scipy's
+    check keeps the statuses equal to scipy's, and this one is the tighter
+    while max |x| stays under about 300.  An infeasible status is HiGHS's
+    own verdict, with no certificate attached.  ``dual_ub`` and ``dual_eq``
+    are HiGHS's row duals, signed for ``sense`` and empty where there are no
+    rows.  ``highs_tol`` overrides HiGHS's primal and dual feasibility
+    tolerances (default 1e-7).
     """
     core = _scipy_extension("scipy.optimize._highspy._core")
 

@@ -315,6 +315,18 @@ class TestExactCriticalValue:
         assert len(res.dual_curve) == 1
         assert all(v is None for v in res.eta_sweep.values())
 
+    @pytest.mark.parametrize("scale", [150.0, 1500.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_large_increments_clear_the_node_band(self, scale, p):
+        # gamma = ref = 1e-3, so 1e-6 (1 + ref) lies inside the node band
+        # 1e-8 (1 + scale): the check below eps(P) must step past the band.
+        m = _one_period([[scale, 1e-3], [-scale, 1e-3]])
+        res = ea.critical_value(m, ea.NormPair(p))
+        assert res.agreed
+        assert res.epsilon == pytest.approx(1e-3, rel=1e-12)
+        (lo, slack), = res.primal_curve
+        assert lo < res.epsilon - 1e-8 * (1.0 + scale) and slack > 0.0
+
 
 def _one_period(increments) -> ea.MarketModel:
     """One node with uniform children at the given (k, d) increments."""
