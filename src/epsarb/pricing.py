@@ -123,14 +123,25 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
+    return _price_bound(model, eps, norms, payoff, direction, _interior_measure(model, eps, norms))
+
+
+def _interior_measure(model: MarketModel, eps: float, norms: NormPair) -> MeasureWeights:
+    """The interior eps-martingale measure that anchors the price programs."""
     _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
     if not emm.feasible:
         raise NoMartingaleStructure(
             f"no eps-martingale structure at level {eps} (rho upper bound {emm.rho_upper_bound})")
+    return emm.measure
+
+
+def _price_bound(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
+                 direction: str, anchor: MeasureWeights) -> BoundResult:
+    """:func:`robust_price_bound` from its anchoring interior measure."""
     sense = "max" if direction == "sup" else "min"
     value, q, bound, _ = cone_linear_optimum(model, eps, norms, payoff.values, sense,
-                                             anchor=emm.measure.weights)
+                                             anchor=anchor.weights)
     if value is None:
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
     min_w, decided = 0.0, False
@@ -270,9 +281,11 @@ def fair_price_range(model: MarketModel, eps: float, norms: NormPair,
     bound's certified outer end; an endpoint is closed iff the inner bound
     is attained by an equivalent member.  For p = 1 the interval is a sound
     superset and carries a caveat flag (the exact converse is open there).
+    Both bounds share one interior measure.
     """
-    sup_res = robust_price_bound(model, eps, norms, payoff, "sup")
-    inf_res = robust_price_bound(model, eps, norms, payoff, "inf")
+    anchor = _interior_measure(model, eps, norms)
+    sup_res = _price_bound(model, eps, norms, payoff, "sup", anchor)
+    inf_res = _price_bound(model, eps, norms, payoff, "inf", anchor)
     return PriceInterval(
         lower=inf_res.bound - eps, upper=sup_res.bound + eps,
         lower_attained=inf_res.attained, upper_attained=sup_res.attained,

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -436,43 +437,6 @@ class ConeResult:
     iterations: int
 
 
-def _jdet(u: np.ndarray) -> float:
-    """u0^2 - |u1|^2, factored to avoid cancellation near the boundary."""
-    nu = math.sqrt(float(u[1:] @ u[1:]))
-    return (u[0] - nu) * (u[0] + nu)
-
-
-def _soc_scaling(s: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd scaling of one cone block (s, z interior).
-
-    Returns (eta, wbar, lam, det_lam) with W = eta * [[w0, w1'],
-    [w1, I + w1 w1' / (1 + w0)]], W z = W^-1 s = lam, and det_lam =
-    lam0^2 - |lam1|^2 computed without cancellation.
-    """
-    a = math.sqrt(max(_jdet(s), 1e-300))
-    b = math.sqrt(max(_jdet(z), 1e-300))
-    sb = s / a
-    zb = z / b
-    gamma = math.sqrt(max((1.0 + float(sb @ zb)) / 2.0, 1e-300))
-    wb = np.empty_like(s)
-    wb[0] = (sb[0] + zb[0]) / (2.0 * gamma)
-    wb[1:] = (sb[1:] - zb[1:]) / (2.0 * gamma)
-    lam = np.empty_like(s)
-    lam[0] = gamma
-    lam[1:] = ((gamma + zb[0]) * sb[1:] + (gamma + sb[0]) * zb[1:]) / (sb[0] + zb[0] + 2.0 * gamma)
-    return math.sqrt(a / b), wb, math.sqrt(a * b) * lam, a * b
-
-
-def _soc_matrix(eta: float, wb: np.ndarray) -> np.ndarray:
-    """The block scaling W as a dense matrix."""
-    w0, w1 = wb[0], wb[1:]
-    W = np.empty((wb.size, wb.size))
-    W[0, 0] = w0
-    W[0, 1:] = W[1:, 0] = w1
-    W[1:, 1:] = np.eye(w1.size) + np.outer(w1, w1) / (1.0 + w0)
-    return eta * W
-
-
 def _power_barrier(s: np.ndarray, a: np.ndarray):
     """Gradient g (k, 3) and inverse Hessian (k, 3, 3) of the power-cone
     barrier -log(u^2a v^(2-2a) - w^2) - (1 - a) log u - a log v (degree 3;
@@ -526,75 +490,202 @@ def _in_power(s: np.ndarray, a: np.ndarray, dual: bool = False) -> bool:
     return bool(np.all(a * np.log(u) + (1.0 - a) * np.log(v) > np.log(np.abs(w))))
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the last axes of a and b, one BLAS dot each, so
+    bit-equal to a[i] @ b[i] (np.einsum and np.sum(a * b, -1) round
+    differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _jdet(u0: float, tail_sq: float) -> float:
+    """u0^2 - |u1|^2 from u0 and |u1|^2, factored to avoid cancellation
+    near the boundary."""
+    nu = math.sqrt(tail_sq)
+    return (u0 - nu) * (u0 + nu)
+
+
+def _square(x: float) -> float:
+    """x ** 2 rounded as numpy's float64 power rounds it (libm pow, which
+    differs from x * x in the last bit of about one square in a thousand),
+    and inf where it overflows."""
+    try:
+        return math.pow(x, 2.0)
+    except OverflowError:
+        return math.inf
+
+
 class _Cone:
     """Jordan-algebra operations on the symmetric blocks R+^l x Q^n1 x ...
     of a program; its power blocks (rows ``power``, exponents
-    ``exponents``) count three to the degree."""
+    ``exponents``) count three to the degree.
+
+    Each run of consecutive second-order blocks of one size n is a (k, n)
+    view of a vector.  Every dot product a block formula takes is one
+    batched matmul per run, bit-equal to the block's own BLAS dot, and the
+    rest of the block arithmetic is on Python floats.
+    """
 
     def __init__(self, prog: ConeProgram):
         self.l = prog.l
-        self.blocks = list(prog._blocks())
         self.m = prog.h.size
+        self.runs = []  # (first row, number of blocks, block size) of each run
+        self.block_index = []  # per run, the (row, column) index of its blocks in an m x m matrix
+        start = prog.l
+        for n, run in itertools.groupby(prog.soc):
+            k = len(list(run))
+            self.runs.append((start, k, n))
+            rows = np.arange(start, start + k * n).reshape(k, n)
+            self.block_index.append((rows[:, :, None], rows[:, None, :]))
+            start += k * n
+        self.diag = np.arange(prog.l)
         self.power = prog._power_rows()
         self.exponents = np.array(prog.power)
         self.degree = prog.l + len(prog.soc) + 3 * len(prog.power)
         self.e = np.zeros(self.m)  # the identity: ones, and (1, 0, ..., 0) per block
         self.e[:prog.l] = 1.0
-        for blk in self.blocks:
-            self.e[blk.start] = 1.0
+        for E in self.views(self.e):
+            E[:, 0] = 1.0
+
+    def views(self, v: np.ndarray) -> list:
+        """The (..., k, n) view of v's last axis on each run of k blocks of size n."""
+        lead = v.shape[:-1]
+        return [v[..., r:r + k * n].reshape(lead + (k, n)) for r, k, n in self.runs]
 
     def min_eig(self, u: np.ndarray) -> float:
         out = float(np.min(u[:self.l])) if self.l else np.inf
-        for blk in self.blocks:
-            tail = u[blk.start + 1:blk.stop]
-            out = min(out, u[blk.start] - math.sqrt(float(tail @ tail)))
+        for U in self.views(u):
+            for head, sq in zip(U[:, 0].tolist(), _dots(U[:, 1:], U[:, 1:]).tolist()):
+                out = min(out, head - math.sqrt(sq))
         return out
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(u)
+        """u o v, zero on the power rows."""
+        out = np.zeros_like(u)
         out[:self.l] = u[:self.l] * v[:self.l]
-        for blk in self.blocks:
-            a, b = u[blk], v[blk]
-            out[blk.start] = a @ b
-            out[blk.start + 1:blk.stop] = a[0] * b[1:] + b[0] * a[1:]
+        ul, vl = u.tolist(), v.tolist()
+        for (r, k, n), U, V in zip(self.runs, self.views(u), self.views(v)):
+            row = []
+            for j, dot in zip(range(r, r + k * n, n), _dots(U, V).tolist()):
+                a0, b0 = ul[j], vl[j]
+                row.append(dot)
+                row += [a0 * y + b0 * x for x, y in zip(ul[j + 1:j + n], vl[j + 1:j + n])]
+            out[r:r + k * n] = row
         return out
 
-    def div(self, lam: np.ndarray, v: np.ndarray, dets) -> np.ndarray:
-        """The x with lam o x = v (``dets``: lam0^2 - |lam1|^2 per block)."""
-        out = np.empty_like(v)
-        out[:self.l] = v[:self.l] / lam[:self.l]
-        for blk, det in zip(self.blocks, dets):
-            a, b = lam[blk], v[blk]
-            x0 = (a[0] * b[0] - a[1:] @ b[1:]) / det
-            out[blk.start] = x0
-            out[blk.start + 1:blk.stop] = (b[1:] - x0 * a[1:]) / a[0]
+
+class _Scaling:
+    """Nesterov-Todd scaling of the symmetric blocks at interior (s, z):
+    W z = W^-1 s = lam, with W = sqrt(s / z) on the orthant and W = eta
+    [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]] on a second-order block.  W
+    is the identity on the power rows, where lam is 1."""
+
+    def __init__(self, cone: _Cone, s: np.ndarray, z: np.ndarray):
+        l, m = cone.l, cone.m
+        self.cone = cone
+        self.dz0 = np.sqrt(s[:l] / z[:l])
+        self.lam = lam = np.ones(m)
+        lam[:l] = np.sqrt(s[:l] * z[:l])
+        self.scale_sq = np.zeros((m, m))  # W'W
+        self.scale_sq[cone.diag, cone.diag] = self.dz0 ** 2
+        # per run: W as a (k, n, n) array, and lam0^2 - |lam1|^2 per block as
+        # the scaling computes it (dets) and as factored from lam (jdets)
+        self.mats, self.dets, self.jdets = [], [], []
+        SZ = np.array((s, z))
+        sl, zl = SZ.tolist()
+        for (r, k, n), V, (row, col) in zip(cone.runs, cone.views(SZ), cone.block_index):
+            starts = range(r, r + k * n, n)
+            ab, sbs, zbs = [], [], []
+            for j, ss, zz in zip(starts, *_dots(V[..., 1:], V[..., 1:]).tolist()):
+                a = math.sqrt(max(_jdet(sl[j], ss), 1e-300))
+                b = math.sqrt(max(_jdet(zl[j], zz), 1e-300))
+                ab.append((a, b))
+                sbs.append([x / a for x in sl[j:j + n]])
+                zbs.append([x / b for x in zl[j:j + n]])
+            mats, lams = [], []
+            for (a, b), sb, zb, dot in zip(ab, sbs, zbs, _dots(*np.array((sbs, zbs))).tolist()):
+                gamma = math.sqrt(max((1.0 + dot) / 2.0, 1e-300))
+                w0 = (sb[0] + zb[0]) / (2.0 * gamma)
+                w1 = [(x - y) / (2.0 * gamma) for x, y in zip(sb[1:], zb[1:])]
+                eta, c = math.sqrt(a / b), 1.0 + w0
+                mats.append([eta * w0] + [eta * x for x in w1])
+                for i, x in enumerate(w1):
+                    mats.append([eta * x] + [eta * (float(i == h) + x * y / c)
+                                             for h, y in enumerate(w1)])
+                root, den = math.sqrt(a * b), sb[0] + zb[0] + 2.0 * gamma
+                gs, gz = gamma + sb[0], gamma + zb[0]
+                lams.append(root * gamma)
+                lams += [root * ((gz * x + gs * y) / den) for x, y in zip(sb[1:], zb[1:])]
+            W = np.array(mats).reshape(k, n, n)
+            self.scale_sq[row, col] = W @ W
+            self.mats.append(W)
+            self.dets.append([a * b for a, b in ab])
+            lam[r:r + k * n] = lams
+            L = lam[r:r + k * n].reshape(k, n)
+            self.jdets.append([_jdet(u0, sq) for u0, sq in zip(
+                lams[::n], _dots(L[:, 1:], L[:, 1:]).tolist())])
+        self.lam_list = lam.tolist()
+        self.lam_runs = cone.views(lam)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """W v."""
+        out = v.copy()
+        out[:self.cone.l] *= self.dz0
+        for (r, k, n), W, V in zip(self.cone.runs, self.mats, self.cone.views(v)):
+            out[r:r + k * n] = (W @ V[:, :, None]).ravel()
         return out
 
-    def max_step(self, lam: np.ndarray, d: np.ndarray) -> float:
-        """Largest alpha with lam + alpha d in the cone (lam interior)."""
-        alpha = np.inf
-        if self.l:
-            neg = d[:self.l] < 0.0
-            if np.any(neg):
-                alpha = float(np.min(-lam[:self.l][neg] / d[:self.l][neg]))
-        for blk in self.blocks:
-            u, v = lam[blk], d[blk]
-            if v[0] < 0.0:  # the head must stay >= 0 (a line through the apex has disc 0)
-                alpha = min(alpha, -u[0] / v[0])
-            c0 = _jdet(u)
-            a = v[0] ** 2 - v[1:] @ v[1:]
-            b = 2.0 * (u[0] * v[0] - u[1:] @ v[1:])
-            disc = b * b - 4.0 * a * c0
-            if disc < 0.0:
-                continue  # the head never meets the tail: no crossing
-            qq = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots = [c0 / qq] if qq != 0.0 else []
-            if a != 0.0:
-                roots.append(qq / a)
-            pos = [r for r in roots if r > 0.0]
-            if pos:
-                alpha = min(alpha, min(pos))
-        return alpha
+    def div(self, v: np.ndarray) -> np.ndarray:
+        """The x with lam o x = v, zero on the power rows."""
+        l, lam = self.cone.l, self.lam_list
+        out = np.zeros_like(v)
+        out[:l] = v[:l] / self.lam[:l]
+        vl = v.tolist()
+        for (r, k, n), L, V, dets in zip(self.cone.runs, self.lam_runs, self.cone.views(v),
+                                         self.dets):
+            row = []
+            dots = _dots(L[:, 1:], V[:, 1:]).tolist()
+            for j, dot, det in zip(range(r, r + k * n, n), dots, dets):
+                a0 = lam[j]
+                x0 = (a0 * vl[j] - dot) / det
+                row.append(x0)
+                row += [(y - x0 * x) / a0 for x, y in zip(lam[j + 1:j + n], vl[j + 1:j + n])]
+            out[r:r + k * n] = row
+        return out
+
+    def max_step(self, sdir: np.ndarray, zdir: np.ndarray) -> float:
+        """The largest alpha with lam + alpha sdir and lam + alpha zdir both
+        in the cone."""
+        l = self.cone.l
+        D = np.array((sdir, zdir))
+        alphas = [np.inf, np.inf]
+        if l:
+            Dl = D[:, :l]
+            ratios = np.divide(-self.lam[:l], Dl, out=np.full_like(Dl, np.inf), where=Dl < 0.0)
+            alphas = ratios.min(axis=1).tolist()
+        rows = D.tolist()
+        for (r, k, n), L, jdets, Dr in zip(self.cone.runs, self.lam_runs, self.jdets,
+                                           self.cone.views(D)):
+            T = Dr[..., 1:]
+            for i, vvs, uvs in zip((0, 1), _dots(T, T).tolist(), _dots(L[:, 1:], T).tolist()):
+                alpha, dl = alphas[i], rows[i]
+                for j, vv, uv, c0 in zip(range(r, r + k * n, n), vvs, uvs, jdets):
+                    u0, v0 = self.lam_list[j], dl[j]
+                    if v0 < 0.0:  # the head must stay >= 0 (a line through the apex has disc 0)
+                        alpha = min(alpha, -u0 / v0)
+                    a = _square(v0) - vv
+                    b = 2.0 * (u0 * v0 - uv)
+                    disc = b * b - 4.0 * a * c0
+                    if disc < 0.0:
+                        continue  # the head never meets the tail: no crossing
+                    qq = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+                    roots = [c0 / qq] if qq != 0.0 else []
+                    if a != 0.0:
+                        roots.append(qq / a)
+                    pos = [t for t in roots if t > 0.0]
+                    if pos:
+                        alpha = min(alpha, min(pos))
+                alphas[i] = alpha
+        return min(alphas)
 
 
 _TOL = 1e-13  # relative residuals and gap of an optimal point
@@ -614,6 +705,11 @@ def solve_socp(prog: ConeProgram) -> ConeResult:
     it stays in a neighbourhood of the central path (Skajaa & Ye, Math.
     Prog. 2015).  Each step factors one KKT matrix [[0, A', G'], [A, 0, 0],
     [G, 0, -W'W]] and solves it three times.
+    The orthant and second-order kernel (:class:`_Cone`, :class:`_Scaling`)
+    views each run of consecutive equal-size blocks as one (k, n) array and
+    takes every dot product of its block formulas as one batched matmul per
+    run, which rounds as each block's own BLAS dot, so the iterates are
+    bit-identical to a block-by-block loop at a fraction of its numpy calls.
     Termination: primal and dual residuals and the relative gap under
     1e-13, or an infeasibility or unboundedness certificate whose residual
     is under 1e-9 relative to its value.  Otherwise (iteration cap, or
@@ -641,7 +737,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
     c, G, h, A, b = prog.c, prog.G, prog.h, prog.A, prog.b
     n, p = c.size, b.size
     cone = _Cone(prog)
-    m, l, blocks = cone.m, cone.l, cone.blocks
+    m = cone.m
     pw, expo = cone.power, cone.exponents
     nrm_c = max(1.0, float(np.linalg.norm(c)))
     nrm_bh = max(1.0, float(np.linalg.norm(b)), float(np.linalg.norm(h)))
@@ -743,22 +839,11 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
         if it == _MAX_ITER or not np.isfinite(mu) or mu <= 0.0:
             break
 
-        # Scaling: W z = W^-1 s = lam, block by block.  A power block is
-        # scaled by mu H(s) instead (dz + mu H ds = r), eliminated from the
-        # KKT system, and W is the identity on its rows.
-        lam = np.ones(m)
-        scale_sq = np.zeros((m, m))
-        dz0 = np.sqrt(s[:l] / z[:l])
-        lam[:l] = np.sqrt(s[:l] * z[:l])
-        scale_sq[np.arange(l), np.arange(l)] = dz0 ** 2
-        scalings = []
-        dets = []
-        for blk in blocks:
-            eta, wb, lam[blk], det = _soc_scaling(s[blk], z[blk])
-            Wm = _soc_matrix(eta, wb)
-            scalings.append(Wm)
-            dets.append(det)
-            scale_sq[blk, blk] = Wm @ Wm
+        # Scaling: W z = W^-1 s = lam on the symmetric blocks.  A power
+        # block is scaled by mu H(s) instead (dz + mu H ds = r), eliminated
+        # from the KKT system, and W is the identity on its rows.
+        nt = _Scaling(cone, s, z)
+        scale_sq, W = nt.scale_sq, nt.apply
         gram, grad = None, np.zeros((0, 3))
         if pw.size:
             grad, _, hess = _power_barrier(s[pw], expo)
@@ -766,14 +851,6 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
             Gp = G[pw]  # (k, 3, n)
             gram = np.einsum("kin,kij,kjm->nm", Gp, mu_hess, Gp)
             scale_sq[pw[:, :, None], pw[:, None, :]] = np.eye(3)
-
-        def W(v):
-            out = np.empty_like(v)
-            out[:l] = v[:l] * dz0
-            for blk, Wm in zip(blocks, scalings):
-                out[blk] = Wm @ v[blk]
-            out[pw] = v[pw]
-            return out
 
         try:
             solve = kkt(scale_sq, gram)
@@ -799,7 +876,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
         def direction(dx, dy, dz, dt, ds, dk, dpow):
             # dpow: the right-hand side r of dz + mu H(s) ds = r on the power
             # blocks; ds is read from their primal rows G dx + ds - h dtau = -dz
-            u = cone.div(lam, -ds, dets)
+            u = nt.div(-ds)
             x2, y2, z2 = solve_kkt(-dx, -dy, -dz - W(u), -dz[pw], dpow)
             dtau = (-dt + dk / tau - float(c @ x2 + b @ y2 + h @ z2)) / denom
             ddx, ddy, ddz = x2 + dtau * x1, y2 + dtau * y1, z2 + dtau * z1
@@ -811,7 +888,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
 
         def step(d):
             _, _, _, dtau, dkap, sdir, zdir = d
-            alpha = min(cone.max_step(lam, sdir), cone.max_step(lam, zdir))
+            alpha = nt.max_step(sdir, zdir)
             if dtau < 0.0:
                 alpha = min(alpha, -tau / dtau)
             if dkap < 0.0:
@@ -835,13 +912,14 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
                 t *= 0.8
             return 0.0
 
-        aff = direction(rx, ry, rz, rt, cone.prod(lam, lam), tau * kappa, -z[pw])
+        lamsq = cone.prod(nt.lam, nt.lam)
+        aff = direction(rx, ry, rz, rt, lamsq, tau * kappa, -z[pw])
         alpha_aff = power_step(aff, min(1.0, step(aff)), False)
         sigma = min(1.0, max(0.0, 1.0 - alpha_aff)) ** 3
         corr = cone.prod(aff[5], aff[6])
         comb = direction((1.0 - sigma) * rx, (1.0 - sigma) * ry, (1.0 - sigma) * rz,
                          (1.0 - sigma) * rt,
-                         cone.prod(lam, lam) - sigma * mu * cone.e + corr,
+                         lamsq - sigma * mu * cone.e + corr,
                          tau * kappa - sigma * mu + aff[3] * aff[4],
                          -z[pw] - sigma * mu * grad)
         alpha = power_step(comb, 0.99 * min(1.0, step(comb)), True)
@@ -850,7 +928,7 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
             # at sigma = t.  Take the sigma whose step, cut back to stay near
             # the central path, shrinks the residuals and mu the most (the
             # longer step on a tie: pure centring shrinks nothing).
-            cent = direction(0.0 * rx, 0.0 * ry, 0.0 * rz, 0.0, cone.prod(lam, lam) - mu * cone.e,
+            cent = direction(0.0 * rx, 0.0 * ry, 0.0 * rz, 0.0, lamsq - mu * cone.e,
                              tau * kappa - mu, -z[pw] - mu * grad)
             rank = (1.0 - alpha * (1.0 - sigma), -alpha)
             for t in _SIGMAS[_SIGMAS > sigma]:

@@ -14,14 +14,16 @@ Core claims:
       bracket and an infeasibility bound
     - at p = 1.5 and 3 (power cones) the superhedge is the price program's
       dual too, with exact slacks >= 0, duality and a price above E_Q
-    - fair-price intervals carry the documented endpoint openness
+    - fair-price intervals carry the documented endpoint openness, and
+      both ends price against one interior measure: one interior solve,
+      the interval of two robust_price_bound calls
 """
 
 import numpy as np
 import pytest
 
 import epsarb as ea
-from epsarb import programs
+from epsarb import pricing, programs
 from epsarb.testing import random_market
 
 from _helpers import (binary_martingale, critical_value_oracle, full_tree_law,
@@ -301,6 +303,27 @@ class TestFairRange:
         res = ea.fair_price_range(price_range_market(1.0), 1.0, N1,
                                   ea.Payoff(np.array([0.0, 1.0])))
         assert res.p1_caveat
+
+    def test_both_ends_share_one_interior_solve(self, monkeypatch):
+        # a p = 2 full tree, where the interior program is a cone program
+        m, psi, eps = _full_tree_case(102, 2, 1.01)
+        calls = []
+        real = pricing.interior_feasibility
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pricing, "interior_feasibility", counted)
+        res = ea.fair_price_range(m, eps, N2, psi)
+        assert len(calls) == 1
+        sup = ea.robust_price_bound(m, eps, N2, psi, "sup")
+        inf = ea.robust_price_bound(m, eps, N2, psi, "inf")
+        assert len(calls) == 3
+        assert (res.lower, res.upper) == (inf.bound - eps, sup.bound + eps)
+        assert (res.lower_attained, res.upper_attained) == (inf.attained, sup.attained)
+        assert np.array_equal(res.lower_witness.weights, inf.witness.weights)
+        assert np.array_equal(res.upper_witness.weights, sup.witness.weights)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(63)
