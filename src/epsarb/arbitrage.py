@@ -13,6 +13,7 @@ node for every p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .programs import (_FLOOR, _NODE_BAND, _min_norm_solution, _polyhedral,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
                        tree_ops)
-from .solvers import LinearProgram, solve_lp
+from .solvers import LinearProgram, min_norm_point, solve_lp
 
 STRICT_ARBITRAGE = "strict_arbitrage"
 NO_ARBITRAGE = "none_within_tolerance"
@@ -251,6 +252,42 @@ def critical_value_primal(model: MarketModel, norms: NormPair):
     return estimate, tuple(curve)
 
 
+def _hull_bound(A: np.ndarray) -> float:
+    """|z|_inf of the min-norm point z of conv{rows of A}, an upper bound on
+    the node's gamma at q = inf; inf when Wolfe's check fails."""
+    try:
+        z, _ = min_norm_point(A)
+    except RuntimeError:
+        return math.inf
+    return float(np.max(np.abs(z)))
+
+
+def _largest_deviation(model: MarketModel, norms: NormPair) -> tuple[int, float]:
+    """The node v of largest gamma(v), the first in ``model.internal`` on a
+    tie (as ``np.argmax``), and gamma(v).
+
+    At q = inf with d >= 2 every gamma is an LP, and most nodes cannot be
+    the largest.  Each node's min-norm point z lies in its hull, so
+    gamma(v) <= |z|_inf; nodes are visited in descending bound, and the
+    visit stops at the first whose bound, widened by _REL_TOL (1 + bound)
+    for the LP's own tolerances, is below the largest gamma solved so far.
+    Every other gamma is a closed form or read from the node geometry, and
+    every node is visited.
+    """
+    internal = model.internal
+    lp = norms.q == math.inf and model.d >= 2
+    bounds = [_hull_bound(model.delta[list(model.children[v])]) if lp else math.inf
+              for v in internal]
+    best_j, best = -1, -math.inf
+    for j in sorted(range(len(internal)), key=lambda j: -bounds[j]):
+        if bounds[j] + _REL_TOL * (1.0 + bounds[j]) < best:
+            break
+        gamma = node_min_simplex_deviation(model, internal[j], norms)
+        if gamma > best or (gamma == best and j < best_j):
+            best_j, best = j, gamma
+    return internal[best_j], best
+
+
 def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[float],
                           sweep: Optional[dict]) -> CriticalValueResult:
     """eps(P) = max_v gamma(v), with one check on each side (see ``critical_value``).
@@ -261,9 +298,7 @@ def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[flo
     """
     if eta is None:
         eta = float(np.finfo(float).tiny)
-    gammas = [node_min_simplex_deviation(model, v, norms) for v in model.internal]
-    j = int(np.argmax(gammas))
-    v, eps = model.internal[j], gammas[j]
+    v, eps = _largest_deviation(model, norms)
     # Clear the node decision's boundary band, which grows with the increments.
     band = _NODE_BAND * (1.0 + float(np.max(np.abs(model.delta[list(model.children[v])]))))
     delta = max(_REL_TOL * (1.0 + reference_deviation(model, norms)), 2.0 * band)
@@ -291,7 +326,11 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
 
     ``method="exact"`` (the default): strict arbitrage localizes to one
     trading period, so eps(P) is max_v gamma(v), the largest certified
-    node deviation, reached at ``argmax_node``.  With delta = 1e-6
+    node deviation, reached at ``argmax_node`` (the first such node of
+    ``model.internal``).  At p = 1 with d >= 2, where each gamma(v) is an
+    LP, a node's LP is solved only while the norm of its min-norm point
+    says it can still be the largest, so most nodes solve none; the value
+    and node are those of the full scan.  With delta = 1e-6
     (1 + reference deviation), the bisections' own stopping width, or twice
     the node decision's boundary band at that node where that is wider
     (large increments around a small drift), one check on each side stands

@@ -255,31 +255,58 @@ def _check_level(name: str, value: float, positive: bool) -> None:
 
 
 def validate_market(model: MarketModel) -> ValidationReport:
-    """Report every violated structural invariant; valid iff the report is empty."""
+    """Report every violated structural invariant; valid iff the report is empty.
+
+    Every check runs over all nodes at once and only flagged nodes are
+    visited for their messages: per node in index order (time, time-0
+    parent, parent time, probability, prices, leaf depth), then sibling
+    sums in ``model.internal`` order, then the time-0 mass.  Sibling sums
+    come from one ``bincount``; a sum that another summation order could
+    move across the bound, or that fails it, is summed again by ``np.sum``
+    before it is judged and printed, so the report is that of a per-node
+    ``np.sum``.
+    """
     bad: list[str] = []
     if model.T < 1:
         bad.append(f"horizon T={model.T} < 1")
     if model.d < 1:
         bad.append(f"dimension d={model.d} < 1")
-    for i in range(model.n_nodes):
-        t, p = int(model.times[i]), int(model.parent[i])
-        if not (0 <= t <= model.T):
-            bad.append(f"node {model.ids[i]} has time {t} outside 0..{model.T}")
-        if p < 0 and t != 0:
-            bad.append(f"node {model.ids[i]} has no parent but time {t} != 0")
-        if p >= 0 and model.times[p] != t - 1:
-            bad.append(f"node {model.ids[i]} at time {t} has parent at time {int(model.times[p])}")
-        if not (0.0 < model.cond_prob[i] <= 1.0):
-            bad.append(f"node {model.ids[i]} conditional probability {model.cond_prob[i]} outside (0,1]")
-        if not np.all(np.isfinite(model.prices[i])):
-            bad.append(f"node {model.ids[i]} has non-finite prices")
-        if not model.children[i] and t != model.T:
-            bad.append(f"leaf at wrong depth: node {model.ids[i]} has no children at time {t} < T={model.T}")
-    for v in model.internal:
-        s = float(np.sum(model.cond_prob[list(model.children[v])]))
+    n, times, parent, prob = model.n_nodes, model.times, model.parent, model.cond_prob
+    has_parent = parent >= 0
+    kids = parent[has_parent]
+    count = np.bincount(kids, minlength=n)  # children per node
+    parent_time = np.where(has_parent, times[np.where(has_parent, parent, 0)], times - 1)
+    checks = (
+        (times < 0) | (times > model.T),
+        ~has_parent & (times != 0),
+        parent_time != times - 1,
+        ~((prob > 0.0) & (prob <= 1.0)),
+        ~np.isfinite(model.prices).all(axis=1),
+        (count == 0) & (times != model.T),
+    )
+    for i in np.flatnonzero(np.logical_or.reduce(checks)).tolist():
+        nid, t = model.ids[i], int(times[i])
+        if checks[0][i]:
+            bad.append(f"node {nid} has time {t} outside 0..{model.T}")
+        if checks[1][i]:
+            bad.append(f"node {nid} has no parent but time {t} != 0")
+        if checks[2][i]:
+            bad.append(f"node {nid} at time {t} has parent at time {int(parent_time[i])}")
+        if checks[3][i]:
+            bad.append(f"node {nid} conditional probability {prob[i]} outside (0,1]")
+        if checks[4][i]:
+            bad.append(f"node {nid} has non-finite prices")
+        if checks[5][i]:
+            bad.append(f"leaf at wrong depth: node {nid} has no children at time {t} < T={model.T}")
+    sums = np.bincount(kids, weights=prob[has_parent], minlength=n)
+    # Two summation orders of k terms differ by at most 2 (k - 1) u sum |a|.
+    slack = np.finfo(float).eps * count * np.bincount(kids, weights=np.abs(prob[has_parent]),
+                                                      minlength=n)
+    for v in np.flatnonzero((count > 0) & ~(np.abs(sums - 1.0) <= EXACT_TOL - slack)).tolist():
+        s = float(np.sum(prob[list(model.children[v])]))
         if abs(s - 1.0) > EXACT_TOL:
             bad.append(f"sibling probabilities sum {s:.12g} != 1 under node {model.ids[v]}")
-    root_mass = float(np.sum(model.cond_prob[list(model.roots)]))
+    root_mass = float(np.sum(prob[list(model.roots)]))
     if abs(root_mass - 1.0) > EXACT_TOL:
         bad.append(f"time-0 probabilities sum {root_mass:.12g} != 1")
     return ValidationReport(tuple(bad))

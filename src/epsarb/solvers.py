@@ -38,6 +38,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -119,6 +120,10 @@ def _scipy_extension(name: str):
 _RESULT_TOL = 10 * math.sqrt(1e-9)
 
 
+# One HiGHS instance per thread, built by solve_lp on the thread's first LP
+_THREAD = threading.local()
+
+
 @functools.cache
 def _highs_options(highs_tol: Optional[float]):
     """The options scipy's ``linprog(method="highs")`` passes: presolve on,
@@ -146,10 +151,13 @@ def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
     ``linprog(method="highs")``, so results are bit-identical to it.  The
     rows are [a_ub; a_eq] in one column-wise matrix without explicit zeros
     and with ascending row indices in each column, as scipy's sparse
-    conversion leaves them (another order changes HiGHS's pivots); each
-    call runs a fresh solver instance, so no state carries from one LP to
-    the next.  Optimal points are then checked again, on rows recomputed
-    from x, for primal residuals of at most 1e-6 (1 + max |x|): scipy's
+    conversion leaves them (another order changes HiGHS's pivots).  Each
+    thread keeps one solver instance, since building one costs about a
+    fifth of a small LP; every call passes its options and model again,
+    and ``passModel`` resets the basis, so no state carries from one LP to
+    the next and the result is that of a fresh instance.  Optimal points
+    are then checked again, on rows recomputed from x, for primal
+    residuals of at most 1e-6 (1 + max |x|): scipy's
     check keeps the statuses equal to scipy's, and this one is the tighter
     while max |x| stays under about 300.  An infeasible status is HiGHS's
     own verdict, with no certificate attached.  ``dual_ub`` and ``dual_eq``
@@ -192,7 +200,9 @@ def solve_lp(lp: LinearProgram, highs_tol: Optional[float] = None) -> LPResult:
     model.row_lower_ = np.concatenate([np.full(m_ub, -core.kHighsInf), b_eq])
     model.row_upper_ = rhs
 
-    highs = core._Highs()
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = core._Highs()
     highs.passOptions(_highs_options(highs_tol))
     if highs.passModel(model) == core.HighsStatus.kError:
         solved, status = False, core.HighsModelStatus.kModelError

@@ -18,7 +18,39 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from epsarb.market import MarketModel, NormPair, Payoff, Strategy, gain, strategy_cost
+from epsarb.market import (EXACT_TOL, MarketModel, NormPair, Payoff, Strategy, gain,
+                           strategy_cost)
+
+
+def validation_oracle(model: MarketModel) -> tuple:
+    """The violations ``validate_market`` reports, node by node in one loop."""
+    bad: list[str] = []
+    if model.T < 1:
+        bad.append(f"horizon T={model.T} < 1")
+    if model.d < 1:
+        bad.append(f"dimension d={model.d} < 1")
+    for i in range(model.n_nodes):
+        t, p = int(model.times[i]), int(model.parent[i])
+        if not (0 <= t <= model.T):
+            bad.append(f"node {model.ids[i]} has time {t} outside 0..{model.T}")
+        if p < 0 and t != 0:
+            bad.append(f"node {model.ids[i]} has no parent but time {t} != 0")
+        if p >= 0 and model.times[p] != t - 1:
+            bad.append(f"node {model.ids[i]} at time {t} has parent at time {int(model.times[p])}")
+        if not (0.0 < model.cond_prob[i] <= 1.0):
+            bad.append(f"node {model.ids[i]} conditional probability {model.cond_prob[i]} outside (0,1]")
+        if not np.all(np.isfinite(model.prices[i])):
+            bad.append(f"node {model.ids[i]} has non-finite prices")
+        if not model.children[i] and t != model.T:
+            bad.append(f"leaf at wrong depth: node {model.ids[i]} has no children at time {t} < T={model.T}")
+    for v in model.internal:
+        s = float(np.sum(model.cond_prob[list(model.children[v])]))
+        if abs(s - 1.0) > EXACT_TOL:
+            bad.append(f"sibling probabilities sum {s:.12g} != 1 under node {model.ids[v]}")
+    root_mass = float(np.sum(model.cond_prob[list(model.roots)]))
+    if abs(root_mass - 1.0) > EXACT_TOL:
+        bad.append(f"time-0 probabilities sum {root_mass:.12g} != 1")
+    return tuple(bad)
 
 
 def run_fresh(script: str, *args: str, cwd=None) -> str:

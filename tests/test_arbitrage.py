@@ -11,10 +11,15 @@ Core claims:
     - the default critical level is max_v gamma(v), checked once on each
       side and with no bisection; the scalar-increment closed form of gamma
       matches its LP
+    - at p = 1 with d >= 2 the exact level solves node LPs only where the
+      min-norm bound lets a node be the largest, and returns the full
+      scan's max and first argmax bit for bit
     - node geometry: extremal direction, orthogonal bases, decomposition
       identities, and the non-asymptotic no-arbitrage check
     - strictly-above-the-threshold levels kill the extremal direction
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from scipy.linalg import null_space
 import epsarb as ea
 from epsarb.testing import random_market
 
-from _helpers import (binary_martingale, critical_value_oracle, drift_market,
+from _helpers import (binary_martingale, critical_value_oracle, drift_market, full_tree_law,
                       grid_search_maximin, kbar_market, min_simplex_deviation_lp,
                       nostrictarb_market, price_range_market, two_state)
 
@@ -326,6 +331,56 @@ class TestExactCriticalValue:
         assert res.epsilon == pytest.approx(1e-3, rel=1e-12)
         (lo, slack), = res.primal_curve
         assert lo < res.epsilon - 1e-8 * (1.0 + scale) and slack > 0.0
+
+
+def _full_scan(m: ea.MarketModel, norms: ea.NormPair):
+    """max_v gamma(v) and the first node reaching it, one LP per node."""
+    gammas = [ea.programs.node_min_simplex_deviation(m, v, norms) for v in m.internal]
+    j = int(np.argmax(gammas))
+    return gammas[j], m.internal[j]
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("T", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_the_full_scan(self, d, T):
+        m = full_tree_law(np.random.default_rng(300 + 10 * d + T), T, 3, d)
+        res = ea.critical_value(m, N1)
+        assert (res.epsilon, res.argmax_node) == _full_scan(m, N1)
+
+    def test_tie_keeps_the_first_node(self):
+        # nodes a and b are identical and the largest: a comes first
+        kids = [[2.0, 0.5], [3.0, -0.5], [2.5, 1.0]]
+        nodes = [{"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0, 0.0]}]
+        for name, price in (("a", [1.0, 0.0]), ("b", [1.0, 0.0]), ("c", [-1.0, 0.5])):
+            nodes.append({"id": name, "time": 1, "parent": "r", "cond_prob": 1 / 3,
+                          "prices": price})
+        for name, price in (("a", [1.0, 0.0]), ("b", [1.0, 0.0])):
+            nodes += [{"id": f"{name}{i}", "time": 2, "parent": name, "cond_prob": 1 / 3,
+                       "prices": list(np.add(price, x))} for i, x in enumerate(kids)]
+        nodes += [{"id": f"c{i}", "time": 2, "parent": "c", "cond_prob": 1 / 3,
+                   "prices": list(np.add([-1.0, 0.5], x))}
+                  for i, x in enumerate([[1.0, 0.0], [-1.0, 0.3], [0.0, -1.0]])]
+        m = ea.MarketModel.from_nodes(2, 2, nodes)
+        res = ea.critical_value(m, N1)
+        assert (res.epsilon, res.argmax_node) == _full_scan(m, N1) == (2.0, m.index["a"])
+
+    def test_81_leaf_tree_solves_few_lps(self, monkeypatch):
+        core = ea.solvers._scipy_extension("scipy.optimize._highspy._core")
+        runs = []
+
+        class Counted(core._Highs):
+            def run(self):
+                runs.append(self)
+                return super().run()
+
+        monkeypatch.setattr(core, "_Highs", Counted)
+        monkeypatch.setattr(ea.solvers, "_THREAD", threading.local())
+        m = full_tree_law(np.random.default_rng(104), 4, 3, 2)
+        assert len(m.internal) == 40  # the full scan solves 40 node LPs
+        res = ea.critical_value(m, N1)
+        assert res.agreed
+        assert len(runs) <= 5
 
 
 def _one_period(increments) -> ea.MarketModel:

@@ -1,7 +1,9 @@
 """Event-tree market layer.
 
 Core claims:
-    - validation flags probability sums, tree shape, and depth violations
+    - validation flags probability sums, tree shape, and depth violations,
+      with the reports of a per-node loop on trees mutated with several
+      faults at once
     - gains telescope along paths and are linear in the strategy
     - path costs accumulate per-period p-norms
     - dual vectors satisfy x . x* = |x|_p and |x*|_q = 1
@@ -28,8 +30,8 @@ from epsarb.market import qnorm, qnorm_grad
 from epsarb.programs import tree_ops
 from epsarb.testing import random_market
 
-from _helpers import (binary_martingale, drift_market, kbar_market,
-                      nostrictarb_market, telescoping_market, two_state)
+from _helpers import (binary_martingale, drift_market, full_tree_law, kbar_market,
+                      nostrictarb_market, telescoping_market, two_state, validation_oracle)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -54,6 +56,76 @@ class TestValidation:
         ])
         report = ea.validate_market(m)
         assert any("leaf at wrong depth" in v for v in report.violations)
+
+
+# Valid trees to mutate: parents precede their children, so reparenting a
+# node to an earlier one never makes a cycle.
+VALID_TREES = [full_tree_law(np.random.default_rng(seed), T, b, d)
+               for seed, (T, b, d) in enumerate([(1, 12, 1), (2, 3, 2), (3, 2, 1), (2, 9, 2)])]
+VALID_TREES.append(ea.MarketModel.from_paths(  # a forest: three time-0 nodes
+    np.array([[[0.0], [1.0]], [[0.0], [-1.0]], [[0.5], [2.0]], [[1.0], [0.0]]]),
+    np.array([0.25, 0.25, 0.25, 0.25])))
+FAULTS = ("probability", "price", "time", "parent", "sibling_sum", "leaf")
+
+
+@st.composite
+def faulty_trees(draw):
+    """A valid tree with one to four nodes given one to three faults each,
+    and sometimes another horizon."""
+    base = draw(st.sampled_from(VALID_TREES))
+    n = base.n_nodes
+    times, parent = base.times.copy(), base.parent.copy()
+    prob, prices = base.cond_prob.copy(), base.prices.copy()
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        for fault in draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
+            if fault == "probability":
+                prob[i] = draw(st.sampled_from([0.0, -0.5, 1.5, math.nan, math.inf])
+                               | st.floats(allow_nan=True, allow_infinity=True))
+            elif fault == "price":
+                prices[i, draw(st.integers(0, base.d - 1))] = draw(
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+            elif fault == "time":
+                times[i] = draw(st.integers(-2, base.T + 2))
+            elif fault == "parent" and i > 0:
+                parent[i] = draw(st.integers(-1, i - 1))
+            elif fault == "sibling_sum":  # around the 1e-12 bound, or far off
+                prob[i] += draw(st.sampled_from([1e-13, -9e-13, 1e-12, -1.1e-12, 0.25])
+                                | st.floats(-3e-12, 3e-12))
+            elif fault == "leaf":  # node i loses its children, which become time-0 nodes
+                parent[parent == i] = -1
+    T = draw(st.sampled_from([base.T, base.T, base.T + 1, 0]))
+    with np.errstate(invalid="ignore", over="ignore"):  # the model's path products
+        return ea.MarketModel(T=T, d=base.d, ids=base.ids, times=times, parent=parent,
+                              cond_prob=prob, prices=prices)
+
+
+class TestValidationReport:
+    @pytest.mark.parametrize("model", VALID_TREES)
+    def test_valid_trees_are_clean(self, model):
+        assert ea.validate_market(model).violations == validation_oracle(model) == ()
+
+    def test_sum_at_the_bound_is_judged_as_np_sum(self):
+        # Twelve siblings whose sum in index order is within 1e-12 of 1, and
+        # whose np.sum (eight partial sums) is one ulp beyond it.
+        prob = [0.10596888682633286, 0.09047030251349969, 0.06010849863167086,
+                0.10126233156898781, 0.07689776279984635, 0.13081272213344083,
+                0.1074172454547013, 0.11313340333757717, 0.05334566413371871,
+                0.04211704060645114, 0.04703849844525226, 0.07142764354952111]
+        m = ea.MarketModel(T=1, d=1, ids=tuple(range(13)), times=[0] + [1] * 12,
+                           parent=[-1] + [0] * 12, cond_prob=[1.0] + prob,
+                           prices=np.arange(13.0))
+        in_order = 0.0
+        for x in prob:
+            in_order += x
+        assert abs(in_order - 1.0) <= ea.market.EXACT_TOL < abs(np.sum(prob) - 1.0)
+        want = validation_oracle(m)
+        assert want == ("sibling probabilities sum 1 != 1 under node 0",)
+        assert ea.validate_market(m).violations == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_trees())
+    def test_matches_the_per_node_loop(self, model):
+        assert ea.validate_market(model).violations == validation_oracle(model)
 
 
 class TestGainAndCost:

@@ -4,6 +4,9 @@ Core claims:
     - LPs report optimal values with usable duals, an infeasible LP
       costs one HiGHS solve, and solve_lp's direct HiGHS call is bit-equal
       to scipy's linprog(method="highs") on points, values, duals and statuses
+    - the HiGHS instance each thread reuses carries no state: a battery of
+      optimal, infeasible and unbounded LPs gives the bytes of a fresh
+      instance per LP, also on three threads at once
     - discrete transport is exact against polytope enumeration and never
       beats a feasible plan
     - threshold feasibility is monotone and the bottleneck value is attained
@@ -29,6 +32,9 @@ Core claims:
 """
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -64,6 +70,8 @@ class TestSolveLP:
                 return super().run()
 
         monkeypatch.setattr(core, "_Highs", Counted)
+        # a new thread-local, so this thread's instance is built from Counted
+        monkeypatch.setattr(solvers, "_THREAD", threading.local())
         res = solve_lp(LinearProgram(c=np.array([0.0]),
                                      a_ub=np.array([[-1.0], [1.0]]),
                                      b_ub=np.array([-1.0, 0.0])))
@@ -91,6 +99,72 @@ class TestSolveLP:
             assert res.status == "optimal"
             dual_val = float(res.dual_ub @ np.concatenate([b, box_rhs]))
             assert dual_val == pytest.approx(res.value, abs=1e-8 * (1 + abs(res.value)))
+
+    @staticmethod
+    def _mixed_battery():
+        """(LP, highs_tol) pairs: the duality battery's bounded LPs with
+        infeasible and unbounded ones mixed in, and LPs infeasible by 5e-9
+        (optimal at HiGHS's default tolerances, infeasible at 1e-10), with
+        highs_tol None and 1e-10 in turn on each kind."""
+        rng = np.random.default_rng(43)
+        battery = []
+        for i in range(48):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(2, 10))
+            A, c = rng.normal(size=(m, n)), rng.normal(size=n)
+            x0 = rng.uniform(0, 1, size=n)
+            b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
+            kind = i % 4
+            if kind == 0:
+                box = np.vstack([np.eye(n), -np.eye(n)])
+                lp = LinearProgram(c=c, sense="max", a_ub=np.vstack([A, box]),
+                                   b_ub=np.concatenate([b, np.full(2 * n, 10.0)]),
+                                   a_eq=A[:1], b_eq=A[:1] @ x0)
+            elif kind == 3:  # free variables, one cost direction unrestricted
+                lp = LinearProgram(c=c, sense="max", a_eq=A[:1], b_eq=np.ones(1))
+            else:  # A[0] x <= b[0] and A[0] x >= b[0] + gap
+                gap = 1.0 if kind == 1 else 5e-9
+                lp = LinearProgram(c=c, a_ub=np.vstack([A, -A[:1]]),
+                                   b_ub=np.concatenate([b, -b[:1] - gap]),
+                                   bounds=[(-10.0, 10.0)] * n)
+            battery.append((lp, None if i // 4 % 2 == 0 else 1e-10))
+        return battery
+
+    @staticmethod
+    def _bytes(res):
+        arrays = (res.x, res.dual_ub, res.dual_eq)
+        return (res.status, res.message, None if res.value is None else res.value.hex(),
+                tuple(None if a is None else a.tobytes() for a in arrays))
+
+    def test_reused_instance_carries_no_state(self, monkeypatch):
+        battery = self._mixed_battery()
+        reused = [self._bytes(solve_lp(lp, highs_tol=tol)) for lp, tol in battery]
+        assert {r[0] for r in reused} == {"optimal", "infeasible", "unbounded"}
+        assert {r[0] for r in reused[2::4]} == {"optimal", "infeasible"}
+        fresh = []
+        for lp, tol in battery:
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_THREAD", threading.local())
+                fresh.append(self._bytes(solve_lp(lp, highs_tol=tol)))
+        assert reused == fresh
+        # three threads, each running the battery in its own order
+        orders = [np.arange(len(battery)), np.arange(len(battery))[::-1],
+                  np.random.default_rng(0).permutation(len(battery))]
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def run(order):
+            start.wait()
+            return [self._bytes(solve_lp(*battery[i])) for i in order]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads interleave between HiGHS calls
+        try:
+            with ThreadPoolExecutor(len(orders)) as pool:
+                futures = [pool.submit(run, order) for order in orders]
+                runs = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for order, got in zip(orders, runs):
+            assert got == [reused[i] for i in order]
 
     def test_transportation_lp_matches_discrete_ot(self):
         cost = np.array([[3.0, 4.0], [4.0, 5.0]])
