@@ -283,7 +283,12 @@ def fair_price_range(model: MarketModel, eps: float, norms: NormPair,
     superset and carries a caveat flag (the exact converse is open there).
     Both bounds share one interior measure.
     """
-    anchor = _interior_measure(model, eps, norms)
+    return _fair_range(model, eps, norms, payoff, _interior_measure(model, eps, norms))
+
+
+def _fair_range(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
+                anchor: MeasureWeights) -> PriceInterval:
+    """:func:`fair_price_range` from its anchoring interior measure."""
     sup_res = _price_bound(model, eps, norms, payoff, "sup", anchor)
     inf_res = _price_bound(model, eps, norms, payoff, "inf", anchor)
     return PriceInterval(

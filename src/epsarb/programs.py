@@ -506,14 +506,9 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair):
 
 def _cone_rows_linf(ops: TreeOps, eps: float):
     """Linear rows z_{v,i} <= eps qbar(v) in both signs, for q = inf."""
-    rows = []
-    for j in range(len(ops.internal)):
-        coeff_j = ops.coeff[:, j, :]
-        mask_j = ops.mask[:, j]
-        for i in range(ops.model.d):
-            rows.append(coeff_j[:, i] - eps * mask_j)
-            rows.append(-coeff_j[:, i] - eps * mask_j)
-    return np.vstack(rows) if rows else np.zeros((0, ops.model.n_leaves))
+    coeff = ops.coeff.transpose(1, 2, 0)[:, :, None, :]  # (node, asset, sign, leaf)
+    rows = np.concatenate([coeff, -coeff], axis=2) - (eps * ops.mask.T)[:, None, None, :]
+    return np.ascontiguousarray(rows.reshape(-1, ops.model.n_leaves))
 
 
 def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,

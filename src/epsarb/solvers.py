@@ -1033,26 +1033,36 @@ def log_transport(log_weights, source, target) -> TransportResult:
     marginals never carries a large weight.
     """
     v = np.asarray(log_weights, dtype=float)
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
     if np.isnan(v).any() or np.isposinf(v).any():
         raise ValueError("log-weights must be below +inf")
-    plan = np.zeros(v.shape)
-    rows = np.flatnonzero(src > 0)
-    cols = np.flatnonzero(tgt > 0)
-    if not rows.size or not cols.size:
+    return _log_transport(v.tolist(), np.asarray(source, dtype=float).tolist(),
+                          np.asarray(target, dtype=float).tolist())
+
+
+def _log_transport(v: list, source: list, target: list) -> TransportResult:
+    """:func:`log_transport` on checked lists: ``v`` holds no NaN or +inf.
+
+    Rows and columns of zero mass are cut out of ``v`` only when there are
+    any; the plan is written cell by cell, so no index arrays are built.
+    """
+    m, n = len(source), len(target)
+    plan = np.zeros((m, n))
+    rows = [i for i in range(m) if source[i] > 0]
+    cols = [j for j in range(n) if target[j] > 0]
+    if not rows or not cols:
         return TransportResult(-math.inf, plan)
-    sub = v[np.ix_(rows, cols)]
-    flow = _log_simplex(sub.tolist(), src[rows].tolist(), tgt[cols].tolist())
-    block = np.zeros(sub.shape)
-    for (i, j), x in flow.items():
-        block[i, j] = x
-    plan[np.ix_(rows, cols)] = block
-    keep = block > 0.0
-    top = float(sub[keep].max())
+    if len(rows) < m or len(cols) < n:
+        v = [[v[i][j] for j in cols] for i in rows]
+    flow = _log_simplex(v, [source[i] for i in rows], [target[j] for j in cols])
+    keep = sorted(c for c, x in flow.items() if x > 0.0)  # row-major, as a boolean mask reads
+    for i, j in keep:
+        plan[rows[i], cols[j]] = flow[i, j]
+    w = [v[i][j] for i, j in keep]
+    top = max(w)
     if top == -math.inf:
         return TransportResult(-math.inf, plan)
-    return TransportResult(top + math.log(float(block[keep] @ np.exp(sub[keep] - top))), plan)
+    x = np.array([flow[c] for c in keep])
+    return TransportResult(top + math.log(float(x @ np.exp(np.array(w) - top))), plan)
 
 
 def _log_simplex(v: list, supply: list, demand: list) -> dict:
@@ -1166,8 +1176,8 @@ def _improves(plus: list, minus: list, shrink: float) -> bool:
     top = max(plus + minus)
     if top == -math.inf:
         return False
-    return (sum(math.exp(x - top) for x in plus)
-            < shrink * sum(math.exp(x - top) for x in minus))
+    return (sum([math.exp(x - top) for x in plus])
+            < shrink * sum([math.exp(x - top) for x in minus]))
 
 
 def transport_feasible_below(inst: TransportInstance, lam: float) -> bool:
@@ -1193,17 +1203,35 @@ def bottleneck_transport(inst: TransportInstance) -> TransportResult:
     one of the costs, and the plan moves all but 1e-9 of the mass on cells
     of cost <= value.
     """
-    total = float(inst.source.sum())
-    plan = np.zeros_like(inst.cost)
+    return _bottleneck(inst.cost.tolist(), inst.source.tolist(), inst.target.tolist(),
+                       float(inst.source.sum()))
+
+
+def _bottleneck(cost: list, source: list, target: list, total: float) -> TransportResult:
+    """:func:`bottleneck_transport` on validated lists; ``total`` is the
+    ``np.sum`` of ``source``.
+
+    Rows and columns of zero mass are cut out of the lists only when there
+    are any.  The starting lam is taken with Python's min and max, which
+    pick the value numpy's reductions pick (a zero's sign aside, when the
+    costs hold both 0.0 and -0.0); the plan is written cell by cell, so no
+    index arrays are built.
+    """
+    m, n = len(source), len(target)
+    plan = np.zeros((m, n))
     if total <= 0.0:
         return TransportResult(0.0, plan)
-    rows = np.flatnonzero(inst.source > 0)
-    cols = np.flatnonzero(inst.target > 0)
-    cost = inst.cost[np.ix_(rows, cols)]
-    lam = float(max(cost.min(axis=1).max(), cost.min(axis=0).max()))
-    lam, flow = _threshold_flow(cost.tolist(), inst.source[rows].tolist(),
-                                inst.target[cols].tolist(), lam, total)
-    plan[np.ix_(rows, cols)] = flow
+    rows = [i for i in range(m) if source[i] > 0]
+    cols = [j for j in range(n) if target[j] > 0]
+    if len(rows) < m or len(cols) < n:
+        cost = [[cost[i][j] for j in cols] for i in rows]
+    lam = max(max(map(min, cost)), max(map(min, zip(*cost))))
+    lam, flow = _threshold_flow(cost, [source[i] for i in rows], [target[j] for j in cols],
+                                lam, total)
+    for i, row in zip(rows, flow):
+        for j, x in zip(cols, row):
+            if x:
+                plan[i, j] = x
     return TransportResult(lam, plan / plan.sum() * total)
 
 

@@ -7,6 +7,11 @@ log-weights (``solvers.log_transport``) for the exponential divergence.
 Stage plans are independent across node pairs, which is exactly the
 decomposition certified against the global bicausal-polytope solvers below
 on small instances.
+
+The induction keeps one value table per time over the two laws' nodes, so
+numpy work is done once per time and pure-Python work once per pair,
+through the list-level kernels of ``solvers``; results and errors are
+those of calling the public kernels pair by pair, to the bit.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import numpy as np
 from .arbitrage import critical_value
 from .market import (MarketModel, MeasureWeights, NormPair, PathLaw, Payoff, _check_level,
                      is_eps_martingale, qnorm)
-from .pricing import fair_price_range, find_eps_martingale_measure
-from .solvers import (LinearProgram, TransportInstance, bottleneck_transport, log_transport,
-                      solve_lp)
+from .pricing import _fair_range, find_eps_martingale_measure
+from .solvers import (LinearProgram, TransportInstance, _bottleneck, _log_transport,
+                      bottleneck_transport, log_transport, solve_lp)
 
 _LOG_TINY = -745.0  # log of the smallest normal double; clamps underflow
 
@@ -155,59 +160,127 @@ def _check_shapes(lawx: PathLaw, lawy: PathLaw) -> None:
                          f"d={lawx.d},{lawy.d}")
 
 
-def _nodes_at(law: PathLaw, t: int) -> list[int]:
-    return [v for v in range(law.n_nodes) if law.times[v] == t]
+def _stages(law: PathLaw) -> list[list[int]]:
+    """The law's nodes at each time 0..T, in index order, from one pass."""
+    stages: list[list[int]] = [[] for _ in range(law.T + 1)]
+    for v, t in enumerate(law.times.tolist()):
+        if 0 <= t <= law.T:
+            stages[t].append(v)
+    return stages
 
 
-def _bottleneck(costs: np.ndarray, source: np.ndarray, target: np.ndarray):
-    """``bottleneck_transport`` called as ``log_transport`` is."""
-    return bottleneck_transport(TransportInstance(costs, source, target))
+def _tree(law: PathLaw) -> tuple[list, list]:
+    """:func:`_stages` and each node's children as (positions in the next
+    time's list, conditional probabilities, their ``np.sum``, whether any is
+    negative).
+
+    The backward induction reads a node's children in the next time's
+    value table, so node times must be 0 exactly at the roots and rise by
+    one from parent to child.
+    """
+    times, parent = law.times, law.parent
+    child = parent >= 0
+    if (np.any(times < 0) or np.any(times > law.T) or np.any(child == (times == 0))
+            or np.any(times[child] != times[parent[child]] + 1)):
+        raise ValueError("path law node times must be 0 at the roots and rise by one "
+                         f"from parent to child, up to T={law.T}")
+    stages = _stages(law)
+    pos = [0] * law.n_nodes
+    for nodes in stages:
+        for k, v in enumerate(nodes):
+            pos[v] = k
+    kids = []
+    for cs in law.children:
+        probs = law.cond_prob[list(cs)]
+        w = probs.tolist()
+        kids.append(([pos[c] for c in cs], w, float(np.sum(probs)), any(x < 0 for x in w)))
+    return stages, kids
 
 
-def _backward(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool, kernel: Callable,
-              scale: float, variants: tuple) -> tuple:
+def _backward(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool, lam: Optional[float],
+              variants: tuple) -> tuple:
     """Backward induction over matched node pairs, one result per
     ``include_t0`` flag in ``variants``.
 
-    A pair's value is ``scale`` times its stage cost plus ``kernel`` (a
-    transport of the children's values: ``_bottleneck`` for the sup-cost
-    distances, ``log_transport`` for the log domain) of its children's
-    values; a result's value is the root kernel's value / ``scale``.  The
+    ``lam`` None gives the sup-cost distances: a pair's value is its stage
+    cost plus the bottleneck transport of its children's values.  A
+    positive ``lam`` gives the log domain of ``elog_divergence``: lam times
+    the stage cost plus the log-weight transport (``log_transport``) of the
+    children's values, and a result's value is the root's / lam.  The
     variants differ only in the t = 0 stage costs, so the stage transports
     are solved once and only the root solve is repeated.
+
+    Each time t holds one value table over (x nodes, y nodes) at t: the
+    stage costs plus, in one masked add over the pairs whose x node has
+    children, the pairs' transport values.  A pair's cost block is read
+    from the next time's table, converted to lists once, and solved by the
+    list-level kernels of ``solvers``.  The checks their public callers
+    make per call are made once per node (marginals) or per table
+    (finiteness); a pair that fails one is handed to the public check,
+    which raises its own error, so errors are the per-call ones.  The root
+    solves go through the public kernels.
     """
-    value: dict[tuple, float] = {}
-    below: dict[tuple, Optional[float]] = {}  # root pairs: the kernel of their children
+    log = lam is not None
+    scale = lam if log else 1.0
+    stx, kidx = _tree(lawx)
+    sty, kidy = _tree(lawy)
     plans: dict[tuple, np.ndarray] = {}
+    rest = None  # rest[a][b]: the transport value of pair (xs[a], ys[b]), over its children
+    table = None
     for t in range(lawx.T, -1, -1):
-        xs, ys = _nodes_at(lawx, t), _nodes_at(lawy, t)
-        stage = scale * _stage_costs(lawx, lawy, xs, ys, t, q, increments, True) if t else None
-        for a, vx in enumerate(xs):
-            cx = lawx.children[vx]
-            for b, vy in enumerate(ys):
-                rest = None
-                if cx:
-                    cy = lawy.children[vy]
-                    costs = np.array([[value[(wx, wy)] for wy in cy] for wx in cx])
-                    res = kernel(costs, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
-                    rest = res.value
+        xs, ys = stx[t], sty[t]
+        if table is not None:
+            invalid = (np.isnan(table) | np.isposinf(table)) if log else ~np.isfinite(table)
+            faulty = invalid.tolist() if invalid.any() else None
+            vals = table.tolist()
+            rest, has = [], []
+            for vx in xs:
+                px, wx, sx, negx = kidx[vx]
+                has.append(bool(px))
+                if not px:
+                    rest.append([0.0] * len(ys))
+                    continue
+                tol = 1e-12 * max(1.0, sx)
+                rows = [vals[i] for i in px]
+                row = []
+                for vy in ys:
+                    py, wy, sy, negy = kidy[vy]
+                    block = [[r[j] for j in py] for r in rows]
+                    bad = faulty is not None and any(faulty[i][j] for i in px for j in py)
+                    if log:
+                        if bad:
+                            log_transport(block, wx, wy)  # raises the public error
+                        res = _log_transport(block, wx, wy)
+                    else:
+                        if bad or negx or negy or abs(sx - sy) > tol:
+                            TransportInstance(block, wx, wy)  # raises the public error
+                        res = _bottleneck(block, wx, wy, sx)
                     plans[(vx, vy)] = res.plan
-                if t:
-                    c = float(stage[a, b])
-                    value[(vx, vy)] = c if rest is None else c + rest
-                else:
-                    below[(vx, vy)] = rest
-    rx, ry = list(lawx.roots), list(lawy.roots)
+                    row.append(res.value)
+                rest.append(row)
+        if t:
+            table = scale * _stage_costs(lawx, lawy, xs, ys, t, q, increments, True)
+            if rest is not None:
+                _add_rest(table, rest, has)
     out = []
     for include_t0 in variants:
-        stage = scale * _stage_costs(lawx, lawy, rx, ry, 0, q, increments, include_t0)
-        top = np.array([[float(stage[a, b]) if below[(vx, vy)] is None
-                         else float(stage[a, b]) + below[(vx, vy)]
-                         for b, vy in enumerate(ry)] for a, vx in enumerate(rx)])
-        res = kernel(top, lawx.cond_prob[rx], lawy.cond_prob[ry])
+        top = scale * _stage_costs(lawx, lawy, stx[0], sty[0], 0, q, increments, include_t0)
+        if rest is not None:
+            _add_rest(top, rest, has)
+        px, py = lawx.cond_prob[stx[0]], lawy.cond_prob[sty[0]]
+        res = log_transport(top, px, py) if log else bottleneck_transport(
+            TransportInstance(top, px, py))
         out.append(DistanceResult(float(res.value) / scale,
                                   BicausalCoupling(lawx, lawy, res.plan, plans)))
     return tuple(out)
+
+
+def _add_rest(stage: np.ndarray, rest: list, has: list) -> None:
+    """stage += rest in place on the rows whose node has children; IEEE
+    addition, as the scalar ``c + rest`` it replaces, with no warnings."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.add(stage, np.array(rest).reshape(stage.shape), out=stage,
+               where=np.array(has, dtype=bool)[:, None])
 
 
 def aw_inf_delta(lawx: PathLaw, lawy: PathLaw, q: float = 2.0,
@@ -219,13 +292,13 @@ def aw_inf_delta(lawx: PathLaw, lawy: PathLaw, q: float = 2.0,
     value.
     """
     _check_shapes(lawx, lawy)
-    return _backward(lawx, lawy, q, True, _bottleneck, 1.0, (include_t0,))[0]
+    return _backward(lawx, lawy, q, True, None, (include_t0,))[0]
 
 
 def aw_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0) -> DistanceResult:
     """Adapted sup-distance on level paths: esssup of sum_t |X_t - Y_t|_q."""
     _check_shapes(lawx, lawy)
-    return _backward(lawx, lawy, q, False, _bottleneck, 1.0, (True,))[0]
+    return _backward(lawx, lawy, q, False, None, (True,))[0]
 
 
 def path_cost_matrix(lawx: PathLaw, lawy: PathLaw, q: float,
@@ -263,7 +336,7 @@ def elog_divergence(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, lam: float = 1
     _check_shapes(lawx, lawy)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return _backward(lawx, lawy, q, increments, log_transport, lam, (include_t0,))[0]
+    return _backward(lawx, lawy, q, increments, lam, (include_t0,))[0]
 
 
 def laplace_smoothed_esssup(values, probs, lam: float) -> float:
@@ -434,8 +507,9 @@ def bicausal_rows(lawx: PathLaw, lawy: PathLaw) -> tuple[np.ndarray, np.ndarray]
 
     def causality(law_a: PathLaw, law_b: PathLaw, transpose: bool):
         # law_a plays the conditioning side X; leaves_under holds leaf positions.
+        stages = _stages(law_b)
         for t in range(law_a.T):
-            for bnode in _nodes_at(law_b, t):
+            for bnode in stages[t]:
                 b_idx = list(law_b.leaves_under[bnode])
                 for ia in range(law_a.n_leaves):
                     u = law_a.leaves[ia]
@@ -578,11 +652,15 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
     witness through the optimal coupling); (ii) |eps(P) - eps(P')| <= D;
     (iii) with an L-Lipschitz claim and p > 1, the eps-fair range of P is
     contained in the (eps + L D)-fair range of P'.
+
+    Each market's interior program runs once per level: the fair ranges are
+    anchored at the measures found for (i), and P' reuses its eps + D
+    measure when eps + L D is the same number.
     """
     _check_level("eps", eps, False)
     notes: list[str] = []
     _check_shapes(lawx, lawy)
-    dres, dres_no_t0 = _backward(lawx, lawy, norms.q, True, _bottleneck, 1.0, (True, False))
+    dres, dres_no_t0 = _backward(lawx, lawy, norms.q, True, None, (True, False))
     d_no_t0 = dres_no_t0.value
     D = dres.value
     eps_x = critical_value(lawx, norms, method="dual").epsilon
@@ -614,14 +692,17 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
             notes.append("fair-range transfer skipped: no structure in the reference market")
         else:
             shifted = eps + lipschitz * D
-            emm_y_shift = find_eps_martingale_measure(lawy, shifted, norms)
+            emm_y_shift = (emm_y if shifted == eps + D
+                           else find_eps_martingale_measure(lawy, shifted, norms))
             if not emm_y_shift.feasible:
                 notes.append(
                     f"no eps-martingale structure at {shifted} in the perturbed market; "
                     "fair-range transfer skipped")
             else:
-                fair_x = fair_price_range(lawx, eps, norms, Payoff.from_function(lawx, payoff_fn))
-                fair_y = fair_price_range(lawy, shifted, norms, Payoff.from_function(lawy, payoff_fn))
+                fair_x = _fair_range(lawx, eps, norms, Payoff.from_function(lawx, payoff_fn),
+                                     emm_x.measure)
+                fair_y = _fair_range(lawy, shifted, norms, Payoff.from_function(lawy, payoff_fn),
+                                     emm_y_shift.measure)
                 fair_lo = fair_x.lower - fair_y.lower
                 fair_hi = fair_y.upper - fair_x.upper
     return StabilityReport(

@@ -18,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from epsarb.market import (EXACT_TOL, MarketModel, NormPair, Payoff, Strategy, gain,
+from epsarb.market import (EXACT_TOL, MarketModel, NormPair, Payoff, Strategy, gain, qnorm,
                            strategy_cost)
+from epsarb.solvers import TransportInstance, bottleneck_transport, log_transport
 
 
 def validation_oracle(model: MarketModel) -> tuple:
@@ -374,3 +375,121 @@ def lp_bottleneck_value(cost: np.ndarray, src: np.ndarray, tgt: np.ndarray,
         else:
             lo = mid + 1
     return float(levels[lo])
+
+
+def _oracle_stage_costs(lawx, lawy, xs, ys, t, q, increments, include_t0):
+    if increments:
+        if t == 0 and not include_t0:
+            return np.zeros((len(xs), len(ys)))
+        vx, vy = lawx.delta[xs], lawy.delta[ys]
+    else:
+        vx, vy = lawx.prices[xs], lawy.prices[ys]
+    return qnorm(vx[:, None, :] - vy[None, :, :], q)
+
+
+def backward_oracle(lawx, lawy, q: float, increments: bool, lam, variants: tuple) -> tuple:
+    """The backward induction of ``transport._backward``, one node pair at a
+    time: every stage transport is a public call, ``bottleneck_transport``
+    of a ``TransportInstance`` (``lam`` None) or ``log_transport`` of the
+    children's values, and each pair's value is the scalar sum of its stage
+    cost and that transport's value.  Returns (value, root plan, stage
+    plans) per ``include_t0`` flag in ``variants``."""
+    scale = 1.0 if lam is None else lam
+
+    def kernel(costs, source, target):
+        if lam is None:
+            return bottleneck_transport(TransportInstance(costs, source, target))
+        return log_transport(costs, source, target)
+
+    def nodes_at(law, t):
+        return [v for v in range(law.n_nodes) if law.times[v] == t]
+
+    value, below, plans = {}, {}, {}
+    for t in range(lawx.T, -1, -1):
+        xs, ys = nodes_at(lawx, t), nodes_at(lawy, t)
+        stage = scale * _oracle_stage_costs(lawx, lawy, xs, ys, t, q, increments, True) if t else None
+        for a, vx in enumerate(xs):
+            cx = lawx.children[vx]
+            for b, vy in enumerate(ys):
+                rest = None
+                if cx:
+                    cy = lawy.children[vy]
+                    costs = np.array([[value[(wx, wy)] for wy in cy] for wx in cx])
+                    res = kernel(costs, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
+                    rest = res.value
+                    plans[(vx, vy)] = res.plan
+                if t:
+                    c = float(stage[a, b])
+                    value[(vx, vy)] = c if rest is None else c + rest
+                else:
+                    below[(vx, vy)] = rest
+    rx, ry = list(lawx.roots), list(lawy.roots)
+    out = []
+    for include_t0 in variants:
+        stage = scale * _oracle_stage_costs(lawx, lawy, rx, ry, 0, q, increments, include_t0)
+        top = np.array([[float(stage[a, b]) if below[(vx, vy)] is None
+                         else float(stage[a, b]) + below[(vx, vy)]
+                         for b, vy in enumerate(ry)] for a, vx in enumerate(rx)])
+        res = kernel(top, lawx.cond_prob[rx], lawy.cond_prob[ry])
+        out.append((float(res.value) / scale, res.plan, plans))
+    return tuple(out)
+
+
+def cone_rows_linf_oracle(ops, eps: float) -> np.ndarray:
+    """``programs._cone_rows_linf`` one row at a time: for each internal
+    node and asset, the row of +coeff - eps mask, then -coeff - eps mask."""
+    rows = []
+    for j in range(len(ops.internal)):
+        coeff_j = ops.coeff[:, j, :]
+        mask_j = ops.mask[:, j]
+        for i in range(ops.model.d):
+            rows.append(coeff_j[:, i] - eps * mask_j)
+            rows.append(-coeff_j[:, i] - eps * mask_j)
+    return np.vstack(rows) if rows else np.zeros((0, ops.model.n_leaves))
+
+
+def bottleneck_transport_arrays(inst):
+    """``solvers.bottleneck_transport`` as one array computation: the rows
+    and columns of positive mass are always cut out with index arrays, the
+    lower bound is taken with numpy, and the flow is scattered back."""
+    from epsarb.solvers import TransportResult, _threshold_flow
+    total = float(inst.source.sum())
+    plan = np.zeros_like(inst.cost)
+    if total <= 0.0:
+        return TransportResult(0.0, plan)
+    rows = np.flatnonzero(inst.source > 0)
+    cols = np.flatnonzero(inst.target > 0)
+    cost = inst.cost[np.ix_(rows, cols)]
+    lam = float(max(cost.min(axis=1).max(), cost.min(axis=0).max()))
+    lam, flow = _threshold_flow(cost.tolist(), inst.source[rows].tolist(),
+                                inst.target[cols].tolist(), lam, total)
+    plan[np.ix_(rows, cols)] = flow
+    return TransportResult(lam, plan / plan.sum() * total)
+
+
+def log_transport_arrays(log_weights, source, target):
+    """``solvers.log_transport`` as one array computation: index arrays cut
+    out the block of positive mass, the flow fills a block array, and a
+    boolean mask of its positive cells gives the value."""
+    from epsarb.solvers import TransportResult, _log_simplex
+    v = np.asarray(log_weights, dtype=float)
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    if np.isnan(v).any() or np.isposinf(v).any():
+        raise ValueError("log-weights must be below +inf")
+    plan = np.zeros(v.shape)
+    rows = np.flatnonzero(src > 0)
+    cols = np.flatnonzero(tgt > 0)
+    if not rows.size or not cols.size:
+        return TransportResult(-math.inf, plan)
+    sub = v[np.ix_(rows, cols)]
+    flow = _log_simplex(sub.tolist(), src[rows].tolist(), tgt[cols].tolist())
+    block = np.zeros(sub.shape)
+    for (i, j), x in flow.items():
+        block[i, j] = x
+    plan[np.ix_(rows, cols)] = block
+    keep = block > 0.0
+    top = float(sub[keep].max())
+    if top == -math.inf:
+        return TransportResult(-math.inf, plan)
+    return TransportResult(top + math.log(float(block[keep] @ np.exp(sub[keep] - top))), plan)

@@ -48,8 +48,9 @@ from epsarb.solvers import (ConeProgram, LinearProgram, TransportInstance,
                             bottleneck_transport, discrete_ot, log_transport,
                             solve_lp, solve_socp, transport_feasible_below)
 
-from _helpers import (brute_force_log_transport, enumerate_2x2_transport,
-                      lp_bottleneck_value, random_feasible_plan, run_fresh)
+from _helpers import (bottleneck_transport_arrays, brute_force_log_transport,
+                      enumerate_2x2_transport, log_transport_arrays, lp_bottleneck_value,
+                      random_feasible_plan, run_fresh)
 
 
 class TestSolveLP:
@@ -510,6 +511,35 @@ class TestLogTransportProperties:
         res = log_transport(v, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         assert res.value == -math.inf
         assert res.plan == pytest.approx(np.diag([0.5, 0.5]))
+
+
+def _result_bytes(res) -> tuple:
+    return np.float64(res.value).tobytes(), res.plan.shape, res.plan.tobytes()
+
+
+@st.composite
+def _wide_cases(draw, cell):
+    """(costs, source, target): up to 8 x 8 cells, with zero masses among them."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cost = np.array(draw(st.lists(cell, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return cost, draw(_masses(m)), draw(_masses(n))
+
+
+class TestListEntryPoints:
+    # The public kernels run on lists and cut zero-mass rows and columns
+    # only when there are some; their results are those of the array
+    # computation they replaced, byte for byte.
+    @settings(max_examples=300, deadline=None)
+    @given(_wide_cases(_COSTS))
+    def test_bottleneck_equals_the_array_computation(self, case):
+        inst = TransportInstance(*case)
+        assert (_result_bytes(bottleneck_transport(inst))
+                == _result_bytes(bottleneck_transport_arrays(inst)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wide_cases(_GRID | st.floats(-50.0, 50.0) | st.just(-math.inf)))
+    def test_log_transport_equals_the_array_computation(self, case):
+        assert _result_bytes(log_transport(*case)) == _result_bytes(log_transport_arrays(*case))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ Core claims:
       full trees of up to 64 leaves), and obeys the tilting identity and the
       finite-support sandwich
     - grid quantization and the empirical trend behave as stated
-    - stability inequalities hold on perturbed pairs
+    - stability inequalities hold on perturbed pairs, and each market's
+      interior program runs once per level
+    - the stage-array DP equals, byte for byte, the per-pair loop of public
+      kernel calls it replaced (values, root plans, every stage plan), and
+      raises the same errors on faulty laws
 """
 
 import math
@@ -22,12 +26,13 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import epsarb as ea
+from epsarb import pricing
 from epsarb import transport as tr
 from epsarb.market import MarketModel
 from epsarb.testing import (perturb_prices, random_market,
                             random_martingale_market, random_path_law)
 
-from _helpers import (brute_force_bicausal_couplings, closing_pair,
+from _helpers import (backward_oracle, brute_force_bicausal_couplings, closing_pair,
                       counterexample_pair, full_tree_law, kr_pair)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
@@ -412,3 +417,212 @@ class TestStability:
             if rep.fair_lower_slack is not None:
                 assert rep.fair_lower_slack >= -1e-8
                 assert rep.fair_upper_slack >= -1e-8
+
+    @pytest.mark.parametrize("lipschitz", [1.0, 2.0])
+    def test_each_interior_program_runs_once(self, monkeypatch, lipschitz):
+        # At L = 1 the perturbed market's two levels, eps + D and eps + L D,
+        # are the same number and its measure is found once; the fair
+        # ranges start from the measures already found.
+        rng = np.random.default_rng(16)
+        base = random_martingale_market(rng, T=2)
+        pert = perturb_prices(rng, base, 0.05)
+        eps = 0.3
+
+        def payoff(path):
+            return float(path[-1, 0])
+
+        D = tr.aw_inf_delta(base, pert, 2.0).value
+        shifted = eps + lipschitz * D
+        want_x = ea.fair_price_range(base, eps, N2, ea.Payoff.from_function(base, payoff))
+        want_y = ea.fair_price_range(pert, shifted, N2, ea.Payoff.from_function(pert, payoff))
+        calls = []
+        real = pricing.find_eps_martingale_measure
+
+        def counted(model, level, norms, eta=None):
+            calls.append((model, level))
+            return real(model, level, norms, eta)
+
+        monkeypatch.setattr(pricing, "find_eps_martingale_measure", counted)
+        monkeypatch.setattr(tr, "find_eps_martingale_measure", counted)
+        rep = tr.stability_report(base, pert, eps, N2, payoff_fn=payoff, lipschitz=lipschitz)
+        want_calls = [(base, eps), (pert, eps + D)]
+        assert calls == want_calls + ([(pert, shifted)] if shifted != eps + D else [])
+        for got, want in ((rep.fair_x, want_x), (rep.fair_y, want_y)):
+            assert got.to_dict() == want.to_dict()
+            assert got.lower_witness.weights.tobytes() == want.lower_witness.weights.tobytes()
+            assert got.upper_witness.weights.tobytes() == want.upper_witness.weights.tobytes()
+        assert rep.emm_y_shifted_feasible
+        assert rep.fair_lower_slack == want_x.lower - want_y.lower
+        assert rep.fair_upper_slack == want_y.upper - want_x.upper
+
+
+def _outcome(call) -> tuple:
+    """A call's exception (type and message) or its result's bytes: value,
+    root plan, and every stage plan in order."""
+    try:
+        value, root, plans = call()
+    except Exception as exc:  # the exception itself is the outcome compared
+        return ("raised", type(exc), str(exc))
+    return (np.float64(value).tobytes(), root.shape, root.tobytes(),
+            tuple((key, plan.shape, plan.tobytes()) for key, plan in plans.items()))
+
+
+def _parts(res) -> tuple:
+    return res.value, res.coupling.root_plan, res.coupling.stage_plans
+
+
+def _forms(P, Q, q: float, lam: float) -> list:
+    """(library call, per-pair oracle call) for each public DP form."""
+    return [
+        (lambda: _parts(tr.aw_inf(P, Q, q)),
+         lambda: backward_oracle(P, Q, q, False, None, (True,))[0]),
+        (lambda: _parts(tr.aw_inf_delta(P, Q, q)),
+         lambda: backward_oracle(P, Q, q, True, None, (True,))[0]),
+        (lambda: _parts(tr.aw_inf_delta(P, Q, q, include_t0=False)),
+         lambda: backward_oracle(P, Q, q, True, None, (False,))[0]),
+        (lambda: _parts(tr.elog_divergence(P, Q, q, lam)),
+         lambda: backward_oracle(P, Q, q, False, lam, (True,))[0]),
+        (lambda: _parts(tr.elog_divergence(P, Q, q, lam, increments=True, include_t0=False)),
+         lambda: backward_oracle(P, Q, q, True, lam, (False,))[0]),
+    ] + [  # the two distances of stability_report, from one DP
+        (lambda k=k: _parts(tr._backward(P, Q, q, True, None, (True, False))[k]),
+         lambda k=k: backward_oracle(P, Q, q, True, None, (True, False))[k]) for k in (0, 1)]
+
+
+def _with_zero_mass(law, rng):
+    """The law with one child of a random internal node at probability 0,
+    its siblings rescaled to sum to one (row and column cuts in the kernels)."""
+    v = law.internal[int(rng.integers(len(law.internal)))]
+    kids = list(law.children[v])
+    prob = np.array(law.cond_prob)
+    prob[kids[int(rng.integers(len(kids)))]] = 0.0
+    if prob[kids].sum() > 0.0:
+        prob[kids] /= prob[kids].sum()
+    return MarketModel(T=law.T, d=law.d, ids=law.ids, times=law.times, parent=law.parent,
+                       cond_prob=prob, prices=law.prices)
+
+
+@st.composite
+def _law_pairs(draw):
+    """Full trees, ragged path laws (forests among them, and nodes with up
+    to ten children) and, sometimes, a child of zero mass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        laws = [full_tree_law(rng, T, draw(st.integers(1, 3)), d) for _ in range(2)]
+    else:
+        laws = [random_path_law(rng, draw(st.integers(2, 12)), T, d, draw(st.integers(1, 10)))
+                for _ in range(2)]
+    laws = [_with_zero_mass(law, rng) if law.internal and draw(st.booleans()) else law
+            for law in laws]
+    return laws[0], laws[1], draw(st.sampled_from([1.0, 2.0, math.inf]))
+
+
+class TestStageArrays:
+    @settings(max_examples=100, deadline=None)
+    @given(_law_pairs(), st.sampled_from([3.0, 200.0]))
+    def test_bit_identical_to_the_per_pair_loop(self, pair, lam):
+        P, Q, q = pair
+        for mine, oracle in _forms(P, Q, q, lam):
+            assert _outcome(mine) == _outcome(oracle)
+
+    def test_large_forest_pair(self):
+        rng = np.random.default_rng(21)
+        P = MarketModel.from_paths(rng.integers(0, 3, size=(30, 4, 2)) / 2.0, np.full(30, 1 / 30))
+        Q = MarketModel.from_paths(rng.integers(0, 3, size=(30, 4, 2)) / 2.0, np.full(30, 1 / 30))
+        assert len(P.roots) > 1 and len(Q.roots) > 1
+        for mine, oracle in _forms(P, Q, 2.0, 3.0):
+            assert _outcome(mine) == _outcome(oracle)
+
+    def test_child_masses_are_summed_as_np_sum(self):
+        # Twelve children whose np.sum (eight partial sums) and in-order sum
+        # differ by one ulp: the stage kernel's total is the np.sum, as
+        # TransportInstance's source.sum() is.
+        prob = [0.10596888682633286, 0.09047030251349969, 0.06010849863167086,
+                0.10126233156898781, 0.07689776279984635, 0.13081272213344083,
+                0.1074172454547013, 0.11313340333757717, 0.05334566413371871,
+                0.04211704060645114, 0.04703849844525226, 0.07142764354952111]
+        in_order = 0.0
+        for x in prob:
+            in_order += x
+        assert in_order != float(np.sum(prob))
+
+        def law(shift, order):
+            return MarketModel(T=2, d=1, ids=tuple(range(14)), times=[0, 1] + [2] * 12,
+                               parent=[-1, 0] + [1] * 12,
+                               cond_prob=[1.0, 1.0] + [prob[k] for k in order],
+                               prices=np.concatenate([[0.0, 0.5], np.arange(12.0) + shift]))
+
+        P, Q = law(0.0, range(12)), law(0.3, range(11, -1, -1))
+        for mine, oracle in _forms(P, Q, 2.0, 3.0):
+            assert _outcome(mine) == _outcome(oracle)
+
+    def test_stability_distances(self):
+        rng = np.random.default_rng(17)
+        x = random_market(rng, T=2, d=2)
+        y = perturb_prices(rng, x, 0.2)
+        rep = tr.stability_report(x, y, 0.5, N2)
+        want = backward_oracle(x, y, 2.0, True, None, (True, False))
+        assert np.float64(rep.distance).tobytes() == np.float64(want[0][0]).tobytes()
+        assert np.float64(rep.distance_no_t0).tobytes() == np.float64(want[1][0]).tobytes()
+
+
+def _faulty_pair(fault: str):
+    """Two T = 2 binary trees with one fault: a negative child probability,
+    child sums 1e-11 apart, a node with children matched against a leaf, or
+    an infinite price; or two, an infinite price met before a negative
+    probability."""
+    def tree(name, prob_a=(0.5, 0.5), price_a1=1.0, b_has_children=True, prob_b=(0.25, 0.75)):
+        nodes = [{"id": "r", "time": 0, "parent": None, "prices": [0.0]},
+                 {"id": "a", "time": 1, "parent": "r", "cond_prob": 0.5, "prices": [1.0]},
+                 {"id": "b", "time": 1, "parent": "r", "cond_prob": 0.5, "prices": [-1.0]},
+                 {"id": "a1", "time": 2, "parent": "a", "cond_prob": prob_a[0],
+                  "prices": [price_a1]},
+                 {"id": "a2", "time": 2, "parent": "a", "cond_prob": prob_a[1], "prices": [0.5]}]
+        if b_has_children:
+            nodes += [{"id": "b1", "time": 2, "parent": "b", "cond_prob": prob_b[0],
+                       "prices": [-2.0]},
+                      {"id": "b2", "time": 2, "parent": "b", "cond_prob": prob_b[1],
+                       "prices": [0.0]}]
+        return MarketModel.from_nodes(2, 1, nodes)
+
+    x = {"negative": tree("x", prob_a=(-0.25, 1.25)),
+         "sums": tree("x", prob_a=(0.5 + 1e-11, 0.5)),
+         "leaf": tree("x"),
+         "infinite": tree("x", price_a1=math.inf),
+         "both": tree("x", price_a1=math.inf, prob_b=(-0.25, 1.25))}[fault]
+    y = tree("y", b_has_children=fault != "leaf")
+    return x, y
+
+
+class TestValidationParity:
+    WANT = {"negative": "marginals must be non-negative",
+            "sums": "marginal sums differ: np.float64(1.00000000001) vs np.float64(1.0)",
+            "leaf": "marginal sums differ: np.float64(1.0) vs np.float64(0.0)",
+            "infinite": "costs must be finite",
+            "both": "costs must be finite"}
+
+    @pytest.mark.parametrize("fault", ["negative", "sums", "leaf", "infinite", "both"])
+    def test_errors_match_the_per_pair_loop(self, fault):
+        x, y = _faulty_pair(fault)
+        forms = _forms(x, y, 2.0, 3.0)
+        for mine, oracle in forms:
+            assert _outcome(mine) == _outcome(oracle)
+        # the sup-cost forms raise the public kernel's error
+        assert _outcome(forms[0][0]) == ("raised", ValueError, self.WANT[fault])
+        with pytest.raises(ValueError) as err:
+            tr.stability_report(x, y, 0.5, N2)
+        assert str(err.value) == self.WANT[fault]
+
+    def test_log_domain_rejects_an_infinite_price(self):
+        x, y = _faulty_pair("infinite")
+        with pytest.raises(ValueError, match="log-weights must be below"):
+            tr.elog_divergence(x, y, 2.0, 3.0)
+
+    def test_times_must_step_by_one(self):
+        x, y = _faulty_pair("leaf")
+        skip = MarketModel(T=2, d=1, ids=x.ids, times=[0, 1, 1, 2, 2, 1, 2], parent=x.parent,
+                           cond_prob=x.cond_prob, prices=x.prices)
+        with pytest.raises(ValueError, match="rise by one"):
+            tr.aw_inf(skip, x, 2.0)
