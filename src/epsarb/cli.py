@@ -15,15 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as eio
-from .arbitrage import (check_na_prime, compute_node_structure, critical_value,
-                        detect_strict_arbitrage)
-from .market import MarketModel, NormPair
-from .pricing import (NoMartingaleStructure, fair_price_range,
-                      find_eps_martingale_measure, robust_price_bound,
-                      superhedge_price)
-from .transport import (QuantizerConfig, adapted_empirical,
-                        aw_inf, aw_inf_delta, elog_divergence, knothe_rosenblatt,
-                        stability_report, w_inf)
+from .market import MarketModel, NoMartingaleStructure, NormPair
 
 
 class CliError(Exception):
@@ -156,16 +148,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd(args) -> dict:
+    """The report of one command.  Each branch imports the layer it runs, so
+    a process loads only that layer (with ``programs`` under arbitrage and
+    pricing)."""
     if args.command == "check-arbitrage":
+        from .arbitrage import detect_strict_arbitrage
         model, norms = _load_market(args.market, args.p)
         rep = detect_strict_arbitrage(model, args.eps, norms, tol=args.tol)
         return rep.to_dict(model)
     if args.command == "critical-value":
+        from .arbitrage import critical_value
         model, norms = _load_market(args.market, args.p)
         res = critical_value(model, norms, eta=args.eta, eta_sweep=args.eta_sweep,
                              method="both")
         return res.to_dict()
     if args.command == "node-structure":
+        from .arbitrage import compute_node_structure
         model, norms = _load_market(args.market, args.p)
         structures = compute_node_structure(model, args.eps, norms)
         out = {}
@@ -180,10 +178,12 @@ def _cmd(args) -> dict:
             }
         return {"eps": args.eps, "nodes": out}
     if args.command == "na-prime":
+        from .arbitrage import check_na_prime
         model, norms = _load_market(args.market, args.p)
         rep = check_na_prime(model, args.eps, norms, tol=args.tol)
         return rep.to_dict(model)
     if args.command == "find-emm":
+        from .pricing import find_eps_martingale_measure
         model, norms = _load_market(args.market, args.p)
         res = find_eps_martingale_measure(model, args.eps, norms, eta=args.eta)
         payload = res.to_dict(model)
@@ -191,22 +191,26 @@ def _cmd(args) -> dict:
             raise CliError(eio.canonical_json(payload).strip(), code=2)
         return payload
     if args.command == "superhedge":
+        from .pricing import superhedge_price
         model, norms = _load_market(args.market, args.p)
         payoff = eio.load_payoff(model, args.payoff)
         res = superhedge_price(model, args.eps, norms, payoff)
         return res.to_dict(model)
     if args.command == "price-bound":
+        from .pricing import robust_price_bound
         model, norms = _load_market(args.market, args.p)
         payoff = eio.load_payoff(model, args.payoff)
         res = robust_price_bound(model, args.eps, norms, payoff, args.direction)
         return {"direction": res.direction, "value": res.value,
                 "attained": res.attained, "face_min_weight": res.face_min_weight}
     if args.command == "fair-range":
+        from .pricing import fair_price_range
         model, norms = _load_market(args.market, args.p)
         payoff = eio.load_payoff(model, args.payoff)
         res = fair_price_range(model, args.eps, norms, payoff)
         return {"interval": res.to_dict()}
     if args.command in ("aw", "aw-delta"):
+        from .transport import aw_inf, aw_inf_delta
         lawx, _ = eio.load_market(args.law_x)
         lawy, _ = eio.load_market(args.law_y)
         include_t0 = args.include_t0 == "true"
@@ -217,23 +221,27 @@ def _cmd(args) -> dict:
         return {"value": res.value, "variant": args.variant,
                 "coupling": res.coupling.to_dict()}
     if args.command == "w-inf":
+        from .transport import w_inf
         lawx, _ = eio.load_market(args.law_x)
         lawy, _ = eio.load_market(args.law_y)
         res = w_inf(lawx, lawy, args.q, increments=args.cost == "increments",
                     include_t0=args.include_t0 == "true")
         return {"value": res.value}
     if args.command == "elog":
+        from .transport import elog_divergence
         lawx, _ = eio.load_market(args.law_x)
         lawy, _ = eio.load_market(args.law_y)
         res = elog_divergence(lawx, lawy, args.q, args.lam)
         return {"value": res.value, "lambda": args.lam}
     if args.command == "kr":
+        from .transport import knothe_rosenblatt
         lawx, _ = eio.load_market(args.law_x)
         lawy, _ = eio.load_market(args.law_y)
         coupling = knothe_rosenblatt(lawx, lawy)
         return {"esssup_cost": coupling.esssup_cost(args.q),
                 "coupling": coupling.to_dict()}
     if args.command == "adapted-empirical":
+        from .transport import QuantizerConfig, adapted_empirical
         try:
             samples = np.loadtxt(args.samples, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
@@ -244,6 +252,7 @@ def _cmd(args) -> dict:
                               "cells_per_axis": config.cells_per_axis},
                 "law": eio.market_to_dict(law)}
     if args.command == "stability":
+        from .transport import stability_report
         lawx, norms = _load_market(args.law_x, args.p)
         lawy, _ = eio.load_market(args.law_y)
         payoff_fn = None

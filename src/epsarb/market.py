@@ -492,6 +492,14 @@ def doob_decomposition(model: MarketModel, measure: MeasureWeights) -> DoobDecom
     return DoobDecomposition(A=A, M=model.prices - A)
 
 
+class NoMartingaleStructure(RuntimeError):
+    """Raised when no eps-martingale structure exists at the requested level.
+
+    Defined here, with the notion it refers to, so that the CLI can catch it
+    without loading the pricing layer; ``pricing`` re-exports it.
+    """
+
+
 def is_eps_martingale(model: MarketModel, measure: MeasureWeights, eps: float,
                       norms: NormPair) -> tuple[bool, float]:
     """Whether every one-step conditional mean increment has |.|_q <= eps + 1e-10.

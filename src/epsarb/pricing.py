@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .market import (MarketModel, MeasureWeights, NormPair, Payoff, Strategy, _check_level,
-                     gain, is_eps_martingale, strategy_cost, validate_market)
+from .market import (MarketModel, MeasureWeights, NoMartingaleStructure, NormPair, Payoff,
+                     Strategy, _check_level, gain, is_eps_martingale, strategy_cost,
+                     validate_market)
 from .programs import (_ATTAINED, _gap_closed, _l1_slack_rows, _polyhedral,
                        cone_linear_optimum, interior_feasibility, max_min_weight_on_face,
                        strategy_from_packed, tree_ops)
@@ -31,10 +32,6 @@ from .solvers import LinearProgram, solve_lp
 
 
 _GAP_TOL = 1e-6  # superhedge duality holds at gap <= _GAP_TOL (1 + |price|)
-
-
-class NoMartingaleStructure(RuntimeError):
-    """Raised when no eps-martingale structure exists at the requested level."""
 
 
 @dataclass(frozen=True)

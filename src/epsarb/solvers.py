@@ -965,7 +965,8 @@ def _interior_point(prog: ConeProgram) -> ConeResult:
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """Per-stage coupling data: cost matrix plus matching marginals."""
+    """Per-stage coupling data: cost matrix plus matching marginals, each
+    carrying some positive mass."""
 
     cost: np.ndarray
     source: np.ndarray
@@ -980,13 +981,21 @@ class TransportInstance:
                              f"({src.size}, {tgt.size})")
         if not np.all(np.isfinite(cost)):
             raise ValueError("costs must be finite")
-        if np.any(src < 0) or np.any(tgt < 0):
-            raise ValueError("marginals must be non-negative")
-        if abs(src.sum() - tgt.sum()) > 1e-12 * max(1.0, src.sum()):
-            raise ValueError(f"marginal sums differ: {src.sum()!r} vs {tgt.sum()!r}")
+        _check_marginals(src, tgt)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
+
+
+def _check_marginals(src: np.ndarray, tgt: np.ndarray) -> None:
+    """Raise unless both marginals are non-negative, their sums agree to
+    1e-12 (relative) and each carries some positive mass."""
+    if np.any(src < 0) or np.any(tgt < 0):
+        raise ValueError("marginals must be non-negative")
+    if abs(src.sum() - tgt.sum()) > 1e-12 * max(1.0, src.sum()):
+        raise ValueError(f"marginal sums differ: {src.sum()!r} vs {tgt.sum()!r}")
+    if not (np.any(src > 0) and np.any(tgt > 0)):
+        raise ValueError("marginals carry no mass")
 
 
 @dataclass(frozen=True)
@@ -1018,7 +1027,8 @@ def log_transport(log_weights, source, target) -> TransportResult:
     of the optimal plan, so weights spanning any number of orders of
     magnitude keep their order: nothing is exponentiated or clamped outside
     a cycle's own scale.  Cells with v = -inf weigh zero.  Rows and columns
-    of zero mass drop out; with no mass at all the value is -inf.
+    of zero mass drop out.  The marginals are checked as
+    :class:`TransportInstance` checks them, with its errors.
 
     Transportation simplex (Dantzig, 1951) on a spanning-tree basis, from
     the north-west corner.  A nonbasic cell enters when the log-sum-exp of
@@ -1035,12 +1045,15 @@ def log_transport(log_weights, source, target) -> TransportResult:
     v = np.asarray(log_weights, dtype=float)
     if np.isnan(v).any() or np.isposinf(v).any():
         raise ValueError("log-weights must be below +inf")
-    return _log_transport(v.tolist(), np.asarray(source, dtype=float).tolist(),
-                          np.asarray(target, dtype=float).tolist())
+    src = np.atleast_1d(np.asarray(source, dtype=float))
+    tgt = np.atleast_1d(np.asarray(target, dtype=float))
+    _check_marginals(src, tgt)
+    return _log_transport(v.tolist(), src.tolist(), tgt.tolist())
 
 
 def _log_transport(v: list, source: list, target: list) -> TransportResult:
-    """:func:`log_transport` on checked lists: ``v`` holds no NaN or +inf.
+    """:func:`log_transport` on checked lists: ``v`` holds no NaN or +inf,
+    and the marginals pass :func:`_check_marginals`.
 
     Rows and columns of zero mass are cut out of ``v`` only when there are
     any; the plan is written cell by cell, so no index arrays are built.
@@ -1049,8 +1062,6 @@ def _log_transport(v: list, source: list, target: list) -> TransportResult:
     plan = np.zeros((m, n))
     rows = [i for i in range(m) if source[i] > 0]
     cols = [j for j in range(n) if target[j] > 0]
-    if not rows or not cols:
-        return TransportResult(-math.inf, plan)
     if len(rows) < m or len(cols) < n:
         v = [[v[i][j] for j in cols] for i in rows]
     flow = _log_simplex(v, [source[i] for i in rows], [target[j] for j in cols])
@@ -1208,8 +1219,8 @@ def bottleneck_transport(inst: TransportInstance) -> TransportResult:
 
 
 def _bottleneck(cost: list, source: list, target: list, total: float) -> TransportResult:
-    """:func:`bottleneck_transport` on validated lists; ``total`` is the
-    ``np.sum`` of ``source``.
+    """:func:`bottleneck_transport` on lists that pass
+    :func:`_check_marginals`; ``total`` is the ``np.sum`` of ``source``.
 
     Rows and columns of zero mass are cut out of the lists only when there
     are any.  The starting lam is taken with Python's min and max, which
@@ -1219,8 +1230,6 @@ def _bottleneck(cost: list, source: list, target: list, total: float) -> Transpo
     """
     m, n = len(source), len(target)
     plan = np.zeros((m, n))
-    if total <= 0.0:
-        return TransportResult(0.0, plan)
     rows = [i for i in range(m) if source[i] > 0]
     cols = [j for j in range(n) if target[j] > 0]
     if len(rows) < m or len(cols) < n:

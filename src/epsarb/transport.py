@@ -22,10 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arbitrage import critical_value
 from .market import (MarketModel, MeasureWeights, NormPair, PathLaw, Payoff, _check_level,
                      is_eps_martingale, qnorm)
-from .pricing import _fair_range, find_eps_martingale_measure
 from .solvers import (LinearProgram, TransportInstance, _bottleneck, _log_transport,
                       bottleneck_transport, log_transport, solve_lp)
 
@@ -171,8 +169,9 @@ def _stages(law: PathLaw) -> list[list[int]]:
 
 def _tree(law: PathLaw) -> tuple[list, list]:
     """:func:`_stages` and each node's children as (positions in the next
-    time's list, conditional probabilities, their ``np.sum``, whether any is
-    negative).
+    time's list, conditional probabilities, their ``np.sum``, whether they
+    are a valid marginal: none negative and some positive, so never a
+    leaf's).
 
     The backward induction reads a node's children in the next time's
     value table, so node times must be 0 exactly at the roots and rise by
@@ -193,7 +192,8 @@ def _tree(law: PathLaw) -> tuple[list, list]:
     for cs in law.children:
         probs = law.cond_prob[list(cs)]
         w = probs.tolist()
-        kids.append(([pos[c] for c in cs], w, float(np.sum(probs)), any(x < 0 for x in w)))
+        kids.append(([pos[c] for c in cs], w, float(np.sum(probs)),
+                     bool(w) and min(w) >= 0 and max(w) > 0))
     return stages, kids
 
 
@@ -216,12 +216,16 @@ def _backward(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool, lam: Opt
     from the next time's table, converted to lists once, and solved by the
     list-level kernels of ``solvers``.  The checks their public callers
     make per call are made once per node (marginals) or per table
-    (finiteness); a pair that fails one is handed to the public check,
-    which raises its own error, so errors are the per-call ones.  The root
-    solves go through the public kernels.
+    (finiteness), in both domains; a pair that fails one is handed to the
+    public check, which raises its own error, so errors are the per-call
+    ones.  A leaf before T against a node with children is a stage
+    transport with no rows, as the mirrored pair is one with no columns,
+    and fails the same check.  The root solves go through the public
+    kernels.
     """
     log = lam is not None
     scale = lam if log else 1.0
+    check = log_transport if log else TransportInstance
     stx, kidx = _tree(lawx)
     sty, kidy = _tree(lawy)
     plans: dict[tuple, np.ndarray] = {}
@@ -235,26 +239,25 @@ def _backward(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool, lam: Opt
             vals = table.tolist()
             rest, has = [], []
             for vx in xs:
-                px, wx, sx, negx = kidx[vx]
+                px, wx, sx, okx = kidx[vx]
                 has.append(bool(px))
                 if not px:
+                    for vy in ys:
+                        py, wy = kidy[vy][:2]
+                        if py:
+                            check(np.zeros((0, len(py))), wx, wy)  # raises the public error
                     rest.append([0.0] * len(ys))
                     continue
                 tol = 1e-12 * max(1.0, sx)
                 rows = [vals[i] for i in px]
                 row = []
                 for vy in ys:
-                    py, wy, sy, negy = kidy[vy]
+                    py, wy, sy, oky = kidy[vy]
                     block = [[r[j] for j in py] for r in rows]
                     bad = faulty is not None and any(faulty[i][j] for i in px for j in py)
-                    if log:
-                        if bad:
-                            log_transport(block, wx, wy)  # raises the public error
-                        res = _log_transport(block, wx, wy)
-                    else:
-                        if bad or negx or negy or abs(sx - sy) > tol:
-                            TransportInstance(block, wx, wy)  # raises the public error
-                        res = _bottleneck(block, wx, wy, sx)
+                    if bad or not (okx and oky) or abs(sx - sy) > tol:
+                        check(block, wx, wy)  # raises the public error
+                    res = _log_transport(block, wx, wy) if log else _bottleneck(block, wx, wy, sx)
                     plans[(vx, vy)] = res.plan
                     row.append(res.value)
                 rest.append(row)
@@ -655,8 +658,13 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
 
     Each market's interior program runs once per level: the fair ranges are
     anchored at the measures found for (i), and P' reuses its eps + D
-    measure when eps + L D is the same number.
+    measure when eps + L D is the same number.  The arbitrage and pricing
+    layers load on the first call, so the distance functions run without
+    them.
     """
+    from .arbitrage import critical_value
+    from .pricing import _fair_range, find_eps_martingale_measure
+
     _check_level("eps", eps, False)
     notes: list[str] = []
     _check_shapes(lawx, lawy)

@@ -392,8 +392,9 @@ def backward_oracle(lawx, lawy, q: float, increments: bool, lam, variants: tuple
     time: every stage transport is a public call, ``bottleneck_transport``
     of a ``TransportInstance`` (``lam`` None) or ``log_transport`` of the
     children's values, and each pair's value is the scalar sum of its stage
-    cost and that transport's value.  Returns (value, root plan, stage
-    plans) per ``include_t0`` flag in ``variants``."""
+    cost and that transport's value.  A pair with children on one side only
+    is a transport with no rows or no columns.  Returns (value, root plan,
+    stage plans) per ``include_t0`` flag in ``variants``."""
     scale = 1.0 if lam is None else lam
 
     def kernel(costs, source, target):
@@ -412,9 +413,10 @@ def backward_oracle(lawx, lawy, q: float, increments: bool, lam, variants: tuple
             cx = lawx.children[vx]
             for b, vy in enumerate(ys):
                 rest = None
-                if cx:
-                    cy = lawy.children[vy]
-                    costs = np.array([[value[(wx, wy)] for wy in cy] for wx in cx])
+                cy = lawy.children[vy]
+                if cx or cy:
+                    costs = np.array([[value[(wx, wy)] for wy in cy]
+                                      for wx in cx]).reshape(len(cx), len(cy))
                     res = kernel(costs, lawx.cond_prob[list(cx)], lawy.cond_prob[list(cy)])
                     rest = res.value
                     plans[(vx, vy)] = res.plan

@@ -11,6 +11,9 @@ Core claims:
     - the shipped example files reproduce their published values
     - the LP-free calls load no scipy module, and the solver calls load only
       the HiGHS core and scipy's LAPACK extension, no scipy package
+    - ``import epsarb`` loads the market and solvers layers only, and a
+      CLI call loads only the layers its command runs; the public names
+      are unchanged and each is its layer's object
 """
 
 import json
@@ -124,6 +127,17 @@ class TestCli:
                                    "--eps", "1.0", "--p", "2"], capsys)
         assert code == 2
         assert payload["status"] == "infeasible"
+
+    def test_pricing_without_structure_exits_2(self, tmp_path, capsys):
+        # pricing raises NoMartingaleStructure, which run() catches as
+        # market's class without loading pricing itself
+        payoff = tmp_path / "zero.json"
+        payoff.write_text(json.dumps({"values": {"w1": 0.0, "w2": 0.0}}))
+        code = run(["price-bound", data("nostrictarb.json"), "--eps", "1.0", "--p", "2",
+                    "--payoff", str(payoff)])
+        assert code == 2
+        assert capsys.readouterr().err == ("domain violated: no eps-martingale structure at "
+                                           "level 1.0 (rho upper bound 0.0)\n")
 
     def test_find_emm_feasible(self, capsys):
         code, payload = self._run(["find-emm", data("kbar_market.json"),
@@ -368,6 +382,88 @@ class TestImportPath:
         loaded = _probe_imports(SOLVER_CALLS)
         assert loaded <= SOLVER_EXTENSIONS, loaded - SOLVER_EXTENSIONS
         assert {"scipy.optimize._highspy._core", "scipy.linalg._flapack"} <= loaded
+
+
+# The public API by defining layer (NoMartingaleStructure is defined in
+# market and re-exported by pricing), and the submodules bound on the package.
+PUBLIC_API = {
+    "market": "DoobDecomposition MarketModel MeasureWeights NormPair PathLaw Payoff Strategy "
+              "ValidationReport conditional_mean_increments doob_decomposition gain "
+              "is_eps_martingale strategy_cost validate_market",
+    "solvers": "LinearProgram LPResult TransportInstance TransportResult bottleneck_transport "
+               "discrete_ot solve_lp transport_feasible_below",
+    "arbitrage": "ArbitrageReport CanonicalDecomposition CriticalValueResult NaPrimeReport "
+                 "NodeStructure canonical_decompose check_na_prime compute_node_structure "
+                 "critical_value detect_strict_arbitrage",
+    "pricing": "BoundResult EmmResult HedgeCertificate NoMartingaleStructure PriceInterval "
+               "SuperhedgeResult expectation fair_price_range find_eps_martingale_measure "
+               "robust_price_bound superhedge_price",
+    "transport": "BicausalCoupling DistanceResult QuantizerConfig StabilityReport "
+                 "adapted_empirical aw_inf aw_inf_delta bicausal_rows elog_divergence "
+                 "global_bicausal_bottleneck global_bicausal_logexp knothe_rosenblatt "
+                 "laplace_smoothed_esssup path_cost_matrix pushforward_measure sample_paths "
+                 "stability_report w_inf",
+}
+SUBMODULES = ("market", "solvers", "programs", "arbitrage", "pricing", "transport")
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+import epsarb
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    import epsarb.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = epsarb.cli.run(argv)
+print(json.dumps({"code": code, "layers": sorted(
+    m.split(".")[1] for m in sys.modules if m.startswith("epsarb."))}))
+"""
+
+_API_PROBE = """
+import importlib, json, sys
+from epsarb import *
+import epsarb
+api = json.loads(sys.argv[1])
+wrong = [name for layer, names in api.items() for name in names.split()
+         if globals()[name] is not getattr(importlib.import_module("epsarb." + layer), name)]
+wrong += [name for name in json.loads(sys.argv[2])
+          if globals()[name] is not sys.modules["epsarb." + name]]
+print(json.dumps({"all": epsarb.__all__, "wrong": wrong}))
+"""
+
+
+def _layers_loaded(name=None) -> set:
+    """The epsarb modules loaded by ``import epsarb`` and, when ``name`` is
+    given, that golden CLI call, in a fresh interpreter."""
+    argv = GOLDEN[name]["argv"] if name else []
+    got = json.loads(run_fresh(_FOOTPRINT_PROBE, json.dumps(argv), cwd=ROOT))
+    assert got["code"] == (GOLDEN[name]["exit"] if name else None)
+    return set(got["layers"])
+
+
+class TestLazyLayers:
+    def test_import_loads_the_base_layers_only(self):
+        assert _layers_loaded() == {"market", "solvers"}
+
+    @pytest.mark.parametrize("name, layer, absent", [
+        ("aw-delta", "transport", {"arbitrage", "programs", "pricing"}),
+        ("critical-value", "arbitrage", {"pricing", "transport"}),
+        ("find-emm", "pricing", {"arbitrage", "transport"})])
+    def test_command_loads_only_its_layers(self, name, layer, absent):
+        loaded = _layers_loaded(name)
+        assert layer in loaded
+        assert not loaded & absent, loaded & absent
+
+    def test_public_names_are_unchanged_and_shared(self):
+        got = json.loads(run_fresh(_API_PROBE, json.dumps(PUBLIC_API), json.dumps(SUBMODULES)))
+        want = sorted([name for names in PUBLIC_API.values() for name in names.split()]
+                      + list(SUBMODULES))
+        assert got["all"] == want
+        assert got["wrong"] == []
+        assert ea.pricing.NoMartingaleStructure is ea.market.NoMartingaleStructure
+        assert {"io", "cli", "testing"} <= set(dir(ea))
+        with pytest.raises(AttributeError):
+            ea.no_such_name
 
 
 class TestShippedExamples:

@@ -12,6 +12,9 @@ Core claims:
     - every defaulted tolerance, cap, threshold or budget of a public
       function is passed by some call in the package, the tests or the
       demos: a setting that nothing sets is a constant at its use
+    - the upper layers load on first use: at module level ``__init__``
+      imports only ``market`` and ``solvers``, ``cli`` only ``io`` and
+      ``market``, and ``transport`` neither ``arbitrage`` nor ``pricing``
 """
 
 import ast
@@ -176,3 +179,43 @@ def test_every_public_setting_is_set_by_some_caller():
                 if not any(_passes(call, param, pos) for call in calls.get(name, [])):
                     unset.append(f"{module}.{name}({param})")
     assert not unset, unset
+
+
+def _module_level(tree):
+    """Every node of ``tree`` that runs on import: function bodies are skipped."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports(tree) -> set:
+    """The epsarb modules that ``tree`` imports at module level; a name
+    imported from the package itself counts as ``__init__``."""
+    found = set()
+    for node in _module_level(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("epsarb.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "epsarb":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import name
+                found |= {alias.name if alias.name in MODULES else "__init__"
+                          for alias in node.names}
+    return found
+
+
+def test_upper_layers_load_on_first_use():
+    imports = {module: _package_imports(tree) for module, tree in MODULES.items()}
+    assert imports["__init__"] <= {"market", "solvers"}, imports["__init__"]
+    assert imports["cli"] <= {"io", "market"}, imports["cli"]
+    assert not imports["transport"] & {"arbitrage", "pricing"}, imports["transport"]

@@ -341,6 +341,17 @@ class TestBottleneck:
                                                      np.array([1.0]), np.array([1.0])))
         assert res.value == 0.0
 
+    def test_marginals_without_mass_raise(self):
+        # the sums 1e-13 and 0 pass the sum test, but the target carries no
+        # mass: both kernels raise one validation error
+        cost, src, tgt = np.ones((2, 2)), [1e-13, 0.0], [0.0, 0.0]
+        for make in (lambda: bottleneck_transport(TransportInstance(cost, src, tgt)),
+                     lambda: bottleneck_transport(TransportInstance(cost, tgt, src)),
+                     lambda: log_transport(cost, src, tgt),
+                     lambda: log_transport(cost, tgt, src)):
+            with pytest.raises(ValueError, match="^marginals carry no mass$"):
+                make()
+
     def test_hall_condition_example(self):
         cost = np.array([[0.0, 5.0], [3.0, 4.0]])
         inst = TransportInstance(cost, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
@@ -506,7 +517,8 @@ class TestLogTransportProperties:
         assert res.value == pytest.approx(ref, abs=1e-12)
 
     def test_no_mass_and_minus_infinity_weights(self):
-        assert log_transport(np.zeros((2, 2)), np.zeros(2), np.zeros(2)).value == -math.inf
+        with pytest.raises(ValueError, match="marginals carry no mass"):
+            log_transport(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
         v = np.array([[-math.inf, 0.0], [0.0, -math.inf]])
         res = log_transport(v, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         assert res.value == -math.inf

@@ -442,8 +442,9 @@ class TestStability:
             calls.append((model, level))
             return real(model, level, norms, eta)
 
+        # stability_report imports the function from pricing when it is
+        # called, so the call resolves through this one binding
         monkeypatch.setattr(pricing, "find_eps_martingale_measure", counted)
-        monkeypatch.setattr(tr, "find_eps_martingale_measure", counted)
         rep = tr.stability_report(base, pert, eps, N2, payoff_fn=payoff, lipschitz=lipschitz)
         want_calls = [(base, eps), (pert, eps + D)]
         assert calls == want_calls + ([(pert, shifted)] if shifted != eps + D else [])
@@ -596,24 +597,51 @@ def _faulty_pair(fault: str):
     return x, y
 
 
+def _massless_law(first: float):
+    """T = 1, two children of the root at probabilities (first, 0)."""
+    return MarketModel(T=1, d=1, ids=("r", "u", "d"), times=[0, 1, 1], parent=[-1, 0, 0],
+                       cond_prob=[1.0, first, 0.0], prices=[0.0, 1.0, -1.0])
+
+
 class TestValidationParity:
     WANT = {"negative": "marginals must be non-negative",
             "sums": "marginal sums differ: np.float64(1.00000000001) vs np.float64(1.0)",
             "leaf": "marginal sums differ: np.float64(1.0) vs np.float64(0.0)",
             "infinite": "costs must be finite",
             "both": "costs must be finite"}
+    # log_transport rejects the infinite stage costs before the marginals
+    LOG_WANT = dict(WANT, infinite="log-weights must be below +inf",
+                    both="log-weights must be below +inf")
+    LOG_FORMS = (3, 4)  # positions of the elog forms in _forms
+
+    def _assert_all_raise(self, x, y, want, log_want):
+        for k, (mine, oracle) in enumerate(_forms(x, y, 2.0, 3.0)):
+            assert _outcome(mine) == _outcome(oracle)
+            assert _outcome(mine) == ("raised", ValueError,
+                                      log_want if k in self.LOG_FORMS else want)
+        with pytest.raises(ValueError) as err:
+            tr.stability_report(x, y, 0.5, N2)
+        assert str(err.value) == want
 
     @pytest.mark.parametrize("fault", ["negative", "sums", "leaf", "infinite", "both"])
     def test_errors_match_the_per_pair_loop(self, fault):
+        # every form raises its public kernel's error, the log domain's
+        # included: log_transport checks the marginals as TransportInstance
         x, y = _faulty_pair(fault)
-        forms = _forms(x, y, 2.0, 3.0)
-        for mine, oracle in forms:
-            assert _outcome(mine) == _outcome(oracle)
-        # the sup-cost forms raise the public kernel's error
-        assert _outcome(forms[0][0]) == ("raised", ValueError, self.WANT[fault])
-        with pytest.raises(ValueError) as err:
-            tr.stability_report(x, y, 0.5, N2)
-        assert str(err.value) == self.WANT[fault]
+        self._assert_all_raise(x, y, self.WANT[fault], self.LOG_WANT[fault])
+
+    def test_a_leaf_before_T_fails_in_both_orders(self):
+        # an x leaf against a y node with children is a transport with no
+        # rows: the mirrored pair's error, with the sums swapped
+        x, y = _faulty_pair("leaf")
+        mirrored = "marginal sums differ: np.float64(0.0) vs np.float64(1.0)"
+        self._assert_all_raise(y, x, mirrored, mirrored)
+
+    def test_children_without_mass_fail_in_both_orders(self):
+        # child sums 1e-13 and 0 pass the sum test, but one side carries no mass
+        x, y = _massless_law(1e-13), _massless_law(0.0)
+        for P, Q in ((x, y), (y, x)):
+            self._assert_all_raise(P, Q, "marginals carry no mass", "marginals carry no mass")
 
     def test_log_domain_rejects_an_infinite_price(self):
         x, y = _faulty_pair("infinite")
