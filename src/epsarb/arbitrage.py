@@ -7,8 +7,10 @@ over strategies.  Strict arbitrage localizes to one trading period, so the
 critical level is the largest node deviation max_v gamma(v), checked by one
 node decision just below it and one measure-side interior solve just above
 it; bisections of the detector and of the measure-side cone feasibility
-threshold remain as an opt-in cross-check.  The NA' check is one LP per
-node for every p.
+threshold remain as an opt-in cross-check.  The measure-side bisection's
+value alone (``_dual_level``, which ``stability_report`` uses) takes its
+steps outside that bracket from the two checks, and solves only the steps
+they leave open.  The NA' check is one LP per node for every p.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ class ArbitrageReport:
                 "certificate": cert, "slacks": slacks}
 
 
+def _check_market(model: MarketModel) -> None:
+    report = validate_market(model)
+    if not report.ok:
+        raise ValueError(f"invalid market: {report.violations[0]}")
+
+
 def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
                             tol: float = 1e-8, want_certificate: bool = True) -> ArbitrageReport:
     """Decide strict eps-arbitrage and certify it when present.
@@ -82,9 +90,7 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     leaves, beats its exact worst leaf slack by more than the maximin's
     certified gap.
     """
-    report = validate_market(model)
-    if not report.ok:
-        raise ValueError(f"invalid market: {report.violations[0]}")
+    _check_market(model)
     _check_level("eps", eps, False)
     ops = tree_ops(model)
     if _polyhedral(model, norms, eps):
@@ -288,6 +294,31 @@ def _largest_deviation(model: MarketModel, norms: NormPair) -> tuple[int, float]
     return internal[best_j], best
 
 
+def _exact_checks(model: MarketModel, norms: NormPair, eta: float):
+    """eps(P) = max_v gamma(v) and the exact route's two checks around it.
+
+    Returns (v, eps(P), delta, primal, (status, rho)): v the argmax node,
+    ``primal`` the node decision at v at eps(P) - delta as (found, worst
+    child slack of its certificate, 0 when none), None when eps(P) - delta
+    <= 0, and the eta-interior solve at eps(P) + delta (see
+    ``critical_value``).
+    """
+    v, eps = _largest_deviation(model, norms)
+    # Clear the node decision's boundary band, which grows with the increments.
+    band = _NODE_BAND * (1.0 + float(np.max(np.abs(model.delta[list(model.children[v])]))))
+    delta = max(_REL_TOL * (1.0 + reference_deviation(model, norms)), 2.0 * band)
+    primal = None
+    lo = eps - delta
+    if lo > 0.0:
+        found, h, _ = node_strict_arbitrage(model, v, lo, norms, gamma=eps)
+        slack = 0.0
+        if found:
+            kids = list(model.children[v])
+            slack = float(np.min(model.delta[kids] @ h) - lo * norms.norm(h))
+        primal = (found, slack)
+    return v, eps, delta, primal, _dual_feasible(model, eps + delta, norms, eta)
+
+
 def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[float],
                           sweep: Optional[dict]) -> CriticalValueResult:
     """eps(P) = max_v gamma(v), with one check on each side (see ``critical_value``).
@@ -298,26 +329,47 @@ def _critical_value_exact(model: MarketModel, norms: NormPair, eta: Optional[flo
     """
     if eta is None:
         eta = float(np.finfo(float).tiny)
-    v, eps = _largest_deviation(model, norms)
-    # Clear the node decision's boundary band, which grows with the increments.
-    band = _NODE_BAND * (1.0 + float(np.max(np.abs(model.delta[list(model.children[v])]))))
-    delta = max(_REL_TOL * (1.0 + reference_deviation(model, norms)), 2.0 * band)
-    primal_ok = True
-    primal_curve: tuple = ()
-    lo = eps - delta
-    if lo > 0.0:
-        primal_ok, h, _ = node_strict_arbitrage(model, v, lo, norms, gamma=eps)
-        slack = 0.0
-        if primal_ok:
-            kids = list(model.children[v])
-            slack = float(np.min(model.delta[kids] @ h) - lo * norms.norm(h))
-        primal_curve = ((lo, slack),)
-    status, rho = _dual_feasible(model, eps + delta, norms, eta)
+    v, eps, delta, primal, (status, rho) = _exact_checks(model, norms, eta)
+    primal_curve = () if primal is None else ((eps - delta, primal[1]),)
     return CriticalValueResult(
         epsilon=eps, primal_estimate=eps, dual_estimate=eps, primal_curve=primal_curve,
         dual_curve=((eps + delta, rho),), discrepancy=0.0,
-        agreed=primal_ok and status == "feasible", eta=eta, eta_sweep=sweep,
-        argmax_node=v)
+        agreed=(primal is None or primal[0]) and status == "feasible", eta=eta,
+        eta_sweep=sweep, argmax_node=v)
+
+
+def _dual_level(model: MarketModel, norms: NormPair) -> float:
+    """``critical_value(model, norms, method="dual").epsilon``, bit for bit,
+    with fewer eta-interior solves.
+
+    The measure-side bisection at its own eta runs step for step, but the
+    exact route's two checks, run once at that eta, settle the steps
+    outside (eps(P) - delta, eps(P) + delta).  Strict arbitrage found at
+    eps(P) - delta rules out, by Hoelder's inequality, every full-support
+    measure with means within e <= eps(P) - delta; a checked measure at
+    eps(P) + delta is eta-interior at every e above, since the cones only
+    grow with e.  A check without that verdict (skipped, or no measure)
+    leaves its side's steps to their own solves, and every step inside
+    solves its program as the bisection does.  The checks run at the first
+    step, so a market the bisection settles before any step runs none.
+    """
+    _check_market(model)
+    eta = 1e-7 * float(np.min(model.leaf_prob))
+    bracket: list = []
+
+    def feasible(e: float) -> Optional[bool]:
+        if not bracket:
+            _, eps, delta, primal, (status, _) = _exact_checks(model, norms, eta)
+            bracket.append(eps - delta if primal is not None and primal[0] else -math.inf)
+            bracket.append(eps + delta if status == "feasible" else math.inf)
+        if e <= bracket[0]:
+            return False
+        if e >= bracket[1]:
+            return True
+        status, _ = _dual_feasible(model, e, norms, eta)
+        return None if status == "indeterminate" else status == "feasible"
+
+    return _bisect(model, norms, feasible)[0]
 
 
 def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = None,
@@ -354,9 +406,7 @@ def critical_value(model: MarketModel, norms: NormPair, eta: Optional[float] = N
     then the primal estimate).  An ``eta_sweep`` runs the measure-side bisection at each
     eta, on every method; an undecided step there gives None.
     """
-    report = validate_market(model)
-    if not report.ok:
-        raise ValueError(f"invalid market: {report.violations[0]}")
+    _check_market(model)
     if method not in ("exact", "both", "dual"):
         raise ValueError(f"unknown method {method!r}")
     if eta is not None:

@@ -214,6 +214,9 @@ def _cmd(args) -> dict:
         lawx, _ = eio.load_market(args.law_x)
         lawy, _ = eio.load_market(args.law_y)
         include_t0 = args.include_t0 == "true"
+        if not include_t0 and args.variant != "delta":
+            raise CliError("--include-t0 false needs --variant delta: "
+                           "the level distance has no t = 0 increment")
         if args.variant == "delta":
             res = aw_inf_delta(lawx, lawy, args.q, include_t0=include_t0)
         else:
@@ -224,6 +227,9 @@ def _cmd(args) -> dict:
         from .transport import w_inf
         lawx, _ = eio.load_market(args.law_x)
         lawy, _ = eio.load_market(args.law_y)
+        if args.include_t0 == "false" and args.cost != "increments":
+            raise CliError("--include-t0 false needs --cost increments: "
+                           "the level cost has no t = 0 increment")
         res = w_inf(lawx, lawy, args.q, increments=args.cost == "increments",
                     include_t0=args.include_t0 == "true")
         return {"value": res.value}

@@ -656,13 +656,17 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
     (iii) with an L-Lipschitz claim and p > 1, the eps-fair range of P is
     contained in the (eps + L D)-fair range of P'.
 
-    Each market's interior program runs once per level: the fair ranges are
-    anchored at the measures found for (i), and P' reuses its eps + D
-    measure when eps + L D is the same number.  The arbitrage and pricing
+    eps(P) and eps(P') are the measure-side bisection's values
+    (``critical_value(method="dual")``, bit for bit), whose steps away from
+    the critical level are settled by the exact route's two certified
+    checks instead of one interior solve each.  Each market's interior
+    program runs once per level: the fair ranges are anchored at the
+    measures found for (i), and P' reuses its eps + D measure when
+    eps + L D is the same number.  The arbitrage and pricing
     layers load on the first call, so the distance functions run without
     them.
     """
-    from .arbitrage import critical_value
+    from .arbitrage import _dual_level
     from .pricing import _fair_range, find_eps_martingale_measure
 
     _check_level("eps", eps, False)
@@ -671,8 +675,8 @@ def stability_report(lawx: PathLaw, lawy: PathLaw, eps: float, norms: NormPair,
     dres, dres_no_t0 = _backward(lawx, lawy, norms.q, True, None, (True, False))
     d_no_t0 = dres_no_t0.value
     D = dres.value
-    eps_x = critical_value(lawx, norms, method="dual").epsilon
-    eps_y = critical_value(lawy, norms, method="dual").epsilon
+    eps_x = _dual_level(lawx, norms)
+    eps_y = _dual_level(lawy, norms)
     critical_slack = D - abs(eps_x - eps_y)
 
     emm_x = find_eps_martingale_measure(lawx, eps, norms)

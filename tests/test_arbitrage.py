@@ -14,6 +14,9 @@ Core claims:
     - at p = 1 with d >= 2 the exact level solves node LPs only where the
       min-norm bound lets a node be the largest, and returns the full
       scan's max and first argmax bit for bit
+    - the measure-side bisection's value with its steps outside the exact
+      route's certified bracket left unsolved is the bisection's own, bit
+      for bit, and a check without its verdict leaves its side to the solves
     - node geometry: extremal direction, orthogonal bases, decomposition
       identities, and the non-asymptotic no-arbitrage check
     - strictly-above-the-threshold levels kill the extremal direction
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 import epsarb as ea
-from epsarb.testing import random_market
+from epsarb.testing import random_market, random_martingale_market
 
 from _helpers import (binary_martingale, critical_value_oracle, drift_market, full_tree_law,
                       grid_search_maximin, kbar_market, min_simplex_deviation_lp,
@@ -391,6 +394,93 @@ def _one_period(increments) -> ea.MarketModel:
     nodes += [{"id": f"w{i}", "time": 1, "parent": "r", "cond_prob": 1.0 / k,
                "prices": list(x)} for i, x in enumerate(increments)]
     return ea.MarketModel.from_nodes(1, d, nodes)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestDualLevel:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_equals_the_dual_bisection(self, p):
+        norms = ea.NormPair(p)
+        markets = [random_market(np.random.default_rng(s)) for s in (1, 2, 3, 5, 6, 7)]
+        markets += [random_martingale_market(np.random.default_rng(s), d=1 + s % 2)
+                    for s in range(2)]
+        # eps(P) = 0 with a drift, and 0 < eps(P) <= delta: the node check
+        # below eps(P) is skipped on both
+        markets += [_one_period([[1.0], [-0.5]]), _one_period([[1e-7], [1.0]]),
+                    _one_period([[1e-7, 0.5], [2.0, 0.5]])]
+        skipped = set()
+        for m in markets:
+            want = ea.critical_value(m, norms, method="dual").epsilon
+            assert _bits(ea.arbitrage._dual_level(m, norms)) == _bits(want)
+            exact = ea.critical_value(m, norms)
+            if not exact.primal_curve:
+                skipped.add("zero" if exact.epsilon == 0.0 else "positive")
+        assert skipped == {"zero", "positive"}
+
+    def test_invalid_market_rejected_as_by_critical_value(self):
+        bad = ea.MarketModel(T=1, d=1, ids=("r", "a", "b"),
+                             times=np.array([0, 1, 1]), parent=np.array([-1, 0, 0]),
+                             cond_prob=np.array([1.0, 0.6, 0.6]),
+                             prices=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="invalid market") as want:
+            ea.critical_value(bad, N2, method="dual")
+        with pytest.raises(ValueError) as got:
+            ea.arbitrage._dual_level(bad, N2)
+        assert str(got.value) == str(want.value)
+
+    @staticmethod
+    def _bracket(m, norms):
+        exact = ea.critical_value(m, norms)
+        return exact.primal_curve[0][0], exact.dual_curve[0][0]
+
+    def test_undecided_check_leaves_its_side_to_the_solves(self, monkeypatch):
+        # No verdict at eps(P) + delta: every step above eps(P) - delta
+        # solves its program, the steps at or above eps(P) + delta included.
+        m = random_market(np.random.default_rng(3), T=2, d=1)
+        lo, hi = self._bracket(m, N2)
+        real = ea.arbitrage.interior_feasibility
+        levels = []
+
+        def undecided_at_hi(model, eps, *args, **kwargs):
+            levels.append(eps)
+            if eps == hi:
+                return "indeterminate", None, None, None, None
+            return real(model, eps, *args, **kwargs)
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility", undecided_at_hi)
+        got = ea.arbitrage._dual_level(m, N2)
+        assert levels[0] == hi
+        steps = levels[1:]
+        levels.clear()
+        bisection = ea.critical_value(m, N2, method="dual")
+        assert _bits(got) == _bits(bisection.epsilon)
+        assert steps == [e for e, _ in bisection.dual_curve if e > lo]
+        assert any(e >= hi for e in steps)
+        assert any(e <= lo for e, _ in bisection.dual_curve)
+
+    def test_undecided_step_in_the_bracket_stops_the_bisection(self, monkeypatch):
+        m = random_market(np.random.default_rng(3), T=2, d=1)
+        lo, hi = self._bracket(m, N2)
+        real = ea.arbitrage.interior_feasibility
+        undecided = []
+
+        def undecided_inside(model, eps, *args, **kwargs):
+            if lo < eps < hi:
+                undecided.append(eps)
+                return "indeterminate", None, None, None, None
+            return real(model, eps, *args, **kwargs)
+
+        monkeypatch.setattr(ea.arbitrage, "interior_feasibility", undecided_inside)
+        got = ea.arbitrage._dual_level(m, N2)
+        assert len(undecided) == 1
+        estimate, curve, _, converged = ea.arbitrage.critical_value_dual(m, N2)
+        assert not converged
+        assert curve[-1][0] == undecided[0] == undecided[1]
+        assert _bits(got) == _bits(estimate)
+        assert _bits(got) == _bits(ea.critical_value(m, N2, method="dual").epsilon)
 
 
 class TestNodeDeviation:

@@ -7,7 +7,10 @@ Core claims:
       (0 computed, 1 input error, 2 domain violated)
     - repeated runs are byte-identical
     - the default reports of the shipped calls match the committed golden copy,
-      and the q = 2 ones among them run no cutting-plane program
+      byte for byte except two known ones, and the q = 2 ones among them run
+      no cutting-plane program
+    - ``--include-t0 false`` with a distance that has no t = 0 term is an
+      input error
     - the shipped example files reproduce their published values
     - the LP-free calls load no scipy module, and the solver calls load only
       the HiGHS core and scipy's LAPACK extension, no scipy package
@@ -196,6 +199,31 @@ class TestCli:
         prices = [nd["prices"][0] for nd in payload["law"]["nodes"]]
         assert sorted(prices) == pytest.approx([0.25, 0.75])
 
+    @pytest.mark.parametrize("argv", [
+        ["aw", "p0.json", "peps.json", "--include-t0", "false"],
+        ["aw-delta", "p0.json", "peps.json", "--variant", "plain", "--include-t0", "false"],
+        ["w-inf", "p0.json", "peps.json", "--cost", "levels", "--include-t0", "false"],
+    ])
+    def test_include_t0_false_needs_increments(self, argv, capsys):
+        # the level distances have no t = 0 increment to drop: the flag
+        # used to be ignored, and the report was the one without it
+        assert run([data(a) if a.endswith(".json") else a for a in argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: --include-t0 false needs --")
+
+    def test_include_t0_false_drops_the_first_increment(self, capsys):
+        laws = [data("p0.json"), data("peps.json")]
+        code, full = self._run(["aw-delta", *laws, "--q", "2"], capsys)
+        code_no_t0, no_t0 = self._run(["aw-delta", *laws, "--q", "2", "--include-t0",
+                                       "false"], capsys)
+        assert code == code_no_t0 == 0
+        assert full["value"] == pytest.approx(2.0, abs=1e-10)
+        assert no_t0["value"] < full["value"]
+        code, payload = self._run(["w-inf", *laws, "--cost", "increments",
+                                   "--include-t0", "false"], capsys)
+        assert code == 0 and payload["value"] <= 0.5
+
     def test_stability_command(self, capsys):
         code, payload = self._run(["stability", data("p0.json"), data("peps.json"),
                                    "--eps", "0.1", "--p", "2"], capsys)
@@ -327,6 +355,24 @@ class TestGoldenReports:
         assert run(want["argv"]) == want["exit"]
         got = json.loads(capsys.readouterr().out)
         assert _report_mismatch(got, json.loads(want["stdout"])) is None
+
+    # The two golden reports that the code prints with other bytes:
+    # check-arbitrage's certificate holds 0.0 where the golden copy has
+    # -0.0, and find-emm's rho_upper_bound is 0.0 against -7.5e-12.  Both
+    # still match to 1e-6.
+    NOT_BYTE_EQUAL = ("check-arbitrage", "find-emm")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_prints_the_golden_bytes(self, name, capsys, monkeypatch):
+        want = GOLDEN[name]
+        monkeypatch.chdir(ROOT)
+        assert run(want["argv"]) == want["exit"]
+        out = capsys.readouterr().out
+        if name in self.NOT_BYTE_EQUAL:
+            assert out != want["stdout"]
+            assert _report_mismatch(json.loads(out), json.loads(want["stdout"])) is None
+        else:
+            assert out == want["stdout"]
 
     @pytest.mark.parametrize("name", ["critical-value", "find-emm", "check-arbitrage", "na-prime"])
     def test_q2_calls_run_no_cutting_planes(self, name, capsys, monkeypatch):

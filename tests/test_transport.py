@@ -11,13 +11,16 @@ Core claims:
       finite-support sandwich
     - grid quantization and the empirical trend behave as stated
     - stability inequalities hold on perturbed pairs, and each market's
-      interior program runs once per level
+      interior program runs once per level; the critical levels are the
+      measure-side bisection's, bit for bit, with at most 3 eta-interior
+      solves for the demo pair
     - the stage-array DP equals, byte for byte, the per-pair loop of public
       kernel calls it replaced (values, root plans, every stage plan), and
       raises the same errors on faulty laws
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +29,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import epsarb as ea
-from epsarb import pricing
+from epsarb import arbitrage, pricing
+from epsarb import io as eio
 from epsarb import transport as tr
 from epsarb.market import MarketModel
 from epsarb.testing import (perturb_prices, random_market,
@@ -417,6 +421,27 @@ class TestStability:
             if rep.fair_lower_slack is not None:
                 assert rep.fair_lower_slack >= -1e-8
                 assert rep.fair_upper_slack >= -1e-8
+
+    def test_critical_levels_skip_the_certified_steps(self, monkeypatch):
+        # The dual bisection solves 20 eta-interior programs for the demo
+        # pair's two levels; the exact route's checks settle all but a few.
+        data = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
+        p0, _ = eio.load_market(os.path.join(data, "p0.json"))
+        peps, _ = eio.load_market(os.path.join(data, "peps.json"))
+        calls = []
+        real = arbitrage.interior_feasibility
+
+        def counted(model, eps, *args, **kwargs):
+            calls.append(eps)
+            return real(model, eps, *args, **kwargs)
+
+        monkeypatch.setattr(arbitrage, "interior_feasibility", counted)
+        rep = tr.stability_report(p0, peps, 0.1, N2)
+        assert len(calls) <= 3
+        monkeypatch.undo()
+        for got, law in ((rep.eps_x, p0), (rep.eps_y, peps)):
+            want = ea.critical_value(law, N2, method="dual").epsilon
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("lipschitz", [1.0, 2.0])
     def test_each_interior_program_runs_once(self, monkeypatch, lipschitz):
