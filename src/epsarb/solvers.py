@@ -24,9 +24,12 @@ method (:func:`min_norm_point`), certified by its optimality condition,
 and one LP (:func:`face_support`) finds which vertices can carry weight in
 that point.
 Transport needs no LP: min-cost transport is a transportation simplex
-that prices its cycles in the log domain, exact for weights of any spread,
-and bottleneck transport a threshold algorithm that grows a flow along
-augmenting paths and raises the threshold at Hall cuts.
+whose pivots are those of pricing every cycle in the log domain, exact for
+weights of any spread; it prices each cell from the basis's dual
+potentials in O(1) and walks a cycle into the log-domain test only where
+a rounding band around the potentials' price cannot decide.  Bottleneck
+transport is a threshold algorithm that grows a flow along augmenting
+paths and raises the threshold at Hall cuts.
 """
 
 from __future__ import annotations
@@ -976,15 +979,21 @@ class TransportInstance:
         cost = np.atleast_2d(np.asarray(self.cost, dtype=float))
         src = np.atleast_1d(np.asarray(self.source, dtype=float))
         tgt = np.atleast_1d(np.asarray(self.target, dtype=float))
-        if cost.shape != (src.size, tgt.size):
-            raise ValueError(f"cost shape {cost.shape} does not match marginals "
-                             f"({src.size}, {tgt.size})")
+        _check_shape(cost, src, tgt)
         if not np.all(np.isfinite(cost)):
             raise ValueError("costs must be finite")
         _check_marginals(src, tgt)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
+
+
+def _check_shape(cost: np.ndarray, src: np.ndarray, tgt: np.ndarray) -> None:
+    """Raise unless cost has one row per source entry and one column per
+    target entry."""
+    if cost.shape != (src.size, tgt.size):
+        raise ValueError(f"cost shape {cost.shape} does not match marginals "
+                         f"({src.size}, {tgt.size})")
 
 
 def _check_marginals(src: np.ndarray, tgt: np.ndarray) -> None:
@@ -1025,28 +1034,37 @@ def log_transport(log_weights, source, target) -> TransportResult:
 
     The value is returned as its log, logsumexp(v + log pi) over the support
     of the optimal plan, so weights spanning any number of orders of
-    magnitude keep their order: nothing is exponentiated or clamped outside
-    a cycle's own scale.  Cells with v = -inf weigh zero.  Rows and columns
-    of zero mass drop out.  The marginals are checked as
+    magnitude keep their order: no pivot rests on a weight exponentiated
+    outside its cycle's own scale.  Cells with v = -inf weigh zero.  Rows
+    and columns of zero mass drop out.  The marginals are checked as
     :class:`TransportInstance` checks them, with its errors.
 
     Transportation simplex (Dantzig, 1951) on a spanning-tree basis, from
     the north-west corner.  A nonbasic cell enters when the log-sum-exp of
     its cycle's + cells is below that of its - cells by more than
     ``_PRICE_TOL`` (equal log-weights on both sides cancel first, so a tie
-    between large weights cannot hide the smaller ones).  Bland's rule
-    picks the first improving cell in row-major order and the first tied
-    cell to leave, so the method ends with no improving cycle: the simplex
-    optimality condition, checked at every cell.  A basis seen twice would
-    mean a loop, and raises.  Flows that a subtraction leaves at or below
+    between large weights cannot hide the smaller ones).  Each cell is
+    first priced from the basis's dual potentials, as exp(v_ij - top)
+    less its row's and column's potentials, relative to the basis's
+    largest weight exp(top); that reduced cost settles the test unless it
+    lies within a band that bounds its rounding.  Only a cell in the band,
+    or with a non-finite price, walks its cycle: first its largest terms,
+    then the log-sum-exp test itself, decide.  So the pivots are those of
+    the log-domain test at every cell.  Bland's rule picks the first
+    improving cell in row-major order and the first tied cell to leave, so
+    the method ends with no improving cycle: the simplex optimality
+    condition, checked at every cell.  A basis seen twice would mean a
+    loop, and raises.  Flows that a subtraction leaves at or below
     ``_FLOW_TINY`` of the total mass are zero, so rounding noise in the
-    marginals never carries a large weight.
+    marginals never carries a large weight.  The weights' shape must be
+    (len(source), len(target)), with :class:`TransportInstance`'s error.
     """
-    v = np.asarray(log_weights, dtype=float)
-    if np.isnan(v).any() or np.isposinf(v).any():
-        raise ValueError("log-weights must be below +inf")
+    v = np.atleast_2d(np.asarray(log_weights, dtype=float))
     src = np.atleast_1d(np.asarray(source, dtype=float))
     tgt = np.atleast_1d(np.asarray(target, dtype=float))
+    _check_shape(v, src, tgt)
+    if np.isnan(v).any() or np.isposinf(v).any():
+        raise ValueError("log-weights must be below +inf")
     _check_marginals(src, tgt)
     return _log_transport(v.tolist(), src.tolist(), tgt.tolist())
 
@@ -1080,10 +1098,36 @@ def _log_simplex(v: list, supply: list, demand: list) -> dict:
     """Optimal basic flow {(i, j): x} of the log-weight transport problem.
 
     Tree nodes are rows 0..m-1 and columns m..m+n-1; basic cells are its
-    edges.
+    edges.  Each basis is priced by its dual potentials
+    (:func:`_basis_tree`), in units of exp(top) for the basis's largest
+    log-weight top: a nonbasic cell's reduced cost r = exp(v_ij - top) -
+    pot_i - pot_(m+j) is the sum of its cycle's + weights (its own
+    included) less its - weights, as the potentials telescope along the
+    cycle.  A cell with r > band does not improve and one with r < -band
+    does, as the log-domain test would decide.  Any other cell, a
+    non-finite r included (exp overflowing above top + 709, or top =
+    -inf), walks its cycle and goes to that test,
+    :func:`_cycle_improves`.  So every pivot is the log-domain test's.
     """
     m, n = len(supply), len(demand)
     tiny = _FLOW_TINY * sum(supply)
+    # band = slack (mass + w_ij) covers the rounding of r and the test's
+    # own slack.  With u = 2^-53, mass >= 1 the basis's summed weight (its
+    # top cell weighs 1) and w_ij = exp(v_ij - top):
+    # - each exp errs by 2u relative, plus u |v - top| w from its rounded
+    #   argument: at most u/e where v <= top, and 710u w_ij where the
+    #   cell's own v_ij > top (exp overflows past top + 709.8); an
+    #   underflowed weight errs by 2^-1074;
+    # - a potential is an alternating sum of at most m + n - 1 basic
+    #   weights whose partial sums stay within mass, so r errs by at most
+    #   (2.8(m + n) + 9)u mass + 716u w_ij;
+    # - the test's two sums, of at most m + n terms, err by at most
+    #   (1.4(m + n) + 2)u (mass + w_ij) together, and the exact S+ - shrink
+    #   S- lies in [r, r + 1e-13 mass] (equal terms cancel from both sides
+    #   without changing S+ - S-).
+    # The three together stay below (1e-12 + 8(m + n)u)(mass + w_ij), as
+    # 1e-12 > 9000u.
+    slack = 1e-12 + 8 * (m + n) * 2.0 ** -53
     flow = {}
     i = j = 0
     left_i, left_j = supply[0], demand[0]
@@ -1107,15 +1151,24 @@ def _log_simplex(v: list, supply: list, demand: list) -> dict:
         if basis in seen:
             raise RuntimeError("transportation simplex revisited a basis")
         seen.add(basis)
-        parent, depth = _spanning_tree(flow, m, n)
+        parent, depth, pot, top, mass = _basis_tree(flow, v, m, n)
         enter = None
         for i in range(m):
+            vi, pot_i = v[i], pot[i]
             for j in range(n):
                 if (i, j) in flow:
                     continue
+                try:
+                    w = math.exp(vi[j] - top)
+                except OverflowError:
+                    w = math.inf  # r and band are inf: the test decides
+                r = w - pot_i - pot[m + j]
+                band = slack * (mass + w)
+                if r > band:
+                    continue
                 plus, minus = _cycle(parent, depth, m, i, j)
-                if _improves([v[i][j]] + [v[a][b] for a, b in plus],
-                             [v[a][b] for a, b in minus], shrink):
+                if r < -band or _cycle_improves([vi[j]] + [v[a][b] for a, b in plus],
+                                                [v[a][b] for a, b in minus], shrink):
                     enter = (i, j)
                     break
             if enter is not None:
@@ -1131,22 +1184,35 @@ def _log_simplex(v: list, supply: list, demand: list) -> dict:
         flow[enter] = theta
 
 
-def _spanning_tree(flow: dict, m: int, n: int) -> tuple[list, list]:
-    """Parent and depth of every node of the basis tree, rooted at row 0."""
+def _basis_tree(flow: dict, v: list, m: int, n: int) -> tuple:
+    """Parent, depth and dual potential of every node of the basis tree,
+    rooted at row 0, with the basis's largest log-weight top and its mass.
+
+    A basic cell weighs w = exp(v - top), and mass is the sum of the
+    weights.  The root's potential is 0 and a child's is its edge's weight
+    less its parent's, so pot_i + pot_(m+j) = w_ij on every basic cell.
+    With top = -inf every weight, and so every potential, is NaN.
+    """
+    top = max([v[i][j] for i, j in flow])
     adj = [[] for _ in range(m + n)]
+    mass = 0.0
     for i, j in flow:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+        w = math.exp(v[i][j] - top)
+        mass += w
+        adj[i].append((m + j, w))
+        adj[m + j].append((i, w))
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
     order = [0]
     for a in order:
-        for b in adj[a]:
+        for b, w in adj[a]:
             if b != parent[a]:
                 parent[b] = a
                 depth[b] = depth[a] + 1
+                pot[b] = w - pot[a]
                 order.append(b)
-    return parent, depth
+    return parent, depth, pot, top, mass
 
 
 def _cycle(parent: list, depth: list, m: int, i: int, j: int) -> tuple[list, list]:
@@ -1174,6 +1240,22 @@ def _cycle(parent: list, depth: list, m: int, i: int, j: int) -> tuple[list, lis
                 plus.append((b, p - m))
             b = p
     return plus, minus
+
+
+def _cycle_improves(plus: list, minus: list, shrink: float) -> bool:
+    """:func:`_improves`, first settled by the largest terms where one side's
+    beats the other's sum: a largest + term above the largest - term by
+    log(number of - terms) + 1e-9 makes S+ > S- by a relative 1e-9, so no
+    improvement, and the mirror case an improvement by more than the 1e-13
+    the test asks for.  Both margins dwarf the test's own rounding, and
+    the verdict is the test's; a NaN gap (both sides -inf) decides
+    nothing."""
+    gap = max(plus) - max(minus)
+    if gap > math.log(len(minus)) + 1e-9:
+        return False
+    if -gap > math.log(len(plus)) + 1e-9:
+        return True
+    return _improves(plus, minus, shrink)
 
 
 def _improves(plus: list, minus: list, shrink: float) -> bool:

@@ -332,13 +332,13 @@ def elog_divergence(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, lam: float = 1
     """Adapted log-exponential divergence (1/lam) log min E[exp(lam |X-Y|-cost)].
 
     Each DP stage is an exact min-cost transport of the children's log
-    values, priced in the log domain, so the value is exact at every lam:
-    nothing is exponentiated outside one cycle's own scale.  It increases
-    to the adapted sup-distance as lam grows.
+    values whose pivots are those of pricing every cycle in the log domain,
+    so the value is exact at every lam: no pivot rests on a weight
+    exponentiated outside one cycle's own scale.  It increases to the
+    adapted sup-distance as lam grows.  lam must be finite and positive.
     """
     _check_shapes(lawx, lawy)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_level("lam", lam, True)
     return _backward(lawx, lawy, q, increments, lam, (include_t0,))[0]
 
 
@@ -348,8 +348,7 @@ def laplace_smoothed_esssup(values, probs, lam: float) -> float:
     probs = np.asarray(probs, dtype=float)
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to one")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_level("lam", lam, True)
     keep = probs > 0
     return _logsumexp(lam * values[keep], probs[keep]) / lam
 

@@ -495,3 +495,102 @@ def log_transport_arrays(log_weights, source, target):
     if top == -math.inf:
         return TransportResult(-math.inf, plan)
     return TransportResult(top + math.log(float(block[keep] @ np.exp(sub[keep] - top))), plan)
+
+
+def log_simplex_reference(v: list, supply: list, demand: list) -> dict:
+    """``solvers._log_simplex`` as it priced every nonbasic cell before the
+    dual potentials: each cell's cycle is walked in the basis tree and
+    tested in the log domain, equal terms cancelled, against 1 - exp(-1e-13)
+    of its - side.  The north-west start, Bland's rule, the leaving cell
+    and the flow arithmetic are the kernel's; a frozen copy, so the live
+    kernel's pivots and flow bits can be compared with it."""
+    m, n = len(supply), len(demand)
+    tiny = 1e-14 * sum(supply)
+    flow = {}
+    i = j = 0
+    left_i, left_j = supply[0], demand[0]
+    while True:
+        x = min(left_i, left_j)
+        flow[i, j] = x
+        left_i = 0.0 if left_i - x <= tiny else left_i - x
+        left_j = 0.0 if left_j - x <= tiny else left_j - x
+        if i == m - 1 and j == n - 1:
+            break
+        if i < m - 1 and (left_i <= left_j or j == n - 1):
+            i += 1
+            left_i = supply[i]
+        else:
+            j += 1
+            left_j = demand[j]
+    shrink = math.exp(-1e-13)
+    seen = set()
+    while True:
+        basis = frozenset(flow)
+        if basis in seen:
+            raise RuntimeError("transportation simplex revisited a basis")
+        seen.add(basis)
+        adj = [[] for _ in range(m + n)]
+        for a, b in flow:
+            adj[a].append(m + b)
+            adj[m + b].append(a)
+        parent, depth, order = [-1] * (m + n), [0] * (m + n), [0]
+        for a in order:
+            for b in adj[a]:
+                if b != parent[a]:
+                    parent[b], depth[b] = a, depth[a] + 1
+                    order.append(b)
+        enter = None
+        for i, j in itertools.product(range(m), range(n)):
+            if (i, j) in flow:
+                continue
+            plus, minus = _reference_cycle(parent, depth, m, i, j)
+            if _reference_improves([v[i][j]] + [v[a][b] for a, b in plus],
+                                   [v[a][b] for a, b in minus], shrink):
+                enter = (i, j)
+                break
+        if enter is None:
+            return flow
+        theta = min(flow[c] for c in minus)
+        for c in plus:
+            flow[c] += theta
+        for c in minus:
+            flow[c] = 0.0 if flow[c] - theta <= tiny else flow[c] - theta
+        del flow[min(c for c in minus if flow[c] == 0.0)]
+        flow[enter] = theta
+
+
+def _reference_cycle(parent: list, depth: list, m: int, i: int, j: int) -> tuple:
+    """(+ cells, - cells) of the cycle cell (i, j) closes in the basis tree."""
+    plus, minus = [], []
+    a, b = i, m + j
+    while a != b:
+        if depth[a] >= depth[b]:
+            p = parent[a]
+            if a < m:
+                minus.append((a, p - m))
+            else:
+                plus.append((p, a - m))
+            a = p
+        else:
+            p = parent[b]
+            if b >= m:
+                minus.append((p, b - m))
+            else:
+                plus.append((b, p - m))
+            b = p
+    return plus, minus
+
+
+def _reference_improves(plus: list, minus: list, shrink: float) -> bool:
+    """sum exp(plus) < shrink * sum exp(minus), equal terms cancelled."""
+    for x in plus[:]:
+        if x in minus:
+            minus.remove(x)
+            plus.remove(x)
+    if not minus:
+        return False
+    top = max(plus + minus)
+    if top == -math.inf:
+        return False
+    return (sum([math.exp(x - top) for x in plus])
+            < shrink * sum([math.exp(x - top) for x in minus]))

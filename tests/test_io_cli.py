@@ -293,6 +293,13 @@ class TestCli:
         name = "eta" if "--eta" in argv else "eps"
         assert f"error: {name} must be finite and " in err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0"])
+    def test_bad_lambda_is_an_input_error(self, lam, capsys):
+        assert run(["elog", data("kr_p.json"), data("kr_pprime.json"), "--lambda", lam]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: lam must be finite and lam > 0" in out.err
+
     def test_usage_error_exits_1(self, capsys):
         assert run(["check-arbitrage", "--bogus"]) == 1
 

@@ -16,7 +16,11 @@ Core claims:
       shapes, with exact plan marginals
     - the log-weight transportation simplex (and discrete_ot on top of it)
       agrees with the HiGHS transport LP on the same shapes, and with
-      vertex enumeration in the log domain when the log-weights span 1e3
+      vertex enumeration in the log domain when the log-weights span 1e3;
+      its pricing by dual potentials makes the pivots of pricing every
+      cycle in the log domain, so its flows are those bits, also past exp's
+      overflow and where the log-domain test must decide
+    - log_transport checks that the weights' shape matches the marginals
     - the cone interior-point solver matches HiGHS on LPs and NNLS on
       min-norm points (Wolfe's method matches NNLS to 1e-10, also on
       duplicate and collinear points and with the origin in the hull), and
@@ -49,8 +53,8 @@ from epsarb.solvers import (ConeProgram, LinearProgram, TransportInstance,
                             solve_lp, solve_socp, transport_feasible_below)
 
 from _helpers import (bottleneck_transport_arrays, brute_force_log_transport,
-                      enumerate_2x2_transport, log_transport_arrays, lp_bottleneck_value,
-                      random_feasible_plan, run_fresh)
+                      enumerate_2x2_transport, log_simplex_reference, log_transport_arrays,
+                      lp_bottleneck_value, random_feasible_plan, run_fresh)
 
 
 class TestSolveLP:
@@ -478,6 +482,16 @@ def _extreme_instances(draw):
 _GRID = st.integers(0, 40).map(lambda k: k / 4.0)
 
 
+@pytest.fixture
+def exact_tests(monkeypatch) -> list:
+    """The argument lists of every call to the log-domain test
+    ``solvers._improves``, which still decides each call."""
+    calls = []
+    exact = solvers._improves
+    monkeypatch.setattr(solvers, "_improves", lambda *a: calls.append(a) or exact(*a))
+    return calls
+
+
 class TestLogTransportProperties:
     @settings(max_examples=300, deadline=None)
     @given(_instances(_GRID))
@@ -508,13 +522,24 @@ class TestLogTransportProperties:
         assert abs(res.value - ref) <= 1e-12 * (1 + abs(ref))
         _check_log_plan(res, v, src, tgt)
 
-    def test_equal_large_weights_cancel_in_pricing(self):
+    def test_equal_large_weights_cancel_in_pricing(self, exact_tests):
         # The improving cycle holds a log-weight of 1000 on each side;
-        # summed without cancelling, the two hide its gain.
+        # summed without cancelling, the two hide its gain.  Its gain is far
+        # below the potentials' band and its largest terms tie, so the cell
+        # reaches the log-domain test itself.
         v = np.array([[2.0, 1.0, 0.0], [2.0, 1000.0, 2.0], [1.0, 1000.0, 2.0]])
         res = log_transport(v, np.array([0.25, 0.5, 0.25]), np.array([0.5, 0.25, 0.25]))
         ref = brute_force_log_transport(v, [1, 2, 1], [2, 1, 1])
         assert res.value == pytest.approx(ref, abs=1e-12)
+        assert exact_tests
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (2,)])
+    def test_weights_must_match_the_marginals(self, shape):
+        # a (2, 3) block used to drop a column, (1, 2) to raise IndexError
+        # and 1-D weights TypeError
+        with pytest.raises(ValueError, match=r"^cost shape \(\d, \d\) does not match "
+                                             r"marginals \(2, 2\)$"):
+            log_transport(np.zeros(shape), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
     def test_no_mass_and_minus_infinity_weights(self):
         with pytest.raises(ValueError, match="marginals carry no mass"):
@@ -523,6 +548,78 @@ class TestLogTransportProperties:
         res = log_transport(v, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         assert res.value == -math.inf
         assert res.plan == pytest.approx(np.diag([0.5, 0.5]))
+
+
+def _flow_bytes(flow: dict) -> list:
+    return [(cell, x.hex()) for cell, x in flow.items()]
+
+
+@st.composite
+def _simplex_cases(draw):
+    """(v, supply, demand) of positive masses, up to 9 x 9: log-weights on a
+    1/4 grid, spread over +-1000, drawn from a few tied values, with -inf
+    cells, or lam = 200 times a grid; zero masses are cut as
+    ``_log_transport`` cuts them."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell = draw(st.sampled_from([
+        _GRID,
+        st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, 1.0, 2.0, 1000.0, -1000.0]),
+        st.just(-math.inf) | st.sampled_from([0.0, 0.5]) | st.floats(-5.0, 5.0),
+        _GRID.map(lambda c: 200.0 * c)]))
+    v = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    src, tgt = draw(_masses(m)).tolist(), draw(_masses(n)).tolist()
+    rows = [i for i in range(m) if src[i] > 0]
+    cols = [j for j in range(n) if tgt[j] > 0]
+    return ([[v[i][j] for j in cols] for i in rows], [src[i] for i in rows],
+            [tgt[j] for j in cols])
+
+
+class TestPotentialPricing:
+    # The kernel prices cells from dual potentials and hands the cells its
+    # band cannot decide to the log-domain test; its pivots, and so its
+    # flows, are those of the kernel that priced every cycle in the log
+    # domain (tests/_helpers.log_simplex_reference), to the bit.
+    @settings(max_examples=500, deadline=None)
+    @given(_simplex_cases())
+    def test_flows_equal_the_log_domain_kernel(self, case):
+        assert (_flow_bytes(solvers._log_simplex(*case))
+                == _flow_bytes(log_simplex_reference(*case)))
+
+    def test_a_weight_past_exp_overflow_does_not_raise(self):
+        # the nonbasic cell (0, 1) sits 800 above the basis's top: its weight
+        # overflows exp, and the log-domain test prices it
+        v = [[0.0, 800.0], [0.0, 0.0]]
+        flow = solvers._log_simplex(v, [0.5, 0.5], [0.5, 0.5])
+        assert _flow_bytes(flow) == _flow_bytes(log_simplex_reference(v, [0.5, 0.5], [0.5, 0.5]))
+        res = log_transport(np.array(v), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        assert res.value == pytest.approx(brute_force_log_transport(np.array(v), [1, 1], [1, 1]),
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("v, enters", [
+        ([[math.log(2.0), 0.0], [0.0, -math.inf]], False),
+        ([[0.0, math.log(2.0) - 2.5e-13], [-math.inf, 0.0]], True)])
+    def test_largest_terms_near_the_other_sum_reach_the_log_domain_test(
+            self, v, enters, exact_tests):
+        # cell (0, 1) closes the cycle + (0, 1), (1, 0), - (0, 0), (1, 1).
+        # First 1 + 1 against 2 + 0: a tie, kept.  Then (2 - 5e-13) + 0
+        # against 1 + 1: a gain above 1e-13, taken.  Both sit inside the
+        # potentials' band, and one side's largest term is within 1e-9 of
+        # log 2 above the other's, so the largest terms settle neither.
+        case = (v, [0.5, 0.5], [0.5, 0.5])
+        flow = solvers._log_simplex(*case)
+        assert _flow_bytes(flow) == _flow_bytes(log_simplex_reference(*case))
+        assert ((0, 1) in flow) == enters and exact_tests
+
+    def test_equal_weights_far_below_the_top_reach_the_log_domain_test(self, exact_tests):
+        # every weight but the top cell's sits 1000 or more below it and
+        # underflows to 0, so every reduced cost is 0, inside the band, and
+        # the tied cycles go to the log-domain test
+        v = [[0.0, -1000.0, -1000.0], [-1000.0, -1000.0, -1001.0]]
+        case = (v, [0.5, 0.5], [0.25, 0.25, 0.5])
+        assert _flow_bytes(solvers._log_simplex(*case)) == _flow_bytes(
+            log_simplex_reference(*case))
+        assert exact_tests
 
 
 def _result_bytes(res) -> tuple:

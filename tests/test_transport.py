@@ -8,7 +8,7 @@ Core claims:
     - exponential smoothing is monotone in lambda, below the sup-distance
       and the sup-optimal coupling's own cost (also at lambda up to 1e4 on
       full trees of up to 64 leaves), and obeys the tilting identity and the
-      finite-support sandwich
+      finite-support sandwich; lambda must be finite and positive
     - grid quantization and the empirical trend behave as stated
     - stability inequalities hold on perturbed pairs, and each market's
       interior program runs once per level; the critical levels are the
@@ -16,7 +16,8 @@ Core claims:
       solves for the demo pair
     - the stage-array DP equals, byte for byte, the per-pair loop of public
       kernel calls it replaced (values, root plans, every stage plan), and
-      raises the same errors on faulty laws
+      raises the same errors on faulty laws; elog's bytes at lambda from
+      0.01 to 1e4 are those of pricing every cycle in the log domain
 """
 
 import math
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import epsarb as ea
-from epsarb import arbitrage, pricing
+from epsarb import arbitrage, pricing, solvers
 from epsarb import io as eio
 from epsarb import transport as tr
 from epsarb.market import MarketModel
@@ -37,7 +38,7 @@ from epsarb.testing import (perturb_prices, random_market,
                             random_martingale_market, random_path_law)
 
 from _helpers import (backward_oracle, brute_force_bicausal_couplings, closing_pair,
-                      counterexample_pair, full_tree_law, kr_pair)
+                      counterexample_pair, full_tree_law, kr_pair, log_simplex_reference)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -174,6 +175,14 @@ class TestLogExponential:
             assert e500 <= aw + 1e-9
             assert aw - e500 < 0.02
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        # nan and inf used to reach the log-domain kernel and raise its
+        # "log-weights must be below +inf"
+        P, Pp = kr_pair()
+        with pytest.raises(ValueError, match="^lam must be finite and lam > 0$"):
+            tr.elog_divergence(P, Pp, 2.0, lam)
+
     def test_survives_huge_lambda_in_log_domain(self):
         P, Pp = kr_pair()
         val = tr.elog_divergence(P, Pp, 2.0, 1e4).value
@@ -255,8 +264,9 @@ class TestLaplaceSmoothing:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="sum"):
             tr.laplace_smoothed_esssup([1.0], [0.5], 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            tr.laplace_smoothed_esssup([1.0], [1.0], 0.0)
+        for lam in (0.0, math.nan, math.inf):  # nan and inf used to return nan
+            with pytest.raises(ValueError, match="^lam must be finite and lam > 0$"):
+                tr.laplace_smoothed_esssup([1.0], [1.0], lam)
 
 
 @st.composite
@@ -583,6 +593,19 @@ class TestStageArrays:
         P, Q = law(0.0, range(12)), law(0.3, range(11, -1, -1))
         for mine, oracle in _forms(P, Q, 2.0, 3.0):
             assert _outcome(mine) == _outcome(oracle)
+
+    @pytest.mark.parametrize("lam", [0.01, 3.0, 200.0, 1e4])
+    def test_elog_bytes_equal_the_log_domain_kernel(self, lam, monkeypatch):
+        # every stage and root transport priced by dual potentials gives the
+        # bytes of pricing every cycle in the log domain: values, root plans
+        # and stage plans, on full trees of 9 to 64 leaves
+        rng = np.random.default_rng(2024)
+        pairs = [[full_tree_law(rng, T, b, d) for _ in range(2)]
+                 for T, b, d in ((2, 3, 1), (2, 3, 2), (2, 4, 1), (3, 3, 1), (3, 4, 2))]
+        forms = [lambda P=P, Q=Q: _parts(tr.elog_divergence(P, Q, 2.0, lam)) for P, Q in pairs]
+        mine = [_outcome(call) for call in forms]
+        monkeypatch.setattr(solvers, "_log_simplex", log_simplex_reference)
+        assert mine == [_outcome(call) for call in forms]
 
     def test_stability_distances(self):
         rng = np.random.default_rng(17)
