@@ -23,7 +23,7 @@ import numpy as np
 
 from .market import (MarketModel, NormPair, Strategy, _check_level, gain, strategy_cost,
                      validate_market)
-from .programs import (_FLOOR, _NODE_BAND, _min_norm_solution, _polyhedral,
+from .programs import (_FLOOR, _NODE_BAND, _frozen, _min_norm_solution, _polyhedral,
                        interior_feasibility, node_min_simplex_deviation,
                        node_strict_arbitrage, reference_deviation, strategy_from_packed,
                        strict_arbitrage_maximin_program, strict_arbitrage_sum_program,
@@ -39,7 +39,8 @@ _REL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ArbitrageReport:
-    """Outcome of strict-arbitrage detection at one cost level."""
+    """Outcome of strict-arbitrage detection at one cost level; ``slacks``
+    is read-only."""
 
     status: str
     epsilon: float
@@ -48,6 +49,9 @@ class ArbitrageReport:
     certificate: Optional[Strategy]
     slacks: Optional[np.ndarray]
     maximin_margin: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slacks", _frozen(self.slacks))
 
     @property
     def found(self) -> bool:
@@ -638,9 +642,14 @@ def canonical_decompose(model: MarketModel, eps: float, norms: NormPair, strateg
 
 @dataclass(frozen=True)
 class NaPrimeReport:
+    """Outcome of the two-part NA' check; the witness vectors are read-only."""
+
     holds: bool
     strict_arbitrage: ArbitrageReport
     witnesses: dict  # node -> unit vector violating the orthogonal no-arbitrage condition
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "witnesses", _frozen(self.witnesses))
 
     def to_dict(self, model: MarketModel) -> dict:
         return {"holds": self.holds,

@@ -25,7 +25,7 @@ import numpy as np
 from .market import (MarketModel, MeasureWeights, NoMartingaleStructure, NormPair, Payoff,
                      Strategy, _check_level, gain, is_eps_martingale, strategy_cost,
                      validate_market)
-from .programs import (_ATTAINED, _gap_closed, _l1_slack_rows, _polyhedral,
+from .programs import (_ATTAINED, _frozen, _gap_closed, _l1_slack_rows, _polyhedral,
                        cone_linear_optimum, interior_feasibility, max_min_weight_on_face,
                        strategy_from_packed, tree_ops)
 from .solvers import LinearProgram, solve_lp
@@ -158,13 +158,18 @@ class HedgeCertificate:
 
     The orthogonal part lies in the admissible hyperplane of its tangent
     nodes, so it carries no norm cost; ``slacks`` are the exact leaf slacks
-    capital + gain - eps cost + add-on gain - payoff.
+    capital + gain - eps cost + add-on gain - payoff.  Its arrays are
+    read-only.
     """
 
     capital: float
     strategy: Strategy
     orthogonal: dict  # node index -> vector in the node's admissible hyperplane
     slacks: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "orthogonal", _frozen(self.orthogonal))
+        object.__setattr__(self, "slacks", _frozen(self.slacks))
 
     def to_dict(self, model: MarketModel) -> dict:
         return {

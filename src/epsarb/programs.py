@@ -26,6 +26,16 @@ measure programs solve twice at most, ``_measure_solves``); a result that
 fails is counted in ``CONIC_FALLBACKS`` and has no answer: indeterminate,
 or no certificate.  Public wrappers live in :mod:`epsarb.arbitrage` and
 :mod:`epsarb.pricing`.
+
+A model keeps what is derived from it, through one helper (``_kept``):
+its coefficient tensors (:func:`tree_ops`), its node geometry per q
+(:func:`node_geometry`), and the results of the last 8 calls of the
+interior, price and strict-arbitrage sum programs (``_kept_results``).
+A model is frozen with read-only arrays, and HiGHS and the cone kernel are
+deterministic, so a repeated call at the same level, keyed by the exact
+bits of its arguments, returns the kept result, bit for bit: detection,
+find-emm, the price bounds, the super-hedge and the fair range at one
+(P, eps) read the same eps-martingale set and solve each program once.
 """
 
 from __future__ import annotations
@@ -34,12 +44,12 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
 
-from .market import MarketModel, NormPair, Strategy, qnorm, qnorm_grad
+from .market import MarketModel, NormPair, Strategy, _as_readonly, qnorm, qnorm_grad
 from .solvers import (ConeProgram, LinearProgram, face_support, min_norm_point, solve_lp,
                       solve_socp)
 
@@ -65,11 +75,21 @@ class TreeOps:
     mask: np.ndarray   # (n_leaves, n_internal) float 0/1
 
 
-def tree_ops(model: MarketModel) -> TreeOps:
-    """The model's coefficient tensors, built once and kept on the model."""
-    cached = model.__dict__.get("_tree_ops")
-    if cached is not None:
-        return cached
+def _kept(model: MarketModel, name: str, build, *args):
+    """What ``model`` keeps under ``name``, ``build(*args)`` on first use.
+
+    The one writer of a model's ``__dict__`` after construction.  A model
+    is frozen with read-only arrays, so what is derived from it alone, or
+    from it and the exact bits of other arguments, holds for its life and
+    is freed with it.
+    """
+    kept = model.__dict__.get(name)
+    if kept is None:
+        kept = model.__dict__.setdefault(name, build(*args))
+    return kept
+
+
+def _build_tree_ops(model: MarketModel) -> TreeOps:
     internal = tuple(model.internal)
     pos = {v: j for j, v in enumerate(internal)}
     coeff = np.zeros((model.n_leaves, len(internal), model.d))
@@ -80,9 +100,81 @@ def tree_ops(model: MarketModel) -> TreeOps:
             j = pos[path[a]]
             coeff[k, j] = model.delta[path[a + 1]]
             mask[k, j] = 1.0
-    ops = TreeOps(model, internal, coeff, mask)
-    object.__setattr__(model, "_tree_ops", ops)
-    return ops
+    return TreeOps(model, internal, coeff, mask)
+
+
+def tree_ops(model: MarketModel) -> TreeOps:
+    """The model's coefficient tensors, built once and kept on the model:
+    every program over the tree reads them, and they depend on the model
+    alone."""
+    return _kept(model, "_tree_ops", _build_tree_ops, model)
+
+
+_KEPT_RESULTS = 8  # program results a model keeps; the oldest goes first
+
+
+def _bits(x):
+    """A program argument as a hashable key of its exact bits: a float by
+    ``float.hex`` (0.0 and -0.0 apart, though they compare equal), an array
+    by dtype, shape and bytes, a NormPair by its p, each with its type.
+    TypeError for any other kind, which is not kept."""
+    if x is None:
+        return None
+    if isinstance(x, float):
+        return type(x), float.hex(x)
+    if isinstance(x, (int, str)):
+        return type(x), x
+    if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, NormPair):
+        return NormPair, float.hex(x.p)
+    raise TypeError(f"no exact key for {type(x).__name__}")
+
+
+def _frozen(result):
+    """``result`` with each array read-only (a copy, unless it is a
+    read-only array that owns its data) and each dict a new dict of frozen
+    values, so no caller can change what another call returns.  Dicts are
+    copied, not wrapped in a read-only view, so results and models still
+    pickle."""
+    if isinstance(result, np.ndarray):
+        return result if result.base is None and not result.flags.writeable else _as_readonly(result)
+    if isinstance(result, tuple):
+        return tuple(_frozen(x) for x in result)
+    if isinstance(result, dict):
+        return {k: _frozen(x) for k, x in result.items()}
+    return result
+
+
+def _kept_results(program):
+    """Keep ``program``'s results on the model it reads (its first
+    argument, or that of its ``tree_ops``; a node's one-period ops are not
+    kept), keyed by the program and the exact bits of the other arguments
+    (``_bits``): a repeated call returns the kept result.  Every call,
+    the first too, gets it through ``_frozen``: its arrays read-only and
+    shared, its dicts its own.  A model keeps the last _KEPT_RESULTS
+    results of all its programs.  Counters such as ``CONIC_FALLBACKS``
+    count solves, so a kept result adds nothing.  Each step on the store
+    is one dict operation, so threads sharing a model at worst solve a
+    program twice."""
+    @wraps(program)
+    def kept(source, *args, **kwargs):
+        model = source if isinstance(source, MarketModel) else source.model
+        try:
+            key = (program.__name__, tuple(map(_bits, args)),
+                   tuple((name, _bits(x)) for name, x in sorted(kwargs.items())))
+        except TypeError:
+            key = None
+        if key is None or model is None or (source is not model and tree_ops(model) is not source):
+            return program(source, *args, **kwargs)
+        results = _kept(model, "_programs", dict)
+        result = results.get(key)
+        if result is None:
+            result = results[key] = _frozen(program(source, *args, **kwargs))
+            for old in list(results)[:-_KEPT_RESULTS]:
+                results.pop(old, None)
+        return _frozen(result)
+    return kept
 
 
 def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
@@ -255,12 +347,14 @@ class NodeGeometry:
 
 def node_geometry(model: MarketModel, q: float) -> dict:
     """Per internal node, its :class:`NodeGeometry` in the q-norm; built
-    once per q and kept on the model (as ``tree_ops``)."""
-    cached = model.__dict__.setdefault("_node_geometry", {})
-    if q not in cached:
-        cached[q] = {v: NodeGeometry(model.delta[list(model.children[v])], q)
-                     for v in model.internal}
-    return cached[q]
+    once per q and kept on the model (as ``tree_ops``): it depends on the
+    model and q alone, and every level's node decisions, tangent faces and
+    repairs read it."""
+    by_q = _kept(model, "_node_geometry", dict)
+    if q not in by_q:
+        by_q[q] = {v: NodeGeometry(model.delta[list(model.children[v])], q)
+                   for v in model.internal}
+    return by_q[q]
 
 
 def _tangent_faces(ops: TreeOps, eps: float, q: float):
@@ -438,13 +532,14 @@ def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair):
     return (value, h, slack, bound - value) if closed else None
 
 
+@_kept_results
 def strict_arbitrage_sum_program(ops: TreeOps, eps: float):
     """max sum of leaf slacks s.t. every slack >= 0, sum_v |H(v)|_1 <= 1.
 
     One exact LP in (H+, H-).  A positive optimum is the strict-arbitrage
     criterion at level eps for polyhedral geometry: p = 1, or d = 1, where
     every p-norm is |h|.  Returns (optimum, packed H or None, per-leaf
-    slacks).
+    slacks), kept on the model of a tree's ops (``_kept_results``).
     """
     L, n_int, d = ops.coeff.shape
     N = n_int * d
@@ -704,6 +799,7 @@ def _price_conic(ops: TreeOps, eps: float, norms: NormPair, phi: np.ndarray,
     return best, best_q, math.inf if hedge is None else hedge[0], hedge
 
 
+@_kept_results
 def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float):
     """Decide the eta-interior cone program q >= eta P, sum q = 1, node cones.
 
@@ -717,6 +813,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
 
     Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP, and
     every other q the node check and one cone program (``_ratio_conic``).
+    The result is kept on the model (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
@@ -758,6 +855,7 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     return "indeterminate", None, None, rho, margin
 
 
+@_kept_results
 def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
                         leaf_objective: np.ndarray, sense: str, anchor: Optional[np.ndarray]):
     """Optimize a linear leaf functional over the closed cone-feasible set.
@@ -769,7 +867,8 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
     ``hedge`` = (capital, strategy, {node: add-on}, leaf slacks), an exact
     super-replication of c (sense max) or -c (min), whose capital (negated
     for min) is the bound.  ``anchor``, an exactly feasible point, is the q
-    returned when no solve gives a checked one.
+    returned when no solve gives a checked one.  The result is kept on the
+    model (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves

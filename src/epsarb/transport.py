@@ -158,6 +158,13 @@ def _check_shapes(lawx: PathLaw, lawy: PathLaw) -> None:
                          f"d={lawx.d},{lawy.d}")
 
 
+def _check_q(q: float) -> None:
+    """Raise ValueError unless q lies in [1, inf], where |.|_q is a norm;
+    NaN fails."""
+    if not q >= 1.0:
+        raise ValueError(f"q must lie in [1, inf], got {q}")
+
+
 def _stages(law: PathLaw) -> list[list[int]]:
     """The law's nodes at each time 0..T, in index order, from one pass."""
     stages: list[list[int]] = [[] for _ in range(law.T + 1)]
@@ -223,6 +230,7 @@ def _backward(lawx: PathLaw, lawy: PathLaw, q: float, increments: bool, lam: Opt
     and fails the same check.  The root solves go through the public
     kernels.
     """
+    _check_q(q)
     log = lam is not None
     scale = lam if log else 1.0
     check = log_transport if log else TransportInstance
@@ -307,6 +315,7 @@ def aw_inf(lawx: PathLaw, lawy: PathLaw, q: float = 2.0) -> DistanceResult:
 def path_cost_matrix(lawx: PathLaw, lawy: PathLaw, q: float,
                      increments: bool = False, include_t0: bool = True) -> np.ndarray:
     """sum_t per-time q-norm distance for every leaf-path pair."""
+    _check_q(q)
     px = lawx.leaf_paths()
     py = lawy.leaf_paths()
     if increments:
@@ -343,9 +352,19 @@ def elog_divergence(lawx: PathLaw, lawy: PathLaw, q: float = 2.0, lam: float = 1
 
 
 def laplace_smoothed_esssup(values, probs, lam: float) -> float:
-    """(1/lam) log sum_i p_i exp(lam v_i), evaluated stably in the log domain."""
+    """(1/lam) log sum_i p_i exp(lam v_i), evaluated stably in the log domain.
+
+    values and probs have one shape, every value is finite, every
+    probability finite and non-negative, and they sum to one.
+    """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
+    if values.shape != probs.shape:
+        raise ValueError(f"values {values.shape} and probabilities {probs.shape} differ in shape")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if not np.all(np.isfinite(probs) & (probs >= 0.0)):
+        raise ValueError("probabilities must be finite and non-negative")
     if abs(float(probs.sum()) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to one")
     _check_level("lam", lam, True)

@@ -8,11 +8,15 @@ independent route before being asserted.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
+import threading
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +24,7 @@ from scipy.optimize import linprog, minimize
 
 from epsarb.market import (EXACT_TOL, MarketModel, NormPair, Payoff, Strategy, gain, qnorm,
                            strategy_cost)
+from epsarb import programs, solvers
 from epsarb.solvers import TransportInstance, bottleneck_transport, log_transport
 
 
@@ -594,3 +599,111 @@ def _reference_improves(plus: list, minus: list, shrink: float) -> bool:
         return False
     return (sum([math.exp(x - top) for x in plus])
             < shrink * sum([math.exp(x - top) for x in minus]))
+
+
+# ---------------------------------------------------------------------------
+# The market operations and their results, for the program store's tests
+# ---------------------------------------------------------------------------
+
+
+def fresh_copy(model: MarketModel) -> MarketModel:
+    """The same market as a new model, which keeps nothing yet."""
+    return MarketModel(model.T, model.d, model.ids, model.times, model.parent,
+                       model.cond_prob, model.prices)
+
+
+def market_operations(model: MarketModel, norms: NormPair, eps_star: float) -> list:
+    """The eight market operations at 0.5 and 1.5 eps_star, as the
+    benchmark's market workloads run them, as (name, call of a model)."""
+    import epsarb as ea
+
+    lo, hi = 0.5 * eps_star, 1.5 * eps_star
+
+    def payoff(m):
+        return Payoff.from_function(m, lambda path: float(np.linalg.norm(path[-1] - path[0])))
+
+    return [
+        ("detect_lo", lambda m: ea.detect_strict_arbitrage(m, lo, norms)),
+        ("detect_hi", lambda m: ea.detect_strict_arbitrage(m, hi, norms)),
+        ("critical_value", lambda m: ea.critical_value(m, norms)),
+        ("find_emm_lo", lambda m: ea.find_eps_martingale_measure(m, lo, norms)),
+        ("find_emm_hi", lambda m: ea.find_eps_martingale_measure(m, hi, norms)),
+        ("na_prime", lambda m: ea.check_na_prime(m, hi, norms)),
+        ("superhedge", lambda m: ea.superhedge_price(m, hi, norms, payoff(m))),
+        ("fair_range", lambda m: ea.fair_price_range(m, hi, norms, payoff(m))),
+    ]
+
+
+def result_bytes(x) -> bytes:
+    """A result's canonical bytes: type names, dataclass fields, mapping
+    items, sequence items, arrays by dtype, shape and bytes, and floats by
+    their bits, so equal bytes mean equal results to the last bit (0.0 and
+    -0.0 apart).  A read-only mapping reads as the dict it views."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        parts = [type(x).__name__.encode()] + [
+            f.name.encode() + result_bytes(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    elif isinstance(x, Mapping):
+        parts = [b"map"] + [result_bytes(k) + result_bytes(v) for k, v in x.items()]
+    elif isinstance(x, (list, tuple)):
+        parts = [type(x).__name__.encode()] + [result_bytes(v) for v in x]
+    elif isinstance(x, np.ndarray):
+        parts = [b"array", x.dtype.str.encode(), repr(x.shape).encode(), x.tobytes()]
+    elif isinstance(x, (bool, np.bool_)):
+        parts = [b"bool", repr(bool(x)).encode()]
+    elif isinstance(x, (float, np.floating)):
+        parts = [type(x).__name__.encode(), struct.pack("<d", float(x))]
+    else:
+        parts = [type(x).__name__.encode(), repr(x).encode()]
+    return b"(" + b",".join(parts) + b")"
+
+
+def result_arrays(x) -> list:
+    """Every array inside a result, by the walk of ``result_bytes``."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return [a for f in dataclasses.fields(x) for a in result_arrays(getattr(x, f.name))]
+    if isinstance(x, Mapping):
+        return [a for v in x.values() for a in result_arrays(v)]
+    if isinstance(x, (list, tuple)):
+        return [a for v in x for a in result_arrays(v)]
+    return [x] if isinstance(x, np.ndarray) else []
+
+
+def _callers() -> frozenset:
+    """The names of the functions on the caller's stack."""
+    frame, names = sys._getframe(2), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return frozenset(names)
+
+
+def count_solves(monkeypatch) -> list:
+    """Record each cone solve and HiGHS run from now on, as ("lp",
+    "cone", or "power" for a cone program with power blocks; the names of
+    the functions on the stack): a kept program's result is returned by
+    its store and never enters the program's own function.  HiGHS
+    instances are kept per thread, so a fresh one is counted.  A counter
+    installed over another counts through it: undo the first one."""
+    core = solvers._scipy_extension("scipy.optimize._highspy._core")
+    solves = []
+
+    class Counted(core._Highs):
+        def run(self):
+            solves.append(("lp", _callers()))
+            return super().run()
+
+    real_socp = programs.solve_socp
+
+    def counted_socp(prog):
+        solves.append(("power" if prog.power else "cone", _callers()))
+        return real_socp(prog)
+
+    monkeypatch.setattr(core, "_Highs", Counted)
+    monkeypatch.setattr(solvers, "_THREAD", threading.local())
+    monkeypatch.setattr(programs, "solve_socp", counted_socp)
+    return solves
+
+
+def solves_in(solves: list, program: str) -> int:
+    """How many of the recorded solves ran inside ``program``."""
+    return sum(program in names for _, names in solves)

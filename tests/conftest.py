@@ -16,6 +16,10 @@ def pytest_terminal_summary(terminalreporter):
     (``cone_linear_optimum``) or a face program's attainment
     (``max_min_weight_on_face``) was left indeterminate, or the maximin
     program returned no certificate.
+
+    Both counters count solves, not calls: a model keeps the results of its
+    interior and price programs, so a repeated call at the same level reads
+    the kept result and adds nothing to either.
     """
     counts = programs.CONIC_FALLBACKS
     terminalreporter.section("conic results without a certified answer")

@@ -20,6 +20,9 @@ Core claims:
     - node geometry: extremal direction, orthogonal bases, decomposition
       identities, and the non-asymptotic no-arbitrage check
     - strictly-above-the-threshold levels kill the extremal direction
+    - a model keeps its strict-arbitrage sum program's results: NA' reads
+      the detector's at the same level, while -0.0 against 0.0, a node's
+      one-period ops and ops that are not the model's own miss
 """
 
 import threading
@@ -31,11 +34,13 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 import epsarb as ea
+from epsarb import programs
 from epsarb.testing import random_market, random_martingale_market
 
-from _helpers import (binary_martingale, critical_value_oracle, drift_market, full_tree_law,
-                      grid_search_maximin, kbar_market, min_simplex_deviation_lp,
-                      nostrictarb_market, price_range_market, two_state)
+from _helpers import (binary_martingale, count_solves, critical_value_oracle, drift_market,
+                      fresh_copy, full_tree_law, grid_search_maximin, kbar_market,
+                      min_simplex_deviation_lp, nostrictarb_market, price_range_market,
+                      result_bytes, solves_in, two_state)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -812,3 +817,41 @@ class TestNaPrime:
                 assert na == emm
                 hits += 1
         assert hits > 20
+
+
+class TestKeptSumProgram:
+    @pytest.mark.parametrize("f", [0.5, 1.5])
+    def test_na_prime_reads_the_detectors_sum_program(self, f, monkeypatch):
+        m = full_tree_law(np.random.default_rng(25), 2, 3, 2)
+        eps = f * ea.critical_value(m, N1).epsilon
+        solves = count_solves(monkeypatch)
+        rep = ea.detect_strict_arbitrage(m, eps, N1)
+        assert solves_in(solves, "strict_arbitrage_sum_program") == 1
+        nap = ea.check_na_prime(m, eps, N1)
+        assert solves_in(solves, "strict_arbitrage_sum_program") == 1
+        assert result_bytes(nap.strict_arbitrage) == result_bytes(rep)
+        assert result_bytes(nap) == result_bytes(ea.check_na_prime(fresh_copy(m), eps, N1))
+
+    def test_signed_zero_and_other_ops_miss(self, monkeypatch):
+        m = full_tree_law(np.random.default_rng(25), 2, 3, 2)
+        ops = programs.tree_ops(m)
+        solves = count_solves(monkeypatch)
+
+        def solved(ops, eps):
+            before = len(solves)
+            out = programs.strict_arbitrage_sum_program(ops, eps)
+            return len(solves) - before, result_bytes(out)
+
+        assert solved(ops, 0.0)[0] == 1
+        assert solved(ops, 0.0)[0] == 0
+        n, at_minus_zero = solved(ops, -0.0)
+        assert n == 1
+        fresh = programs.tree_ops(fresh_copy(m))
+        assert at_minus_zero == result_bytes(programs.strict_arbitrage_sum_program(fresh, -0.0))
+        # a node's one-period market, and ops that are not the model's own
+        v = m.internal[0]
+        A = m.delta[list(m.children[v])]
+        node = programs.TreeOps(None, (v,), A[:, None, :], np.ones((len(A), 1)))
+        assert solved(node, 0.5)[0] == solved(node, 0.5)[0] == 1
+        copy = programs.TreeOps(m, ops.internal, ops.coeff.copy(), ops.mask.copy())
+        assert solved(copy, 0.0)[0] == solved(copy, 0.0)[0] == 1

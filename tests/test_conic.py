@@ -23,7 +23,7 @@ import epsarb as ea
 from epsarb import programs
 from epsarb.testing import random_market
 
-from _helpers import kbar_market, nostrictarb_market
+from _helpers import count_solves, kbar_market, nostrictarb_market
 
 N2 = ea.NormPair(2.0)
 
@@ -131,8 +131,9 @@ class TestNoCuttingPlanes:
             ea.find_eps_martingale_measure(m, eps, N2)
             n_emm = len(solves)
             res = ea.superhedge_price(m, eps, N2, psi)
-            # one price program (two solves at most) after find-emm's own
-            assert len(solves) - n_emm <= n_emm + 2, k
+            # one price program (two solves at most); the model keeps
+            # find-emm's interior result
+            assert len(solves) - n_emm <= 2, k
             del solves[:]
             assert res.mode == "dual"
             assert res.gap is not None and res.gap <= 1e-9 * (1.0 + abs(res.price)), k
@@ -157,16 +158,21 @@ def power_cones(monkeypatch):
 
 
 class TestPowerConesAgreeWithSecondOrderCones:
-    def test_programs_agree(self, power_cones):
+    def test_programs_agree(self, power_cones, monkeypatch):
         rng = np.random.default_rng(77)
         for _ in range(2):
             m = random_market(rng, T=1, d=2)
             payoff = ea.Payoff(np.arange(m.n_leaves, dtype=float))
             crit = ea.critical_value(m, N2).epsilon
             out = {}
+            power_solves = {}
             for power in (False, True):
+                monkeypatch.undo()  # the last pass's counter, which would count this pass too
                 power_cones(power)
-                m.__dict__.pop("_node_geometry", None)  # the geometry kept on the model
+                power_solves[power] = count_solves(monkeypatch)
+                # the geometry and the program results kept on the model
+                m.__dict__.pop("_node_geometry", None)
+                m.__dict__.pop("_programs", None)
                 eps = 1.3 * crit + 0.05
                 gammas = [programs.node_min_simplex_deviation(m, v, N2) for v in m.internal]
                 hi = ea.robust_price_bound(m, eps, N2, payoff, "sup")
@@ -178,6 +184,11 @@ class TestPowerConesAgreeWithSecondOrderCones:
                             ea.check_na_prime(m, eps, N2).holds)
                 out[power] = (gammas, hi.value, lo.value, hedge.primal_value, verdicts)
             power_cones(False)
+            # each pass solves its own programs: none is read from the other's
+            assert all(kind != "power" for kind, _ in power_solves[False])
+            for program in ("interior_feasibility", "cone_linear_optimum"):
+                assert any(kind == "power" and program in names
+                           for kind, names in power_solves[True]), program
             (g0, hi0, lo0, h0, v0), (g1, hi1, lo1, h1, v1) = out[False], out[True]
             assert np.allclose(g0, g1, atol=1e-8)
             assert hi0 == pytest.approx(hi1, abs=1e-6) and lo0 == pytest.approx(lo1, abs=1e-6)

@@ -300,6 +300,14 @@ class TestCli:
         assert out.out == ""
         assert "error: lam must be finite and lam > 0" in out.err
 
+    @pytest.mark.parametrize("q", ["nan", "0", "-1", "0.5"])
+    def test_bad_state_norm_exponent_is_an_input_error(self, q, capsys):
+        # q = 0 printed a ZeroDivisionError traceback
+        assert run(["aw", data("kr_p.json"), data("kr_pprime.json"), "--q", q]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: q must lie in [1, inf], got " in out.err
+
     def test_usage_error_exits_1(self, capsys):
         assert run(["check-arbitrage", "--bogus"]) == 1
 

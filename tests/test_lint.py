@@ -15,6 +15,11 @@ Core claims:
     - the upper layers load on first use: at module level ``__init__``
       imports only ``market`` and ``solvers``, ``cli`` only ``io`` and
       ``market``, and ``transport`` neither ``arbitrage`` nor ``pricing``
+    - what a model keeps is written by one helper, ``programs._kept``: no
+      other function names ``__dict__`` or calls ``setattr`` or ``vars``,
+      and ``__setattr__`` is called only on ``self`` in a ``__post_init__``
+      (``market.MarketModel`` building itself, other frozen classes their
+      own fields)
 """
 
 import ast
@@ -219,3 +224,31 @@ def test_upper_layers_load_on_first_use():
     assert imports["__init__"] <= {"market", "solvers"}, imports["__init__"]
     assert imports["cli"] <= {"io", "market"}, imports["cli"]
     assert not imports["transport"] & {"arbitrage", "pricing"}, imports["transport"]
+
+
+def _scoped(tree, scope=None):
+    """(innermost enclosing function name or None, node) for every node."""
+    for node in ast.iter_child_nodes(tree):
+        yield scope, node
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scoped(node, inner)
+
+
+def test_only_the_keeper_writes_a_model():
+    keeper = ("programs", "_kept")
+    found = []
+    for module, tree in MODULES.items():
+        for scope, node in _scoped(tree):
+            if (module, scope) == keeper:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                found.append(f"{module}.{scope}:{node.lineno} __dict__")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id in ("setattr", "vars"):
+                    found.append(f"{module}.{scope}:{node.lineno} {func.id}")
+                elif isinstance(func, ast.Attribute) and func.attr == "__setattr__" and not (
+                        scope == "__post_init__" and node.args
+                        and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"):
+                    found.append(f"{module}.{scope}:{node.lineno} __setattr__")
+    assert not found, found

@@ -17,7 +17,18 @@ Core claims:
     - fair-price intervals carry the documented endpoint openness, and
       both ends price against one interior measure: one interior solve,
       the interval of two robust_price_bound calls
+    - a model keeps its interior and price programs' results: the eight
+      market operations on one model are byte-equal to each on a fresh
+      model, a repeated superhedge or fair range solves no interior or
+      price program again, other argument bits (0.0 against -0.0 too)
+      miss, every array of a result is read-only and each call gets its
+      own dicts, models and results still pickle, the store stays at its
+      bound over a sweep of levels, and the model is still freed
 """
+
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -26,9 +37,10 @@ import epsarb as ea
 from epsarb import pricing, programs
 from epsarb.testing import random_market
 
-from _helpers import (binary_martingale, critical_value_oracle, full_tree_law,
-                      kbar_market, nostrictarb_market, payoff_linear_terminal,
-                      price_range_market, two_state)
+from _helpers import (binary_martingale, count_solves, critical_value_oracle, fresh_copy,
+                      full_tree_law, kbar_market, market_operations, nostrictarb_market,
+                      payoff_linear_terminal, price_range_market, result_arrays, result_bytes,
+                      solves_in, two_state)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -350,3 +362,126 @@ class TestStrongDuality:
             assert res.gap is not None
             assert res.gap <= 1e-6 * (1 + abs(res.price))
             assert res.duality_ok
+
+
+# (T, branching, d): a curved tree (d = 2, conic off p = 1) and a polyhedral one
+SHAPES = {"curved": (2, 2, 2), "polyhedral": (2, 3, 1)}
+
+
+def _market(shape: str) -> ea.MarketModel:
+    return full_tree_law(np.random.default_rng(25), *SHAPES[shape])
+
+
+def _outcome(call, model) -> bytes:
+    """The bytes of a call's result, or of the error it raised."""
+    try:
+        return result_bytes(call(model))
+    except (ValueError, RuntimeError) as exc:
+        return repr(exc).encode()
+
+
+class TestKeptPrograms:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("shape", ["curved", "polyhedral"])
+    def test_one_model_gives_the_bytes_of_fresh_models(self, shape, p):
+        m = _market(shape)
+        norms = ea.NormPair(p)
+        ops = market_operations(m, norms, ea.critical_value(fresh_copy(m), norms).epsilon)
+        for _ in range(2):  # the second round reads every kept result
+            for name, call in ops:
+                assert _outcome(call, m) == _outcome(call, fresh_copy(m)), name
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_repeated_prices_solve_no_interior_or_price_program(self, p, monkeypatch):
+        m = _market("curved")
+        norms = ea.NormPair(p)
+        eps = 1.5 * ea.critical_value(m, norms).epsilon
+        psi = payoff_linear_terminal(m)
+        solves = count_solves(monkeypatch)
+        hedge = result_bytes(ea.superhedge_price(m, eps, norms, psi))
+        assert solves_in(solves, "interior_feasibility") > 0
+        assert solves_in(solves, "cone_linear_optimum") > 0
+        fair = result_bytes(ea.fair_price_range(m, eps, norms, psi))
+        del solves[:]
+        assert result_bytes(ea.superhedge_price(m, eps, norms, psi)) == hedge
+        assert result_bytes(ea.fair_price_range(m, eps, norms, psi)) == fair
+        # only the programs that are not kept solve again: the p = 1 hedge
+        # LP and the face programs of the two price bounds
+        assert solves_in(solves, "interior_feasibility") == 0
+        assert solves_in(solves, "cone_linear_optimum") == 0
+        assert all(names & {"_superhedge_lp", "max_min_weight_on_face"} for _, names in solves)
+
+    def test_other_argument_bits_miss(self, monkeypatch):
+        m = _market("curved")
+        eps = 1.5 * ea.critical_value(m, N2).epsilon
+        psi = payoff_linear_terminal(m).values
+        anchor = ea.find_eps_martingale_measure(m, eps, N2).measure.weights
+        solves = count_solves(monkeypatch)
+
+        def solved(program, *args, **kwargs):
+            before = len(solves)
+            program(m, *args, **kwargs)
+            return len(solves) - before
+
+        interior = programs.interior_feasibility
+        assert solved(interior, eps, N2, 1e-9) > 0
+        assert solved(interior, eps, N2, 1e-9) == 0
+        assert solved(interior, np.nextafter(eps, 1.0), N2, 1e-9) > 0
+        assert solved(interior, eps, N2, 2e-9) > 0
+        assert solved(interior, 0.0, N2, 1e-9) > 0  # the LP route at eps = 0
+        assert solved(interior, -0.0, N2, 1e-9) > 0
+        price = programs.cone_linear_optimum
+        assert solved(price, eps, N2, psi, "max", anchor) > 0
+        assert solved(price, eps, N2, psi.copy(), "max", anchor.copy()) == 0  # bits, not identity
+        assert solved(price, eps, N2, psi, "min", anchor) > 0
+        assert solved(price, eps, N2, 2.0 * psi, "max", anchor) > 0
+        assert solved(price, eps, N2, psi, "max", None) > 0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_results_are_read_only(self, p):
+        m = _market("curved")
+        norms = ea.NormPair(p)
+        eps_star = ea.critical_value(m, norms).epsilon
+        ops = market_operations(m, norms, eps_star)
+        eps, psi = 1.5 * eps_star, payoff_linear_terminal(m).values
+        anchor = ea.find_eps_martingale_measure(m, eps, norms).measure.weights
+        direct = [
+            ("interior", lambda m: programs.interior_feasibility(m, eps, norms, 1e-9)),
+            ("price", lambda m: programs.cone_linear_optimum(m, eps, norms, psi, "max", anchor)),
+            ("sum", lambda m: programs.strict_arbitrage_sum_program(programs.tree_ops(m), eps))]
+        results = [call(m) for _, call in ops + direct]
+        want = [result_bytes(r) for r in results]
+        arrays = [a for r in results for a in result_arrays(r)]
+        assert len(arrays) > 10
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 1.0
+        # each call gets its own dicts: the superhedge's add-on, the kept hedge's
+        results[6].certificate.orthogonal[-1] = np.zeros(m.d)
+        if p != 1.0:
+            results[-2][3][2][-1] = np.zeros(m.d)
+        assert [result_bytes(call(m)) for _, call in ops + direct] == want
+        assert pickle.loads(pickle.dumps((m, results)))
+
+    def test_a_sweep_of_levels_keeps_the_bound(self, monkeypatch):
+        m = kbar_market(1.0)
+        levels = np.linspace(1.01, 2.0, 1000)  # one interior LP per level at p = 1
+        for eps in levels:
+            programs.interior_feasibility(m, eps, N1, 1e-9)
+        assert len(m.__dict__["_programs"]) == programs._KEPT_RESULTS
+        solves = count_solves(monkeypatch)
+        for eps in levels[-programs._KEPT_RESULTS:]:
+            programs.interior_feasibility(m, eps, N1, 1e-9)
+        assert not solves
+        programs.interior_feasibility(m, levels[-programs._KEPT_RESULTS - 1], N1, 1e-9)
+        assert solves
+
+    def test_model_is_freed_after_use(self):
+        m = _market("curved")
+        for _, call in market_operations(m, N2, ea.critical_value(m, N2).epsilon):
+            call(m)
+        assert m.__dict__["_programs"]
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None

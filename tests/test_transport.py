@@ -183,6 +183,24 @@ class TestLogExponential:
         with pytest.raises(ValueError, match="^lam must be finite and lam > 0$"):
             tr.elog_divergence(P, Pp, 2.0, lam)
 
+    @pytest.mark.parametrize("q", [math.nan, 0.0, -1.0, 0.5])
+    @pytest.mark.parametrize("form", [
+        lambda P, Q, q: tr.aw_inf(P, Q, q),
+        lambda P, Q, q: tr.aw_inf_delta(P, Q, q),
+        lambda P, Q, q: tr.w_inf(P, Q, q),
+        lambda P, Q, q: tr.elog_divergence(P, Q, q, 3.0),
+        lambda P, Q, q: tr.path_cost_matrix(P, Q, q),
+        lambda P, Q, q: tr.global_bicausal_bottleneck(P, Q, q),
+        lambda P, Q, q: tr.global_bicausal_logexp(P, Q, q, 3.0),
+    ], ids=["aw_inf", "aw_inf_delta", "w_inf", "elog_divergence", "path_cost_matrix",
+            "global_bicausal_bottleneck", "global_bicausal_logexp"])
+    def test_q_must_lie_in_one_to_infinity(self, form, q):
+        # q = 0 raised ZeroDivisionError, q = -1 returned 4.0 with a
+        # divide-by-zero warning, q = nan raised "costs must be finite"
+        P, Pp = kr_pair()
+        with pytest.raises(ValueError, match=r"^q must lie in \[1, inf\], got "):
+            form(P, Pp, q)
+
     def test_survives_huge_lambda_in_log_domain(self):
         P, Pp = kr_pair()
         val = tr.elog_divergence(P, Pp, 2.0, 1e4).value
@@ -264,6 +282,17 @@ class TestLaplaceSmoothing:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="sum"):
             tr.laplace_smoothed_esssup([1.0], [0.5], 1.0)
+        # a negative weight was dropped (log 1.5), a NaN value gave nan, and
+        # a length mismatch raised numpy's IndexError
+        with pytest.raises(ValueError, match="^probabilities must be finite and non-negative$"):
+            tr.laplace_smoothed_esssup([0.0, 1.0], [1.5, -0.5], 1.0)
+        with pytest.raises(ValueError, match="^probabilities must be finite and non-negative$"):
+            tr.laplace_smoothed_esssup([0.0, 1.0], [math.nan, 1.0], 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                tr.laplace_smoothed_esssup([0.0, bad], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="differ in shape"):
+            tr.laplace_smoothed_esssup([0.0, 1.0, 2.0], [0.5, 0.5], 1.0)
         for lam in (0.0, math.nan, math.inf):  # nan and inf used to return nan
             with pytest.raises(ValueError, match="^lam must be finite and lam > 0$"):
                 tr.laplace_smoothed_esssup([1.0], [1.0], lam)
