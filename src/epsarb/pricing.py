@@ -9,10 +9,13 @@ rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
 
 Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).
-Every other p is one checked cone program per question (tangent cones as
-face rows; second-order cones at p = 2, power cones otherwise): a price is
-one program, whose dual is the super-hedge, and a price bracket or
-interior result that fails its check is indeterminate.
+Every other p is a backward induction over one-node programs, since the
+cone constraint is per node: a closed form at binary q = 2 nodes, one node
+cone program elsewhere (tangent nodes on their faces; second-order cones at
+p = 2, power cones otherwise).  A measure is the product of the node
+kernels, a price bracket runs from that measure to the capital of the
+super-hedge composed of the node hedges, and a price bracket or interior
+result that fails its check is indeterminate.
 """
 
 from __future__ import annotations
@@ -71,9 +74,14 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
     certified by an upper bound on rho* below eta.  Polyhedral geometry is
     one exact LP.  Otherwise a node with gamma(v) > eps empties the set (no
     bound), a tangent node whose least-norm face has no full-support point
-    gives the bound 0, and otherwise the cone program gives a recomputed
-    dual bound or certificate; a conic result that fails its check is
-    indeterminate.  eps must be finite and >= 0, and eta finite and > 0.
+    gives the bound 0, and otherwise rho* is a backward induction over the
+    nodes: each node program gives an exactly checked kernel (a closed form
+    at binary q = 2 nodes, one cone program elsewhere) and a certified
+    bound, the witness is the product of the kernels, and the bound
+    composes the node bounds.  Only a node certificate decides
+    "infeasible"; a result that fails its check is indeterminate, and its
+    deciding node is logged at DEBUG on the ``epsarb`` logger.  eps must
+    be finite and >= 0, and eta finite and > 0.
     """
     report = validate_market(model)
     if not report.ok:
@@ -123,31 +131,36 @@ def robust_price_bound(model: MarketModel, eps: float, norms: NormPair,
     return _price_bound(model, eps, norms, payoff, direction, _interior_measure(model, eps, norms))
 
 
-def _interior_measure(model: MarketModel, eps: float, norms: NormPair) -> MeasureWeights:
-    """The interior eps-martingale measure that anchors the price programs."""
+def _interior_measure(model: MarketModel, eps: float, norms: NormPair) -> Optional[MeasureWeights]:
+    """The interior eps-martingale measure that anchors the price programs,
+    None when find-emm is indeterminate; NoMartingaleStructure when it is
+    decided infeasible, which only a node certificate does."""
     _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
-    if not emm.feasible:
+    if not (emm.feasible or emm.indeterminate):
         raise NoMartingaleStructure(
             f"no eps-martingale structure at level {eps} (rho upper bound {emm.rho_upper_bound})")
     return emm.measure
 
 
 def _price_bound(model: MarketModel, eps: float, norms: NormPair, payoff: Payoff,
-                 direction: str, anchor: MeasureWeights) -> BoundResult:
-    """:func:`robust_price_bound` from its anchoring interior measure."""
+                 direction: str, anchor: Optional[MeasureWeights]) -> BoundResult:
+    """:func:`robust_price_bound` from its anchoring interior measure (None
+    when find-emm was indeterminate: the bound is then indeterminate too)."""
     sense = "max" if direction == "sup" else "min"
     value, q, bound, _ = cone_linear_optimum(model, eps, norms, payoff.values, sense,
-                                             anchor=anchor.weights)
+                                             anchor=None if anchor is None else anchor.weights)
     if value is None:
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
     min_w, decided = 0.0, False
-    if _gap_closed(value, bound, 1e-9):
+    if anchor is not None and _gap_closed(value, bound, 1e-9):
         min_w, q_face, decided = max_min_weight_on_face(model, eps, norms, payoff.values, value,
-                                                        anchor=q)
+                                                        sense)
         q = q if q_face is None else q_face
-    w = np.maximum(q, 0.0)
-    witness = MeasureWeights.from_array(model, w / w.sum())
+    witness = None
+    if q is not None:
+        w = np.maximum(q, 0.0)
+        witness = MeasureWeights.from_array(model, w / w.sum())
     return BoundResult(direction, float(value), decided and min_w > _ATTAINED, witness,
                        float(min_w), float(bound), not decided)
 
@@ -225,15 +238,22 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
 
     The price is the measure-side bound sup E_Q[payoff].  The matching primal
     is one exact LP when the norm is polyhedral or the level classical
-    (eps = 0) ("direct"), and otherwise the price program's own dual
-    ("dual"), a hedge whose capital covers every exact leaf slack.
+    (eps = 0) ("direct"), and otherwise ("dual") the node hedges of the
+    price induction, each read from its node program's dual (or closed
+    form) with its capital recomputed exactly, composed down the tree with
+    the capital raised to cover every exact leaf slack.  Raises
+    NoMartingaleStructure only on a node certificate; when find-emm is
+    indeterminate the hedge is still computed.
     """
     _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)
-    if not emm.feasible:
+    if not (emm.feasible or emm.indeterminate):
         raise NoMartingaleStructure(f"no eps-martingale structure at level {eps}")
+    anchor = None if emm.measure is None else emm.measure.weights
     dual, _, _, hedge = cone_linear_optimum(model, eps, norms, payoff.values, "max",
-                                            anchor=emm.measure.weights)
+                                            anchor=anchor)
+    if dual is None:
+        raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
     scale = 1.0 + abs(dual)
     if _polyhedral(model, norms, eps):
         # polyhedral geometry (p = 1, classical level, or scalar assets,

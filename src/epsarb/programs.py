@@ -13,24 +13,30 @@ maximin program, which certifies it.  Strict arbitrage localizes to one
 trading period, so a node's decision reads the node's geometry.
 
 There are two routes.  Polyhedral geometry (p = 1, q = inf, d = 1, and the
-measure side at eps = 0) is HiGHS LPs.  Everything else is one cone
-program per question: an r-norm cone is one second-order block at r = 2
-and d three-dimensional power blocks otherwise (``_cone_program``).  The
-node geometry is exact once per model and q (:func:`node_geometry`):
-gamma(v) is the least q-norm of the children's convex hull, Wolfe's
-min-norm point at q = 2 and one cone program with a recomputed bracket at
-other q, and a tangent node's cone is the linear rows of that point's face.
-Every cone program is checked exactly (``_cone_margins``,
-``_leaf_gain_cost``, q >= eta P, and a recomputed dual bound or hedge;
-measure programs solve twice at most, ``_measure_solves``); a result that
-fails is counted in ``CONIC_FALLBACKS`` and has no answer: indeterminate,
-or no certificate.  Public wrappers live in :mod:`epsarb.arbitrage` and
-:mod:`epsarb.pricing`.
+measure side at eps = 0) is HiGHS LPs.  Everything else is conic: an
+r-norm cone is one second-order block at r = 2 and d three-dimensional
+power blocks otherwise (``_cone_program``).  The measure constraint is per
+node, so there every measure question (find-emm's interior decision, the
+price bounds and their super-hedge, attainment) is a backward induction
+over one-node programs (``_node_program``): a closed form for binary nodes
+at q = 2 and for one-point nodes, one cone program on the node's own
+one-period ops otherwise; the measure is the product of the node kernels
+and the super-hedge is the node hedges.  The strategy side's maximin is
+one cone program over the tree.  The node geometry is exact once per
+model and q (:func:`node_geometry`): gamma(v) is the least q-norm of the
+children's convex hull, Wolfe's min-norm point at q = 2 and one cone
+program with a recomputed bracket at other q, and a tangent node's set is
+the face of that point.  Every result is checked exactly (node margins,
+``_leaf_gain_cost``, q >= eta P, and a recomputed hedge capital or dual
+bound); a result that fails is counted in ``CONIC_FALLBACKS`` and has no
+answer: indeterminate, or no certificate.  Public wrappers live in
+:mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
 
 A model keeps what is derived from it, through one helper (``_kept``):
 its coefficient tensors (:func:`tree_ops`), its node geometry per q
 (:func:`node_geometry`), and the results of the last 8 calls of the
-interior, price and strict-arbitrage sum programs (``_kept_results``).
+interior, price and strict-arbitrage sum programs and of the price
+induction (``_kept_results``).
 A model is frozen with read-only arrays, and HiGHS and the cone kernel are
 deterministic, so a repeated call at the same level, keyed by the exact
 bits of its arguments, returns the kept result, bit for bit: detection,
@@ -193,12 +199,13 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 CONIC_FALLBACKS: Counter = Counter()
 """Per program, the calls left indeterminate or without a certificate by a failed check."""
 SECOND_SOLVES: Counter = Counter()
-"""Per measure program, the calls that went on to the untightened second solve."""
+"""Per measure program, the node cone programs that went on to the untightened second solve."""
 
-# Measure programs solve first at eps (1 - _TIGHTEN): interior-point points
-# carry residuals of 1e-13 to 1e-10 (worst near the critical level, where
-# the cone set is thin), and the tightened cones leave them room to pass the
-# exact check at eps itself; a second solve at eps charges no tightening.
+# Node cone programs solve first at eps (1 - _TIGHTEN): interior-point
+# points carry residuals of 1e-13 to 1e-10 (worst near the critical level,
+# where the cone set is thin), and the tightened cone leaves them room to
+# pass the exact check at eps itself; a second solve at eps charges no
+# tightening.
 _TIGHTEN = 1e-10
 
 _NODE_BAND = 1e-8  # per (1 + max |dS|): the strategy side's boundary band around gamma(v) = eps
@@ -344,6 +351,20 @@ class NodeGeometry:
     def on(self) -> np.ndarray:
         return face_support(self.A, self.z)
 
+    @cached_property
+    def floor(self) -> float:
+        """The rounding floor of an exact check at this node."""
+        return _FLOOR * (1.0 + float(np.max(np.abs(self.A))))
+
+    def state(self, eps: float) -> str:
+        """The node's set at level eps: "empty" when the certified low is
+        above eps + floor (a node certificate), "tangent" when eps <= gamma
+        <= eps + floor at an exact least-norm point, whose face is then the
+        set (``_tangent_faces``), and "open" otherwise."""
+        if self.low > eps + self.floor:
+            return "empty"
+        return "tangent" if self.gamma >= eps and self.exact else "open"
+
 
 def node_geometry(model: MarketModel, q: float) -> dict:
     """Per internal node, its :class:`NodeGeometry` in the q-norm; built
@@ -357,7 +378,7 @@ def node_geometry(model: MarketModel, q: float) -> dict:
     return by_q[q]
 
 
-def _tangent_faces(ops: TreeOps, eps: float, q: float):
+def _tangent_faces(ops: TreeOps, eps: float, q: float, program: str = "measure program"):
     """The tangent nodes at level eps, {j: (z, off)}: the min-norm point of
     internal node j, whose face z_v(q) = qbar_v(q) z is the cone set there
     (facial reduction: Borwein & Wolkowicz, 1981), and the leaves off it.
@@ -374,52 +395,15 @@ def _tangent_faces(ops: TreeOps, eps: float, q: float):
     faces = {}
     for j, v in enumerate(ops.internal):
         node = geometry[v]
-        if node.low > eps + _FLOOR * (1.0 + float(np.max(np.abs(node.A)))):
+        state = node.state(eps)
+        if state == "empty":
+            _log.debug("%s: node %s decides: its set is empty at eps %r", program, model.ids[v], eps)
             return None
-        if node.gamma >= eps and node.exact:
+        if state == "tangent":
             off = [k for w, on in zip(model.children[v], node.on) if not on
                    for k in model.leaves_under[w]]
             faces[j] = (node.z, np.isin(np.arange(model.n_leaves), off))
     return faces
-
-
-def _measure_cones(ops: TreeOps, eps: float, faces: dict) -> np.ndarray:
-    """Rows G (columns: the leaf weights q) of the cones
-    s_v = (eps qbar_v(q), z_v(q)) = -G q of the non-tangent nodes, one
-    (d + 1, L) block per node."""
-    keep = [j for j in range(len(ops.internal)) if j not in faces]
-    return -np.concatenate([eps * ops.mask.T[keep, None, :],
-                            ops.coeff[:, keep].transpose(1, 2, 0)], axis=1)
-
-
-def _measure_solves(program: str, ops: TreeOps, eps: float, norms: NormPair, faces: dict,
-                    c: np.ndarray, lin: np.ndarray, n_extra: int, fixed=None):
-    """min c.(q, extra) s.t. lin (q, extra) <= 0, sum q = 1, the node cones,
-    the tangent faces' rows (z_v(q) = qbar_v(q) z, no weight off the face)
-    and f.q = value when ``fixed`` = (f, value): the measure programs' one
-    two-solve loop.  It solves at eps (1 - _TIGHTEN), then at eps, yielding
-    the solver's result and the exact program (at eps); the second solve is
-    counted in ``SECOND_SOLVES`` under ``program``."""
-    L = ops.model.n_leaves
-    a_eq = np.vstack([np.ones((1, L))] + [
-        np.vstack([ops.coeff[:, j, :].T - np.outer(z, ops.mask[:, j]), np.eye(L)[off]])
-        for j, (z, off) in faces.items()])
-    b_eq = np.zeros(len(a_eq))
-    b_eq[0] = 1.0
-    if fixed is not None:
-        a_eq, b_eq = np.vstack([a_eq, fixed[0]]), np.append(b_eq, fixed[1])
-    a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n_extra))])
-
-    def posed(level):
-        cones = _measure_cones(ops, level, faces)
-        cones = np.concatenate([cones, np.zeros(cones.shape[:2] + (n_extra,))], axis=2)
-        return _cone_program(c, lin, np.zeros(lin.shape[0]), cones, np.zeros(cones.shape[:2]),
-                             norms.q, a_eq, b_eq)
-
-    exact = posed(eps)
-    yield solve_socp(posed(eps * (1.0 - _TIGHTEN))), exact
-    SECOND_SOLVES[program] += 1
-    yield solve_socp(posed(eps)), exact
 
 
 def _gap_closed(value: float, bound: float, tol: float) -> bool:
@@ -625,178 +609,541 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
     return out
 
 
-def _checked_weights(ops: TreeOps, eps: float, norms: NormPair, faces: dict,
-                     x: Optional[np.ndarray]):
-    """Leaf weights from a solver point x (or None), clipped to >= 0 and
-    renormalized, that pass ``_min_norm_repair``; None if there are none."""
-    q = np.zeros(0) if x is None else np.maximum(x[:ops.model.n_leaves], 0.0)
-    return _min_norm_repair(ops, eps, norms, faces, q / q.sum()) if q.sum() > 0.0 else None
+# ---------------------------------------------------------------------------
+# Measure side off polyhedral geometry: backward induction over nodes
+#
+# The cone constraint is per node, so leaf weights q lie in the closed
+# eps-martingale set exactly when every node's kernel kappa_v(w) =
+# qbar(w) / qbar(v) lies in K_v(eps) = {kappa in the simplex:
+# |sum_w kappa_w dS(w)|_q <= eps}, and q is then the product of its
+# kernels.  Every measure question is a backward induction over one-node
+# programs (the one-period reduction of Bouchard & Nutz, *Arbitrage and
+# duality in nondominated discrete-time models*, 2015), with values V:
+#   price  V(v) = max over K_v of sum_w kappa_w V(w),      V = payoff at the leaves;
+#   ratio  V(v) = max over K_v of min_w kappa_w V(w) / p_w, V = 1 at the leaves,
+# p_w the reference kernel, so the ratio at the root is rho* = max min q / P.
+# Each node program reads its children's certified upper values: the
+# tree's lower end is read off the product of the checked kernels, and its
+# upper end composes the node bounds (at a price, the node hedges).
+# Several time-0 nodes combine with no cone at the implicit root.
+# ---------------------------------------------------------------------------
+
+NODE_PROGRAMS: Counter = Counter()
+"""Node programs of the measure inductions, per route: "closed form" or "cone program"."""
+
+_PULL = 2.0 ** -48  # per (eps + max |dS|): the margin a checked kernel keeps inside K_v
+_FACE = 1e-11  # per (1 + |price|): a node's optimal face holds the kernels this close to its price
+_STEPS = (0.0,) + tuple(2.0 ** e for e in range(-52, 0, 4)) + (1.0,)
 
 
-def _min_norm_repair(ops: TreeOps, eps: float, norms: NormPair, faces: dict, x: np.ndarray):
-    """Weights x with each node of negative margin (``_cone_margins`` with
-    the tangent faces), deepest first, mixed toward its children's min-norm
-    split; None unless every margin is then >= 0.
+def _beyond(bad, t: float, limit: float) -> float:
+    """An outer end: the first of t + s (limit - t), for s = 0, 2^-52,
+    2^-48, ..., 1/16, that is ``bad``, else ``limit``."""
+    for s in _STEPS[:-1]:
+        x = t + s * (limit - t)
+        if bad(x):
+            return x
+    return limit
 
-    A node's margin depends only on how its mass splits among its children,
-    so re-split by the min-norm weights, node v has margin
-    (eps - gamma) qbar(v), or lies on its face when tangent, and no other
-    node changes sign (each child's subtree is scaled as a whole; one
-    without mass is split by the min-norm weights all the way down).
-    Margins are concave in q: the mix of x and the re-split x' passes node
-    v at t >= m(x) / (m(x) - m(x')), and it mixes at twice that bound.
-    """
-    model, geometry = ops.model, node_geometry(ops.model, norms.q)
-    m0 = _cone_margins(ops, eps, norms, x, faces)
-    fail = m0 < 0.0
-    if not fail.any():
-        return x
-    q = x.copy()
-    for j in sorted(np.flatnonzero(fail), key=lambda j: -model.times[model.internal[j]]):
-        v = model.internal[j]
-        resplit = q.copy()
-        total = float(q[list(model.leaves_under[v])].sum())
-        for w, l_w in zip(model.children[v], geometry[v].lam):
-            u = list(model.leaves_under[w])
-            m_w = float(q[u].sum())
-            if m_w > 0.0:
-                resplit[u] *= l_w * total / m_w
-            elif l_w > 0.0:
-                stack = [(w, l_w * total)]
-                while stack:
-                    node, mass = stack.pop()
-                    if model.children[node]:
-                        stack += [(c, mass * l) for c, l in
-                                  zip(model.children[node], geometry[node].lam) if l > 0.0]
-                    else:
-                        resplit[model.leaves_under[node][0]] = mass
-        m1 = float(_cone_margins(ops, eps, norms, resplit, faces)[j])
-        if m1 <= 0.0:
+
+def _orthogonal(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """g less its component along z: an add-on of mean 0 on a face z."""
+    return g - float(g @ z) / float(z @ z) * z
+
+
+def _pull(x, target, needs):
+    """x moved toward ``target`` until f(x) >= floor for every (f, floor) of
+    ``needs``, each f concave and target passing them all: the mix at twice
+    the weight that the chords ask, doubled until it passes (rounding);
+    None when target itself fails."""
+    short = []
+    for f, floor in needs:
+        fx, ft = f(x), f(target)
+        if ft < floor:
             return None
-        q += min(1.0, 2.0 * float(m0[j] / (m0[j] - m1))) * (resplit - q)
-    return q if float(np.min(_cone_margins(ops, eps, norms, q, faces))) >= 0.0 else None
+        if fx < floor:
+            short.append((floor - fx) / (ft - fx))
+    theta = 2.0 * max(short, default=0.0)
+    while True:
+        y = x + min(theta, 1.0) * (target - x)
+        if all(f(y) >= floor for f, floor in needs):
+            return y
+        if theta >= 1.0:
+            return None
+        theta *= 2.0
 
 
-def _onto_slice(ops: TreeOps, eps: float, norms: NormPair, faces: dict, q: np.ndarray,
-                f: np.ndarray, value: float, anchor: np.ndarray) -> np.ndarray:
-    """Checked weights q off the slice f.q = value by more than 1e-9
-    (1 + |value|), mixed toward ``anchor``, a checked point on it, until
-    they are off by half that; q itself when it is close enough, or when
-    the mix fails the exact check (margins are concave, so it passes but
-    for rounding)."""
-    miss, tol = float(f @ q) - value, 1e-9 * (1.0 + abs(value))
-    if abs(miss) <= tol:
-        return q
-    mix = q + (1.0 - 0.5 * tol / abs(miss)) * (anchor - q)
-    return mix if float(np.min(_cone_margins(ops, eps, norms, mix, faces))) >= 0.0 else q
+class _NodeSet:
+    """K_v(eps) of one node at q (``NodeGeometry.state``): the exact margin
+    of a kernel, the capital of a node hedge, and ``pull``, the margin a
+    checked kernel keeps, enough that the margins recomputed from leaf
+    weights (``_cone_margins``, which rounds otherwise) stay >= 0 and at
+    most half the margin of the least-norm weights."""
+
+    def __init__(self, node: NodeGeometry, eps: float, norms: NormPair):
+        self.node, self.A, self.eps, self.norms = node, node.A, eps, norms
+        self.state = node.state(eps)
+        self.pull = 0.0
+        if self.state == "open":
+            top = float(np.max(np.abs(node.A)))
+            self.pull = min(_PULL * (eps + top), max(0.5 * self.margin(node.lam), 0.0))
+
+    def margin(self, kernel: np.ndarray) -> float:
+        """eps sum kappa - |sum_w kappa_w dS(w)|_q, and at a tangent node the
+        rounding floor less the distance from the face (``_cone_margins``)."""
+        z, mass = kernel @ self.A, float(kernel.sum())
+        if self.state == "tangent":
+            return (self.node.floor - qnorm(z - mass * self.node.z, 2.0)
+                    - float(kernel[~self.node.on].sum()))
+        return self.eps * mass - qnorm(z, self.norms.q)
+
+    def checked(self, kernel: np.ndarray, face, inside: np.ndarray):
+        """``kernel``, clipped at 0 and renormalized, when its margin is at
+        least ``pull`` and it meets the face slice (c, level), c.kappa >=
+        level; else pulled toward ``inside``, a kernel that passes
+        (``_pull``); None when that fails too."""
+        k = np.maximum(kernel, 0.0)
+        if not k.sum() > 0.0:
+            return None
+        needs = [(self.margin, self.pull)]
+        if face is not None:
+            needs.append((lambda x: float(face[0] @ x), face[1]))
+        return _pull(k / k.sum(), inside, needs)
+
+    def capital(self, c: np.ndarray, H: np.ndarray, g: Optional[np.ndarray]) -> float:
+        """max_w (c_w - (H + g).dS(w)) + eps |H|_p: the least capital from
+        which H, and the costless add-on g of a tangent node, cover c at
+        every child."""
+        gain = self.A @ (H if g is None else H + g)
+        return float(np.max(c - gain)) + self.eps * qnorm(H, self.norms.p)
+
+    def cover(self, c: np.ndarray, H: np.ndarray, g: Optional[np.ndarray]) -> np.ndarray:
+        """At a tangent node, H plus lambda h, h the node's unit strategy and
+        lambda the least that covers every child off the face from the face
+        children's capital: h.dS(w) - eps, the slack per unit, is > 0 off
+        the face and >= 0 on it, so no face child's term rises."""
+        node = self.node
+        if self.state != "tangent" or node.on.all():
+            return H
+        rest = c - self.A @ (H if g is None else H + g)
+        short = rest - float(np.max(rest[node.on]))
+        rate = self.A @ node.h - self.eps
+        need = ~node.on & (short > 0.0) & (rate > 0.0)
+        return H + float(np.max(short[need] / rate[need])) * node.h if need.any() else H
+
+    def face_point(self) -> Optional[np.ndarray]:
+        """The one kernel of K_v when it is one point: a single child, or a
+        tangent face that holds one child or two distinct ones (then the
+        least-norm weights); None otherwise."""
+        k = len(self.A)
+        if k == 1:
+            return np.ones(1)
+        if self.state != "tangent":
+            return None
+        face = np.flatnonzero(self.node.on)
+        if len(face) == 1:
+            return np.eye(k)[face[0]]
+        if len(face) == 2 and np.any(self.A[face[0]] != self.A[face[1]]):
+            return self.node.lam
+        return None
+
+    def interval(self, face):
+        """K_v of an open binary node at q = 2, as the weight t of its first
+        child, on the face slice when one is given: inner ends [lo, hi]
+        whose kernels pass ``checked``, and outer ends [LO, HI] around the
+        set (the exact margin, or the slice, fails there), or None.
+
+        With z* the least-norm point at t*, |z(t* + s)|^2 - eps^2 = alpha s^2
+        + 2 beta s - c for alpha = |D|^2, D = dS(0) - dS(1), beta = z*.D and
+        c = (eps - gamma)(eps + gamma) >= 0, whose roots are taken without
+        cancellation; a rounded end is pulled inside, and pushed outside,
+        until the exact margin says so."""
+        A, node = self.A, self.node
+        D = A[0] - A[1]
+        alpha = float(D @ D)
+        t0 = float(node.lam[0])
+        roots = (0.0, 1.0)
+        if alpha > 0.0:
+            c = max((self.eps - node.gamma) * (self.eps + node.gamma), 0.0)
+            beta = float(node.z @ D)
+            R = math.sqrt(beta * beta + alpha * c)
+            if beta >= 0.0:
+                up, down = (c / (beta + R) if beta + R > 0.0 else 0.0), -(beta + R) / alpha
+            else:
+                up, down = (R - beta) / alpha, -c / (R - beta)
+            roots = (t0 + down, t0 + up)
+
+        def margin(t):
+            return self.margin(np.array([t, 1.0 - t]))
+
+        needs = [(margin, self.pull)]
+        ends = []
+        for root, limit in zip(roots, (0.0, 1.0)):
+            end = min(max(root, 0.0), 1.0)
+            inner = _pull(end, t0, needs)
+            if inner is None:
+                return None
+            ends += [inner, end if end == limit else _beyond(lambda t: margin(t) < 0.0, end, limit)]
+        lo, LO, hi, HI = ends
+        if face is not None:
+            c, level = face
+            slope = float(c[0] - c[1])
+
+            def price(t):
+                return float(c @ np.array([t, 1.0 - t]))
+
+            if slope != 0.0:
+                # the slice is t >= at (slope > 0) or t <= at; c.kappa is
+                # largest at ``best``, the price kernel's end
+                at = (level - float(c[1])) / slope
+                best, limit = (hi, 0.0) if slope > 0.0 else (lo, 1.0)
+                outer = _beyond(lambda t: price(t) < level, at, limit)
+                if (slope > 0.0 and at > lo) or (slope < 0.0 and at < hi):
+                    inner = _pull(at, best, needs + [(price, level)])
+                    if inner is None:
+                        return None
+                    lo, hi = (inner, hi) if slope > 0.0 else (lo, inner)
+                LO, HI = (max(LO, outer), HI) if slope > 0.0 else (LO, min(HI, outer))
+        return (lo, hi, LO, HI) if lo <= hi else None
 
 
-def _ratio_conic(program: str, ops: TreeOps, eps: float, norms: NormPair, eta: float,
-                 P: np.ndarray, fixed=None):
-    """max rho s.t. q >= rho P, rho >= 0, sum q = 1, the node cones (and
-    f.q = value, checked to 1e-9 (1 + |value|), when ``fixed`` = (f, value,
-    anchor), anchor a checked point on that slice or None: checked weights
-    off the slice are mixed toward it, ``_onto_slice``).
+def _node_program(program: str, node: NodeGeometry, p: Optional[np.ndarray], values: np.ndarray,
+                  eps: float, norms: NormPair, face=None, inside: Optional[np.ndarray] = None):
+    """One node's program over K_v(eps), from the node's geometry (its
+    children's increments), the reference kernel p (None at a price), the
+    children's upper values and the level: the price max sum_w kappa_w
+    values_w, or the ratio max min_w kappa_w values_w / p_w, on the face
+    slice c.kappa >= level when ``face`` = (c, level).
 
-    The nodes decide first (``_tangent_faces``): the set is empty, or a
-    tangent face with no full-support point puts weight 0 on some leaf, so
-    rho* = 0.  Otherwise the whole tree is one cone program, tangent cones
-    as face rows: feasible when the solver's weights, repaired by
-    ``_checked_weights``, have q >= eta P; infeasible on a certificate, or
-    a certified bound on rho* below eta; else indeterminate, with the bound.
+    Returns None when K_v is empty (a node certificate), else (kernel, lo,
+    hi, hedge): a kernel that passes ``_NodeSet.checked`` (None without
+    one; ``inside``, the least-norm weights unless given, is the point it
+    is mixed toward), its value lo against ``values``, a certified upper
+    bound hi (inf without one), and at a price the node hedge (H, g), g the
+    add-on of a tangent node (None elsewhere), whose exact capital is hi.
+    Routes: a closed form for one point (``face_point``) and for open
+    binary nodes at q = 2 (``interval``), one cone program (``_node_cone``)
+    otherwise.
     """
-    faces = _tangent_faces(ops, eps, norms.q)
+    S = _NodeSet(node, eps, norms)
+    if S.state == "empty":
+        return None
+    inside = node.lam if inside is None else inside
+    u = None if p is None else values / p
+    ratio = u is not None
+    if not np.all(np.isfinite(values)):  # a child without a bound
+        return S.checked(inside, face, inside), -math.inf, math.inf, None
+    if ratio and (np.min(u) <= 0.0 or (S.state == "tangent" and not node.on.all())):
+        # a child of ratio 0, or weight 0 forced on a child off the face
+        return S.checked(inside, face, inside), 0.0, 0.0, None
+    point = S.face_point()
+    binary = point is None and len(node.A) == 2 and _second_order(norms.q) and S.state == "open"
+    NODE_PROGRAMS["closed form" if point is not None or binary else "cone program"] += 1
+    if point is None and not binary:
+        return _node_cone(program, S, values, u, face, inside)
+    d = node.A.shape[1]
+    H, g = np.zeros(d), None
+    if point is not None:
+        kernel = S.checked(point, face, point)
+        if ratio:
+            return kernel, float(np.min(point * u)), float(np.min(point * u)), None
+        face_kids = np.flatnonzero(node.on) if S.state == "tangent" else ()
+        if len(face_kids) == 2:
+            D = node.A[face_kids[0]] - node.A[face_kids[1]]
+            g = _orthogonal((values[face_kids[0]] - values[face_kids[1]]) / float(D @ D) * D,
+                            node.z)
+        elif S.state == "tangent":
+            g = np.zeros(d)
+        H = S.cover(values, H, g)
+        return kernel, float(values @ point), S.capital(values, H, g), (H, g)
+    ends = S.interval(face if ratio else None)
+    if ends is None:
+        return None, -math.inf, math.inf, None
+    lo, hi, LO, HI = ends
+    if ratio:
+        r = u[1] / (u[0] + u[1])  # the weight of child 0 at which t u0 = (1 - t) u1
+        t, T = min(max(r, lo), hi), min(max(r, LO), HI)
+        kernel = np.array([t, 1.0 - t])
+        return kernel, float(np.min(kernel * u)), min(T * u[0], (1.0 - T) * u[1]), None
+    t = hi if values[0] > values[1] else lo
+    kernel = np.array([t, 1.0 - t])
+    z = kernel @ node.A
+    size = qnorm(z, 2.0)
+    if values[0] != values[1] and 0.0 < t < 1.0 and size > 0.0:
+        # the cone binds: the hedge mu z/|z| makes both children's terms equal
+        unit = z / size
+        slope = float(unit @ (node.A[0] - node.A[1]))
+        if slope != 0.0:
+            H = (values[0] - values[1]) / slope * unit
+    return kernel, float(values @ kernel), S.capital(values, H, None), (H, None)
+
+
+def _node_cone(program: str, S: _NodeSet, c: np.ndarray, u: Optional[np.ndarray], face,
+               inside: np.ndarray):
+    """The node program of ``_node_program`` as one cone program over the
+    kernel kappa: the price min -c.kappa s.t. kappa >= 0, or the ratio max s
+    s.t. kappa >= s rhat, s >= 0 (rhat = (1/u) / sum(1/u), so s <= 1 and
+    the value is s / sum(1/u)) with c.kappa >= level on a face slice; sum
+    kappa = 1, and the node's cone (head eps sum kappa, tail sum_w kappa_w
+    dS(w)) or, at a tangent node, the rows of its face.
+
+    It solves at eps (1 - _TIGHTEN), then at eps (counted in
+    ``SECOND_SOLVES`` under ``program``) unless the first solve gives a
+    checked kernel within 1e-9 of its bound (relative; a ratio within a
+    thousandth of its value too, enough for the verdicts it feeds); it
+    keeps the best of both.  A face slice is solved once, at eps: its
+    level is within _FACE of the price at eps, which the tightened cone
+    would cut off.  A certificate that the program at eps is infeasible
+    empties the node.
+    The bound is weak duality, recomputed exactly: at a price the capital
+    of the hedge H = -(the dual's cone tail), with at a tangent node the
+    face rows' multiplier g, taken orthogonal to z, as the add-on; at a
+    ratio, with lambda and sigma the multipliers of kappa >= s rhat and of
+    the slice, s <= (capital(lambda + sigma c) - sigma level) / lambda.rhat.
+    """
+    A, eps, node = S.A, S.eps, S.node
+    k, d = A.shape
+    tangent = S.state == "tangent"
+    ratio = u is not None
+    n = k + ratio
+    if ratio:
+        rhat = 1.0 / u / float(np.sum(1.0 / u))
+        obj = -np.eye(n)[k]
+        lin = np.vstack([np.hstack([-np.eye(k), rhat[:, None]]), obj])
+        h = np.zeros(k + 1)
+        if face is not None:
+            lin, h = np.vstack([lin, np.append(-face[0], 0.0)]), np.append(h, -face[1])
+    else:
+        obj, lin, h = -c, -np.eye(k), np.zeros(k)
+    a_eq = np.ones((1, k))
+    if tangent:
+        a_eq = np.vstack([a_eq, (A - node.z).T, np.eye(k)[~node.on]])
+    b_eq = np.zeros(len(a_eq))
+    b_eq[0] = 1.0
+    a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n - k))])
+
+    def posed(level):
+        cones = np.zeros((0 if tangent else 1, d + 1, n))
+        cones[:, 0, :k] = -level
+        cones[:, 1:, :k] = -A.T
+        return _cone_program(obj, lin, h, cones, np.zeros(cones.shape[:2]),
+                             2.0 if tangent else S.norms.q, a_eq, b_eq)
+
+    def value(kernel):
+        return float(np.min(kernel * u)) if ratio else float(c @ kernel)
+
+    exact = posed(eps)
+    box = _padded(np.ones(n), exact, eps)
+    scale = float(np.sum(1.0 / u)) if ratio else 1.0
+    best, lo, hi, hedge = None, -math.inf, math.inf, None
+    levels = (eps,) if tangent or face is not None else (eps * (1.0 - _TIGHTEN), eps)
+    for i, level in enumerate(levels):
+        if i:
+            SECOND_SOLVES[program] += 1
+        prog = posed(level)
+        res = solve_socp(prog)
+        if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
+            return None
+        kernel = None if res.x is None else S.checked(res.x[:k], face, inside)
+        if kernel is not None and value(kernel) > lo:
+            best, lo = kernel, value(kernel)
+        if res.status in ("optimal", "unsolved") and res.z is not None:
+            H = np.zeros(d) if tangent else -_cone_tails(prog, res.z, d)[0]
+            g = None
+            if tangent:
+                g = _orthogonal(res.y[1:1 + d], node.z)
+            if ratio:
+                lam = np.maximum(res.z[:k], 0.0)
+                sigma = max(float(res.z[k + 1]), 0.0) if face is not None else 0.0
+                cvec = lam if face is None else lam + sigma * face[0]
+                weight = float(lam @ rhat)
+                bound = math.inf
+                if weight > 0.0:
+                    cap = S.capital(cvec, S.cover(cvec, H, g), g)
+                    bound = (cap - (sigma * face[1] if face is not None else 0.0)) / weight / scale
+            else:
+                H = S.cover(c, H, g)
+                bound = S.capital(c, H, g)
+            if bound < hi:
+                hi, hedge = bound, (None if ratio else (H, g))
+        if best is not None and (_gap_closed(lo * scale, hi * scale, 1e-9)
+                                 or (ratio and hi - lo <= 1e-3 * lo)):
+            break
+    return best, lo, hi, hedge
+
+
+def _induction(program: str, model: MarketModel, eps: float, norms: NormPair,
+               leaf_values: np.ndarray, p: Optional[np.ndarray] = None, faces=None,
+               insides=None):
+    """The node programs of ``program`` from the deepest internal node up
+    (``_node_program``; p the reference kernel per node, None at a price;
+    ``faces`` and ``insides`` per node, for the face program): (kernels,
+    lo, hi, hedges, doubt) with lo and hi per node (the leaves' values at
+    the leaves) and ``doubt`` the first node left without a checked kernel
+    or with a bracket wider than 1e-9, else None; None when a node's set is
+    empty, which is logged as the deciding node."""
+    geometry = node_geometry(model, norms.q)
+    lo = np.zeros(model.n_nodes)
+    hi = np.zeros(model.n_nodes)
+    lo[list(model.leaves)] = hi[list(model.leaves)] = leaf_values
+    kernels, hedges, doubt = {}, {}, None
+    for v in sorted(model.internal, key=lambda v: -model.times[v]):
+        kids = list(model.children[v])
+        out = _node_program(program, geometry[v], None if p is None else p[kids], hi[kids],
+                            eps, norms, None if faces is None else faces[v],
+                            None if insides is None else insides[v])
+        if out is None:
+            _log.debug("%s: node %s decides: its set is empty at eps %r", program,
+                       model.ids[v], eps)
+            return None
+        kernels[v], lo[v], hi[v], hedges[v] = out
+        if doubt is None and (out[0] is None or not _gap_closed(out[1], out[2], 1e-9)):
+            doubt = v
+    return kernels, lo, hi, hedges, doubt
+
+
+def _product(model: MarketModel, kernels: dict, root_kernel: np.ndarray) -> Optional[np.ndarray]:
+    """The leaf weights of the product of the node kernels, with
+    ``root_kernel`` over the time-0 nodes; None when a kernel is missing."""
+    if any(k is None for k in kernels.values()):
+        return None
+    mass = np.zeros(model.n_nodes)
+    mass[list(model.roots)] = root_kernel
+    for v in model.order:
+        if model.children[v]:
+            mass[list(model.children[v])] = mass[v] * kernels[v]
+    return mass[list(model.leaves)]
+
+
+def _ratio_induction(program: str, model: MarketModel, eps: float, norms: NormPair,
+                     p: np.ndarray, faces=None, insides=None):
+    """The ratio max min q / P (p the reference kernel per node, P's) by
+    induction: (q, upper bound, the node of least upper ratio, doubt), or
+    None when a node's set is empty.  The time-0 nodes combine with weights
+    proportional to p_r / V(r), which gives 1 / sum_r p_r / V(r)."""
+    out = _induction(program, model, eps, norms, np.ones(model.n_leaves), p, faces, insides)
+    if out is None:
+        return None
+    kernels, _, hi, _, doubt = out
+    roots = list(model.roots)
+    u = hi[roots] / p[roots]
+    root_kernel = p[roots] / float(np.sum(p[roots]))
+    bound = 0.0
+    if np.min(u) > 0.0:
+        inverse = float(np.sum(1.0 / u))
+        bound = 1.0 / inverse if inverse > 0.0 else math.inf
+        if np.all(np.isfinite(u)):
+            root_kernel = (1.0 / u) / inverse
+    # the node whose own upper ratio (its value against its children's
+    # best, s = V(v) sum_w p_w / V(w)) is least: the one that decides
+    with np.errstate(all="ignore"):
+        own = {v: hi[v] * float(np.sum(p[list(model.children[v])] / hi[list(model.children[v])]))
+               for v in model.internal}
+    least = min(model.internal, key=lambda v: own[v] if own[v] == own[v] else math.inf)
+    return _product(model, kernels, root_kernel), bound, least, doubt
+
+
+@_kept_results
+def _price_induction(model: MarketModel, eps: float, norms: NormPair, c: np.ndarray):
+    """sup c.q over the closed eps-martingale set by induction: None when a
+    node's set is empty, else (q, c.q, capital, hedge, lo, hi, kernels): q
+    the product of the checked kernels (None without), with all mass on a
+    time-0 node of largest upper value, the super-hedge (capital, strategy,
+    {node: add-on}, leaf slacks) composed of the node hedges, its capital
+    raised to cover every exact leaf slack (None without a hedge at every
+    node), and the nodes' values lo (their kernels' against hi) and upper
+    values hi.  A bracket wider than 1e-9 (relative) is counted in
+    ``CONIC_FALLBACKS``.  Kept on the model (``_kept_results``): the face
+    program reads it again."""
+    out = _induction("cone_linear_optimum", model, eps, norms, c)
+    if out is None:
+        return None
+    kernels, lo, hi, hedges, doubt = out
+    roots = list(model.roots)
+    top = int(np.argmax(hi[roots]))
+    q = _product(model, kernels, np.eye(len(roots))[top])
+    hedge = None
+    if all(h is not None for h in hedges.values()):
+        ops = tree_ops(model)
+        H = np.array([hedges[v][0] for v in ops.internal]).ravel()
+        add_on = {v: hedges[v][1] for v in ops.internal if hedges[v][1] is not None}
+        rest = _leaf_gain_cost(ops, norms, H, eps) - c
+        for j, v in enumerate(ops.internal):
+            if v in add_on:
+                rest = rest + ops.coeff[:, j, :] @ add_on[v]
+        capital = max(float(hi[roots][top]), -float(np.min(rest)))
+        hedge = (capital, strategy_from_packed(ops, H), add_on, capital + rest)
+    value = -math.inf if q is None else float(c @ q)
+    capital = math.inf if hedge is None else hedge[0]
+    if not _gap_closed(value, capital, 1e-9):
+        _fallback("cone_linear_optimum", "bracket wider than 1e-9")
+        if doubt is not None:
+            _log.debug("cone_linear_optimum: node %s leaves the bracket open", model.ids[doubt])
+    return q, value, capital, hedge, lo, hi, kernels
+
+
+def _interior_induction(ops: TreeOps, eps: float, norms: NormPair, eta: float):
+    """``interior_feasibility`` off polyhedral geometry."""
+    program, model = "interior_feasibility", ops.model
+    faces = _tangent_faces(ops, eps, norms.q, program)
     if faces is None:
         return "infeasible", None, None, None, None
-    if any(off.any() for _, off in faces.values()):
+    zero = [ops.internal[j] for j, (_, off) in faces.items() if off.any()]
+    if zero:
+        _log.debug("%s: node %s decides: its face puts weight 0 on a leaf", program,
+                   model.ids[zero[0]])
         return "infeasible", None, None, 0.0, None
-    L = ops.model.n_leaves
-    c = np.zeros(L + 1)
-    c[-1] = -1.0
-    lin = np.vstack([np.hstack([-np.eye(L), P[:, None]]), c[None, :]])
-    rho_ub = math.inf
-    for res, exact in _measure_solves(program, ops, eps, norms, faces, c, lin, 1, fixed):
-        # weak duality on the exact program, the residual charged to |q|, rho <= 1
-        box = _padded(np.ones(L + 1), exact, eps)
-        if res.status == "infeasible" and exact.certifies_infeasible(res.y, res.z, box):
-            return "infeasible", None, None, None, None
-        if res.status != "infeasible" and res.x is not None:
-            rho_ub = min(rho_ub, -exact.lower_bound(res.y, res.z, box))
-        q = _checked_weights(ops, eps, norms, faces, res.x)
-        if q is not None and fixed is not None and fixed[2] is not None:
-            q = _onto_slice(ops, eps, norms, faces, q, *fixed)
-        if (q is not None and np.all(q >= eta * P) and (
-                fixed is None or abs(fixed[0] @ q - fixed[1]) <= 1e-9 * (1.0 + abs(fixed[1])))):
-            return ("feasible", q, float(np.min(q / P)), rho_ub,
-                    float(np.min(_cone_margins(ops, eps, norms, q, faces))))
-        if rho_ub < eta:
-            return "infeasible", None, None, rho_ub, None
+    out = _ratio_induction(program, model, eps, norms, model.cond_prob)
+    if out is None:
+        return "infeasible", None, None, None, None
+    q, bound, least, doubt = out
+    P = model.leaf_prob
+    if q is not None:
+        margin = float(np.min(_cone_margins(ops, eps, norms, q, faces)))
+        if margin >= 0.0 and np.all(q >= eta * P):
+            return "feasible", q, float(np.min(q / P)), bound, margin
+    if bound < eta:
+        _log.debug("%s: node %s decides: rho* <= %r, below eta", program, model.ids[least], bound)
+        return "infeasible", None, None, bound, None
     _fallback(program, "no checked witness or bound")
-    return "indeterminate", None, None, rho_ub if rho_ub < math.inf else None, None
+    _log.debug("%s: node %s leaves the verdict open", program,
+               model.ids[least if doubt is None else doubt])
+    return "indeterminate", None, None, bound if bound < math.inf else None, None
 
 
-def _dual_hedge(ops: TreeOps, eps: float, norms: NormPair, faces: dict, phi: np.ndarray,
-                prog: ConeProgram, y: np.ndarray, z: np.ndarray):
-    """The super-hedge (capital, strategy, {node: add-on}, slacks) of phi
-    read from the price program's dual (y, z), whose rows read phi = y[0] +
-    gain(H) - eps sum_v t_v + sum_j (dS - z_j).g_j + mu - s (t_v >= |H_v|,
-    s >= 0): H_v = -(tail of z on node v's cone, ``_cone_tails``), and
-    tangent node j's face-row multiplier g_j, taken orthogonal to z_j, is a
-    costless add-on of mean 0 on the face.  A leaf off the face (free multiplier mu) is
-    covered by lambda h_j, the node's unit strategy (z_j / gamma_j at q =
-    2), whose slack per unit dS.h_j - eps is > 0 off the face and >= 0 on
-    it (no slack drops: the cost is subadditive); then the capital y[0] is
-    raised to cover every exact slack."""
-    _, n_int, d = ops.coeff.shape
-    H = np.zeros((n_int, d))
-    H[[j for j in range(n_int) if j not in faces]] = -_cone_tails(prog, z, d)
-    add_on, row = {}, 1
-    for j, (zj, off) in faces.items():
-        add_on[j] = y[row:row + d] - (y[row:row + d] @ zj) / (zj @ zj) * zj
-        row += d + int(off.sum())
-
-    def rest():  # the leaf slacks less the capital
-        return (_leaf_gain_cost(ops, norms, H.ravel(), eps) - phi
-                + sum(ops.coeff[:, j, :] @ g for j, g in add_on.items()))
-
-    geometry = node_geometry(ops.model, norms.q)
-    for j, (_, off) in faces.items():
-        unit, short = geometry[ops.internal[j]].h, -(y[0] + rest())
-        rate = ops.coeff[:, j, :] @ unit - eps
-        cover = off & (short > 0.0) & (rate > 0.0)
-        if cover.any():
-            H[j] += float(np.max(short[cover] / rate[cover])) * unit
-    r = rest()
-    capital = max(float(y[0]), -float(np.min(r)))
-    return (capital, strategy_from_packed(ops, H.ravel()),
-            {ops.internal[j]: g for j, g in add_on.items()}, capital + r)
-
-
-def _price_conic(ops: TreeOps, eps: float, norms: NormPair, phi: np.ndarray,
-                 anchor: Optional[np.ndarray]):
-    """sup phi.q over the closed cone set as a certified bracket (all None
-    when a node empties it): (phi.q, q, capital, hedge) at the best checked
-    q of ``_measure_solves`` (else ``anchor``) and the ``_dual_hedge`` of
-    least capital (None, capital inf, without a dual point); one wider than
-    1e-9 (relative) after both solves is counted in ``CONIC_FALLBACKS``."""
-    faces = _tangent_faces(ops, eps, norms.q)
-    if faces is None:
-        return (None,) * 4
-    best, best_q, hedge = -math.inf, None, None
-    for res, exact in _measure_solves("cone_linear_optimum", ops, eps, norms, faces, -phi,
-                                      -np.eye(ops.model.n_leaves), 0):
-        q = _checked_weights(ops, eps, norms, faces, res.x)
-        if q is not None and float(phi @ q) > best:
-            best, best_q = float(phi @ q), q
-        if res.status in ("optimal", "unsolved"):
-            h = _dual_hedge(ops, eps, norms, faces, phi, exact, res.y, res.z)
-            hedge = h if hedge is None or h[0] < hedge[0] else hedge
-        if best_q is not None and hedge is not None and _gap_closed(best, hedge[0], 1e-9):
-            return best, best_q, hedge[0], hedge
-    if best_q is None and anchor is not None:
-        best, best_q = float(phi @ anchor), anchor
-    _fallback("cone_linear_optimum", "bracket wider than 1e-9")
-    return best, best_q, math.inf if hedge is None else hedge[0], hedge
+def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, target: float,
+                    sgn: float):
+    """``max_min_weight_on_face`` off polyhedral geometry, for the optimum of
+    sgn c."""
+    program, model = "max_min_weight_on_face", ops.model
+    nodes = _price_induction(model, eps, norms, sgn * c)
+    if nodes is None:
+        return 0.0, None, True
+    _, _, _, _, lo, hi, kernels = nodes
+    roots = list(model.roots)
+    top = float(np.max(hi[roots]))
+    if top - float(np.min(hi[roots])) > _FACE * (1.0 + abs(top)):
+        return 0.0, None, True
+    if any(k is None for k in kernels.values()):
+        _fallback(program, "a node has no checked price kernel")
+        return 0.0, None, False
+    slices = {v: (hi[list(model.children[v])], lo[v] - _FACE * (1.0 + abs(lo[v])))
+              for v in model.internal}
+    out = _ratio_induction(program, model, eps, norms, np.ones(model.n_nodes), slices, kernels)
+    if out is None:
+        return 0.0, None, True
+    q, bound, least, doubt = out
+    if q is not None and float(np.min(q)) >= _ATTAINED:
+        faces = _tangent_faces(ops, eps, norms.q)
+        on_slice = abs(float(c @ q) - target) <= 1e-9 * (1.0 + abs(target))
+        if on_slice and float(np.min(_cone_margins(ops, eps, norms, q, faces))) >= 0.0:
+            return float(np.min(q)), q, True
+    if bound < _ATTAINED:
+        return max(bound, 0.0), None, True
+    _fallback(program, "no checked witness or bound")
+    _log.debug("%s: node %s leaves attainment open", program,
+               model.ids[least if doubt is None else doubt])
+    return max(bound, 0.0), None, False
 
 
 @_kept_results
@@ -811,15 +1158,21 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     meets its rows only to rounding (an LP vertex that fails either check
     is indeterminate).
 
-    Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP, and
-    every other q the node check and one cone program (``_ratio_conic``).
+    Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP.
+    Every other q is the node geometry, then the ratio induction over node
+    programs (``_ratio_induction``): the set is empty when a node's is (no
+    bound), and rho* = 0 when a tangent face puts weight 0 on a leaf;
+    otherwise the product of the node kernels is the witness when it
+    passes the checks, a composed upper bound below eta decides
+    infeasible, and anything else is indeterminate, with that bound.  The
+    node behind an infeasible or indeterminate verdict is logged at DEBUG.
     The result is kept on the model (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
     P = model.leaf_prob
     if not _polyhedral(model, norms, eps):
-        return _ratio_conic("interior_feasibility", ops, eps, norms, eta, P)
+        return _interior_induction(ops, eps, norms, eta)
     # Rounding floor of |z_v(q)|_q at this price scale.
     margin_floor = _FLOOR * (1.0 + float(np.max(np.abs(ops.coeff))))
     rows = _cone_rows_linf(ops, eps)
@@ -863,20 +1216,26 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
     Returns (value, q, bound, hedge), all None when the closed set is
     empty: value = c.q at exactly feasible q, bound the certified other end
     of the optimum.  Polyhedral geometry is one LP (bound = value).  Every
-    other q is one cone program (``_price_conic``), whose dual gives
-    ``hedge`` = (capital, strategy, {node: add-on}, leaf slacks), an exact
+    other q is the price induction over node programs
+    (``_price_induction``), whose composed node hedges give ``hedge`` =
+    (capital, strategy, {node: add-on}, leaf slacks), an exact
     super-replication of c (sense max) or -c (min), whose capital (negated
     for min) is the bound.  ``anchor``, an exactly feasible point, is the q
-    returned when no solve gives a checked one.  The result is kept on the
-    model (``_kept_results``).
+    returned when a node gives no checked kernel.  The result is kept on
+    the model (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
     if not _polyhedral(model, norms, eps):
         sgn = 1.0 if sense == "max" else -1.0
-        value, q, capital, hedge = _price_conic(ops, eps, norms, sgn * c, anchor)
-        return (None,) * 4 if value is None else (sgn * value, q, sgn * capital, hedge)
+        nodes = _price_induction(model, eps, norms, sgn * c)
+        if nodes is None:
+            return (None,) * 4
+        q, value, capital, hedge = nodes[:4]
+        if q is None and anchor is not None:
+            q, value = anchor, float(sgn * c @ anchor)
+        return sgn * value, q, sgn * capital, hedge
     rows = _cone_rows_linf(ops, eps)
     lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
                        a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
@@ -890,22 +1249,27 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
 
 
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
-                           leaf_objective: np.ndarray, target: float,
-                           anchor: Optional[np.ndarray] = None):
+                           leaf_objective: np.ndarray, target: float, sense: str = "max"):
     """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
-    of target, as (min weight, q, decided), or (0.0, None, True) when there
-    is none.  Off polyhedral geometry it only decides whether it reaches
-    _ATTAINED, by the ratio program on the slice c.q = target (a thin slab
-    is as degenerate, and worse conditioned), whose checked weights are
-    mixed toward ``anchor``, a checked point on the slice, when they miss
-    it; it says when it cannot decide (q None unless reached)."""
+    of target, the optimum of c in ``sense``, as (min weight, q, decided),
+    or (0.0, None, True) when there is none.
+
+    Off polyhedral geometry it only decides whether it reaches _ATTAINED.
+    An equivalent measure attains the optimum exactly when every node's
+    optimal face holds a full-support kernel, so it is the ratio induction
+    with P = 1 on each node's face, the kernels within _FACE of the node's
+    price against its children's upper values (from the kept
+    ``_price_induction``): q, with each kernel mixed toward the price's
+    when it falls short, is returned when it passes the checks, reaches
+    _ATTAINED and lies on the slice; a composed bound below _ATTAINED
+    decides the other way; it says when it cannot decide.  A time-0 node
+    of lower price than another takes no mass at the optimum: not attained.
+    """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
     if not _polyhedral(model, norms, eps):
-        status, q, rho, bound, _ = _ratio_conic("max_min_weight_on_face", ops, eps, norms,
-                                                _ATTAINED, np.ones(L), (c, target, anchor))
-        return rho if q is not None else max(bound or 0.0, 0.0), q, status != "indeterminate"
+        return _face_induction(ops, eps, norms, c, target, 1.0 if sense == "max" else -1.0)
     scale = 1e-9 * (1.0 + abs(target))
     face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
     face_rhs = np.array([target + scale, -(target - scale)])

@@ -704,6 +704,22 @@ def count_solves(monkeypatch) -> list:
     return solves
 
 
+def count_node_programs(monkeypatch) -> list:
+    """Record each node program of the measure inductions from now on, as
+    ("node", the names of the functions on the stack), the form of
+    ``count_solves``: a closed-form node solves nothing, so only this
+    counter sees it."""
+    real = programs._node_program
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(("node", _callers()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(programs, "_node_program", counted)
+    return runs
+
+
 def solves_in(solves: list, program: str) -> int:
     """How many of the recorded solves ran inside ``program``."""
     return sum(program in names for _, names in solves)

@@ -2,14 +2,15 @@
 
 from epsarb import programs
 
-# The q = 2 measure programs, by the name their second solves are counted under.
+# The measure programs, by the name their node-cone second solves are counted under.
 MEASURE_PROGRAMS = {"cone_linear_optimum": "price bound", "max_min_weight_on_face": "face",
                     "interior_feasibility": "interior"}
 
 
 def pytest_terminal_summary(terminalreporter):
     """Print how many conic results were left without a certified answer,
-    and how many measure-program calls needed their second solve.
+    how many node programs the measure inductions ran by route, and how
+    many node cone programs needed their second solve.
 
     Each rejection is a call whose conic result failed its exact check
     after every solve: the interior decision, a price bracket
@@ -17,14 +18,16 @@ def pytest_terminal_summary(terminalreporter):
     (``max_min_weight_on_face``) was left indeterminate, or the maximin
     program returned no certificate.
 
-    Both counters count solves, not calls: a model keeps the results of its
+    The counters count solves, not calls: a model keeps the results of its
     interior and price programs, so a repeated call at the same level reads
-    the kept result and adds nothing to either.
+    the kept result and adds nothing to any of them.
     """
     counts = programs.CONIC_FALLBACKS
     terminalreporter.section("conic results without a certified answer")
     terminalreporter.write_line(f"total: {sum(counts.values())}")
     for name, n in sorted(counts.items()):
         terminalreporter.write_line(f"{name}: {n}")
-    terminalreporter.write_line("untightened second solves: " + ", ".join(
+    terminalreporter.write_line("node programs: " + ", ".join(
+        f"{route} {programs.NODE_PROGRAMS[route]}" for route in ("closed form", "cone program")))
+    terminalreporter.write_line("node-cone second solves: " + ", ".join(
         f"{label} {programs.SECOND_SOLVES[name]}" for name, label in MEASURE_PROGRAMS.items()))

@@ -9,8 +9,12 @@ Core claims:
       a measure is found; below it by more than rounding the set is empty
     - off the boundary the conic route decides alone, with no fallback
     - q = 2 pricing reads no node structures: price bounds and superhedge
-      prices close their duality gap to 1e-9 by one price program, also
-      where the cone set is a single point
+      prices close their duality gap to 1e-9 by one price induction, each
+      node cone program solving twice at most, also where the cone set is a
+      single point
+    - a binary node at q = 2 has a closed form: its value lies in the node
+      cone program's certified bracket, and its kernel and hedge pass the
+      exact checks (a property over random nodes)
     - the q = 2 cones written as second-order blocks and as power blocks
       (the general-p route) agree on verdicts, price bounds, node deviations
       (the power-cone gamma against Wolfe's point) and superhedge prices
@@ -18,6 +22,7 @@ Core claims:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epsarb as ea
 from epsarb import programs
@@ -130,10 +135,11 @@ class TestNoCuttingPlanes:
             eps = 1.05 * programs.reference_deviation(m, N2) + 0.05
             ea.find_eps_martingale_measure(m, eps, N2)
             n_emm = len(solves)
+            cone = programs.NODE_PROGRAMS["cone program"]
             res = ea.superhedge_price(m, eps, N2, psi)
-            # one price program (two solves at most); the model keeps
-            # find-emm's interior result
-            assert len(solves) - n_emm <= 2, k
+            # one price induction, each node cone program solving twice at
+            # most; the model keeps find-emm's interior result
+            assert len(solves) - n_emm <= 2 * (programs.NODE_PROGRAMS["cone program"] - cone), k
             del solves[:]
             assert res.mode == "dual"
             assert res.gap is not None and res.gap <= 1e-9 * (1.0 + abs(res.price)), k
@@ -186,7 +192,10 @@ class TestPowerConesAgreeWithSecondOrderCones:
             power_cones(False)
             # each pass solves its own programs: none is read from the other's
             assert all(kind != "power" for kind, _ in power_solves[False])
-            for program in ("interior_feasibility", "cone_linear_optimum"):
+            # with power blocks every node of more than one child is a node
+            # cone program (a single child is a closed form)
+            for program in ("interior_feasibility", "cone_linear_optimum")[
+                    :2 * any(len(m.children[v]) > 1 for v in m.internal)]:
                 assert any(kind == "power" and program in names
                            for kind, names in power_solves[True]), program
             (g0, hi0, lo0, h0, v0), (g1, hi1, lo1, h1, v1) = out[False], out[True]
@@ -194,3 +203,46 @@ class TestPowerConesAgreeWithSecondOrderCones:
             assert hi0 == pytest.approx(hi1, abs=1e-6) and lo0 == pytest.approx(lo1, abs=1e-6)
             assert h0 == pytest.approx(h1, abs=1e-5)
             assert v0 == v1
+
+
+def _node_cases():
+    """Random binary d = 2 nodes: increments, reference kernel, children's
+    values (positive, as ratio values are) and a level between 1 + 1e-6
+    and 3 times gamma(v), or times a floor where gamma(v) is below it."""
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    return st.tuples(
+        st.lists(coords, min_size=4, max_size=4), st.floats(0.05, 0.95),
+        st.lists(st.floats(0.01, 3.0), min_size=2, max_size=2),
+        st.floats(1e-6, 2.0), st.floats(0.01, 1.0))
+
+
+class TestBinaryClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(_node_cases())
+    def test_lies_in_the_cone_bracket(self, case):
+        coords, p0, values, rise, floor = case
+        A = np.array(coords).reshape(2, 2)
+        node = programs.NodeGeometry(A, 2.0)
+        eps = (1.0 + rise) * max(node.gamma, floor)
+        values, p = np.array(values), np.array([p0, 1.0 - p0])
+        S = programs._NodeSet(node, eps, N2)
+        assert S.state == "open"
+        for ref in (None, p):
+            out = programs._node_program("test", node, ref, values, eps, N2)
+            kernel, lo, hi, hedge = out
+            cone = programs._node_cone("test", S, values,
+                                       None if ref is None else values / p, None, node.lam)
+            # a kernel in K_v, whose value is lo, and a certified hi >= lo
+            assert kernel is not None and np.all(kernel >= 0.0)
+            assert kernel.sum() == pytest.approx(1.0, abs=1e-15)
+            assert S.margin(kernel) >= 0.0
+            want = float(values @ kernel) if ref is None else float(np.min(kernel * (values / p)))
+            assert lo == want <= hi
+            tol = 1e-9 * (1.0 + abs(lo))
+            assert cone[1] - tol <= lo and hi <= cone[2] + tol
+            if ref is None:
+                # the hedge's capital, recomputed, is hi and covers every child
+                H, g = hedge
+                assert g is None and S.capital(values, H, None) == hi
+                slack = hi + A @ H - eps * np.linalg.norm(H) - values
+                assert np.all(slack >= -1e-12 * (1.0 + abs(hi)))

@@ -9,9 +9,17 @@ Core claims:
     - the orthogonal add-on restores exactness below the critical level
     - at p = 2 on full trees a price is a certified bracket: an exactly
       feasible measure below, the price program's dual hedge above
-    - near the critical level the measure programs' untightened second
-      solve decides what the tightened first one leaves open: a price
-      bracket and an infeasibility bound
+    - near the critical level a node program certifies what the whole
+      tree needed a second solve for: an infeasibility bound below eta,
+      logged with its deciding node, and a price bracket inside the one the
+      whole-tree program certified
+    - just above the critical level of a binary q = 2 node the closed form
+      finds the measure, with rho within 1 % of its exact value
+    - near the critical level at p = 1.5 and 3 every price bound is a
+      closed bracket or an indeterminate one with finite ends, and only a
+      node certificate raises NoMartingaleStructure
+    - the induction's brackets overlap those the whole-tree cone programs
+      certified (recorded in tests/data/whole_tree_brackets.json)
     - at p = 1.5 and 3 (power cones) the superhedge is the price program's
       dual too, with exact slacks >= 0, duality and a price above E_Q
     - fair-price intervals carry the documented endpoint openness, and
@@ -20,13 +28,18 @@ Core claims:
     - a model keeps its interior and price programs' results: the eight
       market operations on one model are byte-equal to each on a fresh
       model, a repeated superhedge or fair range solves no interior or
-      price program again, other argument bits (0.0 against -0.0 too)
+      price program again, on the curved shape at p = 2 no operation solves
+      a cone program, other argument bits (0.0 against -0.0 too)
       miss, every array of a result is read-only and each call gets its
       own dicts, models and results still pickle, the store stays at its
       bound over a sweep of levels, and the model is still freed
 """
 
 import gc
+import json
+import logging
+import math
+import os
 import pickle
 import weakref
 
@@ -37,7 +50,8 @@ import epsarb as ea
 from epsarb import pricing, programs
 from epsarb.testing import random_market
 
-from _helpers import (binary_martingale, count_solves, critical_value_oracle, fresh_copy,
+from _helpers import (binary_martingale, count_node_programs, count_solves,
+                      critical_value_oracle, fresh_copy,
                       full_tree_law, kbar_market, market_operations, nostrictarb_market,
                       payoff_linear_terminal, price_range_market, result_arrays, result_bytes,
                       solves_in, two_state)
@@ -68,15 +82,34 @@ class TestFindMeasure:
         _, dev = ea.is_eps_martingale(m, res.measure, 1.0, N2)
         assert dev <= 1.0 + 1e-9
 
-    def test_second_solve_certifies_infeasibility_just_above_the_critical_level(self):
-        # the solve at eps (1 - 1e-10) alone leaves this call indeterminate;
-        # the untightened one at eps bounds rho* by 3.7e-11, below eta
+    def test_node_certifies_infeasibility_just_above_the_critical_level(self, caplog):
+        # node n0 sits 1e-11 (relative) above its gamma: its own program
+        # bounds rho* by 2e-10, below eta, and is logged as the deciding node
         m, _, eps = _full_tree_case(101, 2, 1.0 + 1e-11)
-        second = programs.SECOND_SOLVES["interior_feasibility"]
-        res = ea.find_eps_martingale_measure(m, eps, N2)
-        assert programs.SECOND_SOLVES["interior_feasibility"] == second + 1
+        with caplog.at_level(logging.DEBUG, logger="epsarb"):
+            res = ea.find_eps_martingale_measure(m, eps, N2)
         assert res.status == "infeasible" and not res.indeterminate
         assert res.rho_upper_bound < res.eta
+        assert "interior_feasibility: node n0 decides" in caplog.text
+
+    @pytest.mark.parametrize("delta", [1e-11, 3e-11, 7e-11])
+    def test_just_above_a_binary_critical_level_is_feasible(self, delta):
+        # gamma = 1 at the child (1, 0); at eps = 1 + delta the other child
+        # takes weight up to s = sqrt(2 delta + delta^2), so rho* = 2 s
+        m = nostrictarb_market(1.0)
+        eps = 1.0 + delta
+        res = ea.find_eps_martingale_measure(m, eps, N2)
+        assert res.feasible and not res.indeterminate
+        q = res.measure.weights
+        assert np.all(q >= res.eta * m.leaf_prob)
+        assert np.min(programs._cone_margins(programs.tree_ops(m), eps, N2, q)) >= 0.0
+        assert res.rho == pytest.approx(2.0 * math.sqrt(2.0 * delta + delta ** 2), rel=1e-2)
+
+    def test_logs_nothing_by_default(self, capsys):
+        # the deciding node goes to the "epsarb" logger at DEBUG only
+        ea.find_eps_martingale_measure(nostrictarb_market(1.0), 1.0, N2)
+        ea.find_eps_martingale_measure(nostrictarb_market(1.0), 0.5, N2)
+        assert capsys.readouterr() == ("", "")
 
     def test_feasibility_excludes_detection(self):
         # whenever a measure exists the detector must stay silent
@@ -209,14 +242,14 @@ class TestSuperhedge:
             assert prices[1] <= prices[2] + 5e-7
 
 
-def _full_tree_case(seed, T, f):
-    """A p = 2, d = 2 full ternary tree (T = 3 drawn after T = 2 from one
-    generator), the payoff |S_T - S_0|_2 and the level f eps(P)."""
+def _full_tree_case(seed, T, f, p=2.0):
+    """A d = 2 full ternary tree (T = 3 drawn after T = 2 from one
+    generator), the payoff |S_T - S_0|_2 and the level f eps(P) at p."""
     rng = np.random.default_rng(seed)
     for t in range(2, T + 1):
         m = full_tree_law(rng, t, 3, 2)
     psi = ea.Payoff(np.linalg.norm(m.prices[list(m.leaves)] - m.prices[0], axis=1))
-    return m, psi, f * ea.critical_value(m, N2).epsilon
+    return m, psi, f * ea.critical_value(m, ea.NormPair(p)).epsilon
 
 
 class TestFullTreeBrackets:
@@ -250,16 +283,74 @@ class TestFullTreeBrackets:
         assert res.value == pytest.approx(float(res.witness.weights @ psi.values), abs=1e-9)
 
 
-    def test_second_solve_closes_the_bracket(self):
-        # the solve at eps (1 - 1e-10) alone leaves the upper end at
-        # 2.5167442560, an indeterminate bracket; the untightened one closes it
+    def test_bracket_lies_in_the_whole_tree_bracket(self):
+        # the whole-tree cone program needed its untightened second solve to
+        # close this bracket at [2.5167442509, 2.5167442537]; the induction
+        # closes one inside it
         m, psi, eps = _full_tree_case(110, 2, 1.0001)
-        second = programs.SECOND_SOLVES["cone_linear_optimum"]
         res = ea.robust_price_bound(m, eps, N2, psi, "sup")
-        assert programs.SECOND_SOLVES["cone_linear_optimum"] == second + 1
         assert not res.indeterminate
-        assert res.value == pytest.approx(2.5167442509, abs=1e-10)
-        assert res.bound == pytest.approx(2.5167442537, abs=1e-10)
+        assert res.value >= 2.5167442509 - 1e-10
+        assert res.bound <= 2.5167442537 + 1e-10
+
+
+class TestNearCritical:
+    # Before the node induction the p = 3 call raised NoMartingaleStructure
+    # (its rho upper bound was 1.197), and the two p = 1.5 calls were
+    # indeterminate with brackets up to 1.9e-3 wide.
+    @pytest.mark.parametrize("seed, T, f, p", [(105, 3, 1.01, 3.0), (102, 2, 1.0 + 1e-6, 1.5),
+                                               (102, 2, 1.0 + 1e-4, 1.5)])
+    def test_bracket_is_closed_or_indeterminate(self, seed, T, f, p):
+        m, psi, eps = _full_tree_case(seed, T, f, p)
+        res = ea.robust_price_bound(m, eps, ea.NormPair(p), psi, "sup")
+        assert math.isfinite(res.value) and math.isfinite(res.bound)
+        assert res.value <= res.bound
+        assert res.bound - res.value <= 1e-9 * (1.0 + abs(res.value)) or res.indeterminate
+
+    def test_only_a_node_certificate_raises(self, monkeypatch):
+        # every interior node program left without a verdict: find-emm is
+        # indeterminate, and the price bound is an indeterminate bracket, not
+        # NoMartingaleStructure
+        m, psi, eps = _full_tree_case(102, 2, 1.01)
+        real = programs._node_program
+
+        def undecided(program, *args, **kwargs):
+            if program == "interior_feasibility":
+                return None, -math.inf, math.inf, None
+            return real(program, *args, **kwargs)
+
+        monkeypatch.setattr(programs, "_node_program", undecided)
+        emm = ea.find_eps_martingale_measure(m, eps, N2)
+        assert emm.status == "infeasible" and emm.indeterminate
+        res = ea.robust_price_bound(m, eps, N2, psi, "sup")
+        assert res.indeterminate and not res.attained
+        assert math.isfinite(res.value) and math.isfinite(res.bound)
+        assert ea.superhedge_price(m, eps, N2, psi).duality_ok
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "whole_tree_brackets.json")) as _fh:
+    WHOLE_TREE = json.load(_fh)["cases"]
+
+
+def _overlap(lo, hi, old_lo, old_hi):
+    """Whether [lo, hi] meets [old_lo, old_hi] widened by 1e-9 (relative)."""
+    tol = 1e-9 * (1.0 + max(abs(old_lo), abs(old_hi)))
+    return lo <= old_hi + tol and old_lo - tol <= hi
+
+
+class TestWholeTreeBrackets:
+    @pytest.mark.parametrize("case", WHOLE_TREE, ids=[c["name"] for c in WHOLE_TREE])
+    def test_brackets_overlap(self, case):
+        m = ea.MarketModel.from_nodes(case["T"], case["d"], case["nodes"])
+        eps, psi = case["eps"], np.array(case["payoff"])
+        status, q, rho, rho_ub, _ = programs.interior_feasibility(
+            m, eps, N2, 1e-7 * float(np.min(m.leaf_prob)))
+        assert status == case["interior"][0] == "feasible"
+        assert _overlap(rho, rho_ub, *case["interior"][1:])
+        value, _, bound, _ = programs.cone_linear_optimum(m, eps, N2, psi, "max", q)
+        assert value <= bound and _overlap(value, bound, *case["max"])
+        value, _, bound, _ = programs.cone_linear_optimum(m, eps, N2, psi, "min", q)
+        assert bound <= value and _overlap(bound, value, case["min"][1], case["min"][0])
 
 
 class TestGeneralExponent:
@@ -393,49 +484,70 @@ class TestKeptPrograms:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_repeated_prices_solve_no_interior_or_price_program(self, p, monkeypatch):
+        # a run is a solve (LP or cone) or a node program (at p = 2 every
+        # node of this shape has a closed form, which solves nothing)
         m = _market("curved")
         norms = ea.NormPair(p)
         eps = 1.5 * ea.critical_value(m, norms).epsilon
         psi = payoff_linear_terminal(m)
         solves = count_solves(monkeypatch)
+        nodes = count_node_programs(monkeypatch)
         hedge = result_bytes(ea.superhedge_price(m, eps, norms, psi))
-        assert solves_in(solves, "interior_feasibility") > 0
-        assert solves_in(solves, "cone_linear_optimum") > 0
+        assert solves_in(solves + nodes, "interior_feasibility") > 0
+        assert solves_in(solves + nodes, "cone_linear_optimum") > 0
         fair = result_bytes(ea.fair_price_range(m, eps, norms, psi))
-        del solves[:]
+        del solves[:], nodes[:]
         assert result_bytes(ea.superhedge_price(m, eps, norms, psi)) == hedge
         assert result_bytes(ea.fair_price_range(m, eps, norms, psi)) == fair
-        # only the programs that are not kept solve again: the p = 1 hedge
+        # only the programs that are not kept run again: the p = 1 hedge
         # LP and the face programs of the two price bounds
-        assert solves_in(solves, "interior_feasibility") == 0
-        assert solves_in(solves, "cone_linear_optimum") == 0
-        assert all(names & {"_superhedge_lp", "max_min_weight_on_face"} for _, names in solves)
+        runs = solves + nodes
+        assert solves_in(runs, "interior_feasibility") == 0
+        assert solves_in(runs, "cone_linear_optimum") == 0
+        assert all(names & {"_superhedge_lp", "max_min_weight_on_face"} for _, names in runs)
 
-    def test_other_argument_bits_miss(self, monkeypatch):
+    def test_curved_prices_solve_no_cone_program(self, monkeypatch):
+        # every node of the curved shape is binary at q = 2: find-emm, the
+        # price bounds, the superhedge and the fair range run closed forms
+        m = _market("curved")
+        eps = 1.5 * ea.critical_value(m, N2).epsilon
+        psi = payoff_linear_terminal(m)
+        solves = count_solves(monkeypatch)
+        nodes = count_node_programs(monkeypatch)
+        cone = programs.NODE_PROGRAMS["cone program"]
+        assert ea.find_eps_martingale_measure(m, eps, N2).feasible
+        for direction in ("sup", "inf"):
+            assert not ea.robust_price_bound(m, eps, N2, psi, direction).indeterminate
+        assert ea.superhedge_price(m, eps, N2, psi).duality_ok
+        ea.fair_price_range(m, eps, N2, psi)
+        assert solves == []
+        assert nodes and programs.NODE_PROGRAMS["cone program"] == cone
+
+    def test_other_argument_bits_miss(self):
         m = _market("curved")
         eps = 1.5 * ea.critical_value(m, N2).epsilon
         psi = payoff_linear_terminal(m).values
         anchor = ea.find_eps_martingale_measure(m, eps, N2).measure.weights
-        solves = count_solves(monkeypatch)
 
-        def solved(program, *args, **kwargs):
-            before = len(solves)
+        def missed(program, *args, **kwargs):
+            """Whether the call added a result to the model's store."""
+            before = set(m.__dict__["_programs"])
             program(m, *args, **kwargs)
-            return len(solves) - before
+            return bool(set(m.__dict__["_programs"]) - before)
 
         interior = programs.interior_feasibility
-        assert solved(interior, eps, N2, 1e-9) > 0
-        assert solved(interior, eps, N2, 1e-9) == 0
-        assert solved(interior, np.nextafter(eps, 1.0), N2, 1e-9) > 0
-        assert solved(interior, eps, N2, 2e-9) > 0
-        assert solved(interior, 0.0, N2, 1e-9) > 0  # the LP route at eps = 0
-        assert solved(interior, -0.0, N2, 1e-9) > 0
+        assert missed(interior, eps, N2, 1e-9)
+        assert not missed(interior, eps, N2, 1e-9)
+        assert missed(interior, np.nextafter(eps, 1.0), N2, 1e-9)
+        assert missed(interior, eps, N2, 2e-9)
+        assert missed(interior, 0.0, N2, 1e-9)  # the LP route at eps = 0
+        assert missed(interior, -0.0, N2, 1e-9)
         price = programs.cone_linear_optimum
-        assert solved(price, eps, N2, psi, "max", anchor) > 0
-        assert solved(price, eps, N2, psi.copy(), "max", anchor.copy()) == 0  # bits, not identity
-        assert solved(price, eps, N2, psi, "min", anchor) > 0
-        assert solved(price, eps, N2, 2.0 * psi, "max", anchor) > 0
-        assert solved(price, eps, N2, psi, "max", None) > 0
+        assert missed(price, eps, N2, psi, "max", anchor)
+        assert not missed(price, eps, N2, psi.copy(), "max", anchor.copy())  # bits, not identity
+        assert missed(price, eps, N2, psi, "min", anchor)
+        assert missed(price, eps, N2, 2.0 * psi, "max", anchor)
+        assert missed(price, eps, N2, psi, "max", None)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_results_are_read_only(self, p):
