@@ -42,6 +42,7 @@ import math
 import os
 import pickle
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -320,8 +321,11 @@ class TestNearCritical:
             return real(program, *args, **kwargs)
 
         monkeypatch.setattr(programs, "_node_program", undecided)
+        # count this call's rejection apart from the session's
+        monkeypatch.setattr(programs, "CONIC_FALLBACKS", Counter())
         emm = ea.find_eps_martingale_measure(m, eps, N2)
         assert emm.status == "infeasible" and emm.indeterminate
+        assert programs.CONIC_FALLBACKS == Counter(interior_feasibility=1)
         res = ea.robust_price_bound(m, eps, N2, psi, "sup")
         assert res.indeterminate and not res.attained
         assert math.isfinite(res.value) and math.isfinite(res.bound)
