@@ -1120,13 +1120,18 @@ def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, ta
     if nodes is None:
         return 0.0, None, True
     _, _, _, _, lo, hi, kernels = nodes
-    roots = list(model.roots)
-    top = float(np.max(hi[roots]))
-    if top - float(np.min(hi[roots])) > _FACE * (1.0 + abs(top)):
-        return 0.0, None, True
     if any(k is None for k in kernels.values()):
         _fallback(program, "a node has no checked price kernel")
         return 0.0, None, False
+    # E[sgn c | v] under the price kernels, at most the true value: a time-0
+    # node whose upper value is below another's takes no mass at the optimum
+    below = np.zeros(model.n_nodes)
+    below[list(model.leaves)] = sgn * c
+    for v in sorted(model.internal, key=lambda v: -model.times[v]):
+        below[v] = float(kernels[v] @ below[list(model.children[v])])
+    roots = list(model.roots)
+    if float(np.min(hi[roots])) < float(np.max(below[roots])):
+        return 0.0, None, True
     slices = {v: (hi[list(model.children[v])], lo[v] - _FACE * (1.0 + abs(lo[v])))
               for v in model.internal}
     out = _ratio_induction(program, model, eps, norms, np.ones(model.n_nodes), slices, kernels)
@@ -1263,7 +1268,8 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
     when it falls short, is returned when it passes the checks, reaches
     _ATTAINED and lies on the slice; a composed bound below _ATTAINED
     decides the other way; it says when it cannot decide.  A time-0 node
-    of lower price than another takes no mass at the optimum: not attained.
+    whose upper price is below another's lower one takes no mass at the
+    optimum: not attained.
     """
     ops = tree_ops(model)
     L = model.n_leaves

@@ -356,6 +356,21 @@ class TestWholeTreeBrackets:
         value, _, bound, _ = programs.cone_linear_optimum(m, eps, N2, psi, "min", q)
         assert bound <= value and _overlap(bound, value, case["min"][1], case["min"][0])
 
+    def test_two_time_0_nodes_attain_only_a_tie(self):
+        # a constant payoff ties the two time-0 nodes, whose kernels then
+        # combine with weight on both; a payoff of one time-0 node puts all
+        # mass of its sup on that node and of its inf on the other
+        case = WHOLE_TREE[-1]
+        m = ea.MarketModel.from_nodes(case["T"], case["d"], case["nodes"])
+        first = np.array([float(m.ids[leaf].startswith("r0")) for leaf in m.leaves])
+        for direction in ("sup", "inf"):
+            tie = ea.robust_price_bound(m, case["eps"], N2, ea.Payoff(np.ones(m.n_leaves)),
+                                        direction)
+            assert tie.attained and tie.value == pytest.approx(1.0, abs=1e-12)
+            one = ea.robust_price_bound(m, case["eps"], N2, ea.Payoff(first), direction)
+            assert not one.attained and not one.indeterminate
+            assert one.value == pytest.approx(1.0 if direction == "sup" else 0.0, abs=1e-12)
+
 
 class TestGeneralExponent:
     @pytest.mark.parametrize("p", [1.5, 3.0])
