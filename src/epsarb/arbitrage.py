@@ -89,10 +89,11 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     sequential-closure boundary, so the decision is taken node by node
     (strict arbitrage localizes to one trading period): compare eps with the
     node's minimal simplex deviation and settle the boundary band by support
-    analysis.  The node's certificate is shipped unless the whole-tree
-    maximin program's point, whose margin per unit norm is uniform over the
-    leaves, beats its exact worst leaf slack by more than the maximin's
-    certified gap.
+    analysis.  The node's certificate is shipped unless the maximin
+    program's point, whose margin per unit norm is uniform over the leaves
+    (a backward induction over nodes, with time-0 nodes sharing the budget),
+    beats its exact worst leaf slack by more than the maximin's certified
+    gap.
     """
     _check_market(model)
     _check_level("eps", eps, False)

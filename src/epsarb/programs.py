@@ -22,18 +22,23 @@ over one-node programs (``_node_program``): a closed form for binary nodes
 at q = 2 and for one-point nodes, one cone program on the node's own
 one-period ops otherwise; the measure is the product of the node kernels
 and the super-hedge is the node hedges.  The strategy side's maximin is
-one cone program over the tree.  The node geometry is exact once per
-model and q (:func:`node_geometry`): gamma(v) is the least q-norm of the
-children's convex hull, Wolfe's min-norm point at q = 2 and one cone
-program with a recomputed bracket at other q, and a tangent node's set is
-the face of that point.  Every result is checked exactly (node margins,
+an induction of the same kind (``_maximin_induction``): closed forms for
+nodes whose children all have value 0, for one child and for binary
+nodes at q = 2, one cone program otherwise; its strategy composes the
+node duals.  The node geometry is exact once per model and q
+(:func:`node_geometry`): gamma(v) is the least q-norm of the children's
+convex hull, Wolfe's min-norm point at q = 2 and one cone program with a
+recomputed bracket at other q, and a tangent node's set is the face of
+that point.  Every result is checked exactly (node margins,
 ``_leaf_gain_cost``, q >= eta P, and a recomputed hedge capital or dual
 bound); a result that fails is counted in ``CONIC_FALLBACKS`` and has no
-answer: indeterminate, or no certificate.  Public wrappers live in
+answer: indeterminate, or no certificate.  ``NODE_PROGRAMS`` counts the
+node programs of both sides by route.  Public wrappers live in
 :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
 
-A model keeps what is derived from it, through one helper (``_kept``):
-its coefficient tensors (:func:`tree_ops`), its node geometry per q
+A model keeps what is derived from it, through one helper (``_kept``),
+and nothing it keeps points back at it, so its last reference frees it:
+its coefficient arrays (:func:`tree_ops`), its node geometry per q
 (:func:`node_geometry`), and the results of the last 8 calls of the
 interior, price and strict-arbitrage sum programs and of the price
 induction (``_kept_results``).
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -95,7 +101,7 @@ def _kept(model: MarketModel, name: str, build, *args):
     return kept
 
 
-def _build_tree_ops(model: MarketModel) -> TreeOps:
+def _tree_arrays(model: MarketModel) -> tuple:
     internal = tuple(model.internal)
     pos = {v: j for j, v in enumerate(internal)}
     coeff = np.zeros((model.n_leaves, len(internal), model.d))
@@ -106,14 +112,24 @@ def _build_tree_ops(model: MarketModel) -> TreeOps:
             j = pos[path[a]]
             coeff[k, j] = model.delta[path[a + 1]]
             mask[k, j] = 1.0
-    return TreeOps(model, internal, coeff, mask)
+    return internal, coeff, mask
+
+
+_LIVE_OPS: "weakref.WeakValueDictionary[int, TreeOps]" = weakref.WeakValueDictionary()
 
 
 def tree_ops(model: MarketModel) -> TreeOps:
-    """The model's coefficient tensors, built once and kept on the model:
-    every program over the tree reads them, and they depend on the model
-    alone."""
-    return _kept(model, "_tree_ops", _build_tree_ops, model)
+    """The model's coefficient tensors: every program over the tree reads
+    them, and they depend on the model alone, so the arrays are built once
+    and kept on the model.  The ops that hold them are not: they point at
+    the model, which would then wait for the cyclic garbage collector
+    instead of being freed with its last reference.  While a caller holds a
+    model's ops, the same ops are returned (an entry of ``_LIVE_OPS`` goes
+    with its ops, before their model can go and free its id)."""
+    ops = _LIVE_OPS.get(id(model))
+    if ops is None:
+        ops = _LIVE_OPS[id(model)] = TreeOps(model, *_kept(model, "_tree_ops", _tree_arrays, model))
+    return ops
 
 
 _KEPT_RESULTS = 8  # program results a model keeps; the oldest goes first
@@ -198,6 +214,9 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 
 CONIC_FALLBACKS: Counter = Counter()
 """Per program, the calls left indeterminate or without a certificate by a failed check."""
+NODE_PROGRAMS: Counter = Counter()
+"""Node programs of the measure inductions and the strategy maximin, per
+route: "closed form" or "cone program"."""
 SECOND_SOLVES: Counter = Counter()
 """Per measure program, the node cone programs that went on to the untightened second solve."""
 
@@ -209,7 +228,7 @@ SECOND_SOLVES: Counter = Counter()
 _TIGHTEN = 1e-10
 
 _NODE_BAND = 1e-8  # per (1 + max |dS|): the strategy side's boundary band around gamma(v) = eps
-_MAXIMIN_TOL = 1e-9  # the cone maximin's certified bound: no margin at or below it, gap within 10x
+_MAXIMIN_TOL = 1e-9  # the maximin induction's certified bound: no margin at or below it, gap within 10x
 _FLOOR = 1e-12  # per (1 + max |dS|): the rounding floor of an exact node check
 _ATTAINED = 1e-7  # a price bound is attained when its face has a point of min leaf weight above this
 
@@ -474,40 +493,186 @@ def _l1_slack_rows(ops: TreeOps, eps: float):
     return a - eps * b, -a - eps * b
 
 
-def _strategy_conic(ops: TreeOps, eps: float, norms: NormPair):
-    """The maximin strict-arbitrage program as one cone program.
+# ---------------------------------------------------------------------------
+# Strategy side off polyhedral geometry: backward induction over nodes
+#
+# By Sion's minimax theorem the maximin delta* = max over sum_v |H(v)|_p <=
+# 1 of the least leaf slack equals min over leaf measures mu of max_v
+# (|z_v(mu)|_q - eps mubar(v))^+.  Written through mu's node kernels it
+# splits into one-node programs, deepest first, with phi = 0 at the leaves:
+#   phi(v) = min over kernels kappa of max(|sum_w kappa_w dS(w)|_q - eps,
+#                                          max_w kappa_w phi(w), 0),
+# and delta* = 1 / sum_r 1 / phi(r) over the time-0 nodes (0 if some phi(r)
+# = 0): the one-period reduction of the measure side below, applied to the
+# strategy side.  Each node has a dual (lam, h): lam on the simplex over
+# {cone, children}, |h|_p <= 1 and lam_0 (h.dS(w) - eps) + lam_w phi(w) >=
+# phi(v) for every child w.  A node with budget beta holds beta lam_0 h and
+# passes beta lam_w to child w; time-0 node r has a budget proportional to
+# 1 / phi(r), so every leaf's slack is at least delta* per unit of total
+# norm.
+# ---------------------------------------------------------------------------
 
-    Variables (H, t, delta) with |H_v|_p <= t_v, sum_v t_v <= 1 and every
-    leaf slack, linear in (H, t), at least delta.  The holdings, scaled to
-    unit total norm, are checked on the exact slacks of ``_leaf_gain_cost``:
-    their minimum must reach the certified bound.  Returns (value, H,
-    slacks, bound - value), or None when the check fails.
-    """
-    L, n_int, d = ops.coeff.shape
-    N = n_int * d
-    S = np.hstack([ops.coeff.reshape(L, N), -eps * ops.mask])  # leaf slacks over (H, t)
-    n = N + n_int + 1
-    cones = np.zeros((n_int, d + 1, n))
-    for j in range(n_int):
-        cones[j, 0, N + j] = -1.0
-        cones[j, 1:, j * d:(j + 1) * d] = -np.eye(d)
-    budget = np.concatenate([np.zeros(N), np.ones(n_int)])[None, :]
-    c = np.zeros(n)
-    c[-1] = -1.0
-    lin = np.vstack([np.hstack([-S, np.ones((L, 1))]), np.hstack([budget, [[0.0]]])])
-    prog = _cone_program(c, lin, np.concatenate([np.zeros(L), [1.0]]), cones,
-                         np.zeros((n_int, d + 1)), norms.p)
-    reach = float(np.max(np.linalg.norm(ops.coeff, axis=2).sum(axis=1))) + eps * n_int
-    box = _padded(np.concatenate([np.ones(N + n_int), [reach]]), prog, 1.0)
+def _roots(a: float, b: float, c: float) -> tuple:
+    """The real roots of a t^2 + 2 b t + c = 0, taken without cancellation."""
+    if a == 0.0:
+        return (-c / (2.0 * b),) if b != 0.0 else ()
+    disc = b * b - a * c
+    if disc < 0.0:
+        return ()
+    r = -(b + math.copysign(math.sqrt(disc), b))
+    return (r / a, c / r) if r != 0.0 else (0.0,)
+
+
+def _split(c: np.ndarray, phi: np.ndarray):
+    """A node's dual weights for a holding of exact unit slacks c_w at its
+    children of values phi: lam over (the holding, each child), summing to
+    at most 1, that maximizes min_w lam_0 c_w + lam_w phi_w.  With at most
+    two children, or all phi_w = 0, the optimum is no spending, a vertex, or
+    a point of an edge where two children's terms are equal."""
+    k = len(c)
+    cands = [np.zeros(k + 1), np.eye(k + 1)[0]]
+    if k == 1:
+        cands.append(np.array([0.0, 1.0]))
+    if k == 2:
+        for a, b in ((0, 1), (1, 0)):  # lam_0 + lam_a = 1 and the two terms equal
+            den = phi[a] + c[b] - c[a]
+            if den > 0.0 and phi[a] <= den:
+                lam = np.zeros(3)
+                lam[0], lam[1 + a] = phi[a] / den, 1.0 - phi[a] / den
+                cands.append(lam)
+        if phi[0] + phi[1] > 0.0:
+            cands.append(np.array([0.0, phi[1], phi[0]]) / (phi[0] + phi[1]))
+    return max(cands, key=lambda lam: float(np.min(lam[0] * c + lam[1:] * phi)))
+
+
+def _binary_kernel(node: NodeGeometry, phi: np.ndarray, eps: float) -> np.ndarray:
+    """The optimal kernel (t, 1 - t) of a binary node at q = 2:
+    f(t) = max(|t dS(0) + (1 - t) dS(1)|_2 - eps, t phi_0, (1 - t) phi_1, 0)
+    is convex, so its least value is at the least-norm weight, where the
+    two children's terms cross, where the cone crosses either of them (the
+    roots of two quadratics), or at an end."""
+    a1, D = node.A[1], node.A[0] - node.A[1]
+    alpha, beta, c = float(D @ D), float(a1 @ D), float(a1 @ a1)
+    ts = [float(node.lam[0]), 0.0, 1.0]
+    if phi[0] + phi[1] > 0.0:
+        ts.append(phi[1] / (phi[0] + phi[1]))
+    # |a1 + t D|^2 = (e + m t)^2 at (e, m) = (eps, phi_0) and (eps + phi_1, -phi_1)
+    for e, m in ((eps, phi[0]), (eps + phi[1], -phi[1])):
+        ts += _roots(alpha - m * m, beta - e * m, c - e * e)
+
+    def f(t):
+        return max(qnorm(a1 + t * D, 2.0) - eps, t * phi[0], (1.0 - t) * phi[1])
+
+    t = min((t for t in ts if 0.0 <= t <= 1.0), key=f)
+    return np.array([t, 1.0 - t])
+
+
+def _maximin_cone(A: np.ndarray, phi: np.ndarray, eps: float, q: float):
+    """The node program of ``_maximin_node`` as one cone program in
+    (kappa, s): min s s.t. |sum_w kappa_w dS(w)|_q <= eps + s, kappa_w
+    phi_w <= s, s >= 0, kappa in the simplex.  Returns the kernel (the
+    solver's, clipped at 0 and renormalized) and the dual: the holding
+    -(the cone's dual tail) and the multipliers of kappa_w phi_w <= s;
+    None without both."""
+    k, d = A.shape
+    live = np.flatnonzero(phi > 0.0)
+    lin = np.vstack([np.hstack([-np.eye(k), np.zeros((k, 1))]),
+                     np.hstack([np.diag(phi)[live], -np.ones((len(live), 1))]),
+                     -np.eye(k + 1)[k]])
+    cones = np.zeros((1, d + 1, k + 1))
+    cones[0, 0, k] = -1.0
+    cones[0, 1:, :k] = -A.T
+    h_cones = np.zeros((1, d + 1))
+    h_cones[0, 0] = eps
+    prog = _cone_program(np.eye(k + 1)[k], lin, np.zeros(len(lin)), cones, h_cones, q,
+                         np.append(np.ones(k), 0.0)[None, :], np.ones(1))
     res = solve_socp(prog)
-    if res.status not in ("optimal", "unsolved"):
+    if (res.status not in ("optimal", "unsolved") or res.x is None or res.z is None
+            or not np.max(res.x[:k]) > 0.0):
         return None
-    bound = -prog.lower_bound(res.y, res.z, box)
+    kernel = np.maximum(res.x[:k], 0.0)
+    passes = np.zeros(k)
+    passes[live] = np.maximum(res.z[k:k + len(live)], 0.0)
+    return kernel / kernel.sum(), -_cone_tails(prog, res.z, d)[0], passes
+
+
+def _maximin_node(node: NodeGeometry, phi: np.ndarray, eps: float, norms: NormPair):
+    """One node of the maximin induction, from its geometry and its
+    children's values phi: (kernel, holding, passes) or None.  The kernel
+    minimizes max(|kappa dS|_q - eps, max_w kappa_w phi_w, 0) over the
+    simplex; the dual spends a unit budget as the holding (of p-norm at
+    most the cone's weight) and passes[w] to child w.  Routes: closed forms
+    when every phi_w is 0 (the node's least-norm weights and unit strategy
+    from its geometry), for one child, and for two children at q = 2
+    (``_binary_kernel``, with the unit strategy of its kernel's point); one
+    cone program otherwise (``_maximin_cone``).  The closed forms take
+    their dual weights from ``_split``."""
+    A, q = node.A, norms.q
+    k = len(A)
+    if not np.any(phi > 0.0):
+        kernel, h = node.lam, node.h
+    elif k == 1:
+        kernel = np.ones(1)
+        h = qnorm_grad(A[0], q, qnorm(A[0], q))
+    elif k == 2 and _second_order(q):
+        kernel = _binary_kernel(node, phi, eps)
+        z = kernel @ A
+        size = qnorm(z, 2.0)
+        h = z / size if size > 0.0 else np.zeros_like(z)
+    else:
+        NODE_PROGRAMS["cone program"] += 1
+        return _maximin_cone(A, phi, eps, q)
+    NODE_PROGRAMS["closed form"] += 1
+    lam = _split(A @ h - eps * qnorm(h, norms.p), phi)
+    return kernel, lam[0] * h, lam[1:]
+
+
+def _maximin_induction(ops: TreeOps, eps: float, norms: NormPair):
+    """The maximin strict-arbitrage program off polyhedral geometry, by
+    backward induction over nodes (see the section comment above).
+
+    The holdings, scaled to unit total norm, give the value, the least
+    exact leaf slack (``_leaf_gain_cost``).  The product of the node
+    kernels, with time-0 node r weighted as 1 / phi(r), gives the bound,
+    max(0, -min ``_cone_margins``): no solver gap is trusted.  Returns
+    (value, H, slacks, bound - value), or None when a node's cone program
+    fails or the two ends lie more than 1e-8 (relative) apart.
+    """
+    model = ops.model
+    L, n_int, d = ops.coeff.shape
+    geometry = node_geometry(model, norms.q)
+    phi = np.zeros(model.n_nodes)
+    kernels, holds, passes = {}, {}, {}
+    for v in sorted(model.internal, key=lambda v: -model.times[v]):
+        kids = list(model.children[v])
+        out = _maximin_node(geometry[v], phi[kids], eps, norms)
+        if out is None:
+            return None
+        kernels[v], holds[v], passes[v] = out
+        phi[v] = max(qnorm(kernels[v] @ geometry[v].A, norms.q) - eps,
+                     float(np.max(kernels[v] * phi[kids])), 0.0)
+    roots = list(model.roots)
+    if np.min(phi[roots]) > 0.0:
+        budget = 1.0 / phi[roots] / float(np.sum(1.0 / phi[roots]))
+    else:
+        zero = int(np.argmin(phi[roots]))
+        _log.debug("strict_arbitrage_maximin_program: time-0 node %s has no strict arbitrage "
+                   "in its subtree at eps %r", model.ids[roots[zero]], eps)
+        budget = np.eye(len(roots))[zero]
+    bound = max(0.0, -float(np.min(_cone_margins(ops, eps, norms,
+                                                 _product(model, kernels, budget)))))
     if bound <= _MAXIMIN_TOL:
         # No positive uniform slack: the zero strategy is optimal.
-        return 0.0, np.zeros(N), np.zeros(L), max(bound, 0.0)
-    h = res.x[:N]
-    total = float(np.linalg.norm(h.reshape(n_int, d), ord=norms.p, axis=1).sum())
+        return 0.0, np.zeros(n_int * d), np.zeros(L), bound
+    beta = np.zeros(model.n_nodes)
+    beta[roots] = budget
+    H = np.zeros((model.n_nodes, d))
+    for v in model.order:
+        if model.children[v]:
+            H[v] = beta[v] * holds[v]
+            beta[list(model.children[v])] = beta[v] * passes[v]
+    h = H[list(ops.internal)].ravel()
+    total = float(np.sum(qnorm(H[list(ops.internal)], norms.p)))
     if total > 0.0:
         h = h / total
     slack = _leaf_gain_cost(ops, norms, h, eps)
@@ -547,10 +712,11 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair):
     """max delta s.t. every leaf slack >= delta, sum_v |H(v)|_p <= 1.
 
     The maximin certificate: its margin per unit of strategy norm is the
-    uniform slack rate.  One LP at p = 1 or d = 1, one checked cone program
-    otherwise.  Returns (delta, packed H or None, slacks, gap), the gap
-    between delta and its certified bound (0 for the LP); (0.0, None,
-    zeros, inf) is "no certificate".
+    uniform slack rate.  One LP at p = 1 or d = 1, the node induction
+    (``_maximin_induction``) on a model's own ops otherwise.  Returns
+    (delta, packed H or None, slacks, gap), the gap between delta and its
+    certified bound (0 for the LP); (0.0, None, zeros, inf) is "no
+    certificate".
     """
     L, n_int, d = ops.coeff.shape
     N = n_int * d
@@ -572,7 +738,7 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair):
         h = res.x[:N] - res.x[N:2 * N]
         slack = s_plus @ res.x[:N] + s_minus @ res.x[N:2 * N]
         return float(res.value), h, slack, 0.0
-    out = _strategy_conic(ops, eps, norms)
+    out = _maximin_induction(ops, eps, norms)
     if out is not None:
         return out
     _fallback("strict_arbitrage_maximin_program", "gap check failed")
@@ -627,9 +793,6 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
 # upper end composes the node bounds (at a price, the node hedges).
 # Several time-0 nodes combine with no cone at the implicit root.
 # ---------------------------------------------------------------------------
-
-NODE_PROGRAMS: Counter = Counter()
-"""Node programs of the measure inductions, per route: "closed form" or "cone program"."""
 
 _PULL = 2.0 ** -48  # per (eps + max |dS|): the margin a checked kernel keeps inside K_v
 _FACE = 1e-11  # per (1 + |price|): a node's optimal face holds the kernels this close to its price

@@ -9,14 +9,16 @@ MEASURE_PROGRAMS = {"cone_linear_optimum": "price bound", "max_min_weight_on_fac
 
 def pytest_terminal_summary(terminalreporter):
     """Print how many conic results were left without a certified answer,
-    how many node programs the measure inductions ran by route, and how
-    many node cone programs needed their second solve.
+    how many node programs the measure inductions and the strategy
+    maximin ran by route (closed form or cone program), and how many node
+    cone programs of the measure inductions needed their second solve.
 
     Each rejection is a call whose conic result failed its exact check
     after every solve: the interior decision, a price bracket
     (``cone_linear_optimum``) or a face program's attainment
     (``max_min_weight_on_face``) was left indeterminate, or the maximin
-    program returned no certificate.
+    induction's recomputed bracket stayed open and it returned no
+    certificate.
 
     The counters count solves, not calls: a model keeps the results of its
     interior and price programs, so a repeated call at the same level reads

@@ -23,8 +23,16 @@ Core claims:
     - a model keeps its strict-arbitrage sum program's results: NA' reads
       the detector's at the same level, while -0.0 against 0.0, a node's
       one-period ops and ops that are not the model's own miss
+    - off polyhedral geometry the maximin is a backward induction over
+      nodes: its certified bracket meets the deleted whole-tree cone
+      program's, it solves no cone program on binary q = 2 trees, and
+      time-0 nodes share the budget as 1 / phi, or leave the node
+      certificate when one of them has no arbitrage
 """
 
+import json
+import logging
+import os
 import threading
 
 import numpy as np
@@ -855,3 +863,80 @@ class TestKeptSumProgram:
         assert solved(node, 0.5)[0] == solved(node, 0.5)[0] == 1
         copy = programs.TreeOps(m, ops.internal, ops.coeff.copy(), ops.mask.copy())
         assert solved(copy, 0.0)[0] == solved(copy, 0.0)[0] == 1
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "whole_tree_maximin.json")) as _fh:
+    MAXIMIN = json.load(_fh)
+
+
+def _maximin_market(name: str) -> ea.MarketModel:
+    mk = MAXIMIN["markets"][name]
+    return ea.MarketModel.from_nodes(mk["T"], mk["d"], mk["nodes"])
+
+
+def _two_roots(kids0, kids1) -> ea.MarketModel:
+    """Two time-0 nodes at the origin, each of probability 1/2 with two
+    equally likely children at the given prices."""
+    nodes = [{"id": f"r{i}", "time": 0, "parent": None, "cond_prob": 0.5, "prices": [0.0, 0.0]}
+             for i in range(2)]
+    for i, kids in enumerate((kids0, kids1)):
+        nodes += [{"id": f"r{i}c{j}", "time": 1, "parent": f"r{i}", "cond_prob": 0.5,
+                   "prices": price} for j, price in enumerate(kids)]
+    return ea.MarketModel.from_nodes(1, 2, nodes)
+
+
+class TestMaximinInduction:
+    @pytest.mark.parametrize("case", MAXIMIN["cases"], ids=[c["name"] for c in MAXIMIN["cases"]])
+    def test_brackets_overlap(self, case):
+        m = _maximin_market(case["market"])
+        value, h, slacks, gap = programs.strict_arbitrage_maximin_program(
+            programs.tree_ops(m), case["eps"], ea.NormPair(case["p"]))
+        assert h is not None and value >= 0.0 and gap >= 0.0
+        old_lo, old_hi = case["maximin"]
+        tol = 1e-9 * (1.0 + max(abs(old_lo), abs(old_hi)))
+        assert value <= old_hi + tol and old_lo - tol <= value + gap
+        if value > 0.0:
+            assert float(np.min(slacks)) == value
+            assert sum(ea.NormPair(case["p"]).norm(x)
+                       for x in h.reshape(-1, m.d)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("panel", range(3))
+    def test_binary_q2_detection_solves_no_cone_program(self, panel, monkeypatch):
+        # the curved shape: T = 2 binary d = 2 trees at p = 2; at eps(P) / 2
+        # every node of the maximin is a closed form, and its point is shipped
+        (case,) = [c for c in MAXIMIN["cases"] if c["name"] == f"curved panel {panel}, f = 0.5"]
+        m = _maximin_market(case["market"])
+        solves = count_solves(monkeypatch)
+        closed = programs.NODE_PROGRAMS["closed form"]
+        rep = ea.detect_strict_arbitrage(m, case["eps"], N2)
+        assert solves == []
+        assert programs.NODE_PROGRAMS["closed form"] - closed == len(m.internal)
+        assert rep.found and float(np.min(rep.slacks)) == rep.maximin_margin
+        lo, hi = case["maximin"]
+        assert lo - 1e-9 <= rep.maximin_margin <= hi + 1e-9
+
+    def test_two_arbitrage_roots_share_the_budget(self):
+        # gamma = 1 and 2 at the two time-0 nodes, so phi = 0.5 and 1.5 at
+        # eps = 0.5, and each leaf's slack per unit norm is 1 / (1/0.5 + 1/1.5)
+        m = _two_roots([[1.0, 0.0], [1.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]])
+        rep = ea.detect_strict_arbitrage(m, 0.5, N2)
+        assert rep.found
+        assert rep.maximin_margin == pytest.approx(1.0 / (1.0 / 0.5 + 1.0 / 1.5), rel=1e-12)
+        slacks = ea.gain(m, rep.certificate) - 0.5 * ea.strategy_cost(m, rep.certificate, N2)
+        assert np.min(slacks) >= rep.maximin_margin - 1e-12
+        assert np.min(rep.slacks) == rep.maximin_margin
+        total = sum(N2.norm(rep.certificate.values[v]) for v in m.internal)
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_root_without_arbitrage_leaves_the_node_certificate(self, caplog):
+        # r1's children straddle the origin (gamma = 0): no strategy gains
+        # on its leaves, so the maximin is 0 and r0's node strategy is shipped
+        m = _two_roots([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [-1.0, 0.0]])
+        with caplog.at_level(logging.DEBUG, logger="epsarb"):
+            rep = ea.detect_strict_arbitrage(m, 0.5, N2)
+        assert rep.found and rep.maximin_margin == 0.0
+        r0 = m.index["r0"]
+        want = np.zeros((m.n_nodes, m.d))
+        want[r0] = programs.node_geometry(m, 2.0)[r0].h
+        assert rep.certificate.values == pytest.approx(want, abs=1e-15)
+        assert "time-0 node r1 has no strict arbitrage" in caplog.text

@@ -424,12 +424,15 @@ print(json.dumps({"codes": codes,
 """
 
 
-def _probe_imports(names):
-    """The scipy modules that the golden calls ``names`` load when run in a
-    fresh interpreter, after checking their exit codes."""
-    calls = {name: GOLDEN[name]["argv"] for name in names}
+def _probe_imports(names, calls=None):
+    """The scipy modules that the golden calls ``names`` (or the calls
+    {name: argv}, each to exit 0) load when run in a fresh interpreter,
+    after checking their exit codes."""
+    if calls is None:
+        calls = {name: GOLDEN[name]["argv"] for name in names}
     got = json.loads(run_fresh(_IMPORT_PROBE, json.dumps(calls), cwd=ROOT))
-    assert got["codes"] == {name: GOLDEN[name]["exit"] for name in names}
+    assert got["codes"] == {name: GOLDEN[name]["exit"] if name in GOLDEN else 0
+                            for name in calls}
     return set(got["scipy"])
 
 
@@ -439,10 +442,16 @@ class TestImportPath:
 
     def test_solver_calls_load_only_two_extensions(self):
         # HiGHS and the LAPACK LU load from their files, so no scipy package
-        # (scipy, scipy.optimize, scipy.linalg) is loaded
+        # (scipy, scipy.optimize, scipy.linalg) is loaded.  No golden call
+        # solves a cone program (every q = 2 node is a closed form), so the
+        # LU is probed with find-emm at p = 3, whose binary node is one
         loaded = _probe_imports(SOLVER_CALLS)
         assert loaded <= SOLVER_EXTENSIONS, loaded - SOLVER_EXTENSIONS
-        assert {"scipy.optimize._highspy._core", "scipy.linalg._flapack"} <= loaded
+        assert "scipy.optimize._highspy._core" in loaded
+        assert "scipy.linalg._flapack" not in loaded
+        cone = _probe_imports((), {"find-emm at p = 3": [
+            "find-emm", "demos/data/nostrictarb.json", "--eps", "1.5", "--p", "3"]})
+        assert "scipy.linalg._flapack" in cone and cone <= SOLVER_EXTENSIONS, cone
 
 
 # The public API by defining layer (NoMartingaleStructure is defined in

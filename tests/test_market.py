@@ -459,6 +459,30 @@ class TestTreeOps:
         gc.collect()
         assert ref() is None
 
+    def test_model_is_freed_without_the_cyclic_collector(self):
+        # nothing a model keeps points back at it, so its last reference
+        # frees it, kept arrays, geometry and results with it
+        m = full_tree_law(np.random.default_rng(3), 2, 2, 2)
+        norms = ea.NormPair(2.0)
+        eps = ea.critical_value(m, norms).epsilon
+        psi = ea.Payoff(np.linalg.norm(m.prices[list(m.leaves)] - m.prices[0], axis=1))
+        gc.disable()
+        try:
+            ops = tree_ops(m)
+            assert tree_ops(m) is ops
+            del ops
+            results = [ea.detect_strict_arbitrage(m, 0.5 * eps, norms),
+                       ea.find_eps_martingale_measure(m, 1.5 * eps, norms),
+                       ea.superhedge_price(m, 1.5 * eps, norms, psi),
+                       ea.fair_price_range(m, 1.5 * eps, norms, psi)]
+            assert results[0].found and results[1].feasible
+            assert "_tree_ops" in vars(m) and "_programs" in vars(m)
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.3, 2.5])
     def test_linf_cone_rows_match_the_row_loop(self, eps):
         # One stacked expression: rows in (node, asset, + then -) order,
