@@ -93,7 +93,9 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
     program's point, whose margin per unit norm is uniform over the leaves
     (a backward induction over nodes, with time-0 nodes sharing the budget),
     beats its exact worst leaf slack by more than the maximin's certified
-    gap.
+    gap.  With ``want_certificate`` False no maximin program runs: a found
+    arbitrage has no certificate, no slacks and a NaN margin, and its
+    optimum is the sum LP's on polyhedral geometry, NaN otherwise.
     """
     _check_market(model)
     _check_level("eps", eps, False)
@@ -103,6 +105,8 @@ def detect_strict_arbitrage(model: MarketModel, eps: float, norms: NormPair,
         opt, h, slacks = strict_arbitrage_sum_program(ops, eps)
         if opt <= tol or h is None:
             return ArbitrageReport(NO_ARBITRAGE, eps, norms.p, float(opt), None, None, 0.0)
+        if not want_certificate:
+            return ArbitrageReport(STRICT_ARBITRAGE, eps, norms.p, float(opt), None, None, np.nan)
         use_norms = norms if norms.p == 1.0 else NormPair(1.0)
         margin, h_mm, slacks_mm, _ = strict_arbitrage_maximin_program(ops, eps, use_norms)
         if margin > tol and h_mm is not None:
@@ -244,7 +248,7 @@ def critical_value_primal(model: MarketModel, norms: NormPair):
 
     def arbitrage_free(e: float) -> bool:
         if _polyhedral(model, norms, e):
-            rep = detect_strict_arbitrage(model, e, norms, tol=1e-9)
+            rep = detect_strict_arbitrage(model, e, norms, tol=1e-9, want_certificate=False)
             curve.append((e, rep.optimum))
             return not rep.found
         found = False

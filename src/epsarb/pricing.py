@@ -8,14 +8,17 @@ the closed cone: the interior program at level eta is feasible iff
 rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
 
-Routes: HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0).
-Every other p is a backward induction over one-node programs, since the
-cone constraint is per node: a closed form at binary q = 2 nodes, one node
-cone program elsewhere (tangent nodes on their faces; second-order cones at
+The programs, and the choice of their route, live in :mod:`epsarb.programs`:
+HiGHS LPs for polyhedral geometry (p = 1, d = 1, or eps = 0), and every
+other p a backward induction over one-node programs, since the cone
+constraint is per node: a closed form at binary q = 2 nodes, one node cone
+program elsewhere (tangent nodes on their faces; second-order cones at
 p = 2, power cones otherwise).  A measure is the product of the node
 kernels, a price bracket runs from that measure to the capital of the
 super-hedge composed of the node hedges, and a price bracket or interior
-result that fails its check is indeterminate.
+result that fails its check is indeterminate.  The super-hedge is the one
+the price program returns on either route: on polyhedral geometry the
+price LP's row duals, its capital recomputed exactly.
 """
 
 from __future__ import annotations
@@ -26,12 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .market import (MarketModel, MeasureWeights, NoMartingaleStructure, NormPair, Payoff,
-                     Strategy, _check_level, gain, is_eps_martingale, strategy_cost,
-                     validate_market)
-from .programs import (_ATTAINED, _frozen, _gap_closed, _l1_slack_rows, _polyhedral,
-                       cone_linear_optimum, interior_feasibility, max_min_weight_on_face,
-                       strategy_from_packed, tree_ops)
-from .solvers import LinearProgram, solve_lp
+                     Strategy, _check_level, is_eps_martingale, validate_market)
+from .programs import (_ATTAINED, _frozen, _gap_closed, _polyhedral, cone_linear_optimum,
+                       interior_feasibility, max_min_weight_on_face)
 
 
 _GAP_TOL = 1e-6  # superhedge duality holds at gap <= _GAP_TOL (1 + |price|)
@@ -202,7 +202,7 @@ class SuperhedgeResult:
     primal_value: Optional[float]
     gap: Optional[float]
     certificate: Optional[HedgeCertificate]
-    mode: str               # direct (LP) | dual (cone program)
+    mode: str               # direct (the price LP's duals) | dual (the node hedges)
     duality_ok: Optional[bool]
 
     def to_dict(self, model: MarketModel) -> dict:
@@ -213,35 +213,18 @@ class SuperhedgeResult:
         return out
 
 
-def _superhedge_lp(model: MarketModel, eps: float, payoff: Payoff):
-    """Epigraph LP for p = 1 (also exact at eps = 0 for any p)."""
-    ops = tree_ops(model)
-    L, N = model.n_leaves, len(ops.internal) * model.d
-    s_plus, s_minus = _l1_slack_rows(ops, eps)
-    rows = np.hstack([-np.ones((L, 1)), -s_plus, -s_minus])
-    cvec = np.zeros(1 + 2 * N)
-    cvec[0] = 1.0
-    lp = LinearProgram(c=cvec, sense="min", a_ub=rows, b_ub=-payoff.values,
-                       bounds=[(None, None)] + [(0, None)] * (2 * N))
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise RuntimeError(f"superhedge LP failed: {res.status} {res.message}")
-    h = res.x[1:1 + N] - res.x[1 + N:]
-    strategy = strategy_from_packed(ops, h)
-    slacks = float(res.x[0]) + gain(model, strategy) - eps * strategy_cost(model, strategy, NormPair(1.0)) - payoff.values
-    return float(res.value), HedgeCertificate(float(res.x[0]), strategy, {}, slacks)
-
-
 def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
                      payoff: Payoff) -> SuperhedgeResult:
     """Least super-replication capital with its certificate.
 
-    The price is the measure-side bound sup E_Q[payoff].  The matching primal
-    is one exact LP when the norm is polyhedral or the level classical
-    (eps = 0) ("direct"), and otherwise ("dual") the node hedges of the
-    price induction, each read from its node program's dual (or closed
-    form) with its capital recomputed exactly, composed down the tree with
-    the capital raised to cover every exact leaf slack.  Raises
+    The price is the measure-side bound sup E_Q[payoff], and the matching
+    primal is the hedge that the price program returns with it, its leaf
+    slacks and capital recomputed exactly.  When the norm is polyhedral or
+    the level classical (eps = 0) the price is one exact LP and the hedge
+    is read from that LP's row duals ("direct"); otherwise ("dual") it is
+    the node hedges of the price induction, each read from its node
+    program's dual (or closed form), composed down the tree with the
+    capital raised to cover every exact leaf slack.  Raises
     NoMartingaleStructure only on a node certificate; when find-emm is
     indeterminate the hedge is still computed.
     """
@@ -254,19 +237,12 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
                                             anchor=anchor)
     if dual is None:
         raise NoMartingaleStructure(f"cone program infeasible at level {eps}")
-    scale = 1.0 + abs(dual)
-    if _polyhedral(model, norms, eps):
-        # polyhedral geometry (p = 1, classical level, or scalar assets,
-        # where every p-cost coincides): one exact LP, no closure gap
-        primal, cert = _superhedge_lp(model, eps, payoff)
-        gap = abs(primal - dual)
-        return SuperhedgeResult(float(dual), primal, gap, cert, "direct",
-                                gap <= _GAP_TOL * scale)
     # hedge is None when no solve gave a dual point
     cert = None if hedge is None else HedgeCertificate(*hedge)
     gap = None if cert is None else cert.capital - dual
-    return SuperhedgeResult(float(dual), cert and cert.capital, gap, cert, "dual",
-                            None if gap is None else gap <= _GAP_TOL * scale)
+    mode = "direct" if _polyhedral(model, norms, eps) else "dual"
+    return SuperhedgeResult(float(dual), cert and cert.capital, gap, cert, mode,
+                            None if gap is None else gap <= _GAP_TOL * (1.0 + abs(dual)))
 
 
 @dataclass(frozen=True)

@@ -1383,20 +1383,25 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
 
     Returns (value, q, bound, hedge), all None when the closed set is
     empty: value = c.q at exactly feasible q, bound the certified other end
-    of the optimum.  Polyhedral geometry is one LP (bound = value).  Every
-    other q is the price induction over node programs
-    (``_price_induction``), whose composed node hedges give ``hedge`` =
-    (capital, strategy, {node: add-on}, leaf slacks), an exact
-    super-replication of c (sense max) or -c (min), whose capital (negated
-    for min) is the bound.  ``anchor``, an exactly feasible point, is the q
-    returned when a node gives no checked kernel.  The result is kept on
-    the model (``_kept_results``).
+    of the optimum, and ``hedge`` = (capital, strategy, {node: add-on},
+    leaf slacks) an exact super-replication of c (sense max) or -c (min),
+    its leaf slacks and capital (the least that covers them) recomputed
+    exactly.  Polyhedral geometry is one LP (bound = value), whose row
+    duals are the hedge: with y+ and y- the duals of a node's rows
+    +-z_{v,i} <= eps qbar(v), H = y+ - y- (negated for min) and no add-on,
+    so its capital is the LP value up to the solver's rounding (weak
+    duality at p = 1; at d = 1 or eps = 0 every p-cost is the l1 one).
+    Every other q is the price induction over node programs
+    (``_price_induction``), whose composed node hedges give ``hedge``,
+    with its capital (negated for min) the bound.  ``anchor``, an exactly
+    feasible point, is the q returned when a node gives no checked kernel.
+    The result is kept on the model (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
+    sgn = 1.0 if sense == "max" else -1.0
     if not _polyhedral(model, norms, eps):
-        sgn = 1.0 if sense == "max" else -1.0
         nodes = _price_induction(model, eps, norms, sgn * c)
         if nodes is None:
             return (None,) * 4
@@ -1413,7 +1418,13 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
         return None, None, None, None
     if res.status != "optimal":
         raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
-    return float(res.value), res.x, float(res.value), None
+    # the rows' duals (node, asset, +/-) are the hedge; its capital is recomputed exactly
+    y = res.dual_ub.reshape(len(ops.internal), model.d, 2)
+    H = sgn * (y[..., 0] - y[..., 1]).ravel()
+    rest = _leaf_gain_cost(ops, norms, H, eps) - sgn * c
+    capital = -float(np.min(rest))
+    return float(res.value), res.x, float(res.value), (capital, strategy_from_packed(ops, H), {},
+                                                       capital + rest)
 
 
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,

@@ -400,18 +400,6 @@ class ConeProgram:
             z[i], z[j] = u, v
         return z
 
-    def lower_bound(self, y: np.ndarray, z: np.ndarray, box: np.ndarray) -> float:
-        """Certified lower bound on min c.x, by weak duality from any (y, z),
-        valid whenever some minimizer has |x_i| <= box_i.
-
-        z is first moved into the dual cone; the dual residual r = c + G'z +
-        A'y then costs at most sum_i |r_i| box_i.
-        """
-        z = self.project_dual(z)
-        r = self.c + self.G.T @ z + self.A.T @ y
-        slack = float(np.abs(r) @ box) if np.any(r) else 0.0
-        return float(-self.h @ z - self.b @ y) - slack
-
     def certifies_infeasible(self, y: np.ndarray, z: np.ndarray, box: np.ndarray) -> bool:
         """Whether (y, z) proves that no x with |x_i| <= box_i is feasible:
         h.z + b.y + sum_i |(G'z + A'y)_i| box_i < 0 with z in the dual cone."""
@@ -430,8 +418,9 @@ class ConeResult:
     certificate scaled to h.z + b.y = -1, with z in the cone and
     G'z + A'y close to zero.  ``unbounded``: x is a ray with c.x = -1,
     A x and G x + s close to zero, s in the cone.  ``unsolved``: the best
-    iterate reached, which still gives a valid dual bound through
-    :meth:`ConeProgram.lower_bound`.  ``error``: no iterate at all (the
+    iterate reached, whose (y, z), moved into the dual cone
+    (:meth:`ConeProgram.project_dual`), still bounds the optimum by weak
+    duality.  ``error``: no iterate at all (the
     starting KKT system is singular).  ``iterations`` is the number of
     steps taken from the starting point, also when an earlier iterate is
     returned (a last direction computed but not taken is not counted).

@@ -442,6 +442,17 @@ def backward_oracle(lawx, lawy, q: float, increments: bool, lam, variants: tuple
     return tuple(out)
 
 
+def weak_duality_bound(prog: solvers.ConeProgram, y: np.ndarray, z: np.ndarray,
+                       box: np.ndarray) -> float:
+    """A lower bound on min c.x of ``prog`` from any dual point (y, z), valid
+    whenever some minimizer has |x_i| <= box_i: z is moved into the dual
+    cone (``ConeProgram.project_dual``), and the dual residual r = c + G'z +
+    A'y then costs at most sum_i |r_i| box_i (weak duality)."""
+    z = prog.project_dual(z)
+    r = prog.c + prog.G.T @ z + prog.A.T @ y
+    return float(-prog.h @ z - prog.b @ y) - float(np.abs(r) @ box)
+
+
 def cone_rows_linf_oracle(ops, eps: float) -> np.ndarray:
     """``programs._cone_rows_linf`` one row at a time: for each internal
     node and asset, the row of +coeff - eps mask, then -coeff - eps mask."""

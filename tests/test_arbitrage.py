@@ -4,7 +4,8 @@ Core claims:
     - the detector separates strict arbitrage from its sequential closure
       (no false positives at the boundary level)
     - maximin certificates carry uniform slack per unit norm, confirmed by a
-      grid-search oracle
+      grid-search oracle; a detection that wants no certificate solves no
+      maximin program (on polyhedral geometry, the sum LP alone)
     - the critical level matches an independent simplex-deviation oracle and
       the two bisections agree, also at p = 1.5 and p = 3, where measures
       exist above it and not below
@@ -91,6 +92,20 @@ class TestDetect:
         rep = ea.detect_strict_arbitrage(m, 1.0, N2)
         assert rep.found
         assert np.min(rep.slacks) >= -1e-9
+
+    def test_polyhedral_detection_without_certificate_solves_only_the_sum_lp(self, monkeypatch):
+        m = full_tree_law(np.random.default_rng(4), 2, 3, 2)
+        eps = 0.5 * ea.critical_value(fresh_copy(m), N1).epsilon
+        full = ea.detect_strict_arbitrage(fresh_copy(m), eps, N1)
+        solves = count_solves(monkeypatch)
+        rep = ea.detect_strict_arbitrage(m, eps, N1, want_certificate=False)
+        assert len(solves) == solves_in(solves, "strict_arbitrage_sum_program") == 1
+        assert rep.found and rep.optimum == full.optimum
+        assert rep.certificate is None and rep.slacks is None and np.isnan(rep.maximin_margin)
+        # NA' without certificates reads the kept sum LP and solves no maximin
+        nap = ea.check_na_prime(m, eps, N1, certificates=False)
+        assert len(solves) == 1 and not nap.holds
+        assert nap.strict_arbitrage.certificate is None
 
     def test_invalid_market_rejected(self):
         bad = ea.MarketModel(T=1, d=1, ids=("r", "a", "b"),

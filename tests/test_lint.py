@@ -15,6 +15,9 @@ Core claims:
     - the upper layers load on first use: at module level ``__init__``
       imports only ``market`` and ``solvers``, ``cli`` only ``io`` and
       ``market``, and ``transport`` neither ``arbitrage`` nor ``pricing``
+    - the choice between the LP and the conic route lives in ``programs``:
+      ``pricing`` imports nothing from ``solvers`` and names none of
+      ``tree_ops``, ``strategy_from_packed`` and ``_l1_slack_rows``
     - what a model keeps is written by one helper, ``programs._kept``: no
       other function names ``__dict__`` or calls ``setattr`` or ``vars``,
       and ``__setattr__`` is called only on ``self`` in a ``__post_init__``
@@ -224,6 +227,18 @@ def test_upper_layers_load_on_first_use():
     assert imports["__init__"] <= {"market", "solvers"}, imports["__init__"]
     assert imports["cli"] <= {"io", "market"}, imports["cli"]
     assert not imports["transport"] & {"arbitrage", "pricing"}, imports["transport"]
+
+
+def test_pricing_leaves_the_routes_to_programs():
+    tree = MODULES["pricing"]
+    nodes = list(ast.walk(tree))
+    modules = {node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    names = _loaded_names(tree) | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not [m for m in modules if m.split(".")[-1] == "solvers"], modules
+    assert not names & {"tree_ops", "strategy_from_packed", "_l1_slack_rows"}
 
 
 def _scoped(tree, scope=None):

@@ -49,7 +49,8 @@ import pytest
 
 import epsarb as ea
 from epsarb import pricing, programs
-from epsarb.testing import random_market
+from epsarb.io import load_market
+from epsarb.testing import random_market, random_martingale_market
 
 from _helpers import (binary_martingale, count_node_programs, count_solves,
                       critical_value_oracle, fresh_copy,
@@ -58,6 +59,7 @@ from _helpers import (binary_martingale, count_node_programs, count_solves,
                       solves_in, two_state)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
+DATA = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
 
 
 class TestFindMeasure:
@@ -459,6 +461,22 @@ class TestFairRange:
             assert r2.upper >= r1.upper - 1e-8
 
 
+def _check_lp_hedge(m, eps, norms, psi):
+    """The super-hedge on polyhedral geometry is the price LP's dual: its
+    slacks, recomputed with the public gain and cost, cover the claim, and
+    its capital is the LP price to 1e-9 (relative)."""
+    res = ea.superhedge_price(m, eps, norms, psi)
+    cert = res.certificate
+    assert res.mode == "direct" and res.duality_ok
+    assert cert.orthogonal == {}
+    slacks = (cert.capital + ea.gain(m, cert.strategy)
+              - eps * ea.strategy_cost(m, cert.strategy, norms) - psi.values)
+    assert np.min(cert.slacks) >= 0.0
+    assert np.min(slacks) >= -1e-12 * (1.0 + abs(cert.capital))
+    assert abs(cert.capital - res.price) <= 1e-9 * (1.0 + abs(res.price))
+    return res
+
+
 class TestStrongDuality:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_battery_above_critical(self, p):
@@ -472,6 +490,34 @@ class TestStrongDuality:
             assert res.gap is not None
             assert res.gap <= 1e-6 * (1 + abs(res.price))
             assert res.duality_ok
+            if p == 1.0:
+                _check_lp_hedge(m, eps, norms, psi)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_classical_level_hedge_is_the_price_lps_dual(self, p):
+        # eps = 0 is polyhedral at every p: d = 2 martingale trees
+        norms = ea.NormPair(p)
+        rng = np.random.default_rng(int(29 * p))
+        for _ in range(6):
+            m = random_martingale_market(rng, T=2, d=2)
+            _check_lp_hedge(m, 0.0, norms, ea.Payoff(rng.normal(size=m.n_leaves)))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_two_time0_nodes_hedge_is_the_price_lps_dual(self, p):
+        m, _ = load_market(os.path.join(DATA, "kr_p.json"))
+        norms = ea.NormPair(p)
+        eps = 1.5 * ea.critical_value(m, norms).epsilon
+        _check_lp_hedge(m, eps, norms, ea.Payoff(np.array([1.0, -2.0])))
+
+    def test_p1_superhedge_solves_no_second_lp(self, monkeypatch):
+        # a fresh model: one interior LP and one price LP, whose duals are the hedge
+        m = _market("curved")
+        eps = 1.5 * ea.critical_value(fresh_copy(m), N1).epsilon
+        solves = count_solves(monkeypatch)
+        _check_lp_hedge(m, eps, N1, payoff_linear_terminal(m))
+        assert len(solves) == 2
+        assert solves_in(solves, "interior_feasibility") == 1
+        assert solves_in(solves, "cone_linear_optimum") == 1
 
 
 # (T, branching, d): a curved tree (d = 2, conic off p = 1) and a polyhedral one
@@ -518,12 +564,12 @@ class TestKeptPrograms:
         del solves[:], nodes[:]
         assert result_bytes(ea.superhedge_price(m, eps, norms, psi)) == hedge
         assert result_bytes(ea.fair_price_range(m, eps, norms, psi)) == fair
-        # only the programs that are not kept run again: the p = 1 hedge
-        # LP and the face programs of the two price bounds
+        # only the programs that are not kept run again: the face programs
+        # of the two price bounds (at p = 1 the hedge is the kept price LP's)
         runs = solves + nodes
         assert solves_in(runs, "interior_feasibility") == 0
         assert solves_in(runs, "cone_linear_optimum") == 0
-        assert all(names & {"_superhedge_lp", "max_min_weight_on_face"} for _, names in runs)
+        assert all("max_min_weight_on_face" in names for _, names in runs)
 
     def test_curved_prices_solve_no_cone_program(self, monkeypatch):
         # every node of the curved shape is binary at q = 2: find-emm, the
@@ -589,8 +635,7 @@ class TestKeptPrograms:
                 a[...] = 1.0
         # each call gets its own dicts: the superhedge's add-on, the kept hedge's
         results[6].certificate.orthogonal[-1] = np.zeros(m.d)
-        if p != 1.0:
-            results[-2][3][2][-1] = np.zeros(m.d)
+        results[-2][3][2][-1] = np.zeros(m.d)
         assert [result_bytes(call(m)) for _, call in ops + direct] == want
         assert pickle.loads(pickle.dumps((m, results)))
 

@@ -21,8 +21,9 @@ Core claims:
       cycle in the log domain, so its flows are those bits, also past exp's
       overflow and where the log-domain test must decide
     - log_transport checks that the weights' shape matches the marginals
-    - the cone interior-point solver matches HiGHS on LPs and NNLS on
-      min-norm points (Wolfe's method matches NNLS to 1e-10, also on
+    - the cone interior-point solver matches HiGHS on LPs, where its dual
+      iterate, optimal or unsolved, bounds the optimum by weak duality, and
+      NNLS on min-norm points (Wolfe's method matches NNLS to 1e-10, also on
       duplicate and collinear points and with the origin in the hull), and
       its infeasibility and unboundedness certificates
       hold when recomputed, and its iteration count is the number of steps
@@ -54,7 +55,8 @@ from epsarb.solvers import (ConeProgram, LinearProgram, TransportInstance,
 
 from _helpers import (bottleneck_transport_arrays, brute_force_log_transport,
                       enumerate_2x2_transport, log_simplex_reference, log_transport_arrays,
-                      lp_bottleneck_value, random_feasible_plan, run_fresh)
+                      lp_bottleneck_value, random_feasible_plan, run_fresh,
+                      weak_duality_bound)
 
 
 class TestSolveLP:
@@ -705,7 +707,7 @@ class TestSolveSocp:
         assert res.status in ("optimal", "unsolved")
         assert abs(res.value - ref.value) <= 1e-7 * (1.0 + abs(ref.value))
         box = np.full(prog.c.size, 1e3)
-        assert prog.lower_bound(res.y, res.z, box) <= ref.value + 1e-9 * (1.0 + abs(ref.value))
+        assert weak_duality_bound(prog, res.y, res.z, box) <= ref.value + 1e-9 * (1.0 + abs(ref.value))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 3), st.data(),
@@ -814,7 +816,7 @@ class TestSolveSocp:
         assert res.status in ("optimal", "unsolved")
         assert -res.value == pytest.approx(want, abs=1e-9)
         assert res.x == pytest.approx([a, 1 - a, want], abs=1e-7)
-        lower = prog.lower_bound(res.y, res.z, np.full(3, 2.0))
+        lower = weak_duality_bound(prog, res.y, res.z, np.full(3, 2.0))
         assert -want - 1e-9 <= lower <= -want + 1e-12
 
     def test_orthant_second_order_and_power_blocks_together(self):
