@@ -1423,8 +1423,8 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
     H = sgn * (y[..., 0] - y[..., 1]).ravel()
     rest = _leaf_gain_cost(ops, norms, H, eps) - sgn * c
     capital = -float(np.min(rest))
-    return float(res.value), res.x, float(res.value), (capital, strategy_from_packed(ops, H), {},
-                                                       capital + rest)
+    hedge = (capital, strategy_from_packed(ops, H), {}, capital + rest)
+    return float(res.value), res.x, float(res.value), hedge
 
 
 def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,

@@ -420,8 +420,8 @@ class ConeResult:
     A x and G x + s close to zero, s in the cone.  ``unsolved``: the best
     iterate reached, whose (y, z), moved into the dual cone
     (:meth:`ConeProgram.project_dual`), still bounds the optimum by weak
-    duality.  ``error``: no iterate at all (the
-    starting KKT system is singular).  ``iterations`` is the number of
+    duality.  ``error``: no iterate at all (the starting KKT system is
+    singular).  ``iterations`` is the number of
     steps taken from the starting point, also when an earlier iterate is
     returned (a last direction computed but not taken is not counted).
     """

@@ -238,7 +238,7 @@ def test_pricing_leaves_the_routes_to_programs():
     names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert not [m for m in modules if m.split(".")[-1] == "solvers"], modules
-    assert not names & {"tree_ops", "strategy_from_packed", "_l1_slack_rows"}
+    assert not names & {"solvers", "tree_ops", "strategy_from_packed", "_l1_slack_rows"}
 
 
 def _scoped(tree, scope=None):

@@ -6,6 +6,11 @@ Core claims:
     - robust price bounds match hand values with correct attainment flags
     - super-replication satisfies weak duality against every feasible
       measure and strong duality in the polyhedral / above-threshold cases
+    - on polyhedral geometry (p = 1; eps = 0 at p = 1.5 and 3 with d = 2;
+      d = 1 with two time-0 nodes) the superhedge is the price LP's dual: its
+      slacks recomputed with the public gain and cost cover the claim, its
+      capital is the price to 1e-9, and a fresh model solves one interior
+      LP and one price LP, no hedge LP
     - the orthogonal add-on restores exactness below the critical level
     - at p = 2 on full trees a price is a certified bracket: an exactly
       feasible measure below, the price program's dual hedge above
