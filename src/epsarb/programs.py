@@ -12,27 +12,39 @@ LP, whose sign decides strict arbitrage on polyhedral geometry, and the
 maximin program, which certifies it.  Strict arbitrage localizes to one
 trading period, so a node's decision reads the node's geometry.
 
-There are two routes.  Polyhedral geometry (p = 1, q = inf, d = 1, and the
-measure side at eps = 0) is HiGHS LPs.  Everything else is conic: an
-r-norm cone is one second-order block at r = 2 and d three-dimensional
-power blocks otherwise (``_cone_program``).  The measure constraint is per
-node, so there every measure question (find-emm's interior decision, the
-price bounds and their super-hedge, attainment) is a backward induction
-over one-node programs (``_node_program``): a closed form for binary nodes
-at q = 2 and for one-point nodes, one cone program on the node's own
-one-period ops otherwise; the measure is the product of the node kernels
-and the super-hedge is the node hedges.  The strategy side's maximin is
-an induction of the same kind (``_maximin_induction``): closed forms for
+Polyhedral geometry is p = 1 (q = inf), d = 1, and the measure side at
+eps = 0.  The strategy side solves HiGHS LPs there, except a node's
+decision at d = 1, a sign test.  The measure constraint is per node, so
+every measure question (find-emm's interior decision, the price bounds
+and their super-hedge, attainment) takes one of three routes:
+
+* d = 1: a backward induction over one-node programs (``_node_program``),
+  each a closed form in scalar arithmetic (``_scalar_node``): a node's
+  set is a slab of the simplex, so its LP has a vertex with at most two
+  nonzero weights, and its hedge is 0 or a crossing of two children's
+  terms;
+* q = inf or eps = 0 with d >= 2: one whole-tree HiGHS LP, its row duals
+  the super-hedge;
+* otherwise the same induction as at d = 1, conic: a closed form for
+  binary nodes at q = 2 and for one-point nodes, one cone program on the
+  node's own one-period ops otherwise (an r-norm cone is one second-order
+  block at r = 2 and d three-dimensional power blocks otherwise,
+  ``_cone_program``).
+
+An induction's measure is the product of the node kernels and its
+super-hedge is the node hedges.  The strategy side's maximin is an
+induction of the same kind (``_maximin_induction``): closed forms for
 nodes whose children all have value 0, for one child and for binary
 nodes at q = 2, one cone program otherwise; its strategy composes the
 node duals.  The node geometry is exact once per model and q
 (:func:`node_geometry`): gamma(v) is the least q-norm of the children's
-convex hull, Wolfe's min-norm point at q = 2 and one cone program with a
-recomputed bracket at other q, and a tangent node's set is the face of
-that point.  Every result is checked exactly (node margins,
-``_leaf_gain_cost``, q >= eta P, and a recomputed hedge capital or dual
-bound); a result that fails is counted in ``CONIC_FALLBACKS`` and has no
-answer: indeterminate, or no certificate.  ``NODE_PROGRAMS`` counts the
+convex hull, a closed form at d = 1, Wolfe's min-norm point at q = 2 and
+one cone program with a recomputed bracket at other q, and a tangent
+node's set is the face of that point.  Every result is checked exactly
+(node margins, to the rounding floor for the vertex kernels of d = 1 as
+for an LP vertex; ``_leaf_gain_cost``, q >= eta P, and a recomputed hedge
+capital or dual bound); a result that fails is counted in
+``CONIC_FALLBACKS`` and has no answer: indeterminate, or no certificate.  ``NODE_PROGRAMS`` counts the
 node programs of both sides by route.  Public wrappers live in
 :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
 
@@ -209,14 +221,15 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# Conic route: every geometry that is not polyhedral
+# Node inductions: every geometry but q = inf or eps = 0 with d >= 2
 # ---------------------------------------------------------------------------
 
 CONIC_FALLBACKS: Counter = Counter()
 """Per program, the calls left indeterminate or without a certificate by a failed check."""
 NODE_PROGRAMS: Counter = Counter()
 """Node programs of the measure inductions and the strategy maximin, per
-route: "closed form" or "cone program"."""
+route: "scalar closed form" (d = 1, ``_scalar_node``), "closed form" or
+"cone program"."""
 SECOND_SOLVES: Counter = Counter()
 """Per measure program, the node cone programs that went on to the untightened second solve."""
 
@@ -238,6 +251,14 @@ def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None
     q = inf (that is, p = 1), scalar assets, or the level eps = 0 when one
     is given."""
     return norms.q == math.inf or model.d == 1 or eps == 0.0
+
+
+def _whole_tree_lp(model: MarketModel, norms: NormPair, eps: float) -> bool:
+    """Whether a measure program is one whole-tree LP: polyhedral geometry
+    with d >= 2, that is q = inf or eps = 0.  At d = 1 every node program
+    has a closed form (``_scalar_node``), and elsewhere a node induction
+    runs."""
+    return model.d > 1 and _polyhedral(model, norms, eps)
 
 
 def _second_order(r: float) -> bool:
@@ -343,11 +364,17 @@ class NodeGeometry:
     h.dS(w)), is z itself, with h = u.  Otherwise one cone program
     (``_simplex_min_norm``) gives gamma = |A'lam|_q at its checked weights
     and low, its dual strategy's worst gain, and z is inexact.
+
+    At d = 1 every q-norm is |.| and the hull is [min dS, max dS], so all
+    of it is a closed form (``_scalar_geometry``).
     """
 
     def __init__(self, A: np.ndarray, q: float):
         self.A = A
         self.exact = True
+        if A.shape[1] == 1:
+            self._scalar_geometry(A[:, 0])
+            return
         if _second_order(q):
             self.z, self.lam = min_norm_point(A)
             self.gamma = self.low = float(np.linalg.norm(self.z))
@@ -365,6 +392,22 @@ class NodeGeometry:
         self.z = A.T @ self.lam
         self.gamma = qnorm(self.z, q)
         self.low = min(max(float(np.min(A @ self.h)), 0.0), self.gamma)
+
+    def _scalar_geometry(self, a: np.ndarray) -> None:
+        """z = 0 clipped to [min a, max a], gamma = low = |z|, h = sgn z; lam
+        one child at z, or the two extreme children about z = 0; the face is
+        every child when min a < 0 < max a, else the children at z."""
+        lo, hi = float(a.min()), float(a.max())
+        z = min(max(0.0, lo), hi)
+        self.z, self.gamma, self.low = np.array([z]), abs(z), abs(z)
+        self.h = np.array([math.copysign(1.0, z) if z else 0.0])
+        self.lam = np.zeros(len(a))
+        if lo < 0.0 < hi and not np.any(a == 0.0):
+            i, j = int(np.argmin(a)), int(np.argmax(a))
+            self.lam[i], self.lam[j] = hi / (hi - lo), -lo / (hi - lo)
+        else:
+            self.lam[int(np.argmax(a == z))] = 1.0
+        self.on = np.ones(len(a), dtype=bool) if lo < 0.0 < hi else a == z
 
     @cached_property
     def on(self) -> np.ndarray:
@@ -776,7 +819,7 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Measure side off polyhedral geometry: backward induction over nodes
+# Measure side off the whole-tree LP: backward induction over nodes
 #
 # The cone constraint is per node, so leaf weights q lie in the closed
 # eps-martingale set exactly when every node's kernel kappa_v(w) =
@@ -796,6 +839,7 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
 
 _PULL = 2.0 ** -48  # per (eps + max |dS|): the margin a checked kernel keeps inside K_v
 _FACE = 1e-11  # per (1 + |price|): a node's optimal face holds the kernels this close to its price
+_ROUND = 2.0 ** -48  # per (eps + max |dS|): the rounding of a d = 1 kernel's point kappa.dS
 _STEPS = (0.0,) + tuple(2.0 ** e for e in range(-52, 0, 4)) + (1.0,)
 
 
@@ -984,10 +1028,12 @@ def _node_program(program: str, node: NodeGeometry, p: Optional[np.ndarray], val
     is mixed toward), its value lo against ``values``, a certified upper
     bound hi (inf without one), and at a price the node hedge (H, g), g the
     add-on of a tangent node (None elsewhere), whose exact capital is hi.
-    Routes: a closed form for one point (``face_point``) and for open
-    binary nodes at q = 2 (``interval``), one cone program (``_node_cone``)
-    otherwise.
+    Routes: the scalar closed forms at d = 1 (``_scalar_node``), a closed
+    form for one point (``face_point``) and for open binary nodes at q = 2
+    (``interval``), one cone program (``_node_cone``) otherwise.
     """
+    if node.A.shape[1] == 1:
+        return _scalar_node(node, p, values, eps, face, inside)
     S = _NodeSet(node, eps, norms)
     if S.state == "empty":
         return None
@@ -1135,6 +1181,122 @@ def _node_cone(program: str, S: _NodeSet, c: np.ndarray, u: Optional[np.ndarray]
     return best, lo, hi, hedge
 
 
+# ---------------------------------------------------------------------------
+# Scalar assets (d = 1): K_v(eps) = {kappa in the simplex : |kappa.a| <=
+# eps}, a the children's increments, is a slab of the simplex, so a node
+# program is an LP with three rows and a basic optimum has at most two
+# nonzero weights.  Each is solved in closed form, in scalar arithmetic.
+# Its kernel is that vertex, not pulled inside the set: the tree's leaf
+# weights are checked to the rounding floor, as an LP vertex's are.  A
+# tangent node's set is its face, K_v(gamma).
+# ---------------------------------------------------------------------------
+
+def _scalar_node(node: NodeGeometry, p: Optional[np.ndarray], values: np.ndarray, eps: float,
+                 face, inside: Optional[np.ndarray]):
+    """``_node_program`` at d = 1: the price (``_scalar_price``), or the
+    ratio, on the face slice when one is given (``_scalar_ratio``)."""
+    if node.state(eps) == "empty":
+        return None
+    NODE_PROGRAMS["scalar closed form"] += 1
+    a = node.A[:, 0].tolist()
+    level = max(eps, node.gamma)
+    if p is None:
+        return _scalar_price(a, values.tolist(), level, eps)
+    inside = node.lam if inside is None else inside
+    u = (values / p).tolist()
+    if min(u) <= 0.0:  # a child of ratio 0
+        return inside, 0.0, 0.0, None
+    return _scalar_ratio(a, u, level, face, inside)
+
+
+def _scalar_price(a: list, V: list, e: float, eps: float):
+    """max kappa.V over the slab |kappa.a| <= e: the best child inside it,
+    or a pair across one of its faces kappa.a = +-e.  The hedge H minimizes
+    the capital max_w (V_w - H a_w) + e |H|, convex and piecewise linear in
+    H, so it is 0 or a point where two children's terms cross.  Returns
+    (kernel, value, the hedge's exact capital at eps, (H, None))."""
+    k = len(a)
+    best, pick = -math.inf, ()
+    for i in range(k):
+        if -e <= a[i] <= e and V[i] > best:
+            best, pick = V[i], ((i, 1.0),)
+    for i in range(k):
+        for j in range(k):
+            for b in ((e, -e) if e else (0.0,)):
+                if a[i] < b < a[j]:
+                    t = (a[j] - b) / (a[j] - a[i])
+                    value = t * V[i] + (1.0 - t) * V[j]
+                    if value > best:
+                        best, pick = value, ((i, t), (j, 1.0 - t))
+
+    def capital(H, level):
+        return max(v - H * x for v, x in zip(V, a)) + level * abs(H)
+
+    H = min([0.0] + [(V[i] - V[j]) / (a[i] - a[j]) for i in range(k) for j in range(i)
+                     if a[i] != a[j]], key=lambda H: capital(H, e))
+    kernel = np.zeros(k)
+    for i, t in pick:
+        kernel[i] = t
+    return kernel, best, capital(H, eps), (np.array([H]), None)
+
+
+def _scalar_ratio(a: list, u: list, e: float, face, inside: np.ndarray):
+    """max min_w kappa_w u_w over the slab |kappa.a| <= e, on the face slice
+    c.kappa >= level when ``face`` = (c, level).  With rhat = (1/u) /
+    sum(1/u), a kernel of value t is s rhat + (1 - s) mu, mu in the simplex
+    and s = t sum(1/u), so this is max s.  In the plane of (kappa.a,
+    kappa.c) the kernel's point is s R + (1 - s) M, R rhat's and M one of
+    the hull of the children's, and it must lie in the region F that the
+    slab and the slice cut out.  A vertex optimum has s = 1 (R in F), or mu
+    one child and s the largest on its segment to R, or, with the slice,
+    mu on two children and the point at a corner of F, where M is the far
+    end of the ray from the corner away from R.  Returns (kernel, its
+    value, max s / sum(1/u), None), or ``inside`` and 0 when no s > 0 is
+    feasible."""
+    k = len(u)
+    inv = [1.0 / x for x in u]
+    total = sum(inv)
+    r = [x / total for x in inv]
+    c = [0.0] * k if face is None else face[0].tolist()
+    R = (sum(x * y for x, y in zip(r, a)), sum(x * y for x, y in zip(r, c)))
+
+    def rows(x, y):
+        """F's rows at a point, each >= 0 inside: the slab's two sides, then the slice."""
+        return (e - x, e + x) if face is None else (e - x, e + x, y - face[1])
+
+    at_R = rows(*R)
+    # R is a sum of k products: within _ROUND of F it is in F, as when
+    # every child sits on the slab's side
+    best, mu = (1.0 if min(at_R) >= -_ROUND * (e + max(map(abs, a))) else -1.0), ()
+    for w in range(k if best < 1.0 else 0):
+        lo, hi = 0.0, 1.0
+        for f0, f1 in zip(rows(a[w], c[w]), at_R):
+            if f1 < f0:
+                hi = min(hi, f0 / (f0 - f1))
+            elif f0 < 0.0:
+                lo = max(lo, -f0 / (f1 - f0)) if f1 > f0 else math.inf
+        if lo <= hi and hi > best:
+            best, mu = hi, ((w, 1.0),)
+    for x in ((e, -e) if e else (0.0,)) if face is not None and best < 1.0 else ():
+        D0, D1 = x - R[0], face[1] - R[1]
+        for i in range(k):
+            for j in range(i):
+                E0, E1 = a[i] - a[j], c[i] - c[j]
+                g0, g1 = a[j] - x, c[j] - face[1]
+                det = E0 * D1 - D0 * E1
+                if det == 0.0:
+                    continue
+                t, theta = (E0 * g1 - g0 * E1) / det, (D0 * g1 - g0 * D1) / det
+                if t >= 0.0 and 0.0 <= theta <= 1.0 and t / (1.0 + t) > best:
+                    best, mu = t / (1.0 + t), ((i, theta), (j, 1.0 - theta))
+    if best < 0.0:
+        return inside, 0.0, 0.0, None
+    kernel = best * np.array(r)
+    for i, t in mu:
+        kernel[i] += (1.0 - best) * t
+    return kernel, min(x * y for x, y in zip(kernel.tolist(), u)), best / total, None
+
+
 def _induction(program: str, model: MarketModel, eps: float, norms: NormPair,
                leaf_values: np.ndarray, p: Optional[np.ndarray] = None, faces=None,
                insides=None):
@@ -1245,8 +1407,23 @@ def _price_induction(model: MarketModel, eps: float, norms: NormPair, c: np.ndar
     return q, value, capital, hedge, lo, hi, kernels
 
 
+def _leaf_check(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
+                faces: Optional[dict] = None):
+    """The least exact node margin of leaf weights q and the floor it must
+    reach: 0 for kernels checked inside their sets (tangent nodes: on the
+    face, ``faces`` or ``_tangent_faces``), and at d = 1, whose kernels are
+    vertices, minus the rounding floor _FLOOR (1 + max |coeff|) of the
+    plain margins, as for an LP vertex."""
+    if ops.model.d == 1:
+        return (float(np.min(_cone_margins(ops, eps, norms, q))),
+                -_FLOOR * (1.0 + float(np.max(np.abs(ops.coeff)))))
+    if faces is None:
+        faces = _tangent_faces(ops, eps, norms.q)
+    return float(np.min(_cone_margins(ops, eps, norms, q, faces))), 0.0
+
+
 def _interior_induction(ops: TreeOps, eps: float, norms: NormPair, eta: float):
-    """``interior_feasibility`` off polyhedral geometry."""
+    """``interior_feasibility`` off the whole-tree LP (``_whole_tree_lp``)."""
     program, model = "interior_feasibility", ops.model
     faces = _tangent_faces(ops, eps, norms.q, program)
     if faces is None:
@@ -1262,8 +1439,8 @@ def _interior_induction(ops: TreeOps, eps: float, norms: NormPair, eta: float):
     q, bound, least, doubt = out
     P = model.leaf_prob
     if q is not None:
-        margin = float(np.min(_cone_margins(ops, eps, norms, q, faces)))
-        if margin >= 0.0 and np.all(q >= eta * P):
+        margin, floor = _leaf_check(ops, eps, norms, q, faces)
+        if margin >= floor and np.all(q >= eta * P):
             return "feasible", q, float(np.min(q / P)), bound, margin
     if bound < eta:
         _log.debug("%s: node %s decides: rho* <= %r, below eta", program, model.ids[least], bound)
@@ -1276,8 +1453,8 @@ def _interior_induction(ops: TreeOps, eps: float, norms: NormPair, eta: float):
 
 def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, target: float,
                     sgn: float):
-    """``max_min_weight_on_face`` off polyhedral geometry, for the optimum of
-    sgn c."""
+    """``max_min_weight_on_face`` off the whole-tree LP (``_whole_tree_lp``),
+    for the optimum of sgn c."""
     program, model = "max_min_weight_on_face", ops.model
     nodes = _price_induction(model, eps, norms, sgn * c)
     if nodes is None:
@@ -1287,13 +1464,16 @@ def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, ta
         _fallback(program, "a node has no checked price kernel")
         return 0.0, None, False
     # E[sgn c | v] under the price kernels, at most the true value: a time-0
-    # node whose upper value is below another's takes no mass at the optimum
+    # node whose upper value is below another's, by more than the slices'
+    # _FACE, takes no mass at the optimum (a vertex kernel's value can pass
+    # its own node's hedge capital by rounding)
     below = np.zeros(model.n_nodes)
     below[list(model.leaves)] = sgn * c
     for v in sorted(model.internal, key=lambda v: -model.times[v]):
         below[v] = float(kernels[v] @ below[list(model.children[v])])
     roots = list(model.roots)
-    if float(np.min(hi[roots])) < float(np.max(below[roots])):
+    top = float(np.max(below[roots]))
+    if float(np.min(hi[roots])) < top - _FACE * (1.0 + abs(top)):
         return 0.0, None, True
     slices = {v: (hi[list(model.children[v])], lo[v] - _FACE * (1.0 + abs(lo[v])))
               for v in model.internal}
@@ -1302,10 +1482,11 @@ def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, ta
         return 0.0, None, True
     q, bound, least, doubt = out
     if q is not None and float(np.min(q)) >= _ATTAINED:
-        faces = _tangent_faces(ops, eps, norms.q)
         on_slice = abs(float(c @ q) - target) <= 1e-9 * (1.0 + abs(target))
-        if on_slice and float(np.min(_cone_margins(ops, eps, norms, q, faces))) >= 0.0:
-            return float(np.min(q)), q, True
+        if on_slice:
+            margin, floor = _leaf_check(ops, eps, norms, q)
+            if margin >= floor:
+                return float(np.min(q)), q, True
     if bound < _ATTAINED:
         return max(bound, 0.0), None, True
     _fallback(program, "no checked witness or bound")
@@ -1322,24 +1503,26 @@ def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: f
     {feasible, infeasible, indeterminate}.  A feasible verdict carries
     weights with q >= eta P, checked elementwise, and node margins >= 0:
     exactly on the conic route (tangent nodes: on the face), and to the
-    rounding floor 1e-12 (1 + max |coeff|) on the LP route, whose vertex
-    meets its rows only to rounding (an LP vertex that fails either check
-    is indeterminate).
+    rounding floor 1e-12 (1 + max |coeff|) at d = 1 and on the LP route,
+    whose vertices meet their rows only to rounding (a vertex that fails
+    either check is indeterminate).
 
-    Polyhedral geometry (q = inf, d = 1, or eps = 0) is one exact LP.
-    Every other q is the node geometry, then the ratio induction over node
-    programs (``_ratio_induction``): the set is empty when a node's is (no
-    bound), and rho* = 0 when a tangent face puts weight 0 on a leaf;
-    otherwise the product of the node kernels is the witness when it
-    passes the checks, a composed upper bound below eta decides
-    infeasible, and anything else is indeterminate, with that bound.  The
-    node behind an infeasible or indeterminate verdict is logged at DEBUG.
-    The result is kept on the model (``_kept_results``).
+    Three routes.  At d = 1, and at every other geometry except the one
+    below, the node geometry, then the ratio induction over node programs
+    (``_ratio_induction``), closed forms at d = 1 (``_scalar_ratio``): the
+    set is empty when a node's is (no bound), and rho* = 0 when a tangent
+    face puts weight 0 on a leaf; otherwise the product of the node
+    kernels is the witness when it passes the checks, a composed upper
+    bound below eta decides infeasible, and anything else is
+    indeterminate, with that bound.  The node behind an infeasible or
+    indeterminate verdict is logged at DEBUG.  At q = inf or eps = 0 with
+    d >= 2 it is one exact whole-tree LP.  The result is kept on the model
+    (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
     P = model.leaf_prob
-    if not _polyhedral(model, norms, eps):
+    if not _whole_tree_lp(model, norms, eps):
         return _interior_induction(ops, eps, norms, eta)
     # Rounding floor of |z_v(q)|_q at this price scale.
     margin_floor = _FLOOR * (1.0 + float(np.max(np.abs(ops.coeff))))
@@ -1386,29 +1569,33 @@ def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
     of the optimum, and ``hedge`` = (capital, strategy, {node: add-on},
     leaf slacks) an exact super-replication of c (sense max) or -c (min),
     its leaf slacks and capital (the least that covers them) recomputed
-    exactly.  Polyhedral geometry is one LP (bound = value), whose row
-    duals are the hedge: with y+ and y- the duals of a node's rows
-    +-z_{v,i} <= eps qbar(v), H = y+ - y- (negated for min) and no add-on,
-    so its capital is the LP value up to the solver's rounding (weak
-    duality at p = 1; at d = 1 or eps = 0 every p-cost is the l1 one).
-    Every other q is the price induction over node programs
-    (``_price_induction``), whose composed node hedges give ``hedge``,
-    with its capital (negated for min) the bound.  ``anchor``, an exactly
-    feasible point, is the q returned when a node gives no checked kernel.
-    The result is kept on the model (``_kept_results``).
+    exactly.  Three routes.  At d = 1, and at every other geometry except
+    the one below, the price induction over node programs
+    (``_price_induction``; closed forms at d = 1, ``_scalar_price``, whose
+    kernels are LP vertices and whose hedges have no add-on), whose
+    composed node hedges give ``hedge``, with its capital (negated for
+    min) the bound.  At q = inf or eps = 0 with d >= 2 it is one whole-tree
+    LP (bound = value), whose row duals are the hedge: with y+ and y- the
+    duals of a node's rows +-z_{v,i} <= eps qbar(v), H = y+ - y- (negated
+    for min) and no add-on, so its capital is the LP value up to the
+    solver's rounding (weak duality at p = 1; at eps = 0 every p-cost is
+    the l1 one).  ``anchor``, an exactly feasible point, is the q returned
+    when a node gives no checked kernel.  The result is kept on the model
+    (``_kept_results``).
     """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
     sgn = 1.0 if sense == "max" else -1.0
-    if not _polyhedral(model, norms, eps):
+    if not _whole_tree_lp(model, norms, eps):
         nodes = _price_induction(model, eps, norms, sgn * c)
         if nodes is None:
             return (None,) * 4
         q, value, capital, hedge = nodes[:4]
         if q is None and anchor is not None:
             q, value = anchor, float(sgn * c @ anchor)
-        return sgn * value, q, sgn * capital, hedge
+        # + 0.0: a zero price of the min sense is 0.0, not sgn's -0.0
+        return sgn * value + 0.0, q, sgn * capital + 0.0, hedge
     rows = _cone_rows_linf(ops, eps)
     lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
                        a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
@@ -1433,22 +1620,24 @@ def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
     of target, the optimum of c in ``sense``, as (min weight, q, decided),
     or (0.0, None, True) when there is none.
 
-    Off polyhedral geometry it only decides whether it reaches _ATTAINED.
+    At q = inf or eps = 0 with d >= 2 it is one whole-tree LP.  Everywhere
+    else, d = 1 included, it only decides whether it reaches _ATTAINED.
     An equivalent measure attains the optimum exactly when every node's
     optimal face holds a full-support kernel, so it is the ratio induction
     with P = 1 on each node's face, the kernels within _FACE of the node's
     price against its children's upper values (from the kept
-    ``_price_induction``): q, with each kernel mixed toward the price's
-    when it falls short, is returned when it passes the checks, reaches
-    _ATTAINED and lies on the slice; a composed bound below _ATTAINED
-    decides the other way; it says when it cannot decide.  A time-0 node
-    whose upper price is below another's lower one takes no mass at the
-    optimum: not attained.
+    ``_price_induction``; closed forms at d = 1, ``_scalar_ratio``): q,
+    with each kernel mixed toward the price's when it falls short (at
+    d = 1 a vertex kernel, mixed with nothing), is returned when it passes
+    the checks, reaches _ATTAINED and lies on the slice; a composed bound
+    below _ATTAINED decides the other way; it says when it cannot decide.
+    A time-0 node whose upper price is below another's lower one takes no
+    mass at the optimum: not attained.
     """
     ops = tree_ops(model)
     L = model.n_leaves
     c = np.asarray(leaf_objective, dtype=float)
-    if not _polyhedral(model, norms, eps):
+    if not _whole_tree_lp(model, norms, eps):
         return _face_induction(ops, eps, norms, c, target, 1.0 if sense == "max" else -1.0)
     scale = 1e-9 * (1.0 + abs(target))
     face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
@@ -1537,28 +1726,37 @@ def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPai
                           gamma: Optional[float] = None, with_certificate: bool = True):
     """Exact one-node strict-arbitrage decision; returns (found, h, gamma).
 
-    Polyhedral nodes run the tree's strategy LPs on the node's one-period
-    market (its children as leaves): the maximin LP certifies gamma > eps,
-    and at gamma = eps the sign of the sum LP decides.  Every other node
-    reads its geometry and solves nothing: above the band, 1e-8 (1 + max
-    |dS|) around gamma = eps, its unit strategy h has worst slack low - eps
-    (gamma - eps at q = 2), and in the band the face of the least-norm
-    point decides.
+    At d = 1 it is a sign test: strict arbitrage at eps exists exactly when
+    h = +1 or h = -1 has every slack h dS(w) - eps >= 0 and some slack > 0,
+    and that h is the certificate.  Other polyhedral nodes (q = inf, or
+    eps = 0) run the tree's strategy LPs on the node's one-period market
+    (its children as leaves), with the l1 norms, whose sign they share: the
+    maximin LP certifies gamma > eps, and at gamma = eps the sign of the
+    sum LP decides.  Every other node reads its geometry and solves
+    nothing: above the band, 1e-8 (1 + max |dS|) around gamma = eps, its
+    unit strategy h has worst slack low - eps (gamma - eps at q = 2), and
+    in the band the face of the least-norm point decides.
     """
     A = model.delta[list(model.children[v])]
     band = _NODE_BAND * (1.0 + float(np.max(np.abs(A))))
     if gamma is None:
         gamma = node_min_simplex_deviation(model, v, norms)
-    if _polyhedral(model, norms):
+    if model.d == 1:
+        for h in (1.0, -1.0):
+            slack = h * A[:, 0] - eps
+            if slack.min() >= 0.0 and slack.max() > 0.0:
+                return True, (np.array([h]) if with_certificate else None), gamma
+        return False, None, gamma
+    if _polyhedral(model, norms, eps):
         ops = TreeOps(None, (v,), A[:, None, :], np.ones((A.shape[0], 1)))
         if gamma > eps + band:
             if not with_certificate:
                 return True, None, gamma
-            margin, h, _, _ = strict_arbitrage_maximin_program(ops, eps, norms)
+            margin, h, _, _ = strict_arbitrage_maximin_program(ops, eps, NormPair(1.0))
             if h is not None and margin > 0:
                 return True, h, gamma
             # Numerically at the threshold: fall through to the boundary analysis.
-        if gamma < eps - band or eps == 0.0:
+        if gamma < eps - band:
             return False, None, gamma
         # The polyhedral slack image is closed, so the LP's sign is exact.
         total, h, _ = strict_arbitrage_sum_program(ops, eps)

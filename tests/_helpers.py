@@ -466,6 +466,69 @@ def cone_rows_linf_oracle(ops, eps: float) -> np.ndarray:
     return np.vstack(rows) if rows else np.zeros((0, ops.model.n_leaves))
 
 
+# ---------------------------------------------------------------------------
+# The whole-tree LPs of the measure programs, frozen as they ran on every
+# scalar-asset (d = 1) market before the node inductions: the reference the
+# closed-form inductions are held to
+# ---------------------------------------------------------------------------
+
+
+def _measure_lp_rows(model: MarketModel, eps: float) -> np.ndarray:
+    """The node rows +-z_{v,i} <= eps qbar(v) of every internal node."""
+    return cone_rows_linf_oracle(programs.tree_ops(model), eps)
+
+
+def lp_interior_ratio(model: MarketModel, eps: float):
+    """rho* = max min q / P over the closed eps-martingale set, one LP in
+    (q, t); None when the set is empty."""
+    L = model.n_leaves
+    rows = _measure_lp_rows(model, eps)
+    a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]),
+                      np.hstack([-np.eye(L), model.leaf_prob[:, None]])])
+    lp = solvers.LinearProgram(c=np.eye(L + 1)[L], sense="max", a_ub=a_ub,
+                               b_ub=np.zeros(a_ub.shape[0]),
+                               a_eq=np.concatenate([np.ones(L), [0.0]])[None, :],
+                               b_eq=np.array([1.0]), bounds=[(0.0, 1.0)] * L + [(None, 1.0)])
+    res = solvers.solve_lp(lp)
+    if res.status == "infeasible":
+        return None
+    assert res.status == "optimal", res.message
+    return float(res.value)
+
+
+def lp_price(model: MarketModel, eps: float, c: np.ndarray, sense: str):
+    """The optimum of c.q over the closed eps-martingale set in ``sense``,
+    one LP; None when the set is empty."""
+    L = model.n_leaves
+    rows = _measure_lp_rows(model, eps)
+    res = solvers.solve_lp(solvers.LinearProgram(
+        c=np.asarray(c, dtype=float), sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
+        a_eq=np.ones((1, L)), b_eq=np.array([1.0]), bounds=[(0.0, 1.0)] * L))
+    if res.status == "infeasible":
+        return None
+    assert res.status == "optimal", res.message
+    return float(res.value)
+
+
+def lp_face_min_weight(model: MarketModel, eps: float, c: np.ndarray, target: float) -> float:
+    """max min leaf weight over the closed eps-martingale set with c.q
+    within 1e-9 (1 + |target|) of target, one LP; 0 without a point."""
+    L = model.n_leaves
+    scale = 1e-9 * (1.0 + abs(target))
+    rows = _measure_lp_rows(model, eps)
+    c = np.asarray(c, dtype=float)
+    a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]),
+                      np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]]),
+                      np.hstack([-np.eye(L), np.ones((L, 1))])])
+    b_ub = np.concatenate([np.zeros(rows.shape[0]), [target + scale, scale - target],
+                           np.zeros(L)])
+    res = solvers.solve_lp(solvers.LinearProgram(
+        c=np.eye(L + 1)[L], sense="max", a_ub=a_ub, b_ub=b_ub,
+        a_eq=np.concatenate([np.ones(L), [0.0]])[None, :], b_eq=np.array([1.0]),
+        bounds=[(0.0, 1.0)] * (L + 1)))
+    return float(res.value) if res.status == "optimal" else 0.0
+
+
 def bottleneck_transport_arrays(inst):
     """``solvers.bottleneck_transport`` as one array computation: the rows
     and columns of positive mass are always cut out with index arrays, the

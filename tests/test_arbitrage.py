@@ -11,7 +11,9 @@ Core claims:
       exist above it and not below
     - the default critical level is max_v gamma(v), checked once on each
       side and with no bisection; the scalar-increment closed form of gamma
-      matches its LP
+      matches its LP, and at d = 1 the critical level solves no LP
+    - at d = 1 a node decision is a sign test on h = +1 and -1; at eps = 0
+      it finds the classical arbitrage that detection finds, at every p
     - at p = 1 with d >= 2 the exact level solves node LPs only where the
       min-norm bound lets a node be the largest, and returns the full
       scan's max and first argmax bit for bit
@@ -566,6 +568,47 @@ class TestNodeDecision:
             assert margin == pytest.approx(gamma - eps, abs=1e-9 * (1.0 + gamma))
             checked += 1
         assert checked >= 15
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=1,
+                    max_size=5),
+           st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    def test_scalar_decision_is_a_sign_test(self, increments, eps):
+        # d = 1: h = +1 or -1 with every slack h a_w - eps >= 0 and one > 0
+        m = _one_period([[x] for x in increments])
+        a = np.array(increments)
+        want = [h for h in (1.0, -1.0) if np.all(h * a >= eps) and np.any(h * a > eps)]
+        for norms in (N1, N2):
+            found, h, _ = ea.programs.node_strict_arbitrage(m, 0, eps, norms)
+            assert found == bool(want)
+            assert (h is None) if not want else (list(h) == want[:1])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_classical_arbitrage_at_eps_zero_agrees_with_detection(self, p):
+        # at eps = 0 the node decision finds what detection finds, with a
+        # certificate of slacks >= 0, one > 0
+        norms = ea.NormPair(p)
+        markets = [two_state([0.0], [1.0], [0.0], 1), two_state([0, 0], [1, 0], [0, 0], 2),
+                   binary_martingale(), kbar_market(1.0), _one_period([[1.0, 1.0], [-1.0, 1.0]])]
+        rng = np.random.default_rng(int(10 * p))
+        markets += [_one_period(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)))
+                    for d in (1, 2) for _ in range(10)]
+        for m in markets:
+            found, h, _ = ea.programs.node_strict_arbitrage(m, 0, 0.0, norms)
+            assert found == ea.detect_strict_arbitrage(m, 0.0, norms).found
+            if found:
+                slack = m.delta[list(m.children[0])] @ h
+                assert np.min(slack) >= -1e-12 and np.max(slack) > 1e-9
+
+    def test_scalar_critical_value_solves_no_lp(self, monkeypatch):
+        # d = 1: gamma is a closed form, the node decision at eps(P) - delta
+        # a sign test and the interior check at eps(P) + delta an induction
+        m = full_tree_law(np.random.default_rng(25), 3, 3, 1)
+        solves = count_solves(monkeypatch)
+        for norms in (N1, N2):
+            res = ea.critical_value(m, norms)
+            assert res.agreed and res.primal_curve[0][1] > 0.0
+        assert solves == []
 
     def test_failed_min_norm_solve_in_the_band_means_none(self):
         # gamma = 0 (zero inside the hull); at eps = 5e-11 the support

@@ -6,11 +6,17 @@ Core claims:
     - robust price bounds match hand values with correct attainment flags
     - super-replication satisfies weak duality against every feasible
       measure and strong duality in the polyhedral / above-threshold cases
-    - on polyhedral geometry (p = 1; eps = 0 at p = 1.5 and 3 with d = 2;
-      d = 1 with two time-0 nodes) the superhedge is the price LP's dual: its
-      slacks recomputed with the public gain and cost cover the claim, its
-      capital is the price to 1e-9, and a fresh model solves one interior
-      LP and one price LP, no hedge LP
+    - on polyhedral geometry ("direct") the superhedge's slacks, recomputed
+      with the public gain and cost, cover the claim and its capital is the
+      price to 1e-9: at d >= 2 (p = 1; eps = 0 at p = 1.5 and 3) it is the
+      price LP's dual, and a fresh model solves one interior LP and one
+      price LP, no hedge LP; at d = 1 (two time-0 nodes too) it is the node
+      hedges, and no LP runs
+    - at d = 1 the measure programs are node inductions of closed forms:
+      on Hypothesis trees (tangent nodes, eps = 0, repeated and zero
+      increments, one-child nodes, two time-0 nodes) they match the
+      whole-tree LPs they replace, and find-emm, the price bounds, the
+      superhedge and the fair range solve no LP and no cone program
     - the orthogonal add-on restores exactness below the critical level
     - at p = 2 on full trees a price is a certified bracket: an exactly
       feasible measure below, the price program's dual hedge above
@@ -57,9 +63,13 @@ from epsarb import pricing, programs
 from epsarb.io import load_market
 from epsarb.testing import random_market, random_martingale_market
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from _helpers import (binary_martingale, count_node_programs, count_solves,
                       critical_value_oracle, fresh_copy,
-                      full_tree_law, kbar_market, market_operations, nostrictarb_market,
+                      full_tree_law, kbar_market, lp_face_min_weight, lp_interior_ratio, lp_price,
+                      market_operations, nostrictarb_market,
                       payoff_linear_terminal, price_range_market, result_arrays, result_bytes,
                       solves_in, two_state)
 
@@ -379,6 +389,116 @@ class TestWholeTreeBrackets:
             assert one.value == pytest.approx(1.0 if direction == "sup" else 0.0, abs=1e-12)
 
 
+# increments from a small grid (repeated and zero ones) or with two decimals
+_INCREMENTS = (st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+               | st.integers(-300, 300).map(lambda n: n / 100.0))
+
+
+@st.composite
+def scalar_markets(draw):
+    """A d = 1 tree of depth 1 to 3 with one or two time-0 nodes and one to
+    three children a node, its probabilities from integer weights."""
+    T = draw(st.integers(1, 3))
+
+    def probs(k):
+        w = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        return [x / sum(w) for x in w]
+
+    roots = draw(st.integers(1, 2))
+    nodes = [{"id": f"n{r}", "time": 0, "parent": None, "cond_prob": pr,
+              "prices": [float(draw(st.integers(-2, 2)))]} for r, pr in enumerate(probs(roots))]
+    frontier = list(range(roots))
+    for t in range(1, T + 1):
+        nxt = []
+        for v in frontier:
+            for pr in probs(draw(st.integers(1, 3 if t < 3 else 2))):
+                nodes.append({"id": f"n{len(nodes)}", "time": t, "parent": nodes[v]["id"],
+                              "cond_prob": pr,
+                              "prices": [nodes[v]["prices"][0] + draw(_INCREMENTS)]})
+                nxt.append(len(nodes) - 1)
+        frontier = nxt
+    return ea.MarketModel.from_nodes(T, 1, nodes)
+
+
+def _matches_the_lp_route(m, eps, norms, c):
+    """The d = 1 inductions against the whole-tree LPs they replace
+    (``_helpers.lp_*``): the find-emm verdict at the default eta and rho*
+    to 1e-9, each price to 1e-9 (relative) with the LP's optimum inside its
+    bracket, and the attainment of each bound: a checked witness, or none
+    that the LP finds either.  A node whose set is
+    empty empties the induction's set, and find-emm's: the LP then still
+    prices measures that put no mass on that node, which no public call
+    asks for, since each needs an equivalent measure first."""
+    eta = 1e-7 * float(np.min(m.leaf_prob))
+    rho = lp_interior_ratio(m, eps)
+    status, _, _, rho_bound, _ = programs.interior_feasibility(m, eps, norms, eta)
+    assert status != "indeterminate"
+    assert (status == "feasible") == (rho is not None and rho >= eta)
+    if rho_bound is not None:
+        assert abs(rho_bound - rho) <= 1e-9 * (1.0 + rho)
+    for sense, sgn in (("max", 1.0), ("min", -1.0)):
+        want = lp_price(m, eps, c, sense)
+        value, _, bound, hedge = programs.cone_linear_optimum(m, eps, norms, c, sense, None)
+        if value is None:
+            assert status == "infeasible" and rho_bound is None
+            continue
+        tol = 1e-9 * (1.0 + abs(want))
+        assert abs(value - want) <= tol
+        assert sgn * value <= sgn * want + tol and sgn * want <= sgn * bound + tol
+        assert hedge[2] == {} and np.min(hedge[3]) >= 0.0
+        weight, q, decided = programs.max_min_weight_on_face(m, eps, norms, c, value, sense)
+        assert decided
+        if weight > programs._ATTAINED:
+            # attained: the witness is checked here, since HiGHS can call the
+            # LP's thin slice infeasible (eps = 0 with a unique measure)
+            assert np.min(q) == weight and abs(np.sum(q) - 1.0) <= 1e-12
+            assert abs(float(c @ q) - value) <= 1e-9 * (1.0 + abs(value))
+            floor = programs._FLOOR * (1.0 + float(np.max(np.abs(m.delta))))
+            assert np.min(programs._cone_margins(programs.tree_ops(m), eps, norms, q)) >= -floor
+        else:
+            assert lp_face_min_weight(m, eps, c, want) <= 1e-6
+
+
+class TestScalarInduction:
+    """At d = 1 the measure programs are node inductions of closed forms,
+    held to the whole-tree LPs that ran there before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scalar_markets(), st.data())
+    def test_inductions_match_the_lp_route(self, m, data):
+        gammas = [programs.node_min_simplex_deviation(m, v, N2) for v in m.internal]
+        eps = data.draw(st.sampled_from([0.0, max(gammas), 1.5 * max(gammas) + 0.1])
+                        | st.sampled_from(gammas))  # a tangent node at eps = gamma(v)
+        c = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m.n_leaves,
+                                        max_size=m.n_leaves)), dtype=float)
+        _matches_the_lp_route(m, eps, data.draw(st.sampled_from([N1, N2])), c)
+
+    @pytest.mark.parametrize("f", [0.0, 1.0, 1.5])
+    def test_two_time0_nodes_match_the_lp_route(self, f):
+        m, _ = load_market(os.path.join(DATA, "kr_p.json"))
+        eps = f * ea.critical_value(m, N2).epsilon
+        for c in ([1.0, -2.0], [1.0, 1.0], [0.0, 1.0]):
+            _matches_the_lp_route(m, eps, N2, np.array(c))
+
+    def test_prices_solve_no_lp_or_cone_program(self, monkeypatch):
+        m = full_tree_law(np.random.default_rng(25), 3, 3, 1)
+        psi = payoff_linear_terminal(m)
+        eps = 1.5 * ea.critical_value(m, N1).epsilon
+        solves = count_solves(monkeypatch)
+        scalar = programs.NODE_PROGRAMS["scalar closed form"]
+        cone = programs.NODE_PROGRAMS["cone program"]
+        for norms in (N1, N2):
+            assert ea.find_eps_martingale_measure(m, eps, norms).feasible
+            for direction in ("sup", "inf"):
+                assert not ea.robust_price_bound(m, eps, norms, psi, direction).indeterminate
+            res = ea.superhedge_price(m, eps, norms, psi)
+            assert res.mode == "direct" and res.duality_ok
+            ea.fair_price_range(m, eps, norms, psi)
+        assert solves == []
+        assert programs.NODE_PROGRAMS["scalar closed form"] > scalar
+        assert programs.NODE_PROGRAMS["cone program"] == cone
+
+
 class TestGeneralExponent:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_superhedge_is_the_dual_hedge(self, p):
@@ -466,10 +586,11 @@ class TestFairRange:
             assert r2.upper >= r1.upper - 1e-8
 
 
-def _check_lp_hedge(m, eps, norms, psi):
-    """The super-hedge on polyhedral geometry is the price LP's dual: its
-    slacks, recomputed with the public gain and cost, cover the claim, and
-    its capital is the LP price to 1e-9 (relative)."""
+def _check_direct_hedge(m, eps, norms, psi):
+    """The super-hedge on polyhedral geometry ("direct": the price LP's dual
+    at d >= 2, the node hedges at d = 1): its slacks, recomputed with the
+    public gain and cost, cover the claim, and its capital is the price to
+    1e-9 (relative)."""
     res = ea.superhedge_price(m, eps, norms, psi)
     cert = res.certificate
     assert res.mode == "direct" and res.duality_ok
@@ -495,8 +616,8 @@ class TestStrongDuality:
             assert res.gap is not None
             assert res.gap <= 1e-6 * (1 + abs(res.price))
             assert res.duality_ok
-            if p == 1.0:
-                _check_lp_hedge(m, eps, norms, psi)
+            if p == 1.0 or m.d == 1:
+                _check_direct_hedge(m, eps, norms, psi)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_classical_level_hedge_is_the_price_lps_dual(self, p):
@@ -505,27 +626,31 @@ class TestStrongDuality:
         rng = np.random.default_rng(int(29 * p))
         for _ in range(6):
             m = random_martingale_market(rng, T=2, d=2)
-            _check_lp_hedge(m, 0.0, norms, ea.Payoff(rng.normal(size=m.n_leaves)))
+            _check_direct_hedge(m, 0.0, norms, ea.Payoff(rng.normal(size=m.n_leaves)))
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_two_time0_nodes_hedge_is_the_price_lps_dual(self, p):
+    def test_two_time0_nodes_hedge_is_the_node_hedges(self, p, monkeypatch):
+        # d = 1: the price induction's node hedges, with no LP
         m, _ = load_market(os.path.join(DATA, "kr_p.json"))
         norms = ea.NormPair(p)
         eps = 1.5 * ea.critical_value(m, norms).epsilon
-        _check_lp_hedge(m, eps, norms, ea.Payoff(np.array([1.0, -2.0])))
+        solves = count_solves(monkeypatch)
+        _check_direct_hedge(m, eps, norms, ea.Payoff(np.array([1.0, -2.0])))
+        assert solves == []
 
     def test_p1_superhedge_solves_no_second_lp(self, monkeypatch):
         # a fresh model: one interior LP and one price LP, whose duals are the hedge
         m = _market("curved")
         eps = 1.5 * ea.critical_value(fresh_copy(m), N1).epsilon
         solves = count_solves(monkeypatch)
-        _check_lp_hedge(m, eps, N1, payoff_linear_terminal(m))
+        _check_direct_hedge(m, eps, N1, payoff_linear_terminal(m))
         assert len(solves) == 2
         assert solves_in(solves, "interior_feasibility") == 1
         assert solves_in(solves, "cone_linear_optimum") == 1
 
 
-# (T, branching, d): a curved tree (d = 2, conic off p = 1) and a polyhedral one
+# (T, branching, d): a curved tree (d = 2, conic off p = 1) and a polyhedral
+# one (d = 1: the scalar closed forms at every p)
 SHAPES = {"curved": (2, 2, 2), "polyhedral": (2, 3, 1)}
 
 
