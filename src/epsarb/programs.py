@@ -44,9 +44,9 @@ node's set is the face of that point.  Every result is checked exactly
 (node margins, to the rounding floor for the vertex kernels of d = 1 as
 for an LP vertex; ``_leaf_gain_cost``, q >= eta P, and a recomputed hedge
 capital or dual bound); a result that fails is counted in
-``CONIC_FALLBACKS`` and has no answer: indeterminate, or no certificate.  ``NODE_PROGRAMS`` counts the
-node programs of both sides by route.  Public wrappers live in
-:mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
+``CONIC_FALLBACKS`` and has no answer: indeterminate, or no certificate.
+``NODE_PROGRAMS`` counts the node programs of both sides by route.
+Public wrappers live in :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
 
 A model keeps what is derived from it, through one helper (``_kept``),
 and nothing it keeps points back at it, so its last reference frees it:
