@@ -9,18 +9,15 @@ rho* >= eta, which stays numerically robust even when the interior margin
 itself is far below solver precision.
 
 The programs, and the choice of their route, live in :mod:`epsarb.programs`.
-The cone constraint is per node, so there are three routes: at d = 1 a
-backward induction over one-node programs, each a closed form (a node's
-set is a slab of the simplex); at q = inf (p = 1) or eps = 0 with d >= 2
-one whole-tree HiGHS LP; otherwise the same induction, with a closed form
-at binary q = 2 nodes and one node cone program elsewhere (tangent nodes
-on their faces; second-order cones at p = 2, power cones otherwise).  A
+The cone constraint is per node, so each program is a backward induction
+over one-node programs: a closed form at d = 1 (a node's set is a slab of
+the simplex), a vertex of the node's polytope at q = inf (p = 1) or
+eps = 0 with d >= 2, and otherwise a closed form at binary q = 2 nodes
+and one node cone program elsewhere (tangent nodes on their faces).  A
 measure is the product of the node kernels, a price bracket runs from
 that measure to the capital of the super-hedge composed of the node
-hedges, and a price bracket or interior result that fails its check is
-indeterminate.  The super-hedge is the one the price program returns on
-every route, its capital recomputed exactly: the node hedges, or the
-whole-tree LP's row duals.
+hedges, its capital recomputed exactly, and a price bracket or interior
+result that fails its check is indeterminate.
 """
 
 from __future__ import annotations
@@ -73,18 +70,16 @@ def find_eps_martingale_measure(model: MarketModel, eps: float, norms: NormPair,
     Feasibility at interior level eta is decided by rho* = max over
     cone-feasible weights of the minimum density ratio min q/P: the witness
     has q >= eta P and exact node margins >= 0, and infeasibility is
-    certified by an upper bound on rho* below eta.  At q = inf or eps = 0
-    with d >= 2 it is one exact LP.  Otherwise a node with gamma(v) > eps
-    empties the set (no bound), a tangent node whose least-norm face has
-    no full-support point gives the bound 0, and otherwise rho* is a
+    certified by an upper bound on rho* below eta.  A node with gamma(v) >
+    eps empties the set (no bound), a tangent node whose least-norm face
+    has no full-support point gives the bound 0, and otherwise rho* is a
     backward induction over the nodes: each node program gives a checked
-    kernel (a closed form at d = 1, whose LP vertex is checked to the
-    rounding floor, and at binary q = 2 nodes, one cone program elsewhere)
-    and a certified bound, the witness is the product of the kernels, and
-    the bound composes the node bounds.  Only a node certificate decides
-    "infeasible"; a result that fails its check is indeterminate, and its
-    deciding node is logged at DEBUG on the ``epsarb`` logger.  eps must
-    be finite and >= 0, and eta finite and > 0.
+    kernel (on polyhedral geometry an LP vertex, checked to the rounding
+    floor) and a certified bound, the witness is the product of the
+    kernels, and the bound composes the node bounds.  Only a node
+    certificate decides "infeasible"; a result that fails its check is
+    indeterminate, and its deciding node is logged at DEBUG on the
+    ``epsarb`` logger.  eps must be finite and >= 0, and eta finite and > 0.
     """
     report = validate_market(model)
     if not report.ok:
@@ -222,17 +217,14 @@ def superhedge_price(model: MarketModel, eps: float, norms: NormPair,
 
     The price is the measure-side bound sup E_Q[payoff], and the matching
     primal is the hedge that the price program returns with it, its leaf
-    slacks and capital recomputed exactly.  Three routes: at d = 1 the
-    node hedges of the closed-form price induction, each 0 or a crossing
-    of two children's terms; at q = inf or eps = 0 with d >= 2 the row
-    duals of the one whole-tree price LP; otherwise the node hedges of the
-    conic price induction, each read from its node program's dual (or
-    closed form).  Node hedges are composed down the tree with the capital
-    raised to cover every exact leaf slack.  ``mode`` labels the geometry,
-    not the route: "direct" when it is polyhedral (p = 1, d = 1, or
-    eps = 0), "dual" otherwise.  Raises
-    NoMartingaleStructure only on a node certificate; when find-emm is
-    indeterminate the hedge is still computed.
+    slacks and capital recomputed exactly: the node hedges of the price
+    induction (0 or a crossing of two children's terms at d = 1, a vertex
+    basis's row duals on the other polyhedral geometry, else the node
+    program's dual or closed form), composed down the tree with the
+    capital raised to cover every exact leaf slack.  ``mode`` labels the
+    geometry: "direct" when it is polyhedral (p = 1, d = 1, or eps = 0),
+    "dual" otherwise.  Raises NoMartingaleStructure only on a node
+    certificate; when find-emm is indeterminate the hedge is still computed.
     """
     _check_level("eps", eps, False)
     emm = find_eps_martingale_measure(model, eps, norms)

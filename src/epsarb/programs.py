@@ -16,37 +16,37 @@ Polyhedral geometry is p = 1 (q = inf), d = 1, and the measure side at
 eps = 0.  The strategy side solves HiGHS LPs there, except a node's
 decision at d = 1, a sign test.  The measure constraint is per node, so
 every measure question (find-emm's interior decision, the price bounds
-and their super-hedge, attainment) takes one of three routes:
+and their super-hedge, attainment) is one backward induction over
+one-node programs (``_induction``), by the node's set K_v(eps):
 
-* d = 1: a backward induction over one-node programs (``_node_program``),
-  each a closed form in scalar arithmetic (``_scalar_node``): a node's
-  set is a slab of the simplex, so its LP has a vertex with at most two
-  nonzero weights, and its hedge is 0 or a crossing of two children's
-  terms;
-* q = inf or eps = 0 with d >= 2: one whole-tree HiGHS LP, its row duals
-  the super-hedge;
-* otherwise the same induction as at d = 1, conic: a closed form for
-  binary nodes at q = 2 and for one-point nodes, one cone program on the
-  node's own one-period ops otherwise (an r-norm cone is one second-order
-  block at r = 2 and d three-dimensional power blocks otherwise,
-  ``_cone_program``).
+* d = 1: a slab of the simplex, a closed form in scalar arithmetic
+  (``_scalar_node``), a vertex with at most two nonzero weights;
+* q = inf or eps = 0 with d >= 2: a polytope, a vertex of its small LP,
+  found by enumerating the bases (``_polytope_nodes``, one batched solve
+  for the nodes of one time and child count), or by column generation
+  at a node of many children;
+* otherwise: a closed form for binary nodes at q = 2 and for one-point
+  nodes, one cone program on the node's one-period ops otherwise (an
+  r-norm cone is one second-order block at r = 2 and d three-dimensional
+  power blocks otherwise, ``_cone_program``).
 
 An induction's measure is the product of the node kernels and its
 super-hedge is the node hedges.  The strategy side's maximin is an
 induction of the same kind (``_maximin_induction``): closed forms for
 nodes whose children all have value 0, for one child and for binary
 nodes at q = 2, one cone program otherwise; its strategy composes the
-node duals.  The node geometry is exact once per model and q
-(:func:`node_geometry`): gamma(v) is the least q-norm of the children's
-convex hull, a closed form at d = 1, Wolfe's min-norm point at q = 2 and
-one cone program with a recomputed bracket at other q, and a tangent
-node's set is the face of that point.  Every result is checked exactly
-(node margins, to the rounding floor for the vertex kernels of d = 1 as
-for an LP vertex; ``_leaf_gain_cost``, q >= eta P, and a recomputed hedge
-capital or dual bound); a result that fails is counted in
-``CONIC_FALLBACKS`` and has no answer: indeterminate, or no certificate.
-``NODE_PROGRAMS`` counts the node programs of both sides by route.
-Public wrappers live in :mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
+node duals.  The node geometry is exact once per model and
+q (:func:`node_geometry`): gamma(v) is the least q-norm of the children's
+convex hull, a closed form at d = 1, a vertex of its LP at q = inf,
+Wolfe's min-norm point at q = 2 and one cone program with a recomputed
+bracket at other q, and a tangent node's set off polyhedral geometry is
+the face of that point.  Every result is checked exactly (node margins,
+to the rounding floor for the vertex kernels of polyhedral geometry;
+``_leaf_gain_cost``, q >= eta P, and a recomputed hedge capital or dual
+bound); a result that fails is counted in ``CONIC_FALLBACKS`` and has no
+answer: indeterminate, or no certificate.  ``NODE_PROGRAMS`` counts the
+node programs of both sides by route.  Public wrappers live in
+:mod:`epsarb.arbitrage` and :mod:`epsarb.pricing`.
 
 A model keeps what is derived from it, through one helper (``_kept``),
 and nothing it keeps points back at it, so its last reference frees it:
@@ -63,12 +63,13 @@ find-emm, the price bounds, the super-hedge and the fair range at one
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Optional
 
 import numpy as np
@@ -221,14 +222,15 @@ def strategy_from_packed(ops: TreeOps, x: np.ndarray) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# Node inductions: every geometry but q = inf or eps = 0 with d >= 2
+# Node inductions
 # ---------------------------------------------------------------------------
 
 CONIC_FALLBACKS: Counter = Counter()
 """Per program, the calls left indeterminate or without a certificate by a failed check."""
 NODE_PROGRAMS: Counter = Counter()
 """Node programs of the measure inductions and the strategy maximin, per
-route: "scalar closed form" (d = 1, ``_scalar_node``), "closed form" or
+route: "scalar closed form" (d = 1, ``_scalar_node``), "polytope vertex"
+(d >= 2 at q = inf or eps = 0, ``_polytope_nodes``), "closed form" or
 "cone program"."""
 SECOND_SOLVES: Counter = Counter()
 """Per measure program, the node cone programs that went on to the untightened second solve."""
@@ -246,19 +248,16 @@ _FLOOR = 1e-12  # per (1 + max |dS|): the rounding floor of an exact node check
 _ATTAINED = 1e-7  # a price bound is attained when its face has a point of min leaf weight above this
 
 
-def _polyhedral(model: MarketModel, norms: NormPair, eps: Optional[float] = None) -> bool:
+def _polyhedral(model: MarketModel, norms: NormPair, eps: float) -> bool:
     """Whether the q-cones (and the p-costs) are exactly LP-representable:
-    q = inf (that is, p = 1), scalar assets, or the level eps = 0 when one
-    is given."""
+    q = inf (that is, p = 1), scalar assets, or the level eps = 0."""
     return norms.q == math.inf or model.d == 1 or eps == 0.0
 
 
-def _whole_tree_lp(model: MarketModel, norms: NormPair, eps: float) -> bool:
-    """Whether a measure program is one whole-tree LP: polyhedral geometry
-    with d >= 2, that is q = inf or eps = 0.  At d = 1 every node program
-    has a closed form (``_scalar_node``), and elsewhere a node induction
-    runs."""
-    return model.d > 1 and _polyhedral(model, norms, eps)
+def _polytope(model: MarketModel, q: float, eps: float) -> bool:
+    """Whether every node's set K_v(eps) is a polytope cut by 2d rows:
+    polyhedral geometry with d >= 2, q = inf or eps = 0 (``_polytope_nodes``)."""
+    return model.d > 1 and (q == math.inf or eps == 0.0)
 
 
 def _second_order(r: float) -> bool:
@@ -366,7 +365,9 @@ class NodeGeometry:
     and low, its dual strategy's worst gain, and z is inexact.
 
     At d = 1 every q-norm is |.| and the hull is [min dS, max dS], so all
-    of it is a closed form (``_scalar_geometry``).
+    of it is a closed form (``_scalar_geometry``); at q = inf with d >= 2
+    it is a vertex of gamma's LP (``_linf_geometry``), which
+    :func:`node_geometry` builds for the nodes of one child count at once.
     """
 
     def __init__(self, A: np.ndarray, q: float):
@@ -409,6 +410,16 @@ class NodeGeometry:
             self.lam[int(np.argmax(a == z))] = 1.0
         self.on = np.ones(len(a), dtype=bool) if lo < 0.0 < hi else a == z
 
+    def _linf_geometry(self, A: np.ndarray, lam: np.ndarray, H: np.ndarray) -> None:
+        """gamma = |z|_inf at z = A'lam, lam the vertex of gamma's LP, and
+        h = H / |H|_1 (``_linf_vertices``), whose worst gain min_w h.dS(w)
+        is gamma (Sion): low is that gain, recomputed."""
+        self.A, self.exact, self.lam, self.z = A, True, lam, A.T @ lam
+        self.gamma = qnorm(self.z, math.inf)
+        size = float(np.sum(np.abs(H)))
+        self.h = H / size if size > 0.0 else np.zeros_like(H)
+        self.low = min(max(float(np.min(A @ self.h)), 0.0), self.gamma)
+
     @cached_property
     def on(self) -> np.ndarray:
         return face_support(self.A, self.z)
@@ -435,9 +446,30 @@ def node_geometry(model: MarketModel, q: float) -> dict:
     repairs read it."""
     by_q = _kept(model, "_node_geometry", dict)
     if q not in by_q:
-        by_q[q] = {v: NodeGeometry(model.delta[list(model.children[v])], q)
+        kids = {v: list(model.children[v]) for v in model.internal}
+        geometry = {}
+        if q == math.inf and model.d > 1:  # gamma's LPs of one child count in one batch
+            for k in {len(w) for w in kids.values()}:
+                group = [v for v in model.internal if len(kids[v]) == k]
+                A = model.delta[[kids[v] for v in group]]
+                for v, *vertex in zip(group, A, *_linf_vertices(A)):
+                    geometry[v] = NodeGeometry.__new__(NodeGeometry)
+                    geometry[v]._linf_geometry(*vertex)
+        by_q[q] = {v: geometry.get(v) or NodeGeometry(model.delta[kids[v]], q)
                    for v in model.internal}
     return by_q[q]
+
+
+def _linf_vertices(A: np.ndarray):
+    """gamma's LPs at q = inf, min t s.t. -t <= sum_w lam_w dS(w)_i <= t
+    over the simplex, of nodes of one child count (A (K, k, d)) in one
+    ``_vertex_lp``: (lam, H), H = y+ - y- the duals of the rows + and -."""
+    K, k, d = A.shape
+    rows = np.concatenate([A, -A], axis=2).transpose(0, 2, 1)
+    x, y, _ = _vertex_lp(-np.eye(1, k + 1, k).repeat(K, axis=0), np.append(np.ones(k), 0.0),
+                         np.concatenate([rows, -np.ones((K, 2 * d, 1))], axis=2),
+                         np.zeros((K, 2 * d)), d, np.eye(1, k + 1, dtype=bool).repeat(K, axis=0))
+    return x[:, :k], y[:, :d] - y[:, d:]
 
 
 def _tangent_faces(ops: TreeOps, eps: float, q: float, program: str = "measure program"):
@@ -447,13 +479,15 @@ def _tangent_faces(ops: TreeOps, eps: float, q: float, program: str = "measure p
     Tangent means eps <= gamma(v) <= eps + floor, gamma = eps to rounding;
     None when some node's certified low is above eps + floor, which empties
     the set.  One-sided: a node with gamma < eps keeps its cone, whose set
-    is larger.  Only an exact least-norm point (Wolfe's, or a checked
-    vertex) has a face: a cone program's point is known to the solver's
-    precision, which a flat norm makes far coarser than gamma's
-    (|(1, t)|_6 - 1 = t^6 / 6, so t = 0.025 costs 4e-11), so such a tangent
-    node keeps its cone and the exact check decides."""
+    is larger.  No polytope node (d >= 2 at q = inf or eps = 0) has one:
+    its rows are its set.  Only an exact least-norm point (Wolfe's, or a
+    checked vertex) has a face: a cone program's point is known to the
+    solver's precision, which a flat norm makes far coarser than gamma's
+    (|(1, t)|_6 - 1 = t^6 / 6, so t = 0.025 costs 4e-11), so such a
+    tangent node keeps its cone and the exact check decides."""
     model = ops.model
     geometry = node_geometry(model, q)
+    polytope = _polytope(model, q, eps)
     faces = {}
     for j, v in enumerate(ops.internal):
         node = geometry[v]
@@ -461,7 +495,7 @@ def _tangent_faces(ops: TreeOps, eps: float, q: float, program: str = "measure p
         if state == "empty":
             _log.debug("%s: node %s decides: its set is empty at eps %r", program, model.ids[v], eps)
             return None
-        if state == "tangent":
+        if state == "tangent" and not polytope:
             off = [k for w, on in zip(model.children[v], node.on) if not on
                    for k in model.leaves_under[w]]
             faces[j] = (node.z, np.isin(np.arange(model.n_leaves), off))
@@ -792,13 +826,6 @@ def strict_arbitrage_maximin_program(ops: TreeOps, eps: float, norms: NormPair):
 # Measure-side programs (leaf weights under node-wise cone constraints)
 # ---------------------------------------------------------------------------
 
-def _cone_rows_linf(ops: TreeOps, eps: float):
-    """Linear rows z_{v,i} <= eps qbar(v) in both signs, for q = inf."""
-    coeff = ops.coeff.transpose(1, 2, 0)[:, :, None, :]  # (node, asset, sign, leaf)
-    rows = np.concatenate([coeff, -coeff], axis=2) - (eps * ops.mask.T)[:, None, None, :]
-    return np.ascontiguousarray(rows.reshape(-1, ops.model.n_leaves))
-
-
 def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
                   faces: Optional[dict] = None) -> np.ndarray:
     """Exact node margins eps*qbar(v) - |z_v(q)|_q at given leaf weights.
@@ -819,7 +846,7 @@ def _cone_margins(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Measure side off the whole-tree LP: backward induction over nodes
+# Measure side: backward induction over nodes
 #
 # The cone constraint is per node, so leaf weights q lie in the closed
 # eps-martingale set exactly when every node's kernel kappa_v(w) =
@@ -1030,7 +1057,8 @@ def _node_program(program: str, node: NodeGeometry, p: Optional[np.ndarray], val
     add-on of a tangent node (None elsewhere), whose exact capital is hi.
     Routes: the scalar closed forms at d = 1 (``_scalar_node``), a closed
     form for one point (``face_point``) and for open binary nodes at q = 2
-    (``interval``), one cone program (``_node_cone``) otherwise.
+    (``interval``), one cone program (``_node_cone``) otherwise; polytope
+    nodes (d >= 2 at q = inf or eps = 0) take ``_polytope_nodes``.
     """
     if node.A.shape[1] == 1:
         return _scalar_node(node, p, values, eps, face, inside)
@@ -1297,33 +1325,262 @@ def _scalar_ratio(a: list, u: list, e: float, face, inside: np.ndarray):
     return kernel, min(x * y for x, y in zip(kernel.tolist(), u)), best / total, None
 
 
+# ---------------------------------------------------------------------------
+# Polytope nodes (d >= 2 at q = inf or eps = 0): K_v(eps) is the simplex cut
+# by the 2d rows +-sum_w kappa_w dS(w)_i <= eps, so a node program is a
+# small LP.  One row of an asset at most is tight at a vertex (both only at
+# eps = 0, where they are one), so a basic optimum has at most d + 1
+# children.  As at d = 1 the kernel is that vertex, checked on the leaf
+# weights to the rounding floor, and no node takes a tangent face: its
+# rows are its set, K_v(gamma) at a level within the floor below gamma.
+# A node of k children has O(k^(d+1)) bases: past _BASES its program grows
+# its columns from a feasible vertex (column generation, ``_grown``), each
+# step an enumeration over a few columns.  Every upper bound is weak
+# duality's at the chosen duals, recomputed over all children.
+# ---------------------------------------------------------------------------
+
+_VERTEX = 2.0 ** -46  # per |x|_1 max |row| + |rhs|: how far a basic solution passes a row by rounding
+_BASES = 2 ** 9  # bases of one program enumerated at once; a program with more grows its columns
+_BATCH = 2 ** 16  # bases of the programs of one batched solve
+_GROWTH = 64  # column steps of a grown program
+
+
+@lru_cache(maxsize=None)
+def _basis_count(n: int, d: int, extra: int, free: tuple, most: int) -> int:
+    """The number of bases ``_bases`` lists, without listing them."""
+    return sum((math.comb(n, s) - math.comb(len(free), s))
+               * sum(math.comb(d, a) * 2 ** a * math.comb(extra, s - 1 - a) for a in range(min(d, s - 1) + 1))
+               for s in range(1, min(most, d + extra + 1) + 1))
+
+
+@lru_cache(maxsize=16)
+def _bases(n: int, d: int, extra: int, free: tuple, most: int):
+    """Every basis of ``_vertex_lp`` over n columns and 2d + extra rows
+    (asset i's are i and d + i): s <= ``most`` columns, not all ``free``,
+    and s - 1 tight rows, never both of an asset (opposite rows are
+    singular; in gamma's program both are tight only at gamma = 0, where
+    one gives the same vertex).  As index arrays (rows, cols) into the
+    table [e; G; 0] with a zero column appended, padded to m = min(most,
+    d + extra + 1) columns with its zero row and column, and the identity
+    on the padded diagonal."""
+    r = 2 * d + extra
+    m = min(most, d + extra + 1)
+    cols, rows = [], []
+    for s in range(1, m + 1):
+        tight = [R for R in itertools.combinations(range(1, r + 1), s - 1)
+                 if not any(i + d in R for i in R if i <= d)]
+        for S, R in itertools.product(itertools.combinations(range(n), s), tight):
+            if not set(S) <= set(free):
+                cols.append(S + (n,) * (m - s))
+                rows.append((0,) + R + (r + 1,) * (m - s))
+    cols, rows = np.array(cols, dtype=np.int32), np.array(rows, dtype=np.int32)
+    return rows, cols, (cols == n)[:, :, None] & np.eye(m, dtype=bool)
+
+
+def _dual_bound(c: np.ndarray, e: np.ndarray, G: np.ndarray, h: np.ndarray,
+                y: np.ndarray) -> np.ndarray:
+    """Weak duality for ``_vertex_lp``'s programs (c (K, n), G (K, r, n),
+    h (K, r)) at row duals y >= 0 (K, N, r): max c.x over x >= 0, e.x = 1,
+    Gx <= h is at most max over e_j = 1 of c_j - y.G_j, plus h.y; inf
+    where a column of e_j = 0 has c_j > y.G_j beyond _VERTEX of its
+    terms (only gamma's program has one, and its h is recomputed).  (K, N)."""
+    gain, free = c[:, None] - y @ G, e == 0.0
+    bound = gain[..., ~free].max(axis=2) + (y @ h[:, :, None])[..., 0]
+    over = gain[..., free] > _VERTEX * (np.abs(c[:, free])[:, None] + y @ np.abs(G[:, :, free]))
+    return np.where(over.any(axis=2), math.inf, bound)
+
+
+def _vertex_lp(c: np.ndarray, e: np.ndarray, G: np.ndarray, h: np.ndarray, d: int,
+               start: Optional[np.ndarray], ratio: bool = False):
+    """max c_j.x s.t. x >= 0, e.x = 1, G_j x <= h_j for K programs of one
+    shape (c (K, n), G (K, r, n), h (K, r); the first 2d rows those of d
+    assets) by their bases (``_bases``; no support of columns with e = 0
+    alone): each a square system [e_S; G_RS] x_S = [1; h_R] and its
+    transpose against c_S, all solved in one batch (or in batches of
+    _BATCH bases).  Per program (x, y, found): the best x that meets every
+    row to _VERTEX, clipped at 0 and scaled to e.x = 1; y the row duals,
+    clipped at 0, of least ``_dual_bound`` among the feasible bases within
+    _VERTEX of x's value (a degenerate vertex has several); whether a
+    basis is feasible.  A ``ratio`` program maximizes s over kappa = s rhat
+    + mu, whose column (the first) is rhat's mix of the others: no basis
+    holds it and all the others.  A singular basis fails the batch, solved
+    again without those whose |det| is rounding of its l1 bound.  A
+    program of more than _BASES bases grows its columns from ``start``
+    (K, n), columns that hold a feasible point (``_grown``); None
+    enumerates every program."""
+    K, r, n = G.shape
+    shape = (n, d, r - 2 * d, tuple(np.flatnonzero(e == 0.0)), n - 1 if ratio else n)
+    if start is not None and _basis_count(*shape) > _BASES:
+        return tuple(np.array(z) for z in zip(*(
+            _grown(c[i], e, G[i], h[i], d, start[i]) for i in range(K))))
+    rows, cols, pad = _bases(*shape)
+    N, m = cols.shape
+    step = max(1, _BATCH // N)
+    if K > step:
+        return tuple(np.concatenate(z) for z in zip(*(
+            _vertex_lp(c[i:i + step], e, G[i:i + step], h[i:i + step], d, None, ratio)
+            for i in range(0, K, step))))
+    table = np.zeros((K, r + 2, n + 1))
+    table[:, 0, :n], table[:, 1:r + 1, :n] = e, G
+    M = table[:, rows[:, :, None], cols[:, None, :]] + pad
+    cz = np.concatenate([c, np.zeros((K, 1))], axis=1)
+    hz = np.concatenate([np.ones((K, 1)), h, np.zeros((K, 1))], axis=1)
+    Gt, j = table[:, 1:r + 1].transpose(0, 2, 1), np.arange(K)
+
+    def solved(ok):
+        X = np.zeros((K, N, n + 1))
+        X[j[:, None, None], np.arange(N)[:, None], cols] = np.linalg.solve(M, hz[:, rows, None])[..., 0]
+        feasible = ok & (X >= -_VERTEX).all(axis=2) & (X @ Gt - h[:, None] <= _VERTEX * (
+            np.abs(X).sum(axis=2, keepdims=True) * np.abs(Gt).max(axis=1)[:, None]
+            + np.abs(h)[:, None])).all(axis=2)
+        value = np.where(feasible, (X @ cz[:, :, None])[..., 0], -math.inf)
+        top, found = value.max(axis=1, keepdims=True), feasible.any(axis=1)
+        x = np.maximum(X[j, np.argmax(value, axis=1), :n], 0.0)
+        x /= np.where(found, x @ e, 1.0)[:, None]
+        near = feasible & (value >= top - _VERTEX * (1.0 + np.abs(X) @ np.abs(cz)[:, :, None])[..., 0])
+        kk, bb = np.nonzero(near)
+        Y = np.zeros((K, N, r + 2))
+        Y[kk[:, None], bb[:, None], rows[bb]] = np.linalg.solve(
+            M[kk, bb].transpose(0, 2, 1), cz[kk[:, None], cols[bb], None])[..., 0]
+        Y = np.maximum(Y[..., 1:r + 1], 0.0)
+        return x, Y[j, np.where(near, _dual_bound(c, e, G, h, Y), math.inf).argmin(axis=1)], found
+
+    try:
+        return solved(True)
+    except np.linalg.LinAlgError:
+        ok = np.abs(np.linalg.det(M)) > 1e-12 * np.abs(M).sum(axis=3).prod(axis=2)
+        M[~ok] = np.eye(m)
+        return solved(ok)
+
+
+def _grown(c: np.ndarray, e: np.ndarray, G: np.ndarray, h: np.ndarray, d: int,
+           start: np.ndarray):
+    """One program of ``_vertex_lp`` by column generation: solved on the
+    columns of ``start`` and those of e = 0, then again with up to a
+    basis of the columns of largest reduced cost against its duals, until
+    none is positive (to _VERTEX) or after _GROWTH steps.  Past ``widest``
+    columns (those of _BASES bases, or two bases) it keeps the optimal
+    support, e = 0 and the columns of least reduced cost; a step that does
+    not raise the value widens it by one, to at most _BATCH bases (a
+    degenerate vertex can hold the value over several steps).  Its x is a
+    vertex of the whole program, and ``_dual_bound`` certifies its duals
+    over every column, as it does the enumerated ones'.  On columns short
+    of all, a ratio's s is independent of the others, so no basis is
+    excluded."""
+    n, extra = len(c), len(h) - 2 * d
+    m, pinned = d + extra + 1, e == 0.0
+    keep, free = start | pinned, tuple(range(int(pinned.sum())))
+    width = [next(w for w in itertools.count(1) if _basis_count(w, d, extra, free, w) > bound) - 1
+             for bound in (_BASES, _BATCH)]
+    widest, most = min(max(width[0], 2 * m + len(free)), width[1]), width[1]
+    value = -math.inf
+    for _ in range(_GROWTH):
+        S = np.flatnonzero(keep)
+        xs, y, found = (z[0] for z in _vertex_lp(c[None, S], e[S], G[None][:, :, S], h[None], d, None))
+        x = np.zeros(n)
+        x[S] = xs
+        if not found:
+            break
+        gain = c - y @ G
+        best = float(np.max(gain[S][e[S] == 1.0]))
+        new = np.flatnonzero(~keep & (gain > best + _VERTEX * (1.0 + abs(best))))
+        if not new.size:
+            break
+        widest = min(widest + (float(c @ x) <= value), most)
+        value = float(c @ x)
+        new = new[np.argsort(-gain[new], kind="stable")][:m]
+        rank = np.where(pinned | (x > 0.0), math.inf, np.where(keep, gain, -math.inf))
+        top = np.argsort(-rank, kind="stable")[:widest - len(new)]
+        keep = np.zeros(n, dtype=bool)
+        keep[top[rank[top] > -math.inf]] = keep[new] = True
+    return x, y, found
+
+
+def _polytope_nodes(nodes: list, p: Optional[np.ndarray], values: np.ndarray, eps: float,
+                    norms: NormPair, faces: list, insides: list) -> list:
+    """``_node_program`` for nodes of one child count (p and values one row
+    each) on their polytopes K_v at level max(eps, gamma), one batched
+    ``_vertex_lp`` (started from the least-norm weights, or ``insides``):
+    the price max kappa.V, its hedge H = y+ - y- from the duals of the
+    rows + and -, with no add-on and its capital recomputed at eps; or the
+    ratio max s over kappa = s rhat + mu, mu >= 0 (rhat = (1/u) / sum(1/u)),
+    on the face slice (c, level) of ``faces`` (all or none), of value
+    s / sum(1/u), its bound the duals' (``_dual_bound``) over sum(1/u), and
+    0 for a child of ratio 0.  One (kernel, lo, hi, hedge) per node, none
+    of them where a child has no bound or no basis is feasible, and no
+    bound (inf) at a ratio whose duals give none; when a node's set is
+    empty, None for it."""
+    states = [node.state(eps) for node in nodes]
+    if "empty" in states:
+        return [None if s == "empty" else (None, -math.inf, math.inf, None) for s in states]
+    NODE_PROGRAMS["polytope vertex"] += len(nodes)
+    A = np.array([node.A for node in nodes])
+    K, k, d = A.shape
+    rows = np.concatenate([A, -A], axis=2).transpose(0, 2, 1)
+    level = np.repeat([[max(eps, node.gamma)] for node in nodes], 2 * d, axis=1)
+    start = np.array([node.lam if x is None else x for node, x in zip(nodes, insides)]) > 0.0
+    bad = ~np.isfinite(values).all(axis=1)  # a child without a bound
+    failed = (None, -math.inf, math.inf, None)
+    if p is None:
+        x, y, found = _vertex_lp(np.where(bad[:, None], 0.0, values), np.ones(k), rows, level, d, start)
+        H = y[:, :d] - y[:, d:]
+        capital = (values - (A @ H[:, :, None])[..., 0]).max(axis=1) + eps * qnorm(H, norms.p)
+        return [(x[i], float(values[i] @ x[i]), float(capital[i]), (H[i], None))
+                if found[i] and not bad[i] else failed for i in range(K)]
+    u = values / p
+    zero = ~bad & (u.min(axis=1) <= 0.0)
+    inv = 1.0 / np.where((bad | zero)[:, None], 1.0, u)
+    rhat = inv / inv.sum(axis=1, keepdims=True)
+    if faces[0] is not None:
+        rows = np.concatenate([rows, -np.array([f[0] for f in faces])[:, None]], axis=1)
+        level = np.hstack([level, -np.array([[f[1]] for f in faces])])
+    c, G = np.eye(1, k + 1).repeat(K, axis=0), np.concatenate([rows @ rhat[:, :, None], rows], axis=2)
+    x, y, found = _vertex_lp(c, np.ones(k + 1), G, level, d, np.hstack([np.ones((K, 1), bool), start]),
+                             ratio=True)
+    kernel = x[:, :1] * rhat + x[:, 1:]
+    hi = _dual_bound(c, np.ones(k + 1), G, level, y[:, None])[:, 0] / inv.sum(axis=1)
+    return [failed if bad[i] or not found[i] else
+            (nodes[i].lam if insides[i] is None else insides[i], 0.0, 0.0, None) if zero[i] else
+            (kernel[i], float(np.min(kernel[i] * u[i])), float(hi[i]), None) for i in range(K)]
+
+
 def _induction(program: str, model: MarketModel, eps: float, norms: NormPair,
                leaf_values: np.ndarray, p: Optional[np.ndarray] = None, faces=None,
                insides=None):
     """The node programs of ``program`` from the deepest internal node up
-    (``_node_program``; p the reference kernel per node, None at a price;
-    ``faces`` and ``insides`` per node, for the face program): (kernels,
-    lo, hi, hedges, doubt) with lo and hi per node (the leaves' values at
-    the leaves) and ``doubt`` the first node left without a checked kernel
-    or with a bracket wider than 1e-9, else None; None when a node's set is
-    empty, which is logged as the deciding node."""
+    (``_node_program``; on polytopes ``_polytope_nodes``, for the nodes of
+    one time and child count at once; p the reference kernel per node,
+    None at a price; ``faces`` and ``insides`` per node, for the face
+    program): (kernels, lo, hi, hedges, doubt) with lo and hi per node and
+    ``doubt`` the first node left without a checked kernel or with a
+    bracket wider than 1e-9, else None; None when a node's set is empty,
+    which is logged as the deciding node."""
     geometry = node_geometry(model, norms.q)
     lo = np.zeros(model.n_nodes)
     hi = np.zeros(model.n_nodes)
     lo[list(model.leaves)] = hi[list(model.leaves)] = leaf_values
     kernels, hedges, doubt = {}, {}, None
-    for v in sorted(model.internal, key=lambda v: -model.times[v]):
-        kids = list(model.children[v])
-        out = _node_program(program, geometry[v], None if p is None else p[kids], hi[kids],
-                            eps, norms, None if faces is None else faces[v],
-                            None if insides is None else insides[v])
-        if out is None:
-            _log.debug("%s: node %s decides: its set is empty at eps %r", program,
-                       model.ids[v], eps)
-            return None
-        kernels[v], lo[v], hi[v], hedges[v] = out
-        if doubt is None and (out[0] is None or not _gap_closed(out[1], out[2], 1e-9)):
-            doubt = v
+    polytope = _polytope(model, norms.q, eps)
+    # polytope nodes of one time and child count run as one batch, others one by one
+    batch = (lambda v: (model.times[v], len(model.children[v]))) if polytope else None
+    for _, group in itertools.groupby(sorted(model.internal, key=lambda v: -model.times[v]), batch):
+        group = list(group)
+        kids = [list(model.children[v]) for v in group]
+        face, inside = ([None if x is None else x[v] for v in group] for x in (faces, insides))
+        if polytope:
+            outs = _polytope_nodes([geometry[v] for v in group], None if p is None else p[kids],
+                                   hi[kids], eps, norms, face, inside)
+        else:
+            outs = [_node_program(program, geometry[group[0]], None if p is None else p[kids[0]],
+                                  hi[kids[0]], eps, norms, face[0], inside[0])]
+        for v, out in zip(group, outs):
+            if out is None:
+                _log.debug("%s: node %s decides: its set is empty at eps %r", program,
+                           model.ids[v], eps)
+                return None
+            kernels[v], lo[v], hi[v], hedges[v] = out
+            if doubt is None and (out[0] is None or not _gap_closed(out[1], out[2], 1e-9)):
+                doubt = v
     return kernels, lo, hi, hedges, doubt
 
 
@@ -1411,10 +1668,10 @@ def _leaf_check(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
                 faces: Optional[dict] = None):
     """The least exact node margin of leaf weights q and the floor it must
     reach: 0 for kernels checked inside their sets (tangent nodes: on the
-    face, ``faces`` or ``_tangent_faces``), and at d = 1, whose kernels are
-    vertices, minus the rounding floor _FLOOR (1 + max |coeff|) of the
-    plain margins, as for an LP vertex."""
-    if ops.model.d == 1:
+    face, ``faces`` or ``_tangent_faces``), and minus the rounding floor
+    _FLOOR (1 + max |coeff|) on polyhedral geometry, whose kernels are LP
+    vertices."""
+    if _polyhedral(ops.model, norms, eps):
         return (float(np.min(_cone_margins(ops, eps, norms, q))),
                 -_FLOOR * (1.0 + float(np.max(np.abs(ops.coeff)))))
     if faces is None:
@@ -1422,9 +1679,23 @@ def _leaf_check(ops: TreeOps, eps: float, norms: NormPair, q: np.ndarray,
     return float(np.min(_cone_margins(ops, eps, norms, q, faces))), 0.0
 
 
-def _interior_induction(ops: TreeOps, eps: float, norms: NormPair, eta: float):
-    """``interior_feasibility`` off the whole-tree LP (``_whole_tree_lp``)."""
-    program, model = "interior_feasibility", ops.model
+@_kept_results
+def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float):
+    """Decide the eta-interior cone program q >= eta P, sum q = 1, node cones.
+
+    Returns (status, q, rho, rho_upper_bound, margin) with status in
+    {feasible, infeasible, indeterminate}.  A feasible verdict carries
+    weights with q >= eta P, checked elementwise, and node margins >= 0
+    (``_leaf_check``).  The node geometry, then the ratio induction over
+    node programs (``_ratio_induction``): the set is empty when a node's
+    is (no bound), and rho* = 0 when a tangent face puts weight 0 on a
+    leaf; otherwise the product of the node kernels is the witness when it
+    passes the checks, a composed upper bound below eta decides
+    infeasible, and anything else is indeterminate, with that bound.  The
+    node behind an infeasible or indeterminate verdict is logged at DEBUG.
+    The result is kept on the model (``_kept_results``).
+    """
+    program, ops = "interior_feasibility", tree_ops(model)
     faces = _tangent_faces(ops, eps, norms.q, program)
     if faces is None:
         return "infeasible", None, None, None, None
@@ -1451,11 +1722,55 @@ def _interior_induction(ops: TreeOps, eps: float, norms: NormPair, eta: float):
     return "indeterminate", None, None, bound if bound < math.inf else None, None
 
 
-def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, target: float,
-                    sgn: float):
-    """``max_min_weight_on_face`` off the whole-tree LP (``_whole_tree_lp``),
-    for the optimum of sgn c."""
-    program, model = "max_min_weight_on_face", ops.model
+@_kept_results
+def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
+                        leaf_objective: np.ndarray, sense: str, anchor: Optional[np.ndarray]):
+    """Optimize a linear leaf functional over the closed cone-feasible set.
+
+    Returns (value, q, bound, hedge), all None when the closed set is
+    empty: value = c.q at exactly feasible q, bound the certified other end
+    of the optimum, and ``hedge`` = (capital, strategy, {node: add-on},
+    leaf slacks) an exact super-replication of c (sense max) or -c (min),
+    its leaf slacks and capital (the least that covers them) recomputed
+    exactly: the price induction over node programs (``_price_induction``),
+    whose composed node hedges give ``hedge`` (no add-on on polyhedral
+    geometry), with its capital (negated for min) the bound.  ``anchor``,
+    an exactly feasible point, is the q returned when a node gives no
+    checked kernel.  The result is kept on the model (``_kept_results``).
+    """
+    c = np.asarray(leaf_objective, dtype=float)
+    sgn = 1.0 if sense == "max" else -1.0
+    nodes = _price_induction(model, eps, norms, sgn * c)
+    if nodes is None:
+        return (None,) * 4
+    q, value, capital, hedge = nodes[:4]
+    if q is None and anchor is not None:
+        q, value = anchor, float(sgn * c @ anchor)
+    # + 0.0: a zero price of the min sense is 0.0, not sgn's -0.0
+    return sgn * value + 0.0, q, sgn * capital + 0.0, hedge
+
+
+def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
+                           leaf_objective: np.ndarray, target: float, sense: str = "max"):
+    """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
+    of target, the optimum of c in ``sense``, as (min weight, q, decided),
+    or (0.0, None, True) when there is none.
+
+    It only decides whether it reaches _ATTAINED.  An equivalent measure
+    attains the optimum exactly when every node's optimal face holds a
+    full-support kernel, so it is the ratio induction with P = 1 on each
+    node's face, the kernels within _FACE of the node's price against its
+    children's upper values (from the kept ``_price_induction``): q, with
+    each kernel mixed toward the price's when it falls short (an LP vertex
+    kernel is mixed with nothing), is returned when it passes the checks,
+    reaches _ATTAINED and lies on the slice; a composed bound below
+    _ATTAINED decides the other way; it says when it cannot decide.  A
+    time-0 node whose upper price is below another's lower one takes no
+    mass at the optimum: not attained.
+    """
+    program, ops = "max_min_weight_on_face", tree_ops(model)
+    c = np.asarray(leaf_objective, dtype=float)
+    sgn = 1.0 if sense == "max" else -1.0
     nodes = _price_induction(model, eps, norms, sgn * c)
     if nodes is None:
         return 0.0, None, True
@@ -1495,169 +1810,6 @@ def _face_induction(ops: TreeOps, eps: float, norms: NormPair, c: np.ndarray, ta
     return max(bound, 0.0), None, False
 
 
-@_kept_results
-def interior_feasibility(model: MarketModel, eps: float, norms: NormPair, eta: float):
-    """Decide the eta-interior cone program q >= eta P, sum q = 1, node cones.
-
-    Returns (status, q, rho, rho_upper_bound, margin) with status in
-    {feasible, infeasible, indeterminate}.  A feasible verdict carries
-    weights with q >= eta P, checked elementwise, and node margins >= 0:
-    exactly on the conic route (tangent nodes: on the face), and to the
-    rounding floor 1e-12 (1 + max |coeff|) at d = 1 and on the LP route,
-    whose vertices meet their rows only to rounding (a vertex that fails
-    either check is indeterminate).
-
-    Three routes.  At d = 1, and at every other geometry except the one
-    below, the node geometry, then the ratio induction over node programs
-    (``_ratio_induction``), closed forms at d = 1 (``_scalar_ratio``): the
-    set is empty when a node's is (no bound), and rho* = 0 when a tangent
-    face puts weight 0 on a leaf; otherwise the product of the node
-    kernels is the witness when it passes the checks, a composed upper
-    bound below eta decides infeasible, and anything else is
-    indeterminate, with that bound.  The node behind an infeasible or
-    indeterminate verdict is logged at DEBUG.  At q = inf or eps = 0 with
-    d >= 2 it is one exact whole-tree LP.  The result is kept on the model
-    (``_kept_results``).
-    """
-    ops = tree_ops(model)
-    L = model.n_leaves
-    P = model.leaf_prob
-    if not _whole_tree_lp(model, norms, eps):
-        return _interior_induction(ops, eps, norms, eta)
-    # Rounding floor of |z_v(q)|_q at this price scale.
-    margin_floor = _FLOOR * (1.0 + float(np.max(np.abs(ops.coeff))))
-    rows = _cone_rows_linf(ops, eps)
-    a_ub = np.vstack([
-        np.hstack([rows, np.zeros((rows.shape[0], 1))]),
-        np.hstack([-np.eye(L), P[:, None]]),
-    ])
-    b_ub = np.zeros(a_ub.shape[0])
-    a_eq = np.concatenate([np.ones(L), [0.0]])[None, :]
-    cvec = np.zeros(L + 1)
-    cvec[-1] = 1.0
-    lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
-                       a_eq=a_eq, b_eq=np.array([1.0]),
-                       bounds=[(0.0, 1.0)] * L + [(None, 1.0)])
-    # HiGHS meets its rows to 1e-7, enough to turn a small rho* near the
-    # critical level into a vertex with margins of -1e-7; such a vertex
-    # is solved again at 1e-10.  Margins are checked to the rounding
-    # floor (at eps = 0 the exact margin is -|z_v|, a few ulps below
-    # zero), and q >= eta P exactly.
-    for highs_tol in (None, 1e-10):
-        res = solve_lp(lp, highs_tol=highs_tol)
-        if res.status == "infeasible":
-            return "infeasible", None, None, None, None
-        if res.status != "optimal":
-            raise RuntimeError(f"interior-ratio LP failed: {res.status} {res.message}")
-        rho = float(res.value)
-        if rho < eta:
-            return "infeasible", None, rho, rho, None
-        q = res.x[:L]
-        margin = float(np.min(_cone_margins(ops, eps, norms, q)))
-        if np.all(q >= eta * P) and margin >= -margin_floor:
-            return "feasible", q, rho, rho, margin
-    return "indeterminate", None, None, rho, margin
-
-
-@_kept_results
-def cone_linear_optimum(model: MarketModel, eps: float, norms: NormPair,
-                        leaf_objective: np.ndarray, sense: str, anchor: Optional[np.ndarray]):
-    """Optimize a linear leaf functional over the closed cone-feasible set.
-
-    Returns (value, q, bound, hedge), all None when the closed set is
-    empty: value = c.q at exactly feasible q, bound the certified other end
-    of the optimum, and ``hedge`` = (capital, strategy, {node: add-on},
-    leaf slacks) an exact super-replication of c (sense max) or -c (min),
-    its leaf slacks and capital (the least that covers them) recomputed
-    exactly.  Three routes.  At d = 1, and at every other geometry except
-    the one below, the price induction over node programs
-    (``_price_induction``; closed forms at d = 1, ``_scalar_price``, whose
-    kernels are LP vertices and whose hedges have no add-on), whose
-    composed node hedges give ``hedge``, with its capital (negated for
-    min) the bound.  At q = inf or eps = 0 with d >= 2 it is one whole-tree
-    LP (bound = value), whose row duals are the hedge: with y+ and y- the
-    duals of a node's rows +-z_{v,i} <= eps qbar(v), H = y+ - y- (negated
-    for min) and no add-on, so its capital is the LP value up to the
-    solver's rounding (weak duality at p = 1; at eps = 0 every p-cost is
-    the l1 one).  ``anchor``, an exactly feasible point, is the q returned
-    when a node gives no checked kernel.  The result is kept on the model
-    (``_kept_results``).
-    """
-    ops = tree_ops(model)
-    L = model.n_leaves
-    c = np.asarray(leaf_objective, dtype=float)
-    sgn = 1.0 if sense == "max" else -1.0
-    if not _whole_tree_lp(model, norms, eps):
-        nodes = _price_induction(model, eps, norms, sgn * c)
-        if nodes is None:
-            return (None,) * 4
-        q, value, capital, hedge = nodes[:4]
-        if q is None and anchor is not None:
-            q, value = anchor, float(sgn * c @ anchor)
-        # + 0.0: a zero price of the min sense is 0.0, not sgn's -0.0
-        return sgn * value + 0.0, q, sgn * capital + 0.0, hedge
-    rows = _cone_rows_linf(ops, eps)
-    lp = LinearProgram(c=c, sense=sense, a_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                       a_eq=np.ones((1, L)), b_eq=np.array([1.0]),
-                       bounds=[(0.0, 1.0)] * L)
-    res = solve_lp(lp)
-    if res.status == "infeasible":
-        return None, None, None, None
-    if res.status != "optimal":
-        raise RuntimeError(f"cone LP failed: {res.status} {res.message}")
-    # the rows' duals (node, asset, +/-) are the hedge; its capital is recomputed exactly
-    y = res.dual_ub.reshape(len(ops.internal), model.d, 2)
-    H = sgn * (y[..., 0] - y[..., 1]).ravel()
-    rest = _leaf_gain_cost(ops, norms, H, eps) - sgn * c
-    capital = -float(np.min(rest))
-    hedge = (capital, strategy_from_packed(ops, H), {}, capital + rest)
-    return float(res.value), res.x, float(res.value), hedge
-
-
-def max_min_weight_on_face(model: MarketModel, eps: float, norms: NormPair,
-                           leaf_objective: np.ndarray, target: float, sense: str = "max"):
-    """max (min leaf weight) over cone-feasible q with c.q within 1e-9 (1 + |target|)
-    of target, the optimum of c in ``sense``, as (min weight, q, decided),
-    or (0.0, None, True) when there is none.
-
-    At q = inf or eps = 0 with d >= 2 it is one whole-tree LP.  Everywhere
-    else, d = 1 included, it only decides whether it reaches _ATTAINED.
-    An equivalent measure attains the optimum exactly when every node's
-    optimal face holds a full-support kernel, so it is the ratio induction
-    with P = 1 on each node's face, the kernels within _FACE of the node's
-    price against its children's upper values (from the kept
-    ``_price_induction``; closed forms at d = 1, ``_scalar_ratio``): q,
-    with each kernel mixed toward the price's when it falls short (at
-    d = 1 a vertex kernel, mixed with nothing), is returned when it passes
-    the checks, reaches _ATTAINED and lies on the slice; a composed bound
-    below _ATTAINED decides the other way; it says when it cannot decide.
-    A time-0 node whose upper price is below another's lower one takes no
-    mass at the optimum: not attained.
-    """
-    ops = tree_ops(model)
-    L = model.n_leaves
-    c = np.asarray(leaf_objective, dtype=float)
-    if not _whole_tree_lp(model, norms, eps):
-        return _face_induction(ops, eps, norms, c, target, 1.0 if sense == "max" else -1.0)
-    scale = 1e-9 * (1.0 + abs(target))
-    face_rows = np.vstack([np.concatenate([c, [0.0]]), np.concatenate([-c, [0.0]])])
-    face_rhs = np.array([target + scale, -(target - scale)])
-    min_rows = np.hstack([-np.eye(L), np.ones((L, 1))])
-    rows = _cone_rows_linf(ops, eps)
-    a_ub = np.vstack([np.hstack([rows, np.zeros((rows.shape[0], 1))]), face_rows, min_rows])
-    b_ub = np.concatenate([np.zeros(rows.shape[0]), face_rhs, np.zeros(L)])
-    cvec = np.zeros(L + 1)
-    cvec[-1] = 1.0
-    lp = LinearProgram(c=cvec, sense="max", a_ub=a_ub, b_ub=b_ub,
-                       a_eq=np.concatenate([np.ones(L), [0.0]])[None, :],
-                       b_eq=np.array([1.0]),
-                       bounds=[(0.0, 1.0)] * L + [(0.0, 1.0)])
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        return 0.0, None, True
-    return float(res.value), res.x[:L], True
-
-
 def reference_deviation(model: MarketModel, norms: NormPair) -> float:
     """max_v |E_P[dS | v]|_q — an upper bound for the critical value."""
     ops = tree_ops(model)
@@ -1687,39 +1839,16 @@ def reference_deviation(model: MarketModel, norms: NormPair) -> float:
 
 
 def node_min_simplex_deviation(model: MarketModel, v: int, norms: NormPair) -> float:
-    """gamma(v) = min over child-simplex weights of |sum_w a_w dS(w)|_q.
-
-    Scalar increments have a closed form: the simplex image is the interval
-    [min dS, max dS], so gamma is 0 when it contains 0 and the smallest
-    |dS| otherwise.  q = inf solves one LP; any other q reads the node's
-    geometry, kept on the model (:func:`node_geometry`): the upper end of
-    its bracket, the norm of a point of the hull.
+    """gamma(v) = min over child-simplex weights of |sum_w a_w dS(w)|_q:
+    |dS| of one child at d >= 2, else read from the node geometry, kept on
+    the model (:func:`node_geometry`): the norm of a point of the hull,
+    exact at d = 1 (a closed form), q = 2 (Wolfe's point) and q = inf (a
+    vertex of its LP).
     """
-    kids = list(model.children[v])
-    A = model.delta[kids]  # (k, d)
-    k = len(kids)
-    if model.d == 1:
-        c = A[:, 0]
-        if c.min() <= 0.0 <= c.max():
-            return 0.0
-        return float(np.min(np.abs(c)))
-    if k == 1:
+    A = model.delta[list(model.children[v])]
+    if len(A) == 1 and model.d > 1:
         return qnorm(A[0], norms.q)
-    if not _polyhedral(model, norms):
-        return node_geometry(model, norms.q)[v].gamma
-    # min t s.t. -t <= (A' a)_i <= t, a in simplex
-    d = model.d
-    a_ub = np.vstack([np.hstack([A.T, -np.ones((d, 1))]),
-                      np.hstack([-A.T, -np.ones((d, 1))])])
-    lp = LinearProgram(c=np.concatenate([np.zeros(k), [1.0]]), sense="min",
-                       a_ub=a_ub, b_ub=np.zeros(2 * d),
-                       a_eq=np.concatenate([np.ones(k), [0.0]])[None, :],
-                       b_eq=np.array([1.0]),
-                       bounds=[(0.0, 1.0)] * k + [(0.0, None)])
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise RuntimeError(f"node deviation LP failed: {res.status}")
-    return float(res.value)
+    return node_geometry(model, norms.q)[v].gamma
 
 
 def node_strict_arbitrage(model: MarketModel, v: int, eps: float, norms: NormPair,

@@ -454,8 +454,9 @@ def weak_duality_bound(prog: solvers.ConeProgram, y: np.ndarray, z: np.ndarray,
 
 
 def cone_rows_linf_oracle(ops, eps: float) -> np.ndarray:
-    """``programs._cone_rows_linf`` one row at a time: for each internal
-    node and asset, the row of +coeff - eps mask, then -coeff - eps mask."""
+    """The q = inf node rows of the whole-tree measure LPs, one row at a
+    time: for each internal node and asset, the row of +coeff - eps mask,
+    then -coeff - eps mask."""
     rows = []
     for j in range(len(ops.internal)):
         coeff_j = ops.coeff[:, j, :]
@@ -467,15 +468,29 @@ def cone_rows_linf_oracle(ops, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The whole-tree LPs of the measure programs, frozen as they ran on every
-# scalar-asset (d = 1) market before the node inductions: the reference the
-# closed-form inductions are held to
+# The whole-tree LPs of the measure programs, frozen as they ran on
+# polyhedral geometry (d = 1, q = inf, eps = 0) before the node inductions:
+# the reference the closed-form and polytope-vertex inductions are held to
 # ---------------------------------------------------------------------------
 
 
 def _measure_lp_rows(model: MarketModel, eps: float) -> np.ndarray:
     """The node rows +-z_{v,i} <= eps qbar(v) of every internal node."""
     return cone_rows_linf_oracle(programs.tree_ops(model), eps)
+
+
+def lp_node_deviation(A: np.ndarray) -> float:
+    """gamma(v) at q = inf, min over the simplex of |A' a|_inf, as
+    ``programs.node_min_simplex_deviation`` solved it: one LP in (a, t)."""
+    k, d = A.shape
+    a_ub = np.vstack([np.hstack([A.T, -np.ones((d, 1))]),
+                      np.hstack([-A.T, -np.ones((d, 1))])])
+    res = solvers.solve_lp(solvers.LinearProgram(
+        c=np.concatenate([np.zeros(k), [1.0]]), sense="min", a_ub=a_ub, b_ub=np.zeros(2 * d),
+        a_eq=np.concatenate([np.ones(k), [0.0]])[None, :], b_eq=np.array([1.0]),
+        bounds=[(0.0, 1.0)] * k + [(0.0, None)]))
+    assert res.status == "optimal", res.message
+    return float(res.value)
 
 
 def lp_interior_ratio(model: MarketModel, eps: float):
@@ -782,15 +797,18 @@ def count_node_programs(monkeypatch) -> list:
     """Record each node program of the measure inductions from now on, as
     ("node", the names of the functions on the stack), the form of
     ``count_solves``: a closed-form node solves nothing, so only this
-    counter sees it."""
-    real = programs._node_program
+    counter sees it.  The polytope nodes of one time and child count run
+    as one batch, recorded once."""
     runs = []
 
-    def counted(*args, **kwargs):
-        runs.append(("node", _callers()))
-        return real(*args, **kwargs)
+    def counting(real):
+        def counted(*args, **kwargs):
+            runs.append(("node", _callers()))
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(programs, "_node_program", counted)
+    for name in ("_node_program", "_polytope_nodes"):
+        monkeypatch.setattr(programs, name, counting(getattr(programs, name)))
     return runs
 
 

@@ -10,8 +10,9 @@ MEASURE_PROGRAMS = {"cone_linear_optimum": "price bound", "max_min_weight_on_fac
 def pytest_terminal_summary(terminalreporter):
     """Print how many conic results were left without a certified answer,
     how many node programs the measure inductions and the strategy
-    maximin ran by route (the scalar closed forms at d = 1, another closed
-    form, or a cone program), and how many node cone programs of the
+    maximin ran by route (the scalar closed forms at d = 1, a polytope
+    vertex at d >= 2 on polyhedral geometry, another closed form, or a
+    cone program), and how many node cone programs of the
     measure inductions needed their second solve.
 
     Each rejection is a call whose conic result failed its exact check
@@ -32,6 +33,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"{name}: {n}")
     terminalreporter.write_line("node programs: " + ", ".join(
         f"{route} {programs.NODE_PROGRAMS[route]}"
-        for route in ("scalar closed form", "closed form", "cone program")))
+        for route in ("scalar closed form", "polytope vertex", "closed form", "cone program")))
     terminalreporter.write_line("node-cone second solves: " + ", ".join(
         f"{label} {programs.SECOND_SOLVES[name]}" for name, label in MEASURE_PROGRAMS.items()))

@@ -14,9 +14,9 @@ Core claims:
       matches its LP, and at d = 1 the critical level solves no LP
     - at d = 1 a node decision is a sign test on h = +1 and -1; at eps = 0
       it finds the classical arbitrage that detection finds, at every p
-    - at p = 1 with d >= 2 the exact level solves node LPs only where the
-      min-norm bound lets a node be the largest, and returns the full
-      scan's max and first argmax bit for bit
+    - at p = 1 with d >= 2 each gamma(v) is a vertex of the node's LP, held
+      to that LP (0 on a hull's boundary too), and the exact level returns
+      its max and first argmax (ties to the first node) with no LP
     - the measure-side bisection's value with its steps outside the exact
       route's certified bracket left unsolved is the bisection's own, bit
       for bit, and a check without its verdict leaves its side to the solves
@@ -36,7 +36,6 @@ Core claims:
 import json
 import logging
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -50,8 +49,8 @@ from epsarb.testing import random_market, random_martingale_market
 
 from _helpers import (binary_martingale, count_solves, critical_value_oracle, drift_market,
                       fresh_copy, full_tree_law, grid_search_maximin, kbar_market,
-                      min_simplex_deviation_lp, nostrictarb_market, price_range_market,
-                      result_bytes, solves_in, two_state)
+                      lp_node_deviation, min_simplex_deviation_lp, nostrictarb_market,
+                      price_range_market, result_bytes, solves_in, two_state)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -366,20 +365,71 @@ class TestExactCriticalValue:
         assert lo < res.epsilon - 1e-8 * (1.0 + scale) and slack > 0.0
 
 
-def _full_scan(m: ea.MarketModel, norms: ea.NormPair):
-    """max_v gamma(v) and the first node reaching it, one LP per node."""
-    gammas = [ea.programs.node_min_simplex_deviation(m, v, norms) for v in m.internal]
+def _full_scan(m: ea.MarketModel):
+    """max_v gamma(v) at p = 1 and the first node reaching it, by one LP per
+    node (``lp_node_deviation``)."""
+    gammas = [lp_node_deviation(m.delta[list(m.children[v])]) for v in m.internal]
     j = int(np.argmax(gammas))
     return gammas[j], m.internal[j]
 
 
+@st.composite
+def deviation_markets(draw):
+    """One to four time-0 nodes in d in {2, 3} assets, each with one to six
+    children at increments from a grid (0 often on a hull's boundary), and
+    maybe a copy of the first node last: a tie the first must win."""
+    d = draw(st.sampled_from([2, 3]))
+    grid = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    kids = draw(st.lists(st.lists(st.lists(grid, min_size=d, max_size=d), min_size=1, max_size=6),
+                         min_size=1, max_size=4))
+    if draw(st.booleans()):
+        kids.append(kids[0])
+    nodes = []
+    for r, increments in enumerate(kids):
+        nodes.append({"id": f"r{r}", "time": 0, "parent": None, "cond_prob": 1.0 / len(kids),
+                      "prices": [0.0] * d})
+        nodes += [{"id": f"r{r}w{i}", "time": 1, "parent": f"r{r}",
+                   "cond_prob": 1.0 / len(increments), "prices": x}
+                  for i, x in enumerate(increments)]
+    return ea.MarketModel.from_nodes(1, d, nodes)
+
+
 class TestPrunedScan:
+    """At p = 1 with d >= 2 each gamma(v) of the exact level's scan is a
+    vertex of the node's LP (no LP runs), held to that LP: the max, and the
+    first node reaching it, as ``np.argmax`` picks."""
+
     @pytest.mark.parametrize("T", [2, 3, 4])
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_the_full_scan(self, d, T):
         m = full_tree_law(np.random.default_rng(300 + 10 * d + T), T, 3, d)
         res = ea.critical_value(m, N1)
-        assert (res.epsilon, res.argmax_node) == _full_scan(m, N1)
+        eps, v = _full_scan(m)
+        assert res.epsilon == pytest.approx(eps, rel=1e-9, abs=1e-12) and res.argmax_node == v
+
+    @settings(max_examples=300, deadline=None)
+    @given(deviation_markets())
+    def test_vertex_deviations_match_the_lp(self, m):
+        want = [lp_node_deviation(m.delta[list(m.children[v])]) for v in m.internal]
+        got = [ea.programs.node_min_simplex_deviation(m, v, N1) for v in m.internal]
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        for v in m.internal:
+            node = ea.programs.node_geometry(m, np.inf)[v]
+            assert 0.0 <= node.low <= node.gamma <= node.low + 1e-12
+        res = ea.critical_value(m, N1)
+        j = list(m.internal).index(res.argmax_node)
+        assert res.epsilon == got[j] == max(got) and max(got[:j], default=-1.0) < got[j]
+        assert want[j] == pytest.approx(max(want), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("kids", [
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],  # 0 on an edge of the hull
+        [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]],  # 0 a vertex of the hull
+        [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.5, -0.5, 2.0]],
+    ])
+    def test_zero_on_the_hull_boundary(self, kids):
+        m = _one_period(kids)
+        assert ea.programs.node_min_simplex_deviation(m, 0, N1) == 0.0
+        assert lp_node_deviation(np.array(kids)) == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_keeps_the_first_node(self):
         # nodes a and b are identical and the largest: a comes first
@@ -396,24 +446,15 @@ class TestPrunedScan:
                   for i, x in enumerate([[1.0, 0.0], [-1.0, 0.3], [0.0, -1.0]])]
         m = ea.MarketModel.from_nodes(2, 2, nodes)
         res = ea.critical_value(m, N1)
-        assert (res.epsilon, res.argmax_node) == _full_scan(m, N1) == (2.0, m.index["a"])
+        assert (res.epsilon, res.argmax_node) == _full_scan(m) == (2.0, m.index["a"])
 
     def test_81_leaf_tree_solves_few_lps(self, monkeypatch):
-        core = ea.solvers._scipy_extension("scipy.optimize._highspy._core")
-        runs = []
-
-        class Counted(core._Highs):
-            def run(self):
-                runs.append(self)
-                return super().run()
-
-        monkeypatch.setattr(core, "_Highs", Counted)
-        monkeypatch.setattr(ea.solvers, "_THREAD", threading.local())
+        # the 40 gammas are vertices: only the node decision below eps(P) solves LPs
         m = full_tree_law(np.random.default_rng(104), 4, 3, 2)
-        assert len(m.internal) == 40  # the full scan solves 40 node LPs
+        solves = count_solves(monkeypatch)
         res = ea.critical_value(m, N1)
-        assert res.agreed
-        assert len(runs) <= 5
+        assert res.agreed and len(m.internal) == 40
+        assert 0 < len(solves) == solves_in(solves, "node_strict_arbitrage") <= 2
 
 
 def _one_period(increments) -> ea.MarketModel:

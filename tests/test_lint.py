@@ -18,6 +18,9 @@ Core claims:
     - the choice between the LP and the conic route lives in ``programs``:
       ``pricing`` imports nothing from ``solvers`` and names none of
       ``tree_ops``, ``strategy_from_packed`` and ``_l1_slack_rows``
+    - the measure programs and the node geometry name no LP: only the
+      strategy side (the sum and maximin programs, and the p = 1 min-norm
+      solution) calls ``solve_lp`` in ``programs``
     - what a model keeps is written by one helper, ``programs._kept``: no
       other function names ``__dict__`` or calls ``setattr`` or ``vars``,
       and ``__setattr__`` is called only on ``self`` in a ``__post_init__``
@@ -239,6 +242,23 @@ def test_pricing_leaves_the_routes_to_programs():
               for alias in node.names}
     assert not [m for m in modules if m.split(".")[-1] == "solvers"], modules
     assert not names & {"solvers", "tree_ops", "strategy_from_packed", "_l1_slack_rows"}
+
+
+MEASURE_SIDE = ("interior_feasibility", "cone_linear_optimum", "max_min_weight_on_face",
+                "NodeGeometry", "node_geometry", "node_min_simplex_deviation")
+
+
+def test_measure_programs_name_no_lp():
+    tree = MODULES["programs"]
+    defined = {stmt.name: stmt for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    named = {name: {node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)}
+             & {"LinearProgram", "solve_lp"} for name in MEASURE_SIDE}
+    assert not any(named.values()), named
+    callers = {fn.name for fn in _functions(tree)
+               if any(isinstance(node, ast.Name) and node.id == "solve_lp" for node in ast.walk(fn))}
+    assert callers == {"strict_arbitrage_sum_program", "strict_arbitrage_maximin_program",
+                       "_min_norm_solution"}, callers
 
 
 def _scoped(tree, scope=None):

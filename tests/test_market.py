@@ -12,8 +12,7 @@ Core claims:
     - conditional mean increments and Doob splits match hand computations
     - the eps-martingale deviation check is monotone in eps
     - martingale transforms of the Doob part have zero mean under Q
-    - derived coefficient tensors live and die with their model, and the
-      q = inf cone rows built from them equal the row-by-row loop's bytes
+    - derived coefficient tensors live and die with their model
 """
 
 import gc
@@ -28,13 +27,11 @@ from hypothesis.extra import numpy as hnp
 
 import epsarb as ea
 from epsarb.market import qnorm, qnorm_grad
-from epsarb import programs
 from epsarb.programs import tree_ops
 from epsarb.testing import random_market
 
-from _helpers import (binary_martingale, cone_rows_linf_oracle, drift_market, full_tree_law,
-                      kbar_market, nostrictarb_market, telescoping_market, two_state,
-                      validation_oracle)
+from _helpers import (binary_martingale, drift_market, full_tree_law, kbar_market,
+                      nostrictarb_market, telescoping_market, two_state, validation_oracle)
 
 N1, N2 = ea.NormPair(1.0), ea.NormPair(2.0)
 
@@ -482,16 +479,3 @@ class TestTreeOps:
             assert ref() is None
         finally:
             gc.enable()
-
-    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.3, 2.5])
-    def test_linf_cone_rows_match_the_row_loop(self, eps):
-        # One stacked expression: rows in (node, asset, + then -) order,
-        # byte-equal to the loop that built them one numpy call at a time.
-        rng = np.random.default_rng(31)
-        models = [random_market(rng) for _ in range(20)]
-        models += [full_tree_law(rng, 3, 3, 2), two_state([0.0], [1.0], [-1.0], 1)]
-        for m in models:
-            rows = programs._cone_rows_linf(tree_ops(m), eps)
-            want = cone_rows_linf_oracle(tree_ops(m), eps)
-            assert rows.shape == want.shape and rows.flags["C_CONTIGUOUS"]
-            assert rows.tobytes() == want.tobytes()

@@ -8,15 +8,19 @@ Core claims:
       measure and strong duality in the polyhedral / above-threshold cases
     - on polyhedral geometry ("direct") the superhedge's slacks, recomputed
       with the public gain and cost, cover the claim and its capital is the
-      price to 1e-9: at d >= 2 (p = 1; eps = 0 at p = 1.5 and 3) it is the
-      price LP's dual, and a fresh model solves one interior LP and one
-      price LP, no hedge LP; at d = 1 (two time-0 nodes too) it is the node
-      hedges, and no LP runs
-    - at d = 1 the measure programs are node inductions of closed forms:
-      on Hypothesis trees (tangent nodes, eps = 0, repeated and zero
-      increments, one-child nodes, two time-0 nodes) they match the
-      whole-tree LPs they replace, and find-emm, the price bounds, the
-      superhedge and the fair range solve no LP and no cone program
+      price to 1e-9: it is the node hedges (basis duals at d >= 2, p = 1
+      or eps = 0 at p = 1.5 and 3; crossings at d = 1, two time-0 nodes
+      too), and no LP runs
+    - on polyhedral geometry the measure programs are node inductions of
+      closed forms (d = 1) and polytope vertices (d >= 2): on Hypothesis
+      trees (tangent and degenerate nodes, eps = 0, repeated and zero
+      increments, one-child nodes, two time-0 nodes) and full d = 2 trees
+      they match the whole-tree LPs they replace, and find-emm, the price
+      bounds, the superhedge and the fair range solve no LP and no cone
+      program
+    - a unique full-support measure at eps = 0 attains its price bound at
+      d = 2 as at d = 1 (the whole-tree face LP called its slice
+      infeasible)
     - the orthogonal add-on restores exactness below the critical level
     - at p = 2 on full trees a price is a certified bracket: an exactly
       feasible measure below, the price program's dual hedge above
@@ -395,9 +399,10 @@ _INCREMENTS = (st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
 @st.composite
-def scalar_markets(draw):
-    """A d = 1 tree of depth 1 to 3 with one or two time-0 nodes and one to
-    three children a node, its probabilities from integer weights."""
+def tree_markets(draw, d: int = 1, widest: int = 3):
+    """A tree in d assets of depth 1 to 3 with one or two time-0 nodes and
+    one to ``widest`` children a node (two at most at depth 3), its
+    probabilities from integer weights."""
     T = draw(st.integers(1, 3))
 
     def probs(k):
@@ -406,22 +411,23 @@ def scalar_markets(draw):
 
     roots = draw(st.integers(1, 2))
     nodes = [{"id": f"n{r}", "time": 0, "parent": None, "cond_prob": pr,
-              "prices": [float(draw(st.integers(-2, 2)))]} for r, pr in enumerate(probs(roots))]
+              "prices": [float(draw(st.integers(-2, 2))) for _ in range(d)]}
+             for r, pr in enumerate(probs(roots))]
     frontier = list(range(roots))
     for t in range(1, T + 1):
         nxt = []
         for v in frontier:
-            for pr in probs(draw(st.integers(1, 3 if t < 3 else 2))):
+            for pr in probs(draw(st.integers(1, widest if t < 3 else 2))):
                 nodes.append({"id": f"n{len(nodes)}", "time": t, "parent": nodes[v]["id"],
                               "cond_prob": pr,
-                              "prices": [nodes[v]["prices"][0] + draw(_INCREMENTS)]})
+                              "prices": [x + draw(_INCREMENTS) for x in nodes[v]["prices"]]})
                 nxt.append(len(nodes) - 1)
         frontier = nxt
-    return ea.MarketModel.from_nodes(T, 1, nodes)
+    return ea.MarketModel.from_nodes(T, d, nodes)
 
 
 def _matches_the_lp_route(m, eps, norms, c):
-    """The d = 1 inductions against the whole-tree LPs they replace
+    """The polyhedral inductions against the whole-tree LPs they replace
     (``_helpers.lp_*``): the find-emm verdict at the default eta and rho*
     to 1e-9, each price to 1e-9 (relative) with the LP's optimum inside its
     bracket, and the attainment of each bound: a checked witness, or none
@@ -464,7 +470,7 @@ class TestScalarInduction:
     held to the whole-tree LPs that ran there before."""
 
     @settings(max_examples=150, deadline=None)
-    @given(scalar_markets(), st.data())
+    @given(tree_markets(), st.data())
     def test_inductions_match_the_lp_route(self, m, data):
         gammas = [programs.node_min_simplex_deviation(m, v, N2) for v in m.internal]
         eps = data.draw(st.sampled_from([0.0, max(gammas), 1.5 * max(gammas) + 0.1])
@@ -496,6 +502,141 @@ class TestScalarInduction:
             ea.fair_price_range(m, eps, norms, psi)
         assert solves == []
         assert programs.NODE_PROGRAMS["scalar closed form"] > scalar
+        assert programs.NODE_PROGRAMS["cone program"] == cone
+
+
+def _lifted_tree(d: int) -> ea.MarketModel:
+    """n0 -> (n1 at -2, n2 at 0.5), n1 -> (-4, -1.99), n2 -> (0.51, -1.5),
+    every conditional probability 1/2, with d - 1 constant assets beside:
+    at eps = 0 its martingale measure is unique and has full support."""
+    spec = [("n0", None, 0, 1.0, 0.0), ("n1", "n0", 1, 0.5, -2.0), ("n2", "n0", 1, 0.5, 0.5),
+            ("n3", "n1", 2, 0.5, -4.0), ("n4", "n1", 2, 0.5, -1.99),
+            ("n5", "n2", 2, 0.5, 0.51), ("n6", "n2", 2, 0.5, -1.5)]
+    return ea.MarketModel.from_nodes(2, d, [
+        {"id": i, "time": t, "parent": parent, "cond_prob": pr, "prices": [x] + [1.0] * (d - 1)}
+        for i, parent, t, pr, x in spec])
+
+
+def _one_node(k: int, d: int, seed: int, steps: int = 3) -> ea.MarketModel:
+    """One node of k children with grid increments in {-steps/2, ...,
+    steps/2}^d, steps of 1/2."""
+    rng = np.random.default_rng(seed)
+    return ea.MarketModel.from_nodes(1, d, [
+        {"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0] * d}] + [
+        {"id": f"w{i}", "time": 1, "parent": "r", "cond_prob": 1.0 / k,
+         "prices": list(rng.integers(-steps, steps + 1, size=d) / 2.0)} for i in range(k)])
+
+
+class TestPolytopeInduction:
+    """At d >= 2 with q = inf or eps = 0 each node's set is a polytope and
+    its programs are vertices of small LPs, held to the whole-tree LPs that
+    ran there before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(lambda d: tree_markets(d, 4)), st.data())
+    def test_inductions_match_the_lp_route(self, m, data):
+        norms = data.draw(st.sampled_from([N1, N2]))
+        eps = 0.0
+        if norms is N1:
+            gammas = [programs.node_min_simplex_deviation(m, v, N1) for v in m.internal]
+            eps = data.draw(st.sampled_from([0.0, max(gammas), 1.5 * max(gammas) + 0.1])
+                            | st.sampled_from(gammas))  # a degenerate node set at eps = gamma(v)
+        c = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m.n_leaves,
+                                        max_size=m.n_leaves)), dtype=float)
+        _matches_the_lp_route(m, eps, norms, c)
+
+    @pytest.mark.parametrize("T", [2, 3, 4])
+    def test_full_trees_match_the_lp_route(self, T):
+        rng = np.random.default_rng(300 + T)
+        m = full_tree_law(rng, T, 3, 2)
+        c = rng.integers(-3, 4, size=m.n_leaves).astype(float)
+        star = ea.critical_value(m, N1).epsilon
+        for norms, eps in ((N1, star), (N1, 1.5 * star), (N1, 0.0), (N2, 0.0)):
+            _matches_the_lp_route(m, eps, norms, c)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_unique_full_support_measure_attains(self, d, p):
+        # HiGHS called the whole-tree face LP's thin slice infeasible at d = 2
+        res = ea.robust_price_bound(_lifted_tree(d), 0.0, ea.NormPair(p),
+                                    ea.Payoff(np.array([0.0, 0.0, 0.0, 1.0])), "sup")
+        assert res.attained and not res.indeterminate
+        assert res.face_min_weight == pytest.approx(0.2 * 0.01 / 2.01, rel=1e-9)
+        assert res.value == pytest.approx(0.8 * 0.01 / 2.01, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [3, 40])
+    def test_wide_nodes_match_the_lp_route(self, k, monkeypatch):
+        # at 3 children every program enumerates all its bases; at 40 (2.6e6
+        # bases for a face slice) each grows its columns from a vertex, and
+        # no enumeration spans the node's children.  On the coarser grid of
+        # seed 4 a degenerate vertex holds the value over several steps at
+        # eps = 0, p = 2, and only steps that widen the columns get past it
+        widths, grown = [], []
+        real_bases, real_grown = programs._bases, programs._grown
+        monkeypatch.setattr(programs, "_bases", lambda n, *a: widths.append(n) or real_bases(n, *a))
+        monkeypatch.setattr(programs, "_grown", lambda *a: grown.append(1) or real_grown(*a))
+        for seed, steps in ((0, 3), (1, 3), (2, 3), (4, 2)):
+            m = _one_node(k, 3, seed, steps)
+            c = np.random.default_rng(seed).integers(-3, 4, size=k).astype(float)
+            star = ea.critical_value(m, N1).epsilon
+            for norms, eps in ((N1, star), (N1, 1.5 * star + 0.1), (N1, 0.0), (N2, 0.0)):
+                _matches_the_lp_route(m, eps, norms, c)
+        assert bool(grown) == (k == 40)
+        assert max(widths) <= k + 1 if k == 3 else max(widths) < k
+
+    @staticmethod
+    def _zero_child():
+        """n0 -> ((0, -0.5, 0.5), (0, 0, 0)), probabilities 1/2: at eps =
+        1e-6, p = 1, rho* = 4e-6 at the vertex (4e-6, 1 - 4e-6)."""
+        return ea.MarketModel.from_nodes(1, 3, [
+            {"id": "r", "time": 0, "parent": None, "cond_prob": 1.0, "prices": [0.0, 0.0, 0.0]},
+            {"id": "a", "time": 1, "parent": "r", "cond_prob": 0.5, "prices": [0.0, -0.5, 0.5]},
+            {"id": "b", "time": 1, "parent": "r", "cond_prob": 0.5, "prices": [0.0, 0.0, 0.0]}])
+
+    def test_lost_basis_leaves_no_infeasible_verdict(self, monkeypatch):
+        # a constant first asset makes bases singular (solved again without
+        # them), and the vertex meets its row to 1e-18: its basis was
+        # rejected, and the ratio read 0 from the others
+        m = self._zero_child()
+        dets = []
+        real_det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda M: dets.append(1) or real_det(M))
+        emm = ea.find_eps_martingale_measure(m, 1e-6, N1)
+        assert emm.feasible and dets
+        assert np.min(emm.measure.weights / m.leaf_prob) == pytest.approx(4e-6, rel=1e-9)
+        _matches_the_lp_route(m, 1e-6, N1, np.array([1.0, -1.0]))
+
+    def test_a_lost_basis_leaves_the_verdict_open(self, monkeypatch):
+        # without the ratio's bases of s and child b, no vertex reaches
+        # rho* = 4e-6; the duals' bound still covers it, so no "infeasible"
+        real_bases = programs._bases
+
+        def lossy(n, d, extra, free, most):
+            rows, cols, pad = real_bases(n, d, extra, free, most)
+            if free:  # gamma's program keeps its bases
+                return rows, cols, pad
+            keep = ~((cols == 0).any(axis=1) & (cols == 2).any(axis=1))
+            return rows[keep], cols[keep], pad[keep]
+
+        monkeypatch.setattr(programs, "_bases", lossy)
+        status, _, _, bound, _ = programs.interior_feasibility(self._zero_child(), 1e-6, N1, 1e-9)
+        assert status == "indeterminate" and bound >= 4e-6 * (1.0 - 1e-9)
+
+    def test_prices_solve_no_lp_or_cone_program(self, monkeypatch):
+        m = full_tree_law(np.random.default_rng(25), 3, 3, 2)
+        psi = payoff_linear_terminal(m)
+        eps = 1.5 * ea.critical_value(m, N1).epsilon
+        solves = count_solves(monkeypatch)
+        vertex = programs.NODE_PROGRAMS["polytope vertex"]
+        cone = programs.NODE_PROGRAMS["cone program"]
+        assert ea.find_eps_martingale_measure(m, eps, N1).feasible
+        for direction in ("sup", "inf"):
+            assert not ea.robust_price_bound(m, eps, N1, psi, direction).indeterminate
+        res = ea.superhedge_price(m, eps, N1, psi)
+        assert res.mode == "direct" and res.duality_ok
+        ea.fair_price_range(m, eps, N1, psi)
+        assert solves == []
+        assert programs.NODE_PROGRAMS["polytope vertex"] > vertex
         assert programs.NODE_PROGRAMS["cone program"] == cone
 
 
@@ -587,8 +728,8 @@ class TestFairRange:
 
 
 def _check_direct_hedge(m, eps, norms, psi):
-    """The super-hedge on polyhedral geometry ("direct": the price LP's dual
-    at d >= 2, the node hedges at d = 1): its slacks, recomputed with the
+    """The super-hedge on polyhedral geometry ("direct": the node hedges,
+    basis duals at d >= 2 and crossings at d = 1): its slacks, recomputed with the
     public gain and cost, cover the claim, and its capital is the price to
     1e-9 (relative)."""
     res = ea.superhedge_price(m, eps, norms, psi)
@@ -639,14 +780,15 @@ class TestStrongDuality:
         assert solves == []
 
     def test_p1_superhedge_solves_no_second_lp(self, monkeypatch):
-        # a fresh model: one interior LP and one price LP, whose duals are the hedge
+        # a fresh d = 2 model: one interior and one price induction over
+        # polytope nodes, whose basis duals are the hedge, and no LP
         m = _market("curved")
         eps = 1.5 * ea.critical_value(fresh_copy(m), N1).epsilon
         solves = count_solves(monkeypatch)
+        vertex = programs.NODE_PROGRAMS["polytope vertex"]
         _check_direct_hedge(m, eps, N1, payoff_linear_terminal(m))
-        assert len(solves) == 2
-        assert solves_in(solves, "interior_feasibility") == 1
-        assert solves_in(solves, "cone_linear_optimum") == 1
+        assert solves == []
+        assert programs.NODE_PROGRAMS["polytope vertex"] - vertex == 2 * len(m.internal)
 
 
 # (T, branching, d): a curved tree (d = 2, conic off p = 1) and a polyhedral
@@ -695,7 +837,7 @@ class TestKeptPrograms:
         assert result_bytes(ea.superhedge_price(m, eps, norms, psi)) == hedge
         assert result_bytes(ea.fair_price_range(m, eps, norms, psi)) == fair
         # only the programs that are not kept run again: the face programs
-        # of the two price bounds (at p = 1 the hedge is the kept price LP's)
+        # of the two price bounds (the hedge is the kept price induction's)
         runs = solves + nodes
         assert solves_in(runs, "interior_feasibility") == 0
         assert solves_in(runs, "cone_linear_optimum") == 0
@@ -735,7 +877,7 @@ class TestKeptPrograms:
         assert not missed(interior, eps, N2, 1e-9)
         assert missed(interior, np.nextafter(eps, 1.0), N2, 1e-9)
         assert missed(interior, eps, N2, 2e-9)
-        assert missed(interior, 0.0, N2, 1e-9)  # the LP route at eps = 0
+        assert missed(interior, 0.0, N2, 1e-9)  # the polytope route at eps = 0
         assert missed(interior, -0.0, N2, 1e-9)
         price = programs.cone_linear_optimum
         assert missed(price, eps, N2, psi, "max", anchor)
@@ -771,16 +913,16 @@ class TestKeptPrograms:
 
     def test_a_sweep_of_levels_keeps_the_bound(self, monkeypatch):
         m = kbar_market(1.0)
-        levels = np.linspace(1.01, 2.0, 1000)  # one interior LP per level at p = 1
+        levels = np.linspace(1.01, 2.0, 1000)  # one interior induction per level at p = 1
         for eps in levels:
             programs.interior_feasibility(m, eps, N1, 1e-9)
         assert len(m.__dict__["_programs"]) == programs._KEPT_RESULTS
-        solves = count_solves(monkeypatch)
+        runs = count_node_programs(monkeypatch)
         for eps in levels[-programs._KEPT_RESULTS:]:
             programs.interior_feasibility(m, eps, N1, 1e-9)
-        assert not solves
+        assert not runs
         programs.interior_feasibility(m, levels[-programs._KEPT_RESULTS - 1], N1, 1e-9)
-        assert solves
+        assert runs
 
     def test_model_is_freed_after_use(self):
         m = _market("curved")
